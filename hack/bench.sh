@@ -2,7 +2,9 @@
 # Runs the benchstat-friendly Stage series plus the headline analysis and
 # solver-scaling benches, and writes BENCH_<tag>.json mapping each benchmark
 # to its mean ns/op and allocs/op — the perf trajectory future PRs are held
-# to. Usage: hack/bench.sh [tag] [count] [baseline-tag]
+# to — under an `_env` header (cpu model, nproc, GOMAXPROCS, Go version,
+# commit) like the one `go run ./bench` writes, so a number is never read
+# without its machine. Usage: hack/bench.sh [tag] [count] [baseline-tag]
 #
 # With a baseline tag (or BENCH_BASELINE=<tag>), the run ends by diffing
 # the fresh file against BENCH_<baseline>.json via hack/benchdiff and
@@ -21,12 +23,16 @@ out="BENCH_${tag}.json"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-# DeltaVerify/mode=full pays a full n=5000 rebuild per iteration (tens of
-# seconds), so the suite needs headroom beyond go test's default timeout.
+# At -count 5 the suite runs past go test's default 10-minute timeout.
 go test -run '^$' -bench 'Stage|Figure3Analysis|SolverScaling|Campaign|DeltaVerify|ObsOverhead|ConstraintGen|InternetScale' \
     -benchmem -count "$count" -timeout 60m . | tee "$tmp"
 
-awk '
+cpu="$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)"
+commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+[[ -z "$(git status --porcelain 2>/dev/null)" ]] || commit="$commit-dirty"
+
+awk -v cpu="${cpu:-unknown}" -v nproc="$(nproc)" -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" \
+    -v gover="$(go env GOVERSION)" -v commit="$commit" -v count="$count" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -39,6 +45,8 @@ awk '
 }
 END {
     printf "{\n"
+    printf "  \"_env\": {\"cpu_model\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\", \"count\": %d}%s\n", \
+        cpu, nproc, gomaxprocs, gover, commit, count, (n ? "," : "")
     for (i = 1; i <= n; i++) {
         name = names[i]
         mean_ns = nns[name] ? ns[name] / nns[name] : 0

@@ -35,6 +35,7 @@ func load(path string) (map[string]entry, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
+	delete(m, "_env") // bench.sh's machine-context header, not a benchmark
 	return m, nil
 }
 

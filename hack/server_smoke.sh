@@ -2,7 +2,8 @@
 # End-to-end smoke for `fsr serve`: start the daemon with the differential
 # oracle on, load the Figure 3 gadget, drive the README's repair session
 # over HTTP, and assert from /metrics that delta re-verification actually
-# ran (fsr_delta_solves_total > 0) with zero oracle mismatches. Then the
+# ran (fsr_delta_solves_total > 0) with zero oracle mismatches — on the
+# gadget and again on a resident internet:2000 instance. Then the
 # diagnosis surface: an internet-scale POST /v1/analyze must move the
 # condensation counters, the dashboard and flight recorder must serve, a
 # slow op must be retrievable with its span tree, fsr top must render a
@@ -72,6 +73,22 @@ curl -fsS -X POST "$base/v1/analyze" -d '{"gadget":"internet:2000"}' \
     | grep -q '"safe":true'
 scc="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_scc_components_total" {print $2}')"
 [ "${scc:-0}" -gt 0 ] || { echo "FAIL: fsr_scc_components_total=$scc, want > 0" >&2; exit 1; }
+
+# The differential oracle at internet scale: a resident internet:2000
+# instance, verified and then edited by one committed re-rank, with every
+# check replayed through the full pipeline (VerifyFull, ~0.1 s at n=5000)
+# and compared bit for bit.
+curl -fsS -X POST "$base/v1/instances" -d '{"id":"big","gadget":"internet:2000"}' \
+    | grep -q '"nodes":2000'
+curl -fsS -X POST "$base/v1/instances/big/verify" \
+    | jq -e '.safe and .oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 verify under -check-oracle" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/big/whatif" -d '{
+  "ops": [{"op":"rerank","node":"as7","paths":["as7,rx_smoke"]}]
+}' | jq -e '.safe and .applied == 1 and .oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 committed re-rank under -check-oracle" >&2; exit 1; }
+mismatch="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+[ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after internet:2000" >&2; exit 1; }
 
 # The diagnosis surface serves: dashboard HTML, flight recorder JSON with
 # the analyze recorded, and — because the analyze crossed -slow-op — a slow

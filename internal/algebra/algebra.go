@@ -296,12 +296,28 @@ func (e ConcatEntry) String() string {
 	return e.Label.String() + " ⊕ " + e.In.String() + " = " + e.Out.String()
 }
 
+// ConcatEnumerator is implemented by algebras that know which ⊕P entries
+// the policy *defined*, as opposed to answering Concat for any (label,
+// signature) pair. The distinction matters for cost: a converted SPP
+// instance defines one entry per permitted extension out of a
+// |labels|×|Σ| table that is otherwise φ.
+type ConcatEnumerator interface {
+	// ConcatList returns the non-φ entries of the combined ⊕ operator in
+	// ConcatTable order: by label in Labels order, then by signature in
+	// Sigs order.
+	ConcatList() []ConcatEntry
+}
+
 // ConcatTable enumerates the non-φ entries of the combined concatenation
-// operator of a finite algebra, in a stable order. The signature universe
-// is fetched once, not per label: Sigs implementations return defensive
-// copies, and re-copying inside the label loop dominated table generation
-// on large instances.
+// operator of a finite algebra, label-major in Labels order and Σ-minor in
+// Sigs order. Algebras implementing ConcatEnumerator list their defined
+// entries directly; any other algebra (products, user implementations) is
+// walked densely, with the signature universe fetched once, not per label
+// (Sigs implementations return defensive copies).
 func ConcatTable(a Algebra) []ConcatEntry {
+	if ce, ok := a.(ConcatEnumerator); ok {
+		return ce.ConcatList()
+	}
 	labels, sigs := a.Labels(), a.Sigs()
 	out := make([]ConcatEntry, 0, len(labels)*len(sigs)/2)
 	for _, l := range labels {

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,6 +29,9 @@ type Tabular struct {
 	// asserted is the preference statements as the policy author wrote them
 	// (PrefEnumerator); prefer above holds their reflexive-transitive use.
 	asserted []PrefPair
+	// defined is the keys of concat as (label index, signature index) pairs
+	// packed label-major and sorted at Build (ConcatEnumerator).
+	defined []uint64
 }
 
 type labSig struct {
@@ -35,7 +39,11 @@ type labSig struct {
 	s Sig
 }
 
-var _ Algebra = (*Tabular)(nil)
+var (
+	_ Algebra          = (*Tabular)(nil)
+	_ PrefEnumerator   = (*Tabular)(nil)
+	_ ConcatEnumerator = (*Tabular)(nil)
+)
 
 // Name implements Algebra.
 func (t *Tabular) Name() string { return t.name }
@@ -117,6 +125,19 @@ func (t *Tabular) Origin(l Label) Sig {
 func (t *Tabular) PrefList() []PrefPair {
 	out := make([]PrefPair, len(t.asserted))
 	copy(out, t.asserted)
+	return out
+}
+
+// ConcatList implements ConcatEnumerator: each defined ⊕P entry, filtered
+// through ⊕E and ⊕I like every cell of the dense table walk, in O(entries).
+func (t *Tabular) ConcatList() []ConcatEntry {
+	out := make([]ConcatEntry, 0, len(t.defined))
+	for _, k := range t.defined {
+		l, s := t.labels[k>>32], t.sigs[uint32(k)]
+		if r := Combined(t, l, s); !IsProhibited(r) {
+			out = append(out, ConcatEntry{Label: l, In: s, Out: r})
+		}
+	}
 	return out
 }
 
@@ -353,6 +374,11 @@ func (b *Builder) Build() (*Tabular, error) {
 		sort.Strings(msgs)
 		return nil, fmt.Errorf("building algebra: %s", msgs[0])
 	}
+	b.t.defined = make([]uint64, 0, len(b.t.concat))
+	for k := range b.t.concat {
+		b.t.defined = append(b.t.defined, uint64(b.t.labIdx[k.l])<<32|uint64(b.t.sigIdx[k.s]))
+	}
+	slices.Sort(b.t.defined)
 	return b.t, nil
 }
 

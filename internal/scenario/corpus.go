@@ -75,31 +75,54 @@ func splitPath(s string) spp.Path {
 	return p
 }
 
+// appendOnce appends n to list unless seen already holds it.
+func appendOnce(list []spp.Node, seen map[spp.Node]bool, n spp.Node) []spp.Node {
+	if seen[n] {
+		return list
+	}
+	seen[n] = true
+	return append(list, n)
+}
+
 // DecodeInstance rebuilds an instance from its wire form, preserving node,
-// origin, and session order exactly.
+// origin, and session order exactly. Nodes and origin tokens are declared
+// once each (first mention wins) through local seen-sets, so decoding is
+// linear in the size of the wire form.
 func DecodeInstance(j InstanceJSON) (*spp.Instance, error) {
 	in := spp.NewInstance(j.Name)
+	nodes := make(map[spp.Node]bool, len(j.Nodes))
 	for _, n := range j.Nodes {
-		in.AddNode(spp.Node(n))
+		in.Nodes = appendOnce(in.Nodes, nodes, spp.Node(n))
 	}
 	for _, s := range j.Sessions {
-		in.AddSession(spp.Node(s.A), spp.Node(s.B), s.Cost)
+		a, b := spp.Node(s.A), spp.Node(s.B)
+		in.Nodes = appendOnce(appendOnce(in.Nodes, nodes, a), nodes, b)
+		in.Links = append(in.Links, spp.Link{From: a, To: b}, spp.Link{From: b, To: a})
+		if s.Cost != 0 {
+			in.Cost[spp.Link{From: a, To: b}] = s.Cost
+			in.Cost[spp.Link{From: b, To: a}] = s.Cost
+		}
 	}
+	// The recorded origin order wins; without one, origins are derived from
+	// the rankings in path order, as Instance.Rank declares them.
+	for _, o := range j.Origins {
+		in.Origins = append(in.Origins, spp.Node(o))
+	}
+	origins := map[spp.Node]bool{}
 	for _, n := range j.Nodes {
-		var paths []spp.Path
-		for _, ps := range j.Rank[n] {
-			paths = append(paths, splitPath(ps))
+		ranked := j.Rank[n]
+		if len(ranked) == 0 {
+			continue
 		}
-		if len(paths) > 0 {
-			in.Rank(spp.Node(n), paths...)
+		paths := make([]spp.Path, len(ranked))
+		for i, ps := range ranked {
+			p := splitPath(ps)
+			if len(j.Origins) == 0 && len(p) >= 2 {
+				in.Origins = appendOnce(in.Origins, origins, p[len(p)-1])
+			}
+			paths[i] = p
 		}
-	}
-	// Rank re-derives origins from paths; restore the recorded order.
-	if len(j.Origins) > 0 {
-		in.Origins = in.Origins[:0]
-		for _, o := range j.Origins {
-			in.Origins = append(in.Origins, spp.Node(o))
-		}
+		in.Permitted[spp.Node(n)] = paths
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err

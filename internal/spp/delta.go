@@ -23,6 +23,8 @@ package spp
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"fsr/internal/algebra"
@@ -36,6 +38,13 @@ import (
 type DeltaVerifier struct {
 	in *Instance
 	dc *smt.DeltaContext
+
+	// ix answers node, origin and link membership for edit validation; a
+	// node's position is also its preference segment id. It is maintained
+	// across edits and shared copy-on-write with clones (ixShared): re-ranks
+	// over known origin tokens — the what-if common case — never copy it.
+	ix       *topoIndex
+	ixShared bool
 
 	// cons mirrors the delta context's assertion list with algebra-level
 	// provenance, segmented per segLen: first one segment per node (in
@@ -60,12 +69,14 @@ type DeltaVerifier struct {
 // tolerated (the verifier starts degraded and recovers if edits remove
 // them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
-	cp := cloneInstance(in)
-	if err := cp.Validate(); err != nil {
+	cp := in.Clone()
+	ix := indexInstance(cp)
+	if err := cp.validate(ix); err != nil {
 		return nil, err
 	}
 	v := &DeltaVerifier{
 		in:        cp,
+		ix:        ix,
 		symCount:  map[string]int{},
 		nameCount: map[string]int{},
 	}
@@ -93,7 +104,7 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 func (v *DeltaVerifier) Name() string { return v.in.Name }
 
 // Snapshot returns a deep copy of the verifier's current instance.
-func (v *DeltaVerifier) Snapshot() *Instance { return cloneInstance(v.in) }
+func (v *DeltaVerifier) Snapshot() *Instance { return v.in.Clone() }
 
 // Degraded reports whether the incremental mirror is unsound for the
 // current instance (rendering collision or duplicate permitted path) and
@@ -105,24 +116,21 @@ func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
 
 // Clone returns an independent copy, including the warm solver state: a
 // what-if is applied to the clone and simply dropped when not committed.
+// Only the topology index stays shared, until either side edits it.
 func (v *DeltaVerifier) Clone() *DeltaVerifier {
-	c := &DeltaVerifier{
-		in:        cloneInstance(v.in),
+	v.ixShared = true
+	return &DeltaVerifier{
+		in:        v.in.Clone(),
 		dc:        v.dc.Clone(),
+		ix:        v.ix,
+		ixShared:  true,
 		cons:      append([]analysis.Constraint(nil), v.cons...),
 		segLen:    append([]int(nil), v.segLen...),
-		symCount:  make(map[string]int, len(v.symCount)),
-		nameCount: make(map[string]int, len(v.nameCount)),
+		symCount:  maps.Clone(v.symCount),
+		nameCount: maps.Clone(v.nameCount),
 		dupSyms:   v.dupSyms,
 		dupNames:  v.dupNames,
 	}
-	for k, n := range v.symCount {
-		c.symCount[k] = n
-	}
-	for k, n := range v.nameCount {
-		c.nameCount[k] = n
-	}
-	return c
 }
 
 // Verify decides strict monotonicity for the current instance on the delta
@@ -194,39 +202,25 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 		return fmt.Errorf("spp %s: rerank of empty node name", v.in.Name)
 	}
 	for _, p := range paths {
-		if len(p) < 2 {
-			return fmt.Errorf("spp %s: node %s: path %q too short", v.in.Name, n, p)
-		}
-		if p.Owner() != n {
-			return fmt.Errorf("spp %s: node %s: path %s not owned by node", v.in.Name, n, p)
-		}
-		for i := 0; i+2 < len(p); i++ {
-			if !v.in.HasLink(p[i], p[i+1]) {
-				return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", v.in.Name, n, p, p[i], p[i+1])
-			}
-		}
-		for i := 1; i+1 < len(p); i++ {
-			if !v.in.isReal(p[i]) {
-				return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", v.in.Name, n, p, p[i])
-			}
+		if err := v.ix.validatePath(v.in.Name, n, p, true); err != nil {
+			return err
 		}
 	}
-	newNode := !v.in.isReal(n)
 	for _, p := range v.in.Permitted[n] {
 		v.countPath(p, -1)
 	}
 	for _, p := range paths {
 		v.countPath(p, +1)
-	}
-	v.in.Rank(n, clonePaths(paths)...)
-	if newNode {
-		if err := v.insertSeg(len(v.in.Nodes)-1, v.prefSeg(n)); err != nil {
-			return err
+		if o := p[len(p)-1]; !v.ix.origins[o] {
+			v.ownIndex().origins[o] = true
+			v.in.Origins = append(v.in.Origins, o)
 		}
-	} else if err := v.setSeg(v.nodeSegID(n), v.prefSeg(n)); err != nil {
-		return err
 	}
-	return v.refreshIncident(map[Node]bool{n: true})
+	if _, known := v.ix.nodes[n]; !known {
+		v.declareNode(n)
+	}
+	v.in.Permitted[n] = clonePaths(paths)
+	return v.refresh(map[Node]bool{n: true})
 }
 
 // DropSession removes the bidirectional session a↔b, prunes every permitted
@@ -254,6 +248,9 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 	}
 	delete(v.in.Cost, Link{a, b})
 	delete(v.in.Cost, Link{b, a})
+	ix := v.ownIndex()
+	delete(ix.links, Link{a, b})
+	delete(ix.links, Link{b, a})
 
 	crosses := func(p Path) bool {
 		for i := 0; i+2 < len(p); i++ {
@@ -279,15 +276,7 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 			pruned[n] = true
 		}
 	}
-	for _, n := range v.in.Nodes {
-		if !pruned[n] {
-			continue
-		}
-		if err := v.setSeg(v.nodeSegID(n), v.prefSeg(n)); err != nil {
-			return err
-		}
-	}
-	return v.refreshIncident(pruned)
+	return v.refresh(pruned)
 }
 
 // AddSession adds the bidirectional session a↔b with an optional IGP cost,
@@ -298,18 +287,17 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	if a == b || a == "" || b == "" {
 		return fmt.Errorf("spp %s: invalid session %s↔%s", v.in.Name, a, b)
 	}
-	if v.in.HasLink(a, b) || v.in.HasLink(b, a) {
+	if v.ix.links[Link{a, b}] || v.ix.links[Link{b, a}] {
 		return fmt.Errorf("spp %s: session %s↔%s already exists", v.in.Name, a, b)
 	}
 	for _, n := range []Node{a, b} {
-		if !v.in.isReal(n) {
-			v.in.AddNode(n)
-			if err := v.insertSeg(len(v.in.Nodes)-1, v.prefSeg(n)); err != nil {
-				return err
-			}
+		if _, known := v.ix.nodes[n]; !known {
+			v.declareNode(n)
 		}
 	}
 	v.in.Links = append(v.in.Links, Link{a, b}, Link{b, a})
+	ix := v.ownIndex()
+	ix.links[Link{a, b}], ix.links[Link{b, a}] = true, true
 	if cost != 0 {
 		v.in.Cost[Link{a, b}] = cost
 		v.in.Cost[Link{b, a}] = cost
@@ -320,19 +308,54 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	return v.insertSeg(len(v.in.Nodes)+len(v.in.Links)-1, v.monoSeg(Link{b, a}))
 }
 
-// refreshIncident regenerates the monotonicity segments of every link
-// incident to a touched node. It runs after all ranking mutations of an
-// operation, so each segment is regenerated from the final rankings.
-func (v *DeltaVerifier) refreshIncident(touched map[Node]bool) error {
+// refresh regenerates the preference segment of every touched node and the
+// monotonicity segment of every link incident to one, in a single pass
+// over the segment list that carries the running constraint offset. It
+// runs after all ranking mutations of an operation, so each segment is
+// regenerated from the final rankings.
+func (v *DeltaVerifier) refresh(touched map[Node]bool) error {
+	off := 0
+	for i, n := range v.in.Nodes {
+		if touched[n] {
+			if err := v.setSeg(i, off, v.prefSeg(n)); err != nil {
+				return err
+			}
+		}
+		off += v.segLen[i]
+	}
 	for i, l := range v.in.Links {
-		if !touched[l.From] && !touched[l.To] {
-			continue
+		id := len(v.in.Nodes) + i
+		if touched[l.From] || touched[l.To] {
+			if err := v.setSeg(id, off, v.monoSeg(l)); err != nil {
+				return err
+			}
 		}
-		if err := v.setSeg(len(v.in.Nodes)+i, v.monoSeg(l)); err != nil {
-			return err
-		}
+		off += v.segLen[id]
 	}
 	return nil
+}
+
+// ownIndex returns the topology index for writing, taking a private copy
+// first if a clone still shares it.
+func (v *DeltaVerifier) ownIndex() *topoIndex {
+	if v.ixShared {
+		v.ix = &topoIndex{
+			nodes:   maps.Clone(v.ix.nodes),
+			origins: maps.Clone(v.ix.origins),
+			links:   maps.Clone(v.ix.links),
+		}
+		v.ixShared = false
+	}
+	return v.ix
+}
+
+// declareNode appends a real node with an empty preference segment (an
+// undeclared node cannot have a ranking yet).
+func (v *DeltaVerifier) declareNode(n Node) {
+	id := len(v.in.Nodes)
+	v.ownIndex().nodes[n] = int32(id)
+	v.in.Nodes = append(v.in.Nodes, n)
+	v.segLen = slices.Insert(v.segLen, id, 0)
 }
 
 // --- segment generation (the incremental mirror of §IV-B) ---
@@ -405,15 +428,6 @@ func (v *DeltaVerifier) monoSeg(l Link) []analysis.Constraint {
 
 // --- segment bookkeeping ---
 
-func (v *DeltaVerifier) nodeSegID(n Node) int {
-	for i, e := range v.in.Nodes {
-		if e == n {
-			return i
-		}
-	}
-	return -1
-}
-
 func (v *DeltaVerifier) segOffset(id int) int {
 	off := 0
 	for i := 0; i < id; i++ {
@@ -422,40 +436,33 @@ func (v *DeltaVerifier) segOffset(id int) int {
 	return off
 }
 
-// setSeg replaces segment id's constraints, splicing the solver context
-// only when the content actually changed.
-func (v *DeltaVerifier) setSeg(id int, fresh []analysis.Constraint) error {
-	off := v.segOffset(id)
+// setSeg replaces the constraints of segment id, which start at offset off,
+// splicing the solver context only when the content actually changed.
+func (v *DeltaVerifier) setSeg(id, off int, fresh []analysis.Constraint) error {
 	old := v.cons[off : off+v.segLen[id]]
-	if constraintsEqual(old, fresh) {
+	if slices.Equal(old, fresh) {
 		return nil
 	}
 	if err := v.dc.Splice(off, len(old), assertsOf(fresh)); err != nil {
 		return err
 	}
-	next := make([]analysis.Constraint, 0, len(v.cons)-len(old)+len(fresh))
-	next = append(next, v.cons[:off]...)
-	next = append(next, fresh...)
-	next = append(next, v.cons[off+len(old):]...)
-	v.cons = next
+	v.cons = slices.Replace(v.cons, off, off+len(old), fresh...)
 	v.segLen[id] = len(fresh)
 	return nil
 }
 
 // insertSeg inserts a new segment at id.
 func (v *DeltaVerifier) insertSeg(id int, fresh []analysis.Constraint) error {
-	v.segLen = append(v.segLen, 0)
-	copy(v.segLen[id+1:], v.segLen[id:])
-	v.segLen[id] = 0
-	return v.setSeg(id, fresh)
+	v.segLen = slices.Insert(v.segLen, id, 0)
+	return v.setSeg(id, v.segOffset(id), fresh)
 }
 
 // removeSeg deletes segment id.
 func (v *DeltaVerifier) removeSeg(id int) error {
-	if err := v.setSeg(id, nil); err != nil {
+	if err := v.setSeg(id, v.segOffset(id), nil); err != nil {
 		return err
 	}
-	v.segLen = append(v.segLen[:id], v.segLen[id+1:]...)
+	v.segLen = slices.Delete(v.segLen, id, id+1)
 	return nil
 }
 
@@ -527,40 +534,10 @@ func assertsOf(cons []analysis.Constraint) []smt.Assertion {
 	return out
 }
 
-func constraintsEqual(a, b []analysis.Constraint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func clonePaths(paths []Path) []Path {
 	out := make([]Path, len(paths))
 	for i, p := range paths {
 		out[i] = append(Path(nil), p...)
 	}
 	return out
-}
-
-func cloneInstance(in *Instance) *Instance {
-	cp := &Instance{
-		Name:      in.Name,
-		Nodes:     append([]Node(nil), in.Nodes...),
-		Origins:   append([]Node(nil), in.Origins...),
-		Links:     append([]Link(nil), in.Links...),
-		Cost:      make(map[Link]int, len(in.Cost)),
-		Permitted: make(map[Node][]Path, len(in.Permitted)),
-	}
-	for l, c := range in.Cost {
-		cp.Cost[l] = c
-	}
-	for n, paths := range in.Permitted {
-		cp.Permitted[n] = clonePaths(paths)
-	}
-	return cp
 }

@@ -23,11 +23,7 @@ func (in *Instance) Clone() *Instance {
 		out.Cost[l] = c
 	}
 	for n, paths := range in.Permitted {
-		cp := make([]Path, len(paths))
-		for i, p := range paths {
-			cp[i] = append(Path(nil), p...)
-		}
-		out.Permitted[n] = cp
+		out.Permitted[n] = clonePaths(paths)
 	}
 	return out
 }

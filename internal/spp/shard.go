@@ -1,10 +1,12 @@
 // Sharded constraint generation and the internet-scale analysis fast path.
 //
 // ToAlgebra + analysis.Constraints is the fidelity path: it materializes
-// the full §III-B algebra and derives the §IV-B constraint system through
-// algebra.ConcatTable, which enumerates labels × signatures — O(n²) map
-// lookups that dominate everything else from a few thousand nodes up. But
-// the non-φ entries of that table are exactly the permitted extensions the
+// the full §III-B algebra (signature and label maps, the preference
+// closure, the ⊕ tables) and derives the §IV-B constraint system from it —
+// linear in the instance, but several times the work the constraints
+// themselves need (chain:400 analyses in 3.3 ms that way against 0.45 ms
+// through AnalyzeScale).
+// The non-φ entries of the ⊕ table are exactly the permitted extensions the
 // instance already states: for each directed link u→v, the permitted paths
 // q of v whose extension u·q is permitted at u, in rank order. The
 // DeltaVerifier's segment layout exploits this per-link view for
@@ -12,8 +14,8 @@
 // per-node preference segments (Nodes order) followed by the per-link
 // monotonicity segments (Links order) are emitted in parallel into one
 // preallocated array-of-struct buffer, element-for-element identical to
-// what the full pipeline generates, in O(paths + links·K²) instead of
-// O(links·paths).
+// what the full pipeline generates, in O(paths + links·K²) without
+// building the algebra.
 //
 // On top of the sharded generator sits AnalyzeScale, the fast path
 // Session.AnalyzeSPP takes for large instances: permitted paths become
@@ -35,7 +37,6 @@ package spp
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -65,7 +66,6 @@ type linkMatch struct {
 // a provenance buffer asks for them.
 type shardPrep struct {
 	in       *Instance
-	nodeIdx  map[Node]int32
 	perms    [][]Path // per node index: its permitted paths (shared, not copied)
 	linkEnds []int32  // per link: from-index, to-index (2 entries each; −1 undeclared)
 	pathOff  []int32  // global path-id base per node; id = pathOff[ni]+rank
@@ -213,30 +213,34 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 	return smt.Var(buf), buf
 }
 
-// buildShardPrep validates the instance (sharded — the quadratic Validate
-// scans don't survive 100k nodes), interns every permitted path's solver
-// variable into the flat array, and collects the permitted-extension
-// matches in link order. A non-nil error is a structural validation
-// failure with Validate's message shapes; ok=false flags instances the
-// compact naming scheme cannot represent.
+// buildShardPrep validates the instance, interns every permitted path's
+// solver variable into the flat array, and collects the permitted-extension
+// matches in link order. Validation rides on the match list (extension
+// propagation, below) instead of calling Instance.Validate: that is linear
+// too, but its per-hop set lookups take 0.16 s on internet:50000, more than
+// all of AnalyzeScale there (0.14 s; a `go run ./bench -workload
+// scale-session` operation, one safe and one unsafe analysis, reads
+// op_p50_ms ≈ 357 ms). A non-nil error is a structural validation failure
+// with Validate's message shapes; ok=false flags instances the compact
+// naming scheme cannot represent.
 func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
 	p := &shardPrep{
 		in:       in,
-		nodeIdx:  make(map[Node]int32, nn),
 		perms:    make([][]Path, nn),
 		linkEnds: make([]int32, 2*nl),
 		pathOff:  make([]int32, nn+1),
 		prefOff:  make([]int32, nn+1),
 	}
+	// The link set is only filled if some path escapes extension
+	// propagation and needs the per-path validator.
+	ix := topoIndex{nodes: make(map[Node]int32, nn), origins: make(map[Node]bool, len(in.Origins))}
 	for i, n := range in.Nodes {
-		p.nodeIdx[n] = int32(i)
+		ix.nodes[n] = int32(i)
 	}
-	for n := range in.Permitted {
-		if _, ok := p.nodeIdx[n]; !ok {
-			return nil, fmt.Errorf("spp %s: ranking for undeclared node %s", in.Name, n)
-		}
+	for _, o := range in.Origins {
+		ix.origins[o] = true
 	}
 	for ni, n := range in.Nodes {
 		paths := in.Permitted[n]
@@ -250,10 +254,6 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	}
 	p.nPaths = int(p.pathOff[nn])
 
-	origins := make(map[Node]bool, len(in.Origins))
-	for _, o := range in.Origins {
-		origins[o] = true
-	}
 	// One string-resolution pass over the links: index pairs for the match
 	// and fill loops. Links with undeclared endpoints can't be resolved and
 	// never produce matches; paths crossing them fall to the string-keyed
@@ -272,7 +272,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		if haveB && n == cacheB {
 			return cacheBi
 		}
-		id, ok := p.nodeIdx[n]
+		id, ok := ix.nodes[n]
 		if !ok {
 			id = -1
 		}
@@ -333,7 +333,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			n := in.Nodes[ni]
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
-				if len(q) == 2 && q[0] == n && origins[q[1]] {
+				if len(q) == 2 && q[0] == n && ix.origins[q[1]] {
 					valid[base+int32(r)] = true
 				}
 			}
@@ -350,23 +350,25 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			}
 		}
 	}
-	var links map[Link]bool
 	for ni := 0; ni < nn; ni++ {
 		base := p.pathOff[ni]
 		for r, q := range p.perms[ni] {
 			if valid[base+int32(r)] {
 				continue
 			}
-			if links == nil {
-				links = make(map[Link]bool, nl)
+			if ix.links == nil {
+				ix.links = make(map[Link]bool, nl)
 				for _, l := range in.Links {
-					links[l] = true
+					ix.links[l] = true
 				}
 			}
-			if err := validatePath(in, in.Nodes[ni], q, origins, links, p.nodeIdx); err != nil {
+			if err := ix.validatePath(in.Name, in.Nodes[ni], q, false); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if err := ix.undeclaredRanking(in); err != nil {
+		return nil, err
 	}
 
 	// Solver-variable interning, sharded by node into the flat array. The
@@ -420,31 +422,6 @@ func fnv64(v smt.Var) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// validatePath is one path's structural check, map-backed but with
-// Validate's exact error messages.
-func validatePath(in *Instance, n Node, p Path, origins map[Node]bool, links map[Link]bool, nodeIdx map[Node]int32) error {
-	if len(p) < 2 {
-		return fmt.Errorf("spp %s: node %s: path %q too short", in.Name, n, p)
-	}
-	if p.Owner() != n {
-		return fmt.Errorf("spp %s: node %s: path %s not owned by node", in.Name, n, p)
-	}
-	if !origins[p[len(p)-1]] {
-		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", in.Name, n, p)
-	}
-	for i := 0; i+2 < len(p); i++ {
-		if !links[Link{p[i], p[i+1]}] {
-			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", in.Name, n, p, p[i], p[i+1])
-		}
-	}
-	for i := 1; i+1 < len(p); i++ {
-		if _, ok := nodeIdx[p[i]]; !ok {
-			return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", in.Name, n, p, p[i])
-		}
-	}
-	return nil
 }
 
 // extensionRank returns the rank of the extension [from]+q in perm, or −1

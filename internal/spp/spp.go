@@ -14,6 +14,7 @@ package spp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -137,22 +138,16 @@ func NewInstance(name string) *Instance {
 
 // AddNode declares a real node (idempotent).
 func (in *Instance) AddNode(n Node) {
-	for _, e := range in.Nodes {
-		if e == n {
-			return
-		}
+	if !slices.Contains(in.Nodes, n) {
+		in.Nodes = append(in.Nodes, n)
 	}
-	in.Nodes = append(in.Nodes, n)
 }
 
 // AddOrigin declares an origin token (idempotent).
 func (in *Instance) AddOrigin(n Node) {
-	for _, e := range in.Origins {
-		if e == n {
-			return
-		}
+	if !slices.Contains(in.Origins, n) {
+		in.Origins = append(in.Origins, n)
 	}
-	in.Origins = append(in.Origins, n)
 }
 
 // AddSession adds a bidirectional link between two real nodes with an
@@ -181,62 +176,99 @@ func (in *Instance) Rank(n Node, paths ...Path) {
 
 // HasLink reports whether the directed link u→v exists.
 func (in *Instance) HasLink(u, v Node) bool {
+	return slices.Contains(in.Links, Link{u, v})
+}
+
+// topoIndex is the hash-set view of an instance's declarations — real
+// nodes (with their position in Nodes), origin tokens, directed links — that
+// structural validation resolves membership against, so validating an
+// instance is linear in its size instead of one slice scan per hop.
+type topoIndex struct {
+	nodes   map[Node]int32
+	origins map[Node]bool
+	links   map[Link]bool
+}
+
+// indexInstance builds the index of the instance's current declarations.
+func indexInstance(in *Instance) *topoIndex {
+	ix := &topoIndex{
+		nodes:   make(map[Node]int32, len(in.Nodes)),
+		origins: make(map[Node]bool, len(in.Origins)),
+		links:   make(map[Link]bool, len(in.Links)),
+	}
+	for i, n := range in.Nodes {
+		ix.nodes[n] = int32(i)
+	}
+	for _, o := range in.Origins {
+		ix.origins[o] = true
+	}
 	for _, l := range in.Links {
-		if l.From == u && l.To == v {
-			return true
-		}
+		ix.links[l] = true
 	}
-	return false
+	return ix
 }
 
-// isReal reports whether n is a declared real node.
-func (in *Instance) isReal(n Node) bool {
-	for _, e := range in.Nodes {
-		if e == n {
-			return true
+// validatePath is the structural check of one permitted path p ranked at
+// node n of the instance called name: long enough, owned by n, terminated by
+// a declared origin token, walking existing links among declared nodes.
+// anyOrigin skips the origin-token check for callers that declare a path's
+// token on the fly (DeltaVerifier.ReRank, like Instance.Rank).
+func (ix *topoIndex) validatePath(name string, n Node, p Path, anyOrigin bool) error {
+	if len(p) < 2 {
+		return fmt.Errorf("spp %s: node %s: path %q too short", name, n, p)
+	}
+	if p.Owner() != n {
+		return fmt.Errorf("spp %s: node %s: path %s not owned by node", name, n, p)
+	}
+	if !anyOrigin && !ix.origins[p[len(p)-1]] {
+		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", name, n, p)
+	}
+	for i := 0; i+2 < len(p); i++ { // hops among real nodes
+		if !ix.links[Link{p[i], p[i+1]}] {
+			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", name, n, p, p[i], p[i+1])
 		}
 	}
-	return false
-}
-
-// Validate checks structural well-formedness: every permitted path is owned
-// by its node, terminates in an origin token, and walks existing links.
-func (in *Instance) Validate() error {
-	for n, paths := range in.Permitted {
-		if !in.isReal(n) {
-			return fmt.Errorf("spp %s: ranking for undeclared node %s", in.Name, n)
-		}
-		for _, p := range paths {
-			if len(p) < 2 {
-				return fmt.Errorf("spp %s: node %s: path %q too short", in.Name, n, p)
-			}
-			if p.Owner() != n {
-				return fmt.Errorf("spp %s: node %s: path %s not owned by node", in.Name, n, p)
-			}
-			last := p[len(p)-1]
-			isOrig := false
-			for _, o := range in.Origins {
-				if o == last {
-					isOrig = true
-					break
-				}
-			}
-			if !isOrig {
-				return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", in.Name, n, p)
-			}
-			for i := 0; i+2 < len(p); i++ { // hops among real nodes
-				if !in.HasLink(p[i], p[i+1]) {
-					return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", in.Name, n, p, p[i], p[i+1])
-				}
-			}
-			for i := 1; i+1 < len(p); i++ {
-				if !in.isReal(p[i]) {
-					return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", in.Name, n, p, p[i])
-				}
-			}
+	for i := 1; i+1 < len(p); i++ {
+		if _, ok := ix.nodes[p[i]]; !ok {
+			return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", name, n, p, p[i])
 		}
 	}
 	return nil
+}
+
+// undeclaredRanking reports the (alphabetically first) Permitted key that is
+// not a declared node, or nil.
+func (ix *topoIndex) undeclaredRanking(in *Instance) error {
+	var first Node
+	found := false
+	for n := range in.Permitted {
+		if _, ok := ix.nodes[n]; !ok && (!found || n < first) {
+			first, found = n, true
+		}
+	}
+	if found {
+		return fmt.Errorf("spp %s: ranking for undeclared node %s", in.Name, first)
+	}
+	return nil
+}
+
+// Validate checks structural well-formedness: every permitted path is owned
+// by its node, terminates in an origin token, and walks existing links. The
+// first error reported is deterministic: rankings are checked in Nodes
+// order, then rankings of undeclared nodes in name order.
+func (in *Instance) Validate() error {
+	return in.validate(indexInstance(in))
+}
+
+func (in *Instance) validate(ix *topoIndex) error {
+	for _, n := range in.Nodes {
+		for _, p := range in.Permitted[n] {
+			if err := ix.validatePath(in.Name, n, p, false); err != nil {
+				return err
+			}
+		}
+	}
+	return ix.undeclaredRanking(in)
 }
 
 // permitted reports whether path p is in the owner's ranked list.
