@@ -35,8 +35,8 @@ func YicesTextSolver() SolverBackend { return smt.YicesText{} }
 // digraph is condensed with Tarjan's algorithm and each strongly connected
 // component is solved independently (in parallel across components on
 // multi-core hosts), with verdicts, models, and minimized cores identical
-// to NativeSolver. Sessions holding this backend also take the dense
-// internet-scale fast path for large SPP instances.
+// to NativeSolver. Like NativeSolver sessions, sessions holding this backend
+// decide SPP instances on the emitter's dense encoding.
 func SCCSolver() SolverBackend { return smt.Decomposed{} }
 
 // SolverBackends returns every built-in solver backend.

@@ -3,7 +3,8 @@
 # oracle on, load the Figure 3 gadget, drive the README's repair session
 # over HTTP, and assert from /metrics that delta re-verification actually
 # ran (fsr_delta_solves_total > 0) with zero oracle mismatches — on the
-# gadget and again on a resident internet:2000 instance. Then the
+# gadget, again on a resident internet:2000 instance, and on an instance
+# whose path names collide after sanitization (degraded verifier). Then the
 # diagnosis surface: an internet-scale POST /v1/analyze must move the
 # condensation counters, the dashboard and flight recorder must serve, a
 # slow op must be retrievable with its span tree, fsr top must render a
@@ -89,6 +90,34 @@ curl -fsS -X POST "$base/v1/instances/big/whatif" -d '{
     || { echo "FAIL: internet:2000 committed re-rank under -check-oracle" >&2; exit 1; }
 mismatch="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
 [ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after internet:2000" >&2; exit 1; }
+
+# Unlucky names: "x.y" and "x_y" sanitize to one solver variable, so the
+# resident verifier is degraded and every check is a from-scratch analysis
+# by the §IV-B emitter (which suffixes the clash like the algebra pipeline).
+# The oracle must still agree, before and after a committed re-rank, and no
+# analysis may have been counted on a fallback route.
+curl -fsS -X POST "$base/v1/instances" -d '{"id":"clash","instance":{
+  "name":"clash","nodes":["n0","n1"],"sessions":[{"a":"n0","b":"n1"}],
+  "rank":{"n0":["n0,x.y"],"n1":["n1,x_y","n1,n0,x.y"]}}}' \
+    | jq -e '.degraded == true' >/dev/null \
+    || { echo "FAIL: x.y/x_y instance not reported degraded" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/clash/verify" \
+    | jq -e '.safe and .model.x_y_2 and .oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: degraded verify under -check-oracle" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/clash/whatif" -d '{
+  "ops": [{"op":"rerank","node":"n1","paths":["n1,n0,x.y","n1,x_y"]}]
+}' | jq -e '.safe and .applied == 1 and .oracle_checked and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: degraded committed re-rank under -check-oracle" >&2; exit 1; }
+curl -fsS "$base/v1/instances/clash" | jq -e '.info.degraded == true' >/dev/null \
+    || { echo "FAIL: x.y/x_y instance left degraded mode after the re-rank" >&2; exit 1; }
+metrics="$(curl -fsS "$base/metrics")"
+mismatch="$(echo "$metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+[ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after the name clash" >&2; exit 1; }
+echo "$metrics" | grep -q '^fsr_spp_scale_path_total{path="dense"}' \
+    || { echo "FAIL: degraded verifies not counted on the emitter's dense route" >&2; exit 1; }
+if echo "$metrics" | grep -q '^fsr_spp_scale_path_total{.*fallback'; then
+    echo "FAIL: fsr_spp_scale_path_total still has a fallback series" >&2; exit 1
+fi
 
 # The diagnosis surface serves: dashboard HTML, flight recorder JSON with
 # the analyze recorded, and — because the analyze crossed -slow-op — a slow

@@ -108,6 +108,9 @@ type Result struct {
 	// Core is the minimal unsatisfiable subset of generated constraints
 	// when !Sat, with algebra-level provenance.
 	Core []Constraint
+	// CoreIdx gives each Core element's position in the generated
+	// constraint list.
+	CoreIdx []int
 	// NumPreference and NumMonotonicity count generated constraints, the
 	// figures the paper reports for §VI-B (292 ranking / 259 strict-mono).
 	NumPreference   int
@@ -473,22 +476,25 @@ func solvePrepared(ctx context.Context, name string, cond Condition, cons []Cons
 		}
 		return res, nil
 	}
-	if len(out.CoreIdx) == len(out.Core) {
-		res.Core = make([]Constraint, 0, len(out.CoreIdx))
-		for _, i := range out.CoreIdx {
-			if i >= 0 && i < len(cons) {
-				res.Core = append(res.Core, cons[i])
+	idx := out.CoreIdx
+	if len(idx) != len(out.Core) {
+		byOrigin := make(map[string]int, len(cons))
+		for i := range cons {
+			byOrigin[cons[i].Assertion.Origin] = i
+		}
+		idx = make([]int, 0, len(out.Core))
+		for _, a := range out.Core {
+			if i, ok := byOrigin[a.Origin]; ok {
+				idx = append(idx, i)
 			}
 		}
-		return res, nil
 	}
-	byOrigin := make(map[string]Constraint, len(cons))
-	for _, c := range cons {
-		byOrigin[c.Assertion.Origin] = c
-	}
-	for _, a := range out.Core {
-		if c, ok := byOrigin[a.Origin]; ok {
-			res.Core = append(res.Core, c)
+	res.Core = make([]Constraint, 0, len(idx))
+	res.CoreIdx = make([]int, 0, len(idx))
+	for _, i := range idx {
+		if i >= 0 && i < len(cons) {
+			res.Core = append(res.Core, cons[i])
+			res.CoreIdx = append(res.CoreIdx, i)
 		}
 	}
 	return res, nil

@@ -18,6 +18,9 @@ func requireDeltaParity(t *testing.T, label string, v *spp.DeltaVerifier) {
 		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)
 	}
 	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error text: delta %v, oracle %v", label, gotErr, wantErr)
+		}
 		return
 	}
 	if got.Sat != want.Sat {

@@ -1,7 +1,8 @@
 // Ingestion tests: the set-backed DecodeInstance/Validate pair against the
 // slice-scanning implementation it replaced (kept here as the oracle), the
-// FuzzDecodeInstance target over the daemon's upload path, and the
-// growth-rate guard that keeps first contact linear in the instance.
+// FuzzDecodeInstance target over the daemon's upload path — decode, then
+// Session.AnalyzeSPP against the algebra pipeline — and the growth-rate
+// guard that keeps first contact linear in the instance.
 //
 // External test package so the fuzz target can drive fsr.Session, the
 // public entry point an upload ends at.
@@ -22,6 +23,7 @@ import (
 	"fsr"
 	"fsr/internal/analysis"
 	"fsr/internal/scenario"
+	"fsr/internal/smt"
 	"fsr/internal/spp"
 	"fsr/internal/topology"
 )
@@ -182,6 +184,59 @@ func malformedInstances() map[string]*spp.Instance {
 	return out
 }
 
+// requireAnalysisParity runs the instance through Session.AnalyzeSPP — the
+// one §IV-B emitter — and through the algebra pipeline, and fails unless
+// both reject it with the same message or agree on verdict, model, core
+// (elements and positions), counts and suspects. A deadline on either side
+// settles nothing and is let through.
+func requireAnalysisParity(t *testing.T, label string, in *spp.Instance) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var (
+		want         analysis.Result
+		wantSuspects []spp.Node
+	)
+	conv, wantErr := in.ToAlgebra()
+	if wantErr == nil {
+		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
+		wantSuspects = conv.SuspectNodes(want.Core)
+	}
+	got, suspects, err := fsr.NewSession().AnalyzeSPP(ctx, in)
+	if ctx.Err() != nil {
+		return
+	}
+	if err != nil || wantErr != nil {
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("%s: AnalyzeSPP: %s, algebra pipeline: %s", label, errText(err), errText(wantErr))
+		}
+		return
+	}
+	got.Stats, want.Stats = smt.Stats{}, smt.Stats{}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(suspects, wantSuspects) {
+		t.Fatalf("%s: AnalyzeSPP diverges from the algebra pipeline:\n%+v %v\nvs\n%+v %v", label, got, suspects, want, wantSuspects)
+	}
+}
+
+// TestMalformedInstancesRejectedAlike: on every malformed instance the
+// emitter's error is, word for word, the one Validate reports — an invalid
+// upload is validated once and that verdict is the answer.
+func TestMalformedInstancesRejectedAlike(t *testing.T) {
+	for name, in := range malformedInstances() {
+		requireAnalysisParity(t, name, in)
+		want := in.Validate()
+		if want == nil {
+			continue
+		}
+		if _, _, err := fsr.NewSession().AnalyzeSPP(context.Background(), in); errText(err) != errText(want) {
+			t.Fatalf("%s: AnalyzeSPP: %s, Validate: %s", name, errText(err), errText(want))
+		}
+		if _, _, ok, err := spp.AnalyzeScale(context.Background(), in, 2); ok || errText(err) != errText(want) {
+			t.Fatalf("%s: AnalyzeScale: ok=%v %s, Validate: %s", name, ok, errText(err), errText(want))
+		}
+	}
+}
+
 // TestValidateMatchesNaive: the set-backed validator and the scanning
 // oracle agree — accept/reject and message — on every gadget and generator
 // instance and on every malformed one, and the answer is the same on every
@@ -244,8 +299,10 @@ func fuzzSeeds() [][]byte {
 
 // FuzzDecodeInstance drives the upload path the daemon exposes — wire form
 // → DecodeInstance (which validates) → Session.AnalyzeSPP — with arbitrary
-// JSON. Nothing may panic, and the set-backed decoder and validator must
-// agree with the scanning oracle on every input.
+// JSON. Nothing may panic, the set-backed decoder and validator must agree
+// with the scanning oracle on every input, and the analysis must be the
+// algebra pipeline's: small inputs collide on names and renderings freely,
+// which is exactly where the emitter has rules of its own to get wrong.
 func FuzzDecodeInstance(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -262,11 +319,7 @@ func FuzzDecodeInstance(f *testing.F) {
 		if in == nil {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		// Errors are fine (degenerate algebras, duplicate renderings, the
-		// deadline); only a panic or a validator split fails the target.
-		_, _, _ = fsr.NewSession().AnalyzeSPP(ctx, in)
+		requireAnalysisParity(t, "fuzz input", in)
 	})
 }
 

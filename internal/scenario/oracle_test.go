@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fsr/internal/obs"
 	"fsr/internal/spp"
 	"fsr/internal/topology"
 )
@@ -58,6 +59,58 @@ func TestVerifyFullN5000(t *testing.T) {
 		t.Fatalf("two VerifyFull runs at n=5000 took %v, budget 5s", d)
 	} else {
 		t.Logf("two VerifyFull runs at n=5000: %v", d)
+	}
+}
+
+// TestDegradedVerifyStaysOffTheAlgebra: one sanitization collision on a
+// resident n=5000 instance degrades the verifier, and every Verify from then
+// on is a from-scratch analysis. It must be the emitter's (counted on
+// fsr_spp_scale_path_total), not a compiled algebra's, answer the oracle's
+// with the suffixed names, and hand back to the delta path once an edit
+// removes the clash.
+func TestDegradedVerifyStaysOffTheAlgebra(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=5000 instance")
+	}
+	g := topology.GenerateInternet(1, topology.InternetParams{N: 5000})
+	in := InternetSPP("internet:5000", g, 3)
+	v, err := spp.NewDeltaVerifier(in)
+	if err != nil {
+		t.Fatalf("NewDeltaVerifier: %v", err)
+	}
+	a, b := in.Links[0].From, in.Links[0].To
+	original := in.Permitted[a]
+	if err := v.ReRank(a, spp.Path{a, "x.y"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ReRank(b, spp.Path{b, "x_y"}, spp.Path{b, a, "x.y"}); err != nil {
+		t.Fatal(err)
+	}
+	if !v.Degraded() {
+		t.Fatal("x.y beside x_y did not degrade the verifier")
+	}
+	routes := obs.Default().CounterVec("fsr_spp_scale_path_total", "", "path")
+	dense, solves := routes.Value("dense"), v.DeltaStats().Checks
+	requireDeltaParity(t, "degraded", v)
+	res, _, err := v.Verify(context.Background())
+	if err != nil || !res.Sat || res.Model["x_y"] == 0 || res.Model["x_y_2"] == 0 {
+		t.Fatalf("degraded verify: sat=%v x_y=%d x_y_2=%d err=%v", res.Sat, res.Model["x_y"], res.Model["x_y_2"], err)
+	}
+	if got := routes.Value("dense") - dense; got != 2 {
+		t.Fatalf("two degraded verifies took the emitter's dense route %v times", got)
+	}
+	if got := v.DeltaStats().Checks; got != solves {
+		t.Fatalf("degraded verifies reached the delta context (%d → %d checks)", solves, got)
+	}
+	if err := v.ReRank(a, original...); err != nil {
+		t.Fatal(err)
+	}
+	if v.Degraded() {
+		t.Fatal("removing x.y did not end degraded mode")
+	}
+	requireDeltaParity(t, "recovered", v)
+	if got := routes.Value("dense") - dense; got != 2 {
+		t.Fatalf("recovered verify still analysed from scratch (%v dense routes)", got)
 	}
 }
 

@@ -427,7 +427,7 @@ func (s *Server) runVerify(r *http.Request, id string, v *spp.DeltaVerifier) (ve
 		mode = "full"
 	default:
 		// The verifier bypassed the delta context entirely (degraded or
-		// degenerate instance) and rebuilt from scratch.
+		// degenerate instance) and analysed from scratch.
 		mode = "full"
 		s.metrics.FullSolves.Inc()
 	}

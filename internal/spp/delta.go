@@ -10,13 +10,12 @@
 // region those constraints reach.
 //
 // Correctness is anchored to the full pipeline, not argued independently:
-// segment generation mirrors Instance.ToAlgebra + analysis constraint
-// generation statement for statement (same orderings, same provenance
-// strings, same variable naming via analysis.VarName), tests enforce
-// bit-for-bit parity against VerifyFull, and any instance the mirror cannot
-// name identically — signature-rendering collisions, duplicate permitted
-// paths — flips the verifier into degraded mode, where Verify transparently
-// runs the full pipeline instead.
+// the resident list is built by the batch emitter and patched with the same
+// two segment functions (prefSeg, monoSeg) under the natural naming, tests
+// enforce bit-for-bit parity against VerifyFull, and any instance the
+// natural naming does not fit — signature-rendering collisions, duplicate
+// permitted paths — flips the verifier into degraded mode, where Verify
+// analyses the instance from scratch instead.
 
 package spp
 
@@ -25,9 +24,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
-	"fsr/internal/algebra"
 	"fsr/internal/analysis"
 	"fsr/internal/smt"
 )
@@ -55,9 +52,9 @@ type DeltaVerifier struct {
 	// symCount counts permitted paths per signature rendering; nameCount
 	// per sanitized solver-variable name. Any rendering shared by two paths
 	// (a ToAlgebra error) or any name collision (where the full pipeline
-	// would suffix) makes the incremental mirror unsound, so dupSyms /
-	// dupNames > 0 degrades Verify to the full pipeline until edits resolve
-	// the clash.
+	// would suffix) makes the naturally named resident list unsound, so
+	// dupSyms / dupNames > 0 degrades Verify to a from-scratch analysis
+	// until edits resolve the clash.
 	symCount  map[string]int
 	nameCount map[string]int
 	dupSyms   int
@@ -70,31 +67,22 @@ type DeltaVerifier struct {
 // them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := in.Clone()
-	ix := indexInstance(cp)
-	if err := cp.validate(ix); err != nil {
+	p, err := buildShardPrep(cp, 0)
+	if err != nil {
 		return nil, err
 	}
 	v := &DeltaVerifier{
 		in:        cp,
-		ix:        ix,
+		ix:        indexInstance(cp),
+		cons:      p.shardedConstraints(0),
+		segLen:    p.segLens(),
 		symCount:  map[string]int{},
 		nameCount: map[string]int{},
 	}
-	for _, n := range cp.Nodes {
-		for _, p := range cp.Permitted[n] {
-			v.countPath(p, +1)
+	for _, paths := range p.perms {
+		for _, q := range paths {
+			v.countPath(q, +1)
 		}
-	}
-	v.segLen = make([]int, 0, len(cp.Nodes)+len(cp.Links))
-	for _, n := range cp.Nodes {
-		seg := v.prefSeg(n)
-		v.cons = append(v.cons, seg...)
-		v.segLen = append(v.segLen, len(seg))
-	}
-	for _, l := range cp.Links {
-		seg := v.monoSeg(l)
-		v.cons = append(v.cons, seg...)
-		v.segLen = append(v.segLen, len(seg))
 	}
 	v.dc = smt.NewDeltaContext(assertsOf(v.cons))
 	return v, nil
@@ -106,9 +94,9 @@ func (v *DeltaVerifier) Name() string { return v.in.Name }
 // Snapshot returns a deep copy of the verifier's current instance.
 func (v *DeltaVerifier) Snapshot() *Instance { return v.in.Clone() }
 
-// Degraded reports whether the incremental mirror is unsound for the
-// current instance (rendering collision or duplicate permitted path) and
-// Verify is falling back to the full pipeline.
+// Degraded reports whether the resident list is unsound for the current
+// instance (rendering collision or duplicate permitted path) and Verify is
+// analysing from scratch.
 func (v *DeltaVerifier) Degraded() bool { return v.dupSyms > 0 || v.dupNames > 0 }
 
 // DeltaStats returns the underlying solver's delta statistics.
@@ -134,15 +122,18 @@ func (v *DeltaVerifier) Clone() *DeltaVerifier {
 }
 
 // Verify decides strict monotonicity for the current instance on the delta
-// path (full pipeline when degraded), returning the analysis result and the
+// path (from scratch when degraded), returning the analysis result and the
 // suspect nodes implicated by the core (nil when sat) — the same contract
 // as Session.AnalyzeSPP.
 func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, error) {
-	// Degenerate instances (no links, or no permitted paths at all) are
-	// rejected by the algebra builder; route them through the full pipeline
-	// so the caller sees the same error a fresh analysis would produce.
-	if v.Degraded() || len(v.in.Links) == 0 || len(v.symCount) == 0 {
-		return v.VerifyFull(ctx)
+	if v.dupSyms > 0 {
+		return analysis.Result{}, nil, duplicatePath(v.in)
+	}
+	// A name collision needs the suffixed variables, and a degenerate
+	// instance (no links, or no permitted paths at all) the error a fresh
+	// analysis reports: both are Analyze's to decide.
+	if v.dupNames > 0 || len(v.in.Links) == 0 || len(v.symCount) == 0 {
+		return Analyze(ctx, v.in, smt.Native{}, 0)
 	}
 	out, err := v.dc.Check(ctx)
 	if err != nil {
@@ -154,13 +145,10 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		Sat:       out.Sat,
 		Stats:     out.Stats,
 	}
-	for i := range v.cons {
-		if v.cons[i].Kind == analysis.KindPreference {
-			res.NumPreference++
-		} else {
-			res.NumMonotonicity++
-		}
+	for _, n := range v.segLen[:len(v.in.Nodes)] {
+		res.NumPreference += n
 	}
+	res.NumMonotonicity = len(v.cons) - res.NumPreference
 	if out.Sat {
 		res.Model = make(map[string]int, len(out.Model))
 		for name, val := range out.Model {
@@ -169,12 +157,14 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		return res, nil, nil
 	}
 	res.Core = make([]analysis.Constraint, 0, len(out.CoreIdx))
+	res.CoreIdx = make([]int, 0, len(out.CoreIdx))
 	for _, i := range out.CoreIdx {
 		if i >= 0 && i < len(v.cons) {
 			res.Core = append(res.Core, v.cons[i])
+			res.CoreIdx = append(res.CoreIdx, i)
 		}
 	}
-	return res, v.suspects(res.Core), nil
+	return res, suspects(v.in, v.segLen, res.CoreIdx), nil
 }
 
 // VerifyFull runs the full pipeline — ToAlgebra, fresh constraint
@@ -302,10 +292,11 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 		v.in.Cost[Link{a, b}] = cost
 		v.in.Cost[Link{b, a}] = cost
 	}
-	if err := v.insertSeg(len(v.in.Nodes)+len(v.in.Links)-2, v.monoSeg(Link{a, b})); err != nil {
+	ra, rb := naturalRanking(v.in.Permitted[a]), naturalRanking(v.in.Permitted[b])
+	if err := v.insertSeg(len(v.in.Nodes)+len(v.in.Links)-2, linkSeg(Link{a, b}, ra, rb)); err != nil {
 		return err
 	}
-	return v.insertSeg(len(v.in.Nodes)+len(v.in.Links)-1, v.monoSeg(Link{b, a}))
+	return v.insertSeg(len(v.in.Nodes)+len(v.in.Links)-1, linkSeg(Link{b, a}, rb, ra))
 }
 
 // refresh regenerates the preference segment of every touched node and the
@@ -314,10 +305,24 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 // runs after all ranking mutations of an operation, so each segment is
 // regenerated from the final rankings.
 func (v *DeltaVerifier) refresh(touched map[Node]bool) error {
+	// Each endpoint's names are rendered once per refresh, however many
+	// touched segments share it.
+	rankings := map[Node]ranking{}
+	rankingOf := func(n Node) ranking {
+		r, ok := rankings[n]
+		if !ok {
+			r = naturalRanking(v.in.Permitted[n])
+			rankings[n] = r
+		}
+		return r
+	}
 	off := 0
 	for i, n := range v.in.Nodes {
 		if touched[n] {
-			if err := v.setSeg(i, off, v.prefSeg(n)); err != nil {
+			r := rankingOf(n)
+			seg := make([]analysis.Constraint, max(len(r.paths)-1, 0))
+			prefSeg(seg, r)
+			if err := v.setSeg(i, off, seg); err != nil {
 				return err
 			}
 		}
@@ -326,13 +331,22 @@ func (v *DeltaVerifier) refresh(touched map[Node]bool) error {
 	for i, l := range v.in.Links {
 		id := len(v.in.Nodes) + i
 		if touched[l.From] || touched[l.To] {
-			if err := v.setSeg(id, off, v.monoSeg(l)); err != nil {
+			if err := v.setSeg(id, off, linkSeg(l, rankingOf(l.From), rankingOf(l.To))); err != nil {
 				return err
 			}
 		}
 		off += v.segLen[id]
 	}
 	return nil
+}
+
+// linkSeg generates one directed link's monotonicity segment from its
+// endpoints' current rankings.
+func linkSeg(l Link, from, to ranking) []analysis.Constraint {
+	ms := appendMatches(nil, 0, l.From, from.paths, to.paths)
+	seg := make([]analysis.Constraint, len(ms))
+	monoSeg(seg, l, ms, from, to)
+	return seg
 }
 
 // ownIndex returns the topology index for writing, taking a private copy
@@ -356,74 +370,6 @@ func (v *DeltaVerifier) declareNode(n Node) {
 	v.ownIndex().nodes[n] = int32(id)
 	v.in.Nodes = append(v.in.Nodes, n)
 	v.segLen = slices.Insert(v.segLen, id, 0)
-}
-
-// --- segment generation (the incremental mirror of §IV-B) ---
-
-// term names a permitted path's solver variable exactly as the full
-// pipeline does for a collision-free instance.
-func (v *DeltaVerifier) term(p Path) smt.Term {
-	return smt.Term{Var: analysis.VarName(sigName(p))}
-}
-
-// prefSeg generates the node's preference segment: the ranked list as
-// adjacent strict pairs, Builder.Chain's expansion.
-func (v *DeltaVerifier) prefSeg(n Node) []analysis.Constraint {
-	paths := v.in.Permitted[n]
-	if len(paths) < 2 {
-		return nil
-	}
-	out := make([]analysis.Constraint, 0, len(paths)-1)
-	for i := 0; i+1 < len(paths); i++ {
-		pair := algebra.PrefPair{
-			A:      algebra.Symbol(sigName(paths[i])),
-			B:      algebra.Symbol(sigName(paths[i+1])),
-			Strict: true,
-		}
-		out = append(out, analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      v.term(paths[i]),
-				B:      v.term(paths[i+1]),
-				Origin: "pref: " + pair.String(),
-			},
-			Kind: analysis.KindPreference,
-			Pref: pair,
-		})
-	}
-	return out
-}
-
-// monoSeg generates the directed link's monotonicity segment: for every
-// permitted path q of the link's head whose extension [tail]+q is permitted
-// at the tail, the ⊕ entry l_uv ⊕ r_q = r_uq — the owner-ordered slice of
-// algebra.ConcatTable this link contributes.
-func (v *DeltaVerifier) monoSeg(l Link) []analysis.Constraint {
-	var out []analysis.Constraint
-	lab := algebra.LSym("l_" + string(l.From) + string(l.To))
-	for _, q := range v.in.Permitted[l.To] {
-		p := make(Path, 0, len(q)+1)
-		p = append(append(p, l.From), q...)
-		if !v.in.permitted(p) {
-			continue
-		}
-		entry := algebra.ConcatEntry{
-			Label: lab,
-			In:    algebra.Symbol(sigName(q)),
-			Out:   algebra.Symbol(sigName(p)),
-		}
-		out = append(out, analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      v.term(q),
-				B:      v.term(p),
-				Origin: "mono: " + entry.String(),
-			},
-			Kind:  analysis.KindMonotonicity,
-			Entry: entry,
-		})
-	}
-	return out
 }
 
 // --- segment bookkeeping ---
@@ -486,42 +432,6 @@ func (v *DeltaVerifier) countPath(p Path, d int) {
 	}
 	bump(v.symCount, sym, &v.dupSyms)
 	bump(v.nameCount, string(analysis.VarName(sym)), &v.dupNames)
-}
-
-// suspects mirrors Conversion.SuspectNodes over the mirrored constraints:
-// preference constraints implicate the ranking's owner, monotonicity
-// constraints the owner of the derived path.
-func (v *DeltaVerifier) suspects(core []analysis.Constraint) []Node {
-	seen := map[Node]bool{}
-	var out []Node
-	add := func(s algebra.Sig) {
-		n, found := v.ownerOfSym(s)
-		if found && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, c := range core {
-		switch c.Kind {
-		case analysis.KindPreference:
-			add(c.Pref.A)
-		case analysis.KindMonotonicity:
-			add(c.Entry.Out)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (v *DeltaVerifier) ownerOfSym(s algebra.Sig) (Node, bool) {
-	for _, n := range v.in.Nodes {
-		for _, p := range v.in.Permitted[n] {
-			if algebra.Symbol(sigName(p)) == s {
-				return n, true
-			}
-		}
-	}
-	return "", false
 }
 
 // --- helpers ---

@@ -20,6 +20,9 @@ func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)
 	}
 	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error text: delta %v, oracle %v", label, gotErr, wantErr)
+		}
 		return
 	}
 	if got.Algebra != want.Algebra || got.Condition != want.Condition {

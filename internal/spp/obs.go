@@ -1,5 +1,5 @@
-// Scale-path introspection: which route AnalyzeScale took, how often the
-// compact naming scheme collided, and where sharded emission time goes.
+// Emitter introspection: which route Analyze took, how often solver-variable
+// names collided, and where sharded emission time goes.
 //
 // Histogram and counter handles are pre-resolved at init so the per-shard
 // timing observes are label-lookup-free — the emission passes run at
@@ -15,17 +15,16 @@ import (
 
 var (
 	obsScalePath = obs.Default().CounterVec("fsr_spp_scale_path_total",
-		"AnalyzeScale outcomes by route taken.", "path")
+		"Analyze outcomes by route taken.", "path")
 	// dense: sat decided entirely on the dense id encoding.
 	obsPathDense = obsScalePath.With("dense")
 	// resolve: unsat re-solved through the provenance (AoS) buffer.
 	obsPathResolve = obsScalePath.With("resolve")
-	// fallback: compact naming not faithful (collision/degenerate) or
-	// validation failed — caller stays on the classic path.
-	obsPathFallback = obsScalePath.With("fallback")
+	// provenance: a non-native backend solved the provenance buffer itself.
+	obsPathProvenance = obsScalePath.With("provenance")
 
 	obsShardCollisions = obs.Default().Counter("fsr_spp_shard_collisions_total",
-		"Instances rejected by the sharded generator's duplicate-name screen.")
+		"Instances whose solver-variable names collided (suffixed, or rejected as duplicate paths).")
 
 	obsShardEmit = obs.Default().HistogramVec("fsr_spp_shard_emit_seconds",
 		"Sharded emission pass latency by stage.", "stage")

@@ -1,45 +1,37 @@
-// Sharded constraint generation and the internet-scale analysis fast path.
+// The §IV-B emitter for SPP instances: the one place the repo turns an
+// instance into safety constraints without compiling an algebra.
 //
-// ToAlgebra + analysis.Constraints is the fidelity path: it materializes
-// the full §III-B algebra (signature and label maps, the preference
-// closure, the ⊕ tables) and derives the §IV-B constraint system from it —
-// linear in the instance, but several times the work the constraints
-// themselves need (chain:400 analyses in 3.3 ms that way against 0.45 ms
-// through AnalyzeScale).
-// The non-φ entries of the ⊕ table are exactly the permitted extensions the
-// instance already states: for each directed link u→v, the permitted paths
-// q of v whose extension u·q is permitted at u, in rank order. The
-// DeltaVerifier's segment layout exploits this per-link view for
-// incremental re-verification; this file exploits it for scale — the
-// per-node preference segments (Nodes order) followed by the per-link
-// monotonicity segments (Links order) are emitted in parallel into one
-// preallocated array-of-struct buffer, element-for-element identical to
-// what the full pipeline generates, in O(paths + links·K²) without
-// building the algebra.
+// The non-φ entries of the converted instance's ⊕ table are exactly the
+// permitted extensions the instance already states: for each directed link
+// u→v, the permitted paths q of v whose extension u·q is permitted at u, in
+// rank order. The constraint system is therefore one preference segment per
+// node (Nodes order) followed by one monotonicity segment per link (Links
+// order), and prefSeg and monoSeg below are the only functions that
+// construct an SPP analysis.Constraint. The batch forms loop them over every
+// segment, in parallel, into one preallocated buffer — element for element
+// what analysis.Constraints generates from in.ToAlgebra(), in
+// O(paths + links·K²) — and the DeltaVerifier calls the same two functions
+// for the segments an edit touches.
 //
-// On top of the sharded generator sits AnalyzeScale, the fast path
-// Session.AnalyzeSPP takes for large instances: permitted paths become
-// dense int32 ids (global rank order), the difference constraints go
-// straight to smt.SolveDense — no Origin strings, no interning, no
-// per-constraint provenance, not even the signature renderings (only the
-// sanitized solver variables, each fused into a single allocation) — and
-// the SCC-decomposed engine returns the canonical model, from which the
-// analysis.Result is materialized with exactly the variables, values, and
-// counts the classic path produces. Unsatisfiable instances re-solve
-// through the provenance path (sharded AoS constraints +
-// analysis.CheckPrepared), so minimized cores and §VI-B suspect sets stay
-// bit-identical too. Instances the compact naming scheme cannot represent
-// faithfully (duplicate solver-variable names, degenerate shapes) report
-// ok=false and the caller stays on the classic path, mirroring the
-// DeltaVerifier's degraded mode.
+// Analyze sits on top: permitted paths become dense int32 ids (global rank
+// order) and, for the native engine, the difference constraints go straight
+// to smt.SolveDense — no Origin strings, no per-constraint provenance, not
+// even the signature renderings (only the sanitized solver variables, each
+// fused into a single allocation). Unsatisfiable instances, and every
+// instance under any other solver backend, solve the provenance buffer
+// through analysis.CheckPrepared, so minimized cores and §VI-B suspect sets
+// are the ones the algebra pipeline reports. ToAlgebra's own rejections
+// (duplicate links and renderings, degenerate algebras) and its collision
+// suffixes on solver-variable names are reproduced by resolveNames.
 
 package spp
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -58,96 +50,68 @@ type linkMatch struct {
 	li, tq, fq int32
 }
 
-// shardPrep is the interned, densely indexed view of an instance the
-// sharded generator and the scale path share. Per-path state lives in flat
-// arrays indexed by global path id ((node, rank) order) rather than
-// per-node slices — at 10⁵ nodes the slice headers alone would dominate
-// allocation — and signature renderings are not materialized at all until
-// a provenance buffer asks for them.
+// shardPrep is the interned, densely indexed view of an instance the batch
+// emitters share. Per-path state lives in flat arrays indexed by global path
+// id ((node, rank) order) rather than per-node slices — at 10⁵ nodes the
+// slice headers alone would dominate allocation — and signature renderings
+// are not materialized at all until a provenance buffer asks for them.
 type shardPrep struct {
 	in       *Instance
 	perms    [][]Path // per node index: its permitted paths (shared, not copied)
 	linkEnds []int32  // per link: from-index, to-index (2 entries each; −1 undeclared)
 	pathOff  []int32  // global path-id base per node; id = pathOff[ni]+rank
 	nPaths   int
-	vars     []smt.Var // per path id: the sanitized solver variable
+	vars     []smt.Var // per path id: the solver variable
 	prefOff  []int32   // per node: first preference-constraint index
 	matches  []linkMatch
-	// varOwner maps each solver variable name to its owning node index —
-	// the §VI-B suspect lookup, built lazily (only the unsat path reads
-	// it; the duplicate gate runs on sorted hashes instead).
-	varOwner map[string]int32
-	ok       bool
-}
-
-// ownerMap lazily builds the variable-name → owning-node index.
-func (p *shardPrep) ownerMap() map[string]int32 {
-	if p.varOwner == nil {
-		p.varOwner = make(map[string]int32, p.nPaths)
-		for ni := 0; ni < len(p.perms); ni++ {
-			for _, v := range p.vars[p.pathOff[ni]:p.pathOff[ni+1]] {
-				p.varOwner[string(v)] = int32(ni)
-			}
-		}
-	}
-	return p.varOwner
 }
 
 func (p *shardPrep) totalPref() int32 { return p.prefOff[len(p.prefOff)-1] }
 func (p *shardPrep) total() int32     { return p.totalPref() + int32(len(p.matches)) }
 
-// parShards splits [0,n) into at most `workers` contiguous chunks and runs
-// fn on each concurrently. fn receives (shard, lo, hi); shard indexes are
-// dense so callers can collect per-shard results deterministically.
-func parShards(n, workers int, fn func(shard, lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// segLens returns the length of every segment of the canonical emission
+// order: one per node, then one per link.
+func (p *shardPrep) segLens() []int {
+	nn := len(p.perms)
+	out := make([]int, nn+len(p.in.Links))
+	for ni := 0; ni < nn; ni++ {
+		out[ni] = int(p.prefOff[ni+1] - p.prefOff[ni])
 	}
-	if workers > n {
-		workers = n
+	for _, m := range p.matches {
+		out[nn+int(m.li)]++
 	}
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			fn(shard, lo, hi)
-		}(shard, lo, hi)
-		shard++
-	}
-	wg.Wait()
+	return out
 }
 
-// shardCount returns the number of chunks parShards(n, workers, ·) will
-// run — for sizing per-shard result buffers.
-func shardCount(n, workers int) int {
+// chunkSize is the shard length that splits [0,n) into at most `workers`
+// contiguous chunks (GOMAXPROCS when workers ≤ 0).
+func chunkSize(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	return max(1, (n+workers-1)/workers)
+}
+
+// parShards runs fn concurrently on the chunkSize(n, workers) chunks of
+// [0,n). fn receives (shard, lo, hi); shard indexes are dense so callers can
+// collect per-shard results deterministically.
+func parShards(n, workers int, fn func(shard, lo, hi int)) {
+	chunk := chunkSize(n, workers)
+	if chunk >= n {
+		if n > 0 {
+			fn(0, 0, n)
+		}
+		return
 	}
-	if n == 0 {
-		return 0
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			fn(lo/chunk, lo, min(lo+chunk, n))
+		}(lo)
 	}
-	if workers <= 1 {
-		return 1
-	}
-	chunk := (n + workers - 1) / workers
-	return (n + chunk - 1) / chunk
+	wg.Wait()
 }
 
 // cleanByte maps each ASCII byte to itself when it is in
@@ -220,9 +184,9 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 // too, but its per-hop set lookups take 0.16 s on internet:50000, more than
 // all of AnalyzeScale there (0.14 s; a `go run ./bench -workload
 // scale-session` operation, one safe and one unsafe analysis, reads
-// op_p50_ms ≈ 357 ms). A non-nil error is a structural validation failure
-// with Validate's message shapes; ok=false flags instances the compact
-// naming scheme cannot represent.
+// op_p50_ms ≈ 357 ms). A non-nil error is a structural validation failure,
+// the one Validate reports. The interned variables are the natural
+// (unsuffixed) names; resolveNames makes them the algebra pipeline's.
 func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
@@ -246,11 +210,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		paths := in.Permitted[n]
 		p.perms[ni] = paths
 		p.pathOff[ni+1] = p.pathOff[ni] + int32(len(paths))
-		c := int32(0)
-		if len(paths) > 1 {
-			c = int32(len(paths) - 1)
-		}
-		p.prefOff[ni+1] = p.prefOff[ni] + c
+		p.prefOff[ni+1] = p.prefOff[ni] + int32(max(len(paths)-1, 0))
 	}
 	p.nPaths = int(p.pathOff[nn])
 
@@ -287,7 +247,8 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	// Permitted-extension matches: one parallel pass, per-shard buffers
 	// concatenated in shard order. Shards are contiguous link ranges, so
 	// concatenation preserves the canonical link-order emission.
-	bufs := make([][]linkMatch, shardCount(nl, workers))
+	chunk := chunkSize(nl, workers)
+	bufs := make([][]linkMatch, (nl+chunk-1)/chunk)
 	parShards(nl, workers, func(shard, lo, hi int) {
 		var buf []linkMatch
 		for li := lo; li < hi; li++ {
@@ -295,26 +256,14 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			if fi < 0 || ti < 0 {
 				continue
 			}
-			from, permF := in.Links[li].From, p.perms[fi]
-			for tq, q := range p.perms[ti] {
-				if fq := extensionRank(permF, from, q); fq >= 0 {
-					buf = append(buf, linkMatch{int32(li), int32(tq), fq})
-				}
-			}
+			buf = appendMatches(buf, int32(li), in.Links[li].From, p.perms[fi], p.perms[ti])
 		}
 		bufs[shard] = buf
 	})
 	if len(bufs) == 1 {
 		p.matches = bufs[0]
 	} else {
-		total := 0
-		for _, b := range bufs {
-			total += len(b)
-		}
-		p.matches = make([]linkMatch, 0, total)
-		for _, b := range bufs {
-			p.matches = append(p.matches, b...)
-		}
+		p.matches = slices.Concat(bufs...)
 	}
 
 	// Validation by extension propagation. A two-element path is valid iff
@@ -371,57 +320,130 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		return nil, err
 	}
 
-	// Solver-variable interning, sharded by node into the flat array. The
-	// duplicate-screen hash rides along while the bytes are hot.
+	// Solver-variable interning, sharded by node into the flat array.
 	p.vars = make([]smt.Var, p.nPaths)
-	keys := make([]uint64, p.nPaths)
 	parShards(nn, workers, func(_, lo, hi int) {
 		var buf []byte
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
-				id := base + int32(r)
-				p.vars[id], buf = renderVar(buf, q)
-				keys[id] = fnv64(p.vars[id])
+				p.vars[base+int32(r)], buf = renderVar(buf, q)
 			}
 		}
 	})
-
-	// Collision gate: a duplicated variable name — whether from equal
-	// renderings (the classic path errors on those) or a sanitization
-	// collision (the classic path suffixes them) — makes the compact
-	// naming ambiguous, and the classic path must decide the instance.
-	// Sorted 64-bit hashes screen for duplicates without a string map;
-	// only a hash collision pays for the exact check.
-	p.ok = nl > 0 && p.nPaths > 0
-	if p.ok {
-		slices.Sort(keys)
-		for i := 1; i < p.nPaths; i++ {
-			if keys[i] == keys[i-1] {
-				seen := make(map[string]struct{}, p.nPaths)
-				for _, v := range p.vars {
-					if _, dup := seen[string(v)]; dup {
-						p.ok = false
-						obsShardCollisions.Inc()
-						break
-					}
-					seen[string(v)] = struct{}{}
-				}
-				break
-			}
-		}
-	}
 	return p, nil
 }
 
-// fnv64 is FNV-1a over the variable name — the duplicate screen's hash.
-func fnv64(v smt.Var) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(v); i++ {
-		h ^= uint64(v[i])
+// resolveNames reproduces what ToAlgebra and analysis.newSigVars do to a
+// structurally valid instance beyond naming each path after its rendering:
+// the rejections, in ToAlgebra's order and wording (two links sharing a
+// label, two paths sharing a rendering, an algebra with no labels or no
+// signatures), and the first-come _2, _3, … suffixes over global path order
+// that keep solver variables distinct when different renderings sanitize to
+// one name. 64-bit hashes screen for duplicates without a string map; only
+// an instance with a hash collision pays for the exact pass.
+func (p *shardPrep) resolveNames(workers int) error {
+	in := p.in
+	if hashDup(len(in.Links), workers, func(i int) uint64 {
+		return fnv64(fnv64(fnvOffset, string(in.Links[i].From)), string(in.Links[i].To))
+	}) {
+		seen := make(map[string]bool, len(in.Links))
+		for _, l := range in.Links {
+			lab := string(l.From) + string(l.To)
+			if seen[lab] {
+				return fmt.Errorf("spp %s: duplicate link %s", in.Name, l)
+			}
+			seen[lab] = true
+		}
+	}
+	if hashDup(p.nPaths, workers, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
+		obsShardCollisions.Inc()
+		if err := duplicatePath(in); err != nil {
+			return err
+		}
+		taken := make(map[smt.Var]bool, p.nPaths)
+		for id, base := range p.vars {
+			name := base
+			for i := 2; taken[name]; i++ {
+				name = smt.Var(fmt.Sprintf("%s_%d", base, i))
+			}
+			p.vars[id] = name
+			taken[name] = true
+		}
+	}
+	switch {
+	case len(in.Links) == 0:
+		return fmt.Errorf("building algebra: algebra spp-%s: no labels declared", in.Name)
+	case p.nPaths == 0:
+		return fmt.Errorf("building algebra: algebra spp-%s: no signatures declared", in.Name)
+	}
+	return nil
+}
+
+// duplicatePath reports the first permitted path, in global path order,
+// whose signature rendering an earlier path already took — ToAlgebra's
+// error for an instance it cannot give one signature per path.
+func duplicatePath(in *Instance) error {
+	seen := map[string]bool{}
+	for _, n := range in.Nodes {
+		for _, q := range in.Permitted[n] {
+			sym := sigName(q)
+			if seen[sym] {
+				return fmt.Errorf("spp %s: duplicate permitted path %s", in.Name, q)
+			}
+			seen[sym] = true
+		}
+	}
+	return nil
+}
+
+// hashDup reports whether two of key(0..n−1) are equal. Keys are computed in
+// parallel and collected in an open-addressed set at most half full (0 marks
+// an empty slot) — under half the cost of sorting them: the two screens of
+// an internet:50000 analysis take 8 ms this way against 20 ms sorted. Equal
+// inputs must hash equal, so false means no duplicates.
+func hashDup(n, workers int, key func(i int) uint64) bool {
+	keys := make([]uint64, n)
+	parShards(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = key(i) | 1
+		}
+	})
+	set := make([]uint64, 1<<bits.Len(uint(2*n)))
+	mask := uint64(len(set) - 1)
+	for _, k := range keys {
+		i := k >> 1 & mask
+		for ; set[i] != 0; i = (i + 1) & mask {
+			if set[i] == k {
+				return true
+			}
+		}
+		set[i] = k
+	}
+	return false
+}
+
+const fnvOffset = 14695981039346656037
+
+// fnv64 folds s into the FNV-1a state h — the duplicate screen's hash.
+func fnv64(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
 	return h
+}
+
+// appendMatches appends link li's permitted extensions: for every permitted
+// path q of the link's head (permT, by rank) whose extension [from]+q is
+// permitted at the tail (permF), the two ranks.
+func appendMatches(buf []linkMatch, li int32, from Node, permF, permT []Path) []linkMatch {
+	for tq, q := range permT {
+		if fq := extensionRank(permF, from, q); fq >= 0 {
+			buf = append(buf, linkMatch{li, int32(tq), fq})
+		}
+	}
+	return buf
 }
 
 // extensionRank returns the rank of the extension [from]+q in perm, or −1
@@ -464,63 +486,107 @@ func (p *shardPrep) renderSyms(workers int) []string {
 	return syms
 }
 
-// shardedConstraints fills the preallocated constraint buffer in parallel,
-// mirroring the DeltaVerifier's prefSeg/monoSeg emission — which is also
-// exactly the emission order of algebra.Preferences followed by
-// algebra.ConcatTable on the converted instance — element for element.
+// ranking is one node's ranked permitted paths as the constraints name
+// them: signature rendering (provenance) and solver variable, by rank.
+type ranking struct {
+	paths []Path
+	syms  []string
+	vars  []smt.Var
+}
+
+// naturalRanking names a node's paths after their renderings alone — what
+// the algebra pipeline assigns as long as no two paths of the instance share
+// a rendering or a sanitized name.
+func naturalRanking(paths []Path) ranking {
+	r := ranking{paths: paths, syms: make([]string, len(paths)), vars: make([]smt.Var, len(paths))}
+	for i, q := range paths {
+		r.syms[i] = sigName(q)
+		r.vars[i] = analysis.VarName(r.syms[i])
+	}
+	return r
+}
+
+// ranking slices node ni's names out of the prep's flat arrays.
+func (p *shardPrep) ranking(syms []string, ni int32) ranking {
+	lo, hi := p.pathOff[ni], p.pathOff[ni+1]
+	return ranking{paths: p.perms[ni], syms: syms[lo:hi], vars: p.vars[lo:hi]}
+}
+
+// prefSeg fills out, one slot per adjacent pair of the ranking, with the
+// node's preference segment: the ranked list as strict pairwise preferences,
+// Builder.Chain's expansion.
+func prefSeg(out []analysis.Constraint, r ranking) {
+	for i := range out {
+		pair := algebra.PrefPair{
+			A:      algebra.Symbol(r.syms[i]),
+			B:      algebra.Symbol(r.syms[i+1]),
+			Strict: true,
+		}
+		out[i] = analysis.Constraint{
+			Assertion: smt.Assertion{
+				Rel:    smt.Lt,
+				A:      smt.Term{Var: r.vars[i]},
+				B:      smt.Term{Var: r.vars[i+1]},
+				Origin: "pref: " + pair.String(),
+			},
+			Kind: analysis.KindPreference,
+			Pref: pair,
+		}
+	}
+}
+
+// monoSeg fills out, one slot per match, with link l's monotonicity
+// constraints: the ⊕ entry l_uv ⊕ r_q = r_uq for each permitted extension —
+// the slice of algebra.ConcatTable this link contributes.
+func monoSeg(out []analysis.Constraint, l Link, ms []linkMatch, from, to ranking) {
+	lab := algebra.LSym("l_" + string(l.From) + string(l.To))
+	for j, m := range ms {
+		entry := algebra.ConcatEntry{
+			Label: lab,
+			In:    algebra.Symbol(to.syms[m.tq]),
+			Out:   algebra.Symbol(from.syms[m.fq]),
+		}
+		out[j] = analysis.Constraint{
+			Assertion: smt.Assertion{
+				Rel:    smt.Lt,
+				A:      smt.Term{Var: to.vars[m.tq]},
+				B:      smt.Term{Var: from.vars[m.fq]},
+				Origin: "mono: " + entry.String(),
+			},
+			Kind:  analysis.KindMonotonicity,
+			Entry: entry,
+		}
+	}
+}
+
+// shardedConstraints fills the preallocated provenance buffer in parallel:
+// every node's prefSeg, then every link's monoSeg — the emission order of
+// algebra.Preferences followed by algebra.ConcatTable on the converted
+// instance.
 func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
-	in := p.in
 	syms := p.renderSyms(workers)
 	totalPref := p.totalPref()
 	cons := make([]analysis.Constraint, p.total())
 	prefStart := time.Now()
-	parShards(len(in.Nodes), workers, func(_, lo, hi int) {
+	parShards(len(p.perms), workers, func(_, lo, hi int) {
 		for ni := lo; ni < hi; ni++ {
-			base := p.pathOff[ni]
-			out := cons[p.prefOff[ni]:p.prefOff[ni+1]]
-			for i := range out {
-				a, b := base+int32(i), base+int32(i)+1
-				pair := algebra.PrefPair{
-					A:      algebra.Symbol(syms[a]),
-					B:      algebra.Symbol(syms[b]),
-					Strict: true,
-				}
-				out[i] = analysis.Constraint{
-					Assertion: smt.Assertion{
-						Rel:    smt.Lt,
-						A:      smt.Term{Var: p.vars[a]},
-						B:      smt.Term{Var: p.vars[b]},
-						Origin: "pref: " + pair.String(),
-					},
-					Kind: analysis.KindPreference,
-					Pref: pair,
-				}
-			}
+			prefSeg(cons[p.prefOff[ni]:p.prefOff[ni+1]], p.ranking(syms, int32(ni)))
 		}
 	})
 	timeEmit(obsEmitPref, prefStart)
 	monoStart := time.Now()
+	// Shards are runs of matches, not of links, so one hub link cannot
+	// unbalance them; a link's segment may straddle two shards.
 	parShards(len(p.matches), workers, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			m := p.matches[j]
-			l := in.Links[m.li]
-			a := p.pathOff[p.linkEnds[2*m.li+1]] + m.tq
-			b := p.pathOff[p.linkEnds[2*m.li]] + m.fq
-			entry := algebra.ConcatEntry{
-				Label: algebra.LSym("l_" + string(l.From) + string(l.To)),
-				In:    algebra.Symbol(syms[a]),
-				Out:   algebra.Symbol(syms[b]),
+		for j := lo; j < hi; {
+			li := p.matches[j].li
+			k := j + 1
+			for k < hi && p.matches[k].li == li {
+				k++
 			}
-			cons[totalPref+int32(j)] = analysis.Constraint{
-				Assertion: smt.Assertion{
-					Rel:    smt.Lt,
-					A:      smt.Term{Var: p.vars[a]},
-					B:      smt.Term{Var: p.vars[b]},
-					Origin: "mono: " + entry.String(),
-				},
-				Kind:  analysis.KindMonotonicity,
-				Entry: entry,
-			}
+			monoSeg(cons[totalPref+int32(j):totalPref+int32(k)], p.in.Links[li], p.matches[j:k],
+				p.ranking(syms, p.linkEnds[2*li]), p.ranking(syms, p.linkEnds[2*li+1]))
+			j = k
 		}
 	})
 	timeEmit(obsEmitMono, monoStart)
@@ -530,16 +596,15 @@ func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
 // ShardedConstraints generates the instance's strict-monotonicity
 // constraint system in parallel: element-for-element identical (assertion,
 // origin, kind, provenance) to analysis.Constraints over in.ToAlgebra(),
-// without materializing the algebra. ok=false means the instance's
-// variable names collide (or the instance is degenerate) and the caller
-// must use the classic path; a non-nil error is a validation failure.
+// without materializing the algebra, and failing with ToAlgebra's error
+// where that fails. The bool is err == nil.
 func ShardedConstraints(in *Instance, workers int) ([]analysis.Constraint, bool, error) {
 	p, err := buildShardPrep(in, workers)
+	if err == nil {
+		err = p.resolveNames(workers)
+	}
 	if err != nil {
 		return nil, false, err
-	}
-	if !p.ok {
-		return nil, false, nil
 	}
 	return p.shardedConstraints(workers), true, nil
 }
@@ -547,8 +612,8 @@ func ShardedConstraints(in *Instance, workers int) ([]analysis.Constraint, bool,
 // denseConstraints emits the same constraint system as compact
 // smt.DenseConstraint records over global path ids (1-based; 0 is the
 // solver's zero anchor) — no strings, no provenance — and marks which
-// variables appear, since the classic path only interns (and models)
-// variables that occur in some assertion.
+// variables appear, since string interning only sees (and models) variables
+// that occur in some assertion.
 func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, appears []bool) {
 	totalPref := p.totalPref()
 	cons = make([]smt.DenseConstraint, p.total())
@@ -583,107 +648,122 @@ func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, a
 	return cons, appears
 }
 
-// suspects mirrors Conversion.SuspectNodes over the prep's owner map: the
-// owner of the less-preferred signature of each preference constraint and
-// of the extended signature of each monotonicity constraint, deduplicated
-// and sorted.
-func (p *shardPrep) suspects(core []analysis.Constraint) []Node {
-	seen := map[Node]bool{}
+// suspects is the §VI-B hint read off the core's positions in the canonical
+// emission order (segLen: one segment per node, then one per link): a
+// preference constraint implicates the node whose ranking it orders, a
+// monotonicity constraint the link's tail, owner of the extended path.
+// Deduplicated and sorted, as Conversion.SuspectNodes reports them.
+func suspects(in *Instance, segLen, coreIdx []int) []Node {
+	idx := slices.Sorted(slices.Values(coreIdx))
 	var out []Node
-	add := func(s algebra.Sig) {
-		sym, ok := s.(algebra.Symbol)
-		if !ok {
-			return
-		}
-		ni, found := p.ownerMap()[string(analysis.VarName(string(sym)))]
-		if !found {
-			return
-		}
-		n := p.in.Nodes[ni]
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, c := range core {
-		switch c.Kind {
-		case analysis.KindPreference:
-			add(c.Pref.A)
-		case analysis.KindMonotonicity:
-			add(c.Entry.Out)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// AnalyzeScale is the large-instance analysis fast path: sharded
-// generation, dense encoding, and the SCC-decomposed solver, producing a
-// Result (and §VI-B suspect set) bit-identical to
-// analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity) + SuspectNodes.
-// Satisfiable instances never materialize a provenance constraint or even
-// a signature rendering; unsatisfiable ones re-solve through the sharded
-// AoS buffer and analysis.CheckPrepared so minimized cores keep their
-// canonical order. ok=false (with nil error) means the instance needs the
-// classic path — structural validation failures are also reported that
-// way, so the classic path can raise its canonical error.
-func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
-	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
-	p, err := buildShardPrep(in, workers)
-	prepSpan.End()
-	if err != nil || !p.ok {
-		obsPathFallback.Inc()
-		return analysis.Result{}, nil, false, nil
-	}
-	ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
-	dense, appears := p.denseConstraints(workers)
-	emitSpan.AttrInt("constraints", int64(len(dense)))
-	emitSpan.End()
-	ctx, solveSpan := obs.StartSpan(ctx, "solve-dense")
-	sat, model, stats, err := smt.SolveDense(ctx, p.nPaths, dense, workers)
-	solveSpan.AttrInt("components", int64(stats.Components))
-	solveSpan.AttrInt("levels", int64(stats.Levels))
-	solveSpan.End()
-	if err != nil {
-		return analysis.Result{}, nil, false, err
-	}
-	name := "spp-" + in.Name
-	if sat {
-		obsPathDense.Inc()
-		res := analysis.Result{
-			Algebra:         name,
-			Condition:       analysis.StrictMonotonicity,
-			Sat:             true,
-			NumPreference:   int(p.totalPref()),
-			NumMonotonicity: len(p.matches),
-			Stats:           stats,
-		}
-		nVars := 0
-		res.Model = make(map[string]int, p.nPaths)
-		for id := 1; id <= p.nPaths; id++ {
-			if appears[id] {
-				res.Model[string(p.vars[id-1])] = model[id]
-				nVars++
+	end := 0
+	for seg := 0; seg < len(segLen) && len(idx) > 0; seg++ {
+		end += segLen[seg]
+		for ; len(idx) > 0 && idx[0] < end; idx = idx[1:] {
+			if seg < len(in.Nodes) {
+				out = append(out, in.Nodes[seg])
+			} else {
+				out = append(out, in.Links[seg-len(in.Nodes)].From)
 			}
 		}
-		// Classic interning only counts appearing variables; the dense
-		// solve saw every path id. Report the classic figures.
-		res.Stats.Variables = nVars
-		res.Stats.Edges = len(dense) + nVars
-		return res, nil, true, nil
 	}
-	obsPathResolve.Inc()
-	ctx, resolveSpan := obs.StartSpan(ctx, "resolve-classic")
-	cons := p.shardedConstraints(workers)
-	res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, cons, smt.Native{})
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// solvesDense reports whether the solver is the native difference-logic
+// engine with deletion-minimized cores, whose verdicts and canonical models
+// smt.SolveDense reproduces (the decomposed backend is that same engine).
+func solvesDense(solver smt.Solver) bool {
+	switch s := solver.(type) {
+	case smt.Native:
+		return !s.NoMinimize
+	case smt.Decomposed:
+		return !s.NoMinimize
+	}
+	return false
+}
+
+// Analyze decides strict monotonicity for the instance on the given solver
+// backend and maps an unsat core to its §VI-B suspect nodes: the Result and
+// suspect set of analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity,
+// solver) + SuspectNodes, and ToAlgebra's error where the instance has no
+// algebra. On the native engine, satisfiable instances are decided on dense
+// path ids and never materialize a provenance constraint or even a
+// signature rendering; unsatisfiable ones, and every instance on another
+// backend, solve the provenance buffer through analysis.CheckPrepared.
+func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) (analysis.Result, []Node, error) {
+	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
+	p, err := buildShardPrep(in, workers)
+	if err == nil {
+		err = p.resolveNames(workers)
+	}
+	prepSpan.End()
+	if err != nil {
+		return analysis.Result{}, nil, err
+	}
+	name := "spp-" + in.Name
+	var dense smt.Stats
+	if solvesDense(solver) {
+		ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
+		cons, appears := p.denseConstraints(workers)
+		emitSpan.AttrInt("constraints", int64(len(cons)))
+		emitSpan.End()
+		ctx, solveSpan := obs.StartSpan(ctx, "solve-dense")
+		sat, model, stats, err := smt.SolveDense(ctx, p.nPaths, cons, workers)
+		solveSpan.AttrInt("components", int64(stats.Components))
+		solveSpan.AttrInt("levels", int64(stats.Levels))
+		solveSpan.End()
+		if err != nil {
+			return analysis.Result{}, nil, err
+		}
+		if sat {
+			obsPathDense.Inc()
+			res := analysis.Result{
+				Algebra:         name,
+				Condition:       analysis.StrictMonotonicity,
+				Sat:             true,
+				NumPreference:   int(p.totalPref()),
+				NumMonotonicity: len(p.matches),
+				Stats:           stats,
+			}
+			nVars := 0
+			res.Model = make(map[string]int, p.nPaths)
+			for id := 1; id <= p.nPaths; id++ {
+				if appears[id] {
+					res.Model[string(p.vars[id-1])] = model[id]
+					nVars++
+				}
+			}
+			// String interning only counts appearing variables; the dense
+			// solve saw every path id. Report the interned figures.
+			res.Stats.Variables = nVars
+			res.Stats.Edges = len(cons) + nVars
+			return res, nil, nil
+		}
+		obsPathResolve.Inc()
+		dense, solver = stats, smt.Native{}
+	} else {
+		obsPathProvenance.Inc()
+	}
+	ctx, resolveSpan := obs.StartSpan(ctx, "solve-provenance")
+	res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, p.shardedConstraints(workers), solver)
 	resolveSpan.End()
 	if err != nil {
-		return analysis.Result{}, nil, false, err
+		return analysis.Result{}, nil, err
 	}
-	res.Stats.Components = stats.Components
-	res.Stats.TrivialComponents = stats.TrivialComponents
-	res.Stats.Levels = stats.Levels
-	res.Stats.MaxLevelWidth = stats.MaxLevelWidth
-	res.Stats.TarjanDuration = stats.TarjanDuration
-	return res, p.suspects(res.Core), true, nil
+	if dense.Components > 0 {
+		res.Stats.Components = dense.Components
+		res.Stats.TrivialComponents = dense.TrivialComponents
+		res.Stats.Levels = dense.Levels
+		res.Stats.MaxLevelWidth = dense.MaxLevelWidth
+		res.Stats.TarjanDuration = dense.TarjanDuration
+	}
+	return res, suspects(in, p.segLens(), res.CoreIdx), nil
+}
+
+// AnalyzeScale is Analyze on the native backend. The bool is err == nil.
+func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
+	res, suspects, err := Analyze(ctx, in, smt.Native{}, workers)
+	return res, suspects, err == nil, err
 }

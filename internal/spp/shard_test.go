@@ -1,8 +1,8 @@
-// Differential tests for the sharded constraint generator and the
-// internet-scale analysis fast path: both must be indistinguishable from
-// the classic ToAlgebra pipeline on everything the classic pipeline can
-// decide — element-wise constraint buffers, verdicts, models, minimized
-// cores, and §VI-B suspect sets.
+// Differential tests for the §IV-B emitter: its constraint buffers and
+// spp.Analyze must be indistinguishable from the ToAlgebra pipeline (the
+// oracle, untouched by the emitter) on everything that pipeline decides —
+// element-wise constraint buffers, verdicts, models, minimized cores, §VI-B
+// suspect sets, and the error text where the instance has no algebra.
 //
 // External test package: the scenario generators used as a corpus import
 // spp, so an internal test file would create an import cycle.
@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fsr/internal/analysis"
@@ -129,8 +130,41 @@ func TestAnalyzeScaleMatchesClassic(t *testing.T) {
 	}
 }
 
-// TestShardedFallback: instances the compact naming scheme cannot
-// represent faithfully report ok=false instead of guessing.
+// requireOracleParity fails unless spp.Analyze and the algebra pipeline on
+// the same solver both reject the instance with the same message, or agree
+// on verdict, model, core (elements and positions), counts and suspects.
+func requireOracleParity(t *testing.T, in *spp.Instance, solver smt.Solver) {
+	t.Helper()
+	ctx := context.Background()
+	var (
+		want        analysis.Result
+		wantSuspect []spp.Node
+	)
+	conv, wantErr := in.ToAlgebra()
+	if wantErr == nil {
+		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, solver)
+		wantSuspect = conv.SuspectNodes(want.Core)
+	}
+	got, suspects, err := spp.Analyze(ctx, in, solver, 2)
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s on %s: error %v, oracle %v", in.Name, solver.Name(), err, wantErr)
+		}
+		return
+	}
+	got.Stats, want.Stats = smt.Stats{}, smt.Stats{}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s on %s: result differs:\n%+v\nvs oracle\n%+v", in.Name, solver.Name(), got, want)
+	}
+	if !reflect.DeepEqual(suspects, wantSuspect) {
+		t.Fatalf("%s on %s: suspects %v, oracle %v", in.Name, solver.Name(), suspects, wantSuspect)
+	}
+}
+
+// TestShardedFallback: the instances the natural naming does not fit are
+// decided by the emitter itself, as the algebra pipeline decides them —
+// duplicate renderings, duplicate links and degenerate shapes with
+// ToAlgebra's error, sanitization collisions with newSigVars' suffixes.
 func TestShardedFallback(t *testing.T) {
 	// Two egress nodes ranking the bare origin path produce the same
 	// rendering ("r1") for distinct permitted paths.
@@ -141,41 +175,72 @@ func TestShardedFallback(t *testing.T) {
 	dup.Rank("b", spp.Path{"b", "r1"})
 
 	// Sanitization collisions: "x.y" and "x_y" render differently but map
-	// to the same solver variable.
+	// to the same solver variable; the second becomes x_y_2.
 	san := spp.NewInstance("sanitize-collision")
-	san.AddOrigin("r1")
-	san.AddSession("x.y", "x_y", 0)
-	san.Rank("x.y", spp.Path{"x.y", "r1"})
-	san.Rank("x_y", spp.Path{"x_y", "r1"})
+	san.AddSession("a", "b", 0)
+	san.Rank("a", spp.Path{"a", "x.y"}, spp.Path{"a", "b", "x_y"})
+	san.Rank("b", spp.Path{"b", "x_y"}, spp.Path{"b", "a", "x.y"})
 
-	// Degenerate: no links at all.
+	// Degenerate: no links at all; links but no permitted paths.
 	empty := spp.NewInstance("no-links")
 	empty.AddOrigin("r1")
 	empty.AddNode("a")
+	unranked := spp.NewInstance("no-paths")
+	unranked.AddSession("a", "b", 0)
 
-	for _, in := range []*spp.Instance{dup, san, empty} {
-		if _, ok, err := spp.ShardedConstraints(in, 2); err != nil || ok {
-			t.Fatalf("%s: want ok=false fallback, got ok=%v err=%v", in.Name, ok, err)
+	// The same session twice, and two sessions whose labels concatenate
+	// alike (l_ab·c = l_a·bc).
+	twice := spp.ChainGadget(3)
+	twice.AddSession("n0", "n1", 0)
+	glued := spp.ChainGadget(3)
+	glued.AddSession("ab", "c", 0)
+	glued.AddSession("a", "bc", 0)
+
+	wantErr := map[*spp.Instance]string{
+		dup: "duplicate permitted path br1", san: "", empty: "no labels declared",
+		unranked: "no signatures declared", twice: "duplicate link n0→n1", glued: "duplicate link a→bc",
+	}
+	for in, want := range wantErr {
+		for _, solver := range []smt.Solver{smt.Native{}, smt.YicesText{}} {
+			requireOracleParity(t, in, solver)
 		}
-		if _, _, ok, err := spp.AnalyzeScale(context.Background(), in, 2); err != nil || ok {
-			t.Fatalf("%s: AnalyzeScale want fallback, got ok=%v err=%v", in.Name, ok, err)
+		cons, ok, err := spp.ShardedConstraints(in, 2)
+		_, _, okScale, errScale := spp.AnalyzeScale(context.Background(), in, 2)
+		if ok != (err == nil) || okScale != (errScale == nil) {
+			t.Fatalf("%s: ok must mean err == nil: sharded (%v, %v), scale (%v, %v)", in.Name, ok, err, okScale, errScale)
 		}
+		if want == "" {
+			if err != nil || errScale != nil || len(cons) == 0 {
+				t.Fatalf("%s: want an analysis, got %d constraints, err %v / %v", in.Name, len(cons), err, errScale)
+			}
+			continue
+		}
+		if err == nil || !strings.HasSuffix(err.Error(), want) || errScale == nil || errScale.Error() != err.Error() {
+			t.Fatalf("%s: want error ending %q, got sharded %v, scale %v", in.Name, want, err, errScale)
+		}
+	}
+	res, _, err := spp.Analyze(context.Background(), san, smt.Native{}, 2)
+	if err != nil || !res.Sat || res.Model["x_y"] == 0 || res.Model["x_y_2"] == 0 {
+		t.Fatalf("sanitize-collision: want a model over x_y and x_y_2, got %v (err %v)", res.Model, err)
 	}
 }
 
-// TestShardedValidation: structural validation failures surface with the
-// classic error shapes from ShardedConstraints, and send AnalyzeScale to
-// the classic path (ok=false, nil error) so it can raise the canonical
-// error.
+// TestShardedValidation: a structural validation failure comes back from
+// the emitter's entry points directly, as the error Validate reports.
 func TestShardedValidation(t *testing.T) {
 	in := spp.NewInstance("invalid")
 	in.AddOrigin("r1")
 	in.AddSession("a", "b", 0)
 	in.Rank("a", spp.Path{"a", "c", "r1"}) // missing link a→c
-	if _, _, err := spp.ShardedConstraints(in, 2); err == nil {
-		t.Fatal("want validation error for missing link")
+	want := in.Validate()
+	if want == nil {
+		t.Fatal("instance with a missing link validates")
 	}
-	if _, _, ok, err := spp.AnalyzeScale(context.Background(), in, 2); ok || err != nil {
-		t.Fatalf("want classic-path fallback on invalid instance, got ok=%v err=%v", ok, err)
+	if _, ok, err := spp.ShardedConstraints(in, 2); ok || err == nil || err.Error() != want.Error() {
+		t.Fatalf("ShardedConstraints: ok=%v err=%v, want %v", ok, err, want)
 	}
+	if _, _, ok, err := spp.AnalyzeScale(context.Background(), in, 2); ok || err == nil || err.Error() != want.Error() {
+		t.Fatalf("AnalyzeScale: ok=%v err=%v, want %v", ok, err, want)
+	}
+	requireOracleParity(t, in, smt.Native{})
 }

@@ -257,10 +257,7 @@ func (ix *topoIndex) undeclaredRanking(in *Instance) error {
 // first error reported is deterministic: rankings are checked in Nodes
 // order, then rankings of undeclared nodes in name order.
 func (in *Instance) Validate() error {
-	return in.validate(indexInstance(in))
-}
-
-func (in *Instance) validate(ix *topoIndex) error {
+	ix := indexInstance(in)
 	for _, n := range in.Nodes {
 		for _, p := range in.Permitted[n] {
 			if err := ix.validatePath(in.Name, n, p, false); err != nil {

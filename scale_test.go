@@ -2,80 +2,225 @@ package fsr
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"fsr/internal/analysis"
-	"fsr/internal/scenario"
+	"fsr/internal/obs"
 	"fsr/internal/smt"
 	"fsr/internal/spp"
-	"fsr/internal/topology"
 )
 
-// TestSessionScalePath: above the node threshold AnalyzeSPP silently
-// switches to the sharded/SCC fast path; the session-level contract is
-// that nothing observable changes. Checked on a sat power-law instance
-// and on the same instance with an injected dispute (unsat, exercising
-// the provenance fallback and the suspect set).
-func TestSessionScalePath(t *testing.T) {
+// requireSessionParity fails unless Session.AnalyzeSPP on the given solver
+// and the untouched oracle — ToAlgebra, analysis.CheckWith on the same
+// solver, SuspectNodes — both reject the instance with the same message, or
+// agree on verdict, model, core (elements and positions), constraint counts
+// and suspects. It returns the session's result.
+func requireSessionParity(t *testing.T, in *spp.Instance, solver smt.Solver) analysis.Result {
+	t.Helper()
 	ctx := context.Background()
-	g := topology.GenerateInternet(3, topology.InternetParams{N: 700})
-	instances := []*spp.Instance{scenario.InternetSPP("scale-sat", g, 3)}
-	unsafe := scenario.InternetSPP("scale-unsat", g, 3)
-	e := g.Edges[0]
-	unsafe.Rank(spp.Node(e.A), spp.Path{spp.Node(e.A), spp.Node(e.B), "rx_b"}, spp.Path{spp.Node(e.A), "rx_a"})
-	unsafe.Rank(spp.Node(e.B), spp.Path{spp.Node(e.B), spp.Node(e.A), "rx_a"}, spp.Path{spp.Node(e.B), "rx_b"})
-	unsafe.AddOrigin("rx_a")
-	unsafe.AddOrigin("rx_b")
-	instances = append(instances, unsafe)
+	var (
+		want         analysis.Result
+		wantSuspects []spp.Node
+	)
+	conv, wantErr := in.ToAlgebra()
+	if wantErr == nil {
+		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, solver)
+		wantSuspects = conv.SuspectNodes(want.Core)
+	}
+	got, suspects, err := NewSession(WithSolver(solver)).AnalyzeSPP(ctx, in)
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s on %s: error %v, oracle %v", in.Name, solver.Name(), err, wantErr)
+		}
+		return got
+	}
+	g, w := got, want
+	g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
+	if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(suspects, wantSuspects) {
+		t.Fatalf("%s on %s: diverges from the oracle:\n%+v %v\nvs\n%+v %v", in.Name, solver.Name(), g, suspects, w, wantSuspects)
+	}
+	return got
+}
 
+// plantDisagree makes the instance unsafe: the two ends of its first session
+// each prefer the route through the other, over the given origin tokens.
+func plantDisagree(in *spp.Instance, ta, tb spp.Node) *spp.Instance {
+	in.Name += "-unsat"
+	a, b := in.Links[0].From, in.Links[0].To
+	in.Rank(a, spp.Path{a, b, tb}, spp.Path{a, ta})
+	in.Rank(b, spp.Path{b, a, ta}, spp.Path{b, tb})
+	return in
+}
+
+var sessionSolvers = []smt.Solver{smt.Native{}, smt.Decomposed{}, smt.Native{NoMinimize: true}, smt.YicesText{}}
+
+// TestSessionScalePath: AnalyzeSPP takes the one emitter at every size and
+// on every backend, and nothing observable distinguishes it from the
+// algebra pipeline: every shipped gadget, chains and power-law instances
+// from 40 to 700 nodes, safe and with a planted dispute (the provenance
+// re-solve and the suspect set).
+func TestSessionScalePath(t *testing.T) {
+	var instances []*spp.Instance
+	for _, name := range append(GadgetNames(), "chain:40", "chain:400", "internet:200", "internet:700:3") {
+		for _, plant := range []bool{false, true} {
+			in, err := Gadget(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plant {
+				if !strings.Contains(name, ":") {
+					continue
+				}
+				plantDisagree(in, "rx_a", "rx_b")
+			}
+			instances = append(instances, in)
+		}
+	}
 	for _, in := range instances {
-		if len(in.Nodes) < scaleThreshold {
-			t.Fatalf("%s: test instance below scale threshold", in.Name)
-		}
-		conv, err := in.ToAlgebra()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSuspects := conv.SuspectNodes(want.Core)
-
-		got, suspects, err := NewSession().AnalyzeSPP(ctx, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Sat != want.Sat || !reflect.DeepEqual(got.Model, want.Model) || !reflect.DeepEqual(got.Core, want.Core) {
-			t.Fatalf("%s: scale path diverges from classic (sat %v vs %v)", in.Name, got.Sat, want.Sat)
-		}
-		if !reflect.DeepEqual(suspects, wantSuspects) {
-			t.Fatalf("%s: suspects %v, classic %v", in.Name, suspects, wantSuspects)
-		}
-		if want.Sat && got.Stats.Components == 0 {
-			t.Fatalf("%s: fast path not taken (no condensation stats)", in.Name)
+		for _, solver := range sessionSolvers {
+			got := requireSessionParity(t, in, solver)
+			if got.Sat && solver == (smt.Native{}) && got.Stats.Components == 0 {
+				t.Fatalf("%s: dense solve not taken (no condensation stats)", in.Name)
+			}
 		}
 	}
 }
 
-// TestScaleEligibility: solver backends whose semantics the scale path
-// does not reproduce must keep the classic pipeline.
+// collisionInstances are instances whose path renderings sanitize to one
+// solver-variable name, where the algebra pipeline appends _2, _3, … in
+// global path order: the x.y / x_y pair, a three-way clash, and one where a
+// natural name (x_y_2) already equals the suffix a clash would take.
+func collisionInstances() []*spp.Instance {
+	build := func(name string, tokens ...spp.Node) *spp.Instance {
+		in := spp.NewInstance(name)
+		nodes := make([]spp.Node, len(tokens))
+		for i := range tokens {
+			nodes[i] = spp.Node(fmt.Sprintf("n%d", i))
+			if i > 0 {
+				in.AddSession(nodes[i-1], nodes[i], 0)
+			}
+		}
+		for i, tok := range tokens {
+			paths := []spp.Path{{nodes[i], tok}}
+			if i > 0 {
+				paths = append(paths, spp.Path{nodes[i], nodes[i-1], tokens[i-1]})
+			}
+			in.Rank(nodes[i], paths...)
+		}
+		return in
+	}
+	return []*spp.Instance{
+		build("pair", "x.y", "x_y"),
+		build("three-way", "x.y", "x_y", "x-y"),
+		build("suffix-taken", "x_y_2", "x.y", "x_y", "x-y"),
+		plantDisagree(build("pair", "x.y", "x_y"), "x.y", "x_y"),
+	}
+}
+
+// TestSessionNameCollisions: collision instances through AnalyzeSPP on every
+// backend, and through a DeltaVerifier that is edited into and out of
+// degraded mode — each answer the oracle's, suffixed names included.
+func TestSessionNameCollisions(t *testing.T) {
+	ctx := context.Background()
+	for _, in := range collisionInstances() {
+		for _, solver := range sessionSolvers {
+			requireSessionParity(t, in, solver)
+		}
+		requireVerifier := func(label string, v *DeltaVerifier, degraded bool) {
+			t.Helper()
+			if v.Degraded() != degraded {
+				t.Fatalf("%s %s: Degraded() = %v, want %v", in.Name, label, v.Degraded(), degraded)
+			}
+			got, suspects, err := v.Verify(ctx)
+			want, wantSuspects, wantErr := v.VerifyFull(ctx)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s %s: errors %v, oracle %v", in.Name, label, err, wantErr)
+			}
+			if got.Sat != want.Sat || !reflect.DeepEqual(got.Model, want.Model) || !reflect.DeepEqual(got.Core, want.Core) ||
+				!reflect.DeepEqual(suspects, wantSuspects) {
+				t.Fatalf("%s %s: verifier diverges from VerifyFull:\n%v %v\nvs\n%v %v", in.Name, label, got, suspects, want, wantSuspects)
+			}
+		}
+		v, err := NewSession().OpenDeltaVerifier(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireVerifier("loaded", v, true)
+		// Retire every clashing token but the first node's: degraded mode
+		// must end, and the delta path take over.
+		saved := v.Snapshot()
+		for i, n := range saved.Nodes[1:] {
+			if err := v.ReRank(n, spp.Path{n, spp.Node(fmt.Sprintf("ok%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireVerifier("clash edited away", v, false)
+		// And back in.
+		for _, n := range saved.Nodes[1:] {
+			if err := v.ReRank(n, saved.Permitted[n]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireVerifier("clash restored", v, true)
+	}
+	res, _, err := NewSession().AnalyzeSPP(ctx, collisionInstances()[2])
+	if err != nil || !res.Sat {
+		t.Fatalf("suffix-taken: %v, err %v", res, err)
+	}
+	for _, name := range []string{"x_y_2", "x_y", "x_y_3", "x_y_4"} {
+		if res.Model[name] == 0 {
+			t.Fatalf("suffix-taken: model %v lacks %s", res.Model, name)
+		}
+	}
+}
+
+// scalePathCount reads one series of fsr_spp_scale_path_total.
+func scalePathCount(path string) float64 {
+	return obs.Default().CounterVec("fsr_spp_scale_path_total", "", "path").Value(path)
+}
+
+// TestScaleEligibility: the backend decides only how the one emitter's
+// output is solved. The native engine with minimized cores decides the
+// dense encoding (re-solving the provenance list when unsat); every other
+// backend is handed the provenance list.
 func TestScaleEligibility(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range []struct {
 		solver smt.Solver
-		want   bool
+		route  string
 	}{
-		{smt.Native{}, true},
-		{smt.Decomposed{}, true},
-		{smt.Native{NoMinimize: true}, false},
-		{smt.YicesText{}, false},
+		{smt.Native{}, "dense"},
+		{smt.Decomposed{}, "dense"},
+		{smt.Native{NoMinimize: true}, "provenance"},
+		{smt.YicesText{}, "provenance"},
 	} {
-		if got := scaleEligible(tc.solver); got != tc.want {
-			t.Errorf("scaleEligible(%s) = %v, want %v", tc.solver.Name(), got, tc.want)
+		for _, in := range []*spp.Instance{spp.GoodGadget(), spp.BadGadget()} {
+			route := tc.route
+			if route == "dense" && in.Name == "badgadget" {
+				route = "resolve"
+			}
+			before := map[string]float64{}
+			for _, r := range []string{"dense", "resolve", "provenance", "fallback"} {
+				before[r] = scalePathCount(r)
+			}
+			if _, _, err := NewSession(WithSolver(tc.solver)).AnalyzeSPP(ctx, in); err != nil {
+				t.Fatal(err)
+			}
+			for r, n := range before {
+				want := n
+				if r == route {
+					want++
+				}
+				if got := scalePathCount(r); got != want {
+					t.Errorf("%s on %s: route %q counted %v, want %v", in.Name, tc.solver.Name(), r, got, want)
+				}
+			}
 		}
 	}
 }

@@ -234,32 +234,23 @@ func (s *Session) CheckMonotonicity(ctx context.Context, a Algebra) (AnalysisRes
 	return analysis.CheckWith(ctx, a, analysis.Monotonicity, s.solver)
 }
 
-// scaleThreshold is the node count above which AnalyzeSPP prefers the
-// sharded internet-scale path. Below it the classic pipeline keeps its
-// extra diagnostics (full algebra object, origination maps) at a cost that
-// is linear but not free: chain:400 takes 3.3 ms through AnalyzeSPP against
-// 0.45 ms through spp.AnalyzeScale (2-core Xeon, go1.24), and the three
-// sub-threshold uploads of a `go run ./bench -workload oneshot-upload
-// -trace 1` operation spend spp.to_algebra_ms 6.7 + analysis.constraints_ms
-// 1.3 between them. Removing the threshold is ROADMAP item 2.
-const scaleThreshold = 512
-
-// AnalyzeSPP converts and checks an SPP instance in one step, returning the
-// analysis result and the suspect nodes implicated by the core (empty when
-// sat).
+// AnalyzeSPP checks an SPP instance in one step, returning the analysis
+// result and the suspect nodes implicated by the core (empty when sat).
 //
-// Large instances (≥512 nodes) take the internet-scale fast path when the
-// configured solver semantics permit it (the default native backend or the
-// SCC-decomposed one, with core minimization on): sharded constraint
-// generation, dense encoding, and the SCC-decomposed engine, with results
-// bit-identical to the classic pipeline. Instances the compact path cannot
-// represent fall through to the classic pipeline transparently.
+// Every instance, whatever its size, takes the one §IV-B emitter
+// (spp.Analyze): sharded constraint generation over interned path ids,
+// without compiling the algebra. The native backends (the default one and
+// the SCC-decomposed one, with core minimization on) decide the dense
+// encoding on the SCC-decomposed engine and only render provenance for an
+// unsat core; any other backend solves the emitter's provenance list. Either
+// way the result, and the error for an instance that has no algebra, are
+// the ones ToAlgebra followed by CheckStrictMonotonicity would produce.
 func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResult, []SPPNode, error) {
 	ctx, op := obs.Flight().StartOp(ctx, "analyze-spp", in.Name)
 	op.SetSize(len(in.Nodes))
 	ctx, sp := obs.StartSpan(ctx, "analyze-spp")
 	sp.AttrInt("nodes", int64(len(in.Nodes)))
-	res, suspects, err := s.analyzeSPP(ctx, in, sp)
+	res, suspects, err := spp.Analyze(ctx, in, s.solver, s.parallelism)
 	sp.End()
 	if op != nil {
 		switch {
@@ -279,44 +270,6 @@ func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResu
 		op.Finish()
 	}
 	return res, suspects, err
-}
-
-// analyzeSPP is AnalyzeSPP's body, split out so the instrumentation
-// wrapper observes exactly one return path.
-func (s *Session) analyzeSPP(ctx context.Context, in *SPPInstance, sp *obs.Span) (AnalysisResult, []SPPNode, error) {
-	if len(in.Nodes) >= scaleThreshold && scaleEligible(s.solver) {
-		res, suspects, ok, err := spp.AnalyzeScale(ctx, in, s.parallelism)
-		if err != nil {
-			return AnalysisResult{}, nil, err
-		}
-		if ok {
-			sp.Attr("path", "scale")
-			return res, suspects, nil
-		}
-	}
-	sp.Attr("path", "classic")
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		return AnalysisResult{}, nil, err
-	}
-	res, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, s.solver)
-	if err != nil {
-		return AnalysisResult{}, nil, err
-	}
-	return res, conv.SuspectNodes(res.Core), nil
-}
-
-// scaleEligible reports whether the configured solver's semantics are the
-// ones the scale path reproduces (native difference-logic engine with
-// deletion-minimized cores; the decomposed backend is that same engine).
-func scaleEligible(solver smt.Solver) bool {
-	switch s := solver.(type) {
-	case smt.Native:
-		return !s.NoMinimize
-	case smt.Decomposed:
-		return !s.NoMinimize
-	}
-	return false
 }
 
 // OpenDeltaVerifier loads an SPP instance into a resident incremental
