@@ -469,17 +469,13 @@ func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, 
 
 	res := Result{Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}}
 	if e.decide() {
-		coreIdx, usesPos, err := e.minimize(ctx, d.asserts)
+		coreIdx, usesPos, err := e.minimize(ctx)
 		if err != nil {
 			// The active mask is mid-minimization: force a rebuild next time.
 			d.built, d.clean = false, false
 			return Result{}, err
 		}
-		core := make([]Assertion, len(coreIdx))
-		for i, ai := range coreIdx {
-			core[i] = d.asserts[ai]
-		}
-		res.Core, res.CoreIdx, res.UsesPositivity = core, coreIdx, usesPos
+		res.Core, res.CoreIdx, res.UsesPositivity = coreOf(d.asserts, coreIdx), coreIdx, usesPos
 		d.clean = false // minimize disturbed the active mask and distances
 	} else {
 		res.Sat = true

@@ -26,6 +26,8 @@ import (
 	"context"
 	"sort"
 	"sync"
+
+	"fsr/internal/obs"
 )
 
 // dlEdge is one difference constraint to − from ≤ w, i.e. an edge
@@ -156,17 +158,28 @@ func (e *dlEngine) build(asserts []Assertion) {
 
 	e.buildCSR()
 
-	V := nVars + 1
+	e.sizeScratch(nVars+1, len(asserts))
+	for i := range asserts {
+		if asserts[i].QuantVar != "" {
+			e.active[i] = false
+		}
+	}
+}
+
+// sizeScratch sizes the probe buffers for V nodes and n assertions: every
+// assertion active, no witness. build masks the quantified entries out
+// afterwards; the dense entry (SolveDense) has none.
+func (e *dlEngine) sizeScratch(V, n int) {
 	e.dist = growInt(e.dist, V)
 	e.pred = growInt32(e.pred, V)
 	e.cnt = growInt32(e.cnt, V)
 	e.inQ = growBool(e.inQ, V)
 	e.queue = growInt32(e.queue, V)
 	e.cycleIdx = e.cycleIdx[:0]
-	e.active = growBool(e.active, len(asserts))
-	e.inWitness = growBool(e.inWitness, len(asserts))
-	for i := range asserts {
-		e.active[i] = asserts[i].QuantVar == ""
+	e.active = growBool(e.active, n)
+	e.inWitness = growBool(e.inWitness, n)
+	for i := range e.active {
+		e.active[i] = true
 		e.inWitness[i] = false
 	}
 	e.witness = e.witness[:0]
@@ -404,14 +417,18 @@ func (e *dlEngine) setWitness() {
 // minimize runs the deletion-minimization loop over the ground assertions,
 // in the exact order and with the exact drop/keep decisions of the
 // reference implementation, but skipping the re-solve whenever the probed
-// assertion is not on the current witness cycle. e.cycleIdx must hold a
-// verified cycle of the full active set on entry. It returns the minimal
-// core as ascending assertion indices plus the positivity involvement flag.
-func (e *dlEngine) minimize(ctx context.Context, asserts []Assertion) (core []int, usesPositivity bool, err error) {
+// assertion is not on the current witness cycle. On entry e.active must be
+// the ground mask — every ground assertion active, quantified entries not,
+// as build and sizeScratch leave it — and e.cycleIdx must hold a verified
+// cycle of that full set. It returns the minimal core as ascending
+// assertion positions plus the positivity involvement flag. The engine's
+// own mask is all it reads, so string-built, delta and dense engines share
+// this one loop.
+func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity bool, err error) {
 	e.setWitness()
-	for i := len(asserts) - 1; i >= 0; i-- {
-		if asserts[i].QuantVar != "" {
-			continue
+	for i := len(e.active) - 1; i >= 0; i-- {
+		if !e.active[i] {
+			continue // quantified: position i is untouched until iteration i
 		}
 		e.statMinIter++
 		if !e.inWitness[i] {
@@ -432,8 +449,8 @@ func (e *dlEngine) minimize(ctx context.Context, asserts []Assertion) (core []in
 		}
 	}
 	core = make([]int, 0, len(e.witness))
-	for i := range asserts {
-		if asserts[i].QuantVar == "" && e.active[i] {
+	for i, on := range e.active {
+		if on {
 			core = append(core, i)
 		}
 	}
@@ -443,6 +460,19 @@ func (e *dlEngine) minimize(ctx context.Context, asserts []Assertion) (core []in
 	usesPositivity = !e.decide()
 	e.posActive = true
 	return core, usesPositivity, nil
+}
+
+// unsatCore turns the verified cycle decide just found into the reported
+// core: the cycle itself when noMinimize is set, the deletion-minimal core
+// (under a "minimize" span) otherwise.
+func (e *dlEngine) unsatCore(ctx context.Context, noMinimize bool) (core []int, usesPositivity bool, err error) {
+	if noMinimize {
+		core, usesPositivity = e.cycleCore()
+		return core, usesPositivity, nil
+	}
+	_, sp := obs.StartSpan(ctx, "minimize")
+	defer sp.End()
+	return e.minimize(ctx)
 }
 
 // cycleCore returns the last extracted cycle as a deduplicated, ascending

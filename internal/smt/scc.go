@@ -16,10 +16,13 @@
 //
 // Because the all-zero-seeded Bellman–Ford fixpoint is unique, the
 // resulting distance vector — and therefore the extracted model — is
-// bit-for-bit the one the undecomposed engine computes. Unsatisfiable
-// systems fall back to the sequential Context path, whose negative-cycle
-// extraction and deletion-minimization then produce bit-identical cores;
-// sat is the scale path, unsat the campaign-sized one.
+// bit-for-bit the one the undecomposed engine computes. When a component is
+// unsatisfiable the same engine, on the edge list the condensation was built
+// from, runs the sequential decide and the deletion-minimization loop of
+// engine.go, so cores are bit-identical too; no second engine is built and
+// nothing is re-interned. SolveDense is the same solve for callers that
+// already hold dense variable ids: the whole decision — model or minimal
+// core — without a variable name or an assertion list.
 
 package smt
 
@@ -29,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fsr/internal/obs"
 )
 
 // Decomposed is the SCC-decomposed native backend ("native-scc"): the same
@@ -39,8 +44,8 @@ type Decomposed struct {
 	// Workers caps the per-level component parallelism (default
 	// GOMAXPROCS).
 	Workers int
-	// NoMinimize disables deletion-based core minimization on the unsat
-	// fallback path, exactly as on Context.
+	// NoMinimize disables deletion-based core minimization on unsat
+	// systems, exactly as on Context.
 	NoMinimize bool
 }
 
@@ -99,33 +104,35 @@ func (d Decomposed) Solve(ctx context.Context, assertions []Assertion) (Result, 
 		return Result{}, err
 	}
 	if !sat {
-		// A component is unsatisfiable: rerun the sequential path, whose
-		// cycle extraction and minimization order define the canonical
-		// minimal core. The condensation stats survive the handoff (plain
-		// field copies — recordPlan already published this plan once).
-		c := &Context{asserts: asserts, NoMinimize: d.NoMinimize}
-		out, err := c.CheckContext(ctx)
+		// A component is unsatisfiable: the sequential decide on this same
+		// engine finds the witness cycle whose minimization order defines
+		// the canonical core, exactly as Context.CheckContext would on a
+		// fresh one. (Should decide ever contradict the condensation, it
+		// leaves the canonical fixpoint in e.dist and that is reported.)
+		sctx, sp := obs.StartSpan(ctx, "solve")
+		sp.AttrInt("assertions", int64(len(asserts)))
+		if sat = !e.decide(); !sat {
+			res.CoreIdx, res.UsesPositivity, err = e.unsatCore(sctx, d.NoMinimize)
+		}
+		sp.End()
 		if err != nil {
 			return Result{}, err
 		}
-		out.Stats.Components = s.ncomp
-		out.Stats.TrivialComponents = s.trivial
-		out.Stats.Levels = s.nLevels
-		out.Stats.MaxLevelWidth = s.maxWidth
-		out.Stats.TarjanDuration = s.tarjan
-		return out, nil
 	}
-
-	model := make(map[Var]int, len(e.idVar)-1)
-	d0 := e.dist[zeroNode]
-	for i, v := range e.idVar {
-		if i == zeroNode {
-			continue
+	if sat {
+		model := make(map[Var]int, len(e.idVar)-1)
+		d0 := e.dist[zeroNode]
+		for i, v := range e.idVar {
+			if i == zeroNode {
+				continue
+			}
+			model[v] = e.dist[i] - d0
 		}
-		model[v] = e.dist[i] - d0
+		res.Sat = true
+		res.Model = model
+	} else {
+		res.Core = coreOf(asserts, res.CoreIdx)
 	}
-	res.Sat = true
-	res.Model = model
 	e.snapshotStats(&res.Stats)
 	res.Stats.Duration = time.Since(start)
 	return res, nil
@@ -458,19 +465,24 @@ type DenseConstraint struct {
 }
 
 // SolveDense decides a pre-interned ground system with the SCC-decomposed
-// engine. It is the compact scale path for callers that already hold dense
-// variable ids (the spp sharded generator): no variable interning, no
-// Origin strings, no per-assertion provenance — just edges, the
-// condensation plan, and the canonical distance fixpoint. When sat, model
-// holds dist[v]−dist[0] for v in 1..numVars (index 0 unused), bit-for-bit
-// the values Context.CheckContext would assign the same variables. The
-// implicit positivity typing (x ≥ 1) participates exactly as in the
-// undecomposed engine. Unsat systems report sat=false with no further
-// diagnosis; callers needing cores re-solve through the provenance path.
-func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint, workers int) (sat bool, model []int, stats Stats, err error) {
+// engine: the whole decision on dense ids — no variable interning, no
+// Origin strings, no assertion list. The Result names nothing: Model and
+// Core stay nil, the caller owns the names. When sat, model holds
+// dist[v]−dist[0] for v in 1..numVars (index 0 unused), bit-for-bit the
+// values Context.CheckContext would assign the same variables. When unsat,
+// the engine's decide + minimize loop runs on the edge list the
+// condensation was built from, and CoreIdx (positions in cons) and
+// UsesPositivity are the deletion-minimal core Context.CheckContext reports
+// for the same constraints in the same order — the loop's drop/keep
+// decisions are semantic, so they do not depend on how variables are
+// numbered. The implicit positivity typing (x ≥ 1) participates exactly as
+// in the undecomposed engine. Stats counts the dense universe (every id a
+// variable) and all probes: the condensation pass, the confirming decide,
+// and the minimization's.
+func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint, workers int) (res Result, model []int, err error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
-		return false, nil, Stats{}, err
+		return Result{}, nil, err
 	}
 	e := enginePool.Get().(*dlEngine)
 	defer e.release()
@@ -492,29 +504,41 @@ func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint, worker
 	// buildCSR sizes the adjacency from len(idVar); give it the dense
 	// universe without interning anything.
 	e.idVar = growVars(e.idVar, V)
-	e.dist = growInt(e.dist, V)
-	e.pred = growInt32(e.pred, V)
-	e.cnt = growInt32(e.cnt, V)
-	e.inQ = growBool(e.inQ, V)
 	e.buildCSR()
+	e.sizeScratch(V, len(cons))
 
-	stats = Stats{Assertions: len(cons), Variables: numVars, Edges: len(e.edges)}
+	res.Stats = Stats{Assertions: len(cons), Variables: numVars, Edges: len(e.edges)}
 	s := newSCCPlan(e, int32(V))
-	s.recordPlan(&stats)
-	sat, err = s.run(ctx, e, workers)
+	s.recordPlan(&res.Stats)
+	sat, err := s.run(ctx, e, workers)
 	if err != nil {
-		return false, nil, Stats{}, err
+		return Result{}, nil, err
+	}
+	if !sat {
+		// As in Decomposed.Solve: the confirming decide, then the one
+		// minimization loop, on the engine the condensation ran on.
+		mctx, sp := obs.StartSpan(ctx, "minimize-dense")
+		if sat = !e.decide(); !sat {
+			res.CoreIdx, res.UsesPositivity, err = e.minimize(mctx)
+		}
+		sp.AttrInt("probes", int64(e.statProbes))
+		sp.AttrInt("core", int64(len(res.CoreIdx)))
+		sp.End()
+		if err != nil {
+			return Result{}, nil, err
+		}
 	}
 	if sat {
+		res.Sat = true
 		model = make([]int, V)
 		d0 := e.dist[zeroNode]
 		for v := 1; v < V; v++ {
 			model[v] = e.dist[v] - d0
 		}
 	}
-	e.snapshotStats(&stats)
-	stats.Duration = time.Since(start)
-	return sat, model, stats, nil
+	e.snapshotStats(&res.Stats)
+	res.Stats.Duration = time.Since(start)
+	return res, model, nil
 }
 
 // growVars resizes the idVar scratch to n entries without preserving

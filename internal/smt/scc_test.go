@@ -105,8 +105,9 @@ func TestDecomposedQuantified(t *testing.T) {
 }
 
 // TestSolveDenseMatchesContext: the pre-interned dense path computes the
-// same verdict and the same canonical model values as the provenance path
-// over the equivalent named system.
+// same verdict, the same canonical model values and, when unsat, the same
+// deletion-minimal core (positions and positivity involvement) as the
+// string-interned path over the equivalent named system.
 func TestSolveDenseMatchesContext(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 40; seed++ {
@@ -140,17 +141,27 @@ func TestSolveDenseMatchesContext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sat, model, stats, err := SolveDense(ctx, k, dense, 2)
+		got, model, err := SolveDense(ctx, k, dense, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if sat != want.Sat {
-			t.Fatalf("seed %d: dense sat %v, named %v", seed, sat, want.Sat)
+		if got.Sat != want.Sat {
+			t.Fatalf("seed %d: dense sat %v, named %v", seed, got.Sat, want.Sat)
 		}
-		if stats.Assertions != len(dense) || stats.Components == 0 {
-			t.Fatalf("seed %d: bad stats %+v", seed, stats)
+		if got.Stats.Assertions != len(dense) || got.Stats.Components == 0 {
+			t.Fatalf("seed %d: bad stats %+v", seed, got.Stats)
 		}
-		if !sat {
+		if !got.Sat {
+			if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || got.UsesPositivity != want.UsesPositivity {
+				t.Fatalf("seed %d: dense core %v (positivity %v), named %v (%v)", seed,
+					got.CoreIdx, got.UsesPositivity, want.CoreIdx, want.UsesPositivity)
+			}
+			// Ids here follow first appearance, the string engine's own
+			// numbering, so even the probe sequence is the same — after
+			// the one condensation pass.
+			if got.Stats.Probes != want.Stats.Probes+1 {
+				t.Fatalf("seed %d: %d probes, named %d + the condensation pass", seed, got.Stats.Probes, want.Stats.Probes)
+			}
 			continue
 		}
 		// Named interning only sees variables that appear in assertions;

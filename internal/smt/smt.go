@@ -281,24 +281,13 @@ func (s *Context) CheckContext(ctx context.Context) (Result, error) {
 	res.Stats = Stats{Assertions: len(s.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}
 
 	if e.decide() {
-		var coreIdx []int
-		var err error
-		if s.NoMinimize {
-			coreIdx, res.UsesPositivity = e.cycleCore()
-		} else {
-			_, msp := obs.StartSpan(ctx, "minimize")
-			coreIdx, res.UsesPositivity, err = e.minimize(ctx, s.asserts)
-			msp.End()
-			if err != nil {
-				return Result{}, err
-			}
+		coreIdx, usesPos, err := e.unsatCore(ctx, s.NoMinimize)
+		if err != nil {
+			return Result{}, err
 		}
-		core := make([]Assertion, len(coreIdx))
-		for i, ai := range coreIdx {
-			core[i] = s.asserts[ai]
-		}
+		res.UsesPositivity = usesPos
 		res.Sat = false
-		res.Core = core
+		res.Core = coreOf(s.asserts, coreIdx)
 		res.CoreIdx = coreIdx
 		e.snapshotStats(&res.Stats)
 		res.Stats.Duration = time.Since(start)
@@ -321,6 +310,15 @@ func (s *Context) CheckContext(ctx context.Context) (Result, error) {
 	e.snapshotStats(&res.Stats)
 	res.Stats.Duration = time.Since(start)
 	return res, nil
+}
+
+// coreOf materializes the assertions at the given core positions.
+func coreOf(asserts []Assertion, idx []int) []Assertion {
+	core := make([]Assertion, len(idx))
+	for i, ai := range idx {
+		core[i] = asserts[ai]
+	}
+	return core
 }
 
 // quantifiedValid decides ∀v. A Rel B for the supported pattern where both

@@ -15,10 +15,12 @@ import (
 
 var (
 	obsScalePath = obs.Default().CounterVec("fsr_spp_scale_path_total",
-		"Analyze outcomes by route taken.", "path")
+		"Analyze outcomes by route taken: dense = sat on dense ids; resolve = dense unsat, core minimised on dense ids; provenance = assertion list handed to a non-native backend.", "path")
 	// dense: sat decided entirely on the dense id encoding.
 	obsPathDense = obsScalePath.With("dense")
-	// resolve: unsat re-solved through the provenance (AoS) buffer.
+	// resolve: unsat on the dense id encoding, the core minimised there too
+	// and only its members materialized (the label name is what dashboards
+	// and smoke scripts already key on).
 	obsPathResolve = obsScalePath.With("resolve")
 	// provenance: a non-native backend solved the provenance buffer itself.
 	obsPathProvenance = obsScalePath.With("provenance")

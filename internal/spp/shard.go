@@ -15,14 +15,19 @@
 //
 // Analyze sits on top: permitted paths become dense int32 ids (global rank
 // order) and, for the native engine, the difference constraints go straight
-// to smt.SolveDense — no Origin strings, no per-constraint provenance, not
-// even the signature renderings (only the sanitized solver variables, each
-// fused into a single allocation). Unsatisfiable instances, and every
-// instance under any other solver backend, solve the provenance buffer
-// through analysis.CheckPrepared, so minimized cores and §VI-B suspect sets
-// are the ones the algebra pipeline reports. ToAlgebra's own rejections
-// (duplicate links and renderings, degenerate algebras) and its collision
-// suffixes on solver-variable names are reproduced by resolveNames.
+// to smt.SolveDense, which makes the whole decision on those ids — no Origin
+// strings, no per-constraint provenance, not even the signature renderings
+// (only the sanitized solver variables, each fused into a single
+// allocation). A satisfiable instance gets its model back by id; an
+// unsatisfiable one gets its deletion-minimal core back as constraint
+// positions, and coreConstraints runs prefSeg/monoSeg for exactly those
+// positions, so the minimized core and the §VI-B suspect set are the ones
+// the algebra pipeline reports while "unsafe" costs what "safe" costs plus
+// the minimization probes. Every other solver backend consumes an assertion
+// list and solves the provenance buffer through analysis.CheckPrepared.
+// ToAlgebra's own rejections (duplicate links and renderings, degenerate
+// algebras) and its collision suffixes on solver-variable names are
+// reproduced by resolveNames.
 
 package spp
 
@@ -182,10 +187,10 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 // matches in link order. Validation rides on the match list (extension
 // propagation, below) instead of calling Instance.Validate: that is linear
 // too, but its per-hop set lookups take 0.16 s on internet:50000, more than
-// all of AnalyzeScale there (0.14 s; a `go run ./bench -workload
-// scale-session` operation, one safe and one unsafe analysis, reads
-// op_p50_ms ≈ 357 ms). A non-nil error is a structural validation failure,
-// the one Validate reports. The interned variables are the natural
+// either analysis there (≈ 0.07 s safe, ≈ 0.11 s with a planted dispute; a
+// `go run ./bench -workload scale-session` operation runs one of each). A
+// non-nil error is a structural validation failure, the one Validate
+// reports. The interned variables are the natural
 // (unsuffixed) names; resolveNames makes them the algebra pipeline's.
 func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	nn := len(in.Nodes)
@@ -198,7 +203,8 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		prefOff:  make([]int32, nn+1),
 	}
 	// The link set is only filled if some path escapes extension
-	// propagation and needs the per-path validator.
+	// propagation and needs the per-path validator, and then only with the
+	// hops those paths walk.
 	ix := topoIndex{nodes: make(map[Node]int32, nn), origins: make(map[Node]bool, len(in.Origins))}
 	for i, n := range in.Nodes {
 		ix.nodes[n] = int32(i)
@@ -299,19 +305,34 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			}
 		}
 	}
+	// The link set answers only what validatePath will ask: the hops of the
+	// unproven paths, marked present in one pass over the links. Its size is
+	// set by the paths that need it, not by the topology.
+	type pathRef struct{ ni, r int32 }
+	var unproven []pathRef
 	for ni := 0; ni < nn; ni++ {
 		base := p.pathOff[ni]
-		for r, q := range p.perms[ni] {
-			if valid[base+int32(r)] {
-				continue
+		for r := range p.perms[ni] {
+			if !valid[base+int32(r)] {
+				unproven = append(unproven, pathRef{int32(ni), int32(r)})
 			}
-			if ix.links == nil {
-				ix.links = make(map[Link]bool, nl)
-				for _, l := range in.Links {
-					ix.links[l] = true
-				}
+		}
+	}
+	if len(unproven) > 0 {
+		ix.links = map[Link]bool{}
+		for _, u := range unproven {
+			q := p.perms[u.ni][u.r]
+			for i := 0; i+2 < len(q); i++ {
+				ix.links[Link{q[i], q[i+1]}] = false
 			}
-			if err := ix.validatePath(in.Name, in.Nodes[ni], q, false); err != nil {
+		}
+		for _, l := range in.Links {
+			if _, asked := ix.links[l]; asked {
+				ix.links[l] = true
+			}
+		}
+		for _, u := range unproven {
+			if err := ix.validatePath(in.Name, in.Nodes[u.ni], p.perms[u.ni][u.r], false); err != nil {
 				return nil, err
 			}
 		}
@@ -471,7 +492,8 @@ func extensionRank(perm []Path, from Node, q Path) int32 {
 // renderSyms materializes every path's signature rendering (sigName) into
 // a flat array. Renderings exist purely for provenance — origin strings,
 // PrefPair/ConcatEntry symbols — so only the AoS buffer pays for them; the
-// dense sat path never calls this.
+// dense route never calls this (an unsat core renders its own members'
+// through rankSlice).
 func (p *shardPrep) renderSyms(workers int) []string {
 	defer timeEmit(obsEmitSyms, time.Now())
 	syms := make([]string, p.nPaths)
@@ -672,8 +694,9 @@ func suspects(in *Instance, segLen, coreIdx []int) []Node {
 }
 
 // solvesDense reports whether the solver is the native difference-logic
-// engine with deletion-minimized cores, whose verdicts and canonical models
-// smt.SolveDense reproduces (the decomposed backend is that same engine).
+// engine with deletion-minimized cores, whose verdicts, canonical models and
+// cores smt.SolveDense reproduces (the decomposed backend is that same
+// engine).
 func solvesDense(solver smt.Solver) bool {
 	switch s := solver.(type) {
 	case smt.Native:
@@ -684,14 +707,53 @@ func solvesDense(solver smt.Solver) bool {
 	return false
 }
 
+// rankSlice names ranks [lo,hi) of node ni, rendering just those paths'
+// signatures — what a core member needs of a ranking.
+func (p *shardPrep) rankSlice(ni, lo, hi int32) ranking {
+	paths := p.perms[ni][lo:hi]
+	syms := make([]string, len(paths))
+	for i, q := range paths {
+		syms[i] = sigName(q)
+	}
+	base := p.pathOff[ni]
+	return ranking{paths: paths, syms: syms, vars: p.vars[base+lo : base+hi]}
+}
+
+// coreConstraints materializes the constraints at the given positions of the
+// canonical emission order — an unsat core's members — through prefSeg and
+// monoSeg, one single-slot segment each, so only the two or three rankings a
+// dispute involves are ever rendered.
+func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
+	out := make([]analysis.Constraint, len(coreIdx))
+	totalPref := int(p.totalPref())
+	for k, c := range coreIdx {
+		if c < totalPref {
+			// The node whose preference segment holds position c.
+			ni, _ := slices.BinarySearch(p.prefOff, int32(c)+1)
+			ni--
+			i := int32(c) - p.prefOff[ni]
+			prefSeg(out[k:k+1], p.rankSlice(int32(ni), i, i+2))
+			continue
+		}
+		m := p.matches[c-totalPref]
+		fi, ti := p.linkEnds[2*m.li], p.linkEnds[2*m.li+1]
+		monoSeg(out[k:k+1], p.in.Links[m.li], []linkMatch{{li: m.li}},
+			p.rankSlice(fi, m.fq, m.fq+1), p.rankSlice(ti, m.tq, m.tq+1))
+	}
+	return out
+}
+
 // Analyze decides strict monotonicity for the instance on the given solver
 // backend and maps an unsat core to its §VI-B suspect nodes: the Result and
 // suspect set of analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity,
 // solver) + SuspectNodes, and ToAlgebra's error where the instance has no
-// algebra. On the native engine, satisfiable instances are decided on dense
-// path ids and never materialize a provenance constraint or even a
-// signature rendering; unsatisfiable ones, and every instance on another
-// backend, solve the provenance buffer through analysis.CheckPrepared.
+// algebra. On the native engine the whole decision runs on dense path ids:
+// a satisfiable instance never materializes a provenance constraint or even
+// a signature rendering, and an unsatisfiable one materializes exactly its
+// core's members (coreConstraints) — the cost of "unsafe" is the cost of
+// "safe" plus the minimization probes. Every other backend consumes an
+// assertion list, so it is handed the provenance buffer through
+// analysis.CheckPrepared.
 func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) (analysis.Result, []Node, error) {
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
 	p, err := buildShardPrep(in, workers)
@@ -703,63 +765,60 @@ func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) 
 		return analysis.Result{}, nil, err
 	}
 	name := "spp-" + in.Name
-	var dense smt.Stats
-	if solvesDense(solver) {
-		ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
-		cons, appears := p.denseConstraints(workers)
-		emitSpan.AttrInt("constraints", int64(len(cons)))
-		emitSpan.End()
-		ctx, solveSpan := obs.StartSpan(ctx, "solve-dense")
-		sat, model, stats, err := smt.SolveDense(ctx, p.nPaths, cons, workers)
-		solveSpan.AttrInt("components", int64(stats.Components))
-		solveSpan.AttrInt("levels", int64(stats.Levels))
+	if !solvesDense(solver) {
+		obsPathProvenance.Inc()
+		ctx, solveSpan := obs.StartSpan(ctx, "solve-provenance")
+		res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, p.shardedConstraints(workers), solver)
 		solveSpan.End()
 		if err != nil {
 			return analysis.Result{}, nil, err
 		}
-		if sat {
-			obsPathDense.Inc()
-			res := analysis.Result{
-				Algebra:         name,
-				Condition:       analysis.StrictMonotonicity,
-				Sat:             true,
-				NumPreference:   int(p.totalPref()),
-				NumMonotonicity: len(p.matches),
-				Stats:           stats,
-			}
-			nVars := 0
-			res.Model = make(map[string]int, p.nPaths)
-			for id := 1; id <= p.nPaths; id++ {
-				if appears[id] {
-					res.Model[string(p.vars[id-1])] = model[id]
-					nVars++
-				}
-			}
-			// String interning only counts appearing variables; the dense
-			// solve saw every path id. Report the interned figures.
-			res.Stats.Variables = nVars
-			res.Stats.Edges = len(cons) + nVars
-			return res, nil, nil
-		}
-		obsPathResolve.Inc()
-		dense, solver = stats, smt.Native{}
-	} else {
-		obsPathProvenance.Inc()
+		return res, suspects(in, p.segLens(), res.CoreIdx), nil
 	}
-	ctx, resolveSpan := obs.StartSpan(ctx, "solve-provenance")
-	res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, p.shardedConstraints(workers), solver)
-	resolveSpan.End()
+
+	ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
+	cons, appears := p.denseConstraints(workers)
+	emitSpan.AttrInt("constraints", int64(len(cons)))
+	emitSpan.End()
+	ctx, solveSpan := obs.StartSpan(ctx, "solve-dense")
+	out, model, err := smt.SolveDense(ctx, p.nPaths, cons, workers)
+	solveSpan.AttrInt("components", int64(out.Stats.Components))
+	solveSpan.AttrInt("levels", int64(out.Stats.Levels))
+	solveSpan.End()
 	if err != nil {
 		return analysis.Result{}, nil, err
 	}
-	if dense.Components > 0 {
-		res.Stats.Components = dense.Components
-		res.Stats.TrivialComponents = dense.TrivialComponents
-		res.Stats.Levels = dense.Levels
-		res.Stats.MaxLevelWidth = dense.MaxLevelWidth
-		res.Stats.TarjanDuration = dense.TarjanDuration
+	res := analysis.Result{
+		Algebra:         name,
+		Condition:       analysis.StrictMonotonicity,
+		Sat:             out.Sat,
+		NumPreference:   int(p.totalPref()),
+		NumMonotonicity: len(p.matches),
+		Stats:           out.Stats,
 	}
-	return res, suspects(in, p.segLens(), res.CoreIdx), nil
+	// String interning only counts appearing variables; the dense solve saw
+	// every path id. Report the interned figures.
+	nVars := 0
+	for _, on := range appears {
+		if on {
+			nVars++
+		}
+	}
+	res.Stats.Variables = nVars
+	res.Stats.Edges = len(cons) + nVars
+	if !out.Sat {
+		obsPathResolve.Inc()
+		res.Core, res.CoreIdx = p.coreConstraints(out.CoreIdx), out.CoreIdx
+		return res, suspects(in, p.segLens(), res.CoreIdx), nil
+	}
+	obsPathDense.Inc()
+	res.Model = make(map[string]int, nVars)
+	for id := 1; id <= p.nPaths; id++ {
+		if appears[id] {
+			res.Model[string(p.vars[id-1])] = model[id]
+		}
+	}
+	return res, nil, nil
 }
 
 // AnalyzeScale is Analyze on the native backend. The bool is err == nil.

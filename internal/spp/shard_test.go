@@ -12,10 +12,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"fsr/internal/analysis"
+	"fsr/internal/obs"
 	"fsr/internal/scenario"
 	"fsr/internal/smt"
 	"fsr/internal/spp"
@@ -243,4 +245,292 @@ func TestShardedValidation(t *testing.T) {
 		t.Fatalf("AnalyzeScale: ok=%v err=%v, want %v", ok, err, want)
 	}
 	requireOracleParity(t, in, smt.Native{})
+}
+
+// internetInstance is the internet:n power-law instance at a topology seed.
+func internetInstance(n int, seed int64) *spp.Instance {
+	g := topology.GenerateInternet(seed, topology.InternetParams{N: n})
+	return scenario.InternetSPP(fmt.Sprintf("internet-%d-%d", n, seed), g, 3)
+}
+
+// plantPair plants the two-node DISAGREE cycle on the session a–b: each end
+// prefers the route through the other over its own token.
+func plantPair(in *spp.Instance, a, b, ta, tb spp.Node) {
+	in.Rank(a, spp.Path{a, b, tb}, spp.Path{a, ta})
+	in.Rank(b, spp.Path{b, a, ta}, spp.Path{b, tb})
+}
+
+// multiCycleInstances are unsat instances with more than one negative cycle,
+// where the deletion loop has witnesses to choose between — what the
+// benchmark's single planted pair cannot exercise.
+func multiCycleInstances(t *testing.T, seed int64) map[string]*spp.Instance {
+	t.Helper()
+	out := map[string]*spp.Instance{}
+	tok := func(n spp.Node) spp.Node { return "rx_" + n }
+
+	// (a) Three disjoint pairs, spread over the link list.
+	in := internetInstance(700, seed)
+	used := map[spp.Node]bool{}
+	planted := 0
+	for _, from := range []int{0, len(in.Links) / 3, 2 * len(in.Links) / 3} {
+		for _, l := range in.Links[from:] {
+			if !used[l.From] && !used[l.To] {
+				used[l.From], used[l.To] = true, true
+				plantPair(in, l.From, l.To, tok(l.From), tok(l.To))
+				planted++
+				break
+			}
+		}
+	}
+	if planted != 3 {
+		t.Fatalf("seed %d: planted %d of 3 disjoint pairs", seed, planted)
+	}
+	out["three-pairs"] = in
+
+	// (b) Two pairs sharing the node b: a–b and b–c, both through b's one
+	// ranking, so the two cycles share a preference constraint.
+	in = internetInstance(700, seed)
+	shared := false
+	for _, l := range in.Links {
+		b, a := l.From, l.To
+		for _, l2 := range in.Links {
+			if c := l2.To; l2.From == b && c != a {
+				in.Rank(a, spp.Path{a, b, tok(b)}, spp.Path{a, tok(a)})
+				in.Rank(c, spp.Path{c, b, tok(b)}, spp.Path{c, tok(c)})
+				in.Rank(b, spp.Path{b, a, tok(a)}, spp.Path{b, c, tok(c)}, spp.Path{b, tok(b)})
+				shared = true
+				break
+			}
+		}
+		if shared {
+			break
+		}
+	}
+	if !shared {
+		t.Fatalf("seed %d: no node with two sessions", seed)
+	}
+	out["shared-node"] = in
+
+	// (c) A three-node BAD GADGET spliced onto the first session's tail,
+	// next to a pair planted on the middle session.
+	in = internetInstance(700, seed)
+	g := []spp.Node{"g1", "g2", "g3"}
+	in.AddSession(g[0], in.Links[0].From, 0)
+	for i, n := range g {
+		next := g[(i+1)%3]
+		in.AddSession(n, next, 0)
+		in.Rank(n, spp.Path{n, next, tok(next)}, spp.Path{n, tok(n)})
+	}
+	mid := in.Links[len(in.Links)/2]
+	plantPair(in, mid.From, mid.To, tok(mid.From), tok(mid.To))
+	out["bad-gadget"] = in
+
+	// (d) A pair whose tokens sanitize to one solver variable: the core is
+	// reported under the suffixed names.
+	in = internetInstance(700, seed)
+	plantPair(in, in.Links[0].From, in.Links[0].To, "x.y", "x_y")
+	out["collision"] = in
+	return out
+}
+
+// TestUnsatCoresMatchOracle: on instances with several negative cycles the
+// dense minimization reports the untouched oracle's answer element for
+// element — core constraints (origin, kind, provenance), positions, counts,
+// suspects and the interned graph size — on both dense backends and at any
+// worker count.
+func TestUnsatCoresMatchOracle(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 5; seed++ {
+		for name, in := range multiCycleInstances(t, seed) {
+			conv, err := in.ToAlgebra()
+			if err != nil {
+				t.Fatalf("%s seed %d: ToAlgebra: %v", name, seed, err)
+			}
+			want, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
+			if err != nil || want.Sat {
+				t.Fatalf("%s seed %d: oracle sat=%v err=%v, want unsat", name, seed, want.Sat, err)
+			}
+			wantSuspects := conv.SuspectNodes(want.Core)
+			if name == "collision" {
+				suffixed := false
+				for _, c := range want.Core {
+					suffixed = suffixed || strings.HasSuffix(string(c.Assertion.A.Var), "_2") || strings.HasSuffix(string(c.Assertion.B.Var), "_2")
+				}
+				if !suffixed {
+					t.Fatalf("collision seed %d: no suffixed name in the oracle's core %v", seed, want.Core)
+				}
+			}
+			for _, solver := range []smt.Solver{smt.Native{}, smt.Decomposed{}} {
+				for _, workers := range []int{1, 4} {
+					got, suspects, err := spp.Analyze(ctx, in, solver, workers)
+					if err != nil {
+						t.Fatalf("%s seed %d %s w=%d: %v", name, seed, solver.Name(), workers, err)
+					}
+					if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
+						t.Fatalf("%s seed %d %s w=%d: stats vars/edges (%d,%d), oracle (%d,%d)", name, seed, solver.Name(), workers,
+							got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
+					}
+					if got.Stats.Components == 0 || got.Stats.Levels == 0 || got.Stats.Probes < 3 {
+						t.Fatalf("%s seed %d %s w=%d: condensation or probe stats missing: %+v", name, seed, solver.Name(), workers, got.Stats)
+					}
+					g, w := got, want
+					g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s seed %d %s w=%d: result differs:\n%+v\nvs oracle\n%+v", name, seed, solver.Name(), workers, g, w)
+					}
+					if !reflect.DeepEqual(suspects, wantSuspects) {
+						t.Fatalf("%s seed %d %s w=%d: suspects %v, oracle %v", name, seed, solver.Name(), workers, suspects, wantSuspects)
+					}
+				}
+			}
+		}
+	}
+}
+
+// spanNames flattens a span forest into name → attrs of the last such span.
+func spanNames(nodes []*obs.SpanNode, into map[string]map[string]string) map[string]map[string]string {
+	for _, n := range nodes {
+		into[n.Name] = n.Attrs
+		spanNames(n.Children, into)
+	}
+	return into
+}
+
+// TestUnsafeCostsWhatSafeCosts is the structural guard on the unsat leg: an
+// unsafe analysis allocates about as often as its safe twin (the parent of
+// this guard rendered every signature and provenance constraint, ~11× the
+// allocations at n=50000), never reaches the provenance emitter, and shows
+// up in the span tree as minimize-dense.
+func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=5000 instance")
+	}
+	ctx := context.Background()
+	safe := internetInstance(5000, 1)
+	unsafe := safe.Clone()
+	a, b := unsafe.Links[0].From, unsafe.Links[0].To
+	plantPair(unsafe, a, b, "rx_a", "rx_b")
+
+	allocs := func(in *spp.Instance, wantSat bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, _, err := spp.Analyze(ctx, in, smt.Native{}, 2)
+			if err != nil || res.Sat != wantSat {
+				t.Fatalf("%s: sat=%v err=%v", in.Name, res.Sat, err)
+			}
+		})
+	}
+	emit := obs.Default().HistogramVec("fsr_spp_shard_emit_seconds", "", "stage")
+	routes := obs.Default().CounterVec("fsr_spp_scale_path_total", "", "path")
+	stages := []string{"syms", "pref", "mono"}
+	before := map[string]uint64{}
+	for _, s := range stages {
+		before[s] = emit.Count(s)
+	}
+	resolve, provenance := routes.Value("resolve"), routes.Value("provenance")
+
+	safeAllocs, unsafeAllocs := allocs(safe, true), allocs(unsafe, false)
+	t.Logf("allocations per analysis at n=5000: safe %.0f, unsafe %.0f (%.2f×)", safeAllocs, unsafeAllocs, unsafeAllocs/safeAllocs)
+	if unsafeAllocs > 1.25*safeAllocs {
+		t.Fatalf("unsafe analysis allocates %.0f times, safe twin %.0f: more than 1.25×", unsafeAllocs, safeAllocs)
+	}
+
+	tr := obs.NewTracer()
+	res, suspects, err := spp.Analyze(obs.WithTracer(ctx, tr), unsafe, smt.Native{}, 2)
+	pair := []spp.Node{a, b}
+	slices.Sort(pair)
+	if err != nil || res.Sat || len(res.Core) != 4 || !reflect.DeepEqual(suspects, pair) {
+		t.Fatalf("planted pair: sat=%v core=%d suspects=%v err=%v", res.Sat, len(res.Core), suspects, err)
+	}
+	for _, s := range stages {
+		if got := emit.Count(s); got != before[s] {
+			t.Errorf("provenance emitter stage %q ran %d times on the dense route", s, got-before[s])
+		}
+	}
+	if got := routes.Value("resolve") - resolve; got != 5 { // 1 warm-up + 3 measured + 1 traced
+		t.Errorf("resolve route counted %v unsat analyses, want 5", got)
+	}
+	if got := routes.Value("provenance") - provenance; got != 0 {
+		t.Errorf("provenance route counted %v", got)
+	}
+	spans := spanNames(tr.SpanTree(), map[string]map[string]string{})
+	if _, ok := spans["solve-provenance"]; ok {
+		t.Errorf("unsat analysis on the dense route opened solve-provenance: %v", spans)
+	}
+	md, ok := spans["minimize-dense"]
+	if !ok || md["core"] != "4" || md["probes"] != fmt.Sprint(res.Stats.Probes) {
+		t.Errorf("minimize-dense span %v (present=%v), want core=4 probes=%d", md, ok, res.Stats.Probes)
+	}
+}
+
+// TestValidatorFallbackCostIsThePaths: re-ranking one mid-graph node strips
+// the ranked suffix off the paths routed through it, so extension
+// propagation cannot prove them and the per-path validator runs. Its answer
+// is Validate's and the oracle's, and what it allocates is set by those few
+// paths: the same edit on a topology four times the size allocates no more
+// (it used to build a set of every link).
+func TestValidatorFallbackCostIsThePaths(t *testing.T) {
+	fallback := map[int]float64{}
+	for _, n := range []int{2000, 8000} {
+		in := internetInstance(n, 1)
+		through := map[spp.Node]int{}
+		for _, nd := range in.Nodes {
+			for _, q := range in.Permitted[nd] {
+				for _, hop := range q[1 : len(q)-1] {
+					through[hop]++
+				}
+			}
+		}
+		var m spp.Node
+		for _, nd := range in.Nodes[n/2:] {
+			if through[nd] == 3 {
+				m = nd
+				break
+			}
+		}
+		if m == "" {
+			t.Fatalf("internet:%d: no mid-graph node with three paths through it", n)
+		}
+		edited := in.Clone()
+		edited.Name += "-reranked"
+		edited.Rank(m, spp.Path{m, "rx"})
+		if err := edited.Validate(); err != nil {
+			t.Fatalf("internet:%d: edited instance: %v", n, err)
+		}
+		if n == 2000 {
+			requireOracleParity(t, edited, smt.Native{})
+			// And an unproven path that is wrong: the validator's error,
+			// first in (node, rank) order, is Validate's.
+			broken := edited.Clone()
+			for _, nd := range broken.Nodes {
+				if q := broken.Permitted[nd]; len(q) > 0 && len(q[0]) > 3 && q[0][1] == m {
+					bad := slices.Clone(q[0])
+					bad[2] = "nowhere"
+					broken.Permitted[nd] = append([]spp.Path{bad}, q[1:]...)
+					break
+				}
+			}
+			want := broken.Validate()
+			if _, _, err := spp.Analyze(context.Background(), broken, smt.Native{}, 2); want == nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("broken unproven path: Analyze %v, Validate %v", err, want)
+			}
+		}
+		count := func(in *spp.Instance) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if err := spp.PrepAllocProbe(in); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// The edit drops m's ranked paths (one interned variable each) and
+		// adds one; the rest of the difference is the fallback.
+		dropped := float64(len(in.Permitted[m]) - 1)
+		fallback[n] = count(edited) - count(in) + dropped
+		t.Logf("internet:%d (%d links): %s re-ranked, fallback allocations %.0f", n, len(in.Links), m, fallback[n])
+	}
+	if fallback[2000] <= 0 {
+		t.Fatalf("fallback did not run: %v", fallback)
+	}
+	if fallback[8000] > fallback[2000]+4 {
+		t.Fatalf("fallback allocations grow with the topology: %.0f at n=2000, %.0f at n=8000", fallback[2000], fallback[8000])
+	}
 }

@@ -63,8 +63,8 @@ var sessionSolvers = []smt.Solver{smt.Native{}, smt.Decomposed{}, smt.Native{NoM
 // TestSessionScalePath: AnalyzeSPP takes the one emitter at every size and
 // on every backend, and nothing observable distinguishes it from the
 // algebra pipeline: every shipped gadget, chains and power-law instances
-// from 40 to 700 nodes, safe and with a planted dispute (the provenance
-// re-solve and the suspect set).
+// from 40 to 700 nodes, safe and with a planted dispute (the core minimised
+// on dense ids, its members' provenance and the suspect set).
 func TestSessionScalePath(t *testing.T) {
 	var instances []*spp.Instance
 	for _, name := range append(GadgetNames(), "chain:40", "chain:400", "internet:200", "internet:700:3") {
@@ -187,8 +187,8 @@ func scalePathCount(path string) float64 {
 
 // TestScaleEligibility: the backend decides only how the one emitter's
 // output is solved. The native engine with minimized cores decides the
-// dense encoding (re-solving the provenance list when unsat); every other
-// backend is handed the provenance list.
+// dense encoding — model or minimal core, the latter still counted as
+// "resolve" — and every other backend is handed the provenance list.
 func TestScaleEligibility(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
