@@ -21,8 +21,10 @@ import (
 type SolverBackend = smt.Solver
 
 // NativeSolver returns the built-in difference-logic backend: ground atoms
-// become a constraint graph decided by Bellman–Ford, with deletion-minimized
-// unsat cores. This is the default and the fastest path.
+// become a constraint graph that is condensed into its strongly connected
+// components and decided by Bellman–Ford inside the cyclic ones, with
+// deletion-minimized unsat cores. This is the default and the fastest path;
+// sessions holding it decide SPP instances on the emitter's dense encoding.
 func NativeSolver() SolverBackend { return smt.Native{} }
 
 // YicesTextSolver returns the external-encoding backend: constraints are
@@ -31,19 +33,10 @@ func NativeSolver() SolverBackend { return smt.Native{} }
 // Yices binary.
 func YicesTextSolver() SolverBackend { return smt.YicesText{} }
 
-// SCCSolver returns the SCC-decomposed native backend: the constraint
-// digraph is condensed with Tarjan's algorithm and each strongly connected
-// component is solved independently (in parallel across components on
-// multi-core hosts), with verdicts, models, and minimized cores identical
-// to NativeSolver. Like NativeSolver sessions, sessions holding this backend
-// decide SPP instances on the emitter's dense encoding.
-func SCCSolver() SolverBackend { return smt.Decomposed{} }
-
 // SolverBackends returns every built-in solver backend.
 func SolverBackends() []SolverBackend { return smt.Backends() }
 
-// SolverBackendByName resolves "native", "native-scc" (alias "scc"), or
-// "yices-text" (alias "yices").
+// SolverBackendByName resolves "native" or "yices-text" (alias "yices").
 func SolverBackendByName(name string) (SolverBackend, error) { return smt.SolverByName(name) }
 
 // RunnerBackend executes a converted SPP instance. Implementations:

@@ -611,15 +611,16 @@ func BenchmarkConstraintGen(b *testing.B) {
 	}
 }
 
-// BenchmarkInternetScale is the tentpole measurement: full analysis of a
-// 50000-AS power-law instance. mode=undecomposed is the provenance path
-// without SCC decomposition — sharded constraint generation (already far
-// faster than the classic table path, which does not terminate in bench
-// time at this size) feeding the sequential native engine. mode=scc is
-// AnalyzeScale: dense encoding into the SCC-decomposed engine, skipping
-// provenance materialization on the sat path. The ns/op ratio between the
-// two modes is the PR's ≥3× acceptance figure; mode=scc also reports
-// retained analysis memory per node.
+// BenchmarkInternetScale is the scale measurement: full analysis of a
+// 50000-AS power-law instance. mode=undecomposed is the provenance list
+// through the string door — sharded constraint generation feeding
+// smt.Native{}, which interns every variable name before it condenses and
+// solves. mode=scc is AnalyzeScale: the dense encoding straight into the
+// same engine, skipping provenance materialization on the sat path; it also
+// reports retained analysis memory per node. Both rows run the one
+// condensed solve (the row names date from when only mode=scc did, and are
+// kept so BENCH_*.json stays comparable); the ns/op ratio between them is
+// what naming the variables costs.
 func BenchmarkInternetScale(b *testing.B) {
 	const n = 50000
 	ctx := context.Background()

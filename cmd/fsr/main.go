@@ -25,7 +25,7 @@
 // hop-count, backup. Built-in gadgets: goodgadget, badgadget, disagree,
 // fig3, fig3-fixed, plus the parameterized forms chain:N and
 // internet:N[:SEED] which generate instances on the fly. Solver backends:
-// native, native-scc, yices-text. Runner backends: sim, sim-ndlog, tcp.
+// native, yices-text. Runner backends: sim, sim-ndlog, tcp.
 // Scenario kinds: gadget-splice, gao-rexford, ibgp, gao-rexford-internet,
 // lexical-product, divergent-fixture, partial-spec, churn-flap,
 // churn-storm, churn-dispute (the last three inject seed-derived fault
@@ -240,7 +240,7 @@ func cmdAnalyze(args []string) error {
 	builtin := fs.String("builtin", "", "built-in policy name")
 	configPath := fs.String("config", "", "configuration file")
 	sppName := fs.String("spp", "", "built-in SPP gadget name")
-	solverName := fs.String("solver", "native", "solver backend: native|native-scc|yices-text")
+	solverName := fs.String("solver", "native", "solver backend: native|yices-text")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of the analysis spans")
 	fs.Parse(args)
 	alg, conv, err := loadPolicy(*builtin, *configPath, *sppName)
@@ -283,7 +283,7 @@ func cmdCampaign(args []string) error {
 	shrink := fs.Bool("shrink", false, "delta-debug divergences and mismatches to minimal instances")
 	corpusPath := fs.String("corpus", "", "write interesting outcomes (shrunk where possible) to this JSON Lines file")
 	replayPath := fs.String("replay", "", "replay a corpus file instead of generating scenarios")
-	solverName := fs.String("solver", "native", "solver backend: native|native-scc|yices-text")
+	solverName := fs.String("solver", "native", "solver backend: native|yices-text")
 	runnerName := fs.String("runner", "sim", "runner backend: sim|sim-ndlog|tcp")
 	verbose := fs.Bool("v", false, "print every scenario result, not just the summary")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of the campaign spans")

@@ -49,7 +49,7 @@ wait "$pid" 2>/dev/null || true
 # Stage 2: a short traced campaign; the trace must be loadable trace-event
 # JSON containing every pipeline stage.
 "$bin" campaign -count 16 -quiet -trace-out "$tmp/trace.json"
-go run ./hack/tracecheck "$tmp/trace.json" scenario generate analyze simulate check solve
+go run ./hack/tracecheck "$tmp/trace.json" scenario generate analyze shard-prep dense-emit solve-dense simulate
 
 # Stage 3: a shrinking campaign (the divergent fixture guarantees findings)
 # must additionally record shrink spans. Exit 1 is the expected "finding"

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fsr/internal/analysis"
 	"fsr/internal/engine"
 	"fsr/internal/obs"
 	"fsr/internal/smt"
@@ -358,32 +357,31 @@ func (r *Report) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// evaluate runs the differential pipeline on one instance: §III-B
-// conversion, strict-monotonicity analysis, and (unless NoSim) a bounded
-// execution on the spec's runner, with plan's faults injected when non-nil.
+// evaluate runs the differential pipeline on one instance: the
+// strict-monotonicity analysis of the one §IV-B emitter (spp.Analyze) and,
+// unless NoSim, the §III-B conversion and a bounded execution of it on the
+// spec's runner, with plan's faults injected when non-nil.
 // simSeed keys the execution's deterministic randomness. suspects is the
 // §VI-B suspect set (the nodes the unsat core implicates) when the analysis
 // proves the instance unsafe; rep is nil when no execution ran.
 func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, plan *engine.FaultPlan) (sat bool, suspects []string, rep *engine.RunReport, err error) {
 	actx, asp := obs.StartSpan(ctx, "analyze")
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		asp.End()
-		return false, nil, nil, err
-	}
-	res, err := analysis.CheckWith(actx, conv.Algebra, analysis.StrictMonotonicity, spec.Solver)
+	res, nodes, err := spp.Analyze(actx, in, spec.Solver, 1)
 	asp.End()
 	if err != nil {
 		return false, nil, nil, err
 	}
 	sat = res.Sat
-	if !sat {
-		for _, n := range conv.SuspectNodes(res.Core) {
-			suspects = append(suspects, string(n))
-		}
+	for _, n := range nodes {
+		suspects = append(suspects, string(n))
 	}
 	if spec.NoSim {
 		return sat, suspects, nil, nil
+	}
+	// Only an execution needs the algebra (the runner's input).
+	conv, err := in.ToAlgebra()
+	if err != nil {
+		return false, nil, nil, err
 	}
 	if simSeed == 0 {
 		simSeed = 1

@@ -10,7 +10,8 @@ import (
 // Two backends exist, mirroring the paper's architecture: the Native
 // difference-logic engine (the in-process substitute for Yices) and the
 // YicesText path, which round-trips the context through the Yices 1.x
-// surface syntax the paper shells out with (§IV-C). Backends are stateless
+// surface syntax the paper shells out with (§IV-C) and then decides it on
+// that same engine. Backends are stateless
 // and safe for concurrent use.
 type Solver interface {
 	// Name identifies the backend ("native", "yices-text").
@@ -21,22 +22,34 @@ type Solver interface {
 }
 
 // Native decides assertions directly with the built-in difference-logic
-// engine (Bellman–Ford over the constraint graph). It is the default and the
-// fastest path.
+// engine: SCC condensation, then SPFA inside the components that have
+// cycles. It is the default and the fastest path.
 type Native struct {
 	// NoMinimize disables deletion-based core minimization, as on Context.
 	NoMinimize bool
 }
 
+// Decomposed is Native: every solve is condensed. The name survives only
+// for the frozen bench/replay.go and goes with it (ROADMAP item 1).
+type Decomposed = Native
+
 // Name implements Solver.
 func (Native) Name() string { return "native" }
 
-// Solve implements Solver.
+// Solve implements Solver. Gt/Ge are normalized as Context.Assert would (no
+// copy in the common all-Lt/Le case).
 func (n Native) Solve(ctx context.Context, assertions []Assertion) (Result, error) {
-	c := NewContext()
-	c.NoMinimize = n.NoMinimize
-	c.AssertAll(assertions)
-	return c.CheckContext(ctx)
+	for i := range assertions {
+		if r := assertions[i].Rel; r == Gt || r == Ge {
+			norm := make([]Assertion, len(assertions))
+			for j := range assertions {
+				norm[j] = assertions[j].normalized()
+			}
+			assertions = norm
+			break
+		}
+	}
+	return solveAsserts(ctx, assertions, n.NoMinimize)
 }
 
 // YicesText decides assertions via the external-solver encoding path: the
@@ -79,10 +92,9 @@ func (y YicesText) Solve(ctx context.Context, assertions []Assertion) (Result, e
 }
 
 // Backends returns every built-in production solver backend, in preference
-// order. The Reference backend (the retained pre-incremental implementation
-// used by differential tests) is resolvable by name but deliberately
-// excluded here.
-func Backends() []Solver { return []Solver{Native{}, Decomposed{}, YicesText{}} }
+// order. The Reference implementation (reference.go) is the differential
+// tests' oracle, not a backend: it is constructed directly, never by name.
+func Backends() []Solver { return []Solver{Native{}, YicesText{}} }
 
 // SolverByName resolves a backend by its Name; it returns an error naming
 // the known backends for an unknown name.
@@ -90,13 +102,9 @@ func SolverByName(name string) (Solver, error) {
 	switch name {
 	case "", "native":
 		return Native{}, nil
-	case "native-scc", "scc":
-		return Decomposed{}, nil
 	case "yices-text", "yices":
 		return YicesText{}, nil
-	case "reference":
-		return Reference{}, nil
 	default:
-		return nil, fmt.Errorf("smt: unknown solver backend %q (have: native, native-scc, yices-text, reference)", name)
+		return nil, fmt.Errorf("smt: unknown solver backend %q (have: native, yices-text)", name)
 	}
 }

@@ -20,9 +20,11 @@
 // edge — the surviving edges are a subset of a previously satisfiable set —
 // so it lies inside the affected region and still triggers SPFA's
 // enqueue-count bound, at which point the check falls back to a full
-// rebuild + minimization, guaranteeing unsat verdicts, models, and minimal
-// cores are bit-for-bit those of a fresh Context.Check (the differential
-// oracle the tests and the server's -check-oracle mode enforce).
+// rebuild and the engine's one solve (condensation, level run, minimization
+// inside the unsatisfiable components), guaranteeing unsat verdicts, models,
+// and minimal cores are bit-for-bit those of a fresh Context.Check (the
+// differential oracle the tests and the server's -check-oracle mode
+// enforce).
 
 package smt
 
@@ -153,8 +155,9 @@ func (d *DeltaContext) Clone() *DeltaContext {
 	return c
 }
 
-// clone deep-copies the engine's persistent state (scratch buffers are
-// copied too: dist/pred are live state for a clean delta context).
+// clone deep-copies the engine's persistent state (the probe buffers are
+// copied too: dist/pred are live state for a clean delta context; the
+// condensation plan is rebuilt by every solve and is not).
 func (e *dlEngine) clone() *dlEngine {
 	c := &dlEngine{varID: make(map[Var]int32, len(e.varID))}
 	for k, v := range e.varID {
@@ -212,69 +215,29 @@ func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
 	}
 
 	e := d.e
-	// Reference counts and interning. Deleted assertions drop references;
-	// added ones intern (persistently) and add references.
+	// Deleted assertions drop their variable references; added ones intern
+	// (persistently), contribute their edges and add references. A fresh
+	// node grows the node-indexed buffers and starts at the virtual-source
+	// distance like every node of a fresh solve.
 	for i := at; i < at+del; i++ {
-		a := &d.asserts[i]
-		if a.QuantVar != "" {
-			continue
-		}
-		if a.A.Var != "" {
-			d.varRef[e.varID[a.A.Var]]--
-		}
-		if a.B.Var != "" {
-			d.varRef[e.varID[a.B.Var]]--
-		}
+		d.ref(&d.asserts[i], -1)
 	}
-	newVars := false
-	internDelta := func(v Var) int32 {
-		if v == "" {
-			return zeroNode
-		}
-		if n, ok := e.varID[v]; ok {
-			return n
-		}
-		n := int32(len(e.idVar))
-		e.varID[v] = n
-		e.idVar = append(e.idVar, v)
+	oldV := len(e.idVar)
+	var addEdges []dlEdge
+	for j := range norm {
+		addEdges = e.appendEdges(addEdges, &norm[j], int32(at+j))
+	}
+	for v := oldV; v < len(e.idVar); v++ {
 		d.varRef = append(d.varRef, 0)
-		// Grow the node-indexed buffers; a fresh node starts at the
-		// virtual-source distance like every node of a fresh solve.
 		e.dist = append(e.dist, 0)
 		e.pred = append(e.pred, -1)
 		e.cnt = append(e.cnt, 1)
 		e.inQ = append(e.inQ, false)
 		e.queue = append(e.queue, 0)
 		d.changedIn = append(d.changedIn, false)
-		newVars = true
-		return n
 	}
-	// Build the added assertions' edges.
-	var addEdges []dlEdge
 	for j := range norm {
-		a := &norm[j]
-		if a.QuantVar != "" {
-			continue
-		}
-		va, vb := internDelta(a.A.Var), internDelta(a.B.Var)
-		if a.A.Var != "" {
-			d.varRef[va]++
-		}
-		if a.B.Var != "" {
-			d.varRef[vb]++
-		}
-		idx := int32(at + j)
-		w := a.B.K - a.A.K
-		switch a.Rel {
-		case Le:
-			addEdges = append(addEdges, dlEdge{from: vb, to: va, w: w, assertIdx: idx})
-		case Lt:
-			addEdges = append(addEdges, dlEdge{from: vb, to: va, w: w - 1, assertIdx: idx})
-		case Eq:
-			addEdges = append(addEdges,
-				dlEdge{from: vb, to: va, w: w, assertIdx: idx},
-				dlEdge{from: va, to: vb, w: -w, assertIdx: idx})
-		}
+		d.ref(&norm[j], 1)
 	}
 
 	// Edge-list surgery. Layout: [0:aEnd) untouched prefix, [aEnd:dEnd)
@@ -288,7 +251,7 @@ func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
 	for i := range addEdges {
 		d.markChanged(addEdges[i].to)
 	}
-	if newVars {
+	if len(e.idVar) > oldV {
 		// Fresh positivity edges point at the zero node.
 		d.markChanged(zeroNode)
 	}
@@ -313,9 +276,7 @@ func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
 			e.edges[i].assertIdx += shift
 		}
 	}
-	for v := int32(1); v <= int32(nVars); v++ {
-		e.edges = append(e.edges, dlEdge{from: v, to: zeroNode, w: -1, assertIdx: -1})
-	}
+	e.appendPositivity()
 	d.csrDirty = true
 
 	// Splice the assertion list and rebuild the per-assertion tables (O(n)
@@ -362,6 +323,19 @@ func (d *DeltaContext) rebuildOffsets() {
 	d.edgeOff[n] = off
 }
 
+// ref adds delta to the reference counts of a ground assertion's variables.
+func (d *DeltaContext) ref(a *Assertion, delta int32) {
+	if a.QuantVar != "" {
+		return
+	}
+	if a.A.Var != "" {
+		d.varRef[d.e.varID[a.A.Var]] += delta
+	}
+	if a.B.Var != "" {
+		d.varRef[d.e.varID[a.B.Var]] += delta
+	}
+}
+
 func (d *DeltaContext) markChanged(v int32) {
 	if !d.changedIn[v] {
 		d.changedIn[v] = true
@@ -396,27 +370,13 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	start := time.Now()
 	d.stats.Checks++
 
-	// Quantified assertions are decided analytically, as in CheckContext.
 	if d.numQuant > 0 {
-		for i := range d.asserts {
-			a := &d.asserts[i]
-			if a.QuantVar == "" {
-				continue
-			}
-			ok, err := quantifiedValid(*a)
-			if err != nil {
-				return Result{}, err
-			}
-			if !ok {
-				res := Result{
-					Core:    []Assertion{*a},
-					CoreIdx: []int{i},
-					Stats:   Stats{Assertions: len(d.asserts), Duration: time.Since(start)},
-				}
-				d.res, d.resValid = res, true
-				d.stats.LastDuration = res.Stats.Duration
-				return res, nil
-			}
+		res, decided, err := decideQuantified(d.asserts, start)
+		if err != nil {
+			return Result{}, err
+		}
+		if decided {
+			return d.memo(res), nil
 		}
 	}
 
@@ -433,8 +393,15 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	return d.fullSolve(ctx, start)
 }
 
+// memo keeps a solving Check's result until the next Splice.
+func (d *DeltaContext) memo(res Result) Result {
+	d.stats.LastDuration = res.Stats.Duration
+	d.res, d.resValid = res, true
+	return res
+}
+
 // fullSolve rebuilds the engine for the current assertions and runs the
-// exact decide/minimize pipeline of Context.CheckContext.
+// engine's one solve, exactly as the string door does on a pooled engine.
 func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, error) {
 	e := d.e
 	e.build(d.asserts)
@@ -443,49 +410,35 @@ func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, 
 	// Recompute reference counts against the rebuilt (orphan-free) intern
 	// table.
 	d.varRef = growInt32(d.varRef, len(e.idVar))
-	for i := range d.varRef {
-		d.varRef[i] = 0
-	}
+	clear(d.varRef)
 	for i := range d.asserts {
-		a := &d.asserts[i]
-		if a.QuantVar != "" {
-			continue
-		}
-		if a.A.Var != "" {
-			d.varRef[e.varID[a.A.Var]]++
-		}
-		if a.B.Var != "" {
-			d.varRef[e.varID[a.B.Var]]++
-		}
+		d.ref(&d.asserts[i], 1)
 	}
 	d.changedIn = growBool(d.changedIn, len(e.idVar))
-	for i := range d.changedIn {
-		d.changedIn[i] = false
-	}
+	clear(d.changedIn)
 	d.changed = d.changed[:0]
 	d.stats.FullSolves++
 	obsFullSolves.Inc()
 	d.stats.LastAffected = 0
 
-	res := Result{Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}}
-	if e.decide() {
-		coreIdx, usesPos, err := e.minimize(ctx)
-		if err != nil {
-			// The active mask is mid-minimization: force a rebuild next time.
-			d.built, d.clean = false, false
-			return Result{}, err
-		}
-		res.Core, res.CoreIdx, res.UsesPositivity = coreOf(d.asserts, coreIdx), coreIdx, usesPos
-		d.clean = false // minimize disturbed the active mask and distances
+	var (
+		res Result
+		err error
+	)
+	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, false, &res.Stats)
+	if err != nil {
+		// The active mask may be mid-minimization: force a rebuild next time.
+		d.built, d.clean = false, false
+		return Result{}, err
+	}
+	// An unsat solve's minimization disturbed the active mask and distances.
+	if d.clean = res.Sat; res.Sat {
+		res.Model = e.model(d.varRef)
 	} else {
-		res.Sat = true
-		res.Model = d.model()
-		d.clean = true
+		res.Core = coreOf(d.asserts, res.CoreIdx)
 	}
 	res.Stats.Duration = time.Since(start)
-	d.stats.LastDuration = res.Stats.Duration
-	d.res, d.resValid = res, true
-	return res, nil
+	return d.memo(res), nil
 }
 
 // deltaSolve re-probes the affected region of a clean graph. It reports
@@ -502,14 +455,7 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 		// Nothing touched the graph since the last fixed point (e.g. a
 		// splice of identical assertions): the standing distances are the
 		// answer.
-		res := Result{Sat: true, Model: d.model(),
-			Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges), Duration: time.Since(start)}}
-		d.stats.DeltaSolves++
-		obsDeltaSolves.Inc()
-		d.stats.LastAffected = 0
-		d.stats.LastDuration = res.Stats.Duration
-		d.res, d.resValid = res, true
-		return res, true, nil
+		return d.deltaSat(start, 0), true, nil
 	}
 
 	// Affected region: forward closure of the changed nodes over active
@@ -557,6 +503,7 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 			e.pred[ed.to] = int32(i)
 		}
 	}
+	e.statProbes++
 	trigger := e.spfaLoop(0, int32(len(d.affected)))
 
 	nAff := len(d.affected)
@@ -572,33 +519,20 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 		return Result{}, false, nil
 	}
 	d.clearChanged()
-	res := Result{Sat: true, Model: d.model(),
-		Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges), Duration: time.Since(start)}}
-	d.stats.DeltaSolves++
-	obsDeltaSolves.Inc()
-	d.stats.LastAffected = nAff
-	d.stats.LastDuration = res.Stats.Duration
-	d.res, d.resValid = res, true
-	return res, true, nil
+	return d.deltaSat(start, nAff), true, nil
 }
 
-// model extracts the satisfying assignment from the converged distances,
-// masking orphaned variables (interned once, no longer referenced) so the
-// model matches a fresh solve's exactly.
-func (d *DeltaContext) model() map[Var]int {
+// deltaSat reports the standing fixed point as a delta solve's sat result,
+// masking orphaned variables (interned once, no longer referenced) out of
+// the model so it matches a fresh solve's exactly.
+func (d *DeltaContext) deltaSat(start time.Time, affected int) Result {
 	e := d.e
-	n := 0
-	for i := 1; i < len(e.idVar); i++ {
-		if d.varRef[i] > 0 {
-			n++
-		}
-	}
-	model := make(map[Var]int, n)
-	d0 := e.dist[zeroNode]
-	for i := 1; i < len(e.idVar); i++ {
-		if d.varRef[i] > 0 {
-			model[e.idVar[i]] = e.dist[i] - d0
-		}
-	}
-	return model
+	res := Result{Sat: true, Model: e.model(d.varRef),
+		Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}}
+	e.snapshotStats(&res.Stats)
+	res.Stats.Duration = time.Since(start)
+	d.stats.DeltaSolves++
+	obsDeltaSolves.Inc()
+	d.stats.LastAffected = affected
+	return d.memo(res)
 }

@@ -1,24 +1,28 @@
-// The incremental difference-logic engine behind Context.Check.
+// The difference-logic engine behind every solver door.
 //
-// The old decision path rebuilt the constraint graph — a fresh map[Var]int,
-// a fresh edge slice — and re-ran full-pass Bellman–Ford for every
-// satisfiability probe, making deletion-based core minimization O(n²·E)
-// with heavy allocation. This engine interns variables once into dense
-// integer IDs, builds the edge list and a CSR adjacency exactly once per
-// Check, and answers every subsequent probe over an `active []bool` mask
-// with SPFA (queue-based Bellman–Ford) on preallocated dist/pred/queue
+// Variables are interned once into dense integer IDs, the edge list and a
+// CSR adjacency are built exactly once per solve, and every satisfiability
+// probe runs over an `active []bool` mask on preallocated dist/pred/queue
 // buffers. Engines are pooled and reused across solves, so the steady-state
 // sat path allocates only the result model.
 //
-// Core minimization keeps the exact semantics of the original deletion
+// solve is the one whole-system decision: condense the constraint graph
+// (scc.go), run the level plan, and — when some component hides a negative
+// cycle — find the witness and minimize the core. A negative cycle of any
+// subset of the system lies inside one strongly connected component of the
+// whole, so every later probe (decide) re-runs only the components the plan
+// found unsatisfiable, never the whole graph.
+//
+// Core minimization keeps the exact semantics of the reference deletion
 // loop (walk candidates from last to first, drop every assertion whose
 // removal keeps the remainder unsatisfiable) but prunes probes with a
 // witness cycle: an assertion outside the currently known negative cycle
 // can be dropped without solving, because the witness is still a
-// contradiction without it. Only assertions on the witness trigger an
-// incremental re-solve, which either proves them necessary or yields the
-// next, smaller witness. The result is bit-for-bit the same minimal core as
-// the naive loop at O(|cycle|) probes instead of O(n) full re-solves.
+// contradiction without it. Only assertions on the witness trigger a
+// re-probe, which either proves them necessary or yields the next, smaller
+// witness. The drop/keep decisions are semantic, so the result is bit-for-bit
+// the minimal core of the naive loop whichever witness a probe happens to
+// find.
 
 package smt
 
@@ -65,6 +69,11 @@ type dlEngine struct {
 	inWitness []bool  // per-assertion membership in the current witness
 	witness   []int32 // current witness assertion indices (for clearing)
 
+	// The last solve's condensation and the components its level run found
+	// unsatisfiable (ascending): the only places a later probe has to look.
+	plan sccPlan
+	bad  []int32
+
 	// Loop-effort counts, drained into the obs registry by flushStats
 	// (obs.go) once per Check so the inner loops stay atomic-free.
 	statProbes  int
@@ -75,13 +84,6 @@ type dlEngine struct {
 var enginePool = sync.Pool{New: func() any {
 	return &dlEngine{varID: make(map[Var]int32, 64)}
 }}
-
-// grabEngine returns a pooled engine built for the given assertions.
-func grabEngine(asserts []Assertion) *dlEngine {
-	e := enginePool.Get().(*dlEngine)
-	e.build(asserts)
-	return e
-}
 
 // release returns the engine to the pool for reuse by a later solve.
 func (e *dlEngine) release() { enginePool.Put(e) }
@@ -107,58 +109,64 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
+// growVars resizes the node-name table without preserving contents: the
+// dense door only needs its length.
+func growVars(s []Var, n int) []Var {
+	if cap(s) < n {
+		return make([]Var, n)
+	}
+	return s[:n]
+}
+
+// intern returns the dense id of a variable, minting the next one for a
+// first occurrence; the empty name is the constant 0.
+func (e *dlEngine) intern(v Var) int32 {
+	if v == "" {
+		return zeroNode
+	}
+	if n, ok := e.varID[v]; ok {
+		return n
+	}
+	n := int32(len(e.idVar))
+	e.varID[v] = n
+	e.idVar = append(e.idVar, v)
+	return n
+}
+
+// appendEdges appends the difference edges of assertion a, at position idx
+// of its list, to dst: none for a quantified assertion, two for an equality.
+// A ≤ B is val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka.
+func (e *dlEngine) appendEdges(dst []dlEdge, a *Assertion, idx int32) []dlEdge {
+	if a.QuantVar != "" {
+		return dst
+	}
+	va, vb := e.intern(a.A.Var), e.intern(a.B.Var)
+	w := a.B.K - a.A.K
+	switch a.Rel {
+	case Le:
+		dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx})
+	case Lt:
+		dst = append(dst, dlEdge{from: vb, to: va, w: w - 1, assertIdx: idx})
+	case Eq:
+		dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx},
+			dlEdge{from: va, to: vb, w: -w, assertIdx: idx})
+	}
+	return dst
+}
+
 // build interns the variables of the ground assertions into dense IDs
-// (node 0 is the constant 0), translates each assertion into its difference
-// edges exactly once, and indexes the edges into a CSR adjacency. All
-// buffers are sized here; probes only flip the active mask.
+// (node 0 is the constant 0) and translates each assertion into its
+// difference edges exactly once — two map probes per assertion, the dominant
+// cost. Edge capacity is retained across pooled reuses, so the appends are
+// allocation-free in steady state.
 func (e *dlEngine) build(asserts []Assertion) {
 	clear(e.varID)
 	e.idVar = append(e.idVar[:0], "") // node 0 = the constant 0
-	intern := func(v Var) int32 {
-		if v == "" {
-			return zeroNode
-		}
-		if n, ok := e.varID[v]; ok {
-			return n
-		}
-		n := int32(len(e.idVar))
-		e.varID[v] = n
-		e.idVar = append(e.idVar, v)
-		return n
-	}
-	// Single pass: intern each variable exactly once (two map probes per
-	// assertion, the dominant cost of build) and append the assertion edges
-	// as we go. Edge capacity is retained across pooled reuses, so the
-	// appends are allocation-free in steady state.
 	e.edges = e.edges[:0]
 	for i := range asserts {
-		a := &asserts[i]
-		if a.QuantVar != "" {
-			continue
-		}
-		va, vb := intern(a.A.Var), intern(a.B.Var)
-		// A ≤ B:  val(va)+ka ≤ val(vb)+kb  ⇒  va − vb ≤ kb − ka.
-		w := a.B.K - a.A.K
-		switch a.Rel {
-		case Le:
-			e.edges = append(e.edges, dlEdge{from: vb, to: va, w: w, assertIdx: int32(i)})
-		case Lt:
-			e.edges = append(e.edges, dlEdge{from: vb, to: va, w: w - 1, assertIdx: int32(i)})
-		case Eq:
-			e.edges = append(e.edges, dlEdge{from: vb, to: va, w: w, assertIdx: int32(i)})
-			e.edges = append(e.edges, dlEdge{from: va, to: vb, w: -w, assertIdx: int32(i)})
-		}
+		e.edges = e.appendEdges(e.edges, &asserts[i], int32(i))
 	}
-	nVars := len(e.idVar) - 1
-	// Positivity: x ≥ 1  ⇔  0 − x ≤ −1  ⇒  edge x → zero of weight −1.
-	for v := int32(1); v <= int32(nVars); v++ {
-		e.edges = append(e.edges, dlEdge{from: v, to: zeroNode, w: -1, assertIdx: -1})
-	}
-	e.posActive = true
-
-	e.buildCSR()
-
-	e.sizeScratch(nVars+1, len(asserts))
+	e.seal(len(asserts))
 	for i := range asserts {
 		if asserts[i].QuantVar != "" {
 			e.active[i] = false
@@ -166,10 +174,23 @@ func (e *dlEngine) build(asserts []Assertion) {
 	}
 }
 
-// sizeScratch sizes the probe buffers for V nodes and n assertions: every
-// assertion active, no witness. build masks the quantified entries out
-// afterwards; the dense entry (SolveDense) has none.
-func (e *dlEngine) sizeScratch(V, n int) {
+// appendPositivity appends the implicit typing of every variable:
+// x ≥ 1  ⇔  0 − x ≤ −1  ⇒  edge x → zero of weight −1.
+func (e *dlEngine) appendPositivity() {
+	for v := int32(1); v < int32(len(e.idVar)); v++ {
+		e.edges = append(e.edges, dlEdge{from: v, to: zeroNode, w: -1, assertIdx: -1})
+	}
+}
+
+// seal finishes a fresh graph whose n assertions' edges are in e.edges and
+// whose nodes are e.idVar: positivity edges, the CSR adjacency, and the
+// probe buffers — every assertion active, no witness. build masks the
+// quantified entries out afterwards; the dense door has none.
+func (e *dlEngine) seal(n int) {
+	e.appendPositivity()
+	e.posActive = true
+	e.buildCSR()
+	V := len(e.idVar)
 	e.dist = growInt(e.dist, V)
 	e.pred = growInt32(e.pred, V)
 	e.cnt = growInt32(e.cnt, V)
@@ -186,7 +207,7 @@ func (e *dlEngine) sizeScratch(V, n int) {
 }
 
 // buildCSR (re)indexes e.edges into the CSR adjacency by counting sort on
-// the source node. It is called by build and again by the delta layer after
+// the source node. It is called by seal and again by the delta layer after
 // an edge splice. e.cycleIdx is borrowed as the fill cursor and left empty.
 func (e *dlEngine) buildCSR() {
 	V := len(e.idVar)
@@ -220,27 +241,11 @@ func (e *dlEngine) edgeActive(ed *dlEdge) bool {
 	return e.active[ed.assertIdx]
 }
 
-// spfa relaxes the active subgraph with an implicit virtual source
-// (dist ≡ 0) using queue-based Bellman–Ford. It returns a node suspected to
-// lie on (or hang off) a negative cycle, or −1 when the distances converged
-// (the active constraints are satisfiable). A non-negative return is only a
-// trigger; callers confirm via extractCycle or passBF.
-func (e *dlEngine) spfa() int32 {
-	V := int32(len(e.idVar))
-	for i := int32(0); i < V; i++ {
-		e.dist[i] = 0
-		e.pred[i] = -1
-		e.cnt[i] = 1
-		e.inQ[i] = true
-		e.queue[i] = i
-	}
-	return e.spfaLoop(0, V)
-}
-
-// spfaLoop runs the relaxation loop over an already-seeded ring queue
-// occupying queue[head:head+size] (mod V). The fresh-solve path seeds every
-// node; the delta layer seeds only the affected region, with converged
-// distances left in place for the rest.
+// spfaLoop runs queue-based Bellman–Ford over an already-seeded ring queue
+// occupying queue[head:head+size] (mod V): the delta layer's re-probe, which
+// seeds only the affected region and leaves the converged distances of the
+// rest in place. It returns a node suspected to lie on (or hang off) a
+// negative cycle, or −1 when the distances converged.
 func (e *dlEngine) spfaLoop(head, size int32) int32 {
 	V := int32(len(e.idVar))
 	// Relaxations are tallied in a register-resident local — a store to
@@ -327,9 +332,9 @@ func (e *dlEngine) passBF() int32 {
 // collects the assertion indices on the first cycle it closes into
 // e.cycleIdx (setting e.cyclePos when a positivity edge participates), and
 // verifies the cycle weight is negative. It reports whether a verified
-// negative cycle was found.
-func (e *dlEngine) extractCycle(from int32) bool {
-	V := len(e.idVar)
+// negative cycle was found. V bounds the walk: the node count of the
+// subgraph the predecessor edges were set in.
+func (e *dlEngine) extractCycle(from int32, V int) bool {
 	// Step inside the cycle: V predecessor hops from the trigger node must
 	// land on a node of the cycle if the predecessor walk closes one.
 	node := from
@@ -368,26 +373,42 @@ func (e *dlEngine) extractCycle(from int32) bool {
 }
 
 // decide reports whether the active constraint subset is unsatisfiable,
-// leaving a verified negative cycle in e.cycleIdx when it is. The SPFA fast
-// path decides almost every probe; an unconfirmable trigger falls back to
-// exact pass-based Bellman–Ford.
+// leaving a verified negative cycle in e.cycleIdx when it is. Only the
+// components the level run found unsatisfiable are probed, each from the
+// virtual-source seed: a negative cycle of a subset of the system is a
+// negative cycle of the whole, so it lies inside one of them. SPFA decides
+// almost every probe; an unconfirmable trigger falls back to exact
+// pass-based Bellman–Ford over the whole graph.
 func (e *dlEngine) decide() (unsat bool) {
 	e.statProbes++
-	v := e.spfa()
+	v := int32(-1)
+	for _, c := range e.bad {
+		nodes := e.plan.nodes(c)
+		for _, u := range nodes {
+			e.dist[u] = 0
+			e.pred[u] = -1
+		}
+		var relax int
+		v, relax = e.plan.compSPFA(e, c, e.queue)
+		e.statRelax += relax
+		if v < 0 {
+			continue
+		}
+		if e.extractCycle(v, len(nodes)) {
+			return true
+		}
+		break
+	}
 	if v < 0 {
 		return false
-	}
-	if e.extractCycle(v) {
-		return true
 	}
 	// Trigger could not be confirmed on SPFA's predecessor structure; redo
 	// with the exact pass-based algorithm, whose pass-V relaxation
 	// guarantees the predecessor walk closes a cycle.
-	v = e.passBF()
-	if v < 0 {
+	if v = e.passBF(); v < 0 {
 		return false
 	}
-	if e.extractCycle(v) {
+	if e.extractCycle(v, len(e.idVar)) {
 		return true
 	}
 	// Defensively unreachable: report unsat with an over-approximate
@@ -419,11 +440,10 @@ func (e *dlEngine) setWitness() {
 // reference implementation, but skipping the re-solve whenever the probed
 // assertion is not on the current witness cycle. On entry e.active must be
 // the ground mask — every ground assertion active, quantified entries not,
-// as build and sizeScratch leave it — and e.cycleIdx must hold a verified
+// as build and seal leave it — and e.cycleIdx must hold a verified
 // cycle of that full set. It returns the minimal core as ascending
 // assertion positions plus the positivity involvement flag. The engine's
-// own mask is all it reads, so string-built, delta and dense engines share
-// this one loop.
+// own mask is all it reads, so every door shares this one loop.
 func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity bool, err error) {
 	e.setWitness()
 	for i := len(e.active) - 1; i >= 0; i-- {
@@ -462,17 +482,40 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 	return core, usesPositivity, nil
 }
 
-// unsatCore turns the verified cycle decide just found into the reported
-// core: the cycle itself when noMinimize is set, the deletion-minimal core
-// (under a "minimize" span) otherwise.
-func (e *dlEngine) unsatCore(ctx context.Context, noMinimize bool) (core []int, usesPositivity bool, err error) {
+// solve is the engine's one whole-system decision, on the graph seal (or a
+// delta rebuild) left: condense, run the level plan — which leaves the
+// canonical all-zero-seeded fixpoint in e.dist when the system is
+// satisfiable — and otherwise find the witness cycle and report the core:
+// the cycle itself when noMinimize is set, the deletion-minimal core (under
+// a "minimize" span) otherwise. st receives the graph's size, the plan's
+// shape and the loop effort.
+func (e *dlEngine) solve(ctx context.Context, workers int, noMinimize bool, st *Stats) (sat bool, core []int, usesPositivity bool, err error) {
+	st.Assertions, st.Variables, st.Edges = len(e.active), len(e.idVar)-1, len(e.edges)
+	s := newSCCPlan(e)
+	s.recordPlan(st)
+	defer e.snapshotStats(st)
+	if err := s.run(ctx, e, workers); err != nil {
+		return false, nil, false, err
+	}
+	if len(e.bad) == 0 {
+		return true, nil, false, nil
+	}
+	if !e.decide() {
+		// Defensively unreachable — the enqueue bound only trips on a
+		// negative cycle: report the exact whole-graph fixpoint.
+		e.passBF()
+		return true, nil, false, nil
+	}
 	if noMinimize {
 		core, usesPositivity = e.cycleCore()
-		return core, usesPositivity, nil
+		return false, core, usesPositivity, nil
 	}
 	_, sp := obs.StartSpan(ctx, "minimize")
 	defer sp.End()
-	return e.minimize(ctx)
+	core, usesPositivity, err = e.minimize(ctx)
+	sp.AttrInt("probes", int64(e.statProbes))
+	sp.AttrInt("core", int64(len(core)))
+	return false, core, usesPositivity, err
 }
 
 // cycleCore returns the last extracted cycle as a deduplicated, ascending

@@ -4,7 +4,7 @@
 //
 // The engine's inner loops count into plain int fields on the pooled
 // dlEngine — a register increment, invisible to the solve benchmarks —
-// and flushStats drains them into the atomic counters once per Check.
+// and flushStats drains them into the atomic counters once per solve.
 // The DeltaContext-level counters (splices, delta vs full discharges)
 // mirror the per-context DeltaStats the daemon already reports.
 
@@ -28,21 +28,22 @@ var (
 	obsCacheHits = obs.Default().Counter("fsr_smt_cache_hits_total",
 		"Delta-context checks answered from the memoized result.")
 
-	// Scale-path (SCC-decomposed backend) introspection: condensation
-	// shape per solve plus Tarjan plan-building latency. The histogram
-	// handle is pre-resolved so the per-solve Observe is alloc-free.
+	// Condensation introspection, one observation per whole-system solve on
+	// any door (string, dense, delta rebuild): plan shape plus Tarjan
+	// plan-building latency. The histogram handle is pre-resolved so the
+	// per-solve Observe is alloc-free.
 	obsSCCSolves = obs.Default().Counter("fsr_scc_solves_total",
-		"Systems solved by the SCC-decomposed engine (Decomposed and SolveDense).")
+		"Whole-system solves (every one runs on the SCC condensation; delta re-probes excluded).")
 	obsSCCComponents = obs.Default().Counter("fsr_scc_components_total",
-		"Strongly connected components condensed across all decomposed solves.")
+		"Strongly connected components condensed across all solves.")
 	obsSCCTrivial = obs.Default().Counter("fsr_scc_trivial_components_total",
 		"Singleton components with no internal edge (decided without a solver queue).")
 	obsSCCLevels = obs.Default().Gauge("fsr_scc_levels",
-		"Topological levels in the most recent decomposed solve's plan.")
+		"Topological levels in the most recent solve's plan.")
 	obsSCCMaxWidth = obs.Default().Gauge("fsr_scc_max_level_width",
-		"Widest level's component count in the most recent decomposed solve (level-parallel occupancy bound).")
+		"Widest level's component count in the most recent solve (level-parallel occupancy bound).")
 	obsSCCTarjan = obs.Default().HistogramVec("fsr_scc_tarjan_seconds",
-		"Iterative Tarjan condensation time per decomposed solve.").With()
+		"Iterative Tarjan condensation time per solve.").With()
 )
 
 // snapshotStats copies the engine's accumulated per-solve loop effort into
@@ -71,7 +72,7 @@ func (s *sccPlan) recordPlan(st *Stats) {
 }
 
 // flushStats drains the engine's locally accumulated loop counts into the
-// shared registry. Called once per Check (and per delta Check), so the
+// shared registry. Called once per solve (and per delta Check), so the
 // hot loops never touch an atomic.
 func (e *dlEngine) flushStats() {
 	if e.statProbes > 0 {

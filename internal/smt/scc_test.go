@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -40,74 +41,12 @@ func randomSystem(seed int64, k int) []Assertion {
 	return as
 }
 
-// TestDecomposedMatchesNative: the SCC-decomposed backend is bit-identical
-// to the sequential engine — verdict, model, minimized core, core indices,
-// and positivity involvement — across seeded random systems and worker
-// counts. This is the contract that lets the scale path substitute for the
-// undecomposed one.
-func TestDecomposedMatchesNative(t *testing.T) {
-	ctx := context.Background()
-	for seed := int64(1); seed <= 60; seed++ {
-		as := randomSystem(seed, 4+int(seed%13))
-		want, err := (Native{}).Solve(ctx, as)
-		if err != nil {
-			t.Fatalf("seed %d: native: %v", seed, err)
-		}
-		for _, workers := range []int{0, 1, 4} {
-			got, err := (Decomposed{Workers: workers}).Solve(ctx, as)
-			if err != nil {
-				t.Fatalf("seed %d w=%d: decomposed: %v", seed, workers, err)
-			}
-			if got.Sat != want.Sat {
-				t.Fatalf("seed %d w=%d: sat %v, native %v", seed, workers, got.Sat, want.Sat)
-			}
-			if !reflect.DeepEqual(got.Model, want.Model) {
-				t.Fatalf("seed %d w=%d: model differs:\n%v\nvs\n%v", seed, workers, got.Model, want.Model)
-			}
-			if !reflect.DeepEqual(got.Core, want.Core) || !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) {
-				t.Fatalf("seed %d w=%d: core differs: %v vs %v", seed, workers, got.CoreIdx, want.CoreIdx)
-			}
-			if got.UsesPositivity != want.UsesPositivity {
-				t.Fatalf("seed %d w=%d: positivity %v vs %v", seed, workers, got.UsesPositivity, want.UsesPositivity)
-			}
-			if got.Sat && got.Stats.Components == 0 {
-				t.Fatalf("seed %d w=%d: no condensation stats on sat solve", seed, workers)
-			}
-		}
-	}
-}
-
-// TestDecomposedQuantified: quantified assertions take the same analytic
-// phase as Context — valid universals are ignored by the ground solve,
-// an invalid one is its own minimal core.
-func TestDecomposedQuantified(t *testing.T) {
-	ctx := context.Background()
-	x := Term{Var: "x"}
-	valid := Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
-	invalid := Assertion{Rel: Lt, A: Term{Var: "n"}, B: Term{Var: "n"}, QuantVar: "n"}
-	for _, as := range [][]Assertion{
-		{valid, {Rel: Lt, A: x, B: Term{Var: "y"}}},
-		{{Rel: Lt, A: x, B: Term{Var: "y"}}, invalid},
-	} {
-		want, err := (Native{}).Solve(ctx, as)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := (Decomposed{}).Solve(ctx, as)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Stats, want.Stats = Stats{}, Stats{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("quantified handling differs:\n%+v\nvs\n%+v", got, want)
-		}
-	}
-}
-
 // TestSolveDenseMatchesContext: the pre-interned dense path computes the
 // same verdict, the same canonical model values and, when unsat, the same
 // deletion-minimal core (positions and positivity involvement) as the
-// string-interned path over the equivalent named system.
+// string-interned path over the equivalent named system — at every worker
+// count, so the level-parallel run is held to the serial one. Both doors
+// report the condensation they ran on.
 func TestSolveDenseMatchesContext(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 40; seed++ {
@@ -141,37 +80,99 @@ func TestSolveDenseMatchesContext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, model, err := SolveDense(ctx, k, dense, 2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		if want.Stats.Components == 0 {
+			t.Fatalf("seed %d: no condensation stats behind the string door: %+v", seed, want.Stats)
 		}
-		if got.Sat != want.Sat {
-			t.Fatalf("seed %d: dense sat %v, named %v", seed, got.Sat, want.Sat)
-		}
-		if got.Stats.Assertions != len(dense) || got.Stats.Components == 0 {
-			t.Fatalf("seed %d: bad stats %+v", seed, got.Stats)
-		}
-		if !got.Sat {
-			if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || got.UsesPositivity != want.UsesPositivity {
-				t.Fatalf("seed %d: dense core %v (positivity %v), named %v (%v)", seed,
-					got.CoreIdx, got.UsesPositivity, want.CoreIdx, want.UsesPositivity)
+		for _, workers := range []int{0, 1, 4} {
+			got, model, err := SolveDense(ctx, k, dense, workers)
+			if err != nil {
+				t.Fatalf("seed %d w=%d: %v", seed, workers, err)
 			}
-			// Ids here follow first appearance, the string engine's own
-			// numbering, so even the probe sequence is the same — after
-			// the one condensation pass.
-			if got.Stats.Probes != want.Stats.Probes+1 {
-				t.Fatalf("seed %d: %d probes, named %d + the condensation pass", seed, got.Stats.Probes, want.Stats.Probes)
+			if got.Sat != want.Sat {
+				t.Fatalf("seed %d w=%d: dense sat %v, named %v", seed, workers, got.Sat, want.Sat)
 			}
-			continue
-		}
-		// Named interning only sees variables that appear in assertions;
-		// every dense id 1..k appears here by construction of the chain...
-		// except chain gaps are impossible (every i is chained), so compare
-		// all ids.
-		for i := 0; i < k; i++ {
-			if got, wantV := model[i+1], want.Model[Var(fmt.Sprintf("d%d", i))]; got != wantV {
-				t.Fatalf("seed %d: model[d%d] = %d, named %d", seed, i, got, wantV)
+			if got.Stats.Assertions != len(dense) || got.Stats.Components == 0 {
+				t.Fatalf("seed %d w=%d: bad stats %+v", seed, workers, got.Stats)
+			}
+			if !got.Sat {
+				if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || got.UsesPositivity != want.UsesPositivity {
+					t.Fatalf("seed %d w=%d: dense core %v (positivity %v), named %v (%v)", seed, workers,
+						got.CoreIdx, got.UsesPositivity, want.CoreIdx, want.UsesPositivity)
+				}
+				// Ids here follow first appearance, the string door's own
+				// numbering, so even the probe sequence is the same.
+				if got.Stats.Probes != want.Stats.Probes {
+					t.Fatalf("seed %d w=%d: %d probes, named %d", seed, workers, got.Stats.Probes, want.Stats.Probes)
+				}
+				continue
+			}
+			// Named interning only sees variables that appear in assertions;
+			// every dense id 1..k appears here (every i is chained), so
+			// compare all ids.
+			for i := 0; i < k; i++ {
+				if got, wantV := model[i+1], want.Model[Var(fmt.Sprintf("d%d", i))]; got != wantV {
+					t.Fatalf("seed %d w=%d: model[d%d] = %d, named %d", seed, workers, i, got, wantV)
+				}
 			}
 		}
+	}
+}
+
+// TestChainCostIsTheChain is the structural guard on the sat leg: a strict
+// chain x0 < x1 < … < xn — how every ranking is emitted — costs every door
+// the same whether it is asserted ascending or descending. (Whole-graph SPFA
+// read 512 M relaxations on the ascending 32 000-chain and 96 k on the
+// descending one; condensed, no node of it ever enters a queue.)
+func TestChainCostIsTheChain(t *testing.T) {
+	const n = 32000
+	ctx := context.Background()
+	asc := make([]Assertion, n)
+	ascDense := make([]DenseConstraint, n)
+	for i := range asc {
+		asc[i] = Assertion{Rel: Lt, A: V(fmt.Sprintf("x%d", i)), B: V(fmt.Sprintf("x%d", i+1))}
+		ascDense[i] = DenseConstraint{A: int32(i + 1), B: int32(i + 2), Strict: true}
+	}
+	desc, descDense := slices.Clone(asc), slices.Clone(ascDense)
+	slices.Reverse(desc)
+	slices.Reverse(descDense)
+
+	var want map[Var]int
+	check := func(door string, res Result, err error) {
+		t.Helper()
+		if err != nil || !res.Sat {
+			t.Fatalf("%s: sat=%v err=%v", door, res.Sat, err)
+		}
+		if res.Stats.Relaxations > 4*n || res.Stats.Probes != 1 || res.Stats.Components != n+2 {
+			t.Errorf("%s: %d relaxations in %d probe(s) over %d components, want ≤ %d in 1 over %d",
+				door, res.Stats.Relaxations, res.Stats.Probes, res.Stats.Components, 4*n, n+2)
+		}
+		if want == nil {
+			want = res.Model
+		} else if !reflect.DeepEqual(res.Model, want) {
+			t.Errorf("%s: model differs from the first door's", door)
+		}
+	}
+	for _, order := range []struct {
+		name  string
+		as    []Assertion
+		dense []DenseConstraint
+	}{{"ascending", asc, ascDense}, {"descending", desc, descDense}} {
+		for _, backend := range Backends() {
+			res, err := backend.Solve(ctx, order.as)
+			check(order.name+"/"+backend.Name(), res, err)
+		}
+		res, err := NewDeltaContext(order.as).Check(ctx)
+		check(order.name+"/delta", res, err)
+		res, model, err := SolveDense(ctx, n+1, order.dense, 1)
+		if err == nil && res.Sat {
+			res.Model = make(map[Var]int, n+1)
+			for i := 0; i <= n; i++ {
+				res.Model[Var(fmt.Sprintf("x%d", i))] = model[i+1]
+			}
+		}
+		check(order.name+"/dense", res, err)
+	}
+	if want[Var("x0")] != 1 || want[Var(fmt.Sprintf("x%d", n))] != n+1 {
+		t.Errorf("model is not the canonical fixpoint: x0=%d x%d=%d", want["x0"], n, want[Var(fmt.Sprintf("x%d", n))])
 	}
 }

@@ -142,24 +142,24 @@ type Stats struct {
 	Variables  int
 	Edges      int
 	Duration   time.Duration
-	// Components and TrivialComponents report the condensation shape when
-	// the SCC-decomposed backend solved the system: total strongly
-	// connected components of the constraint graph, and how many were
-	// singletons with no internal edge (decided without touching a solver
-	// queue). Zero on the undecomposed backends.
+	// Components and TrivialComponents report the condensation every solve
+	// runs on: total strongly connected components of the constraint graph,
+	// and how many were singletons with no internal edge (decided without
+	// touching a solver queue). Zero only when no ground solve ran (an
+	// invalid universal, a delta re-probe).
 	Components        int
 	TrivialComponents int
 	// Probes and Relaxations are this solve's loop effort: satisfiability
-	// probes decided and successful edge relaxations across SPFA and
+	// probes decided (the level run, the witness, each minimization step)
+	// and successful edge relaxations inside components across SPFA and
 	// Bellman–Ford passes — the per-operation view of the process-global
 	// fsr_smt_probes_total / fsr_smt_relaxations_total counters.
 	Probes      int
 	Relaxations int
-	// Levels, MaxLevelWidth, and TarjanDuration describe the decomposed
-	// backend's level plan: topological levels in the condensation, the
-	// widest level's component count (the level-parallel occupancy bound),
-	// and the time iterative Tarjan spent building the plan. Zero on the
-	// undecomposed backends.
+	// Levels, MaxLevelWidth, and TarjanDuration describe the solve's level
+	// plan: topological levels in the condensation, the widest level's
+	// component count (the level-parallel occupancy bound), and the time
+	// iterative Tarjan spent building the plan.
 	Levels         int
 	MaxLevelWidth  int
 	TarjanDuration time.Duration
@@ -236,80 +236,87 @@ func (s *Context) Check() (Result, error) { return s.CheckContext(context.Backgr
 // solver phases and on every core-minimization probe (the dominant cost on
 // unsat inputs), so a cancelled long-running solve returns ctx.Err()
 // promptly.
-//
-// The decision procedure is the pooled incremental engine of engine.go:
-// variables are interned into dense IDs and the edge list is built once,
-// satisfiability is decided by SPFA over preallocated buffers, and core
-// minimization probes flip an active mask instead of rebuilding the graph.
-// The retained reference implementation (reference.go) decides the same
-// inputs the original way; differential tests hold the two to identical
-// verdicts, models, and cores.
 func (s *Context) CheckContext(ctx context.Context) (Result, error) {
+	return solveAsserts(ctx, s.asserts, s.NoMinimize)
+}
+
+// solveAsserts is the string door onto the engine, for a normalized
+// assertion list: quantified assertions are decided analytically, the ground
+// ones are interned into a pooled engine (engine.go) and decided by its one
+// solve — condensation, level run, and on unsat the minimal core. The
+// retained reference implementation (reference.go) decides the same inputs
+// the original way; differential tests hold the two to identical verdicts,
+// models, and cores.
+func solveAsserts(ctx context.Context, asserts []Assertion, noMinimize bool) (Result, error) {
 	start := time.Now()
-	res := Result{}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "solve")
-	sp.AttrInt("assertions", int64(len(s.asserts)))
+	sp.AttrInt("assertions", int64(len(asserts)))
 	defer sp.End()
+	if res, decided, err := decideQuantified(asserts, start); decided || err != nil {
+		return res, err
+	}
 
-	// Phase 1: decide quantified assertions analytically.
-	for i := range s.asserts {
-		a := &s.asserts[i]
+	e := enginePool.Get().(*dlEngine)
+	defer e.release()
+	defer e.flushStats() // LIFO: drain the loop counts before pooling
+	e.build(asserts)
+	var (
+		res Result
+		err error
+	)
+	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, noMinimize, &res.Stats)
+	if err != nil {
+		return Result{}, err
+	}
+	if res.Sat {
+		res.Model = e.model(nil)
+	} else {
+		res.Core = coreOf(asserts, res.CoreIdx)
+	}
+	res.Stats.Duration = time.Since(start)
+	return res, nil
+}
+
+// decideQuantified decides the quantified assertions analytically — the
+// first phase of every assertion-list solve. decided reports that an invalid
+// universal settled the system: it is, by itself, a minimal core.
+func decideQuantified(asserts []Assertion, start time.Time) (res Result, decided bool, err error) {
+	for i := range asserts {
+		a := &asserts[i]
 		if a.QuantVar == "" {
 			continue
 		}
 		ok, err := quantifiedValid(*a)
 		if err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if !ok {
-			// A single invalid universal is itself a minimal core.
-			res.Sat = false
-			res.Core = []Assertion{*a}
-			res.CoreIdx = []int{i}
-			res.Stats = Stats{Assertions: len(s.asserts), Duration: time.Since(start)}
-			return res, nil
+			return Result{
+				Core:    []Assertion{*a},
+				CoreIdx: []int{i},
+				Stats:   Stats{Assertions: len(asserts), Duration: time.Since(start)},
+			}, true, nil
 		}
 	}
+	return Result{}, false, nil
+}
 
-	// Phase 2+3: dense difference graph and SPFA on a pooled engine.
-	e := grabEngine(s.asserts)
-	defer e.release()
-	defer e.flushStats() // LIFO: drain the loop counts before pooling
-	res.Stats = Stats{Assertions: len(s.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}
-
-	if e.decide() {
-		coreIdx, usesPos, err := e.unsatCore(ctx, s.NoMinimize)
-		if err != nil {
-			return Result{}, err
-		}
-		res.UsesPositivity = usesPos
-		res.Sat = false
-		res.Core = coreOf(s.asserts, coreIdx)
-		res.CoreIdx = coreIdx
-		e.snapshotStats(&res.Stats)
-		res.Stats.Duration = time.Since(start)
-		return res, nil
-	}
-
-	// Phase 4: extract a model. val(x) = dist(x) − dist(zero) satisfies
-	// every difference constraint (distances do) and positivity (the
-	// positivity edges are part of the graph).
+// model reads the satisfying assignment off the converged distances:
+// val(x) = dist(x) − dist(zero) satisfies every difference constraint
+// (distances do) and positivity (the positivity edges are part of the
+// graph). A non-nil ref masks out the variables it counts no reference for.
+func (e *dlEngine) model(ref []int32) map[Var]int {
 	model := make(map[Var]int, len(e.idVar)-1)
 	d0 := e.dist[zeroNode]
-	for i, v := range e.idVar {
-		if i == zeroNode {
-			continue
+	for i := 1; i < len(e.idVar); i++ {
+		if ref == nil || ref[i] > 0 {
+			model[e.idVar[i]] = e.dist[i] - d0
 		}
-		model[v] = e.dist[i] - d0
 	}
-	res.Sat = true
-	res.Model = model
-	e.snapshotStats(&res.Stats)
-	res.Stats.Duration = time.Since(start)
-	return res, nil
+	return model
 }
 
 // coreOf materializes the assertions at the given core positions.

@@ -695,16 +695,10 @@ func suspects(in *Instance, segLen, coreIdx []int) []Node {
 
 // solvesDense reports whether the solver is the native difference-logic
 // engine with deletion-minimized cores, whose verdicts, canonical models and
-// cores smt.SolveDense reproduces (the decomposed backend is that same
-// engine).
+// cores smt.SolveDense reproduces.
 func solvesDense(solver smt.Solver) bool {
-	switch s := solver.(type) {
-	case smt.Native:
-		return !s.NoMinimize
-	case smt.Decomposed:
-		return !s.NoMinimize
-	}
-	return false
+	s, ok := solver.(smt.Native)
+	return ok && !s.NoMinimize
 }
 
 // rankSlice names ranks [lo,hi) of node ni, rendering just those paths'

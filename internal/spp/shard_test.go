@@ -360,7 +360,7 @@ func TestUnsatCoresMatchOracle(t *testing.T) {
 					t.Fatalf("collision seed %d: no suffixed name in the oracle's core %v", seed, want.Core)
 				}
 			}
-			for _, solver := range []smt.Solver{smt.Native{}, smt.Decomposed{}} {
+			for _, solver := range []smt.Solver{smt.Native{}, smt.YicesText{}} {
 				for _, workers := range []int{1, 4} {
 					got, suspects, err := spp.Analyze(ctx, in, solver, workers)
 					if err != nil {
@@ -400,7 +400,7 @@ func spanNames(nodes []*obs.SpanNode, into map[string]map[string]string) map[str
 // unsafe analysis allocates about as often as its safe twin (the parent of
 // this guard rendered every signature and provenance constraint, ~11× the
 // allocations at n=50000), never reaches the provenance emitter, and shows
-// up in the span tree as minimize-dense.
+// up in the span tree as minimize — as a string-door unsat solve does.
 func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=5000 instance")
@@ -456,10 +456,140 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	if _, ok := spans["solve-provenance"]; ok {
 		t.Errorf("unsat analysis on the dense route opened solve-provenance: %v", spans)
 	}
-	md, ok := spans["minimize-dense"]
+	md, ok := spans["minimize"]
 	if !ok || md["core"] != "4" || md["probes"] != fmt.Sprint(res.Stats.Probes) {
-		t.Errorf("minimize-dense span %v (present=%v), want core=4 probes=%d", md, ok, res.Stats.Probes)
+		t.Errorf("minimize span %v (present=%v), want core=4 probes=%d", md, ok, res.Stats.Probes)
 	}
+	tr = obs.NewTracer()
+	sres, err := smt.Native{}.Solve(obs.WithTracer(ctx, tr), []smt.Assertion{
+		{Rel: smt.Lt, A: smt.V("x"), B: smt.V("y")}, {Rel: smt.Lt, A: smt.V("y"), B: smt.V("x")}})
+	md, ok = spanNames(tr.SpanTree(), map[string]map[string]string{})["minimize"]
+	if err != nil || !ok || md["core"] != "2" || md["probes"] != fmt.Sprint(sres.Stats.Probes) {
+		t.Errorf("string door: minimize span %v (present=%v, err=%v), want core=2 probes=%d", md, ok, err, sres.Stats.Probes)
+	}
+}
+
+// hubInstance is one node ranking a path through each of k neighbours —
+// a k-path preference chain beside k two-node monotonicity links — plus a
+// DISAGREE pair on a session of its own. Built with direct appends: AddNode
+// scans.
+func hubInstance(k int) (in *spp.Instance, pair []spp.Node) {
+	in = spp.NewInstance(fmt.Sprintf("hub-%d", k))
+	in.Nodes = append(in.Nodes, "h")
+	ranking := make([]spp.Path, k)
+	for i := range ranking {
+		n, d := spp.Node(fmt.Sprintf("n%d", i)), spp.Node(fmt.Sprintf("r%d", i))
+		in.Nodes = append(in.Nodes, n)
+		in.Origins = append(in.Origins, d)
+		in.Links = append(in.Links, spp.Link{From: "h", To: n}, spp.Link{From: n, To: "h"})
+		in.Permitted[n] = []spp.Path{{n, d}}
+		ranking[i] = spp.Path{"h", n, d}
+	}
+	in.Permitted["h"] = ranking
+	in.Nodes = append(in.Nodes, "p", "q")
+	in.Origins = append(in.Origins, "rx_p", "rx_q")
+	in.Links = append(in.Links, spp.Link{From: "p", To: "q"}, spp.Link{From: "q", To: "p"})
+	in.Permitted["p"] = []spp.Path{{"p", "q", "rx_q"}, {"p", "rx_p"}}
+	in.Permitted["q"] = []spp.Path{{"q", "p", "rx_p"}, {"q", "rx_q"}}
+	return in, []spp.Node{"p", "q"}
+}
+
+// TestUnsatProbesStayInTheDispute is the structural guard on the unsat leg:
+// naming a 4-constraint dispute beside a 4000-path ranking costs the
+// dispute, on every door — the dense one, the string one and the resident
+// verifier's. (Whole-graph probes read 64 M relaxations here: each of the
+// minimization's re-solves paid for the hub's chain again.) At hub-150 the
+// answer is the oracle's, element for element. At hub-4000 the algebra
+// pipeline is out of reach — Builder.Chain holds a ranking's 8 M ordered
+// pairs, smt.Reference's deletion loop re-solves 12 000 times — so
+// Reference judges the answer instead: the core is unsatisfiable and the
+// emitted system without any one member of it is not, which makes it the
+// only minimal core there is.
+func TestUnsatProbesStayInTheDispute(t *testing.T) {
+	ctx := context.Background()
+	doors := func(t *testing.T, in *spp.Instance, check func(door string, got analysis.Result, suspects []spp.Node)) {
+		t.Helper()
+		analyses := map[string]func() (analysis.Result, []spp.Node, error){
+			"delta-verifier": func() (analysis.Result, []spp.Node, error) {
+				v, err := spp.NewDeltaVerifier(in)
+				if err != nil {
+					return analysis.Result{}, nil, err
+				}
+				return v.Verify(ctx)
+			},
+		}
+		for _, solver := range smt.Backends() {
+			analyses[solver.Name()] = func() (analysis.Result, []spp.Node, error) { return spp.Analyze(ctx, in, solver, 1) }
+		}
+		for door, analyze := range analyses {
+			got, suspects, err := analyze()
+			if err != nil || got.Sat || len(got.Core) != 4 {
+				t.Fatalf("%s: sat=%v core=%v err=%v", door, got.Sat, got.Core, err)
+			}
+			if got.Stats.Relaxations > 1000 || got.Stats.Probes < 3 {
+				t.Errorf("%s: %d relaxations over %d probes, want ≤ 1000 over ≥ 3", door, got.Stats.Relaxations, got.Stats.Probes)
+			}
+			check(door, got, suspects)
+		}
+	}
+
+	t.Run("oracle/hub-150", func(t *testing.T) {
+		in, pair := hubInstance(150)
+		conv, err := in.ToAlgebra()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Reference{})
+		if err != nil || want.Sat || !reflect.DeepEqual(conv.SuspectNodes(want.Core), pair) {
+			t.Fatalf("oracle: sat=%v suspects=%v err=%v", want.Sat, conv.SuspectNodes(want.Core), err)
+		}
+		doors(t, in, func(door string, got analysis.Result, suspects []spp.Node) {
+			got.Stats = want.Stats
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(suspects, pair) {
+				t.Errorf("%s: result differs (suspects %v):\n%+v\nvs oracle\n%+v", door, suspects, got, want)
+			}
+		})
+	})
+
+	t.Run("cost/hub-4000", func(t *testing.T) {
+		in, pair := hubInstance(4000)
+		cons, _, err := spp.ShardedConstraints(in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var coreIdx []int
+		doors(t, in, func(door string, got analysis.Result, suspects []spp.Node) {
+			for k, i := range got.CoreIdx {
+				if !reflect.DeepEqual(got.Core[k], cons[i]) {
+					t.Errorf("%s: core[%d] = %v, emitted constraint %d is %v", door, k, got.Core[k], i, cons[i])
+				}
+			}
+			if !reflect.DeepEqual(suspects, pair) {
+				t.Errorf("%s: suspects %v, want %v", door, suspects, pair)
+			}
+			if coreIdx == nil {
+				coreIdx = got.CoreIdx
+			} else if !reflect.DeepEqual(got.CoreIdx, coreIdx) {
+				t.Errorf("%s: core at %v, the first door's at %v", door, got.CoreIdx, coreIdx)
+			}
+		})
+		asserts := make([]smt.Assertion, len(cons))
+		for i := range cons {
+			asserts[i] = cons[i].Assertion
+		}
+		core := make([]smt.Assertion, len(coreIdx))
+		for k, i := range coreIdx {
+			core[k] = asserts[i]
+		}
+		if res, err := (smt.Reference{}).Solve(ctx, core); err != nil || res.Sat || len(res.Core) != len(core) {
+			t.Fatalf("reference on the core alone: sat=%v core=%d err=%v", res.Sat, len(res.Core), err)
+		}
+		for _, i := range coreIdx {
+			if res, err := (smt.Reference{}).Solve(ctx, slices.Delete(slices.Clone(asserts), i, i+1)); err != nil || !res.Sat {
+				t.Fatalf("reference without core member %d: sat=%v err=%v, want sat", i, res.Sat, err)
+			}
+		}
+	})
 }
 
 // TestValidatorFallbackCostIsThePaths: re-ranking one mid-graph node strips

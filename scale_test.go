@@ -58,7 +58,7 @@ func plantDisagree(in *spp.Instance, ta, tb spp.Node) *spp.Instance {
 	return in
 }
 
-var sessionSolvers = []smt.Solver{smt.Native{}, smt.Decomposed{}, smt.Native{NoMinimize: true}, smt.YicesText{}}
+var sessionSolvers = []smt.Solver{smt.Native{}, smt.Native{NoMinimize: true}, smt.YicesText{}}
 
 // TestSessionScalePath: AnalyzeSPP takes the one emitter at every size and
 // on every backend, and nothing observable distinguishes it from the
@@ -196,7 +196,6 @@ func TestScaleEligibility(t *testing.T) {
 		route  string
 	}{
 		{smt.Native{}, "dense"},
-		{smt.Decomposed{}, "dense"},
 		{smt.Native{NoMinimize: true}, "provenance"},
 		{smt.YicesText{}, "provenance"},
 	} {
