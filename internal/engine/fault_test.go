@@ -50,6 +50,12 @@ func TestSimRunnerWithPlan(t *testing.T) {
 	}
 	plan := BuildFaultPlan(3, planNodes, planSessions,
 		FaultPlanSpec{Flaps: 2, Restarts: 1, PolicyChanges: 1})
+	// Restart every node once more, late, one after the other: each loses its
+	// whole RIB (Reset) and re-Starts on the neighbour slots it bound at
+	// first start, while its neighbours see the session bounce.
+	for i, n := range planNodes {
+		plan.Ops = append(plan.Ops, FaultOp{At: 20*time.Second + time.Duration(i)*time.Second, Kind: FaultRestart, A: n})
+	}
 	run := func() *RunReport {
 		rep, err := SimRunner{}.Run(context.Background(), conv, RunOptions{
 			Seed: 3, Horizon: 60 * time.Second, Plan: plan,
@@ -72,8 +78,11 @@ func TestSimRunnerWithPlan(t *testing.T) {
 	if rep.RouteChanges == 0 || len(rep.NodeChanges) != 3 {
 		t.Errorf("route-change accounting missing: changes=%d per-node=%v", rep.RouteChanges, rep.NodeChanges)
 	}
-	if got := rep.Best["1"]; fmt.Sprint(got.Path) != "[1 3 r3]" {
-		t.Errorf("node 1 should return to its preferred path, got %v", got.Path)
+	// The stable assignment is back at every node, not only the first.
+	for node, want := range map[string]string{"1": "[1 3 r3]", "2": "[2 r2]", "3": "[3 r3]"} {
+		if got := rep.Best[node]; fmt.Sprint(got.Path) != want {
+			t.Errorf("node %s should return to %s, got %v", node, want, got.Path)
+		}
 	}
 	// Bit-identical reproduction from the same seed and plan.
 	rep2 := run()

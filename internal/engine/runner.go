@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fsr/internal/obs"
 	"fsr/internal/pathvector"
 	"fsr/internal/simnet"
 	"fsr/internal/spp"
@@ -139,56 +140,62 @@ func (r SimRunner) Name() string {
 	return "sim"
 }
 
-// Run implements Runner.
+// Run implements Runner. Under a tracer the caller's span gains three
+// children: build (wire the network), run (the event loop) and collect.
 func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOptions) (*RunReport, error) {
 	opts = opts.withDefaults()
 	net := simnet.New(opts.Seed, opts.Collector)
-	best := map[string]NodeRoute{}
-	var nodeChanges map[string]int64
-	var routeChanges int64
-	var collect func()
-	if r.Interpreted {
-		if !opts.Plan.Empty() {
-			return nil, fmt.Errorf("engine: fault plans require the compiled sim backend, not %s", r.Name())
-		}
-		nodes, err := BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
-		if err != nil {
-			return nil, err
-		}
-		collect = func() {
-			for id, n := range nodes {
-				if path, sig, ok := n.BestPath(SPPDest); ok {
-					best[string(id)] = NodeRoute{Path: path, Sig: sig}
-				}
-			}
-		}
-	} else {
-		nodes, err := pathvector.BuildSPP(net, conv, opts.Link, pathvector.Config{
+	var (
+		native map[simnet.NodeID]*pathvector.Node
+		interp map[simnet.NodeID]*Node
+		err    error
+	)
+	_, bsp := obs.StartSpan(ctx, "build")
+	switch {
+	case !r.Interpreted:
+		native, err = pathvector.BuildSPP(net, conv, opts.Link, pathvector.Config{
 			BatchInterval: opts.BatchInterval,
 			StartStagger:  opts.StartStagger,
 		})
-		if err != nil {
-			return nil, err
+		if err == nil && !opts.Plan.Empty() {
+			applyPlan(net, native, opts.Plan)
 		}
-		if !opts.Plan.Empty() {
-			applyPlan(net, nodes, opts.Plan)
-		}
-		collect = func() {
-			nodeChanges = map[string]int64{}
-			for id, n := range nodes {
-				if rt, ok := n.Best(pathvector.SPPDest); ok {
-					best[string(id)] = NodeRoute{Path: pathStrings(rt.Path), Sig: sigString(rt)}
-				}
-				nodeChanges[string(id)] = n.SelectionChanges()
-				routeChanges += n.SelectionChanges()
-			}
-		}
+	case !opts.Plan.Empty():
+		err = fmt.Errorf("engine: fault plans require the compiled sim backend, not %s", r.Name())
+	default:
+		interp, err = BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
 	}
-	res, err := net.RunContext(ctx, opts.Horizon)
+	bsp.End()
 	if err != nil {
 		return nil, err
 	}
-	collect()
+	rctx, rsp := obs.StartSpan(ctx, "run")
+	res, err := net.RunContext(rctx, opts.Horizon)
+	var routeChanges int64
+	var nodeChanges map[string]int64
+	if !r.Interpreted {
+		nodeChanges = make(map[string]int64, len(native))
+		for id, n := range native {
+			nodeChanges[string(id)] = n.SelectionChanges()
+			routeChanges += n.SelectionChanges()
+		}
+	}
+	rsp.AttrInt("events", res.Events)
+	rsp.AttrInt("delivered", res.Delivered)
+	rsp.AttrInt("route_changes", routeChanges)
+	rsp.End()
+	if err != nil {
+		return nil, err
+	}
+	_, csp := obs.StartSpan(ctx, "collect")
+	defer csp.End()
+	best := map[string]NodeRoute{}
+	collectNative(native, best)
+	for id, n := range interp {
+		if path, sig, ok := n.BestPath(SPPDest); ok {
+			best[string(id)] = NodeRoute{Path: path, Sig: sig}
+		}
+	}
 	msgs, bytes := opts.Collector.Totals()
 	return &RunReport{
 		Runner:       r.Name(),
@@ -205,6 +212,17 @@ func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOption
 		RouteChanges: routeChanges,
 		NodeChanges:  nodeChanges,
 	}, nil
+}
+
+// collectNative reads the compiled nodes' selections into best and flushes
+// their protocol counters to the registry, once per run.
+func collectNative(nodes map[simnet.NodeID]*pathvector.Node, best map[string]NodeRoute) {
+	for id, n := range nodes {
+		if rt, ok := n.Best(pathvector.SPPDest); ok {
+			best[string(id)] = NodeRoute{Path: pathStrings(rt.Path), Sig: sigString(rt)}
+		}
+		n.FlushObs()
+	}
 }
 
 // DeployRunner executes the compiled pathvector protocol over real TCP
@@ -238,11 +256,7 @@ func (d DeployRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOpt
 		return nil, err
 	}
 	best := map[string]NodeRoute{}
-	for id, n := range nodes {
-		if rt, ok := n.Best(pathvector.SPPDest); ok {
-			best[string(id)] = NodeRoute{Path: pathStrings(rt.Path), Sig: sigString(rt)}
-		}
-	}
+	collectNative(nodes, best)
 	msgs, bytes := opts.Collector.Totals()
 	return &RunReport{
 		Runner:    d.Name(),

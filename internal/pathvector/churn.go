@@ -25,13 +25,11 @@ var (
 
 // Reset implements simnet.Resetter: clear all protocol state, as a router
 // losing its RIB on restart. Configuration (including an origination
-// disable from SetOriginationsEnabled, which models a config change) and
-// the cumulative selection-change counters survive.
+// disable from SetOriginationsEnabled, which models a config change), the
+// neighbour slots and the cumulative counters survive.
 func (n *Node) Reset() {
-	n.routes = map[simnet.NodeID]map[simnet.NodeID]Route{}
-	n.best = map[simnet.NodeID]Route{}
-	n.advertised = map[simnet.NodeID]map[simnet.NodeID]string{}
-	n.dirty = map[simnet.NodeID]bool{}
+	n.dests = map[simnet.NodeID]*entry{}
+	n.dirty = n.dirty[:0]
 	n.flushScheduled = false
 	n.started = false
 }
@@ -40,8 +38,10 @@ func (n *Node) Reset() {
 // every candidate learned from it is invalid (BGP session teardown,
 // RFC 4271 §6.7: delete all routes from the peer).
 func (n *Node) LinkDown(env simnet.Env, nb simnet.NodeID) {
-	for _, dest := range sortedNeighbors(n.routes) {
-		n.dropCandidate(env, dest, nb)
+	n.bind(env)
+	s := n.slotFor(nb)
+	for _, dest := range sortedNeighbors(n.dests) {
+		n.dropCandidate(env, n.dests[dest], s)
 	}
 }
 
@@ -50,14 +50,14 @@ func (n *Node) LinkDown(env simnet.Env, nb simnet.NodeID) {
 // dirty so the next flush re-advertises the full table to the rejoined
 // peer (duplicate suppression keeps the other neighbors quiet).
 func (n *Node) LinkUp(env simnet.Env, nb simnet.NodeID) {
-	for _, dest := range sortedNeighbors(n.advertised) {
-		delete(n.advertised[dest], nb)
-	}
-	for _, dest := range sortedNeighbors(n.best) {
-		n.dirty[dest] = true
-	}
-	if len(n.dirty) > 0 {
-		n.scheduleFlush(env)
+	n.bind(env)
+	s := n.slotFor(nb)
+	for _, dest := range sortedNeighbors(n.dests) {
+		e := n.dests[dest]
+		e.slots[s].hasSent = false
+		if e.hasBest {
+			n.markDirty(env, e)
+		}
 	}
 }
 
@@ -73,16 +73,11 @@ func (n *Node) SetOriginationsEnabled(env simnet.Env, on bool) {
 	if !n.started {
 		return // Start (or the restart re-Start) honors origsOff.
 	}
-	self := env.Self()
 	for _, rt := range n.cfg.Originations {
 		if on {
-			if n.routes[rt.Dest] == nil {
-				n.routes[rt.Dest] = map[simnet.NodeID]Route{}
-			}
-			n.routes[rt.Dest][self] = rt
-			n.reselect(env, rt.Dest)
+			n.store(env, n.entryFor(rt.Dest), n.selfSlot(), rt)
 		} else {
-			n.dropCandidate(env, rt.Dest, self)
+			n.dropCandidate(env, n.dests[rt.Dest], n.selfSlot())
 		}
 	}
 }

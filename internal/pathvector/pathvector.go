@@ -18,6 +18,20 @@
 //	           over label(U→N) admits the route; neighbors that previously
 //	           received a now-filtered or withdrawn route get a withdraw.
 //
+// State lives on the node's neighbour slots, resolved once from
+// env.Neighbors() (slot = position, plus one for the node's own
+// originations). A destination is one record: per slot the candidate learned
+// from it and what it was last sent, then the selection and a dirty flag. In
+// steady state a received advert allocates its path and a flush one boxed
+// Advert per dirty destination: duplicates are suppressed by comparing
+// (signature, path) by value, labels are looked up once per slot, and the
+// dirty list and the timer callback are reused.
+//
+// gpvSelect folds the candidates in ascending NodeID order, not slot order.
+// The order is observable — on a partially ordered algebra, ⪯ with the
+// tie-break is not a strict weak order, so which of several incomparable
+// candidates survives depends on who is compared first — and seeded runs pin it.
+//
 // Label orientation: the *receiver* U of an advertisement from V evaluates
 // ⊕I and ⊕P over the label of its own link U→V; the *exporter* U sending to
 // N evaluates ⊕E over the label of U→N. This is the self-consistent reading
@@ -25,7 +39,10 @@
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fsr/internal/algebra"
@@ -109,16 +126,15 @@ type Config struct {
 // NewNode; one Node per network node.
 type Node struct {
 	cfg Config
-	// routes[dest][neighbor] is the candidate learned from neighbor.
-	routes map[simnet.NodeID]map[simnet.NodeID]Route
-	// best[dest] is the current selection.
-	best map[simnet.NodeID]Route
-	// advertised[dest][neighbor] records what we last sent (implicit-
-	// withdraw bookkeeping).
-	advertised map[simnet.NodeID]map[simnet.NodeID]string
-	// dirty marks destinations whose selection changed since the last
-	// flush.
-	dirty map[simnet.NodeID]bool
+	// The neighbour slots (see the package comment), resolved by bind.
+	self    simnet.NodeID
+	ids     []simnet.NodeID          // slot → node: env.Neighbors(), then self
+	slotOf  map[simnet.NodeID]int32  // node → slot
+	fold    []int32                  // the slots in ascending NodeID order
+	labels  []algebra.Label          // label(self→ids[slot]), filled on first use
+	flushFn func()                   // the batch-timer callback
+	dests   map[simnet.NodeID]*entry // per-destination state
+	dirty   []*entry                 // destinations changed since the last flush
 	// flushScheduled guards the batch timer.
 	flushScheduled bool
 	started        bool
@@ -130,6 +146,24 @@ type Node struct {
 	// Campaign drivers use them to spot oscillating nodes under churn.
 	changes    int64
 	lastChange time.Duration
+	// Traffic counters since the last FlushObs (obs.go).
+	advertsSent, withdrawsSent, loopRejects, filterRejects, flushedChanges int64
+}
+
+// entry is everything the node knows about one destination.
+type entry struct {
+	dest    simnet.NodeID
+	slots   []slot // by neighbour slot
+	best    Route  // the current selection, when hasBest
+	hasBest bool
+	dirty   bool // queued in Node.dirty
+}
+
+// slot is a destination's state toward one neighbour (or the node itself):
+// the candidate learned from it and what it was last sent.
+type slot struct {
+	cand, sent       Route // sent: implicit-withdraw bookkeeping (Adj-RIB-Out)
+	hasCand, hasSent bool
 }
 
 var _ simnet.Handler = (*Node)(nil)
@@ -140,39 +174,101 @@ func NewNode(cfg Config) *Node {
 		codec := NewSigCodec(cfg.Algebra)
 		cfg.SigFromKey = codec.FromKey
 	}
-	return &Node{
-		cfg:        cfg,
-		routes:     map[simnet.NodeID]map[simnet.NodeID]Route{},
-		best:       map[simnet.NodeID]Route{},
-		advertised: map[simnet.NodeID]map[simnet.NodeID]string{},
-		dirty:      map[simnet.NodeID]bool{},
+	return &Node{cfg: cfg, dests: map[simnet.NodeID]*entry{}}
+}
+
+// bind resolves the neighbour slots on the node's first callback; the
+// adjacency is fixed for the life of a run, so restarts keep them. Over TCP
+// a neighbour's advert can overtake Start, hence every entry point binds.
+func (n *Node) bind(env simnet.Env) {
+	if n.ids != nil {
+		return
 	}
+	n.self = env.Self()
+	n.ids = append(slices.Clone(env.Neighbors()), n.self)
+	n.slotOf = make(map[simnet.NodeID]int32, len(n.ids))
+	n.fold = make([]int32, len(n.ids))
+	n.labels = make([]algebra.Label, len(n.ids))
+	for s, id := range n.ids {
+		n.slotOf[id], n.fold[s] = int32(s), int32(s)
+	}
+	slices.SortFunc(n.fold, func(a, b int32) int { return cmp.Compare(n.ids[a], n.ids[b]) })
+	n.flushFn = func() {
+		n.flushScheduled = false
+		n.flush(env)
+	}
+}
+
+// selfSlot is the slot holding the node's own originations.
+func (n *Node) selfSlot() int32 { return int32(len(n.ids) - 1) }
+
+// slotFor resolves a node to its slot; only neighbours (and self) have one.
+func (n *Node) slotFor(id simnet.NodeID) int32 {
+	s, ok := n.slotOf[id]
+	if !ok {
+		panic(fmt.Sprintf("pathvector: %s is not a neighbor of %s", id, n.self))
+	}
+	return s
+}
+
+// label returns the label of the link to a neighbour slot — the one place
+// Config.Label is consulted, once per slot.
+func (n *Node) label(s int32) algebra.Label {
+	if n.labels[s] == nil {
+		n.labels[s] = n.cfg.Label(n.self, n.ids[s])
+	}
+	return n.labels[s]
+}
+
+// entryFor returns the destination's record, creating it on first use.
+func (n *Node) entryFor(dest simnet.NodeID) *entry {
+	e := n.dests[dest]
+	if e == nil {
+		e = &entry{dest: dest, slots: make([]slot, len(n.ids))}
+		n.dests[dest] = e
+	}
+	return e
 }
 
 // Best returns the node's current selection for dest.
 func (n *Node) Best(dest simnet.NodeID) (Route, bool) {
-	r, ok := n.best[dest]
-	return r, ok
+	if e := n.dests[dest]; e != nil && e.hasBest {
+		return e.best, true
+	}
+	return Route{}, false
 }
 
 // Routes returns the number of destinations with a selected route.
-func (n *Node) Routes() int { return len(n.best) }
+func (n *Node) Routes() int {
+	c := 0
+	for _, e := range n.dests {
+		if e.hasBest {
+			c++
+		}
+	}
+	return c
+}
 
 // Start implements simnet.Handler: inject originations and self-origination.
 func (n *Node) Start(env simnet.Env) {
+	n.bind(env)
 	start := func() {
 		n.started = true
 		if !n.origsOff {
 			for _, rt := range n.cfg.Originations {
-				n.routes[rt.Dest] = map[simnet.NodeID]Route{env.Self(): rt}
-				n.reselect(env, rt.Dest)
+				// Injection replaces the destination's whole candidate set, so
+				// a staggered start forgets what it heard before starting.
+				e := n.entryFor(rt.Dest)
+				for s := range e.slots {
+					e.slots[s].hasCand = false
+				}
+				n.store(env, e, n.selfSlot(), rt)
 			}
 		}
 		if n.cfg.SelfOriginate {
-			self := env.Self()
-			n.best[self] = Route{Dest: self, Path: []simnet.NodeID{self}}
-			n.dirty[self] = true
-			n.scheduleFlush(env)
+			e := n.entryFor(n.self)
+			e.best, e.hasBest = Route{Dest: n.self, Path: []simnet.NodeID{n.self}}, true
+			n.markDirty(env, e)
 		}
 	}
 	if n.cfg.StartStagger > 0 {
@@ -185,115 +281,107 @@ func (n *Node) Start(env simnet.Env) {
 
 // Receive implements simnet.Handler: the gpvRecv rule.
 func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
+	n.bind(env)
 	switch m := payload.(type) {
 	case Advert:
-		n.receiveAdvert(env, from, m)
+		n.receiveAdvert(env, n.slotFor(from), m)
 	case Withdraw:
-		n.receiveWithdraw(env, from, m)
+		n.dropCandidate(env, n.dests[m.Dest], n.slotFor(from))
 	default:
 		panic(fmt.Sprintf("pathvector: unexpected payload %T", payload))
 	}
 }
 
-func (n *Node) receiveAdvert(env simnet.Env, from simnet.NodeID, adv Advert) {
-	self := env.Self()
-	// Path-vector loop prevention: reject adverts already containing us. A
-	// rejected advert still implicitly withdraws the neighbor's previous
-	// announcement (each UPDATE replaces the neighbor's prior route).
-	for _, hop := range adv.Path {
-		if hop == self {
-			n.dropCandidate(env, adv.Dest, from)
-			return
-		}
+// receiveAdvert stores the advertised route as the slot's candidate, or —
+// on every reject — retracts the slot's previous one: each UPDATE replaces
+// the neighbour's prior announcement, whether or not it is usable.
+func (n *Node) receiveAdvert(env simnet.Env, from int32, adv Advert) {
+	e := n.dests[adv.Dest]
+	// Path-vector loop prevention: reject adverts already containing us.
+	if slices.Contains(adv.Path, n.self) {
+		n.loopRejects++
+		n.dropCandidate(env, e, from)
+		return
 	}
-	l := n.cfg.Label(self, from) // receiver-side label for link U→V
-	var sig algebra.Sig
+	sig, ok := n.importSig(from, adv)
+	if !ok || (n.cfg.MaxPathLen > 0 && len(adv.Path)+1 > n.cfg.MaxPathLen) {
+		n.filterRejects++
+		n.dropCandidate(env, e, from)
+		return
+	}
+	path := append(append(make([]simnet.NodeID, 0, len(adv.Path)+1), n.self), adv.Path...)
+	rt := Route{Dest: adv.Dest, Path: path, Sig: sig}
+	if n.cfg.OnAdvert != nil {
+		n.cfg.OnAdvert(n.self, rt)
+	}
+	n.store(env, n.entryFor(adv.Dest), from, rt)
+}
+
+// importSig is gpvRecv's policy half, over the receiver-side label of the
+// link U→V: the import filter ⊕I, then signature generation with ⊕P (from
+// the origination set for a one-hop route, §V-B step 4). ok is false when
+// the route is filtered, prohibited, or its signature is unknown.
+func (n *Node) importSig(from int32, adv Advert) (sig algebra.Sig, ok bool) {
+	l := n.label(from)
 	if adv.Origination {
-		// One-hop route: signature from the origination set (§V-B step 4).
 		sig = n.cfg.Algebra.Origin(l)
 	} else {
-		prev, ok := n.cfg.SigFromKey(adv.SigKey)
-		if !ok {
-			// Unknown signature: treat as prohibited (and as an implicit
-			// withdraw of the neighbor's previous route).
-			n.dropCandidate(env, adv.Dest, from)
-			return
-		}
-		// gpvRecv: import filter, then signature generation.
-		if !n.cfg.Algebra.Import(l, prev) {
-			return
+		prev, known := n.cfg.SigFromKey(adv.SigKey)
+		if !known || !n.cfg.Algebra.Import(l, prev) {
+			return nil, false
 		}
 		sig = n.cfg.Algebra.Concat(l, prev)
 	}
-	if algebra.IsProhibited(sig) {
-		// Filtered: if this neighbor previously contributed a candidate for
-		// the destination, its replacement advert revokes it.
-		n.dropCandidate(env, adv.Dest, from)
-		return
-	}
-	path := append([]simnet.NodeID{self}, adv.Path...)
-	if n.cfg.MaxPathLen > 0 && len(path) > n.cfg.MaxPathLen {
-		n.dropCandidate(env, adv.Dest, from)
-		return
-	}
-	rt := Route{Dest: adv.Dest, Path: path, Sig: sig}
-	if n.cfg.OnAdvert != nil {
-		n.cfg.OnAdvert(self, rt)
-	}
-	// gpvStore with (dest, neighbor) keying: implicit withdraw of the
-	// neighbor's previous advertisement.
-	if n.routes[adv.Dest] == nil {
-		n.routes[adv.Dest] = map[simnet.NodeID]Route{}
-	}
-	n.routes[adv.Dest][from] = rt
-	n.reselect(env, adv.Dest)
+	return sig, !algebra.IsProhibited(sig)
 }
 
-func (n *Node) receiveWithdraw(env simnet.Env, from simnet.NodeID, w Withdraw) {
-	n.dropCandidate(env, w.Dest, from)
+// store is gpvStore with (dest, neighbor) keying: the slot's new candidate
+// replaces its old one, BGP's implicit withdraw.
+func (n *Node) store(env simnet.Env, e *entry, s int32, rt Route) {
+	e.slots[s].cand, e.slots[s].hasCand = rt, true
+	n.reselect(env, e)
 }
 
-func (n *Node) dropCandidate(env simnet.Env, dest, from simnet.NodeID) {
-	if cands := n.routes[dest]; cands != nil {
-		if _, had := cands[from]; had {
-			delete(cands, from)
-			n.reselect(env, dest)
-		}
+func (n *Node) dropCandidate(env simnet.Env, e *entry, s int32) {
+	if e != nil && e.slots[s].hasCand {
+		e.slots[s].hasCand = false
+		n.reselect(env, e)
 	}
 }
 
-// reselect implements gpvSelect: recompute the most preferred candidate.
-// Ties (equally preferred or unordered signatures) break deterministically
-// toward the shorter path, then the lexicographically smaller one — the
-// stand-in for BGP's final tie-breakers, which the algebra leaves open.
-func (n *Node) reselect(env simnet.Env, dest simnet.NodeID) {
-	var best Route
-	hasBest := false
-	cands := n.routes[dest]
-	for _, nb := range sortedNeighbors(cands) {
-		rt := cands[nb]
-		if !hasBest {
-			best, hasBest = rt, true
-			continue
-		}
-		if better(n.cfg.Algebra, rt, best) {
-			best = rt
+// reselect implements gpvSelect: recompute the most preferred candidate,
+// folding the slots in ascending NodeID order. Ties (equally preferred or
+// unordered signatures) break deterministically toward the shorter path,
+// then the lexicographically smaller one — the stand-in for BGP's final
+// tie-breakers, which the algebra leaves open.
+func (n *Node) reselect(env simnet.Env, e *entry) {
+	var best *Route
+	for _, s := range n.fold {
+		if c := &e.slots[s]; c.hasCand && (best == nil || better(n.cfg.Algebra, c.cand, *best)) {
+			best = &c.cand
 		}
 	}
-	prev, had := n.best[dest]
 	switch {
-	case !hasBest && !had:
+	case best == nil && !e.hasBest:
 		return
-	case hasBest && had && prev.Sig == best.Sig && pathEqual(prev.Path, best.Path):
+	case best != nil && e.hasBest && e.best.Sig == best.Sig && pathEqual(e.best.Path, best.Path):
 		return
-	case hasBest:
-		n.best[dest] = best
+	case best != nil:
+		e.best, e.hasBest = *best, true
 	default:
-		delete(n.best, dest)
+		e.best, e.hasBest = Route{}, false
 	}
 	n.changes++
 	n.lastChange = env.Now()
-	n.dirty[dest] = true
+	n.markDirty(env, e)
+}
+
+// markDirty queues the destination for the next flush.
+func (n *Node) markDirty(env simnet.Env, e *entry) {
+	if !e.dirty {
+		e.dirty = true
+		n.dirty = append(n.dirty, e)
+	}
 	n.scheduleFlush(env)
 }
 
@@ -311,7 +399,7 @@ func better(alg algebra.Algebra, a, b Route) bool {
 		if len(a.Path) != len(b.Path) {
 			return len(a.Path) < len(b.Path)
 		}
-		return pathLess(a.Path, b.Path)
+		return slices.Compare(a.Path, b.Path) < 0
 	}
 }
 
@@ -329,59 +417,48 @@ func (n *Node) scheduleFlush(env simnet.Env) {
 	if d > 0 {
 		d += time.Duration(env.Rand().Int63n(int64(d)/2 + 1))
 	}
-	env.Schedule(d, func() {
-		n.flushScheduled = false
-		n.flush(env)
-	})
+	env.Schedule(d, n.flushFn)
 }
 
-// flush implements gpvSend: advertise every dirty destination to every
-// neighbor admitted by the export filter, and withdraw from neighbors that
-// previously received a route we can no longer offer them.
+// flush implements gpvSend: advertise every dirty destination, in
+// ascending order, to every neighbor admitted by the export filter, and
+// withdraw from neighbors that previously received a route we can no longer
+// offer them. A neighbor already holding exactly this (signature, path) is
+// skipped; the others share one boxed Advert per destination.
 func (n *Node) flush(env simnet.Env) {
-	self := env.Self()
-	dests := sortedNeighbors(n.dirty)
-	n.dirty = map[simnet.NodeID]bool{}
-	for _, dest := range dests {
-		best, has := n.best[dest]
-		if n.advertised[dest] == nil {
-			n.advertised[dest] = map[simnet.NodeID]string{}
-		}
-		sent := n.advertised[dest]
-		for _, nb := range env.Neighbors() {
-			if nb == dest && n.cfg.SelfOriginate {
-				// Never advertise a node to itself.
-				continue
+	slices.SortFunc(n.dirty, func(a, b *entry) int { return cmp.Compare(a.dest, b.dest) })
+	for _, e := range n.dirty {
+		e.dirty = false
+		// Originations skip ⊕E; the receiver derives the signature (§V-B step 4).
+		origin := n.cfg.SelfOriginate && e.dest == n.self
+		adv := Advert{Dest: e.dest, Path: e.best.Path, SigKey: sigKey(e.best.Sig), Origination: origin}
+		var boxed any // adv as a payload, boxed at the first send
+		for s, nb := range n.ids[:n.selfSlot()] {
+			if n.cfg.SelfOriginate && nb == e.dest {
+				continue // never advertise a node to itself
 			}
-			want := ""
-			var payload any
-			var size int
-			if has {
-				if dest == self && n.cfg.SelfOriginate {
-					// Origination announcement: signature derived by the
-					// receiver (§V-B step 4); not subject to ⊕E.
-					adv := Advert{Dest: dest, Path: best.Path, Origination: true}
-					want, payload, size = "origin:"+string(dest), adv, adv.WireSize()
-				} else if n.cfg.Algebra.Export(n.cfg.Label(self, nb), best.Sig) {
-					adv := Advert{Dest: dest, Path: best.Path, SigKey: sigKey(best.Sig)}
-					want, payload, size = adv.SigKey+"|"+pathKey(best.Path), adv, adv.WireSize()
-				}
-			}
-			prev, hadPrev := sent[nb]
-			if want == "" {
-				if hadPrev && prev != "" {
-					w := Withdraw{Dest: dest}
+			st := &e.slots[s]
+			if !e.hasBest || !(origin || n.cfg.Algebra.Export(n.label(int32(s)), e.best.Sig)) {
+				if st.hasSent {
+					w := Withdraw{Dest: e.dest}
 					env.Send(nb, w, w.WireSize())
-					sent[nb] = ""
+					n.withdrawsSent++
+					st.hasSent = false
 				}
 				continue
 			}
-			if !hadPrev || prev != want {
-				env.Send(nb, payload, size)
-				sent[nb] = want
+			if st.hasSent && st.sent.Sig == e.best.Sig && pathEqual(st.sent.Path, e.best.Path) {
+				continue
 			}
+			if boxed == nil {
+				boxed = adv
+			}
+			env.Send(nb, boxed, adv.WireSize())
+			n.advertsSent++
+			st.sent, st.hasSent = e.best, true
 		}
 	}
+	n.dirty = n.dirty[:0]
 }
 
 func sigKey(s algebra.Sig) string {
@@ -391,49 +468,10 @@ func sigKey(s algebra.Sig) string {
 	return s.String()
 }
 
-func pathKey(p []simnet.NodeID) string {
-	out := ""
-	for _, n := range p {
-		out += string(n) + "/"
-	}
-	return out
-}
-
-func pathEqual(a, b []simnet.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func pathLess(a, b []simnet.NodeID) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+func pathEqual(a, b []simnet.NodeID) bool { return slices.Equal(a, b) }
 
 // sortedNeighbors returns map keys in sorted order for deterministic
 // iteration.
 func sortedNeighbors[V any](m map[simnet.NodeID]V) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return slices.Sorted(maps.Keys(m))
 }

@@ -1,9 +1,11 @@
 package pathvector
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"fsr/internal/algebra"
 	"fsr/internal/simnet"
 	"fsr/internal/spp"
 )
@@ -120,16 +122,79 @@ func TestChainGadgetScales(t *testing.T) {
 	}
 }
 
-// TestSafeConvergesMoreTrafficWithGadgets: more GOODGADGET route
-// recomputation means more messages but still convergence (§VI-C: "as the
-// number of gadgets increases, both the convergence time and communication
-// cost increase. … Nevertheless, all GOODGADGET scenarios converge").
+// TestSafeConvergesDeterministically: two runs from one seed are the same
+// run.
 func TestSafeConvergesDeterministically(t *testing.T) {
 	_, res1 := runSPP(t, spp.GoodGadget(), testBase, 10*time.Second)
 	_, res2 := runSPP(t, spp.GoodGadget(), testBase, 10*time.Second)
 	if res1.Time != res2.Time || res1.Events != res2.Events {
 		t.Errorf("simulation should be deterministic: %v/%d vs %v/%d",
 			res1.Time, res1.Events, res2.Time, res2.Events)
+	}
+}
+
+// TestSeededStreamPinned holds batched, staggered runs — the ones that draw
+// from the per-node generators, for the start offset and the batch jitter —
+// to the instants and counts they had when simnet seeded every node's
+// generator eagerly at AddNode. DISAGREE settles only through that jitter.
+func TestSeededStreamPinned(t *testing.T) {
+	base := Config{BatchInterval: 10 * time.Millisecond, StartStagger: 5 * time.Millisecond}
+	for _, want := range []struct {
+		in                *spp.Instance
+		time              time.Duration
+		events, delivered int64
+	}{
+		{spp.GoodGadget(), 74376053, 24, 12},
+		{spp.Disagree(), 154579679, 31, 13},
+		{spp.Figure3IBGPFixed(), 49433208, 34, 16},
+	} {
+		_, res := runSPP(t, want.in, base, 10*time.Second)
+		if !res.Converged || res.Time != want.time || res.Events != want.events || res.Delivered != want.delivered {
+			t.Errorf("%s: converged=%v at %d ns after %d events, %d delivered; pinned %d ns, %d, %d",
+				want.in.Name, res.Converged, res.Time, res.Events, res.Delivered, want.time, want.events, want.delivered)
+		}
+	}
+}
+
+// scriptEnv is a one-node platform for scripting single messages at a Node:
+// timers run immediately, sends are counted.
+type scriptEnv struct {
+	self  simnet.NodeID
+	nbrs  []simnet.NodeID
+	sends int
+}
+
+func (e *scriptEnv) Self() simnet.NodeID                 { return e.self }
+func (e *scriptEnv) Now() time.Duration                  { return 0 }
+func (e *scriptEnv) Neighbors() []simnet.NodeID          { return e.nbrs }
+func (e *scriptEnv) Send(simnet.NodeID, any, int)        { e.sends++ }
+func (e *scriptEnv) Schedule(_ time.Duration, fn func()) { fn() }
+func (e *scriptEnv) Rand() *rand.Rand                    { return nil }
+
+// TestImportFilteredReplacementRetracts: an advert the import filter
+// rejects still replaces — and so retracts — the neighbour's previous
+// announcement, like every other rejected advert and like the NDlog
+// program's f_concatSigChecked.
+func TestImportFilteredReplacementRetracts(t *testing.T) {
+	s1, s2, out := algebra.Symbol("s1"), algebra.Symbol("s2"), algebra.Symbol("out")
+	l := algebra.LSym("l")
+	alg := algebra.NewBuilder("import-filter").Sigs(s1, s2, out).Labels(l).
+		Concat(l, s1, out).Concat(l, s2, out).Import(l, s2, false).MustBuild()
+	n := NewNode(Config{Algebra: alg, Label: func(from, to simnet.NodeID) algebra.Label { return l }})
+	env := &scriptEnv{self: "u", nbrs: []simnet.NodeID{"v"}}
+	n.Start(env)
+	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
+	if best, ok := n.Best("d"); !ok || !pathEqual(best.Path, []simnet.NodeID{"u", "v"}) || best.Sig != out {
+		t.Fatalf("after the imported advert: best %v (ok=%v), want [u v] with %s", best, ok, out)
+	}
+	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s2"})
+	if best, ok := n.Best("d"); ok {
+		t.Errorf("after the filtered replacement: stale route %v %s survives", best.Path, best.Sig)
+	}
+	// GPV has no split horizon: u advertised the route back to v, then
+	// withdrew it.
+	if env.sends != 2 {
+		t.Errorf("want an advert and a withdraw, got %d sends", env.sends)
 	}
 }
 

@@ -11,7 +11,11 @@
 // recycled through a free list, ordered by a hand-rolled index heap —
 // no per-event heap pointer, no per-delivery closure, no interface boxing.
 // Message delivery resolves links through dense per-node adjacency instead
-// of a global map keyed by node-ID pairs.
+// of a global map keyed by node-ID pairs, and accounts traffic through the
+// per-node collector handle taken at AddNode. AddNode also draws the node's
+// seed from the network generator, but the generator itself is built on the
+// first Env.Rand call: protocols that neither batch nor stagger never pay
+// for it, and seeded runs see the same streams either way.
 package simnet
 
 import (
@@ -140,7 +144,9 @@ type node struct {
 	neighbors []NodeID
 	links     []link           // parallel to neighbors: the outgoing link per neighbor
 	neighIdx  map[NodeID]int32 // neighbor ID → index into neighbors/links
-	rng       *rand.Rand
+	seed      int64            // drawn from the network generator at AddNode
+	rng       *rand.Rand       // built from seed on the first Env.Rand call
+	acct      *trace.NodeHandle
 	env       *simEnv
 }
 
@@ -201,7 +207,8 @@ func (n *Network) AddNode(id NodeID, h Handler) error {
 		idx:      int32(len(n.byIdx)),
 		handler:  h,
 		neighIdx: map[NodeID]int32{},
-		rng:      rand.New(rand.NewSource(n.rng.Int63())),
+		seed:     n.rng.Int63(),
+		acct:     n.collector.Handle(string(id)),
 	}
 	nd.env = &simEnv{net: n, node: nd}
 	n.nodes[id] = nd
@@ -407,7 +414,7 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 				break
 			}
 			dst := n.byIdx[ev.node]
-			n.collector.RecordRecv(string(dst.id), int(ev.size))
+			dst.acct.RecordRecv(int(ev.size))
 			n.delivered++
 			dst.handler.Receive(dst.env, from.id, ev.payload)
 		case evLinkDown:
@@ -434,7 +441,7 @@ func (n *Network) deliver(from *node, to NodeID, payload any, size int) {
 		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", from.id, to))
 	}
 	l := &from.links[li]
-	n.collector.RecordSend(string(from.id), size, n.now)
+	from.acct.RecordSend(size, n.now)
 	if l.down {
 		// The sender doesn't know the link is down (no control plane in the
 		// simulator): the transmission is silently lost, like a frame sent
@@ -480,7 +487,16 @@ type simEnv struct {
 
 func (e *simEnv) Self() NodeID       { return e.node.id }
 func (e *simEnv) Now() time.Duration { return e.net.now }
-func (e *simEnv) Rand() *rand.Rand   { return e.node.rng }
+
+// Rand builds the node's generator on first use: seeding one costs more
+// than a short run's whole event loop, and unbatched, unstaggered protocols
+// never draw. The seed was fixed at AddNode, so the stream is the same.
+func (e *simEnv) Rand() *rand.Rand {
+	if e.node.rng == nil {
+		e.node.rng = rand.New(rand.NewSource(e.node.seed))
+	}
+	return e.node.rng
+}
 
 // Neighbors returns the node's cached adjacency; the slice is shared and
 // must not be modified by the caller.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -99,6 +100,38 @@ func TestDeterminism(t *testing.T) {
 	r1, r2 := run(), run()
 	if r1.Time != r2.Time || r1.Events != r2.Events {
 		t.Errorf("runs differ: %v/%d vs %v/%d", r1.Time, r1.Events, r2.Time, r2.Events)
+	}
+}
+
+// TestNodeGeneratorsKeepTheirStream: a node's generator is built on its
+// first Rand call, but its seed was drawn from the network generator at
+// AddNode — so the stream does not depend on who draws first, or on whether
+// anyone else draws at all, and it is the stream an eagerly seeded
+// generator would have produced.
+func TestNodeGeneratorsKeepTheirStream(t *testing.T) {
+	net := New(7, nil)
+	ids := []NodeID{"a", "b", "c"}
+	for _, id := range ids {
+		if err := net.AddNode(id, &echoHandler{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := rand.New(rand.NewSource(7))
+	want := map[NodeID]int64{}
+	for _, id := range ids {
+		want[id] = rand.New(rand.NewSource(ref.Int63())).Int63()
+	}
+	for _, id := range []NodeID{"c", "a"} { // reverse order; b never draws
+		if got := net.nodes[id].env.Rand().Int63(); got != want[id] {
+			t.Errorf("node %s: first draw %d, want %d", id, got, want[id])
+		}
+	}
+	if net.nodes["b"].rng != nil {
+		t.Errorf("node b never drew, yet its generator was built")
+	}
+	// The network generator itself moved only by the three seeds.
+	if got, want := net.rng.Int63(), ref.Int63(); got != want {
+		t.Errorf("network generator: next draw %d, want %d", got, want)
 	}
 }
 

@@ -61,6 +61,7 @@ type tcpNode struct {
 	rawConns  []net.Conn
 	exec      chan func()
 	rng       *rand.Rand
+	acct      *trace.NodeHandle
 }
 
 // NewDeployment creates an empty deployment with the given metric collector.
@@ -90,6 +91,7 @@ func (d *Deployment) AddNode(id NodeID, h Handler) error {
 		conns:   map[NodeID]*gob.Encoder{},
 		exec:    make(chan func(), 4096),
 		rng:     rand.New(rand.NewSource(int64(len(d.nodes)) + 1)),
+		acct:    d.collector.Handle(string(id)),
 	}
 	d.order = append(d.order, id)
 	return nil
@@ -268,7 +270,7 @@ func (nd *tcpNode) readLoop(conn net.Conn) {
 		if d.stopped.Load() {
 			return
 		}
-		d.collector.RecordRecv(string(nd.id), env.Size)
+		nd.acct.RecordRecv(env.Size)
 		d.touch()
 		e := env
 		nd.post(func() {
@@ -304,7 +306,7 @@ func (e *tcpEnv) Send(to NodeID, payload any, size int) {
 		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", nd.id, to))
 	}
 	d.pending.Add(1)
-	d.collector.RecordSend(string(nd.id), size, e.Now())
+	nd.acct.RecordSend(size, e.Now())
 	d.touch()
 	if err := enc.Encode(envelope{From: nd.id, Size: size, Payload: payload}); err != nil {
 		// Connection torn down during shutdown: drop and rebalance.

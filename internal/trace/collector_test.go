@@ -101,3 +101,37 @@ func TestBandwidthSeriesBoundary(t *testing.T) {
 		t.Errorf("upTo=width: %d points, want 1", got)
 	}
 }
+
+// TestNodeHandleSharesTheNodeRow: a handle and the by-name calls account
+// into the same per-node row, a handle shared by goroutines (a TCP node's
+// readers and its executor) loses nothing, and a node enters the table with
+// its first message, not when its handle is taken.
+func TestNodeHandleSharesTheNodeRow(t *testing.T) {
+	c := NewCollector(10 * time.Millisecond)
+	h, idle := c.Handle("a"), c.Handle("idle")
+	if c.NumNodes() != 0 {
+		t.Fatalf("NumNodes = %d before any traffic, want 0", c.NumNodes())
+	}
+	c.RecordSend("a", 10, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				h.RecordSend(10, time.Duration(i)*time.Millisecond)
+				h.RecordRecv(5)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Node("a"), (NodeStats{BytesSent: 4010, BytesRecv: 2000, MsgsSent: 401, MsgsRecv: 400}); got != want {
+		t.Errorf("node a: %+v, want %+v", got, want)
+	}
+	if msgs, bytes := c.Totals(); msgs != 401 || bytes != 4010 {
+		t.Errorf("Totals = %d msgs / %d bytes, want 401 / 4010", msgs, bytes)
+	}
+	if c.NumNodes() != 1 || idle.stats != nil {
+		t.Errorf("NumNodes = %d, want 1: the idle handle's node never had traffic", c.NumNodes())
+	}
+}

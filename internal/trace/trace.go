@@ -53,13 +53,29 @@ func (c *Collector) node(id string) *NodeStats {
 	return ns
 }
 
+// NodeHandle accounts one node's traffic without the per-message lookup by
+// name: a platform obtains one per node when the node is added. The node
+// enters the collector's per-node table with its first message, as it does
+// through RecordSend and RecordRecv.
+type NodeHandle struct {
+	c     *Collector
+	id    string
+	stats *NodeStats // c.perNode[id], resolved under c.mu on first use
+}
+
+// Handle returns the accounting handle for one node.
+func (c *Collector) Handle(nodeID string) *NodeHandle { return &NodeHandle{c: c, id: nodeID} }
+
 // RecordSend accounts one transmitted message at virtual (or wall) time at.
-func (c *Collector) RecordSend(nodeID string, bytes int, at time.Duration) {
+func (h *NodeHandle) RecordSend(bytes int, at time.Duration) {
+	c := h.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ns := c.node(nodeID)
-	ns.BytesSent += int64(bytes)
-	ns.MsgsSent++
+	if h.stats == nil {
+		h.stats = c.node(h.id)
+	}
+	h.stats.BytesSent += int64(bytes)
+	h.stats.MsgsSent++
 	c.msgs++
 	c.bytes += int64(bytes)
 	if at > c.lastSend {
@@ -73,13 +89,24 @@ func (c *Collector) RecordSend(nodeID string, bytes int, at time.Duration) {
 }
 
 // RecordRecv accounts one received message.
-func (c *Collector) RecordRecv(nodeID string, bytes int) {
+func (h *NodeHandle) RecordRecv(bytes int) {
+	c := h.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ns := c.node(nodeID)
-	ns.BytesRecv += int64(bytes)
-	ns.MsgsRecv++
+	if h.stats == nil {
+		h.stats = c.node(h.id)
+	}
+	h.stats.BytesRecv += int64(bytes)
+	h.stats.MsgsRecv++
 }
+
+// RecordSend accounts one transmitted message of the named node.
+func (c *Collector) RecordSend(nodeID string, bytes int, at time.Duration) {
+	c.Handle(nodeID).RecordSend(bytes, at)
+}
+
+// RecordRecv accounts one received message of the named node.
+func (c *Collector) RecordRecv(nodeID string, bytes int) { c.Handle(nodeID).RecordRecv(bytes) }
 
 // MarkConverged records the convergence instant (idempotent: the first mark
 // wins, matching "time until all nodes have computed routes").
