@@ -738,4 +738,49 @@ func BenchmarkDeltaVerify(b *testing.B) {
 		}
 		b.ReportMetric(float64(st.DeltaSolves)/float64(st.Checks), "delta-ratio")
 	})
+	// mode=discard is the daemon's pure query — Begin, a top-two swap on an
+	// ordinary node, Verify, Rollback — on power-law instances of two
+	// sizes: B/op and allocs/op are the edit's, the same at both.
+	for _, size := range []int{5000, 20000} {
+		b.Run(fmt.Sprintf("mode=discard/internet:%d", size), func(b *testing.B) {
+			in := GenerateInternetSPP("internet", size, 1)
+			v, err := spp.NewDeltaVerifier(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, _, err := v.Verify(ctx); err != nil || !res.Sat {
+				b.Fatalf("internet:%d should be sat (err=%v)", size, err)
+			}
+			degree := map[spp.Node]int{}
+			for _, l := range in.Links {
+				degree[l.From]++
+			}
+			var node spp.Node
+			for _, n := range in.Nodes {
+				if degree[n] <= 3 && len(in.Permitted[n]) >= 2 {
+					node = n
+					break
+				}
+			}
+			paths := in.Permitted[node]
+			swapped := append([]spp.Path{paths[1], paths[0]}, paths[2:]...)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.Begin()
+				if err := v.ReRank(node, swapped...); err != nil {
+					b.Fatal(err)
+				}
+				res, _, err := v.Verify(ctx)
+				if err != nil || !res.Sat {
+					b.Fatalf("swap should stay sat (err=%v)", err)
+				}
+				v.Rollback()
+			}
+			b.StopTimer()
+			if st := v.DeltaStats(); st.DeltaSolves != b.N {
+				b.Fatalf("%d discarded swaps, %d delta solves", b.N, st.DeltaSolves)
+			}
+		})
+	}
 }

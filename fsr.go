@@ -87,10 +87,12 @@ type (
 	SPPPath = spp.Path
 	// DeltaVerifier is a resident incremental safety verifier over one SPP
 	// instance: ranking, session, and topology edits re-verify by patching
-	// the standing constraint system instead of rebuilding it.
+	// the standing constraint system instead of rebuilding it, and a
+	// transaction (Begin, then Commit or Rollback) tries edits without
+	// keeping them or copying anything.
 	DeltaVerifier = spp.DeltaVerifier
 	// DeltaStats counts how a DeltaVerifier's checks were discharged
-	// (cache hits, delta solves, full rebuilds).
+	// (cache hits, delta solves, whole-list solves).
 	DeltaStats = smt.DeltaStats
 	// NDlogProgram is a generated or parsed NDlog program.
 	NDlogProgram = ndlog.Program

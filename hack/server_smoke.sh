@@ -3,8 +3,9 @@
 # oracle on, load the Figure 3 gadget, drive the README's repair session
 # over HTTP, and assert from /metrics that delta re-verification actually
 # ran (fsr_delta_solves_total > 0) with zero oracle mismatches — on the
-# gadget, again on a resident internet:2000 instance, and on an instance
-# whose path names collide after sanitization (degraded verifier). Then the
+# gadget, again on a resident internet:2000 instance (committed and
+# discarded what-ifs, safe and unsafe), and on an instance whose path names
+# collide after sanitization (degraded verifier). Then the
 # diagnosis surface: an internet-scale POST /v1/analyze must move the
 # condensation counters, the dashboard and flight recorder must serve, a
 # slow op must be retrievable with its span tree, fsr top must render a
@@ -88,8 +89,33 @@ curl -fsS -X POST "$base/v1/instances/big/whatif" -d '{
   "ops": [{"op":"rerank","node":"as7","paths":["as7,rx_smoke"]}]
 }' | jq -e '.safe and .applied == 1 and .oracle_checked and (.oracle_mismatch | not)' >/dev/null \
     || { echo "FAIL: internet:2000 committed re-rank under -check-oracle" >&2; exit 1; }
-mismatch="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+# A discarded what-if is a transaction rolled back on the resident verifier:
+# verdict only (no model), oracle-checked while the edit stands, and the
+# resident instance exactly as it was — the next verify is answered from the
+# standing result, witness included.
+swap='{"op":"rerank","node":"as1002","paths":["as1002,as218,as14,as15,as1999,r1","as1002,as204,as7,as15,as1999,r1"]}'
+curl -fsS -X POST "$base/v1/instances/big/whatif" -d "{\"discard\":true,\"ops\":[$swap]}" \
+    | jq -e '.safe and .discarded and .oracle_checked and (.oracle_mismatch | not) and (.model | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 discarded re-rank" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/big/verify" \
+    | jq -e '.mode == "cached" and (.model | length > 0) and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: verify after a discarded what-if is not the cached verdict with its model" >&2; exit 1; }
+# A discarded DISAGREE pair over fresh origin tokens: unsafe, four-constraint
+# core, and the standing fixed point untouched — the discarded tweak after
+# it is a delta solve.
+curl -fsS -X POST "$base/v1/instances/big/whatif" -d '{"discard":true,"ops":[
+  {"op":"rerank","node":"as1002","paths":["as1002,as204,rx_b","as1002,rx_a"]},
+  {"op":"rerank","node":"as204","paths":["as204,as1002,rx_a","as204,rx_b"]}
+]}' | jq -e '(.safe | not) and .discarded and (.core | length == 4) and .suspects == ["as1002","as204"] and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: internet:2000 discarded dispute pair" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/instances/big/whatif" -d "{\"discard\":true,\"ops\":[$swap]}" \
+    | jq -e '.safe and .mode == "delta" and (.oracle_mismatch | not)' >/dev/null \
+    || { echo "FAIL: what-if after a discarded unsafe what-if is not a delta solve" >&2; exit 1; }
+metrics="$(curl -fsS "$base/metrics")"
+mismatch="$(echo "$metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+rollbacks="$(echo "$metrics" | awk '$1 == "fsr_whatif_rollbacks_total" {print $2}')"
 [ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after internet:2000" >&2; exit 1; }
+[ "${rollbacks:-0}" -eq 3 ] || { echo "FAIL: fsr_whatif_rollbacks_total=$rollbacks, want 3" >&2; exit 1; }
 
 # Unlucky names: "x.y" and "x_y" sanitize to one solver variable, so the
 # resident verifier is degraded and every check is a from-scratch analysis

@@ -13,6 +13,7 @@ import (
 func requireDeltaParity(t *testing.T, label string, v *spp.DeltaVerifier) {
 	t.Helper()
 	got, gotSus, gotErr := v.Verify(context.Background())
+	got.Model = v.Model() // Verify leaves the witness to Model
 	want, wantSus, wantErr := v.VerifyFull(context.Background())
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)

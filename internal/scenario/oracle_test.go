@@ -93,8 +93,8 @@ func TestDegradedVerifyStaysOffTheAlgebra(t *testing.T) {
 	dense, solves := routes.Value("dense"), v.DeltaStats().Checks
 	requireDeltaParity(t, "degraded", v)
 	res, _, err := v.Verify(context.Background())
-	if err != nil || !res.Sat || res.Model["x_y"] == 0 || res.Model["x_y_2"] == 0 {
-		t.Fatalf("degraded verify: sat=%v x_y=%d x_y_2=%d err=%v", res.Sat, res.Model["x_y"], res.Model["x_y_2"], err)
+	if model := v.Model(); err != nil || !res.Sat || model["x_y"] == 0 || model["x_y_2"] == 0 {
+		t.Fatalf("degraded verify: sat=%v x_y=%d x_y_2=%d err=%v", res.Sat, model["x_y"], model["x_y_2"], err)
 	}
 	if got := routes.Value("dense") - dense; got != 2 {
 		t.Fatalf("two degraded verifies took the emitter's dense route %v times", got)

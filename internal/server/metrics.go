@@ -45,6 +45,12 @@ type Metrics struct {
 	// OracleMismatches counts -check-oracle disagreements between the
 	// delta path and the full-rebuild oracle; any nonzero value is a bug.
 	OracleMismatches *obs.CounterVec
+	// Rollbacks counts what-if batches verified and then rolled back
+	// because the caller asked for a pure query (discard); AbortedBatches
+	// counts batches rolled back because an edit was rejected or the
+	// verification errored.
+	Rollbacks      *obs.CounterVec
+	AbortedBatches *obs.CounterVec
 	// Panics counts handler panics recovered by the middleware, per
 	// endpoint. Any nonzero value is a bug, but a recovered one: the
 	// daemon answered 500 and stayed up.
@@ -62,6 +68,8 @@ func NewMetrics() *Metrics {
 		CacheHits:        obs.NewCounterVec("fsr_solver_cache_hits_total", "Verifications answered from the standing solver result."),
 		VerifyDuration:   obs.NewHistogramVec("fsr_verify_duration_seconds", "Verification wall-clock latency by discharge mode.", "mode"),
 		OracleMismatches: obs.NewCounterVec("fsr_oracle_mismatches_total", "Delta-vs-full-rebuild verification disagreements (check-oracle mode)."),
+		Rollbacks:        obs.NewCounterVec("fsr_whatif_rollbacks_total", "What-if batches verified and rolled back on request (discard)."),
+		AbortedBatches:   obs.NewCounterVec("fsr_whatif_aborted_batches_total", "What-if batches rolled back because an edit or the verification failed."),
 		Panics:           obs.NewCounterVec("fsr_panics_total", "Handler panics recovered by the middleware.", "endpoint"),
 	}
 }
@@ -78,6 +86,8 @@ func (m *Metrics) Expose() string {
 	m.CacheHits.Expose(&b)
 	m.VerifyDuration.Expose(&b)
 	m.OracleMismatches.Expose(&b)
+	m.Rollbacks.Expose(&b)
+	m.AbortedBatches.Expose(&b)
 	m.Panics.Expose(&b)
 	return b.String()
 }
@@ -95,6 +105,8 @@ func (m *Metrics) Samples() []obs.Sample {
 	out = append(out, m.CacheHits.Samples()...)
 	out = append(out, m.VerifyDuration.Samples()...)
 	out = append(out, m.OracleMismatches.Samples()...)
+	out = append(out, m.Rollbacks.Samples()...)
+	out = append(out, m.AbortedBatches.Samples()...)
 	out = append(out, m.Panics.Samples()...)
 	return out
 }

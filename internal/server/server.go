@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"regexp"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +89,8 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 //	POST /v1/instances              load an instance (by gadget name or inline JSON)
 //	GET  /v1/instances              list resident instances
 //	GET  /v1/instances/{id}         inspect one instance and its solver stats
-//	POST /v1/instances/{id}/verify  decide safety (delta when possible)
-//	POST /v1/instances/{id}/whatif  apply edits, re-verify, optionally discard
+//	POST /v1/instances/{id}/verify  decide safety (delta when possible); a safe verdict carries its witness model
+//	POST /v1/instances/{id}/whatif  apply a batch of edits, re-verify, then keep all of it or (discard, or any failure) none of it; no model — ask verify
 //	POST /v1/analyze                one-shot analysis (Options.Analyze only)
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus text exposition
@@ -380,7 +382,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 type verdict struct {
 	ID   string `json:"id"`
 	Safe bool   `json:"safe"`
-	// Model carries the strict-monotonicity witness when safe.
+	// Model carries the strict-monotonicity witness of a safe verify. A
+	// what-if leaves it out: the witness of a committed edit is the next
+	// (cached) verify's.
 	Model map[string]int `json:"model,omitempty"`
 	// Core and Suspects pinpoint the violation when unsafe.
 	Core            []string `json:"core,omitempty"`
@@ -401,20 +405,18 @@ type verdict struct {
 	Solver         solverStats `json:"solver"`
 }
 
-// runVerify decides safety on v, classifies the discharge mode from the
-// solver-stats movement, feeds the daemon metrics, and (in -check-oracle
-// mode) differentially validates the answer against a full rebuild.
-// Callers hold the entry lock (or own v exclusively).
-func (s *Server) runVerify(r *http.Request, id string, v *spp.DeltaVerifier) (verdict, int, error) {
+// runVerify decides safety on v under the caller's flight-recorder op,
+// classifies the discharge mode from the solver-stats movement, feeds the
+// daemon metrics, and (in -check-oracle mode) differentially validates the
+// answer against a full rebuild. Callers hold the entry lock.
+func (s *Server) runVerify(ctx context.Context, op *obs.Op, id string, v *spp.DeltaVerifier) (verdict, error) {
 	before := v.DeltaStats()
-	ctx, op := obs.Flight().StartOp(r.Context(), "verify", id)
 	start := time.Now()
 	res, suspects, err := v.Verify(ctx)
 	wall := time.Since(start)
 	if err != nil {
 		op.SetVerdict("error")
-		op.Finish()
-		return verdict{}, http.StatusUnprocessableEntity, err
+		return verdict{}, err
 	}
 	after := v.DeltaStats()
 	var mode string
@@ -446,11 +448,10 @@ func (s *Server) runVerify(r *http.Request, id string, v *spp.DeltaVerifier) (ve
 		op.Counter("cache_hits", int64(after.CacheHits-before.CacheHits))
 		op.Counter("probes", int64(res.Stats.Probes))
 		op.Counter("relaxations", int64(res.Stats.Relaxations))
-		op.Finish()
 	}
 
 	out := verdict{
-		ID: id, Safe: res.Sat, Model: res.Model,
+		ID: id, Safe: res.Sat,
 		NumPreference: res.NumPreference, NumMonotonicity: res.NumMonotonicity,
 		Mode: mode, DurationMS: float64(wall.Microseconds()) / 1e3,
 		Solver: solverStats{
@@ -466,45 +467,28 @@ func (s *Server) runVerify(r *http.Request, id string, v *spp.DeltaVerifier) (ve
 	}
 	if s.opts.CheckOracle {
 		out.OracleChecked = true
-		out.OracleMismatch = !s.oracleAgrees(r, v, res, suspects)
+		out.OracleMismatch = !oracleAgrees(ctx, v, res, suspects)
 		if out.OracleMismatch {
 			s.metrics.OracleMismatches.Inc()
 		}
 	}
-	return out, http.StatusOK, nil
+	return out, nil
 }
 
 // oracleAgrees replays the check through the full-rebuild pipeline and
-// compares verdict, model, core, and suspects bit for bit.
-func (s *Server) oracleAgrees(r *http.Request, v *spp.DeltaVerifier, res analysis.Result, suspects []spp.Node) bool {
-	want, wantSus, err := v.VerifyFull(r.Context())
+// compares verdict, counts, model (rendered for the comparison), core, and
+// suspects bit for bit.
+func oracleAgrees(ctx context.Context, v *spp.DeltaVerifier, res analysis.Result, suspects []spp.Node) bool {
+	want, wantSus, err := v.VerifyFull(ctx)
 	if err != nil {
 		return false
 	}
-	if want.Sat != res.Sat ||
-		want.NumPreference != res.NumPreference ||
-		want.NumMonotonicity != res.NumMonotonicity ||
-		len(want.Model) != len(res.Model) ||
-		len(want.Core) != len(res.Core) ||
-		len(wantSus) != len(suspects) {
-		return false
-	}
-	for k, val := range want.Model {
-		if res.Model[k] != val {
-			return false
-		}
-	}
-	for i := range want.Core {
-		if want.Core[i] != res.Core[i] {
-			return false
-		}
-	}
-	for i := range wantSus {
-		if wantSus[i] != suspects[i] {
-			return false
-		}
-	}
-	return true
+	return want.Sat == res.Sat &&
+		want.NumPreference == res.NumPreference &&
+		want.NumMonotonicity == res.NumMonotonicity &&
+		maps.Equal(want.Model, v.Model()) &&
+		slices.Equal(want.Core, res.Core) &&
+		slices.Equal(wantSus, suspects)
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -514,13 +498,18 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	out, code, err := s.runVerify(r, ent.id, ent.v)
+	ctx, op := obs.Flight().StartOp(r.Context(), "verify", ent.id)
+	defer op.Finish()
+	out, err := s.runVerify(ctx, op, ent.id, ent.v)
 	if err != nil {
-		writeErr(w, code, "verifying %s: %v", ent.id, err)
+		writeErr(w, http.StatusUnprocessableEntity, "verifying %s: %v", ent.id, err)
 		return
 	}
+	// The operator asked for the resident instance's verdict: a safe one
+	// comes with its witness.
+	out.Model = ent.v.Model()
 	ent.verifies++
-	writeJSON(w, code, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // whatIfOp is one edit of a what-if batch.
@@ -539,8 +528,8 @@ type whatIfOp struct {
 
 type whatIfRequest struct {
 	Ops []whatIfOp `json:"ops"`
-	// Discard applies the edits to a throwaway clone: the resident
-	// instance is left untouched, making the call a pure query.
+	// Discard rolls the edits back once the verdict is in: the resident
+	// instance is left as it was, making the call a pure query.
 	Discard bool `json:"discard,omitempty"`
 }
 
@@ -579,6 +568,11 @@ func applyOp(v *spp.DeltaVerifier, op whatIfOp) error {
 	}
 }
 
+// handleWhatIf runs one batch as a transaction on the resident verifier:
+// apply, verify (oracle included, while the edits stand), then commit — or
+// roll back, when the caller asked for a pure query or anything failed, so
+// a batch is kept whole or not at all. The cost is the edits', whichever
+// way it ends.
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	ent := s.lookup(w, r)
 	if ent == nil {
@@ -594,32 +588,56 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	target := ent.v
-	if req.Discard {
-		target = ent.v.Clone()
-	}
-	for i, op := range req.Ops {
-		if err := applyOp(target, op); err != nil {
-			// Edits validate before they mutate, and failed batches on the
-			// resident instance leave the already-applied prefix in place —
-			// report how far the batch got so the caller can reason about
-			// the state (discard mode is immune by construction).
-			writeErr(w, http.StatusBadRequest, "what-if op %d (%s): %v (applied %d of %d)",
-				i, op.Op, err, i, len(req.Ops))
+	ctx, op := obs.Flight().StartOp(r.Context(), "whatif", ent.id)
+	defer op.Finish()
+
+	v := ent.v
+	v.Begin()
+	keep := false
+	defer func() { // every way out but a verified, wanted batch — panics included — rolls back
+		name, end := "rollback", v.Rollback
+		if keep {
+			name, end = "commit", v.Commit
+		}
+		_, sp := obs.StartSpan(ctx, name)
+		_, entries := v.Journal()
+		sp.AttrInt("journal_entries", int64(entries))
+		end()
+		sp.End()
+	}()
+
+	_, sp := obs.StartSpan(ctx, "apply")
+	for i, o := range req.Ops {
+		if err := applyOp(v, o); err != nil {
+			sp.End()
+			s.metrics.AbortedBatches.Inc()
+			op.SetVerdict("aborted")
+			writeErr(w, http.StatusBadRequest, "what-if op %d (%s): %v (batch of %d rolled back, instance unchanged)",
+				i, o.Op, err, len(req.Ops))
 			return
 		}
 	}
-	out, code, err := s.runVerify(r, ent.id, target)
+	splices, _ := v.Journal()
+	sp.AttrInt("splices", int64(splices))
+	sp.End()
+
+	vctx, sp := obs.StartSpan(ctx, "verify")
+	out, err := s.runVerify(vctx, op, ent.id, v)
+	sp.AttrInt("affected", int64(v.DeltaStats().LastAffected))
+	sp.End()
 	if err != nil {
-		writeErr(w, code, "verifying %s after what-if: %v", ent.id, err)
+		s.metrics.AbortedBatches.Inc()
+		writeErr(w, http.StatusUnprocessableEntity, "verifying %s after what-if: %v (batch rolled back, instance unchanged)", ent.id, err)
 		return
 	}
 	out.Applied = len(req.Ops)
 	out.Discarded = req.Discard
-	if !req.Discard {
+	if keep = !req.Discard; keep {
 		ent.verifies++
+	} else {
+		s.metrics.Rollbacks.Inc()
 	}
-	writeJSON(w, code, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // analyzeRequest is the body of POST /v1/analyze: one instance, decided

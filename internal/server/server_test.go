@@ -121,11 +121,18 @@ func TestServerLifecycle(t *testing.T) {
 	if !v.Safe || v.Discarded {
 		t.Fatalf("repair what-if: %+v", v)
 	}
-	if len(v.Model) == 0 {
-		t.Fatal("safe verdict without witness model")
-	}
 	if v.OracleMismatch {
 		t.Fatal("delta result disagrees with the full-rebuild oracle")
+	}
+	// A what-if answers the verdict alone; the witness of the committed
+	// repair is the next verify's, answered from the standing result.
+	if len(v.Model) != 0 {
+		t.Fatalf("what-if response carries a %d-entry model", len(v.Model))
+	}
+	v = verdict{}
+	if call(t, "POST", ts.URL+"/v1/instances/demo/verify", nil, &v); !v.Safe || v.Mode != "cached" || len(v.Model) == 0 || v.OracleMismatch {
+		t.Fatalf("verify after the repair: safe=%v mode=%q model=%d mismatch=%v, want a cached safe verdict with its witness",
+			v.Safe, v.Mode, len(v.Model), v.OracleMismatch)
 	}
 
 	// A further edit from the standing sat state is where delta solving
@@ -153,8 +160,8 @@ func TestServerLifecycle(t *testing.T) {
 	if code := call(t, "GET", ts.URL+"/v1/instances/demo", nil, &got); code != http.StatusOK {
 		t.Fatalf("get: status %d", code)
 	}
-	if got.Verifies != 4 {
-		t.Fatalf("verifies = %d, want 4", got.Verifies)
+	if got.Verifies != 5 {
+		t.Fatalf("verifies = %d, want 5", got.Verifies)
 	}
 	if want := []string{"a,d,r1"}; fmt.Sprint(got.Instance.Rank["a"]) != fmt.Sprint(want) {
 		t.Fatalf("snapshot rank[a] = %v, want %v", got.Instance.Rank["a"], want)
@@ -187,6 +194,8 @@ func TestServerLifecycle(t *testing.T) {
 		"fsr_instances_resident 1",
 		"fsr_delta_solves_total ",
 		"fsr_oracle_mismatches_total 0",
+		"fsr_whatif_rollbacks_total 1",
+		"fsr_whatif_aborted_batches_total 0",
 		`fsr_verify_duration_seconds_bucket{mode="delta",le="+Inf"}`,
 	} {
 		if !strings.Contains(text, want) {
@@ -283,8 +292,8 @@ func TestServerErrors(t *testing.T) {
 		}}, &errBody); code != http.StatusBadRequest {
 		t.Errorf("invalid rerank: status %d", code)
 	}
-	if !strings.Contains(errBody.Error, "applied 0 of 1") {
-		t.Errorf("batch progress missing from error: %q", errBody.Error)
+	if !strings.Contains(errBody.Error, "what-if op 0 (rerank)") || !strings.Contains(errBody.Error, "instance unchanged") {
+		t.Errorf("error names neither the failing op nor the instance's state: %q", errBody.Error)
 	}
 
 	var health struct {

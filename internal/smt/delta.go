@@ -6,31 +6,52 @@
 // graph reachable from the touched assertions, instead of rebuilding and
 // re-solving everything.
 //
-// The invariant that makes this sound: after a sat solve, dist holds a
-// fixed point of the active constraint graph. A splice changes the in-edge
-// sets of a known set of "changed" nodes (the heads of deleted and added
-// edges, plus the zero node when fresh variables bring new positivity
-// edges). Any node whose fixed-point distance can move is reachable from a
-// changed node along out-edges, so the affected region is the forward
-// closure of the changed set; everything outside it keeps both its in-edge
-// set and the distances of those in-edges' tails, hence its distance.
-// SPFA re-seeded on the affected region (boundary edges relaxed from the
-// standing distances) converges to the same fixed point a full solve would
-// reach. A negative cycle introduced by the splice must contain a spliced
-// edge — the surviving edges are a subset of a previously satisfiable set —
-// so it lies inside the affected region and still triggers SPFA's
-// enqueue-count bound, at which point the check falls back to a full
-// rebuild and the engine's one solve (condensation, level run, minimization
-// inside the unsatisfiable components), guaranteeing unsat verdicts, models,
-// and minimal cores are bit-for-bit those of a fresh Context.Check (the
-// differential oracle the tests and the server's -check-oracle mode
-// enforce).
+// The standing state is the fixed point of the last *satisfiable* graph G0
+// plus the changed set: the heads of every edge deleted or added since G0
+// (and the zero node when fresh variables brought new positivity edges),
+// accumulated over however many splices and unsat verdicts came between.
+// The invariant that makes re-probing from it sound: a node's fixed-point
+// distance is the cheapest walk ending at it (from the virtual source that
+// seeds every node at 0). Take the forward closure of the changed set over
+// the out-edges of the current graph G — the affected region. A walk of G0
+// into a node v outside it either survives intact in G, or lost an edge
+// whose head is changed and whose remaining suffix would put v inside the
+// region; a walk of G into v cannot use an added edge for the same reason.
+// So the walks into v are the same in G0 and G, v keeps its distance, and
+// SPFA re-seeded on the region alone (boundary edges relaxed once from the
+// standing distances outside it) converges to the fixed point a full solve
+// of G would reach. A negative cycle of G must contain an edge G0 lacked —
+// G0 was satisfiable — so it lies inside the region and trips SPFA's
+// enqueue-count bound.
+//
+// When it does, the distances the probe reset are put back, the changed set
+// stays pending, and the exact verdict and deletion-minimal core come from
+// the string door's one solve on a pooled engine over the current assertion
+// list — bit for bit a fresh Context.Check, the differential oracle the
+// tests and the server's -check-oracle mode enforce. The private engine
+// never minimizes, so an unsat verdict costs the standing fixed point
+// nothing and the repair that follows is a delta solve.
+//
+// Transactions make a what-if cost its edit. Between Begin and Rollback the
+// context journals the inverse of every splice, the distance of every node
+// a successful re-probe reset, and — at Begin — the intern table's
+// high-water mark, the pending changed set and the memoized result.
+// Rollback replays the journal backwards: the inverse splices restore the
+// assertion and edge lists (edge order is a function of assertion order and
+// variable ids, so they come back element for element), the journalled
+// distances restore the fixed point (nodes outside every probed region
+// never moved), variables interned since Begin are dropped with their
+// positivity edges, and the changed set and memoized result are those of
+// Begin. Predecessor edges are not journalled: they index an edge list
+// every splice renumbers, and nothing on the delta path reads them.
 
 package smt
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -44,9 +65,9 @@ type DeltaStats struct {
 	CacheHits int
 	// DeltaSolves counts checks answered by the incremental re-probe.
 	DeltaSolves int
-	// FullSolves counts checks that rebuilt the graph (first solve, any
-	// solve after an unsat verdict, or a delta probe that found a negative
-	// cycle and fell back for exact core minimization).
+	// FullSolves counts checks that solved the whole assertion list (until
+	// the first sat verdict leaves a fixed point to re-probe from, and for
+	// the exact core whenever a delta probe finds a negative cycle).
 	FullSolves int
 	// LastAffected is the size of the affected region of the last delta
 	// solve (0 when the last solve was full).
@@ -57,7 +78,7 @@ type DeltaStats struct {
 
 // DeltaContext is a mutable logical context with incremental solving:
 // Splice edits the assertion list in place and Check re-decides it, reusing
-// the converged state of the previous solve when possible. It is the
+// the converged state of the last sat solve when there is one. It is the
 // solver-level "delta verification" entry point of the fsr serve daemon.
 //
 // A DeltaContext is not safe for concurrent use. Unlike Context, it owns a
@@ -69,37 +90,73 @@ type DeltaContext struct {
 
 	e *dlEngine
 
-	// built: e reflects asserts. clean: e.dist is a converged fixed point
-	// of the full active graph (last solve was sat) and the active mask is
-	// all-ground-assertions (minimize was not run since).
-	built, clean bool
-	csrDirty     bool
+	// built: e holds the graph of asserts, every ground assertion active,
+	// and e.dist the fixed point of that graph as of the last sat solve;
+	// changed lists what moved since. False until a first solve is sat.
+	built    bool
+	csrDirty bool
 
 	// edgeOff[i] is the offset of assertion i's edges in e.edges;
 	// edgeOff[len(asserts)] is the total assertion-edge count (positivity
 	// edges follow). Quantified assertions own zero edges.
 	edgeOff []int32
 	// varRef counts ground-assertion references per variable id. Interning
-	// is persistent across splices, so a variable whose assertions were all
-	// removed stays in the graph as an orphan (positivity edge only, no
-	// in-edges); varRef masks orphans out of models, which keeps them
-	// bit-for-bit equal to a fresh solve's.
+	// outlives the assertions that caused it (except across a Rollback), so
+	// a variable whose assertions were all removed stays in the graph as an
+	// orphan (positivity edge only, no in-edges); varRef masks orphans out
+	// of models, which keeps them bit-for-bit equal to a fresh solve's.
 	varRef []int32
 
 	// changed marks nodes whose in-edge set was touched by splices since
-	// the last solve.
+	// the standing fixed point.
 	changed   []int32
 	changedIn []bool
 
-	// affected-region scratch.
-	affected []int32
-	inAff    []bool
+	// Scratch: the affected region, and the edges, offsets and mask of a
+	// splice's additions.
+	affected  []int32
+	inAff     []bool
+	addEdges  []dlEdge
+	addOff    []int32
+	addActive []bool
 
 	// memoized result of the last Check, valid until the next Splice.
 	res      Result
 	resValid bool
 
+	tx    deltaTx
 	stats DeltaStats
+}
+
+// deltaTx is the undo journal of one transaction: what Begin found, and
+// what to replay backwards to get there again.
+type deltaTx struct {
+	open bool
+
+	built        bool
+	vars         int     // intern-table high-water mark
+	changed      []int32 // the pending changed set
+	res          Result
+	resValid     bool
+	lastAffected int
+	lastDuration time.Duration
+
+	splices []spliceUndo
+	removed []Assertion // arena of the assertions the splices deleted
+	// dist holds the distances successful re-probes replaced. Every probe
+	// stages its region's here, transaction or not, to put them back if it
+	// finds a negative cycle.
+	dist []distUndo
+}
+
+// spliceUndo inverts Splice(at, del, add): delete the added assertions at
+// at and put removed[lo:hi] back.
+type spliceUndo struct{ at, added, lo, hi int }
+
+// distUndo is one node's distance before a re-probe reset it.
+type distUndo struct {
+	node int32
+	dist int
 }
 
 // NewDeltaContext returns a delta context over a copy of the assertions
@@ -131,16 +188,15 @@ func (d *DeltaContext) Assertions() []Assertion {
 // Stats returns the accumulated solver statistics.
 func (d *DeltaContext) Stats() DeltaStats { return d.stats }
 
-// Clone returns an independent copy, including the warm engine state, so a
-// what-if can be applied to the clone and discarded without disturbing (or
-// cooling) the original.
+// Clone returns an independent copy, including the warm engine state, taken
+// outside any transaction. Nothing in production clones since what-ifs roll
+// back; the benchmark's frozen replay still does.
 func (d *DeltaContext) Clone() *DeltaContext {
 	c := &DeltaContext{
 		asserts:  append([]Assertion(nil), d.asserts...),
 		numQuant: d.numQuant,
 		e:        d.e.clone(),
 		built:    d.built,
-		clean:    d.clean,
 		csrDirty: d.csrDirty,
 		edgeOff:  append([]int32(nil), d.edgeOff...),
 		varRef:   append([]int32(nil), d.varRef...),
@@ -156,7 +212,7 @@ func (d *DeltaContext) Clone() *DeltaContext {
 }
 
 // clone deep-copies the engine's persistent state (the probe buffers are
-// copied too: dist/pred are live state for a clean delta context; the
+// copied too: dist is live state for a built delta context; the
 // condensation plan is rebuilt by every solve and is not).
 func (e *dlEngine) clone() *dlEngine {
 	c := &dlEngine{varID: make(map[Var]int32, len(e.varID))}
@@ -179,53 +235,175 @@ func (e *dlEngine) clone() *dlEngine {
 	return c
 }
 
-// Splice replaces asserts[at : at+del] with add (normalized), patching the
-// live constraint graph in place when one exists: the removed assertions'
-// edges are cut out of the edge list, the added assertions' edges spliced
-// in, new variables interned persistently, and the heads of every touched
-// edge recorded as changed so the next Check can re-probe just the region
-// they reach.
+// Begin opens a transaction: every Splice and Check until Commit or
+// Rollback is journalled, and Rollback leaves the context — assertions,
+// standing fixed point, interned variables, pending changes, memoized
+// result — as Begin found it, so the next Check answers what, and how
+// (cached, delta), it would have answered had the transaction never run.
+// Only the monotone counters of Stats keep counting. Transactions do not
+// nest.
+func (d *DeltaContext) Begin() {
+	if d.tx.open {
+		panic("smt: DeltaContext.Begin inside a transaction")
+	}
+	tx := &d.tx
+	tx.open = true
+	tx.built, tx.vars = d.built, len(d.e.idVar)
+	tx.changed = append(tx.changed[:0], d.changed...)
+	tx.res, tx.resValid = d.res, d.resValid
+	tx.lastAffected, tx.lastDuration = d.stats.LastAffected, d.stats.LastDuration
+}
+
+// Journal reports the open transaction's size: splices recorded, and undo
+// entries in all (splice inverses plus journalled distances).
+func (d *DeltaContext) Journal() (splices, entries int) {
+	return len(d.tx.splices), len(d.tx.splices) + len(d.tx.dist)
+}
+
+// Commit closes the transaction, keeping its edits.
+func (d *DeltaContext) Commit() {
+	if !d.tx.open {
+		panic("smt: DeltaContext.Commit outside a transaction")
+	}
+	d.tx.close()
+}
+
+// Rollback closes the transaction and undoes it; see Begin.
+func (d *DeltaContext) Rollback() {
+	tx := &d.tx
+	if !tx.open {
+		panic("smt: DeltaContext.Rollback outside a transaction")
+	}
+	tx.open = false // the inverse splices are not themselves journalled
+	if !tx.built {
+		// A first sat solve inside the transaction built a fixed point for
+		// assertions that are about to go; there was none before.
+		d.built = false
+	}
+	for i := len(tx.splices) - 1; i >= 0; i-- {
+		u := tx.splices[i]
+		d.splice(u.at, u.added, tx.removed[u.lo:u.hi])
+	}
+	if tx.built {
+		for i := len(tx.dist) - 1; i >= 0; i-- {
+			d.e.dist[tx.dist[i].node] = tx.dist[i].dist
+		}
+		d.clearChanged()
+		d.unintern(tx.vars)
+		for _, v := range tx.changed {
+			d.markChanged(v)
+		}
+	}
+	d.res, d.resValid = tx.res, tx.resValid
+	d.stats.LastAffected, d.stats.LastDuration = tx.lastAffected, tx.lastDuration
+	tx.close()
+}
+
+func (tx *deltaTx) close() {
+	tx.open = false
+	tx.res = Result{}
+	tx.splices = tx.splices[:0]
+	clear(tx.removed) // drop the origin strings
+	tx.removed = tx.removed[:0]
+	tx.dist = tx.dist[:0]
+}
+
+// unintern forgets the variables interned at or after id mark, which no
+// assertion references any more: their names, their slots in every
+// node-indexed buffer, and their positivity edges (the tail of the edge
+// list, in id order).
+func (d *DeltaContext) unintern(mark int) {
+	e := d.e
+	fresh := len(e.idVar) - mark
+	if fresh == 0 {
+		return
+	}
+	for _, name := range e.idVar[mark:] {
+		delete(e.varID, name)
+	}
+	clear(e.idVar[mark:])
+	e.idVar = e.idVar[:mark]
+	e.edges = e.edges[:len(e.edges)-fresh]
+	d.varRef = d.varRef[:mark]
+	d.changedIn = d.changedIn[:mark]
+	e.dist, e.pred, e.cnt = e.dist[:mark], e.pred[:mark], e.cnt[:mark]
+	e.inQ, e.queue = e.inQ[:mark], e.queue[:mark]
+	d.csrDirty = true
+}
+
+// Splice replaces asserts[at : at+del] with add (normalized), in place: a
+// splice that keeps the list's length touches only its own entries, any
+// other moves the tail once. When a fixed point stands, the constraint
+// graph is patched the same way — the removed assertions' edges cut out,
+// the added ones' spliced in, new variables interned — and the heads of
+// every touched edge recorded as changed so the next Check can re-probe
+// just the region they reach.
 func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
 	if at < 0 || del < 0 || at+del > len(d.asserts) {
 		return fmt.Errorf("smt: splice [%d:%d+%d] out of range 0..%d", at, at, del, len(d.asserts))
 	}
 	obsDeltaSplices.Inc()
-	d.resValid = false
-	// Normalize the additions once, up front.
-	norm := make([]Assertion, len(add))
-	for i, a := range add {
-		norm[i] = a.normalized()
+	if tx := &d.tx; tx.open {
+		lo := len(tx.removed)
+		tx.removed = append(tx.removed, d.asserts[at:at+del]...)
+		tx.splices = append(tx.splices, spliceUndo{at: at, added: len(add), lo: lo, hi: len(tx.removed)})
 	}
-	for _, a := range d.asserts[at : at+del] {
-		if a.QuantVar != "" {
+	d.splice(at, del, add)
+	return nil
+}
+
+// replace is slices.Replace(s, at, at+del, v...), except that a window that
+// keeps its length is overwritten without copying the tail onto itself.
+func replace[E any](s []E, at, del int, v []E) []E {
+	if len(v) == del {
+		copy(s[at:], v)
+		return s
+	}
+	return slices.Replace(s, at, at+del, v...)
+}
+
+func (d *DeltaContext) splice(at, del int, add []Assertion) {
+	d.resValid = false
+	e := d.e
+	for i := at; i < at+del; i++ {
+		if d.asserts[i].QuantVar != "" {
 			d.numQuant--
 		}
 	}
-	for _, a := range norm {
-		if a.QuantVar != "" {
+	var aEnd, dEnd int32
+	if d.built {
+		// The removed assertions drop their variable references, and the
+		// heads of their edges lose an in-edge.
+		aEnd, dEnd = d.edgeOff[at], d.edgeOff[at+del]
+		for i := at; i < at+del; i++ {
+			d.ref(&d.asserts[i], -1)
+		}
+		for _, ed := range e.edges[aEnd:dEnd] {
+			d.markChanged(ed.to)
+		}
+	}
+	d.asserts = replace(d.asserts, at, del, add)
+	fresh := d.asserts[at : at+len(add)]
+	for j := range fresh {
+		fresh[j] = fresh[j].normalized()
+		if fresh[j].QuantVar != "" {
 			d.numQuant++
 		}
 	}
-
-	if !d.built || !d.clean {
-		// No live converged graph to patch: splice the assert list only;
-		// the next Check rebuilds from scratch anyway.
-		d.asserts = spliceAsserts(d.asserts, at, del, norm)
-		return nil
+	if !d.built {
+		return // no graph to patch: the next Check builds one
 	}
 
-	e := d.e
-	// Deleted assertions drop their variable references; added ones intern
-	// (persistently), contribute their edges and add references. A fresh
-	// node grows the node-indexed buffers and starts at the virtual-source
-	// distance like every node of a fresh solve.
-	for i := at; i < at+del; i++ {
-		d.ref(&d.asserts[i], -1)
-	}
+	// The added assertions intern their variables, contribute their edges
+	// and add references. A fresh node grows the node-indexed buffers and
+	// starts at the virtual-source distance like every node of a fresh
+	// solve.
 	oldV := len(e.idVar)
-	var addEdges []dlEdge
-	for j := range norm {
-		addEdges = e.appendEdges(addEdges, &norm[j], int32(at+j))
+	d.addEdges, d.addOff, d.addActive = d.addEdges[:0], d.addOff[:0], d.addActive[:0]
+	for j := range fresh {
+		d.addOff = append(d.addOff, aEnd+int32(len(d.addEdges)))
+		d.addActive = append(d.addActive, fresh[j].QuantVar == "")
+		d.addEdges = e.appendEdges(d.addEdges, &fresh[j], int32(at+j))
 	}
 	for v := oldV; v < len(e.idVar); v++ {
 		d.varRef = append(d.varRef, 0)
@@ -236,70 +414,35 @@ func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
 		e.queue = append(e.queue, 0)
 		d.changedIn = append(d.changedIn, false)
 	}
-	for j := range norm {
-		d.ref(&norm[j], 1)
+	for j := range fresh {
+		d.ref(&fresh[j], 1)
+	}
+	for _, ed := range d.addEdges {
+		d.markChanged(ed.to)
 	}
 
-	// Edge-list surgery. Layout: [0:aEnd) untouched prefix, [aEnd:dEnd)
-	// deleted, [dEnd:tEnd) shifted tail, then positivity (regenerated).
-	aEnd := int(d.edgeOff[at])
-	dEnd := int(d.edgeOff[at+del])
-	tEnd := int(d.edgeOff[len(d.asserts)])
-	for i := aEnd; i < dEnd; i++ {
-		d.markChanged(e.edges[i].to)
+	// Edge-list surgery. Layout: [0:aEnd) untouched, [aEnd:dEnd) replaced,
+	// the other assertions' edges, then one positivity edge per variable.
+	e.edges = replace(e.edges, int(aEnd), int(dEnd-aEnd), d.addEdges)
+	d.edgeOff = replace(d.edgeOff, at, del, d.addOff)
+	e.active = replace(e.active, at, del, d.addActive)
+	if grow := int32(len(d.addEdges)) - (dEnd - aEnd); grow != 0 {
+		for i := at + len(add); i < len(d.edgeOff); i++ {
+			d.edgeOff[i] += grow
+		}
 	}
-	for i := range addEdges {
-		d.markChanged(addEdges[i].to)
-	}
-	if len(e.idVar) > oldV {
-		// Fresh positivity edges point at the zero node.
-		d.markChanged(zeroNode)
-	}
-	shift := int32(len(norm) - del)
-	tailLen := tEnd - dEnd
-	newAssertEdges := aEnd + len(addEdges) + tailLen
-	nVars := len(e.idVar) - 1
-	need := newAssertEdges + nVars
-	if cap(e.edges) < need {
-		grown := make([]dlEdge, newAssertEdges, need)
-		copy(grown, e.edges[:aEnd])
-		copy(grown[aEnd:], addEdges)
-		copy(grown[aEnd+len(addEdges):], e.edges[dEnd:tEnd])
-		e.edges = grown
-	} else {
-		e.edges = e.edges[:newAssertEdges]
-		copy(e.edges[aEnd+len(addEdges):newAssertEdges], e.edges[dEnd:tEnd]) // overlap-safe
-		copy(e.edges[aEnd:], addEdges)
-	}
-	if shift != 0 {
-		for i := aEnd + len(addEdges); i < newAssertEdges; i++ {
+	if shift := int32(len(add) - del); shift != 0 {
+		for i := d.edgeOff[at+len(add)]; i < d.edgeOff[len(d.asserts)]; i++ {
 			e.edges[i].assertIdx += shift
 		}
 	}
-	e.appendPositivity()
-	d.csrDirty = true
-
-	// Splice the assertion list and rebuild the per-assertion tables (O(n)
-	// integer work, no interning).
-	d.asserts = spliceAsserts(d.asserts, at, del, norm)
-	d.rebuildOffsets()
-	n := len(d.asserts)
-	e.active = growBool(e.active, n)
-	e.inWitness = growBool(e.inWitness, n)
-	for i := range d.asserts {
-		e.active[i] = d.asserts[i].QuantVar == ""
-		e.inWitness[i] = false
+	if len(e.idVar) > oldV {
+		for v := oldV; v < len(e.idVar); v++ {
+			e.edges = append(e.edges, dlEdge{from: int32(v), to: zeroNode, w: -1, assertIdx: -1})
+		}
+		d.markChanged(zeroNode) // fresh positivity edges point at the zero node
 	}
-	e.witness = e.witness[:0]
-	return nil
-}
-
-func spliceAsserts(asserts []Assertion, at, del int, add []Assertion) []Assertion {
-	out := make([]Assertion, 0, len(asserts)-del+len(add))
-	out = append(out, asserts[:at]...)
-	out = append(out, add...)
-	out = append(out, asserts[at+del:]...)
-	return out
+	d.csrDirty = true
 }
 
 // rebuildOffsets recomputes edgeOff from the assertion list alone (the edge
@@ -351,12 +494,12 @@ func (d *DeltaContext) clearChanged() {
 }
 
 // Check decides the current assertion list. Results are memoized until the
-// next Splice. A clean (previously sat) context is re-decided by the delta
-// path: forward-closure of the changed nodes, boundary relaxation, seeded
-// SPFA. Anything else — first check, any check after unsat, or a delta
-// probe that hits a negative cycle — runs the exact full path of
-// Context.CheckContext on the same engine, so verdicts, models, and
-// minimal cores are always bit-for-bit those of a fresh solve.
+// next Splice. With a fixed point standing, the check is a delta solve:
+// forward closure of the changed nodes, boundary relaxation, seeded SPFA. A
+// probe that hits a negative cycle, and every check before the first sat
+// one, gets the whole-list solve of Context.CheckContext, so verdicts and
+// minimal cores are always bit-for-bit those of a fresh solve. A sat result
+// carries no model: Model renders it.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -379,18 +522,24 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 			return d.memo(res), nil
 		}
 	}
-
-	if d.built && d.clean {
-		res, solved, err := d.deltaSolve(ctx, start)
-		if err != nil {
-			return Result{}, err
-		}
-		if solved {
-			return res, nil
-		}
-		// Negative-cycle trigger: fall through to the exact full path.
+	if !d.built {
+		return d.firstSolve(ctx, start)
 	}
-	return d.fullSolve(ctx, start)
+	if affected, sat := d.deltaSolve(); sat {
+		return d.deltaSat(start, affected), nil
+	}
+	return d.exactUnsat(ctx, start)
+}
+
+// Model renders the satisfying assignment of the last Check off the
+// standing fixed point — bit for bit a fresh solve's model, orphaned
+// variables masked out. It is nil unless that Check was sat and no Splice
+// came after it.
+func (d *DeltaContext) Model() map[Var]int {
+	if !d.built || !d.resValid || !d.res.Sat {
+		return nil
+	}
+	return d.e.model(d.varRef)
 }
 
 // memo keeps a solving Check's result until the next Splice.
@@ -400,15 +549,15 @@ func (d *DeltaContext) memo(res Result) Result {
 	return res
 }
 
-// fullSolve rebuilds the engine for the current assertions and runs the
-// engine's one solve, exactly as the string door does on a pooled engine.
-func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, error) {
+// firstSolve builds the private engine for the current assertions and runs
+// the engine's one solve, exactly as the string door does on a pooled
+// engine. A sat verdict leaves the fixed point every later check re-probes
+// from; an unsat one leaves the engine mid-minimization and unbuilt.
+func (d *DeltaContext) firstSolve(ctx context.Context, start time.Time) (Result, error) {
 	e := d.e
 	e.build(d.asserts)
-	d.built, d.csrDirty = true, false
+	d.csrDirty = false
 	d.rebuildOffsets()
-	// Recompute reference counts against the rebuilt (orphan-free) intern
-	// table.
 	d.varRef = growInt32(d.varRef, len(e.idVar))
 	clear(d.varRef)
 	for i := range d.asserts {
@@ -417,9 +566,7 @@ func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, 
 	d.changedIn = growBool(d.changedIn, len(e.idVar))
 	clear(d.changedIn)
 	d.changed = d.changed[:0]
-	d.stats.FullSolves++
-	obsFullSolves.Inc()
-	d.stats.LastAffected = 0
+	d.countFull()
 
 	var (
 		res Result
@@ -427,35 +574,58 @@ func (d *DeltaContext) fullSolve(ctx context.Context, start time.Time) (Result, 
 	)
 	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, false, &res.Stats)
 	if err != nil {
-		// The active mask may be mid-minimization: force a rebuild next time.
-		d.built, d.clean = false, false
 		return Result{}, err
 	}
-	// An unsat solve's minimization disturbed the active mask and distances.
-	if d.clean = res.Sat; res.Sat {
-		res.Model = e.model(d.varRef)
-	} else {
+	if d.built = res.Sat; !res.Sat {
 		res.Core = coreOf(d.asserts, res.CoreIdx)
 	}
 	res.Stats.Duration = time.Since(start)
 	return d.memo(res), nil
 }
 
-// deltaSolve re-probes the affected region of a clean graph. It reports
-// solved=false when SPFA triggers the negative-cycle bound, in which case
-// the caller runs the full path (state is untouched in a way that matters:
-// fullSolve rebuilds everything).
-func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result, bool, error) {
+func (d *DeltaContext) countFull() {
+	d.stats.FullSolves++
+	obsFullSolves.Inc()
+	d.stats.LastAffected = 0
+}
+
+// exactUnsat answers a check whose delta probe found a negative cycle: the
+// verdict and deletion-minimal core of the string door's solve over the
+// current assertions, on a pooled engine. The private engine is not
+// involved — its distances are back at the standing fixed point and the
+// changed set stays pending for the next check.
+func (d *DeltaContext) exactUnsat(ctx context.Context, start time.Time) (Result, error) {
+	res, err := solveAsserts(ctx, d.asserts, false)
+	if err != nil {
+		return Result{}, err
+	}
+	if res.Sat {
+		// SPFA's enqueue bound trips only on a negative cycle.
+		return Result{}, errors.New("smt: delta probe found a negative cycle the full solve does not")
+	}
+	d.countFull()
+	res.Stats.Probes += d.e.statProbes
+	res.Stats.Relaxations += d.e.statRelax
+	res.Stats.Duration = time.Since(start)
+	return d.memo(res), nil
+}
+
+// deltaSolve re-probes the region of the graph the changed set reaches and
+// reports its size. sat=false means SPFA tripped the negative-cycle bound;
+// the region's distances are then back where they stood and the changed
+// set is still pending. Inside a transaction the distances a successful
+// probe replaced are journalled for Rollback.
+func (d *DeltaContext) deltaSolve() (affected int, sat bool) {
 	e := d.e
 	if d.csrDirty {
 		e.buildCSR()
 		d.csrDirty = false
 	}
 	if len(d.changed) == 0 {
-		// Nothing touched the graph since the last fixed point (e.g. a
-		// splice of identical assertions): the standing distances are the
-		// answer.
-		return d.deltaSat(start, 0), true, nil
+		// Nothing touched the graph since the fixed point (e.g. a splice
+		// that put back what the last one removed): the standing distances
+		// are the answer.
+		return 0, true
 	}
 
 	// Affected region: forward closure of the changed nodes over active
@@ -464,10 +634,8 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 	d.inAff = growBool(d.inAff, len(e.idVar))
 	d.affected = d.affected[:0]
 	for _, v := range d.changed {
-		if !d.inAff[v] {
-			d.inAff[v] = true
-			d.affected = append(d.affected, v)
-		}
+		d.inAff[v] = true
+		d.affected = append(d.affected, v)
 	}
 	for qi := 0; qi < len(d.affected); qi++ {
 		u := d.affected[qi]
@@ -483,10 +651,14 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 		}
 	}
 
-	// Reset the region to virtual-source distances and seed the queue with
-	// it; boundary edges (unaffected tail → affected head) are relaxed once
-	// from the standing distances, which never move during the re-probe.
+	// Reset the region to virtual-source distances, remembering what stood
+	// there, and seed the queue with it; boundary edges (unaffected tail →
+	// affected head) are relaxed once from the standing distances, which
+	// never move during the re-probe.
+	tx := &d.tx
+	mark := len(tx.dist)
 	for i, v := range d.affected {
+		tx.dist = append(tx.dist, distUndo{v, e.dist[v]})
 		e.dist[v] = 0
 		e.pred[v] = -1
 		e.cnt[v] = 1
@@ -506,28 +678,32 @@ func (d *DeltaContext) deltaSolve(ctx context.Context, start time.Time) (Result,
 	e.statProbes++
 	trigger := e.spfaLoop(0, int32(len(d.affected)))
 
-	nAff := len(d.affected)
+	affected = len(d.affected)
 	for _, v := range d.affected {
 		d.inAff[v] = false
 	}
 	d.affected = d.affected[:0]
 
 	if trigger >= 0 {
-		// A negative cycle (or an unconfirmable trigger): hand over to the
-		// full path for the exact verdict and minimal core.
-		d.clean = false
-		return Result{}, false, nil
+		// Only nodes of the region were relaxed or queued.
+		for _, u := range tx.dist[mark:] {
+			e.dist[u.node] = u.dist
+			e.inQ[u.node] = false
+		}
+		tx.dist = tx.dist[:mark]
+		return affected, false
+	}
+	if !tx.open {
+		tx.dist = tx.dist[:mark] // nobody to roll back for
 	}
 	d.clearChanged()
-	return d.deltaSat(start, nAff), true, nil
+	return affected, true
 }
 
-// deltaSat reports the standing fixed point as a delta solve's sat result,
-// masking orphaned variables (interned once, no longer referenced) out of
-// the model so it matches a fresh solve's exactly.
+// deltaSat reports the standing fixed point as a delta solve's sat result.
 func (d *DeltaContext) deltaSat(start time.Time, affected int) Result {
 	e := d.e
-	res := Result{Sat: true, Model: e.model(d.varRef),
+	res := Result{Sat: true,
 		Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}}
 	e.snapshotStats(&res.Stats)
 	res.Stats.Duration = time.Since(start)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -55,29 +57,85 @@ func requireParity(t *testing.T, label string, got, want Result) {
 	}
 }
 
+// deltaCheck runs Check and attaches the model Model renders for it, so a
+// result compares field for field with a fresh Context.Check.
 func deltaCheck(t *testing.T, d *DeltaContext) Result {
 	t.Helper()
 	res, err := d.Check(context.Background())
 	if err != nil {
 		t.Fatalf("delta check: %v", err)
 	}
+	if res.Model != nil {
+		t.Fatalf("delta check built a model: %v", res.Model)
+	}
+	res.Model = d.Model()
+	if res.Sat != (res.Model != nil) {
+		t.Fatalf("Sat=%v but Model()=%v", res.Sat, res.Model)
+	}
 	return res
 }
 
-// TestDeltaSpliceFuzz drives random splice sequences over random
-// difference-logic instances and asserts every intermediate Check matches a
-// fresh full solve of the same assertion list.
+// deltaState is everything a DeltaContext carries between checks, for
+// comparing a rolled-back context with the one Begin found.
+type deltaState struct {
+	Asserts  []Assertion
+	Built    bool
+	Vars     []Var
+	Edges    []dlEdge
+	Dist     []int
+	EdgeOff  []int32
+	VarRef   []int32
+	Active   []bool
+	Changed  []int32
+	Res      Result
+	ResValid bool
+}
+
+func stateOf(d *DeltaContext) deltaState {
+	st := deltaState{Asserts: d.Assertions(), Built: d.built, Res: d.res, ResValid: d.resValid}
+	if d.built { // an unbuilt context's engine is scratch
+		st.Vars = slices.Clone(d.e.idVar)
+		st.Edges = slices.Clone(d.e.edges)
+		st.Dist = slices.Clone(d.e.dist)
+		st.EdgeOff = slices.Clone(d.edgeOff)
+		st.VarRef = slices.Clone(d.varRef)
+		st.Active = slices.Clone(d.e.active)
+		st.Changed = append([]int32(nil), d.changed...) // nil when empty, however it got there
+	}
+	return st
+}
+
+// TestDeltaSpliceFuzz drives random transactions over random
+// difference-logic instances: Begin, one to four splices (fresh variables,
+// quantified atoms, whatever verdict flips they cause), a Check that must
+// match a fresh full solve of the same list bit for bit, then Commit or
+// Rollback. A rolled-back context must be, field for field, the one Begin
+// found: the next Check is answered from the memoized result, and a
+// one-edge splice after it by a delta solve — also when the check that was
+// rolled back had found a negative cycle.
 func TestDeltaSpliceFuzz(t *testing.T) {
 	vars := []Var{"a", "b", "c", "d", "e", "f", "g", "h"}
+	unsatRolledBack, freshRolledBack := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		fresh := 0
 		randTerm := func() Term {
-			if rng.Intn(6) == 0 {
+			switch k := rng.Intn(12); {
+			case k < 2:
 				return C(rng.Intn(7) - 3)
+			case k < 3: // a variable the context has never seen
+				fresh++
+				return V(fmt.Sprintf("v%d", fresh)).Plus(rng.Intn(3) - 1)
 			}
 			return V(string(vars[rng.Intn(len(vars))])).Plus(rng.Intn(5) - 2)
 		}
 		randAssert := func() Assertion {
+			switch rng.Intn(30) {
+			case 0: // ∀n. n ≤ n+1: valid, owns no edge
+				return Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
+			case 1: // ∀n. n+1 < n: invalid, a one-element core by itself
+				return Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
+			}
 			return Assertion{
 				Rel: Rel(rng.Intn(5)), // Lt, Le, Eq, Gt, Ge
 				A:   randTerm(),
@@ -90,35 +148,77 @@ func TestDeltaSpliceFuzz(t *testing.T) {
 		}
 		d := NewDeltaContext(asserts)
 		requireParity(t, fmt.Sprintf("seed %d initial", seed), deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-		for step := 0; step < 25; step++ {
-			n := d.Len()
-			at := rng.Intn(n + 1)
-			del := 0
-			if at < n {
-				del = rng.Intn(min(n-at, 3) + 1)
+		for round := 0; round < 25; round++ {
+			before, vars := stateOf(d), len(d.e.idVar)
+			d.Begin()
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				n := d.Len()
+				at := rng.Intn(n + 1)
+				del := 0
+				if at < n {
+					del = rng.Intn(min(n-at, 3) + 1)
+				}
+				add := make([]Assertion, rng.Intn(3))
+				for i := range add {
+					add[i] = randAssert()
+				}
+				if err := d.Splice(at, del, add); err != nil {
+					t.Fatalf("seed %d round %d: splice: %v", seed, round, err)
+				}
 			}
-			add := make([]Assertion, rng.Intn(3))
-			for i := range add {
-				add[i] = randAssert()
+			label := fmt.Sprintf("seed %d round %d", seed, round)
+			inside := deltaCheck(t, d)
+			requireParity(t, label+" inside", inside, oracleCheck(t, d.Assertions()))
+			if rng.Intn(2) == 0 {
+				d.Commit()
+				requireParity(t, label+" committed", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+				continue
 			}
-			if err := d.Splice(at, del, add); err != nil {
-				t.Fatalf("seed %d step %d: splice: %v", seed, step, err)
+			grew := d.built && len(d.e.idVar) > vars
+			d.Rollback()
+			if after := stateOf(d); !reflect.DeepEqual(after, before) {
+				t.Fatalf("%s: rollback left\n%+v\nBegin found\n%+v", label, after, before)
 			}
-			label := fmt.Sprintf("seed %d step %d (at=%d del=%d add=%d)", seed, step, at, del, len(add))
-			requireParity(t, label, deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+			st := d.Stats()
+			requireParity(t, label+" rolled back", deltaCheck(t, d), oracleCheck(t, before.Asserts))
+			if now := d.Stats(); now.CacheHits != st.CacheHits+1 || now.Checks != st.Checks {
+				t.Fatalf("%s: check after rollback was not answered from the memoized result: %+v → %+v", label, st, now)
+			}
+			if !before.Res.Sat {
+				continue
+			}
+			// A one-edge splice on the restored fixed point: a ≤ a+1 keeps
+			// any system satisfiable.
+			if before.Built && grew {
+				freshRolledBack++
+			}
+			if !inside.Sat {
+				unsatRolledBack++
+			}
+			benign := []Assertion{{Rel: Le, A: V("a"), B: V("a").Plus(1)}}
+			for _, edit := range []struct {
+				del int
+				add []Assertion
+			}{{0, benign}, {1, nil}} {
+				st := d.Stats()
+				if err := d.Splice(d.Len()-edit.del, edit.del, edit.add); err != nil {
+					t.Fatal(err)
+				}
+				requireParity(t, label+" one-edge splice", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+				if now := d.Stats(); now.DeltaSolves != st.DeltaSolves+1 || now.FullSolves != st.FullSolves {
+					t.Fatalf("%s: one-edge splice after rollback was not a delta solve: %+v → %+v", label, st, now)
+				}
+			}
 		}
-		st := d.Stats()
-		if st.Checks != st.DeltaSolves+st.FullSolves {
-			// A delta probe that falls back counts one check, one full solve.
-			// Every check is answered by exactly one of the two paths.
-			t.Fatalf("seed %d: checks %d != delta %d + full %d", seed, st.Checks, st.DeltaSolves, st.FullSolves)
-		}
+	}
+	if unsatRolledBack == 0 || freshRolledBack == 0 {
+		t.Fatalf("fuzz rolled back %d unsat checks and %d transactions with fresh variables, want both > 0", unsatRolledBack, freshRolledBack)
 	}
 }
 
 // TestDeltaSatToUnsatAndBack walks a context across the sat/unsat boundary:
-// unsat verdicts (full path with minimization) must not corrupt the state
-// used by later delta solves.
+// an unsat verdict (exact core from a pooled engine) costs the standing
+// fixed point nothing, so the repair is a delta solve.
 func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	base := []Assertion{
 		{Rel: Lt, A: V("x"), B: V("y")},
@@ -137,21 +237,22 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 		t.Fatalf("expected 3-assertion unsat core, got Sat=%v core=%v", res.Sat, res.Core)
 	}
 
-	// Remove the closing assertion: sat again, solved by a full rebuild
-	// (the unsat solve left no converged fixed point).
+	// Remove the closing assertion: sat again, re-probed from the fixed
+	// point that stood before the cycle.
+	st := d.Stats()
 	if err := d.Splice(d.Len()-1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireParity(t, "sat again", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	if now := d.Stats(); now.DeltaSolves != st.DeltaSolves+1 || now.FullSolves != st.FullSolves {
+		t.Fatalf("repair after unsat was not a delta solve: %+v → %+v", st, now)
+	}
 
 	// Now a benign delta on the warm state.
 	if err := d.Splice(0, 1, []Assertion{{Rel: Le, A: V("x"), B: V("y")}}); err != nil {
 		t.Fatal(err)
 	}
 	requireParity(t, "delta after recovery", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-	if st := d.Stats(); st.DeltaSolves == 0 {
-		t.Fatalf("expected at least one delta solve, stats %+v", st)
-	}
 }
 
 // TestDeltaOrphanVariables removes every assertion mentioning a variable

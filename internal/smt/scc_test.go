@@ -161,7 +161,9 @@ func TestChainCostIsTheChain(t *testing.T) {
 			res, err := backend.Solve(ctx, order.as)
 			check(order.name+"/"+backend.Name(), res, err)
 		}
-		res, err := NewDeltaContext(order.as).Check(ctx)
+		dc := NewDeltaContext(order.as)
+		res, err := dc.Check(ctx)
+		res.Model = dc.Model() // a delta check renders its model on demand
 		check(order.name+"/delta", res, err)
 		res, model, err := SolveDense(ctx, n+1, order.dense, 1)
 		if err == nil && res.Sat {

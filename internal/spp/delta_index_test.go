@@ -133,8 +133,8 @@ func randomEdit(rng *rand.Rand, v *DeltaVerifier, fresh *int) (string, error) {
 // equal-count drop-then-add) and checks after every edit that the
 // verifier's maintained index answers exactly what a scan of Snapshot()
 // answers and that the delta path agrees with the full-pipeline oracle.
-// Every 20th edit goes through a clone that is then either committed or
-// dropped, so the copy-on-write sharing is exercised in both directions.
+// Every 20th edit goes through a clone that is then either kept or
+// dropped, so a clone's independence is exercised in both directions.
 func TestDeltaVerifierIndexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260930))
 	base := ChainGadget(12)

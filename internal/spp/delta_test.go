@@ -9,12 +9,17 @@ import (
 )
 
 // requireVerifyParity runs the delta path and the full-pipeline oracle on
-// the verifier's current instance and fails unless verdict, model, core,
-// constraint counts, and suspect nodes agree bit for bit (Stats excluded:
-// durations and graph sizes legitimately differ).
+// the verifier's current instance and fails unless verdict, model (read
+// through Model, as the daemon's /verify does), core, constraint counts,
+// and suspect nodes agree bit for bit (Stats excluded: durations and graph
+// sizes legitimately differ).
 func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	t.Helper()
 	got, gotSus, gotErr := v.Verify(context.Background())
+	if got.Model != nil {
+		t.Fatalf("%s: Verify built a model", label)
+	}
+	got.Model = v.Model()
 	want, wantSus, wantErr := v.VerifyFull(context.Background())
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("%s: error mismatch: delta %v, oracle %v", label, gotErr, wantErr)
@@ -99,11 +104,39 @@ func addSession(a, b string, cost int) gadgetOp {
 // GOODGADGET is morphed into BADGADGET's dispute wheel, sessions fail and
 // recover.
 func TestDeltaVerifierGadgets(t *testing.T) {
-	cases := []struct {
-		name string
-		in   *Instance
-		ops  []gadgetOp
-	}{
+	deltaSolves := 0
+	for _, tc := range gadgetCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := NewDeltaVerifier(tc.in)
+			if err != nil {
+				t.Fatalf("NewDeltaVerifier: %v", err)
+			}
+			requireVerifyParity(t, "initial", v)
+			for _, op := range tc.ops {
+				if err := op.apply(v); err != nil {
+					t.Fatalf("%s: %v", op.name, err)
+				}
+				requireVerifyParity(t, op.name, v)
+			}
+			deltaSolves += v.DeltaStats().DeltaSolves
+		})
+	}
+	// Sequences that go unsat get their cores from a full solve by design,
+	// but the table as a whole must exercise the incremental path.
+	if deltaSolves == 0 {
+		t.Error("no case recorded a delta solve")
+	}
+}
+
+// gadgetCase is one scripted edit sequence over a library gadget.
+type gadgetCase struct {
+	name string
+	in   *Instance
+	ops  []gadgetOp
+}
+
+func gadgetCases() []gadgetCase {
+	return []gadgetCase{
 		{
 			name: "fig3-repair-and-break",
 			in:   Figure3IBGP(),
@@ -162,28 +195,6 @@ func TestDeltaVerifierGadgets(t *testing.T) {
 				dropSession("2", "3"),
 			},
 		},
-	}
-	deltaSolves := 0
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			v, err := NewDeltaVerifier(tc.in)
-			if err != nil {
-				t.Fatalf("NewDeltaVerifier: %v", err)
-			}
-			requireVerifyParity(t, "initial", v)
-			for _, op := range tc.ops {
-				if err := op.apply(v); err != nil {
-					t.Fatalf("%s: %v", op.name, err)
-				}
-				requireVerifyParity(t, op.name, v)
-			}
-			deltaSolves += v.DeltaStats().DeltaSolves
-		})
-	}
-	// Sequences that go unsat solve on the full path by design, but the
-	// table as a whole must exercise the incremental path.
-	if deltaSolves == 0 {
-		t.Error("no case recorded a delta solve")
 	}
 }
 

@@ -6,3 +6,10 @@ func PrepAllocProbe(in *Instance) error {
 	_, err := buildShardPrep(in, 1)
 	return err
 }
+
+// The random-transaction driver and the oracle-parity check, for the
+// external tests that feed them the scenario generators' instances.
+var (
+	DriveTransactions   = driveTransactions
+	RequireVerifyParity = requireVerifyParity
+)

@@ -208,6 +208,41 @@ func indexInstance(in *Instance) *topoIndex {
 	return ix
 }
 
+// incidentLinks lists, per node position, the positions in Links of the
+// directed links with that node at either end, ascending — the topology
+// index a resident verifier keeps beside topoIndex, so that re-ranking a
+// node reaches the monotonicity segments it feeds without scanning Links.
+// A link end that is not a declared node has no list to be on.
+func incidentLinks(in *Instance, nodes map[Node]int32) [][]int32 {
+	ends := make([]int32, 0, 2*len(in.Links))
+	deg := make([]int32, len(in.Nodes))
+	for _, l := range in.Links {
+		for _, n := range [2]Node{l.From, l.To} {
+			ni, ok := nodes[n]
+			if !ok {
+				ni = -1
+			} else {
+				deg[ni]++
+			}
+			ends = append(ends, ni)
+		}
+	}
+	// One backing array, each list capped at its length so that a later
+	// append copies it out instead of running into its neighbour.
+	flat := make([]int32, 0, len(ends))
+	out := make([][]int32, len(in.Nodes))
+	for ni, d := range deg {
+		out[ni] = flat[len(flat) : len(flat) : len(flat)+int(d)]
+		flat = flat[:len(flat)+int(d)]
+	}
+	for i, ni := range ends {
+		if ni >= 0 {
+			out[ni] = append(out[ni], int32(i/2))
+		}
+	}
+	return out
+}
+
 // validatePath is the structural check of one permitted path p ranked at
 // node n of the instance called name: long enough, owned by n, terminated by
 // a declared origin token, walking existing links among declared nodes.

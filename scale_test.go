@@ -138,6 +138,7 @@ func TestSessionNameCollisions(t *testing.T) {
 				t.Fatalf("%s %s: Degraded() = %v, want %v", in.Name, label, v.Degraded(), degraded)
 			}
 			got, suspects, err := v.Verify(ctx)
+			got.Model = v.Model() // Verify leaves the witness to Model
 			want, wantSuspects, wantErr := v.VerifyFull(ctx)
 			if err != nil || wantErr != nil {
 				t.Fatalf("%s %s: errors %v, oracle %v", in.Name, label, err, wantErr)
