@@ -7,9 +7,11 @@
 # discarded what-ifs, safe and unsafe), and on an instance whose path names
 # collide after sanitization (degraded verifier). Then the
 # diagnosis surface: an internet-scale POST /v1/analyze must move the
-# condensation counters, the dashboard and flight recorder must serve, a
-# slow op must be retrievable with its span tree, fsr top must render a
-# frame, and the daemon's stderr must be parseable slog JSON.
+# condensation counters, the wire form's door rules must hold (trailing
+# data → 400, oversize → 413, session-declared rankings analysed), the
+# dashboard and flight recorder must serve, a slow op must be retrievable
+# with its span tree, fsr top must render a frame, and the daemon's stderr
+# must be parseable slog JSON.
 # Usage: hack/server_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -145,17 +147,31 @@ if echo "$metrics" | grep -q '^fsr_spp_scale_path_total{.*fallback'; then
     echo "FAIL: fsr_spp_scale_path_total still has a fallback series" >&2; exit 1
 fi
 
+# The wire form at the door: one value per request, a capped body, and the
+# rankings of session-declared nodes honoured (b's two paths are the one
+# preference constraint; the decoder used to drop them).
+[ "$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/analyze" -d '{"gadget":"fig3"} trailing garbage')" = 400 ] \
+    || { echo "FAIL: trailing garbage after the request's value was not a 400" >&2; exit 1; }
+[ "$(head -c $((9 << 20)) /dev/zero | tr '\0' ' ' | curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/analyze" -H 'Expect:' --data-binary @-)" = 413 ] \
+    || { echo "FAIL: a 9 MiB body was not a 413" >&2; exit 1; }
+curl -fsS -X POST "$base/v1/analyze" -d '{"instance":{"nodes":["a"],"origins":["o","p"],"sessions":[{"a":"a","b":"b"}],"rank":{"a":["a,o"],"b":["b,a,o","b,p"]}}}' \
+    | jq -e '.safe and .nodes == 2 and .num_preference == 1' >/dev/null \
+    || { echo "FAIL: a session-declared node's ranking was not analysed" >&2; exit 1; }
+mismatch="$(curl -fsS "$base/metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"
+[ "${mismatch:-1}" -eq 0 ] || { echo "FAIL: fsr_oracle_mismatches_total=$mismatch after the wire-form checks" >&2; exit 1; }
+
 # The diagnosis surface serves: dashboard HTML, flight recorder JSON with
 # the analyze recorded, and — because the analyze crossed -slow-op — a slow
-# entry carrying its full span tree, retrievable without any re-run.
+# entry carrying its full span tree, the upload's decode span in it,
+# retrievable without any re-run.
 dash="$(curl -fsS -w '\n%{http_code}' "$base/dashboard")"
 [ "$(echo "$dash" | tail -1)" = "200" ] && [ "$(echo "$dash" | wc -c)" -gt 100 ] \
     || { echo "FAIL: /dashboard not serving" >&2; exit 1; }
 flight="$(curl -fsS "$base/v1/flightrecorder")"
 echo "$flight" | jq -e '.enabled and (.ops | length > 0)' >/dev/null \
     || { echo "FAIL: flight recorder empty: $flight" >&2; exit 1; }
-echo "$flight" | jq -e '.slow[] | select(.kind == "analyze-spp") | .spans | length > 0' >/dev/null \
-    || { echo "FAIL: no slow op with a span tree in the flight recorder" >&2; exit 1; }
+echo "$flight" | jq -e '[.slow[] | select(.kind == "analyze") | .spans[0].children[].name] | index("decode") and index("analyze-spp")' >/dev/null \
+    || { echo "FAIL: no slow analyze op with decode and analyze-spp spans in the flight recorder" >&2; exit 1; }
 curl -fsS "$base/v1/timeseries" | jq -e '.interval_ms > 0' >/dev/null \
     || { echo "FAIL: /v1/timeseries not serving" >&2; exit 1; }
 

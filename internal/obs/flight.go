@@ -146,6 +146,14 @@ func (f *FlightRecorder) StartOp(ctx context.Context, kind, detail string) (cont
 	return ctx, op
 }
 
+// SetDetail names the operand once it is known (an upload's instance name
+// is inside the body the op is already timing). No-op on a nil op.
+func (o *Op) SetDetail(d string) {
+	if o != nil {
+		o.rec.Detail = d
+	}
+}
+
 // SetSize records the operand's size. No-op on a nil op.
 func (o *Op) SetSize(n int) {
 	if o != nil {

@@ -214,6 +214,15 @@ func NewHistogramVec(name, help string, labels ...string) *HistogramVec {
 		buckets: DefBuckets, series: map[string]*histSeries{}}
 }
 
+// NewHistogramVecBuckets is NewHistogramVec for a quantity DefBuckets'
+// seconds do not fit: buckets are the family's finite upper bounds,
+// ascending.
+func NewHistogramVecBuckets(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	h := NewHistogramVec(name, help, labels...)
+	h.buckets = buckets
+	return h
+}
+
 func (h *HistogramVec) Observe(v float64, labelVals ...string) {
 	key := labelSet(h.labels, labelVals)
 	h.mu.Lock()

@@ -18,6 +18,17 @@ import (
 // overnight campaign replays anywhere with `fsr campaign -replay FILE` —
 // no seed, generator version, or topology dataset required.
 
+// The wire form has one builder and two front ends. wire.build (wire.go) is
+// the only code that turns wire fields into an *spp.Instance and the only
+// place the form's rules live; it works on interned token ids and validates
+// on them, leaving the wording of every rejection to Instance.Validate. The
+// byte reader (read.go: ReadRequest, ReadInstance) feeds it straight from
+// request bytes and is what the daemon's upload endpoints run. DecodeInstance
+// feeds it from an InstanceJSON, the struct encoding/json fills: corpus
+// lines (ReadCorpus → Replay), the benchmark's replay, GET
+// /v1/instances/{id} via EncodeInstance, and the tests — where
+// json.Unmarshal + DecodeInstance is the byte reader's oracle.
+
 // InstanceJSON is the wire form of an SPP instance. Sessions are
 // undirected (the Instance invariant: every session contributes both
 // directed links); node order is preserved because it fixes the signature
@@ -66,68 +77,37 @@ func joinPath(p spp.Path) string {
 	return strings.Join(parts, ",")
 }
 
-func splitPath(s string) spp.Path {
-	parts := strings.Split(s, ",")
-	p := make(spp.Path, len(parts))
-	for i, e := range parts {
-		p[i] = spp.Node(e)
-	}
-	return p
-}
-
-// appendOnce appends n to list unless seen already holds it.
-func appendOnce(list []spp.Node, seen map[spp.Node]bool, n spp.Node) []spp.Node {
-	if seen[n] {
-		return list
-	}
-	seen[n] = true
-	return append(list, n)
-}
-
 // DecodeInstance rebuilds an instance from its wire form, preserving node,
-// origin, and session order exactly. Nodes and origin tokens are declared
-// once each (first mention wins) through local seen-sets, so decoding is
-// linear in the size of the wire form.
+// origin, and session order exactly, and validates it. It is the second
+// front end of the one builder (wire.build): the strings are interned into
+// the same id-space form the byte reader produces, so the two cannot
+// disagree on a rule.
 func DecodeInstance(j InstanceJSON) (*spp.Instance, error) {
-	in := spp.NewInstance(j.Name)
-	nodes := make(map[spp.Node]bool, len(j.Nodes))
+	w := newWire(len(j.Nodes)+len(j.Origins)+8, 0)
+	w.name = j.Name
+	var buf []byte
+	token := func(s string) int32 {
+		buf = append(buf[:0], s...)
+		return w.token(buf)
+	}
 	for _, n := range j.Nodes {
-		in.Nodes = appendOnce(in.Nodes, nodes, spp.Node(n))
+		w.nodes = append(w.nodes, token(n))
+	}
+	for _, o := range j.Origins {
+		w.origins = append(w.origins, token(o))
 	}
 	for _, s := range j.Sessions {
-		a, b := spp.Node(s.A), spp.Node(s.B)
-		in.Nodes = appendOnce(appendOnce(in.Nodes, nodes, a), nodes, b)
-		in.Links = append(in.Links, spp.Link{From: a, To: b}, spp.Link{From: b, To: a})
-		if s.Cost != 0 {
-			in.Cost[spp.Link{From: a, To: b}] = s.Cost
-			in.Cost[spp.Link{From: b, To: a}] = s.Cost
+		w.sessions = append(w.sessions, wireSession{a: token(s.A), b: token(s.B), cost: s.Cost})
+	}
+	for n, ranked := range j.Rank {
+		w.startRank(token(n))
+		for _, p := range ranked {
+			buf = append(buf[:0], p...)
+			w.path(buf)
 		}
 	}
-	// The recorded origin order wins; without one, origins are derived from
-	// the rankings in path order, as Instance.Rank declares them.
-	for _, o := range j.Origins {
-		in.Origins = append(in.Origins, spp.Node(o))
-	}
-	origins := map[spp.Node]bool{}
-	for _, n := range j.Nodes {
-		ranked := j.Rank[n]
-		if len(ranked) == 0 {
-			continue
-		}
-		paths := make([]spp.Path, len(ranked))
-		for i, ps := range ranked {
-			p := splitPath(ps)
-			if len(j.Origins) == 0 && len(p) >= 2 {
-				in.Origins = appendOnce(in.Origins, origins, p[len(p)-1])
-			}
-			paths[i] = p
-		}
-		in.Permitted[spp.Node(n)] = paths
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return in, nil
+	in, _, err := w.build()
+	return in, err
 }
 
 // CorpusEntry is one replayable record: the instance, the behavior the

@@ -1,8 +1,10 @@
-// Ingestion tests: the set-backed DecodeInstance/Validate pair against the
-// slice-scanning implementation it replaced (kept here as the oracle), the
-// FuzzDecodeInstance target over the daemon's upload path — decode, then
-// Session.AnalyzeSPP against the algebra pipeline — and the growth-rate
-// guard that keeps first contact linear in the instance.
+// Ingestion tests: DecodeInstance (the InstanceJSON front end of the one
+// wire-form builder) and Instance.Validate against the slice-scanning
+// implementations they replaced (kept here as the oracle), the
+// FuzzDecodeInstance target — decode, then Session.AnalyzeSPP against the
+// algebra pipeline — and the growth-rate guard that keeps first contact
+// linear in the instance. The byte reader the daemon's upload path runs has
+// its own differential tests in read_test.go.
 //
 // External test package so the fuzz target can drive fsr.Session, the
 // public entry point an upload ends at.
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -76,9 +79,11 @@ func naiveValidate(in *spp.Instance) error {
 	return nil
 }
 
-// naiveDecode is DecodeInstance as it stood before the seen-sets: the
-// instance assembled through the scanning AddNode/AddSession/Rank
-// mutators, unvalidated.
+// naiveDecode is the wire form's rules written the slow way: the instance
+// assembled through the scanning AddNode/AddSession/Rank mutators,
+// unvalidated. Every node of the built instance is ranked — a node declared
+// only through a session keeps its ranking — and a ranking keyed by anything
+// else lands in Permitted as it is, for Validate to report.
 func naiveDecode(j scenario.InstanceJSON) *spp.Instance {
 	in := spp.NewInstance(j.Name)
 	for _, n := range j.Nodes {
@@ -87,9 +92,9 @@ func naiveDecode(j scenario.InstanceJSON) *spp.Instance {
 	for _, s := range j.Sessions {
 		in.AddSession(spp.Node(s.A), spp.Node(s.B), s.Cost)
 	}
-	for _, n := range j.Nodes {
+	split := func(ranked []string) []spp.Path {
 		var paths []spp.Path
-		for _, ps := range j.Rank[n] {
+		for _, ps := range ranked {
 			parts := strings.Split(ps, ",")
 			p := make(spp.Path, len(parts))
 			for i, e := range parts {
@@ -97,8 +102,16 @@ func naiveDecode(j scenario.InstanceJSON) *spp.Instance {
 			}
 			paths = append(paths, p)
 		}
-		if len(paths) > 0 {
-			in.Rank(spp.Node(n), paths...)
+		return paths
+	}
+	for _, n := range slices.Clone(in.Nodes) {
+		if paths := split(j.Rank[string(n)]); len(paths) > 0 {
+			in.Rank(n, paths...)
+		}
+	}
+	for key, ranked := range j.Rank {
+		if !slices.Contains(in.Nodes, spp.Node(key)) {
+			in.Permitted[spp.Node(key)] = split(ranked)
 		}
 	}
 	if len(j.Origins) > 0 {
@@ -323,11 +336,11 @@ func FuzzDecodeInstance(f *testing.F) {
 	})
 }
 
-// minOf3 reports the fastest of three runs of fn, each started on a
-// collected heap so one run's garbage is not charged to the next.
-func minOf3(fn func()) time.Duration {
+// minOf reports the fastest of n runs of fn, each started on a collected
+// heap so one run's garbage is not charged to the next.
+func minOf(n int, fn func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		runtime.GC()
 		start := time.Now()
 		fn()
@@ -339,8 +352,9 @@ func minOf3(fn func()) time.Duration {
 }
 
 // TestFirstContactGrowthRate is the asymptotic guard on the two layers an
-// upload crosses before the solver: DecodeInstance+Validate, and
-// analysis.Constraints over the converted algebra, on internet instances
+// upload crosses before the solver: the byte reader (body → validated
+// instance), and analysis.Constraints over the converted algebra (the
+// oracle pipeline's emitter), on internet instances
 // of n=2000 and n=8000. Cost may grow at most twice as fast as the
 // instance itself (nodes + links + path elements: a power-law topology's
 // paths lengthen with n, so 4× the nodes is about 5× the instance). Linear
@@ -358,23 +372,29 @@ func TestFirstContactGrowthRate(t *testing.T) {
 	measure := func(n int) cost {
 		g := topology.GenerateInternet(1, topology.InternetParams{N: n})
 		in := scenario.InternetSPP(fmt.Sprintf("internet-%d", n), g, 3)
-		wire := scenario.EncodeInstance(in)
+		body, err := json.Marshal(scenario.EncodeInstance(in))
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := cost{size: len(in.Nodes) + len(in.Links)}
 		for _, paths := range in.Permitted {
 			for _, p := range paths {
 				c.size += len(p)
 			}
 		}
-		c.ingest = minOf3(func() {
-			dec, err := scenario.DecodeInstance(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.Validate(); err != nil {
+		// Milliseconds per run: enough of them that a neighbour's burst (the
+		// other packages' tests share the two cores) cannot sit on all. And
+		// no collection inside a run: internet:2000 decodes within the 4 MB
+		// minimum heap and internet:8000 does not, a step that is the
+		// collector's, not the reader's (7 MB of garbage per run at most).
+		gc := debug.SetGCPercent(-1)
+		c.ingest = minOf(9, func() {
+			if _, _, err := scenario.ReadInstance(body); err != nil {
 				t.Fatal(err)
 			}
 		})
-		c.emit = minOf3(func() {
+		debug.SetGCPercent(gc)
+		c.emit = minOf(3, func() {
 			conv, err := in.ToAlgebra()
 			if err != nil {
 				t.Fatal(err)
@@ -391,7 +411,7 @@ func TestFirstContactGrowthRate(t *testing.T) {
 		name         string
 		small, large time.Duration
 	}{
-		{"DecodeInstance+Validate", small.ingest, large.ingest},
+		{"ReadInstance", small.ingest, large.ingest},
 		{"ToAlgebra+Constraints", small.emit, large.emit},
 	} {
 		ratio := float64(layer.large) / float64(layer.small)

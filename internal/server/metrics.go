@@ -51,11 +51,20 @@ type Metrics struct {
 	// verification errored.
 	Rollbacks      *obs.CounterVec
 	AbortedBatches *obs.CounterVec
+	// DecodeDuration is the time the byte reader took to turn an upload's
+	// body into a validated instance, and BodyBytes the size of that body,
+	// per instance-carrying endpoint (analyze | create).
+	DecodeDuration *obs.HistogramVec
+	BodyBytes      *obs.HistogramVec
 	// Panics counts handler panics recovered by the middleware, per
 	// endpoint. Any nonzero value is a bug, but a recovered one: the
 	// daemon answered 500 and stayed up.
 	Panics *obs.CounterVec
 }
+
+// bodyBuckets are fsr_request_body_bytes' bounds: powers of four from 256 B
+// up to the body cap.
+var bodyBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, maxBody}
 
 // NewMetrics returns a fresh registry.
 func NewMetrics() *Metrics {
@@ -70,6 +79,8 @@ func NewMetrics() *Metrics {
 		OracleMismatches: obs.NewCounterVec("fsr_oracle_mismatches_total", "Delta-vs-full-rebuild verification disagreements (check-oracle mode)."),
 		Rollbacks:        obs.NewCounterVec("fsr_whatif_rollbacks_total", "What-if batches verified and rolled back on request (discard)."),
 		AbortedBatches:   obs.NewCounterVec("fsr_whatif_aborted_batches_total", "What-if batches rolled back because an edit or the verification failed."),
+		DecodeDuration:   obs.NewHistogramVec("fsr_request_decode_seconds", "Upload body to validated instance, by endpoint.", "endpoint"),
+		BodyBytes:        obs.NewHistogramVecBuckets("fsr_request_body_bytes", "Upload body size, by endpoint.", bodyBuckets, "endpoint"),
 		Panics:           obs.NewCounterVec("fsr_panics_total", "Handler panics recovered by the middleware.", "endpoint"),
 	}
 }
@@ -88,6 +99,8 @@ func (m *Metrics) Expose() string {
 	m.OracleMismatches.Expose(&b)
 	m.Rollbacks.Expose(&b)
 	m.AbortedBatches.Expose(&b)
+	m.DecodeDuration.Expose(&b)
+	m.BodyBytes.Expose(&b)
 	m.Panics.Expose(&b)
 	return b.String()
 }
@@ -107,6 +120,8 @@ func (m *Metrics) Samples() []obs.Sample {
 	out = append(out, m.OracleMismatches.Samples()...)
 	out = append(out, m.Rollbacks.Samples()...)
 	out = append(out, m.AbortedBatches.Samples()...)
+	out = append(out, m.DecodeDuration.Samples()...)
+	out = append(out, m.BodyBytes.Samples()...)
 	out = append(out, m.Panics.Samples()...)
 	return out
 }

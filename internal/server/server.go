@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"maps"
 	"net/http"
@@ -86,18 +89,21 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Handler mounts the API:
 //
-//	POST /v1/instances              load an instance (by gadget name or inline JSON)
+//	POST /v1/instances              load an instance (by gadget name or inline wire form; read by scenario.ReadRequest)
 //	GET  /v1/instances              list resident instances
 //	GET  /v1/instances/{id}         inspect one instance and its solver stats
 //	POST /v1/instances/{id}/verify  decide safety (delta when possible); a safe verdict carries its witness model
 //	POST /v1/instances/{id}/whatif  apply a batch of edits, re-verify, then keep all of it or (discard, or any failure) none of it; no model — ask verify
-//	POST /v1/analyze                one-shot analysis (Options.Analyze only)
+//	POST /v1/analyze                one-shot analysis of a gadget or an inline wire form (Options.Analyze only)
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus text exposition
 //	GET  /v1/timeseries             retained metric samples (JSON)
 //	GET  /v1/flightrecorder         recent and slow operations (JSON)
 //	GET  /dashboard                 live HTML dashboard
 //	     /debug/pprof/              runtime profiling (Options.Pprof only)
+//
+// A request body is one JSON value of at most 8 MiB with nothing but
+// whitespace after it: anything else is 400, a larger body 413.
 //
 // Handler also enables the flight recorder and starts the time-series
 // sampler; call Close to stop it.
@@ -216,14 +222,84 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBody caps every request body.
+const maxBody = 8 << 20
+
+// writeBodyErr answers a body that could not be read or decoded: 413 when
+// it ran over maxBody, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, "decoding request: %v", err)
+}
+
+// readJSON decodes the small bodies (what-if batches) through
+// encoding/json: one value, unknown fields refused, nothing but whitespace
+// after it.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+		writeBodyErr(w, err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request's value")
+		}
+		writeBodyErr(w, err)
 		return false
 	}
 	return true
+}
+
+// bodies recycles the buffers upload bodies are read into: a decoded
+// instance shares no byte with its body, so the buffer goes back before the
+// analysis runs.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readUpload reads the body of an instance-carrying request whole — into a
+// recycled buffer sized from Content-Length — and decodes it in one pass
+// with the wire form's byte reader, envelope included. The decode is one
+// span of the request's tree and one observation of the per-endpoint decode
+// histograms. It writes the error response itself.
+func (s *Server) readUpload(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint string, withID bool) (scenario.Request, bool) {
+	if r.ContentLength > maxBody {
+		writeErr(w, http.StatusRequestEntityTooLarge, "decoding request: %d-byte body exceeds the %d-byte limit", r.ContentLength, maxBody)
+		return scenario.Request{}, false
+	}
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if r.ContentLength > 0 {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		writeBodyErr(w, err)
+		return scenario.Request{}, false
+	}
+	_, sp := obs.StartSpan(ctx, "decode")
+	start := time.Now()
+	req, err := scenario.ReadRequest(buf.Bytes(), withID)
+	s.metrics.DecodeDuration.Observe(time.Since(start).Seconds(), endpoint)
+	s.metrics.BodyBytes.Observe(float64(buf.Len()), endpoint)
+	sp.AttrInt("bytes", int64(buf.Len()))
+	sp.AttrInt("nodes", int64(req.Stats.Nodes))
+	sp.AttrInt("paths", int64(req.Stats.Paths))
+	fallback := int64(0)
+	if req.Stats.FallbackValidate {
+		fallback = 1
+	}
+	sp.AttrInt("fallback_validate", fallback)
+	sp.End()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+		return scenario.Request{}, false
+	}
+	return req, true
 }
 
 // lookup resolves {id} to its entry or writes a 404.
@@ -240,16 +316,6 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *instanceEntry {
 
 var idPattern = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,128}$`)
 
-// createRequest loads an instance by built-in gadget name or inline JSON.
-type createRequest struct {
-	// ID names the resident instance; defaults to the instance's own name.
-	ID string `json:"id,omitempty"`
-	// Gadget is a built-in gadget name (mutually exclusive with Instance).
-	Gadget string `json:"gadget,omitempty"`
-	// Instance is a full instance in the corpus wire form.
-	Instance *scenario.InstanceJSON `json:"instance,omitempty"`
-}
-
 type instanceInfo struct {
 	ID       string `json:"id"`
 	Name     string `json:"name"`
@@ -258,43 +324,48 @@ type instanceInfo struct {
 	Degraded bool   `json:"degraded,omitempty"`
 }
 
-// resolveInstance loads a request's gadget or inline instance, writing the
+// resolveInstance picks a request's gadget or inline instance, writing the
 // error response itself; nil means the response already went out.
-func (s *Server) resolveInstance(w http.ResponseWriter, gadget string, inline *scenario.InstanceJSON) *spp.Instance {
+func (s *Server) resolveInstance(w http.ResponseWriter, req scenario.Request) *spp.Instance {
+	inline := req.Instance != nil || req.InstanceErr != nil
 	switch {
-	case gadget != "" && inline != nil:
+	case req.Gadget != "" && inline:
 		writeErr(w, http.StatusBadRequest, "gadget and instance are mutually exclusive")
 		return nil
-	case gadget != "":
+	case req.Gadget != "":
 		if s.opts.Gadget == nil {
 			writeErr(w, http.StatusBadRequest, "this server has no gadget resolver; send a full instance")
 			return nil
 		}
-		inst, err := s.opts.Gadget(gadget)
+		inst, err := s.opts.Gadget(req.Gadget)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return nil
 		}
 		return inst
-	case inline != nil:
-		inst, err := scenario.DecodeInstance(*inline)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding instance: %v", err)
+	case inline:
+		if req.InstanceErr != nil {
+			writeErr(w, http.StatusBadRequest, "decoding instance: %v", req.InstanceErr)
 			return nil
 		}
-		return inst
+		return req.Instance
 	default:
 		writeErr(w, http.StatusBadRequest, "request wants a gadget name or an inline instance")
 		return nil
 	}
 }
 
+// handleCreate loads an instance by built-in gadget name or inline wire
+// form, {"id", "gadget", "instance"}; id defaults to the instance's name.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !readJSON(w, r, &req) {
+	ctx, op := obs.Flight().StartOp(r.Context(), "create", "")
+	defer op.Finish()
+	op.SetVerdict("error") // until the instance is resident
+	req, ok := s.readUpload(ctx, w, r, "create", true)
+	if !ok {
 		return
 	}
-	in := s.resolveInstance(w, req.Gadget, req.Instance)
+	in := s.resolveInstance(w, req)
 	if in == nil {
 		return
 	}
@@ -302,6 +373,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = in.Name
 	}
+	op.SetDetail(id)
+	op.SetSize(len(in.Nodes))
 	if !idPattern.MatchString(id) {
 		writeErr(w, http.StatusBadRequest, "instance id %q: want 1-128 chars of [a-zA-Z0-9._-]", id)
 		return
@@ -321,6 +394,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.instances[id] = ent
 	s.metrics.Resident.Set(float64(len(s.instances)))
 	s.mu.Unlock()
+	op.SetVerdict("created")
 	writeJSON(w, http.StatusCreated, s.info(ent))
 }
 
@@ -640,15 +714,6 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// analyzeRequest is the body of POST /v1/analyze: one instance, decided
-// once, never resident. Large instances take the same internet-scale path
-// Session.AnalyzeSPP takes, so this is how the condensation series
-// (fsr_scc_*) get driven from the daemon.
-type analyzeRequest struct {
-	Gadget   string                 `json:"gadget,omitempty"`
-	Instance *scenario.InstanceJSON `json:"instance,omitempty"`
-}
-
 // analyzeResponse reports the verdict plus the solve's introspection
 // figures. The model is deliberately omitted: at internet scale it is tens
 // of thousands of entries, and one-shot callers want the verdict.
@@ -669,20 +734,35 @@ type analyzeResponse struct {
 	Relaxations       int      `json:"relaxations,omitempty"`
 }
 
+// handleAnalyze decides one instance — {"gadget"} or {"instance"}, the
+// envelope handleCreate reads less its id — once, never resident. Large
+// instances take the same internet-scale path Session.AnalyzeSPP takes, so
+// this is how the condensation series (fsr_scc_*) get driven from the
+// daemon.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	if !readJSON(w, r, &req) {
+	ctx, op := obs.Flight().StartOp(r.Context(), "analyze", "")
+	defer op.Finish()
+	op.SetVerdict("error") // until there is a verdict on the instance
+	req, ok := s.readUpload(ctx, w, r, "analyze", false)
+	if !ok {
 		return
 	}
-	in := s.resolveInstance(w, req.Gadget, req.Instance)
+	in := s.resolveInstance(w, req)
 	if in == nil {
 		return
 	}
+	op.SetDetail(in.Name)
+	op.SetSize(len(in.Nodes))
 	start := time.Now()
-	res, suspects, err := s.opts.Analyze(r.Context(), in)
+	res, suspects, err := s.opts.Analyze(ctx, in)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "analyzing %s: %v", in.Name, err)
 		return
+	}
+	if res.Sat {
+		op.SetVerdict("safe")
+	} else {
+		op.SetVerdict("unsafe")
 	}
 	out := analyzeResponse{
 		Name: in.Name, Nodes: len(in.Nodes), Safe: res.Sat,

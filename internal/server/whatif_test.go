@@ -263,7 +263,7 @@ func TestWhatIfCostIsTheEdit(t *testing.T) {
 		s := New(Options{DiagInterval: time.Hour}) // no sampler tick inside the measurement
 		p := &whatIfProbe{h: s.Handler()}
 		defer s.Close()
-		create, err := json.Marshal(createRequest{ID: "net", Instance: ptr(scenario.EncodeInstance(in))})
+		create, err := json.Marshal(map[string]any{"id": "net", "instance": scenario.EncodeInstance(in)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,5 +305,3 @@ func TestWhatIfCostIsTheEdit(t *testing.T) {
 		}
 	}
 }
-
-func ptr[T any](v T) *T { return &v }
