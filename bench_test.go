@@ -18,6 +18,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,7 @@ import (
 	"fsr/internal/simnet"
 	"fsr/internal/smt"
 	"fsr/internal/spp"
+	"fsr/internal/spp/spptest"
 	"fsr/internal/topology"
 
 	enginepkg "fsr/internal/engine"
@@ -738,32 +741,55 @@ func BenchmarkDeltaVerify(b *testing.B) {
 		}
 		b.ReportMetric(float64(st.DeltaSolves)/float64(st.Checks), "delta-ratio")
 	})
-	// mode=discard is the daemon's pure query — Begin, a top-two swap on an
-	// ordinary node, Verify, Rollback — on power-law instances of two
-	// sizes: B/op and allocs/op are the edit's, the same at both.
-	for _, size := range []int{5000, 20000} {
-		b.Run(fmt.Sprintf("mode=discard/internet:%d", size), func(b *testing.B) {
-			in := GenerateInternetSPP("internet", size, 1)
-			v, err := spp.NewDeltaVerifier(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res, _, err := v.Verify(ctx); err != nil || !res.Sat {
-				b.Fatalf("internet:%d should be sat (err=%v)", size, err)
-			}
-			degree := map[spp.Node]int{}
-			for _, l := range in.Links {
-				degree[l.From]++
-			}
-			var node spp.Node
-			for _, n := range in.Nodes {
-				if degree[n] <= 3 && len(in.Permitted[n]) >= 2 {
-					node = n
-					break
+	// The power-law modes edit twins: a dispute pair and an ordinary node of
+	// internet:5000 that internet:20000 has too, shape for shape and reach
+	// for reach (spptest.Twins), so the two sizes are asked for the same
+	// work. The verifiers are built once, when a mode first needs them.
+	sizes := []int{5000, 20000}
+	var (
+		twins       sync.Once
+		reach       [2]*spptest.Reach
+		resident    [2]*spp.DeltaVerifier
+		pairs, ones [2][]spp.Node
+	)
+	internet := func(b *testing.B, i int) (v *spp.DeltaVerifier, in *spp.Instance, pair, one []spp.Node) {
+		twins.Do(func() {
+			for i, size := range sizes {
+				reach[i] = spptest.NewReach(GenerateInternetSPP("internet", size, 1))
+				v, err := spp.NewDeltaVerifier(reach[i].In)
+				if err != nil {
+					b.Fatal(err)
 				}
+				if res, _, err := v.Verify(ctx); err != nil || !res.Sat {
+					b.Fatalf("internet:%d should be sat (err=%v)", size, err)
+				}
+				resident[i] = v
 			}
+			pairs[0], pairs[1] = spptest.Twins(reach[0], reach[1], (*spptest.Reach).DisputePairs)
+			ones[0], ones[1] = spptest.Twins(reach[0], reach[1], func(r *spptest.Reach) (out [][]spp.Node) {
+				for _, c := range r.Swappable() { // not an end of either pair
+					if !slices.Contains(append(pairs[0], pairs[1]...), c[0]) {
+						out = append(out, c)
+					}
+				}
+				return out
+			})
+		})
+		if pairs[0] == nil || ones[0] == nil {
+			b.Fatal("internet:5000 and internet:20000 share no dispute pair or no swappable node of one shape and reach")
+		}
+		return resident[i], reach[i].In, pairs[i], ones[i]
+	}
+	// mode=discard is the daemon's pure query — Begin, a top-two swap on an
+	// ordinary node, Verify, Rollback: ns/op, steps/op, B/op and allocs/op
+	// are the edit's, the same at both sizes.
+	for i, size := range sizes {
+		b.Run(fmt.Sprintf("mode=discard/internet:%d", size), func(b *testing.B) {
+			v, in, _, one := internet(b, i)
+			node := one[0]
 			paths := in.Permitted[node]
 			swapped := append([]spp.Path{paths[1], paths[0]}, paths[2:]...)
+			before := v.DeltaStats()
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -778,9 +804,57 @@ func BenchmarkDeltaVerify(b *testing.B) {
 				v.Rollback()
 			}
 			b.StopTimer()
-			if st := v.DeltaStats(); st.DeltaSolves != b.N {
-				b.Fatalf("%d discarded swaps, %d delta solves", b.N, st.DeltaSolves)
+			st := v.DeltaStats()
+			if st.DeltaSolves != before.DeltaSolves+b.N {
+				b.Fatalf("%d discarded swaps moved the solver from %+v to %+v", b.N, before, st)
 			}
+			b.ReportMetric(float64(st.Steps-before.Steps)/float64(b.N), "steps/op")
+		})
+	}
+	// mode=break-repair is the operator's session on the unsafe path, each
+	// step a committed transaction: plant a two-node dispute on a session
+	// whose ends have five sessions between them, read the four-constraint
+	// core, put the rankings back, then swap and unswap the ordinary node's
+	// top two. ns/op and steps/op are the dispute's and the edits', the same
+	// at both sizes; no step solves the whole list.
+	for i, size := range sizes {
+		b.Run(fmt.Sprintf("mode=break-repair/internet:%d", size), func(b *testing.B) {
+			v, in, pair, one := internet(b, i)
+			pu, pv, w := pair[0], pair[1], one[0]
+			ou, ov := spp.Node("rx_"+string(pu)), spp.Node("rx_"+string(pv))
+			wp := in.Permitted[w]
+			steps := [4]map[spp.Node][]spp.Path{
+				{pu: {{pu, pv, ov}, {pu, ou}}, pv: {{pv, pu, ou}, {pv, ov}}},
+				{pu: in.Permitted[pu], pv: in.Permitted[pv]},
+				{w: append([]spp.Path{wp[1], wp[0]}, wp[2:]...)},
+				{w: wp},
+			}
+			before := v.DeltaStats()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, ranks := range steps {
+					v.Begin()
+					for _, n := range []spp.Node{pu, pv, w} {
+						if paths, ok := ranks[n]; ok {
+							if err := v.ReRank(n, paths...); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					res, sus, err := v.Verify(ctx)
+					if err != nil || res.Sat != (k > 0) || (k == 0 && (len(res.Core) != 4 || len(sus) != 2)) {
+						b.Fatalf("step %d: sat=%v core=%d suspects=%v err=%v", k, res.Sat, len(res.Core), sus, err)
+					}
+					v.Commit()
+				}
+			}
+			b.StopTimer()
+			st := v.DeltaStats()
+			if st.FullSolves != before.FullSolves || st.DeltaSolves != before.DeltaSolves+4*b.N {
+				b.Fatalf("%d sessions moved the solver from %+v to %+v", b.N, before, st)
+			}
+			b.ReportMetric(float64(st.Steps-before.Steps)/float64(b.N), "steps/op")
 		})
 	}
 }

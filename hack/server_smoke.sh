@@ -99,16 +99,18 @@ swap='{"op":"rerank","node":"as1002","paths":["as1002,as218,as14,as15,as1999,r1"
 curl -fsS -X POST "$base/v1/instances/big/whatif" -d "{\"discard\":true,\"ops\":[$swap]}" \
     | jq -e '.safe and .discarded and .oracle_checked and (.oracle_mismatch | not) and (.model | not)' >/dev/null \
     || { echo "FAIL: internet:2000 discarded re-rank" >&2; exit 1; }
-curl -fsS -X POST "$base/v1/instances/big/verify" \
-    | jq -e '.mode == "cached" and (.model | length > 0) and (.oracle_mismatch | not)' >/dev/null \
+full="$(curl -fsS -X POST "$base/v1/instances/big/verify" \
+    | jq -e 'if .mode == "cached" and (.model | length > 0) and (.oracle_mismatch | not) then .solver.full_solves else false end')" \
     || { echo "FAIL: verify after a discarded what-if is not the cached verdict with its model" >&2; exit 1; }
 # A discarded DISAGREE pair over fresh origin tokens: unsafe, four-constraint
-# core, and the standing fixed point untouched — the discarded tweak after
-# it is a delta solve.
+# core decided from the region the edit disturbs — a delta solve, the whole
+# list not solved again — and the standing fixed point untouched: the
+# discarded tweak after it is a delta solve too.
 curl -fsS -X POST "$base/v1/instances/big/whatif" -d '{"discard":true,"ops":[
   {"op":"rerank","node":"as1002","paths":["as1002,as204,rx_b","as1002,rx_a"]},
   {"op":"rerank","node":"as204","paths":["as204,as1002,rx_a","as204,rx_b"]}
-]}' | jq -e '(.safe | not) and .discarded and (.core | length == 4) and .suspects == ["as1002","as204"] and (.oracle_mismatch | not)' >/dev/null \
+]}' | jq -e --argjson full "$full" '(.safe | not) and .discarded and (.core | length == 4) and .suspects == ["as1002","as204"] and (.oracle_mismatch | not)
+        and .mode == "delta" and .solver.full_solves == $full' >/dev/null \
     || { echo "FAIL: internet:2000 discarded dispute pair" >&2; exit 1; }
 curl -fsS -X POST "$base/v1/instances/big/whatif" -d "{\"discard\":true,\"ops\":[$swap]}" \
     | jq -e '.safe and .mode == "delta" and (.oracle_mismatch | not)' >/dev/null \

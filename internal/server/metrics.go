@@ -42,6 +42,10 @@ type Metrics struct {
 	// VerifyDuration is wall-clock verification latency by discharge mode
 	// (delta | full | cached).
 	VerifyDuration *obs.HistogramVec
+	// RegionNodes is the size of the constraint-graph region a delta
+	// verification re-solved: what the edit disturbed, whatever the
+	// instance's size.
+	RegionNodes *obs.HistogramVec
 	// OracleMismatches counts -check-oracle disagreements between the
 	// delta path and the full-rebuild oracle; any nonzero value is a bug.
 	OracleMismatches *obs.CounterVec
@@ -64,6 +68,10 @@ type Metrics struct {
 
 // bodyBuckets are fsr_request_body_bytes' bounds: powers of four from 256 B
 // up to the body cap.
+// regionBuckets are fsr_smt_delta_region_nodes' bounds: powers of four up to
+// a graph of a million path variables.
+var regionBuckets = []float64{1, 4, 16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}
+
 var bodyBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, maxBody}
 
 // NewMetrics returns a fresh registry.
@@ -76,6 +84,7 @@ func NewMetrics() *Metrics {
 		FullSolves:       obs.NewCounterVec("fsr_full_solves_total", "Verifications discharged by a full constraint rebuild."),
 		CacheHits:        obs.NewCounterVec("fsr_solver_cache_hits_total", "Verifications answered from the standing solver result."),
 		VerifyDuration:   obs.NewHistogramVec("fsr_verify_duration_seconds", "Verification wall-clock latency by discharge mode.", "mode"),
+		RegionNodes:      obs.NewHistogramVecBuckets("fsr_smt_delta_region_nodes", "Constraint-graph nodes re-solved per delta verification.", regionBuckets),
 		OracleMismatches: obs.NewCounterVec("fsr_oracle_mismatches_total", "Delta-vs-full-rebuild verification disagreements (check-oracle mode)."),
 		Rollbacks:        obs.NewCounterVec("fsr_whatif_rollbacks_total", "What-if batches verified and rolled back on request (discard)."),
 		AbortedBatches:   obs.NewCounterVec("fsr_whatif_aborted_batches_total", "What-if batches rolled back because an edit or the verification failed."),
@@ -102,6 +111,7 @@ func (m *Metrics) Expose() string {
 	m.DecodeDuration.Expose(&b)
 	m.BodyBytes.Expose(&b)
 	m.Panics.Expose(&b)
+	m.RegionNodes.Expose(&b)
 	return b.String()
 }
 
@@ -123,6 +133,7 @@ func (m *Metrics) Samples() []obs.Sample {
 	out = append(out, m.DecodeDuration.Samples()...)
 	out = append(out, m.BodyBytes.Samples()...)
 	out = append(out, m.Panics.Samples()...)
+	out = append(out, m.RegionNodes.Samples()...)
 	return out
 }
 

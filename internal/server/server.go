@@ -399,11 +399,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) info(ent *instanceEntry) instanceInfo {
-	in := ent.v.Snapshot()
-	// Links stores both directions of every session; report undirected.
+	nodes, sessions := ent.v.Size()
 	return instanceInfo{
-		ID: ent.id, Name: in.Name,
-		Nodes: len(in.Nodes), Sessions: len(in.Links) / 2,
+		ID: ent.id, Name: ent.v.Name(),
+		Nodes: nodes, Sessions: sessions,
 		Degraded: ent.v.Degraded(),
 	}
 }
@@ -443,7 +442,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":       ent.id,
 		"info":     s.info(ent),
-		"instance": scenario.EncodeInstance(ent.v.Snapshot()),
+		"instance": scenario.EncodeInstance(ent.v.Snapshot()), // the one deep copy of this request
 		"verifies": ent.verifies,
 		"solver": solverStats{
 			Checks: st.Checks, CacheHits: st.CacheHits,
@@ -511,6 +510,9 @@ func (s *Server) runVerify(ctx context.Context, op *obs.Op, id string, v *spp.De
 	s.metrics.FullSolves.Add(float64(after.FullSolves - before.FullSolves))
 	s.metrics.CacheHits.Add(float64(after.CacheHits - before.CacheHits))
 	s.metrics.VerifyDuration.Observe(wall.Seconds(), mode)
+	if mode == "delta" {
+		s.metrics.RegionNodes.Observe(float64(after.LastAffected))
+	}
 	if op != nil {
 		safe := "unsafe"
 		if res.Sat {

@@ -1,49 +1,64 @@
-// Delta solving: the verification-as-a-service extension of the pooled
-// incremental engine. A Context interns variables and builds its constraint
-// graph once per Check; a DeltaContext keeps that graph alive *across*
-// checks, so a what-if request that touches one session or ranking patches
-// the edge list in place and re-probes only the region of the constraint
-// graph reachable from the touched assertions, instead of rebuilding and
-// re-solving everything.
+// Delta solving: the verification-as-a-service extension of the engine. A
+// Context interns variables and builds its constraint graph once per Check;
+// a DeltaContext keeps the graph alive *across* checks, so a what-if that
+// touches one session or ranking re-links the edges of the segments it
+// replaces and re-probes only the region of the constraint graph reachable
+// from them, instead of rebuilding and re-solving everything.
+//
+// Storage is slot-stable. The assertion list is a sequence of segments (the
+// unit callers edit by); an asserted atom lives in a slot that never moves,
+// its difference edges live in the slot and sit on intrusive doubly-linked
+// out- and in-lists per node, and its canonical position — needed only to
+// order a region's assertions and to report CoreIdx — is a Fenwick prefix
+// over segment lengths plus its index in its segment. Replacing a segment
+// touches its own slots and their list neighbours; nothing is renumbered and
+// no tail moves. The implicit positivity edge of every variable (x ≥ 1, into
+// the zero node) is not stored: a probe relaxes it as it leaves a node, and a
+// histogram of the variables' standing distances answers what all of them
+// together relax the zero node to.
 //
 // The standing state is the fixed point of the last *satisfiable* graph G0
 // plus the changed set: the heads of every edge deleted or added since G0
 // (and the zero node when fresh variables brought new positivity edges),
-// accumulated over however many splices and unsat verdicts came between.
-// The invariant that makes re-probing from it sound: a node's fixed-point
-// distance is the cheapest walk ending at it (from the virtual source that
-// seeds every node at 0). Take the forward closure of the changed set over
-// the out-edges of the current graph G — the affected region. A walk of G0
-// into a node v outside it either survives intact in G, or lost an edge
-// whose head is changed and whose remaining suffix would put v inside the
-// region; a walk of G into v cannot use an added edge for the same reason.
-// So the walks into v are the same in G0 and G, v keeps its distance, and
-// SPFA re-seeded on the region alone (boundary edges relaxed once from the
-// standing distances outside it) converges to the fixed point a full solve
-// of G would reach. A negative cycle of G must contain an edge G0 lacked —
-// G0 was satisfiable — so it lies inside the region and trips SPFA's
-// enqueue-count bound.
+// accumulated over however many edits and unsat verdicts came between. A
+// node's fixed-point distance is the cheapest walk ending at it (from the
+// virtual source that seeds every node at 0). Take the forward closure of the
+// changed set over the out-edges of the current graph G — the affected
+// region. A walk of G0 into a node v outside it either survives intact in G,
+// or lost an edge whose head is changed and whose remaining suffix would put
+// v inside the region; a walk of G into v cannot use an added edge for the
+// same reason. So v keeps its distance, and SPFA re-seeded on the region
+// alone (its in-lists relaxed once from the standing distances outside it)
+// converges to the fixed point a full solve of G would reach. A negative
+// cycle of G must contain an edge G0 lacked — G0 was satisfiable — so it lies
+// inside the region and trips SPFA's enqueue bound, the region's size.
 //
 // When it does, the distances the probe reset are put back, the changed set
 // stays pending, and the exact verdict and deletion-minimal core come from
-// the string door's one solve on a pooled engine over the current assertion
-// list — bit for bit a fresh Context.Check, the differential oracle the
-// tests and the server's -check-oracle mode enforce. The private engine
-// never minimizes, so an unsat verdict costs the standing fixed point
-// nothing and the repair that follows is a delta solve.
+// the region too. The proof obligation: the region is forward-closed, so
+// every negative cycle of every *subset* of the assertions lies inside it
+// (the argument above never used that G was the whole list). The deletion
+// loop walks the list from last to first and keeps an assertion exactly when
+// the remainder without it has no negative cycle: for an assertion whose
+// edges leave the region that is the same question asked of the region's
+// assertions alone, and every other assertion is on no negative cycle and is
+// dropped. So the sub-system induced on the region — its assertions in
+// canonical order over dense region-local ids, decided by the engine's one
+// solve on a pooled engine — has the whole list's core, position for
+// position once mapped back, and the same positivity involvement: bit for
+// bit a fresh Context.Check, the differential oracle the tests and the
+// server's -check-oracle mode enforce. The standing fixed point is not
+// involved, so the repair that follows an unsat verdict is a delta solve.
 //
 // Transactions make a what-if cost its edit. Between Begin and Rollback the
-// context journals the inverse of every splice, the distance of every node
-// a successful re-probe reset, and — at Begin — the intern table's
-// high-water mark, the pending changed set and the memoized result.
-// Rollback replays the journal backwards: the inverse splices restore the
-// assertion and edge lists (edge order is a function of assertion order and
-// variable ids, so they come back element for element), the journalled
-// distances restore the fixed point (nodes outside every probed region
-// never moved), variables interned since Begin are dropped with their
-// positivity edges, and the changed set and memoized result are those of
-// Begin. Predecessor edges are not journalled: they index an edge list
-// every splice renumbers, and nothing on the delta path reads them.
+// context journals every segment operation, the distance of every node a
+// successful re-probe reset, and — at Begin — the variable count, the pending
+// changed set and the memoized result. A replaced segment's slots stay
+// allocated, unlinked, until Commit frees them; Rollback replays the journal
+// backwards — unlink and free what was added, re-link what was removed —
+// restores the journalled distances (nodes outside every probed region never
+// moved), drops the variables interned since Begin, and reinstates the
+// changed set and memoized result of Begin.
 
 package smt
 
@@ -51,8 +66,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
+
+	"fsr/internal/obs"
 )
 
 // DeltaStats counts solver activity on a DeltaContext, for observability:
@@ -61,71 +79,130 @@ type DeltaStats struct {
 	// Checks counts Check calls that actually solved (cache misses).
 	Checks int
 	// CacheHits counts Check calls answered from the memoized result
-	// (no splice since the last solve).
+	// (no edit since the last solve).
 	CacheHits int
-	// DeltaSolves counts checks answered by the incremental re-probe.
+	// DeltaSolves counts checks answered from the affected region: the
+	// re-probe and, when it finds a negative cycle, the region's exact core.
 	DeltaSolves int
-	// FullSolves counts checks that solved the whole assertion list (until
-	// the first sat verdict leaves a fixed point to re-probe from, and for
-	// the exact core whenever a delta probe finds a negative cycle).
+	// FullSolves counts checks that solved the whole assertion list: every
+	// check until the first sat verdict leaves a fixed point to re-probe from.
 	FullSolves int
 	// LastAffected is the size of the affected region of the last delta
 	// solve (0 when the last solve was full).
 	LastAffected int
 	// LastDuration is the wall time of the last solving Check.
 	LastDuration time.Duration
+	// Steps counts the slots, edges, list links and Fenwick entries read or
+	// written by edits and delta checks: what an edit cost, without a clock.
+	Steps int
 }
 
 // DeltaContext is a mutable logical context with incremental solving:
-// Splice edits the assertion list in place and Check re-decides it, reusing
-// the converged state of the last sat solve when there is one. It is the
-// solver-level "delta verification" entry point of the fsr serve daemon.
-//
-// A DeltaContext is not safe for concurrent use. Unlike Context, it owns a
-// private engine (never pooled), because its value is exactly the state
-// carried between checks.
+// SetSeg, InsertSeg and RemoveSeg edit the segmented assertion list in place
+// and Check re-decides it, reusing the converged state of the last sat solve
+// when there is one. It is the solver-level "delta verification" entry point
+// of the fsr serve daemon. A DeltaContext is not safe for concurrent use.
 type DeltaContext struct {
-	asserts  []Assertion
-	numQuant int
+	// The assertion list: segs[p] holds the slots of the segment at
+	// canonical position p, fen is the Fenwick tree over their lengths.
+	segs  [][]int32
+	fen   []int32
+	slots []deltaSlot
+	free  []int32 // unused slots
+	n     int     // asserted atoms
+	quant []int32 // slots of the quantified atoms, in no order
 
-	e *dlEngine
+	// built: every ground atom's edges are linked into the node lists and
+	// the nodes' distances are the fixed point of that graph as of the last
+	// sat solve; changed lists the nodes whose in-edges moved since. False
+	// until a first solve is sat.
+	built   bool
+	varID   map[Var]int32
+	names   []Var // by node; node 0 is the constant 0
+	nodes   []deltaNode
+	nEdges  int // linked edges
+	hist    distHist
+	changed []int32
 
-	// built: e holds the graph of asserts, every ground assertion active,
-	// and e.dist the fixed point of that graph as of the last sat solve;
-	// changed lists what moved since. False until a first solve is sat.
-	built    bool
-	csrDirty bool
+	// Scratch: the affected region (zero node first, so a node's index is
+	// its region-local id), the probe's ring queue, and the region's
+	// assertions keyed for sorting.
+	region []int32
+	queue  []int32
+	items  []uint64
 
-	// edgeOff[i] is the offset of assertion i's edges in e.edges;
-	// edgeOff[len(asserts)] is the total assertion-edge count (positivity
-	// edges follow). Quantified assertions own zero edges.
-	edgeOff []int32
-	// varRef counts ground-assertion references per variable id. Interning
-	// outlives the assertions that caused it (except across a Rollback), so
-	// a variable whose assertions were all removed stays in the graph as an
-	// orphan (positivity edge only, no in-edges); varRef masks orphans out
-	// of models, which keeps them bit-for-bit equal to a fresh solve's.
-	varRef []int32
-
-	// changed marks nodes whose in-edge set was touched by splices since
-	// the standing fixed point.
-	changed   []int32
-	changedIn []bool
-
-	// Scratch: the affected region, and the edges, offsets and mask of a
-	// splice's additions.
-	affected  []int32
-	inAff     []bool
-	addEdges  []dlEdge
-	addOff    []int32
-	addActive []bool
-
-	// memoized result of the last Check, valid until the next Splice.
+	// memoized result of the last Check, valid until the next edit.
 	res      Result
 	resValid bool
 
 	tx    deltaTx
 	stats DeltaStats
+}
+
+// deltaSlot is one asserted atom in stable storage, with its difference
+// edges: one, two for an equality, none (from < 0) for a quantified atom.
+// Edge k of slot s has id 2s+k.
+type deltaSlot struct {
+	a        Assertion
+	seg, idx int32 // segment position, and index within it
+	e        [2]deltaEdge
+}
+
+// deltaEdge is one difference constraint to − from ≤ w, on from's out-list
+// and to's in-list.
+type deltaEdge struct {
+	from, to         int32
+	w                int
+	outPrev, outNext int32
+	inPrev, inNext   int32
+}
+
+// deltaNode is one variable (or the zero node) of a built graph. A variable
+// whose assertions were all removed stays as an orphan (positivity edge only)
+// until a Rollback drops it; ref masks orphans out of models, which keeps
+// them bit-for-bit equal to a fresh solve's.
+type deltaNode struct {
+	dist                   int
+	out, in                int32 // list heads, −1 for none
+	ref                    int32 // ground-assertion references
+	cnt                    int32 // enqueue count during a probe, region-local id after one
+	inQ, changed, inRegion bool
+}
+
+// distHist counts the variable nodes standing at each distance. Every
+// variable has a positivity edge into the zero node, so the zero node's
+// in-list is the whole graph; the histogram's lowest key is what those edges
+// relax it to, without walking them.
+type distHist struct {
+	count map[int]int32
+	low   int // the lowest key, unless stale
+	stale bool
+}
+
+func (h *distHist) add(d int) {
+	h.count[d]++
+	if len(h.count) == 1 {
+		h.low, h.stale = d, false
+	}
+	h.low = min(h.low, d)
+}
+
+func (h *distHist) remove(d int) {
+	if h.count[d]--; h.count[d] == 0 {
+		delete(h.count, d)
+		h.stale = h.stale || d == h.low
+	}
+}
+
+// lowest returns the lowest standing distance, if any variable is counted.
+func (h *distHist) lowest() (low int, ok bool) {
+	if h.stale {
+		h.low, h.stale = 0, false // distances are never positive
+		for d := range h.count {
+			h.low = min(h.low, d)
+		}
+	}
+	return h.low, len(h.count) > 0
 }
 
 // deltaTx is the undo journal of one transaction: what Begin found, and
@@ -134,24 +211,28 @@ type deltaTx struct {
 	open bool
 
 	built        bool
-	vars         int     // intern-table high-water mark
+	vars         int     // node count
 	changed      []int32 // the pending changed set
 	res          Result
 	resValid     bool
 	lastAffected int
 	lastDuration time.Duration
 
-	splices []spliceUndo
-	removed []Assertion // arena of the assertions the splices deleted
+	ops      []segUndo
+	replaced int // SetSeg entries among ops
 	// dist holds the distances successful re-probes replaced. Every probe
 	// stages its region's here, transaction or not, to put them back if it
 	// finds a negative cycle.
 	dist []distUndo
 }
 
-// spliceUndo inverts Splice(at, del, add): delete the added assertions at
-// at and put removed[lo:hi] back.
-type spliceUndo struct{ at, added, lo, hi int }
+// segUndo inverts one segment operation: a replacement (old holds the slots
+// the segment held, unlinked but allocated), an insertion or a removal.
+type segUndo struct {
+	kind byte // 'r', 'i', 'd'
+	seg  int32
+	old  []int32
+}
 
 // distUndo is one node's distance before a re-probe reset it.
 type distUndo struct {
@@ -160,83 +241,140 @@ type distUndo struct {
 }
 
 // NewDeltaContext returns a delta context over a copy of the assertions
-// (normalized like Context.Assert).
-func NewDeltaContext(asserts []Assertion) *DeltaContext {
+// (normalized like Context.Assert), cut into consecutive segments of the
+// given lengths; nil segLen makes them one segment.
+func NewDeltaContext(asserts []Assertion, segLen []int) *DeltaContext {
+	if segLen == nil {
+		segLen = []int{len(asserts)}
+	}
 	d := &DeltaContext{
-		asserts: make([]Assertion, len(asserts)),
-		e:       &dlEngine{varID: make(map[Var]int32, 64)},
+		segs:  make([][]int32, len(segLen)),
+		slots: make([]deltaSlot, len(asserts)),
+		n:     len(asserts),
+		hist:  distHist{count: map[int]int32{}},
 	}
-	for i, a := range asserts {
-		d.asserts[i] = a.normalized()
-		if d.asserts[i].QuantVar != "" {
-			d.numQuant++
+	ids := make([]int32, len(asserts)) // one backing array: a segment's slice is replaced whole, never appended to
+	at := 0
+	for p, n := range segLen {
+		d.segs[p] = ids[at : at+n : at+n]
+		for i := range d.segs[p] {
+			s := int32(at + i)
+			d.segs[p][i] = s
+			d.slots[s] = deltaSlot{a: asserts[s].normalized(), seg: int32(p), idx: int32(i)}
+			if asserts[s].QuantVar != "" {
+				d.quant = append(d.quant, s)
+			}
 		}
+		at += n
 	}
+	if at != len(asserts) {
+		panic(fmt.Sprintf("smt: segment lengths sum to %d for %d assertions", at, len(asserts)))
+	}
+	d.fenRebuild()
 	return d
 }
 
 // Len returns the number of asserted atoms.
-func (d *DeltaContext) Len() int { return len(d.asserts) }
+func (d *DeltaContext) Len() int { return d.n }
 
-// Assertions returns a copy of the current assertion list.
+// Segments returns the number of segments.
+func (d *DeltaContext) Segments() int { return len(d.segs) }
+
+// SegLen returns the number of atoms in segment id.
+func (d *DeltaContext) SegLen(id int) int { return len(d.segs[id]) }
+
+// Assertions returns a copy of the current assertion list in canonical
+// order.
 func (d *DeltaContext) Assertions() []Assertion {
-	out := make([]Assertion, len(d.asserts))
-	copy(out, d.asserts)
+	out := make([]Assertion, 0, d.n)
+	for _, seg := range d.segs {
+		for _, s := range seg {
+			out = append(out, d.slots[s].a)
+		}
+	}
 	return out
 }
 
 // Stats returns the accumulated solver statistics.
 func (d *DeltaContext) Stats() DeltaStats { return d.stats }
 
-// Clone returns an independent copy, including the warm engine state, taken
-// outside any transaction. Nothing in production clones since what-ifs roll
-// back; the benchmark's frozen replay still does.
+// Clone returns an independent copy, including the standing fixed point,
+// taken outside any transaction. Nothing in production clones since what-ifs
+// roll back; the benchmark's frozen replay still does.
 func (d *DeltaContext) Clone() *DeltaContext {
-	c := &DeltaContext{
-		asserts:  append([]Assertion(nil), d.asserts...),
-		numQuant: d.numQuant,
-		e:        d.e.clone(),
-		built:    d.built,
-		csrDirty: d.csrDirty,
-		edgeOff:  append([]int32(nil), d.edgeOff...),
-		varRef:   append([]int32(nil), d.varRef...),
-		changed:  append([]int32(nil), d.changed...),
-		res:      d.res,
-		resValid: d.resValid,
-		stats:    d.stats,
+	c := *d
+	ids := make([]int32, 0, d.n)
+	c.segs = make([][]int32, len(d.segs))
+	for p, seg := range d.segs {
+		ids = append(ids, seg...)
+		c.segs[p] = ids[len(ids)-len(seg) : len(ids) : len(ids)]
 	}
-	if d.changedIn != nil {
-		c.changedIn = append([]bool(nil), d.changedIn...)
-	}
-	return c
+	c.fen, c.slots, c.free, c.quant = slices.Clone(d.fen), slices.Clone(d.slots), slices.Clone(d.free), slices.Clone(d.quant)
+	c.varID, c.names, c.nodes = maps.Clone(d.varID), slices.Clone(d.names), slices.Clone(d.nodes)
+	c.hist.count, c.changed = maps.Clone(d.hist.count), slices.Clone(d.changed)
+	c.region, c.queue, c.items, c.tx = nil, nil, nil, deltaTx{}
+	return &c
 }
 
-// clone deep-copies the engine's persistent state (the probe buffers are
-// copied too: dist is live state for a built delta context; the
-// condensation plan is rebuilt by every solve and is not).
-func (e *dlEngine) clone() *dlEngine {
-	c := &dlEngine{varID: make(map[Var]int32, len(e.varID))}
-	for k, v := range e.varID {
-		c.varID[k] = v
+// --- canonical positions ---
+
+// fenRebuild recomputes the Fenwick tree from the segment lengths, after the
+// segment sequence itself changed.
+func (d *DeltaContext) fenRebuild() {
+	d.fen = growInt32(d.fen, len(d.segs)+1)
+	clear(d.fen)
+	for i := 1; i < len(d.fen); i++ {
+		d.fen[i] += int32(len(d.segs[i-1]))
+		if up := i + i&-i; up < len(d.fen) {
+			d.fen[up] += d.fen[i]
+		}
 	}
-	c.idVar = append([]Var(nil), e.idVar...)
-	c.edges = append([]dlEdge(nil), e.edges...)
-	c.adjStart = append([]int32(nil), e.adjStart...)
-	c.adjList = append([]int32(nil), e.adjList...)
-	c.active = append([]bool(nil), e.active...)
-	c.posActive = e.posActive
-	c.dist = append([]int(nil), e.dist...)
-	c.pred = append([]int32(nil), e.pred...)
-	c.cnt = append([]int32(nil), e.cnt...)
-	c.inQ = append([]bool(nil), e.inQ...)
-	c.queue = append([]int32(nil), e.queue...)
-	c.inWitness = append([]bool(nil), e.inWitness...)
-	c.witness = append([]int32(nil), e.witness...)
-	return c
 }
 
-// Begin opens a transaction: every Splice and Check until Commit or
-// Rollback is journalled, and Rollback leaves the context — assertions,
+// fenAdd adds delta to the length recorded for segment seg.
+func (d *DeltaContext) fenAdd(seg int32, delta int) {
+	for i := int(seg) + 1; i < len(d.fen); i += i & -i {
+		d.fen[i] += int32(delta)
+		d.stats.Steps++
+	}
+}
+
+// position returns slot s's canonical position: the atoms in the segments
+// before its own, plus its index.
+func (d *DeltaContext) position(s int32) int {
+	pos := int(d.slots[s].idx)
+	for i := int(d.slots[s].seg); i > 0; i -= i & -i {
+		pos += int(d.fen[i])
+		d.stats.Steps++
+	}
+	return pos
+}
+
+// Locate returns the segment holding canonical position p, and p's offset
+// within it.
+func (d *DeltaContext) Locate(p int) (seg, off int) {
+	if p < 0 || p >= d.n {
+		panic(fmt.Sprintf("smt: position %d out of range 0..%d", p, d.n))
+	}
+	// Descend to the largest number of whole segments that end at or before
+	// p: the next segment holds it.
+	bit := 1
+	for bit<<1 < len(d.fen) {
+		bit <<= 1
+	}
+	for ; bit > 0; bit >>= 1 {
+		if next := seg + bit; next < len(d.fen) && int(d.fen[next]) <= p {
+			seg, p = next, p-int(d.fen[next])
+		}
+		d.stats.Steps++
+	}
+	return seg, p
+}
+
+// --- transactions ---
+
+// Begin opens a transaction: every edit and Check until Commit or Rollback
+// is journalled, and Rollback leaves the context — assertions, graph,
 // standing fixed point, interned variables, pending changes, memoized
 // result — as Begin found it, so the next Check answers what, and how
 // (cached, delta), it would have answered had the transaction never run.
@@ -248,22 +386,27 @@ func (d *DeltaContext) Begin() {
 	}
 	tx := &d.tx
 	tx.open = true
-	tx.built, tx.vars = d.built, len(d.e.idVar)
+	tx.built, tx.vars = d.built, len(d.nodes)
 	tx.changed = append(tx.changed[:0], d.changed...)
 	tx.res, tx.resValid = d.res, d.resValid
 	tx.lastAffected, tx.lastDuration = d.stats.LastAffected, d.stats.LastDuration
 }
 
-// Journal reports the open transaction's size: splices recorded, and undo
-// entries in all (splice inverses plus journalled distances).
+// Journal reports the open transaction's size: segment replacements
+// recorded, and undo entries in all (segment operations plus journalled
+// distances).
 func (d *DeltaContext) Journal() (splices, entries int) {
-	return len(d.tx.splices), len(d.tx.splices) + len(d.tx.dist)
+	return d.tx.replaced, len(d.tx.ops) + len(d.tx.dist)
 }
 
-// Commit closes the transaction, keeping its edits.
+// Commit closes the transaction, keeping its edits: the slots they displaced
+// are freed.
 func (d *DeltaContext) Commit() {
 	if !d.tx.open {
 		panic("smt: DeltaContext.Commit outside a transaction")
+	}
+	for _, u := range d.tx.ops {
+		d.release(u.old)
 	}
 	d.tx.close()
 }
@@ -274,22 +417,38 @@ func (d *DeltaContext) Rollback() {
 	if !tx.open {
 		panic("smt: DeltaContext.Rollback outside a transaction")
 	}
-	tx.open = false // the inverse splices are not themselves journalled
-	if !tx.built {
-		// A first sat solve inside the transaction built a fixed point for
-		// assertions that are about to go; there was none before.
-		d.built = false
-	}
-	for i := len(tx.splices) - 1; i >= 0; i-- {
-		u := tx.splices[i]
-		d.splice(u.at, u.added, tx.removed[u.lo:u.hi])
+	tx.open = false // the inverse operations are not themselves journalled
+	// A first sat solve inside the transaction built a fixed point for
+	// assertions that are about to go; there was none before.
+	d.built = d.built && tx.built
+	for i := len(tx.ops) - 1; i >= 0; i-- {
+		switch u := tx.ops[i]; u.kind {
+		case 'r':
+			fresh := d.segs[u.seg]
+			d.detach(fresh)
+			d.release(fresh)
+			d.attach(u.old)
+			d.segs[u.seg] = u.old
+			d.n += len(u.old) - len(fresh)
+			d.fenAdd(u.seg, len(u.old)-len(fresh))
+		case 'i':
+			d.moveSegs(int(u.seg), slices.Delete(d.segs, int(u.seg), int(u.seg)+1))
+		case 'd':
+			d.moveSegs(int(u.seg), slices.Insert(d.segs, int(u.seg), nil))
+		}
 	}
 	if tx.built {
 		for i := len(tx.dist) - 1; i >= 0; i-- {
-			d.e.dist[tx.dist[i].node] = tx.dist[i].dist
+			d.setDist(tx.dist[i].node, tx.dist[i].dist)
 		}
 		d.clearChanged()
-		d.unintern(tx.vars)
+		// Variables interned since Begin are referenced by nothing now.
+		for v := len(d.nodes) - 1; v >= tx.vars; v-- {
+			delete(d.varID, d.names[v])
+			d.hist.remove(d.nodes[v].dist)
+		}
+		clear(d.names[tx.vars:])
+		d.names, d.nodes = d.names[:tx.vars], d.nodes[:tx.vars]
 		for _, v := range tx.changed {
 			d.markChanged(v)
 		}
@@ -302,204 +461,269 @@ func (d *DeltaContext) Rollback() {
 func (tx *deltaTx) close() {
 	tx.open = false
 	tx.res = Result{}
-	tx.splices = tx.splices[:0]
-	clear(tx.removed) // drop the origin strings
-	tx.removed = tx.removed[:0]
+	clear(tx.ops) // drop the displaced slot lists
+	tx.ops, tx.replaced = tx.ops[:0], 0
 	tx.dist = tx.dist[:0]
 }
 
-// unintern forgets the variables interned at or after id mark, which no
-// assertion references any more: their names, their slots in every
-// node-indexed buffer, and their positivity edges (the tail of the edge
-// list, in id order).
-func (d *DeltaContext) unintern(mark int) {
-	e := d.e
-	fresh := len(e.idVar) - mark
-	if fresh == 0 {
-		return
+// setDist moves node v's standing distance, keeping the histogram in step.
+func (d *DeltaContext) setDist(v int32, dist int) {
+	if v != zeroNode {
+		d.hist.remove(d.nodes[v].dist)
+		d.hist.add(dist)
 	}
-	for _, name := range e.idVar[mark:] {
-		delete(e.varID, name)
-	}
-	clear(e.idVar[mark:])
-	e.idVar = e.idVar[:mark]
-	e.edges = e.edges[:len(e.edges)-fresh]
-	d.varRef = d.varRef[:mark]
-	d.changedIn = d.changedIn[:mark]
-	e.dist, e.pred, e.cnt = e.dist[:mark], e.pred[:mark], e.cnt[:mark]
-	e.inQ, e.queue = e.inQ[:mark], e.queue[:mark]
-	d.csrDirty = true
+	d.nodes[v].dist = dist
 }
 
-// Splice replaces asserts[at : at+del] with add (normalized), in place: a
-// splice that keeps the list's length touches only its own entries, any
-// other moves the tail once. When a fixed point stands, the constraint
-// graph is patched the same way — the removed assertions' edges cut out,
-// the added ones' spliced in, new variables interned — and the heads of
-// every touched edge recorded as changed so the next Check can re-probe
-// just the region they reach.
-func (d *DeltaContext) Splice(at, del int, add []Assertion) error {
-	if at < 0 || del < 0 || at+del > len(d.asserts) {
-		return fmt.Errorf("smt: splice [%d:%d+%d] out of range 0..%d", at, at, del, len(d.asserts))
+// --- segment edits ---
+
+func (d *DeltaContext) checkSeg(id, limit int) error {
+	if id < 0 || id >= limit {
+		return fmt.Errorf("smt: segment %d out of range 0..%d", id, limit)
 	}
-	obsDeltaSplices.Inc()
-	if tx := &d.tx; tx.open {
-		lo := len(tx.removed)
-		tx.removed = append(tx.removed, d.asserts[at:at+del]...)
-		tx.splices = append(tx.splices, spliceUndo{at: at, added: len(add), lo: lo, hi: len(tx.removed)})
-	}
-	d.splice(at, del, add)
 	return nil
 }
 
-// replace is slices.Replace(s, at, at+del, v...), except that a window that
-// keeps its length is overwritten without copying the tail onto itself.
-func replace[E any](s []E, at, del int, v []E) []E {
-	if len(v) == del {
-		copy(s[at:], v)
-		return s
+// journal records the inverse of a segment operation while a transaction is
+// open and reports whether it did.
+func (d *DeltaContext) journal(u segUndo) bool {
+	if d.tx.open {
+		d.tx.ops = append(d.tx.ops, u)
 	}
-	return slices.Replace(s, at, at+del, v...)
+	return d.tx.open
 }
 
-func (d *DeltaContext) splice(at, del int, add []Assertion) {
+// SetSeg replaces the atoms of segment id with add (normalized) and reports
+// whether that changed anything; a segment given its own content again is
+// left alone. The segment's old slots are unlinked and new ones linked — no
+// other slot, edge or position is touched. When a fixed point stands, new
+// variables are interned and the heads of every touched edge recorded as
+// changed, so the next Check can re-probe just the region they reach.
+func (d *DeltaContext) SetSeg(id int, add []Assertion) (changed bool, err error) {
+	if err := d.checkSeg(id, len(d.segs)); err != nil {
+		return false, err
+	}
+	old := d.segs[id]
+	same := len(old) == len(add)
+	for i := 0; same && i < len(add); i++ {
+		same = d.slots[old[i]].a == add[i].normalized()
+	}
+	d.stats.Steps += len(old) + len(add)
+	if same {
+		return false, nil
+	}
+	obsDeltaSplices.Inc()
 	d.resValid = false
-	e := d.e
-	for i := at; i < at+del; i++ {
-		if d.asserts[i].QuantVar != "" {
-			d.numQuant--
+	var fresh []int32
+	if len(add) > 0 {
+		fresh = make([]int32, len(add))
+	}
+	for i := range add {
+		rec := deltaSlot{a: add[i].normalized(), seg: int32(id), idx: int32(i)}
+		if n := len(d.free); n > 0 {
+			fresh[i], d.free = d.free[n-1], d.free[:n-1]
+			d.slots[fresh[i]] = rec
+		} else {
+			fresh[i] = int32(len(d.slots))
+			d.slots = append(d.slots, rec)
 		}
 	}
-	var aEnd, dEnd int32
-	if d.built {
-		// The removed assertions drop their variable references, and the
-		// heads of their edges lose an in-edge.
-		aEnd, dEnd = d.edgeOff[at], d.edgeOff[at+del]
-		for i := at; i < at+del; i++ {
-			d.ref(&d.asserts[i], -1)
-		}
-		for _, ed := range e.edges[aEnd:dEnd] {
-			d.markChanged(ed.to)
-		}
+	d.detach(old)
+	d.attach(fresh)
+	d.segs[id] = fresh
+	d.n += len(fresh) - len(old)
+	d.fenAdd(int32(id), len(fresh)-len(old))
+	if d.journal(segUndo{kind: 'r', seg: int32(id), old: old}) {
+		d.tx.replaced++
+	} else {
+		d.release(old)
 	}
-	d.asserts = replace(d.asserts, at, del, add)
-	fresh := d.asserts[at : at+len(add)]
-	for j := range fresh {
-		fresh[j] = fresh[j].normalized()
-		if fresh[j].QuantVar != "" {
-			d.numQuant++
-		}
-	}
-	if !d.built {
-		return // no graph to patch: the next Check builds one
-	}
-
-	// The added assertions intern their variables, contribute their edges
-	// and add references. A fresh node grows the node-indexed buffers and
-	// starts at the virtual-source distance like every node of a fresh
-	// solve.
-	oldV := len(e.idVar)
-	d.addEdges, d.addOff, d.addActive = d.addEdges[:0], d.addOff[:0], d.addActive[:0]
-	for j := range fresh {
-		d.addOff = append(d.addOff, aEnd+int32(len(d.addEdges)))
-		d.addActive = append(d.addActive, fresh[j].QuantVar == "")
-		d.addEdges = e.appendEdges(d.addEdges, &fresh[j], int32(at+j))
-	}
-	for v := oldV; v < len(e.idVar); v++ {
-		d.varRef = append(d.varRef, 0)
-		e.dist = append(e.dist, 0)
-		e.pred = append(e.pred, -1)
-		e.cnt = append(e.cnt, 1)
-		e.inQ = append(e.inQ, false)
-		e.queue = append(e.queue, 0)
-		d.changedIn = append(d.changedIn, false)
-	}
-	for j := range fresh {
-		d.ref(&fresh[j], 1)
-	}
-	for _, ed := range d.addEdges {
-		d.markChanged(ed.to)
-	}
-
-	// Edge-list surgery. Layout: [0:aEnd) untouched, [aEnd:dEnd) replaced,
-	// the other assertions' edges, then one positivity edge per variable.
-	e.edges = replace(e.edges, int(aEnd), int(dEnd-aEnd), d.addEdges)
-	d.edgeOff = replace(d.edgeOff, at, del, d.addOff)
-	e.active = replace(e.active, at, del, d.addActive)
-	if grow := int32(len(d.addEdges)) - (dEnd - aEnd); grow != 0 {
-		for i := at + len(add); i < len(d.edgeOff); i++ {
-			d.edgeOff[i] += grow
-		}
-	}
-	if shift := int32(len(add) - del); shift != 0 {
-		for i := d.edgeOff[at+len(add)]; i < d.edgeOff[len(d.asserts)]; i++ {
-			e.edges[i].assertIdx += shift
-		}
-	}
-	if len(e.idVar) > oldV {
-		for v := oldV; v < len(e.idVar); v++ {
-			e.edges = append(e.edges, dlEdge{from: int32(v), to: zeroNode, w: -1, assertIdx: -1})
-		}
-		d.markChanged(zeroNode) // fresh positivity edges point at the zero node
-	}
-	d.csrDirty = true
+	return true, nil
 }
 
-// rebuildOffsets recomputes edgeOff from the assertion list alone (the edge
-// layout is a pure function of the relations).
-func (d *DeltaContext) rebuildOffsets() {
-	n := len(d.asserts)
-	d.edgeOff = growInt32(d.edgeOff, n+1)
-	off := int32(0)
-	for i := range d.asserts {
-		d.edgeOff[i] = off
-		a := &d.asserts[i]
-		if a.QuantVar != "" {
+// InsertSeg inserts an empty segment at position id; later segments move up
+// by one.
+func (d *DeltaContext) InsertSeg(id int) error {
+	if err := d.checkSeg(id, len(d.segs)+1); err != nil {
+		return err
+	}
+	d.moveSegs(id, slices.Insert(d.segs, id, nil))
+	d.journal(segUndo{kind: 'i', seg: int32(id)})
+	return nil
+}
+
+// RemoveSeg deletes segment id and the atoms it holds; later segments move
+// down by one.
+func (d *DeltaContext) RemoveSeg(id int) error {
+	if _, err := d.SetSeg(id, nil); err != nil {
+		return err
+	}
+	d.moveSegs(id, slices.Delete(d.segs, id, id+1))
+	d.journal(segUndo{kind: 'd', seg: int32(id)})
+	return nil
+}
+
+// moveSegs installs a segment sequence that differs from the current one
+// from position from on: the slots behind it learn their new segment and the
+// Fenwick tree is rebuilt — the one cost here that grows with the list,
+// paid by topology edits only.
+func (d *DeltaContext) moveSegs(from int, segs [][]int32) {
+	d.segs = segs
+	for p := from; p < len(segs); p++ {
+		for _, s := range segs[p] {
+			d.slots[s].seg = int32(p)
+		}
+	}
+	d.fenRebuild()
+}
+
+// release returns detached slots to the free list.
+func (d *DeltaContext) release(slots []int32) {
+	for _, s := range slots {
+		d.slots[s].a = Assertion{} // drop the names and the origin string
+	}
+	d.free = append(d.free, slots...)
+}
+
+// attach makes slots part of the asserted system: quantified atoms join the
+// quantified set, and when a fixed point stands the ground ones are linked.
+func (d *DeltaContext) attach(slots []int32) {
+	for _, s := range slots {
+		if d.slots[s].a.QuantVar != "" {
+			d.quant = append(d.quant, s)
+		} else if d.built {
+			d.link(s)
+		}
+	}
+	d.stats.Steps += len(slots)
+}
+
+// link interns the variables of ground slot s and puts its edges on the
+// lists. A ≤ B is val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka: an edge
+// vb → va; an equality adds the reverse edge.
+func (d *DeltaContext) link(s int32) {
+	a := d.slots[s].a
+	va, vb := d.intern(a.A.Var), d.intern(a.B.Var)
+	w := a.B.K - a.A.K
+	if a.Rel == Lt {
+		w--
+	}
+	d.slots[s].e = [2]deltaEdge{{from: vb, to: va, w: w}, {from: -1}}
+	if a.Rel == Eq {
+		d.slots[s].e[1] = deltaEdge{from: va, to: vb, w: -w}
+	}
+	d.relink(s, +1)
+}
+
+// detach is attach's inverse; the slots stay allocated.
+func (d *DeltaContext) detach(slots []int32) {
+	for _, s := range slots {
+		if d.slots[s].a.QuantVar != "" {
+			i := slices.Index(d.quant, s)
+			d.quant = slices.Delete(d.quant, i, i+1)
+		} else if d.built {
+			d.relink(s, -1)
+		}
+	}
+	d.stats.Steps += len(slots)
+}
+
+// intern returns the node of a variable, minting one for a first occurrence;
+// the empty name is the constant 0. A fresh node starts at the virtual-source
+// distance like every node of a fresh solve; its positivity edge points at
+// the zero node, which it therefore changes.
+func (d *DeltaContext) intern(v Var) int32 {
+	if v == "" {
+		return zeroNode
+	}
+	id, ok := d.varID[v]
+	if !ok {
+		id = int32(len(d.nodes))
+		d.varID[v] = id
+		d.names = append(d.names, v)
+		d.nodes = append(d.nodes, deltaNode{out: -1, in: -1})
+		d.hist.add(0)
+		d.markChanged(zeroNode)
+	}
+	return id
+}
+
+// relink puts ground slot s's edges on (dir +1) or takes them off (dir −1)
+// their endpoints' lists, moves the endpoints' reference counts with them
+// (the zero node stands for a constant and has none), and marks the edges'
+// heads changed.
+func (d *DeltaContext) relink(s int32, dir int32) {
+	for k := range d.slots[s].e {
+		x := &d.slots[s].e[k]
+		if x.from < 0 {
 			continue
 		}
-		if a.Rel == Eq {
-			off += 2
+		id := s<<1 | int32(k)
+		from, to := &d.nodes[x.from], &d.nodes[x.to]
+		if dir > 0 {
+			x.outPrev, x.outNext, from.out = -1, from.out, id
+			x.inPrev, x.inNext, to.in = -1, to.in, id
+			if x.outNext >= 0 {
+				d.edge(x.outNext).outPrev = id
+			}
+			if x.inNext >= 0 {
+				d.edge(x.inNext).inPrev = id
+			}
 		} else {
-			off++
+			if x.outPrev >= 0 {
+				d.edge(x.outPrev).outNext = x.outNext
+			} else {
+				from.out = x.outNext
+			}
+			if x.outNext >= 0 {
+				d.edge(x.outNext).outPrev = x.outPrev
+			}
+			if x.inPrev >= 0 {
+				d.edge(x.inPrev).inNext = x.inNext
+			} else {
+				to.in = x.inNext
+			}
+			if x.inNext >= 0 {
+				d.edge(x.inNext).inPrev = x.inPrev
+			}
+		}
+		d.nEdges += int(dir)
+		d.markChanged(x.to)
+		d.stats.Steps++
+	}
+	for _, v := range [2]int32{d.slots[s].e[0].from, d.slots[s].e[0].to} {
+		if v != zeroNode {
+			d.nodes[v].ref += dir
 		}
 	}
-	d.edgeOff[n] = off
 }
 
-// ref adds delta to the reference counts of a ground assertion's variables.
-func (d *DeltaContext) ref(a *Assertion, delta int32) {
-	if a.QuantVar != "" {
-		return
-	}
-	if a.A.Var != "" {
-		d.varRef[d.e.varID[a.A.Var]] += delta
-	}
-	if a.B.Var != "" {
-		d.varRef[d.e.varID[a.B.Var]] += delta
-	}
-}
+func (d *DeltaContext) edge(id int32) *deltaEdge { return &d.slots[id>>1].e[id&1] }
 
 func (d *DeltaContext) markChanged(v int32) {
-	if !d.changedIn[v] {
-		d.changedIn[v] = true
+	if !d.nodes[v].changed {
+		d.nodes[v].changed = true
 		d.changed = append(d.changed, v)
 	}
 }
 
 func (d *DeltaContext) clearChanged() {
 	for _, v := range d.changed {
-		d.changedIn[v] = false
+		d.nodes[v].changed = false
 	}
 	d.changed = d.changed[:0]
 }
 
+// --- checking ---
+
 // Check decides the current assertion list. Results are memoized until the
-// next Splice. With a fixed point standing, the check is a delta solve:
-// forward closure of the changed nodes, boundary relaxation, seeded SPFA. A
-// probe that hits a negative cycle, and every check before the first sat
-// one, gets the whole-list solve of Context.CheckContext, so verdicts and
-// minimal cores are always bit-for-bit those of a fresh solve. A sat result
-// carries no model: Model renders it.
+// next edit. With a fixed point standing, the check is a delta solve:
+// forward closure of the changed nodes, boundary relaxation, seeded SPFA,
+// and — when that finds a negative cycle — the exact core of the region's
+// sub-system. Every check before the first sat one solves the whole list as
+// Context.CheckContext does. Either way verdicts and minimal cores are
+// bit-for-bit those of a fresh solve. A sat result carries no model: Model
+// renders it.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -509,206 +733,310 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	defer d.e.flushStats()
 	start := time.Now()
 	d.stats.Checks++
+	res, err := d.decideQuantified()
+	if err == nil && res.Core == nil { // no invalid universal settled it
+		if d.built {
+			res, err = d.deltaSolve(ctx)
+		} else {
+			res, err = d.firstSolve(ctx)
+		}
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res.Stats.Duration = time.Since(start)
+	d.stats.LastDuration = res.Stats.Duration
+	d.res, d.resValid = res, true
+	return res, nil
+}
 
-	if d.numQuant > 0 {
-		res, decided, err := decideQuantified(d.asserts, start)
-		if err != nil {
+// decideQuantified is the package's decideQuantified over the quantified
+// set: the first invalid (or unsupported) universal in canonical order
+// settles the system, as a one-element core.
+func (d *DeltaContext) decideQuantified() (Result, error) {
+	slices.SortFunc(d.quant, func(a, b int32) int { return d.position(a) - d.position(b) })
+	for _, s := range d.quant {
+		a := d.slots[s].a
+		if ok, err := quantifiedValid(a); err != nil {
 			return Result{}, err
+		} else if !ok {
+			return Result{Core: []Assertion{a}, CoreIdx: []int{d.position(s)}, Stats: Stats{Assertions: d.n}}, nil
 		}
-		if decided {
-			return d.memo(res), nil
-		}
 	}
-	if !d.built {
-		return d.firstSolve(ctx, start)
-	}
-	if affected, sat := d.deltaSolve(); sat {
-		return d.deltaSat(start, affected), nil
-	}
-	return d.exactUnsat(ctx, start)
+	return Result{}, nil
 }
 
 // Model renders the satisfying assignment of the last Check off the
 // standing fixed point — bit for bit a fresh solve's model, orphaned
-// variables masked out. It is nil unless that Check was sat and no Splice
+// variables masked out. It is nil unless that Check was sat and no edit
 // came after it.
 func (d *DeltaContext) Model() map[Var]int {
 	if !d.built || !d.resValid || !d.res.Sat {
 		return nil
 	}
-	return d.e.model(d.varRef)
+	model := make(map[Var]int, len(d.names)-1)
+	for v := 1; v < len(d.nodes); v++ {
+		if d.nodes[v].ref > 0 {
+			model[d.names[v]] = d.nodes[v].dist - d.nodes[zeroNode].dist
+		}
+	}
+	return model
 }
 
-// memo keeps a solving Check's result until the next Splice.
-func (d *DeltaContext) memo(res Result) Result {
-	d.stats.LastDuration = res.Stats.Duration
-	d.res, d.resValid = res, true
-	return res
-}
-
-// firstSolve builds the private engine for the current assertions and runs
-// the engine's one solve, exactly as the string door does on a pooled
-// engine. A sat verdict leaves the fixed point every later check re-probes
-// from; an unsat one leaves the engine mid-minimization and unbuilt.
-func (d *DeltaContext) firstSolve(ctx context.Context, start time.Time) (Result, error) {
-	e := d.e
-	e.build(d.asserts)
-	d.csrDirty = false
-	d.rebuildOffsets()
-	d.varRef = growInt32(d.varRef, len(e.idVar))
-	clear(d.varRef)
-	for i := range d.asserts {
-		d.ref(&d.asserts[i], 1)
-	}
-	d.changedIn = growBool(d.changedIn, len(e.idVar))
-	clear(d.changedIn)
-	d.changed = d.changed[:0]
-	d.countFull()
-
-	var (
-		res Result
-		err error
-	)
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, false, &res.Stats)
-	if err != nil {
-		return Result{}, err
-	}
-	if d.built = res.Sat; !res.Sat {
-		res.Core = coreOf(d.asserts, res.CoreIdx)
-	}
-	res.Stats.Duration = time.Since(start)
-	return d.memo(res), nil
-}
-
-func (d *DeltaContext) countFull() {
+// firstSolve decides the whole list exactly as the string door does: build a
+// pooled engine for it and run the engine's one solve. A sat verdict becomes
+// the fixed point every later check re-probes from: each ground atom's edges
+// linked in canonical order, every node at its converged distance, nothing
+// changed.
+func (d *DeltaContext) firstSolve(ctx context.Context) (res Result, err error) {
+	e := enginePool.Get().(*dlEngine)
+	defer e.release()
+	defer e.flushStats()
+	asserts := d.Assertions()
+	e.build(asserts)
 	d.stats.FullSolves++
 	obsFullSolves.Inc()
 	d.stats.LastAffected = 0
-}
-
-// exactUnsat answers a check whose delta probe found a negative cycle: the
-// verdict and deletion-minimal core of the string door's solve over the
-// current assertions, on a pooled engine. The private engine is not
-// involved — its distances are back at the standing fixed point and the
-// changed set stays pending for the next check.
-func (d *DeltaContext) exactUnsat(ctx context.Context, start time.Time) (Result, error) {
-	res, err := solveAsserts(ctx, d.asserts, false)
-	if err != nil {
-		return Result{}, err
+	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, false, &res.Stats)
+	if err != nil || !res.Sat {
+		res.Core = coreOf(asserts, res.CoreIdx)
+		return res, err
 	}
-	if res.Sat {
-		// SPFA's enqueue bound trips only on a negative cycle.
-		return Result{}, errors.New("smt: delta probe found a negative cycle the full solve does not")
-	}
-	d.countFull()
-	res.Stats.Probes += d.e.statProbes
-	res.Stats.Relaxations += d.e.statRelax
-	res.Stats.Duration = time.Since(start)
-	return d.memo(res), nil
-}
-
-// deltaSolve re-probes the region of the graph the changed set reaches and
-// reports its size. sat=false means SPFA tripped the negative-cycle bound;
-// the region's distances are then back where they stood and the changed
-// set is still pending. Inside a transaction the distances a successful
-// probe replaced are journalled for Rollback.
-func (d *DeltaContext) deltaSolve() (affected int, sat bool) {
-	e := d.e
-	if d.csrDirty {
-		e.buildCSR()
-		d.csrDirty = false
-	}
-	if len(d.changed) == 0 {
-		// Nothing touched the graph since the fixed point (e.g. a splice
-		// that put back what the last one removed): the standing distances
-		// are the answer.
-		return 0, true
-	}
-
-	// Affected region: forward closure of the changed nodes over active
-	// out-edges. Only nodes in this set can see their fixed-point distance
-	// move, and any new negative cycle lies entirely inside it.
-	d.inAff = growBool(d.inAff, len(e.idVar))
-	d.affected = d.affected[:0]
-	for _, v := range d.changed {
-		d.inAff[v] = true
-		d.affected = append(d.affected, v)
-	}
-	for qi := 0; qi < len(d.affected); qi++ {
-		u := d.affected[qi]
-		for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-			ed := &e.edges[e.adjList[k]]
-			if !e.edgeActive(ed) {
-				continue
-			}
-			if v := ed.to; !d.inAff[v] {
-				d.inAff[v] = true
-				d.affected = append(d.affected, v)
+	d.built = true
+	d.varID, d.names = make(map[Var]int32, len(e.idVar)), append(d.names[:0], "")
+	d.nodes = append(d.nodes[:0], deltaNode{dist: e.dist[zeroNode], out: -1, in: -1})
+	d.nEdges, d.changed = 0, d.changed[:0]
+	clear(d.hist.count)
+	for _, seg := range d.segs {
+		for _, s := range seg {
+			if d.slots[s].a.QuantVar == "" {
+				d.link(s)
 			}
 		}
 	}
+	for v := int32(1); v < int32(len(d.nodes)); v++ {
+		d.setDist(v, e.dist[e.varID[d.names[v]]])
+	}
+	d.clearChanged()
+	return res, nil
+}
+
+// deltaSolve answers a check from the standing fixed point: the re-probe of
+// the affected region and, if that finds a negative cycle, the region's core.
+func (d *DeltaContext) deltaSolve(ctx context.Context) (res Result, err error) {
+	if res.Sat = d.probe(&res.Stats); !res.Sat {
+		if err := d.regionCore(ctx, &res); err != nil {
+			return Result{}, err
+		}
+	}
+	res.Stats.Assertions, res.Stats.Variables = d.n, len(d.nodes)-1
+	res.Stats.Edges = d.nEdges + res.Stats.Variables
+	d.stats.DeltaSolves++
+	obsDeltaSolves.Inc()
+	return res, nil
+}
+
+// probe re-solves the region of the graph the changed set reaches, leaving
+// it in d.region (zero node first), and reports whether it converged. If
+// SPFA tripped the negative-cycle bound, the region's distances are back
+// where they stood and the changed set is still pending. Inside a
+// transaction the distances a successful probe replaced are journalled for
+// Rollback.
+func (d *DeltaContext) probe(st *Stats) (sat bool) {
+	d.region = d.region[:0]
+	d.stats.LastAffected = 0
+	if len(d.changed) == 0 {
+		// Nothing touched the graph since the fixed point (e.g. an edit that
+		// put back what the last one removed): the standing distances are
+		// the answer.
+		return true
+	}
+
+	// Affected region: forward closure of the changed nodes over out-edges.
+	// Only nodes in this set can see their fixed-point distance move, and
+	// any negative cycle lies entirely inside it. The zero node is always
+	// in: every variable reaches it over its positivity edge.
+	nodes, steps := d.nodes, 0
+	region := append(d.region, zeroNode)
+	nodes[zeroNode].inRegion = true
+	for _, v := range d.changed {
+		if !nodes[v].inRegion {
+			nodes[v].inRegion = true
+			region = append(region, v)
+		}
+	}
+	for qi := 0; qi < len(region); qi++ {
+		for ed := nodes[region[qi]].out; ed >= 0; ed = d.edge(ed).outNext {
+			steps++
+			if v := d.edge(ed).to; !nodes[v].inRegion {
+				nodes[v].inRegion = true
+				region = append(region, v)
+			}
+		}
+	}
+	d.region = region
+	n := int32(len(region))
+	d.stats.LastAffected = len(region)
 
 	// Reset the region to virtual-source distances, remembering what stood
 	// there, and seed the queue with it; boundary edges (unaffected tail →
-	// affected head) are relaxed once from the standing distances, which
-	// never move during the re-probe.
+	// affected head, found on the region's in-lists) are relaxed once from
+	// the standing distances, which never move during the re-probe. The
+	// zero node's positivity boundary is the histogram's lowest distance
+	// once the region's own entries are out of it.
 	tx := &d.tx
 	mark := len(tx.dist)
-	for i, v := range d.affected {
-		tx.dist = append(tx.dist, distUndo{v, e.dist[v]})
-		e.dist[v] = 0
-		e.pred[v] = -1
-		e.cnt[v] = 1
-		e.inQ[v] = true
-		e.queue[i] = v
-	}
-	for i := range e.edges {
-		ed := &e.edges[i]
-		if !d.inAff[ed.to] || d.inAff[ed.from] || !e.edgeActive(ed) {
-			continue
+	d.queue = growInt32(d.queue, len(region))
+	for i, v := range region {
+		tx.dist = append(tx.dist, distUndo{v, nodes[v].dist})
+		if v != zeroNode {
+			d.hist.remove(nodes[v].dist)
 		}
-		if nd := e.dist[ed.from] + ed.w; nd < e.dist[ed.to] {
-			e.dist[ed.to] = nd
-			e.pred[ed.to] = int32(i)
+		nodes[v].dist, nodes[v].cnt, nodes[v].inQ = 0, 1, true
+		d.queue[i] = v
+	}
+	for _, v := range region {
+		for ed := nodes[v].in; ed >= 0; ed = d.edge(ed).inNext {
+			steps++
+			if x := d.edge(ed); !nodes[x.from].inRegion {
+				nodes[v].dist = min(nodes[v].dist, nodes[x.from].dist+x.w)
+			}
 		}
 	}
-	e.statProbes++
-	trigger := e.spfaLoop(0, int32(len(d.affected)))
-
-	affected = len(d.affected)
-	for _, v := range d.affected {
-		d.inAff[v] = false
+	if low, ok := d.hist.lowest(); ok {
+		nodes[zeroNode].dist = min(nodes[zeroNode].dist, low-1)
 	}
-	d.affected = d.affected[:0]
 
-	if trigger >= 0 {
-		// Only nodes of the region were relaxed or queued.
+	// SPFA over the region's ring queue. A node enqueued more often than the
+	// region has nodes lies on (or hangs off) a negative cycle.
+	relax, head, size := 0, int32(0), n
+	// relaxTo offers node v a distance and reports whether taking it tripped
+	// the bound.
+	relaxTo := func(v int32, dist int) bool {
+		nv := &nodes[v]
+		if dist >= nv.dist {
+			return false
+		}
+		relax++
+		nv.dist = dist
+		if nv.inQ {
+			return false
+		}
+		if nv.cnt++; nv.cnt > n {
+			return true
+		}
+		d.queue[(head+size)%n] = v
+		size++
+		nv.inQ = true
+		return false
+	}
+	sat = true
+	for size > 0 && sat {
+		u := d.queue[head]
+		head = (head + 1) % n
+		size--
+		nodes[u].inQ = false
+		du := nodes[u].dist
+		for ed := nodes[u].out; ed >= 0 && sat; ed = d.edge(ed).outNext {
+			steps++
+			sat = !relaxTo(d.edge(ed).to, du+d.edge(ed).w)
+		}
+		if u != zeroNode && sat {
+			sat = !relaxTo(zeroNode, du-1)
+		}
+	}
+	st.Probes, st.Relaxations = 1, relax
+	obsProbes.Inc()
+	obsRelaxations.Add(int64(relax))
+	d.stats.Steps += steps + 2*len(region)
+
+	if !sat {
+		// Only nodes of the region were relaxed or queued; regionCore clears
+		// their region marks.
 		for _, u := range tx.dist[mark:] {
-			e.dist[u.node] = u.dist
-			e.inQ[u.node] = false
+			nodes[u.node].dist, nodes[u.node].inQ = u.dist, false
+			if u.node != zeroNode {
+				d.hist.add(u.dist)
+			}
 		}
 		tx.dist = tx.dist[:mark]
-		return affected, false
+		return false
+	}
+	for _, v := range region {
+		nodes[v].inRegion = false
+		if v != zeroNode {
+			d.hist.add(nodes[v].dist)
+		}
 	}
 	if !tx.open {
 		tx.dist = tx.dist[:mark] // nobody to roll back for
 	}
 	d.clearChanged()
-	return affected, true
+	return true
 }
 
-// deltaSat reports the standing fixed point as a delta solve's sat result.
-func (d *DeltaContext) deltaSat(start time.Time, affected int) Result {
-	e := d.e
-	res := Result{Sat: true,
-		Stats: Stats{Assertions: len(d.asserts), Variables: len(e.idVar) - 1, Edges: len(e.edges)}}
-	e.snapshotStats(&res.Stats)
-	res.Stats.Duration = time.Since(start)
-	d.stats.DeltaSolves++
-	obsDeltaSolves.Inc()
-	d.stats.LastAffected = affected
-	return d.memo(res)
+// regionCore answers a check whose probe found a negative cycle: the
+// verdict, deletion-minimal core and positivity involvement of the
+// sub-system induced on the affected region — the assertions whose edges
+// leave a region node, in canonical order, over region-local ids — decided
+// by the engine's one solve on a pooled engine. By the argument in the file
+// header that is the whole list's answer.
+func (d *DeltaContext) regionCore(ctx context.Context, res *Result) error {
+	ctx, sp := obs.StartSpan(ctx, "region-core")
+	defer sp.End()
+	for i, v := range d.region {
+		d.nodes[v].cnt = int32(i) // the probe is done with its enqueue counts
+	}
+	// An equality's two edges leave the same region; its first stands for it.
+	items := d.items[:0]
+	steps := 0
+	for _, u := range d.region {
+		d.nodes[u].inRegion = false
+		for ed := d.nodes[u].out; ed >= 0; ed = d.edge(ed).outNext {
+			steps++
+			if ed&1 == 0 {
+				items = append(items, uint64(d.position(ed>>1))<<32|uint64(ed>>1))
+			}
+		}
+	}
+	slices.Sort(items)
+	d.items = items
+	d.stats.Steps += steps + len(items)
+
+	e := enginePool.Get().(*dlEngine)
+	defer e.release()
+	defer e.flushStats()
+	e.edges = e.edges[:0]
+	for i, it := range items {
+		for _, x := range d.slots[uint32(it)].e {
+			if x.from >= 0 {
+				e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, w: x.w, assertIdx: int32(i)})
+			}
+		}
+	}
+	e.idVar = growVars(e.idVar, len(d.region)) // the region's dense universe, nothing interned
+	e.seal(len(items))
+	var st Stats
+	sat, core, usesPositivity, err := e.solve(ctx, 1, false, &st)
+	if err != nil {
+		return err
+	}
+	if sat {
+		// SPFA's enqueue bound trips only on a negative cycle.
+		return errors.New("smt: delta probe found a negative cycle the region's solve does not")
+	}
+	st.Probes, st.Relaxations = st.Probes+res.Stats.Probes, st.Relaxations+res.Stats.Relaxations
+	res.Stats, res.UsesPositivity = st, usesPositivity
+	res.Core, res.CoreIdx = make([]Assertion, len(core)), make([]int, len(core))
+	for k, i := range core {
+		res.CoreIdx[k] = int(items[i] >> 32)
+		res.Core[k] = d.slots[uint32(items[i])].a
+	}
+	sp.AttrInt("nodes", int64(len(d.region)))
+	sp.AttrInt("edges", int64(len(e.edges)))
+	sp.AttrInt("probes", int64(st.Probes))
+	sp.AttrInt("core", int64(len(core)))
+	return nil
 }

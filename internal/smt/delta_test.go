@@ -3,6 +3,7 @@ package smt
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -75,17 +76,69 @@ func deltaCheck(t *testing.T, d *DeltaContext) Result {
 	return res
 }
 
+// requireOracle checks the context against a fresh solve of its own list.
+func requireOracle(t *testing.T, label string, d *DeltaContext) Result {
+	t.Helper()
+	got := deltaCheck(t, d)
+	requireParity(t, label, got, oracleCheck(t, d.Assertions()))
+	return got
+}
+
+// singles cuts n assertions into one segment each.
+func singles(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// appendSeg adds a new last segment holding the assertions.
+func appendSeg(t *testing.T, d *DeltaContext, as ...Assertion) {
+	t.Helper()
+	id := d.Segments()
+	if err := d.InsertSeg(id); err != nil {
+		t.Fatal(err)
+	}
+	setSeg(t, d, id, as...)
+}
+
+func setSeg(t *testing.T, d *DeltaContext, id int, as ...Assertion) {
+	t.Helper()
+	if _, err := d.SetSeg(id, as); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func removeSeg(t *testing.T, d *DeltaContext, id int) {
+	t.Helper()
+	if err := d.RemoveSeg(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// edgeView is one linked edge as a list shows it: endpoints, weight and the
+// canonical position of the assertion it carries.
+type edgeView struct {
+	From, To int32
+	W, Pos   int
+}
+
 // deltaState is everything a DeltaContext carries between checks, for
-// comparing a rolled-back context with the one Begin found.
+// comparing a rolled-back context with the one Begin found. Slot numbers
+// and list order are storage, not state: the lists are compared by what
+// they hold.
 type deltaState struct {
 	Asserts  []Assertion
+	SegLen   []int
+	Quant    []int
 	Built    bool
 	Vars     []Var
-	Edges    []dlEdge
+	Out, In  [][]edgeView
+	NEdges   int
 	Dist     []int
-	EdgeOff  []int32
+	Hist     map[int]int32
 	VarRef   []int32
-	Active   []bool
 	Changed  []int32
 	Res      Result
 	ResValid bool
@@ -93,166 +146,417 @@ type deltaState struct {
 
 func stateOf(d *DeltaContext) deltaState {
 	st := deltaState{Asserts: d.Assertions(), Built: d.built, Res: d.res, ResValid: d.resValid}
-	if d.built { // an unbuilt context's engine is scratch
-		st.Vars = slices.Clone(d.e.idVar)
-		st.Edges = slices.Clone(d.e.edges)
-		st.Dist = slices.Clone(d.e.dist)
-		st.EdgeOff = slices.Clone(d.edgeOff)
-		st.VarRef = slices.Clone(d.varRef)
-		st.Active = slices.Clone(d.e.active)
-		st.Changed = append([]int32(nil), d.changed...) // nil when empty, however it got there
+	for id := 0; id < d.Segments(); id++ {
+		st.SegLen = append(st.SegLen, d.SegLen(id))
 	}
+	if len(st.Asserts) != d.Len() {
+		panic(fmt.Sprintf("Len() = %d for %d assertions", d.Len(), len(st.Asserts)))
+	}
+	for _, s := range d.quant {
+		st.Quant = append(st.Quant, d.position(s))
+	}
+	slices.Sort(st.Quant)
+	if !d.built { // an unbuilt context's graph is scratch
+		return st
+	}
+	view := func(ed int32) edgeView {
+		x := d.edge(ed)
+		return edgeView{x.from, x.to, x.w, d.position(ed >> 1)}
+	}
+	byPos := func(a, b edgeView) int { return a.Pos - b.Pos }
+	for v, node := range d.nodes {
+		var out, in []edgeView
+		for ed := node.out; ed >= 0; ed = d.edge(ed).outNext {
+			out = append(out, view(ed))
+		}
+		for ed := node.in; ed >= 0; ed = d.edge(ed).inNext {
+			in = append(in, view(ed))
+		}
+		slices.SortStableFunc(out, byPos)
+		slices.SortStableFunc(in, byPos)
+		st.Out, st.In = append(st.Out, out), append(st.In, in)
+		st.Dist, st.VarRef = append(st.Dist, node.dist), append(st.VarRef, node.ref)
+		if node.changed != slices.Contains(d.changed, int32(v)) || node.inQ || node.inRegion {
+			panic(fmt.Sprintf("node %d: flags %+v, changed set %v", v, node, d.changed))
+		}
+	}
+	st.Vars = slices.Clone(d.names)
+	st.NEdges = d.nEdges
+	st.Hist = maps.Clone(d.hist.count)
+	st.Changed = slices.Sorted(slices.Values(d.changed))
 	return st
 }
 
-// TestDeltaSpliceFuzz drives random transactions over random
-// difference-logic instances: Begin, one to four splices (fresh variables,
-// quantified atoms, whatever verdict flips they cause), a Check that must
-// match a fresh full solve of the same list bit for bit, then Commit or
-// Rollback. A rolled-back context must be, field for field, the one Begin
-// found: the next Check is answered from the memoized result, and a
-// one-edge splice after it by a delta solve — also when the check that was
-// rolled back had found a negative cycle.
-func TestDeltaSpliceFuzz(t *testing.T) {
-	vars := []Var{"a", "b", "c", "d", "e", "f", "g", "h"}
-	unsatRolledBack, freshRolledBack := 0, 0
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		fresh := 0
-		randTerm := func() Term {
-			switch k := rng.Intn(12); {
-			case k < 2:
-				return C(rng.Intn(7) - 3)
-			case k < 3: // a variable the context has never seen
-				fresh++
-				return V(fmt.Sprintf("v%d", fresh)).Plus(rng.Intn(3) - 1)
+// requireConsistent checks the invariants between a built context's parts:
+// positions and Locate invert each other, every ground atom's edges are on
+// the lists of their endpoints, and the histogram counts the variables'
+// standing distances.
+func requireConsistent(t *testing.T, label string, d *DeltaContext) {
+	t.Helper()
+	pos := 0
+	for id := 0; id < d.Segments(); id++ {
+		for off, s := range d.segs[id] {
+			if got := d.position(s); got != pos {
+				t.Fatalf("%s: slot %d of segment %d at position %d, want %d", label, off, id, got, pos)
 			}
-			return V(string(vars[rng.Intn(len(vars))])).Plus(rng.Intn(5) - 2)
+			if seg, o := d.Locate(pos); seg != id || o != off {
+				t.Fatalf("%s: Locate(%d) = (%d, %d), want (%d, %d)", label, pos, seg, o, id, off)
+			}
+			pos++
 		}
-		randAssert := func() Assertion {
-			switch rng.Intn(30) {
-			case 0: // ∀n. n ≤ n+1: valid, owns no edge
-				return Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
-			case 1: // ∀n. n+1 < n: invalid, a one-element core by itself
-				return Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
-			}
-			return Assertion{
-				Rel: Rel(rng.Intn(5)), // Lt, Le, Eq, Gt, Ge
-				A:   randTerm(),
-				B:   randTerm(),
-			}
-		}
-		asserts := make([]Assertion, 4+rng.Intn(10))
-		for i := range asserts {
-			asserts[i] = randAssert()
-		}
-		d := NewDeltaContext(asserts)
-		requireParity(t, fmt.Sprintf("seed %d initial", seed), deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-		for round := 0; round < 25; round++ {
-			before, vars := stateOf(d), len(d.e.idVar)
-			d.Begin()
-			for k := 1 + rng.Intn(4); k > 0; k-- {
-				n := d.Len()
-				at := rng.Intn(n + 1)
-				del := 0
-				if at < n {
-					del = rng.Intn(min(n-at, 3) + 1)
-				}
-				add := make([]Assertion, rng.Intn(3))
-				for i := range add {
-					add[i] = randAssert()
-				}
-				if err := d.Splice(at, del, add); err != nil {
-					t.Fatalf("seed %d round %d: splice: %v", seed, round, err)
-				}
-			}
-			label := fmt.Sprintf("seed %d round %d", seed, round)
-			inside := deltaCheck(t, d)
-			requireParity(t, label+" inside", inside, oracleCheck(t, d.Assertions()))
-			if rng.Intn(2) == 0 {
-				d.Commit()
-				requireParity(t, label+" committed", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-				continue
-			}
-			grew := d.built && len(d.e.idVar) > vars
-			d.Rollback()
-			if after := stateOf(d); !reflect.DeepEqual(after, before) {
-				t.Fatalf("%s: rollback left\n%+v\nBegin found\n%+v", label, after, before)
-			}
-			st := d.Stats()
-			requireParity(t, label+" rolled back", deltaCheck(t, d), oracleCheck(t, before.Asserts))
-			if now := d.Stats(); now.CacheHits != st.CacheHits+1 || now.Checks != st.Checks {
-				t.Fatalf("%s: check after rollback was not answered from the memoized result: %+v → %+v", label, st, now)
-			}
-			if !before.Res.Sat {
-				continue
-			}
-			// A one-edge splice on the restored fixed point: a ≤ a+1 keeps
-			// any system satisfiable.
-			if before.Built && grew {
-				freshRolledBack++
-			}
-			if !inside.Sat {
-				unsatRolledBack++
-			}
-			benign := []Assertion{{Rel: Le, A: V("a"), B: V("a").Plus(1)}}
-			for _, edit := range []struct {
-				del int
-				add []Assertion
-			}{{0, benign}, {1, nil}} {
-				st := d.Stats()
-				if err := d.Splice(d.Len()-edit.del, edit.del, edit.add); err != nil {
-					t.Fatal(err)
-				}
-				requireParity(t, label+" one-edge splice", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-				if now := d.Stats(); now.DeltaSolves != st.DeltaSolves+1 || now.FullSolves != st.FullSolves {
-					t.Fatalf("%s: one-edge splice after rollback was not a delta solve: %+v → %+v", label, st, now)
-				}
+	}
+	if !d.built {
+		return
+	}
+	st := stateOf(d)
+	linked := 0
+	for v, out := range st.Out {
+		for _, x := range out {
+			linked++
+			if int(x.From) != v || !slices.Contains(st.In[x.To], x) {
+				t.Fatalf("%s: edge %+v on node %d's out-list is not on its head's in-list", label, x, v)
 			}
 		}
 	}
-	if unsatRolledBack == 0 || freshRolledBack == 0 {
-		t.Fatalf("fuzz rolled back %d unsat checks and %d transactions with fresh variables, want both > 0", unsatRolledBack, freshRolledBack)
+	want := 0
+	for _, a := range st.Asserts {
+		switch {
+		case a.QuantVar != "":
+		case a.Rel == Eq:
+			want += 2
+		default:
+			want++
+		}
+	}
+	if linked != want || st.NEdges != want {
+		t.Fatalf("%s: %d edges linked, %d counted, the assertions make %d", label, linked, st.NEdges, want)
+	}
+	hist := map[int]int32{}
+	for _, dist := range st.Dist[1:] {
+		hist[dist]++
+	}
+	if !maps.Equal(hist, st.Hist) {
+		t.Fatalf("%s: histogram %v, distances make %v", label, st.Hist, hist)
 	}
 }
 
+// txDriver turns a byte string into delta transactions: an initial
+// segmented list, then rounds of Begin, one to four segment operations
+// (replacements with fresh variables, constants, equalities and quantified
+// atoms, insertions, removals, a segment given its own content), a Check
+// that must match a fresh full solve of the same list bit for bit, and
+// Commit or Rollback. A rolled-back context must be, field for field, the
+// one Begin found: the next Check is answered from the memoized result, and
+// a one-edge edit after it by a delta solve — also when the check that was
+// rolled back had found a negative cycle. A string that runs out reads as
+// zeros.
+type txDriver struct {
+	data  []byte
+	fresh int
+
+	unsatRolledBack, freshRolledBack, regionCores int
+}
+
+func (x *txDriver) next() int {
+	if len(x.data) == 0 {
+		return 0
+	}
+	b := x.data[0]
+	x.data = x.data[1:]
+	return int(b)
+}
+
+var driverVars = []Var{"a", "b", "c", "d", "e", "f", "g", "h"}
+
+func (x *txDriver) term() Term {
+	switch k := x.next(); {
+	case k%12 < 2:
+		return C(k/12%7 - 3)
+	case k%12 < 3: // a variable the context has never seen
+		x.fresh++
+		return V(fmt.Sprintf("v%d", x.fresh)).Plus(k/12%3 - 1)
+	default:
+		return V(string(driverVars[k%len(driverVars)])).Plus(k/12%5 - 2)
+	}
+}
+
+func (x *txDriver) assertion() Assertion {
+	k := x.next()
+	switch k % 30 {
+	case 0: // ∀n. n ≤ n+1: valid, owns no edge
+		return Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
+	case 1: // ∀n. n+1 < n: invalid, a one-element core by itself
+		return Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
+	}
+	return Assertion{Rel: Rel(k / 30 % 5), A: x.term(), B: x.term()} // Lt, Le, Eq, Gt, Ge
+}
+
+func (x *txDriver) assertions(n int) []Assertion {
+	out := make([]Assertion, n)
+	for i := range out {
+		out[i] = x.assertion()
+	}
+	return out
+}
+
+func (x *txDriver) run(t *testing.T) {
+	segLen := make([]int, 1+x.next()%5)
+	total := 0
+	for i := range segLen {
+		segLen[i] = x.next() % 4
+		total += segLen[i]
+	}
+	d := NewDeltaContext(x.assertions(total), segLen)
+	requireOracle(t, "initial", d)
+	requireConsistent(t, "initial", d)
+	for round := 0; len(x.data) > 0 && round < 40; round++ {
+		label := fmt.Sprintf("round %d", round)
+		before, vars := stateOf(d), len(d.nodes)
+		d.Begin()
+		for k := 1 + x.next()%4; k > 0; k-- {
+			var err error
+			switch op, id := x.next(), x.next(); {
+			case op%8 == 5:
+				err = d.InsertSeg(id % (d.Segments() + 1))
+			case op%8 == 6 && d.Segments() > 1:
+				err = d.RemoveSeg(id % d.Segments())
+			case op%8 == 7: // its own content: must change nothing
+				id %= d.Segments()
+				var same []Assertion
+				for _, s := range d.segs[id] {
+					same = append(same, d.slots[s].a)
+				}
+				var changed bool
+				if changed, err = d.SetSeg(id, same); changed {
+					t.Fatalf("%s: segment %d given its own content reports a change", label, id)
+				}
+			default:
+				_, err = d.SetSeg(id%d.Segments(), x.assertions(op/8%4))
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		full := d.Stats().FullSolves
+		inside := requireOracle(t, label+" inside", d)
+		requireConsistent(t, label+" inside", d)
+		if !inside.Sat && before.Built && d.Stats().FullSolves == full && len(inside.CoreIdx) > 0 && d.Stats().LastAffected > 0 {
+			x.regionCores++
+		}
+		if x.next()%2 == 0 {
+			d.Commit()
+			requireOracle(t, label+" committed", d)
+			requireConsistent(t, label+" committed", d)
+			continue
+		}
+		grew := d.built && len(d.nodes) > vars
+		d.Rollback()
+		if after := stateOf(d); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: rollback left\n%+v\nBegin found\n%+v", label, after, before)
+		}
+		requireConsistent(t, label+" rolled back", d)
+		st := d.Stats()
+		requireParity(t, label+" rolled back", deltaCheck(t, d), oracleCheck(t, before.Asserts))
+		if now := d.Stats(); now.CacheHits != st.CacheHits+1 || now.Checks != st.Checks {
+			t.Fatalf("%s: check after rollback was not answered from the memoized result: %+v → %+v", label, st, now)
+		}
+		if !before.Res.Sat {
+			continue
+		}
+		if before.Built && grew {
+			x.freshRolledBack++
+		}
+		if !inside.Sat {
+			x.unsatRolledBack++
+		}
+		// A one-edge edit on the restored fixed point: a ≤ a+1 keeps any
+		// system satisfiable.
+		for _, edit := range []func(){
+			func() { appendSeg(t, d, Assertion{Rel: Le, A: V("a"), B: V("a").Plus(1)}) },
+			func() { removeSeg(t, d, d.Segments()-1) },
+		} {
+			st := d.Stats()
+			edit()
+			requireOracle(t, label+" one-edge edit", d)
+			if now := d.Stats(); now.DeltaSolves != st.DeltaSolves+1 || now.FullSolves != st.FullSolves {
+				t.Fatalf("%s: one-edge edit after rollback was not a delta solve: %+v → %+v", label, st, now)
+			}
+		}
+	}
+}
+
+// TestDeltaSpliceFuzz drives thirty seeded byte strings through txDriver
+// and checks the interesting cases came up: rolled-back unsat checks,
+// rolled-back fresh variables, and cores decided from the region.
+func TestDeltaSpliceFuzz(t *testing.T) {
+	var unsatRolledBack, freshRolledBack, regionCores int
+	for seed := int64(1); seed <= 30; seed++ {
+		data := make([]byte, 2048)
+		rand.New(rand.NewSource(seed)).Read(data)
+		x := &txDriver{data: data}
+		t.Run(fmt.Sprint("seed", seed), x.run)
+		unsatRolledBack += x.unsatRolledBack
+		freshRolledBack += x.freshRolledBack
+		regionCores += x.regionCores
+	}
+	if unsatRolledBack == 0 || freshRolledBack == 0 || regionCores == 0 {
+		t.Fatalf("fuzz rolled back %d unsat checks and %d transactions with fresh variables and decided %d cores from a region, want all > 0",
+			unsatRolledBack, freshRolledBack, regionCores)
+	}
+}
+
+// FuzzDeltaTransactions is txDriver on arbitrary byte strings.
+func FuzzDeltaTransactions(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		(&txDriver{data: data}).run(t)
+	})
+}
+
+// requireRegionCore checks that the last check was unsat, matched the
+// oracle, and came from the region: a delta solve, no full one.
+func requireRegionCore(t *testing.T, label string, d *DeltaContext, before DeltaStats) Result {
+	t.Helper()
+	res := requireOracle(t, label, d)
+	if now := d.Stats(); res.Sat || now.DeltaSolves != before.DeltaSolves+1 || now.FullSolves != before.FullSolves {
+		t.Fatalf("%s: sat=%v, stats %+v → %+v; want an unsat delta solve", label, res.Sat, before, now)
+	}
+	return res
+}
+
+// TestDeltaRegionCores plants the disputes the region argument has to get
+// right on a standing satisfiable chain x0 < x1 < … < x9 beside an
+// unrelated pair, and compares each with a fresh solve of the same list.
+func TestDeltaRegionCores(t *testing.T) {
+	x := func(i int) Term { return V(fmt.Sprintf("x%d", i)) }
+	lt := func(a, b Term) Assertion { return Assertion{Rel: Lt, A: a, B: b} }
+	standing := func() *DeltaContext {
+		var as []Assertion
+		for i := 0; i < 9; i++ {
+			as = append(as, lt(x(i), x(i+1)))
+		}
+		as = append(as, lt(V("p"), V("q")), lt(V("r"), V("s")))
+		d := NewDeltaContext(as, singles(len(as)))
+		if res := requireOracle(t, "standing", d); !res.Sat {
+			t.Fatal("the standing system is unsat")
+		}
+		return d
+	}
+
+	t.Run("two disjoint disputes in one batch", func(t *testing.T) {
+		d := standing()
+		st := d.Stats()
+		d.Begin()
+		appendSeg(t, d, lt(V("q"), V("p")))
+		appendSeg(t, d, lt(V("s"), V("r")))
+		res := requireRegionCore(t, "both planted", d, st)
+		if len(res.CoreIdx) != 2 {
+			t.Fatalf("core %v, want one dispute's two atoms", res.CoreIdx)
+		}
+		d.Rollback()
+		requireOracle(t, "rolled back", d)
+	})
+
+	t.Run("a second break on a standing unsat verdict", func(t *testing.T) {
+		d := standing()
+		st := d.Stats()
+		appendSeg(t, d, lt(V("q"), V("p")))
+		first := requireRegionCore(t, "first break", d, st)
+		st = d.Stats()
+		d.Begin()
+		setSeg(t, d, 0, lt(x(1), x(0))) // x0 < x1 becomes x1 < x0: no cycle by itself
+		setSeg(t, d, 1, lt(x(0), x(1))) // x1 < x2 becomes x0 < x1: closes it
+		d.Commit()
+		second := requireRegionCore(t, "second break", d, st)
+		if slices.Equal(first.CoreIdx, second.CoreIdx) {
+			t.Fatalf("the earlier dispute %v became the core", second.CoreIdx)
+		}
+		// Repair the later one, then the earlier: the fixed point that stood
+		// before both is still the one re-probed from.
+		st = d.Stats()
+		setSeg(t, d, 0, lt(x(0), x(1)))
+		setSeg(t, d, 1, lt(x(1), x(2)))
+		requireRegionCore(t, "first dispute still standing", d, st)
+		removeSeg(t, d, d.Segments()-1)
+		st = d.Stats()
+		if res := requireOracle(t, "both repaired", d); !res.Sat || d.Stats().FullSolves != st.FullSolves {
+			t.Fatalf("repair: sat=%v, stats %+v → %+v", res.Sat, st, d.Stats())
+		}
+	})
+
+	t.Run("a dispute through the zero node", func(t *testing.T) {
+		d := standing()
+		st := d.Stats()
+		appendSeg(t, d, Assertion{Rel: Le, A: C(7), B: x(4)}, Assertion{Rel: Le, A: x(6), B: C(8)})
+		res := requireRegionCore(t, "7 ≤ x4 < … < x6 ≤ 8", d, st)
+		if len(res.CoreIdx) != 4 || res.UsesPositivity {
+			t.Fatalf("core %v (positivity %v), want the two bounds and the two links between them", res.CoreIdx, res.UsesPositivity)
+		}
+	})
+
+	t.Run("a core that uses positivity", func(t *testing.T) {
+		d := standing()
+		st := d.Stats()
+		appendSeg(t, d, Assertion{Rel: Le, A: x(3), B: C(3)})
+		res := requireRegionCore(t, "x3 ≤ 3", d, st)
+		if len(res.CoreIdx) != 4 || !res.UsesPositivity {
+			t.Fatalf("core %v (positivity %v), want the bound and the three links below it, through x0 ≥ 1", res.CoreIdx, res.UsesPositivity)
+		}
+	})
+
+	t.Run("a region that is the whole graph", func(t *testing.T) {
+		d := standing()
+		st := d.Stats()
+		d.Begin()
+		setSeg(t, d, 9, lt(V("q"), x(0)))                     // p < q becomes q < x0 …
+		appendSeg(t, d, lt(x(9), V("r")), lt(V("s"), V("q"))) // … and x9 < r < s < q closes the ring
+		res := requireRegionCore(t, "ring", d, st)
+		if len(res.CoreIdx) != d.Len() {
+			t.Fatalf("core %v, want all %d atoms", res.CoreIdx, d.Len())
+		}
+		if got, vars := d.Stats().LastAffected, len(d.nodes); got != vars {
+			t.Fatalf("region of %d nodes, the graph has %d", got, vars)
+		}
+		d.Rollback()
+		requireOracle(t, "rolled back", d)
+	})
+}
+
 // TestDeltaSatToUnsatAndBack walks a context across the sat/unsat boundary:
-// an unsat verdict (exact core from a pooled engine) costs the standing
-// fixed point nothing, so the repair is a delta solve.
+// an unsat verdict (exact core from the region, on a pooled engine) costs
+// the standing fixed point nothing, so the repair is a delta solve.
 func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	base := []Assertion{
 		{Rel: Lt, A: V("x"), B: V("y")},
 		{Rel: Lt, A: V("y"), B: V("z")},
 	}
-	d := NewDeltaContext(base)
-	requireParity(t, "sat", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	d := NewDeltaContext(base, singles(2))
+	requireOracle(t, "sat", d)
 
 	// z < x closes a strict cycle: unsat with a three-assertion core.
-	if err := d.Splice(d.Len(), 0, []Assertion{{Rel: Lt, A: V("z"), B: V("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	res := deltaCheck(t, d)
-	requireParity(t, "unsat", res, oracleCheck(t, d.Assertions()))
-	if res.Sat || len(res.Core) != 3 {
-		t.Fatalf("expected 3-assertion unsat core, got Sat=%v core=%v", res.Sat, res.Core)
+	st := d.Stats()
+	appendSeg(t, d, Assertion{Rel: Lt, A: V("z"), B: V("x")})
+	if res := requireRegionCore(t, "unsat", d, st); len(res.Core) != 3 {
+		t.Fatalf("expected 3-assertion unsat core, got %v", res.Core)
 	}
 
 	// Remove the closing assertion: sat again, re-probed from the fixed
 	// point that stood before the cycle.
-	st := d.Stats()
-	if err := d.Splice(d.Len()-1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, "sat again", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	st = d.Stats()
+	removeSeg(t, d, 2)
+	requireOracle(t, "sat again", d)
 	if now := d.Stats(); now.DeltaSolves != st.DeltaSolves+1 || now.FullSolves != st.FullSolves {
 		t.Fatalf("repair after unsat was not a delta solve: %+v → %+v", st, now)
 	}
 
 	// Now a benign delta on the warm state.
-	if err := d.Splice(0, 1, []Assertion{{Rel: Le, A: V("x"), B: V("y")}}); err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, "delta after recovery", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	setSeg(t, d, 0, Assertion{Rel: Le, A: V("x"), B: V("y")})
+	requireOracle(t, "delta after recovery", d)
 }
 
 // TestDeltaOrphanVariables removes every assertion mentioning a variable
@@ -262,24 +566,18 @@ func TestDeltaOrphanVariables(t *testing.T) {
 	d := NewDeltaContext([]Assertion{
 		{Rel: Lt, A: V("x"), B: V("y")},
 		{Rel: Lt, A: V("u"), B: V("v")},
-	})
-	requireParity(t, "initial", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
-	if err := d.Splice(1, 1, nil); err != nil { // orphans u and v
-		t.Fatal(err)
-	}
-	res := deltaCheck(t, d)
-	requireParity(t, "after orphaning", res, oracleCheck(t, d.Assertions()))
+	}, singles(2))
+	requireOracle(t, "initial", d)
+	setSeg(t, d, 1) // orphans u and v
+	res := requireOracle(t, "after orphaning", d)
 	for _, v := range []Var{"u", "v"} {
 		if _, ok := res.Model[v]; ok {
 			t.Fatalf("orphaned %s still in model %v", v, res.Model)
 		}
 	}
 	// Re-adding a reference resurrects the variable.
-	if err := d.Splice(d.Len(), 0, []Assertion{{Rel: Lt, A: V("u"), B: V("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	res = deltaCheck(t, d)
-	requireParity(t, "after resurrection", res, oracleCheck(t, d.Assertions()))
+	setSeg(t, d, 1, Assertion{Rel: Lt, A: V("u"), B: V("x")})
+	res = requireOracle(t, "after resurrection", d)
 	if _, ok := res.Model["u"]; !ok {
 		t.Fatalf("resurrected u missing from model %v", res.Model)
 	}
@@ -287,34 +585,32 @@ func TestDeltaOrphanVariables(t *testing.T) {
 
 // TestDeltaQuantified checks the analytic quantified path: an invalid
 // quantified assertion short-circuits with itself as the core, valid ones
-// are skipped by the graph, both before and after splices.
+// are skipped by the graph, both before and after edits.
 func TestDeltaQuantified(t *testing.T) {
 	valid := Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
 	invalid := Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
 	ground := Assertion{Rel: Lt, A: V("x"), B: V("y")}
 
-	d := NewDeltaContext([]Assertion{valid, ground})
-	requireParity(t, "valid quant", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	d := NewDeltaContext([]Assertion{valid, ground}, singles(2))
+	requireOracle(t, "valid quant", d)
 
-	if err := d.Splice(1, 0, []Assertion{invalid}); err != nil {
+	if err := d.InsertSeg(1); err != nil {
 		t.Fatal(err)
 	}
-	res := deltaCheck(t, d)
-	requireParity(t, "invalid quant", res, oracleCheck(t, d.Assertions()))
+	setSeg(t, d, 1, invalid)
+	res := requireOracle(t, "invalid quant", d)
 	if res.Sat || len(res.CoreIdx) != 1 || res.CoreIdx[0] != 1 {
 		t.Fatalf("expected core [1], got Sat=%v CoreIdx=%v", res.Sat, res.CoreIdx)
 	}
 
-	if err := d.Splice(1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, "quant removed", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	removeSeg(t, d, 1)
+	requireOracle(t, "quant removed", d)
 }
 
 // TestDeltaCheckMemoization verifies repeated Checks without intervening
-// splices are answered from the cache.
+// edits are answered from the cache.
 func TestDeltaCheckMemoization(t *testing.T) {
-	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}})
+	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}}, nil)
 	first := deltaCheck(t, d)
 	second := deltaCheck(t, d)
 	if st := d.Stats(); st.Checks != 1 || st.CacheHits != 1 {
@@ -323,23 +619,21 @@ func TestDeltaCheckMemoization(t *testing.T) {
 	requireParity(t, "memoized", second, first)
 }
 
-// TestDeltaClone applies divergent splices to a clone and its original and
+// TestDeltaClone applies divergent edits to a clone and its original and
 // checks they stay independent and each matches its own oracle.
 func TestDeltaClone(t *testing.T) {
 	d := NewDeltaContext([]Assertion{
 		{Rel: Lt, A: V("x"), B: V("y")},
 		{Rel: Lt, A: V("y"), B: V("z")},
-	})
+	}, singles(2))
 	deltaCheck(t, d) // warm the engine so the clone copies live state
 	c := d.Clone()
-	if err := c.Splice(2, 0, []Assertion{{Rel: Lt, A: V("z"), B: V("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Splice(0, 1, []Assertion{{Rel: Eq, A: V("x"), B: V("y").Plus(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, "clone", deltaCheck(t, c), oracleCheck(t, c.Assertions()))
-	requireParity(t, "original", deltaCheck(t, d), oracleCheck(t, d.Assertions()))
+	appendSeg(t, c, Assertion{Rel: Lt, A: V("z"), B: V("x")})
+	setSeg(t, d, 0, Assertion{Rel: Eq, A: V("x"), B: V("y").Plus(2)})
+	requireOracle(t, "clone", c)
+	requireOracle(t, "original", d)
+	requireConsistent(t, "clone", c)
+	requireConsistent(t, "original", d)
 	if got := deltaCheck(t, c); got.Sat {
 		t.Fatal("clone should be unsat")
 	}
@@ -348,12 +642,23 @@ func TestDeltaClone(t *testing.T) {
 	}
 }
 
-// TestDeltaSpliceBounds checks the splice range validation.
+// TestDeltaSpliceBounds checks the segment range validation.
 func TestDeltaSpliceBounds(t *testing.T) {
-	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}})
-	for _, bad := range [][2]int{{-1, 0}, {0, 2}, {2, 0}, {1, 1}} {
-		if err := d.Splice(bad[0], bad[1], nil); err == nil {
-			t.Fatalf("splice(%d, %d) accepted", bad[0], bad[1])
+	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}}, nil)
+	for _, id := range []int{-1, 1} {
+		if _, err := d.SetSeg(id, nil); err == nil {
+			t.Fatalf("SetSeg(%d) accepted", id)
 		}
+		if err := d.RemoveSeg(id); err == nil {
+			t.Fatalf("RemoveSeg(%d) accepted", id)
+		}
+	}
+	for _, id := range []int{-1, 2} {
+		if err := d.InsertSeg(id); err == nil {
+			t.Fatalf("InsertSeg(%d) accepted", id)
+		}
+	}
+	if d.Len() != 1 || d.Segments() != 1 {
+		t.Fatalf("rejected edits left %d atoms in %d segments", d.Len(), d.Segments())
 	}
 }

@@ -207,8 +207,7 @@ func (e *dlEngine) seal(n int) {
 }
 
 // buildCSR (re)indexes e.edges into the CSR adjacency by counting sort on
-// the source node. It is called by seal and again by the delta layer after
-// an edge splice. e.cycleIdx is borrowed as the fill cursor and left empty.
+// the source node. e.cycleIdx is borrowed as the fill cursor and left empty.
 func (e *dlEngine) buildCSR() {
 	V := len(e.idVar)
 	e.adjStart = growInt32(e.adjStart, V+1)
@@ -239,57 +238,6 @@ func (e *dlEngine) edgeActive(ed *dlEdge) bool {
 		return e.posActive
 	}
 	return e.active[ed.assertIdx]
-}
-
-// spfaLoop runs queue-based Bellman–Ford over an already-seeded ring queue
-// occupying queue[head:head+size] (mod V): the delta layer's re-probe, which
-// seeds only the affected region and leaves the converged distances of the
-// rest in place. It returns a node suspected to lie on (or hang off) a
-// negative cycle, or −1 when the distances converged.
-func (e *dlEngine) spfaLoop(head, size int32) int32 {
-	V := int32(len(e.idVar))
-	// Relaxations are tallied in a register-resident local — a store to
-	// the engine struct inside the inner loop defeats the compiler's
-	// aliasing analysis and costs ~10% of the whole solve.
-	relax := 0
-	for size > 0 {
-		u := e.queue[head]
-		head++
-		if head == V {
-			head = 0
-		}
-		size--
-		e.inQ[u] = false
-		du := e.dist[u]
-		for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-			ed := &e.edges[e.adjList[k]]
-			if !e.edgeActive(ed) {
-				continue
-			}
-			if d := du + ed.w; d < e.dist[ed.to] {
-				relax++
-				v := ed.to
-				e.dist[v] = d
-				e.pred[v] = e.adjList[k]
-				if !e.inQ[v] {
-					e.cnt[v]++
-					if e.cnt[v] > V {
-						e.statRelax += relax
-						return v
-					}
-					tail := head + size
-					if tail >= V {
-						tail -= V
-					}
-					e.queue[tail] = v
-					size++
-					e.inQ[v] = true
-				}
-			}
-		}
-	}
-	e.statRelax += relax
-	return -1
 }
 
 // passBF is the classic pass-based Bellman–Ford on the same buffers: exact,

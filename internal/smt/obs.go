@@ -4,9 +4,10 @@
 //
 // The engine's inner loops count into plain int fields on the pooled
 // dlEngine — a register increment, invisible to the solve benchmarks —
-// and flushStats drains them into the atomic counters once per solve.
-// The DeltaContext-level counters (splices, delta vs full discharges)
-// mirror the per-context DeltaStats the daemon already reports.
+// and flushStats drains them into the atomic counters once per solve; a
+// delta re-probe counts in locals and adds them once. The
+// DeltaContext-level counters (segment replacements, delta vs full
+// discharges) mirror the per-context DeltaStats the daemon already reports.
 
 package smt
 
@@ -20,17 +21,17 @@ var (
 	obsMinimizeIters = obs.Default().Counter("fsr_smt_minimize_iterations_total",
 		"Core-minimization deletion-loop iterations.")
 	obsDeltaSplices = obs.Default().Counter("fsr_smt_delta_splices_total",
-		"Assertion-list splices applied to delta contexts.")
+		"Assertion-list segments replaced in delta contexts.")
 	obsDeltaSolves = obs.Default().Counter("fsr_smt_delta_solves_total",
-		"Delta-context checks discharged by the affected-region re-probe.")
+		"Delta-context checks discharged from the affected region: the re-probe and, when unsat, the region's core.")
 	obsFullSolves = obs.Default().Counter("fsr_smt_full_solves_total",
-		"Delta-context checks discharged by a full rebuild.")
+		"Delta-context checks that solved the whole assertion list (no fixed point stood yet).")
 	obsCacheHits = obs.Default().Counter("fsr_smt_cache_hits_total",
 		"Delta-context checks answered from the memoized result.")
 
-	// Condensation introspection, one observation per whole-system solve on
-	// any door (string, dense, delta rebuild): plan shape plus Tarjan
-	// plan-building latency. The histogram handle is pre-resolved so the
+	// Condensation introspection, one observation per engine solve on any
+	// door (string, dense, a delta context's first solve or region core):
+	// plan shape plus Tarjan plan-building latency. The histogram handle is pre-resolved so the
 	// per-solve Observe is alloc-free.
 	obsSCCSolves = obs.Default().Counter("fsr_scc_solves_total",
 		"Whole-system solves (every one runs on the SCC condensation; delta re-probes excluded).")
@@ -72,8 +73,8 @@ func (s *sccPlan) recordPlan(st *Stats) {
 }
 
 // flushStats drains the engine's locally accumulated loop counts into the
-// shared registry. Called once per solve (and per delta Check), so the
-// hot loops never touch an atomic.
+// shared registry. Called once per solve, so the hot loops never touch an
+// atomic.
 func (e *dlEngine) flushStats() {
 	if e.statProbes > 0 {
 		obsProbes.Add(int64(e.statProbes))

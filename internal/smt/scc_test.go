@@ -161,7 +161,7 @@ func TestChainCostIsTheChain(t *testing.T) {
 			res, err := backend.Solve(ctx, order.as)
 			check(order.name+"/"+backend.Name(), res, err)
 		}
-		dc := NewDeltaContext(order.as)
+		dc := NewDeltaContext(order.as, nil)
 		res, err := dc.Check(ctx)
 		res.Model = dc.Model() // a delta check renders its model on demand
 		check(order.name+"/delta", res, err)

@@ -1,29 +1,35 @@
 // Delta verification of SPP instances: the bridge between an operator's
 // what-if edits (re-rank a router, drop or add a session) and the smt
-// package's delta solver. A DeltaVerifier keeps the instance's full
-// constraint list resident — organized as one segment per node (its
+// package's delta solver. A DeltaVerifier keeps the instance's constraint
+// system resident in the solver's own form — two variable names per
+// constraint, no provenance — organized as one segment per node (its
 // pairwise preference chain) followed by one segment per directed link (its
 // ⊕ monotonicity entries), exactly the order §IV-B constraint generation
-// produces — so an edit regenerates only the segments whose content is a
+// produces. An edit regenerates only the segments whose content is a
 // function of the touched rankings, reached through the node's position and
-// its incident-link list rather than a scan of the instance, and splices
-// them into a warm smt.DeltaContext. The solver then re-probes only the
-// dispute-digraph region those constraints reach.
+// its incident-link list rather than a scan of the instance, and replaces
+// them in a warm smt.DeltaContext, which re-probes only the dispute-digraph
+// region those constraints reach. When that region holds a dispute, the
+// solver decides the exact core from the region alone (the argument, with
+// its proof obligation, heads internal/smt/delta.go), and Verify renders
+// just the core's members — through prefSeg and monoSeg on the two or three
+// rankings a dispute involves, as Analyze does — so an unsafe answer costs
+// its dispute, not the instance.
 //
 // A what-if that is not kept costs its edit, not the instance: between
 // Begin and Rollback every mutation — of the instance, the topology index,
-// the segment table, the collision counters — logs its inverse, the solver
-// context journals its own, and Rollback runs both backwards, leaving the
-// verifier as Begin found it. Nothing is copied up front.
+// the collision counters — logs its inverse, the solver context journals
+// its own segments, and Rollback runs both backwards, leaving the verifier
+// as Begin found it. Nothing is copied up front.
 //
 // Correctness is anchored to the full pipeline, not argued independently:
-// the resident list is built by the batch emitter and patched with the same
-// two segment functions (prefSeg, monoSeg) under the natural naming, tests
-// enforce bit-for-bit parity against VerifyFull — after edits, inside
-// transactions and after rolling them back — and any instance the natural
-// naming does not fit — signature-rendering collisions, duplicate permitted
-// paths — flips the verifier into degraded mode, where Verify analyses the
-// instance from scratch instead.
+// the resident system is what the batch emitter's two segment functions
+// (prefSeg, monoSeg) assert under the natural naming, tests enforce
+// bit-for-bit parity against VerifyFull — after edits, inside transactions
+// and after rolling them back — and any instance the natural naming does
+// not fit — signature-rendering or link-label collisions, duplicate
+// permitted paths — flips the verifier into degraded mode, where Verify
+// analyses the instance from scratch instead.
 
 package spp
 
@@ -51,24 +57,24 @@ type DeltaVerifier struct {
 	ix       *topoIndex
 	incident [][]int32
 
-	// cons mirrors the delta context's assertion list with algebra-level
-	// provenance, segmented per segLen: first one segment per node (in
-	// Nodes order), then one per directed link (in Links order). numPref
-	// is the node segments' total.
-	cons    []analysis.Constraint
-	segLen  []int
+	// The delta context's segments are first one per node (in Nodes
+	// order), then one per directed link (in Links order). numPref is the
+	// node segments' total.
 	numPref int
 
-	// symCount counts permitted paths per signature rendering; nameCount
-	// per sanitized solver-variable name. Any rendering shared by two paths
-	// (a ToAlgebra error) or any name collision (where the full pipeline
-	// would suffix) makes the naturally named resident list unsound, so
-	// dupSyms / dupNames > 0 degrades Verify to a from-scratch analysis
-	// until edits resolve the clash.
-	symCount  map[string]int
-	nameCount map[string]int
-	dupSyms   int
-	dupNames  int
+	// symCount counts permitted paths per signature rendering, nameCount
+	// per sanitized solver-variable name, labelCount links per label. Any
+	// rendering shared by two paths or label by two links (ToAlgebra
+	// errors) or any name collision (where the full pipeline would suffix)
+	// makes the naturally named resident system the wrong one to answer
+	// from, so a nonzero dup count degrades Verify to a from-scratch
+	// analysis until edits resolve the clash.
+	symCount   map[string]int
+	nameCount  map[string]int
+	labelCount map[string]int
+	dupSyms    int
+	dupNames   int
+	dupLabels  int
 
 	// scratch is the witness of the last from-scratch Verify, for Model;
 	// any edit drops it.
@@ -90,13 +96,12 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 		return nil, err
 	}
 	v := &DeltaVerifier{
-		in:        cp,
-		ix:        indexInstance(cp),
-		cons:      p.shardedConstraints(0),
-		segLen:    p.segLens(),
-		numPref:   int(p.totalPref()),
-		symCount:  map[string]int{},
-		nameCount: map[string]int{},
+		in:         cp,
+		ix:         indexInstance(cp),
+		numPref:    int(p.totalPref()),
+		symCount:   map[string]int{},
+		nameCount:  map[string]int{},
+		labelCount: map[string]int{},
 	}
 	v.incident = incidentLinks(cp, v.ix.nodes)
 	for _, paths := range p.perms {
@@ -104,8 +109,45 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 			v.countPath(q, +1)
 		}
 	}
-	v.dc = smt.NewDeltaContext(assertsOf(v.cons))
+	for _, l := range cp.Links {
+		v.countLabel(l, +1)
+	}
+	// The canonical emission order, in the prep's interned names: every
+	// node's preference chain, then the matches, which are in link order.
+	asserts := make([]smt.Assertion, 0, p.total())
+	for ni := range p.perms {
+		asserts = prefAsserts(asserts, p.vars[p.pathOff[ni]:p.pathOff[ni+1]])
+	}
+	for _, m := range p.matches {
+		from, to := p.pathOff[p.linkEnds[2*m.li]], p.pathOff[p.linkEnds[2*m.li+1]]
+		asserts = append(asserts, lt(p.vars[to+m.tq], p.vars[from+m.fq]))
+	}
+	v.dc = smt.NewDeltaContext(asserts, p.segLens())
 	return v, nil
+}
+
+// lt is the one shape an SPP constraint takes in the solver: a < b.
+func lt(a, b smt.Var) smt.Assertion {
+	return smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: a}, B: smt.Term{Var: b}}
+}
+
+// prefAsserts appends what prefSeg asserts over a ranking's variables: the
+// ranked list as strict pairwise preferences.
+func prefAsserts(dst []smt.Assertion, vars []smt.Var) []smt.Assertion {
+	for i := 1; i < len(vars); i++ {
+		dst = append(dst, lt(vars[i-1], vars[i]))
+	}
+	return dst
+}
+
+// monoAsserts appends what monoSeg asserts for a link's matches over its
+// endpoints' variables: each permitted extension ranks strictly below the
+// path it extends.
+func monoAsserts(dst []smt.Assertion, ms []linkMatch, from, to []smt.Var) []smt.Assertion {
+	for _, m := range ms {
+		dst = append(dst, lt(to[m.tq], from[m.fq]))
+	}
+	return dst
 }
 
 // Name returns the instance name.
@@ -114,10 +156,16 @@ func (v *DeltaVerifier) Name() string { return v.in.Name }
 // Snapshot returns a deep copy of the verifier's current instance.
 func (v *DeltaVerifier) Snapshot() *Instance { return v.in.Clone() }
 
-// Degraded reports whether the resident list is unsound for the current
-// instance (rendering collision or duplicate permitted path) and Verify is
-// analysing from scratch.
-func (v *DeltaVerifier) Degraded() bool { return v.dupSyms > 0 || v.dupNames > 0 }
+// Size returns the instance's node and session counts.
+func (v *DeltaVerifier) Size() (nodes, sessions int) {
+	// Links stores both directions of every session.
+	return len(v.in.Nodes), len(v.in.Links) / 2
+}
+
+// Degraded reports whether the resident system is the wrong one to answer
+// from for the current instance (rendering or link-label collision,
+// duplicate permitted path) and Verify is analysing from scratch.
+func (v *DeltaVerifier) Degraded() bool { return v.dupSyms > 0 || v.dupNames > 0 || v.dupLabels > 0 }
 
 // DeltaStats returns the underlying solver's delta statistics.
 func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
@@ -134,14 +182,14 @@ func (v *DeltaVerifier) Clone() *DeltaVerifier {
 			origins: maps.Clone(v.ix.origins),
 			links:   maps.Clone(v.ix.links),
 		},
-		cons:      slices.Clone(v.cons),
-		segLen:    slices.Clone(v.segLen),
-		numPref:   v.numPref,
-		symCount:  maps.Clone(v.symCount),
-		nameCount: maps.Clone(v.nameCount),
-		dupSyms:   v.dupSyms,
-		dupNames:  v.dupNames,
-		scratch:   v.scratch,
+		numPref:    v.numPref,
+		symCount:   maps.Clone(v.symCount),
+		nameCount:  maps.Clone(v.nameCount),
+		labelCount: maps.Clone(v.labelCount),
+		dupSyms:    v.dupSyms,
+		dupNames:   v.dupNames,
+		dupLabels:  v.dupLabels,
+		scratch:    v.scratch,
 	}
 	c.incident = incidentLinks(c.in, c.ix.nodes)
 	return c
@@ -160,8 +208,8 @@ func (v *DeltaVerifier) Begin() {
 	}
 	v.inTx = true
 	v.dc.Begin()
-	scratch := v.scratch
-	v.onRollback(func() { v.scratch = scratch })
+	scratch, numPref := v.scratch, v.numPref
+	v.onRollback(func() { v.scratch, v.numPref = scratch, numPref })
 }
 
 // Commit closes the transaction, keeping its edits.
@@ -192,7 +240,7 @@ func (v *DeltaVerifier) onRollback(inverse func()) {
 	}
 }
 
-// Journal reports the open transaction's size: solver splices recorded,
+// Journal reports the open transaction's size: solver segments replaced,
 // and undo entries in all, across both layers.
 func (v *DeltaVerifier) Journal() (splices, entries int) {
 	splices, entries = v.dc.Journal()
@@ -200,10 +248,11 @@ func (v *DeltaVerifier) Journal() (splices, entries int) {
 }
 
 // fromScratch reports that the instance is Analyze's to decide: a name
-// collision needs the suffixed variables, and a degenerate instance (no
-// links, or no permitted paths at all) the error a fresh analysis reports.
+// collision needs the suffixed variables, and a label clash or a degenerate
+// instance (no links, or no permitted paths at all) the error a fresh
+// analysis reports.
 func (v *DeltaVerifier) fromScratch() bool {
-	return v.dupNames > 0 || len(v.in.Links) == 0 || len(v.symCount) == 0
+	return v.dupLabels > 0 || v.dupNames > 0 || len(v.in.Links) == 0 || len(v.symCount) == 0
 }
 
 // Verify decides strict monotonicity for the current instance on the delta
@@ -212,7 +261,7 @@ func (v *DeltaVerifier) fromScratch() bool {
 // Session.AnalyzeSPP, except that a safe result carries no model: Model
 // renders the witness for the caller that wants it.
 func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, error) {
-	if v.dupSyms > 0 {
+	if v.dupSyms > 0 && v.dupLabels == 0 { // a label clash is reported first
 		return analysis.Result{}, nil, duplicatePath(v.in)
 	}
 	if v.fromScratch() {
@@ -230,20 +279,37 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		Sat:             out.Sat,
 		Stats:           out.Stats,
 		NumPreference:   v.numPref,
-		NumMonotonicity: len(v.cons) - v.numPref,
+		NumMonotonicity: v.dc.Len() - v.numPref,
 	}
 	if out.Sat {
 		return res, nil, nil
 	}
-	res.Core = make([]analysis.Constraint, 0, len(out.CoreIdx))
-	res.CoreIdx = make([]int, 0, len(out.CoreIdx))
-	for _, i := range out.CoreIdx {
-		if i >= 0 && i < len(v.cons) {
-			res.Core = append(res.Core, v.cons[i])
-			res.CoreIdx = append(res.CoreIdx, i)
-		}
+	res.Core, res.CoreIdx = make([]analysis.Constraint, len(out.CoreIdx)), out.CoreIdx
+	var suspects []Node
+	for k, pos := range out.CoreIdx {
+		suspects = append(suspects, v.coreMember(res.Core[k:k+1], pos))
 	}
-	return res, suspects(v.in, v.segLen, res.CoreIdx), nil
+	slices.Sort(suspects)
+	return res, slices.Compact(suspects), nil
+}
+
+// coreMember renders the constraint at a position of the canonical emission
+// order — an unsat core's member — into out, a single-slot segment, through
+// prefSeg or monoSeg on just the paths it names, and returns the §VI-B
+// suspect it implicates: the node whose ranking a preference orders, or the
+// tail of a monotonicity entry's link, owner of the extended path.
+func (v *DeltaVerifier) coreMember(out []analysis.Constraint, pos int) Node {
+	seg, k := v.dc.Locate(pos)
+	if nn := len(v.in.Nodes); seg >= nn {
+		l := v.in.Links[seg-nn]
+		from, to := v.in.Permitted[l.From], v.in.Permitted[l.To]
+		m := appendMatches(nil, 0, l.From, from, to)[k]
+		monoSeg(out, l, []linkMatch{{}}, naturalRanking(from[m.fq:m.fq+1]), naturalRanking(to[m.tq:m.tq+1]))
+		return l.From
+	}
+	n := v.in.Nodes[seg]
+	prefSeg(out, naturalRanking(v.in.Permitted[n][k:k+2]))
+	return n
 }
 
 // Model renders the strict-monotonicity witness of the last Verify: the
@@ -346,14 +412,16 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 	// indices stay valid.
 	for k := len(idx) - 1; k >= 0; k-- {
 		i, l := idx[k], v.in.Links[idx[k]]
-		if err := v.removeSeg(len(v.in.Nodes) + i); err != nil {
+		if err := v.dc.RemoveSeg(len(v.in.Nodes) + i); err != nil {
 			return err
 		}
 		v.in.Links = slices.Delete(v.in.Links, i, i+1)
 		delete(v.ix.links, l)
+		v.countLabel(l, -1)
 		v.onRollback(func() {
 			v.in.Links = slices.Insert(v.in.Links, i, l)
 			v.ix.links[l] = true
+			v.countLabel(l, +1)
 		})
 	}
 	reindex()
@@ -416,6 +484,7 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	for _, l := range [2]Link{{a, b}, {b, a}} {
 		v.in.Links = append(v.in.Links, l)
 		v.ix.links[l] = true
+		v.countLabel(l, +1)
 		if cost != 0 {
 			v.setCost(l, cost)
 		}
@@ -429,22 +498,25 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 		}
 		for _, l := range v.in.Links[first:] {
 			delete(v.ix.links, l)
+			v.countLabel(l, -1)
 		}
 		v.in.Links = v.in.Links[:first]
 	})
-	ra, rb := naturalRanking(v.in.Permitted[a]), naturalRanking(v.in.Permitted[b])
-	if err := v.insertSeg(len(v.in.Nodes)+int(first), linkSeg(Link{a, b}, ra, rb)); err != nil {
-		return err
+	for id := len(v.in.Nodes) + int(first); id < len(v.in.Nodes)+len(v.in.Links); id++ {
+		if err := v.dc.InsertSeg(id); err != nil {
+			return err
+		}
+		if err := v.setSeg(id, v.segAsserts(nil, id, v.rankVars)); err != nil {
+			return err
+		}
 	}
-	return v.insertSeg(len(v.in.Nodes)+int(first)+1, linkSeg(Link{b, a}, rb, ra))
+	return nil
 }
 
 // refresh regenerates the preference segment of every touched node (by
 // position in Nodes) and the monotonicity segment of every link incident to
-// one, in ascending segment order with one running constraint offset. It
-// runs after all ranking mutations of an operation, so each segment is
-// regenerated from the final rankings. Between touched segments only
-// segLen is read.
+// one. It runs after all ranking mutations of an operation, so each segment
+// is regenerated from the final rankings.
 func (v *DeltaVerifier) refresh(touched ...int32) error {
 	nn := len(v.in.Nodes)
 	var segs []int
@@ -459,43 +531,47 @@ func (v *DeltaVerifier) refresh(touched ...int32) error {
 
 	// Each endpoint's names are rendered once per refresh, however many
 	// touched segments share it.
-	rankings := map[Node]ranking{}
-	rankingOf := func(n Node) ranking {
-		r, ok := rankings[n]
+	rendered := map[Node][]smt.Var{}
+	varsOf := func(n Node) []smt.Var {
+		vars, ok := rendered[n]
 		if !ok {
-			r = naturalRanking(v.in.Permitted[n])
-			rankings[n] = r
+			vars = v.rankVars(n)
+			rendered[n] = vars
 		}
-		return r
+		return vars
 	}
-	off, next := 0, 0
+	var seg []smt.Assertion
 	for _, id := range segs {
-		for ; next < id; next++ {
-			off += v.segLen[next]
-		}
-		var seg []analysis.Constraint
-		if id < nn {
-			r := rankingOf(v.in.Nodes[id])
-			seg = make([]analysis.Constraint, max(len(r.paths)-1, 0))
-			prefSeg(seg, r)
-		} else {
-			l := v.in.Links[id-nn]
-			seg = linkSeg(l, rankingOf(l.From), rankingOf(l.To))
-		}
-		if err := v.setSeg(id, off, seg); err != nil {
+		seg = v.segAsserts(seg[:0], id, varsOf)
+		if err := v.setSeg(id, seg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// linkSeg generates one directed link's monotonicity segment from its
-// endpoints' current rankings.
-func linkSeg(l Link, from, to ranking) []analysis.Constraint {
-	ms := appendMatches(nil, 0, l.From, from.paths, to.paths)
-	seg := make([]analysis.Constraint, len(ms))
-	monoSeg(seg, l, ms, from, to)
-	return seg
+// rankVars renders the solver variables of a node's ranking under the
+// natural naming, by rank.
+func (v *DeltaVerifier) rankVars(n Node) []smt.Var {
+	paths := v.in.Permitted[n]
+	vars := make([]smt.Var, len(paths))
+	var buf []byte
+	for i, q := range paths {
+		vars[i], buf = renderVar(buf, q)
+	}
+	return vars
+}
+
+// segAsserts appends what segment id asserts under the current rankings:
+// a node's preference chain, or a directed link's monotonicity entries.
+func (v *DeltaVerifier) segAsserts(dst []smt.Assertion, id int, varsOf func(Node) []smt.Var) []smt.Assertion {
+	nn := len(v.in.Nodes)
+	if id < nn {
+		return prefAsserts(dst, varsOf(v.in.Nodes[id]))
+	}
+	l := v.in.Links[id-nn]
+	ms := appendMatches(nil, 0, l.From, v.in.Permitted[l.From], v.in.Permitted[l.To])
+	return monoAsserts(dst, ms, varsOf(l.From), varsOf(l.To))
 }
 
 // declareNode appends a real node with an empty preference segment (an
@@ -512,12 +588,13 @@ func (v *DeltaVerifier) declareNode(n Node) int32 {
 	v.ix.nodes[n] = int32(id)
 	v.in.Nodes = append(v.in.Nodes, n)
 	v.incident = append(v.incident, links)
-	v.segLen = slices.Insert(v.segLen, id, 0)
+	if err := v.dc.InsertSeg(id); err != nil {
+		panic(err) // id is the node segments' count
+	}
 	v.onRollback(func() {
 		delete(v.ix.nodes, n)
 		v.in.Nodes = v.in.Nodes[:id]
 		v.incident = v.incident[:id]
-		v.segLen = slices.Delete(v.segLen, id, id+1)
 	})
 	return int32(id)
 }
@@ -536,63 +613,15 @@ func (v *DeltaVerifier) setCost(l Link, cost int) {
 	v.onRollback(func() { v.setCost(l, old) })
 }
 
-// --- segment bookkeeping ---
-
-func (v *DeltaVerifier) segOffset(id int) int {
-	off := 0
-	for i := 0; i < id; i++ {
-		off += v.segLen[i]
+// setSeg replaces the assertions of segment id in the solver context,
+// which leaves a segment given its own content alone.
+func (v *DeltaVerifier) setSeg(id int, fresh []smt.Assertion) error {
+	old := v.dc.SegLen(id)
+	changed, err := v.dc.SetSeg(id, fresh)
+	if changed && id < len(v.in.Nodes) {
+		v.numPref += len(fresh) - old
 	}
-	return off
-}
-
-// setSeg replaces the constraints of segment id, which start at offset off,
-// splicing the solver context only when the content actually changed.
-func (v *DeltaVerifier) setSeg(id, off int, fresh []analysis.Constraint) error {
-	old := v.cons[off : off+v.segLen[id]]
-	if slices.Equal(old, fresh) {
-		return nil
-	}
-	if err := v.dc.Splice(off, len(old), assertsOf(fresh)); err != nil {
-		return err
-	}
-	if v.inTx {
-		saved := slices.Clone(old)
-		v.undo = append(v.undo, func() { v.putSeg(id, off, len(fresh), saved) })
-	}
-	v.putSeg(id, off, len(old), fresh)
-	return nil
-}
-
-// putSeg writes seg over the n constraints of segment id at offset off, in
-// place: a segment that keeps its length touches only its own entries.
-func (v *DeltaVerifier) putSeg(id, off, n int, seg []analysis.Constraint) {
-	if len(seg) == n {
-		copy(v.cons[off:], seg)
-	} else {
-		v.cons = slices.Replace(v.cons, off, off+n, seg...)
-	}
-	if id < len(v.in.Nodes) {
-		v.numPref += len(seg) - n
-	}
-	v.segLen[id] = len(seg)
-}
-
-// insertSeg inserts a new segment at id.
-func (v *DeltaVerifier) insertSeg(id int, fresh []analysis.Constraint) error {
-	v.segLen = slices.Insert(v.segLen, id, 0)
-	v.onRollback(func() { v.segLen = slices.Delete(v.segLen, id, id+1) })
-	return v.setSeg(id, v.segOffset(id), fresh)
-}
-
-// removeSeg deletes segment id.
-func (v *DeltaVerifier) removeSeg(id int) error {
-	if err := v.setSeg(id, v.segOffset(id), nil); err != nil {
-		return err
-	}
-	v.segLen = slices.Delete(v.segLen, id, id+1)
-	v.onRollback(func() { v.segLen = slices.Insert(v.segLen, id, 0) })
-	return nil
+	return err
 }
 
 // recount moves the collision counters from one ranking to another; its own
@@ -610,33 +639,34 @@ func (v *DeltaVerifier) recount(out, in []Path) {
 // and go, maintaining the degradation counters.
 func (v *DeltaVerifier) countPath(p Path, d int) {
 	sym := sigName(p)
-	bump := func(m map[string]int, key string, dup *int) {
-		old := m[key]
-		nw := old + d
-		if nw == 0 {
-			delete(m, key)
-		} else {
-			m[key] = nw
-		}
-		if old <= 1 && nw >= 2 {
-			*dup++
-		} else if old >= 2 && nw <= 1 {
-			*dup--
-		}
+	bump(v.symCount, sym, d, &v.dupSyms)
+	bump(v.nameCount, string(analysis.VarName(sym)), d, &v.dupNames)
+}
+
+// countLabel tracks link-label multiplicity as links come and go: ToAlgebra
+// names a link's label after its ends joined, so a↔bc and ab↔c clash.
+func (v *DeltaVerifier) countLabel(l Link, d int) {
+	bump(v.labelCount, string(l.From)+string(l.To), d, &v.dupLabels)
+}
+
+// bump adds d to a key's multiplicity and keeps dup, the number of keys held
+// more than once, in step.
+func bump(m map[string]int, key string, d int, dup *int) {
+	old := m[key]
+	nw := old + d
+	if nw == 0 {
+		delete(m, key)
+	} else {
+		m[key] = nw
 	}
-	bump(v.symCount, sym, &v.dupSyms)
-	bump(v.nameCount, string(analysis.VarName(sym)), &v.dupNames)
+	if old <= 1 && nw >= 2 {
+		*dup++
+	} else if old >= 2 && nw <= 1 {
+		*dup--
+	}
 }
 
 // --- helpers ---
-
-func assertsOf(cons []analysis.Constraint) []smt.Assertion {
-	out := make([]smt.Assertion, len(cons))
-	for i := range cons {
-		out[i] = cons[i].Assertion
-	}
-	return out
-}
 
 func clonePaths(paths []Path) []Path {
 	out := make([]Path, len(paths))

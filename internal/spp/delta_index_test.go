@@ -55,8 +55,8 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 			t.Fatalf("%s: index lacks origin %s", label, o)
 		}
 	}
-	if len(v.segLen) != len(in.Nodes)+len(in.Links) {
-		t.Fatalf("%s: %d segments for %d nodes + %d links", label, len(v.segLen), len(in.Nodes), len(in.Links))
+	if v.dc.Segments() != len(in.Nodes)+len(in.Links) {
+		t.Fatalf("%s: %d segments for %d nodes + %d links", label, v.dc.Segments(), len(in.Nodes), len(in.Links))
 	}
 }
 

@@ -3,9 +3,11 @@ package spp
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"fsr/internal/analysis"
+	"fsr/internal/smt"
 )
 
 // requireVerifyParity runs the delta path and the full-pipeline oracle on
@@ -311,5 +313,100 @@ func TestDeltaVerifierDegraded(t *testing.T) {
 	}
 	if !res.Sat {
 		t.Fatal("recovered instance should be safe")
+	}
+}
+
+// TestDeltaVerifierLinkLabelClash: ToAlgebra names a link's label after its
+// ends joined, so adding ab↔c beside a↔bc gives two links one label — an
+// instance the full pipeline rejects. The verifier used to keep answering
+// "safe" from its resident system; it now answers what a from-scratch
+// analysis answers for as long as the clash stands, inside a transaction
+// and outside, and recovers when the session goes.
+func TestDeltaVerifierLinkLabelClash(t *testing.T) {
+	ctx := context.Background()
+	in := NewInstance("labels")
+	in.AddSession("a", "bc", 0)
+	in.AddSession("ab", "d", 0)
+	in.Rank("a", P("a", "r1"))
+	in.Rank("bc", P("bc", "a", "r1"))
+	in.Rank("ab", P("ab", "r2"))
+	in.Rank("d", P("d", "ab", "r2"))
+	v, err := NewDeltaVerifier(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClean := func(label string) {
+		t.Helper()
+		if res, _, err := v.Verify(ctx); err != nil || !res.Sat || v.Degraded() {
+			t.Fatalf("%s: sat=%v degraded=%v err=%v, want a safe, sound verifier", label, res.Sat, v.Degraded(), err)
+		}
+		requireVerifyParity(t, label, v)
+	}
+	requireClash := func(label string) {
+		t.Helper()
+		_, _, err := v.Verify(ctx)
+		_, _, want := Analyze(ctx, v.Snapshot(), smt.Native{}, 0)
+		if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "duplicate link ab→c") || !v.Degraded() {
+			t.Fatalf("%s: Verify error %v (degraded %v), a from-scratch analysis says %v", label, err, v.Degraded(), want)
+		}
+		requireVerifyParity(t, label, v)
+	}
+	requireClean("initial")
+
+	v.Begin()
+	if err := v.AddSession("ab", "c", 0); err != nil {
+		t.Fatal(err)
+	}
+	requireClash("inside a transaction")
+	v.Rollback()
+	requireClean("rolled back")
+
+	if err := v.AddSession("ab", "c", 0); err != nil {
+		t.Fatal(err)
+	}
+	requireClash("outside a transaction")
+	if c := v.Clone(); !c.Degraded() {
+		t.Fatal("a clone of the clashing verifier is not degraded")
+	}
+	if err := v.DropSession("ab", "c"); err != nil {
+		t.Fatal(err)
+	}
+	requireClean("session dropped")
+	if nodes, sessions := v.Size(); nodes != len(v.Snapshot().Nodes) || sessions != 2 {
+		t.Fatalf("Size() = (%d, %d), the instance has %d nodes and 2 sessions", nodes, sessions, len(v.Snapshot().Nodes))
+	}
+}
+
+// TestResidentAssertionsAreTheSegments pins the solver's view of a segment
+// to the provenance functions': what prefAsserts and monoAsserts emit is the
+// Assertion of every prefSeg and monoSeg constraint, less its origin — on
+// the generated instances, for every node and link.
+func TestResidentAssertionsAreTheSegments(t *testing.T) {
+	for _, in := range []*Instance{Figure3IBGP(), Disagree(), ChainGadget(6)} {
+		v, err := NewDeltaVerifier(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons, _, err := ShardedConstraints(in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := v.dc.Assertions()
+		if len(got) != len(cons) {
+			t.Fatalf("%s: %d resident assertions, %d constraints", in.Name, len(got), len(cons))
+		}
+		for i, c := range cons {
+			want := c.Assertion
+			want.Origin = ""
+			if got[i] != want {
+				t.Fatalf("%s: resident assertion %d is %v, the emitter's %v", in.Name, i, got[i], want)
+			}
+		}
+		// Regenerating every segment from the rankings changes nothing.
+		for id := 0; id < v.dc.Segments(); id++ {
+			if changed, err := v.dc.SetSeg(id, v.segAsserts(nil, id, v.rankVars)); err != nil || changed {
+				t.Fatalf("%s: segment %d regenerated differently (err %v)", in.Name, id, err)
+			}
+		}
 	}
 }
