@@ -5,39 +5,12 @@ import (
 
 	"fsr/internal/engine"
 	"fsr/internal/scenario"
-	"fsr/internal/smt"
 )
 
-// Backend selection. A Session talks to two pluggable backends: a
-// SolverBackend decides the generated constraints, a RunnerBackend executes
-// the generated protocol. Callers select backends by value through
-// WithSolver and WithRunner; the constructors below are the only way to
-// obtain one from outside the module, so commands and examples never import
-// internal packages.
-
-// SolverBackend decides constraint systems. Implementations: NativeSolver
-// (in-process difference logic) and YicesTextSolver (round trip through the
-// paper's Yices surface syntax).
-type SolverBackend = smt.Solver
-
-// NativeSolver returns the built-in difference-logic backend: ground atoms
-// become a constraint graph that is condensed into its strongly connected
-// components and decided by Bellman–Ford inside the cyclic ones, with
-// deletion-minimized unsat cores. This is the default and the fastest path;
-// sessions holding it decide SPP instances on the emitter's dense encoding.
-func NativeSolver() SolverBackend { return smt.Native{} }
-
-// YicesTextSolver returns the external-encoding backend: constraints are
-// rendered in Yices 1.x syntax (the paper's §IV-C listings), parsed back,
-// and decided natively — exercising the exact text FSR would hand to a real
-// Yices binary.
-func YicesTextSolver() SolverBackend { return smt.YicesText{} }
-
-// SolverBackends returns every built-in solver backend.
-func SolverBackends() []SolverBackend { return smt.Backends() }
-
-// SolverBackendByName resolves "native" or "yices-text" (alias "yices").
-func SolverBackendByName(name string) (SolverBackend, error) { return smt.SolverByName(name) }
+// Runner selection. A Session executes the generated protocol on a
+// RunnerBackend, selected by value through WithRunner; the constructors below
+// are the only way to obtain one from outside the module, so commands and
+// examples never import internal packages.
 
 // RunnerBackend executes a converted SPP instance. Implementations:
 // SimulationRunner, NDlogRunner, DeploymentRunner.
@@ -63,8 +36,8 @@ func RunnerBackends() []RunnerBackend { return engine.Runners() }
 // (aliases "deploy", "deployment").
 func RunnerBackendByName(name string) (RunnerBackend, error) { return engine.RunnerByName(name) }
 
-// Scenario engine. The third pluggable axis beside solvers and runners:
-// seeded generators of whole workloads, consumed by Session.Campaign. See
+// Scenario engine. The second pluggable axis beside runners: seeded
+// generators of whole workloads, consumed by Session.Campaign. See
 // the internal/scenario package for the generator guarantees.
 
 type (

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	fsr analyze  [-config FILE | -builtin NAME | -spp NAME] [-solver B]
+//	fsr analyze  [-config FILE | -builtin NAME | -spp NAME]
 //	             [-trace-out FILE]                            safety analysis
 //	fsr compile  [-config FILE | -builtin NAME | -spp NAME]   emit the NDlog program
 //	fsr yices    [-config FILE | -builtin NAME | -spp NAME]   emit the solver encoding
@@ -24,8 +24,9 @@
 // Built-in policies: gao-rexford-a, gao-rexford-b, gao-rexford-safe,
 // hop-count, backup. Built-in gadgets: goodgadget, badgadget, disagree,
 // fig3, fig3-fixed, plus the parameterized forms chain:N and
-// internet:N[:SEED] which generate instances on the fly. Solver backends:
-// native, yices-text. Runner backends: sim, sim-ndlog, tcp.
+// internet:N[:SEED] which generate instances on the fly. Constraints are
+// decided in process by the native difference-logic engine; fsr yices prints
+// the paper's Yices text. Runner backends: sim, sim-ndlog, tcp.
 // Scenario kinds: gadget-splice, gao-rexford, ibgp, gao-rexford-internet,
 // lexical-product, divergent-fixture, partial-spec, churn-flap,
 // churn-storm, churn-dispute (the last three inject seed-derived fault
@@ -222,16 +223,12 @@ func startMetricsListener(addr string) (string, error) {
 }
 
 // sessionFromFlags builds the Session every subcommand drives.
-func sessionFromFlags(solverName, runnerName string, opts ...fsr.Option) (*fsr.Session, error) {
-	solver, err := fsr.SolverBackendByName(solverName)
-	if err != nil {
-		return nil, err
-	}
+func sessionFromFlags(runnerName string, opts ...fsr.Option) (*fsr.Session, error) {
 	runner, err := fsr.RunnerBackendByName(runnerName)
 	if err != nil {
 		return nil, err
 	}
-	opts = append([]fsr.Option{fsr.WithSolver(solver), fsr.WithRunner(runner)}, opts...)
+	opts = append([]fsr.Option{fsr.WithRunner(runner)}, opts...)
 	return fsr.NewSession(opts...), nil
 }
 
@@ -240,14 +237,13 @@ func cmdAnalyze(args []string) error {
 	builtin := fs.String("builtin", "", "built-in policy name")
 	configPath := fs.String("config", "", "configuration file")
 	sppName := fs.String("spp", "", "built-in SPP gadget name")
-	solverName := fs.String("solver", "native", "solver backend: native|yices-text")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of the analysis spans")
 	fs.Parse(args)
 	alg, conv, err := loadPolicy(*builtin, *configPath, *sppName)
 	if err != nil {
 		return err
 	}
-	sess, err := sessionFromFlags(*solverName, "sim")
+	sess, err := sessionFromFlags("sim")
 	if err != nil {
 		return err
 	}
@@ -283,7 +279,6 @@ func cmdCampaign(args []string) error {
 	shrink := fs.Bool("shrink", false, "delta-debug divergences and mismatches to minimal instances")
 	corpusPath := fs.String("corpus", "", "write interesting outcomes (shrunk where possible) to this JSON Lines file")
 	replayPath := fs.String("replay", "", "replay a corpus file instead of generating scenarios")
-	solverName := fs.String("solver", "native", "solver backend: native|yices-text")
 	runnerName := fs.String("runner", "sim", "runner backend: sim|sim-ndlog|tcp")
 	verbose := fs.Bool("v", false, "print every scenario result, not just the summary")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of the campaign spans")
@@ -316,7 +311,7 @@ func cmdCampaign(args []string) error {
 	if *count <= 0 {
 		return fmt.Errorf("-count must be positive (0 is the library's use-the-default sentinel and would silently rebase to 64)")
 	}
-	sess, err := sessionFromFlags(*solverName, *runnerName)
+	sess, err := sessionFromFlags(*runnerName)
 	if err != nil {
 		return err
 	}
@@ -562,7 +557,7 @@ func cmdRun(args []string) error {
 		plan := fsr.BuildFaultPlan(*churnSeed, nodes, sessions, fsr.FaultPlanSpec{Flaps: 2, Restarts: 1})
 		opts = append(opts, fsr.WithFaultPlan(plan))
 	}
-	sess, err := sessionFromFlags("native", *runnerName, opts...)
+	sess, err := sessionFromFlags(*runnerName, opts...)
 	if err != nil {
 		return err
 	}

@@ -51,8 +51,8 @@ func main() {
 	fmt.Println("\n== generated NDlog implementation ==")
 	fmt.Print(prog)
 
-	// 5. And to the Yices encoding the paper prints in §IV-C — the same
-	// text the fsr.YicesTextSolver() backend round-trips.
+	// 5. And to the Yices encoding the paper prints in §IV-C — the text
+	// smt.Parse reads back without losing an assertion.
 	yices, err := sess.SolverEncoding(guideline)
 	if err != nil {
 		log.Fatal(err)

@@ -22,7 +22,6 @@
 // deployment — and is configured once with functional options:
 //
 //	sess := fsr.NewSession(
-//		fsr.WithSolver(fsr.YicesTextSolver()),
 //		fsr.WithRunner(fsr.DeploymentRunner()),
 //		fsr.WithSeed(42),
 //		fsr.WithBatchWindow(50*time.Millisecond),
@@ -31,18 +30,16 @@
 //	run, err := sess.Run(ctx, fsr.Figure3IBGPFixed())
 //
 // Every long-running stage is context-aware: cancelling the context aborts
-// a solve mid-minimization or a protocol execution mid-run. Backends are
-// chosen by option, never by importing a different package: [WithSolver]
-// selects between the native difference-logic engine and the Yices
-// text-encoding path, and [WithRunner] selects between discrete-event
-// simulation (compiled or NDlog-interpreted GPV) and real-TCP deployment.
-// [Session.AnalyzeAll] fans a batch of policies out over a worker pool
-// sized by [WithParallelism].
+// a solve mid-minimization or a protocol execution mid-run. Constraints are
+// decided in process by one difference-logic engine, the stand-in for the
+// paper's Yices; [Session.SolverEncoding] renders the Yices text itself.
+// The runner is chosen by option, never by importing a different package:
+// [WithRunner] selects between discrete-event simulation (compiled or
+// NDlog-interpreted GPV) and real-TCP deployment. [Session.AnalyzeAll] fans
+// a batch of policies out over a worker pool sized by [WithParallelism].
 //
-// The zero-configuration path still works: fsr.NewSession() uses the native
-// solver, the simulation runner, seed 1, and unbatched sends. The package-
-// level free functions of earlier versions remain as thin deprecated
-// wrappers over a default session (see compat.go).
+// The zero-configuration path: fsr.NewSession() uses the simulation runner,
+// seed 1, and unbatched sends.
 //
 // The heavy lifting lives in the internal packages (algebra, smt, analysis,
 // spp, ndlog, engine, simnet, pathvector, hlp, topology, experiments); this

@@ -1,6 +1,7 @@
 package fsr
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,21 +9,22 @@ import (
 // TestFigure1Pipeline exercises the facade end to end: one policy in, a
 // safety verdict and an implementation out (the paper's Figure 1).
 func TestFigure1Pipeline(t *testing.T) {
-	rep, err := AnalyzeSafety(GaoRexfordSafe())
+	sess := NewSession()
+	rep, err := sess.Analyze(context.Background(), GaoRexfordSafe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Verdict != Safe {
 		t.Fatalf("composed policy should be safe: %s", rep)
 	}
-	prog, err := CompileNDlog(GaoRexfordA())
+	prog, err := sess.Compile(GaoRexfordA())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.Rules) == 0 {
 		t.Fatalf("generated program has no rules")
 	}
-	yices, err := YicesEncoding(GaoRexfordA())
+	yices, err := sess.SolverEncoding(GaoRexfordA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,8 @@ func TestFigure1Pipeline(t *testing.T) {
 
 // TestFacadeSPPWorkflow covers the operator path: gadget in, suspects out.
 func TestFacadeSPPWorkflow(t *testing.T) {
-	res, suspects, err := AnalyzeSPP(Figure3IBGP())
+	ctx, sess := context.Background(), NewSession()
+	res, suspects, err := sess.AnalyzeSPP(ctx, Figure3IBGP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestFacadeSPPWorkflow(t *testing.T) {
 	if len(suspects) == 0 {
 		t.Fatalf("suspects should name the reflectors")
 	}
-	fixed, _, err := AnalyzeSPP(Figure3IBGPFixed())
+	fixed, _, err := sess.AnalyzeSPP(ctx, Figure3IBGPFixed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestFacadeConfig(t *testing.T) {
 
 // TestFacadeComposition: Compose builds analyzable lexical products.
 func TestFacadeComposition(t *testing.T) {
-	rep, err := AnalyzeSafety(Compose(GaoRexfordB(), HopCount()))
+	rep, err := NewSession().Analyze(context.Background(), Compose(GaoRexfordB(), HopCount()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,10 +398,9 @@ func Check(a algebra.Algebra, cond Condition) (Result, error) {
 	return CheckWith(context.Background(), a, cond, smt.Native{})
 }
 
-// CheckWith is Check with an explicit context and solver backend: the
-// constraint generation is shared, the decision procedure is the caller's
-// choice (native difference logic or the Yices text-encoding path), and a
-// cancelled context aborts the solve with ctx.Err().
+// CheckWith is Check with an explicit context and solver: production passes
+// smt.Native, tests the smt.Reference oracle, and a cancelled context aborts
+// the solve with ctx.Err().
 func CheckWith(ctx context.Context, a algebra.Algebra, cond Condition, solver smt.Solver) (Result, error) {
 	g, err := newConstraintGen(a)
 	if err != nil {
@@ -554,7 +553,7 @@ func (r Report) String() string {
 }
 
 // AnalyzeSafety decides safety for a policy configuration with the native
-// solver backend, applying the composition rule for lexical products
+// solver, applying the composition rule for lexical products
 // (§IV-B): for A ⊗ B, if A is strictly monotonic the product is safe; if A
 // is monotonic and B strictly monotonic it is safe; otherwise it is deemed
 // unsafe. Non-product algebras are safe iff strictly monotonic.

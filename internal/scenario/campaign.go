@@ -14,7 +14,6 @@ import (
 
 	"fsr/internal/engine"
 	"fsr/internal/obs"
-	"fsr/internal/smt"
 	"fsr/internal/spp"
 )
 
@@ -52,8 +51,6 @@ type Spec struct {
 	ScenarioTimeout time.Duration
 	// Parallelism sizes the worker pool (default GOMAXPROCS).
 	Parallelism int
-	// Solver decides the generated constraints (default smt.Native).
-	Solver smt.Solver
 	// Runner executes instances (default engine.SimRunner; campaigns want a
 	// simulation backend — deployment runners make runs wall-clock bound).
 	Runner engine.Runner
@@ -91,9 +88,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Parallelism <= 0 {
 		s.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if s.Solver == nil {
-		s.Solver = smt.Native{}
 	}
 	if s.Runner == nil {
 		s.Runner = engine.SimRunner{}
@@ -366,7 +360,7 @@ func (r *Report) String() string {
 // proves the instance unsafe; rep is nil when no execution ran.
 func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, plan *engine.FaultPlan) (sat bool, suspects []string, rep *engine.RunReport, err error) {
 	actx, asp := obs.StartSpan(ctx, "analyze")
-	res, nodes, err := spp.Analyze(actx, in, spec.Solver, 1)
+	res, nodes, err := spp.Analyze(actx, in, 1)
 	asp.End()
 	if err != nil {
 		return false, nil, nil, err

@@ -17,7 +17,6 @@ import (
 	"fsr/internal/analysis"
 	"fsr/internal/obs"
 	"fsr/internal/scenario"
-	"fsr/internal/smt"
 	"fsr/internal/spp"
 	"fsr/internal/topology"
 )
@@ -34,7 +33,7 @@ func newUploadServer(t *testing.T) (*Server, *httptest.Server) {
 			return nil, fmt.Errorf("unknown gadget %q", name)
 		},
 		Analyze: func(ctx context.Context, in *spp.Instance) (analysis.Result, []spp.Node, error) {
-			return spp.Analyze(ctx, in, smt.Native{}, 1)
+			return spp.Analyze(ctx, in, 1)
 		},
 	})
 	ts := httptest.NewServer(s.Handler())

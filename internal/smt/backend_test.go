@@ -14,14 +14,14 @@ func unsatChain() []Assertion {
 	}
 }
 
-// TestBackendsAgree: both backends return identical verdicts and cores on
-// sat and unsat inputs, and the yices-text round trip preserves provenance.
+// TestBackendsAgree: the native engine and the Reference oracle return
+// identical verdicts and cores on sat and unsat inputs, with provenance.
 func TestBackendsAgree(t *testing.T) {
 	sat := []Assertion{
 		{Rel: Lt, A: V("a"), B: V("b"), Origin: "pref"},
 		{Rel: Le, A: V("b"), B: V("c").Plus(2), Origin: "mono"},
 	}
-	for _, backend := range Backends() {
+	for _, backend := range []Solver{Native{}, Reference{}} {
 		res, err := backend.Solve(context.Background(), sat)
 		if err != nil || !res.Sat {
 			t.Fatalf("%s: sat input: sat=%v err=%v", backend.Name(), res.Sat, err)
@@ -41,25 +41,13 @@ func TestBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestBackendCancellation: a cancelled context aborts both backends.
+// TestBackendCancellation: a cancelled context aborts both implementations.
 func TestBackendCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, backend := range Backends() {
+	for _, backend := range []Solver{Native{}, Reference{}} {
 		if _, err := backend.Solve(ctx, unsatChain()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled solve returned %v, want context.Canceled", backend.Name(), err)
 		}
-	}
-}
-
-// TestSolverByName covers the lookup table.
-func TestSolverByName(t *testing.T) {
-	for _, name := range []string{"", "native", "yices-text", "yices"} {
-		if _, err := SolverByName(name); err != nil {
-			t.Errorf("SolverByName(%q): %v", name, err)
-		}
-	}
-	if _, err := SolverByName("cvc5"); err == nil {
-		t.Error("unknown backend should error")
 	}
 }

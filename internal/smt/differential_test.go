@@ -100,7 +100,9 @@ func TestDifferentialNoMinimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		asserts := randomInstance(rng)
-		got, err := (Native{NoMinimize: true}).Solve(ctx, asserts)
+		cycle := &Context{NoMinimize: true}
+		cycle.AssertAll(asserts)
+		got, err := cycle.CheckContext(ctx)
 		if err != nil {
 			t.Fatalf("trial %d: native: %v", trial, err)
 		}

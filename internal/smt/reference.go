@@ -4,8 +4,8 @@
 // satisfiability probe. It is deliberately unoptimized — O(n²·E) core
 // minimization with heavy allocation — and exists so differential tests can
 // hold the incremental engine (engine.go) to identical verdicts, models,
-// and minimal cores on every input. It is not registered in Backends() and
-// should never be picked for production work.
+// and minimal cores on every input. It is a test oracle, never a production
+// solver.
 
 package smt
 

@@ -157,12 +157,14 @@ func TestChainCostIsTheChain(t *testing.T) {
 		as    []Assertion
 		dense []DenseConstraint
 	}{{"ascending", asc, ascDense}, {"descending", desc, descDense}} {
-		for _, backend := range Backends() {
-			res, err := backend.Solve(ctx, order.as)
-			check(order.name+"/"+backend.Name(), res, err)
-		}
+		res, err := Native{}.Solve(ctx, order.as)
+		check(order.name+"/native", res, err)
+		c := NewContext()
+		c.AssertAll(order.as)
+		res, err = c.CheckContext(ctx)
+		check(order.name+"/context", res, err)
 		dc := NewDeltaContext(order.as, nil)
-		res, err := dc.Check(ctx)
+		res, err = dc.Check(ctx)
 		res.Model = dc.Model() // a delta check renders its model on demand
 		check(order.name+"/delta", res, err)
 		res, model, err := SolveDense(ctx, n+1, order.dense, 1)

@@ -187,9 +187,7 @@ type Result struct {
 }
 
 // Context accumulates assertions; Check decides them. The zero value is
-// ready to use. Contexts are not safe for concurrent mutation. Callers that
-// want a pluggable decision procedure should go through the Solver interface
-// instead of using a Context directly.
+// ready to use. Contexts are not safe for concurrent mutation.
 type Context struct {
 	asserts []Assertion
 
@@ -272,7 +270,7 @@ func solveAsserts(ctx context.Context, asserts []Assertion, noMinimize bool) (Re
 		return Result{}, err
 	}
 	if res.Sat {
-		res.Model = e.model(nil)
+		res.Model = e.model()
 	} else {
 		res.Core = coreOf(asserts, res.CoreIdx)
 	}
@@ -307,14 +305,12 @@ func decideQuantified(asserts []Assertion, start time.Time) (res Result, decided
 // model reads the satisfying assignment off the converged distances:
 // val(x) = dist(x) − dist(zero) satisfies every difference constraint
 // (distances do) and positivity (the positivity edges are part of the
-// graph). A non-nil ref masks out the variables it counts no reference for.
-func (e *dlEngine) model(ref []int32) map[Var]int {
+// graph).
+func (e *dlEngine) model() map[Var]int {
 	model := make(map[Var]int, len(e.idVar)-1)
 	d0 := e.dist[zeroNode]
 	for i := 1; i < len(e.idVar); i++ {
-		if ref == nil || ref[i] > 0 {
-			model[e.idVar[i]] = e.dist[i] - d0
-		}
+		model[e.idVar[i]] = e.dist[i] - d0
 	}
 	return model
 }

@@ -265,7 +265,7 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		return analysis.Result{}, nil, duplicatePath(v.in)
 	}
 	if v.fromScratch() {
-		res, suspects, err := Analyze(ctx, v.in, smt.Native{}, 0)
+		res, suspects, err := Analyze(ctx, v.in, 0)
 		v.scratch, res.Model = res.Model, nil
 		return res, suspects, err
 	}

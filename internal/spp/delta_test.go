@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fsr/internal/analysis"
-	"fsr/internal/smt"
 )
 
 // requireVerifyParity runs the delta path and the full-pipeline oracle on
@@ -345,7 +344,7 @@ func TestDeltaVerifierLinkLabelClash(t *testing.T) {
 	requireClash := func(label string) {
 		t.Helper()
 		_, _, err := v.Verify(ctx)
-		_, _, want := Analyze(ctx, v.Snapshot(), smt.Native{}, 0)
+		_, _, want := Analyze(ctx, v.Snapshot(), 0)
 		if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "duplicate link ab→c") || !v.Degraded() {
 			t.Fatalf("%s: Verify error %v (degraded %v), a from-scratch analysis says %v", label, err, v.Degraded(), want)
 		}

@@ -15,15 +15,13 @@ import (
 
 var (
 	obsScalePath = obs.Default().CounterVec("fsr_spp_scale_path_total",
-		"Analyze outcomes by route taken: dense = sat on dense ids; resolve = dense unsat, core minimised on dense ids; provenance = assertion list handed to a non-native backend.", "path")
+		"Analyze outcomes by route taken: dense = sat on dense ids; resolve = dense unsat, core minimised on dense ids.", "path")
 	// dense: sat decided entirely on the dense id encoding.
 	obsPathDense = obsScalePath.With("dense")
 	// resolve: unsat on the dense id encoding, the core minimised there too
 	// and only its members materialized (the label name is what dashboards
 	// and smoke scripts already key on).
 	obsPathResolve = obsScalePath.With("resolve")
-	// provenance: a non-native backend solved the provenance buffer itself.
-	obsPathProvenance = obsScalePath.With("provenance")
 
 	obsShardCollisions = obs.Default().Counter("fsr_spp_shard_collisions_total",
 		"Instances whose solver-variable names collided (suffixed, or rejected as duplicate paths).")

@@ -14,20 +14,18 @@
 // for the segments an edit touches.
 //
 // Analyze sits on top: permitted paths become dense int32 ids (global rank
-// order) and, for the native engine, the difference constraints go straight
-// to smt.SolveDense, which makes the whole decision on those ids — no Origin
-// strings, no per-constraint provenance, not even the signature renderings
-// (only the sanitized solver variables, each fused into a single
-// allocation). A satisfiable instance gets its model back by id; an
-// unsatisfiable one gets its deletion-minimal core back as constraint
-// positions, and coreConstraints runs prefSeg/monoSeg for exactly those
-// positions, so the minimized core and the §VI-B suspect set are the ones
-// the algebra pipeline reports while "unsafe" costs what "safe" costs plus
-// the minimization probes. Every other solver backend consumes an assertion
-// list and solves the provenance buffer through analysis.CheckPrepared.
-// ToAlgebra's own rejections (duplicate links and renderings, degenerate
-// algebras) and its collision suffixes on solver-variable names are
-// reproduced by resolveNames.
+// order) and the difference constraints go straight to smt.SolveDense, which
+// makes the whole decision on those ids — no Origin strings, no
+// per-constraint provenance, not even the signature renderings (only the
+// sanitized solver variables, each fused into a single allocation). A
+// satisfiable instance gets its model back by id; an unsatisfiable one gets
+// its deletion-minimal core back as constraint positions, and
+// coreConstraints runs prefSeg/monoSeg for exactly those positions, so the
+// minimized core and the §VI-B suspect set are the ones the algebra
+// pipeline reports while "unsafe" costs what "safe" costs plus the
+// minimization probes. ToAlgebra's own rejections (duplicate links and
+// renderings, degenerate algebras) and its collision suffixes on
+// solver-variable names are reproduced by resolveNames.
 
 package spp
 
@@ -693,14 +691,6 @@ func suspects(in *Instance, segLen, coreIdx []int) []Node {
 	return slices.Compact(out)
 }
 
-// solvesDense reports whether the solver is the native difference-logic
-// engine with deletion-minimized cores, whose verdicts, canonical models and
-// cores smt.SolveDense reproduces.
-func solvesDense(solver smt.Solver) bool {
-	s, ok := solver.(smt.Native)
-	return ok && !s.NoMinimize
-}
-
 // rankSlice names ranks [lo,hi) of node ni, rendering just those paths'
 // signatures — what a core member needs of a ranking.
 func (p *shardPrep) rankSlice(ni, lo, hi int32) ranking {
@@ -737,18 +727,16 @@ func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
 	return out
 }
 
-// Analyze decides strict monotonicity for the instance on the given solver
-// backend and maps an unsat core to its §VI-B suspect nodes: the Result and
-// suspect set of analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity,
-// solver) + SuspectNodes, and ToAlgebra's error where the instance has no
-// algebra. On the native engine the whole decision runs on dense path ids:
-// a satisfiable instance never materializes a provenance constraint or even
-// a signature rendering, and an unsatisfiable one materializes exactly its
-// core's members (coreConstraints) — the cost of "unsafe" is the cost of
-// "safe" plus the minimization probes. Every other backend consumes an
-// assertion list, so it is handed the provenance buffer through
-// analysis.CheckPrepared.
-func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) (analysis.Result, []Node, error) {
+// Analyze decides strict monotonicity for the instance on the native engine
+// and maps an unsat core to its §VI-B suspect nodes: the Result and suspect
+// set of analysis.CheckWith(in.ToAlgebra(), StrictMonotonicity, smt.Native{})
+// + SuspectNodes, and ToAlgebra's error where the instance has no algebra.
+// The whole decision runs on dense path ids: a satisfiable instance never
+// materializes a provenance constraint or even a signature rendering, and an
+// unsatisfiable one materializes exactly its core's members
+// (coreConstraints) — the cost of "unsafe" is the cost of "safe" plus the
+// minimization probes.
+func Analyze(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, error) {
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
 	p, err := buildShardPrep(in, workers)
 	if err == nil {
@@ -759,16 +747,6 @@ func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) 
 		return analysis.Result{}, nil, err
 	}
 	name := "spp-" + in.Name
-	if !solvesDense(solver) {
-		obsPathProvenance.Inc()
-		ctx, solveSpan := obs.StartSpan(ctx, "solve-provenance")
-		res, err := analysis.CheckPrepared(ctx, name, analysis.StrictMonotonicity, p.shardedConstraints(workers), solver)
-		solveSpan.End()
-		if err != nil {
-			return analysis.Result{}, nil, err
-		}
-		return res, suspects(in, p.segLens(), res.CoreIdx), nil
-	}
 
 	ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
 	cons, appears := p.denseConstraints(workers)
@@ -815,8 +793,8 @@ func Analyze(ctx context.Context, in *Instance, solver smt.Solver, workers int) 
 	return res, nil, nil
 }
 
-// AnalyzeScale is Analyze on the native backend. The bool is err == nil.
+// AnalyzeScale is Analyze with a bool that is err == nil.
 func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
-	res, suspects, err := Analyze(ctx, in, smt.Native{}, workers)
+	res, suspects, err := Analyze(ctx, in, workers)
 	return res, suspects, err == nil, err
 }

@@ -132,10 +132,10 @@ func TestAnalyzeScaleMatchesClassic(t *testing.T) {
 	}
 }
 
-// requireOracleParity fails unless spp.Analyze and the algebra pipeline on
-// the same solver both reject the instance with the same message, or agree
-// on verdict, model, core (elements and positions), counts and suspects.
-func requireOracleParity(t *testing.T, in *spp.Instance, solver smt.Solver) {
+// requireOracleParity fails unless spp.Analyze and the algebra pipeline both
+// reject the instance with the same message, or agree on verdict, model, core
+// (elements and positions), counts and suspects.
+func requireOracleParity(t *testing.T, in *spp.Instance) {
 	t.Helper()
 	ctx := context.Background()
 	var (
@@ -144,22 +144,22 @@ func requireOracleParity(t *testing.T, in *spp.Instance, solver smt.Solver) {
 	)
 	conv, wantErr := in.ToAlgebra()
 	if wantErr == nil {
-		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, solver)
+		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 		wantSuspect = conv.SuspectNodes(want.Core)
 	}
-	got, suspects, err := spp.Analyze(ctx, in, solver, 2)
+	got, suspects, err := spp.Analyze(ctx, in, 2)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("%s on %s: error %v, oracle %v", in.Name, solver.Name(), err, wantErr)
+			t.Fatalf("%s: error %v, oracle %v", in.Name, err, wantErr)
 		}
 		return
 	}
 	got.Stats, want.Stats = smt.Stats{}, smt.Stats{}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s on %s: result differs:\n%+v\nvs oracle\n%+v", in.Name, solver.Name(), got, want)
+		t.Fatalf("%s: result differs:\n%+v\nvs oracle\n%+v", in.Name, got, want)
 	}
 	if !reflect.DeepEqual(suspects, wantSuspect) {
-		t.Fatalf("%s on %s: suspects %v, oracle %v", in.Name, solver.Name(), suspects, wantSuspect)
+		t.Fatalf("%s: suspects %v, oracle %v", in.Name, suspects, wantSuspect)
 	}
 }
 
@@ -203,9 +203,7 @@ func TestShardedFallback(t *testing.T) {
 		unranked: "no signatures declared", twice: "duplicate link n0→n1", glued: "duplicate link a→bc",
 	}
 	for in, want := range wantErr {
-		for _, solver := range []smt.Solver{smt.Native{}, smt.YicesText{}} {
-			requireOracleParity(t, in, solver)
-		}
+		requireOracleParity(t, in)
 		cons, ok, err := spp.ShardedConstraints(in, 2)
 		_, _, okScale, errScale := spp.AnalyzeScale(context.Background(), in, 2)
 		if ok != (err == nil) || okScale != (errScale == nil) {
@@ -221,7 +219,7 @@ func TestShardedFallback(t *testing.T) {
 			t.Fatalf("%s: want error ending %q, got sharded %v, scale %v", in.Name, want, err, errScale)
 		}
 	}
-	res, _, err := spp.Analyze(context.Background(), san, smt.Native{}, 2)
+	res, _, err := spp.Analyze(context.Background(), san, 2)
 	if err != nil || !res.Sat || res.Model["x_y"] == 0 || res.Model["x_y_2"] == 0 {
 		t.Fatalf("sanitize-collision: want a model over x_y and x_y_2, got %v (err %v)", res.Model, err)
 	}
@@ -244,7 +242,7 @@ func TestShardedValidation(t *testing.T) {
 	if _, _, ok, err := spp.AnalyzeScale(context.Background(), in, 2); ok || err == nil || err.Error() != want.Error() {
 		t.Fatalf("AnalyzeScale: ok=%v err=%v, want %v", ok, err, want)
 	}
-	requireOracleParity(t, in, smt.Native{})
+	requireOracleParity(t, in)
 }
 
 // internetInstance is the internet:n power-law instance at a topology seed.
@@ -360,27 +358,25 @@ func TestUnsatCoresMatchOracle(t *testing.T) {
 					t.Fatalf("collision seed %d: no suffixed name in the oracle's core %v", seed, want.Core)
 				}
 			}
-			for _, solver := range []smt.Solver{smt.Native{}, smt.YicesText{}} {
-				for _, workers := range []int{1, 4} {
-					got, suspects, err := spp.Analyze(ctx, in, solver, workers)
-					if err != nil {
-						t.Fatalf("%s seed %d %s w=%d: %v", name, seed, solver.Name(), workers, err)
-					}
-					if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
-						t.Fatalf("%s seed %d %s w=%d: stats vars/edges (%d,%d), oracle (%d,%d)", name, seed, solver.Name(), workers,
-							got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
-					}
-					if got.Stats.Components == 0 || got.Stats.Levels == 0 || got.Stats.Probes < 3 {
-						t.Fatalf("%s seed %d %s w=%d: condensation or probe stats missing: %+v", name, seed, solver.Name(), workers, got.Stats)
-					}
-					g, w := got, want
-					g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
-					if !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s seed %d %s w=%d: result differs:\n%+v\nvs oracle\n%+v", name, seed, solver.Name(), workers, g, w)
-					}
-					if !reflect.DeepEqual(suspects, wantSuspects) {
-						t.Fatalf("%s seed %d %s w=%d: suspects %v, oracle %v", name, seed, solver.Name(), workers, suspects, wantSuspects)
-					}
+			for _, workers := range []int{1, 4} {
+				got, suspects, err := spp.Analyze(ctx, in, workers)
+				if err != nil {
+					t.Fatalf("%s seed %d w=%d: %v", name, seed, workers, err)
+				}
+				if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
+					t.Fatalf("%s seed %d w=%d: stats vars/edges (%d,%d), oracle (%d,%d)", name, seed, workers,
+						got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
+				}
+				if got.Stats.Components == 0 || got.Stats.Levels == 0 || got.Stats.Probes < 3 {
+					t.Fatalf("%s seed %d w=%d: condensation or probe stats missing: %+v", name, seed, workers, got.Stats)
+				}
+				g, w := got, want
+				g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s seed %d w=%d: result differs:\n%+v\nvs oracle\n%+v", name, seed, workers, g, w)
+				}
+				if !reflect.DeepEqual(suspects, wantSuspects) {
+					t.Fatalf("%s seed %d w=%d: suspects %v, oracle %v", name, seed, workers, suspects, wantSuspects)
 				}
 			}
 		}
@@ -413,7 +409,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 
 	allocs := func(in *spp.Instance, wantSat bool) float64 {
 		return testing.AllocsPerRun(3, func() {
-			res, _, err := spp.Analyze(ctx, in, smt.Native{}, 2)
+			res, _, err := spp.Analyze(ctx, in, 2)
 			if err != nil || res.Sat != wantSat {
 				t.Fatalf("%s: sat=%v err=%v", in.Name, res.Sat, err)
 			}
@@ -426,7 +422,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	for _, s := range stages {
 		before[s] = emit.Count(s)
 	}
-	resolve, provenance := routes.Value("resolve"), routes.Value("provenance")
+	resolve := routes.Value("resolve")
 
 	safeAllocs, unsafeAllocs := allocs(safe, true), allocs(unsafe, false)
 	t.Logf("allocations per analysis at n=5000: safe %.0f, unsafe %.0f (%.2f×)", safeAllocs, unsafeAllocs, unsafeAllocs/safeAllocs)
@@ -435,7 +431,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	}
 
 	tr := obs.NewTracer()
-	res, suspects, err := spp.Analyze(obs.WithTracer(ctx, tr), unsafe, smt.Native{}, 2)
+	res, suspects, err := spp.Analyze(obs.WithTracer(ctx, tr), unsafe, 2)
 	pair := []spp.Node{a, b}
 	slices.Sort(pair)
 	if err != nil || res.Sat || len(res.Core) != 4 || !reflect.DeepEqual(suspects, pair) {
@@ -449,13 +445,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	if got := routes.Value("resolve") - resolve; got != 5 { // 1 warm-up + 3 measured + 1 traced
 		t.Errorf("resolve route counted %v unsat analyses, want 5", got)
 	}
-	if got := routes.Value("provenance") - provenance; got != 0 {
-		t.Errorf("provenance route counted %v", got)
-	}
 	spans := spanNames(tr.SpanTree(), map[string]map[string]string{})
-	if _, ok := spans["solve-provenance"]; ok {
-		t.Errorf("unsat analysis on the dense route opened solve-provenance: %v", spans)
-	}
 	md, ok := spans["minimize"]
 	if !ok || md["core"] != "4" || md["probes"] != fmt.Sprint(res.Stats.Probes) {
 		t.Errorf("minimize span %v (present=%v), want core=4 probes=%d", md, ok, res.Stats.Probes)
@@ -510,6 +500,7 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 	doors := func(t *testing.T, in *spp.Instance, check func(door string, got analysis.Result, suspects []spp.Node)) {
 		t.Helper()
 		analyses := map[string]func() (analysis.Result, []spp.Node, error){
+			"analyze": func() (analysis.Result, []spp.Node, error) { return spp.Analyze(ctx, in, 1) },
 			"delta-verifier": func() (analysis.Result, []spp.Node, error) {
 				v, err := spp.NewDeltaVerifier(in)
 				if err != nil {
@@ -517,9 +508,6 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 				}
 				return v.Verify(ctx)
 			},
-		}
-		for _, solver := range smt.Backends() {
-			analyses[solver.Name()] = func() (analysis.Result, []spp.Node, error) { return spp.Analyze(ctx, in, solver, 1) }
 		}
 		for door, analyze := range analyses {
 			got, suspects, err := analyze()
@@ -627,7 +615,7 @@ func TestValidatorFallbackCostIsThePaths(t *testing.T) {
 			t.Fatalf("internet:%d: edited instance: %v", n, err)
 		}
 		if n == 2000 {
-			requireOracleParity(t, edited, smt.Native{})
+			requireOracleParity(t, edited)
 			// And an unproven path that is wrong: the validator's error,
 			// first in (node, rank) order, is Validate's.
 			broken := edited.Clone()
@@ -640,7 +628,7 @@ func TestValidatorFallbackCostIsThePaths(t *testing.T) {
 				}
 			}
 			want := broken.Validate()
-			if _, _, err := spp.Analyze(context.Background(), broken, smt.Native{}, 2); want == nil || err == nil || err.Error() != want.Error() {
+			if _, _, err := spp.Analyze(context.Background(), broken, 2); want == nil || err == nil || err.Error() != want.Error() {
 				t.Fatalf("broken unproven path: Analyze %v, Validate %v", err, want)
 			}
 		}

@@ -16,12 +16,12 @@ import (
 	"fsr/internal/spp"
 )
 
-// requireSessionParity fails unless Session.AnalyzeSPP on the given solver
-// and the untouched oracle — ToAlgebra, analysis.CheckWith on the same
-// solver, SuspectNodes — both reject the instance with the same message, or
-// agree on verdict, model, core (elements and positions), constraint counts
-// and suspects. It returns the session's result.
-func requireSessionParity(t *testing.T, in *spp.Instance, solver smt.Solver) analysis.Result {
+// requireSessionParity fails unless Session.AnalyzeSPP and the untouched
+// oracle — ToAlgebra, analysis.CheckWith, SuspectNodes — both reject the
+// instance with the same message, or agree on verdict, model, core (elements
+// and positions), constraint counts and suspects. It returns the session's
+// result.
+func requireSessionParity(t *testing.T, in *spp.Instance) analysis.Result {
 	t.Helper()
 	ctx := context.Background()
 	var (
@@ -30,20 +30,20 @@ func requireSessionParity(t *testing.T, in *spp.Instance, solver smt.Solver) ana
 	)
 	conv, wantErr := in.ToAlgebra()
 	if wantErr == nil {
-		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, solver)
+		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 		wantSuspects = conv.SuspectNodes(want.Core)
 	}
-	got, suspects, err := NewSession(WithSolver(solver)).AnalyzeSPP(ctx, in)
+	got, suspects, err := NewSession().AnalyzeSPP(ctx, in)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("%s on %s: error %v, oracle %v", in.Name, solver.Name(), err, wantErr)
+			t.Fatalf("%s: error %v, oracle %v", in.Name, err, wantErr)
 		}
 		return got
 	}
 	g, w := got, want
 	g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
 	if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(suspects, wantSuspects) {
-		t.Fatalf("%s on %s: diverges from the oracle:\n%+v %v\nvs\n%+v %v", in.Name, solver.Name(), g, suspects, w, wantSuspects)
+		t.Fatalf("%s: diverges from the oracle:\n%+v %v\nvs\n%+v %v", in.Name, g, suspects, w, wantSuspects)
 	}
 	return got
 }
@@ -58,11 +58,8 @@ func plantDisagree(in *spp.Instance, ta, tb spp.Node) *spp.Instance {
 	return in
 }
 
-var sessionSolvers = []smt.Solver{smt.Native{}, smt.Native{NoMinimize: true}, smt.YicesText{}}
-
-// TestSessionScalePath: AnalyzeSPP takes the one emitter at every size and
-// on every backend, and nothing observable distinguishes it from the
-// algebra pipeline: every shipped gadget, chains and power-law instances
+// TestSessionScalePath: AnalyzeSPP takes the one emitter at every size, and
+// nothing observable distinguishes it from the algebra pipeline: every shipped gadget, chains and power-law instances
 // from 40 to 700 nodes, safe and with a planted dispute (the core minimised
 // on dense ids, its members' provenance and the suspect set).
 func TestSessionScalePath(t *testing.T) {
@@ -83,11 +80,8 @@ func TestSessionScalePath(t *testing.T) {
 		}
 	}
 	for _, in := range instances {
-		for _, solver := range sessionSolvers {
-			got := requireSessionParity(t, in, solver)
-			if got.Sat && solver == (smt.Native{}) && got.Stats.Components == 0 {
-				t.Fatalf("%s: dense solve not taken (no condensation stats)", in.Name)
-			}
+		if got := requireSessionParity(t, in); got.Sat && got.Stats.Components == 0 {
+			t.Fatalf("%s: dense solve not taken (no condensation stats)", in.Name)
 		}
 	}
 }
@@ -123,15 +117,12 @@ func collisionInstances() []*spp.Instance {
 	}
 }
 
-// TestSessionNameCollisions: collision instances through AnalyzeSPP on every
-// backend, and through a DeltaVerifier that is edited into and out of
+// TestSessionNameCollisions: collision instances through AnalyzeSPP, and through a DeltaVerifier that is edited into and out of
 // degraded mode — each answer the oracle's, suffixed names included.
 func TestSessionNameCollisions(t *testing.T) {
 	ctx := context.Background()
 	for _, in := range collisionInstances() {
-		for _, solver := range sessionSolvers {
-			requireSessionParity(t, in, solver)
-		}
+		requireSessionParity(t, in)
 		requireVerifier := func(label string, v *DeltaVerifier, degraded bool) {
 			t.Helper()
 			if v.Degraded() != degraded {
@@ -186,40 +177,82 @@ func scalePathCount(path string) float64 {
 	return obs.Default().CounterVec("fsr_spp_scale_path_total", "", "path").Value(path)
 }
 
-// TestScaleEligibility: the backend decides only how the one emitter's
-// output is solved. The native engine with minimized cores decides the
-// dense encoding — model or minimal core, the latter still counted as
-// "resolve" — and every other backend is handed the provenance list.
+// TestScaleEligibility: the one emitter's output is decided on dense ids —
+// a model counted as "dense", a minimal core as "resolve".
 func TestScaleEligibility(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range []struct {
-		solver smt.Solver
-		route  string
-	}{
-		{smt.Native{}, "dense"},
-		{smt.Native{NoMinimize: true}, "provenance"},
-		{smt.YicesText{}, "provenance"},
-	} {
-		for _, in := range []*spp.Instance{spp.GoodGadget(), spp.BadGadget()} {
-			route := tc.route
-			if route == "dense" && in.Name == "badgadget" {
-				route = "resolve"
+	for in, route := range map[*spp.Instance]string{spp.GoodGadget(): "dense", spp.BadGadget(): "resolve"} {
+		before := map[string]float64{}
+		for _, r := range []string{"dense", "resolve"} {
+			before[r] = scalePathCount(r)
+		}
+		if _, _, err := NewSession().AnalyzeSPP(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+		for r, n := range before {
+			want := n
+			if r == route {
+				want++
 			}
-			before := map[string]float64{}
-			for _, r := range []string{"dense", "resolve", "provenance", "fallback"} {
-				before[r] = scalePathCount(r)
+			if got := scalePathCount(r); got != want {
+				t.Errorf("%s: route %q counted %v, want %v", in.Name, r, got, want)
 			}
-			if _, _, err := NewSession(WithSolver(tc.solver)).AnalyzeSPP(ctx, in); err != nil {
+		}
+	}
+}
+
+// TestEmitParseRoundTrip: the §IV-C text loses no constraint and no term.
+// For every shipped gadget and two power-law instances, safe and with a
+// planted dispute, smt.Parse(smt.Emit(ctx)) gives back the same assertions,
+// and checking them gives the original's verdict, model and core positions.
+func TestEmitParseRoundTrip(t *testing.T) {
+	for _, name := range append(GadgetNames(), "internet:200", "internet:700:3") {
+		for _, plant := range []bool{false, true} {
+			in, err := Gadget(name)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for r, n := range before {
-				want := n
-				if r == route {
-					want++
+			if plant {
+				plantDisagree(in, "rx_a", "rx_b")
+			}
+			conv, err := in.ToAlgebra()
+			if err != nil {
+				t.Fatalf("%s: %v", in.Name, err)
+			}
+			cons, err := analysis.Constraints(conv.Algebra, analysis.StrictMonotonicity)
+			if err != nil {
+				t.Fatalf("%s: %v", in.Name, err)
+			}
+			orig := smt.NewContext()
+			for _, c := range cons {
+				orig.Assert(c.Assertion)
+			}
+			parsed, err := smt.Parse(smt.Emit(orig))
+			if err != nil {
+				t.Fatalf("%s: parse of emitted text: %v", in.Name, err)
+			}
+			if parsed.Len() != orig.Len() {
+				t.Fatalf("%s: emitted %d assertions, parsed %d", in.Name, orig.Len(), parsed.Len())
+			}
+			back := parsed.Assertions()
+			for i, a := range orig.Assertions() {
+				a.Origin = "" // provenance travels as a comment, which Parse drops
+				if back[i] != a {
+					t.Fatalf("%s: assertion %d emitted as %v, parsed back as %v", in.Name, i, a, back[i])
 				}
-				if got := scalePathCount(r); got != want {
-					t.Errorf("%s on %s: route %q counted %v, want %v", in.Name, tc.solver.Name(), r, got, want)
-				}
+			}
+			want, err := orig.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := parsed.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sat != want.Sat || got.UsesPositivity != want.UsesPositivity ||
+				!reflect.DeepEqual(got.Model, want.Model) || !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) {
+				t.Fatalf("%s: re-parsed check differs from the original: sat %v/%v, core %v/%v, models equal %v",
+					in.Name, got.Sat, want.Sat, got.CoreIdx, want.CoreIdx, reflect.DeepEqual(got.Model, want.Model))
 			}
 		}
 	}

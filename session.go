@@ -20,11 +20,12 @@ import (
 
 // Session owns one configured instance of the FSR pipeline: policy →
 // constraints → solver verdict → NDlog program → simulated or socket
-// deployment. A Session is immutable after NewSession and safe for
+// deployment. Constraints are decided in process by the native
+// difference-logic engine; the Yices text of §IV-C is output only
+// (SolverEncoding). A Session is immutable after NewSession and safe for
 // concurrent use; every long-running method takes a context and honours
 // cancellation.
 type Session struct {
-	solver      smt.Solver
 	runner      engine.Runner
 	seed        int64
 	batch       time.Duration
@@ -43,9 +44,6 @@ type Session struct {
 
 // Option configures a Session.
 type Option func(*Session)
-
-// WithSolver selects the constraint-solving backend (default NativeSolver).
-func WithSolver(s SolverBackend) Option { return func(o *Session) { o.solver = s } }
 
 // WithRunner selects the protocol-execution backend (default
 // SimulationRunner).
@@ -112,11 +110,10 @@ func WithTrace(c *TraceCollector) Option { return func(o *Session) { o.collector
 func WithParallelism(n int) Option { return func(o *Session) { o.parallelism = n } }
 
 // NewSession returns a Session with the given options applied over the
-// defaults: native solver, simulation runner, seed 1, unbatched sends, 5 s
+// defaults: simulation runner, seed 1, unbatched sends, 5 s
 // horizon, GOMAXPROCS parallelism.
 func NewSession(opts ...Option) *Session {
 	s := &Session{
-		solver:      smt.Native{},
 		runner:      engine.SimRunner{},
 		seed:        1,
 		horizon:     5 * time.Second,
@@ -124,9 +121,6 @@ func NewSession(opts ...Option) *Session {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.solver == nil {
-		s.solver = smt.Native{}
 	}
 	if s.runner == nil {
 		s.runner = engine.SimRunner{}
@@ -137,20 +131,17 @@ func NewSession(opts ...Option) *Session {
 	return s
 }
 
-// SolverName reports the configured solver backend's name.
-func (s *Session) SolverName() string { return s.solver.Name() }
-
 // RunnerName reports the configured runner backend's name.
 func (s *Session) RunnerName() string { return s.runner.Name() }
 
 // Analyze decides safety for a policy configuration, applying the
-// lexical-product composition rule (§IV), on the session's solver backend.
+// lexical-product composition rule (§IV).
 func (s *Session) Analyze(ctx context.Context, a Algebra) (SafetyReport, error) {
 	ctx, op := obs.Flight().StartOp(ctx, "analyze", a.Name())
 	ctx, sp := obs.StartSpan(ctx, "analyze")
 	sp.Attr("algebra", a.Name())
 	defer sp.End()
-	rep, err := analysis.AnalyzeSafetyWith(ctx, a, s.solver)
+	rep, err := analysis.AnalyzeSafetyWith(ctx, a, smt.Native{})
 	if op != nil {
 		if err != nil {
 			op.SetVerdict("error")
@@ -202,7 +193,7 @@ func (s *Session) AnalyzeAll(ctx context.Context, algebras ...Algebra) ([]Safety
 				if i >= len(algebras) || ctx.Err() != nil {
 					return
 				}
-				rep, err := analysis.AnalyzeSafetyWith(ctx, algebras[i], s.solver)
+				rep, err := analysis.AnalyzeSafetyWith(ctx, algebras[i], smt.Native{})
 				if err != nil {
 					errOnce.Do(func() { firstErr = err; cancel() })
 					return
@@ -221,17 +212,15 @@ func (s *Session) AnalyzeAll(ctx context.Context, algebras ...Algebra) ([]Safety
 	return reports, nil
 }
 
-// CheckStrictMonotonicity runs the single strict-monotonicity check on the
-// session's solver backend, returning the solver-level result with model or
-// minimal core.
+// CheckStrictMonotonicity runs the single strict-monotonicity check,
+// returning the solver-level result with model or minimal core.
 func (s *Session) CheckStrictMonotonicity(ctx context.Context, a Algebra) (AnalysisResult, error) {
-	return analysis.CheckWith(ctx, a, analysis.StrictMonotonicity, s.solver)
+	return analysis.CheckWith(ctx, a, analysis.StrictMonotonicity, smt.Native{})
 }
 
-// CheckMonotonicity runs the plain monotonicity check on the session's
-// solver backend.
+// CheckMonotonicity runs the plain monotonicity check.
 func (s *Session) CheckMonotonicity(ctx context.Context, a Algebra) (AnalysisResult, error) {
-	return analysis.CheckWith(ctx, a, analysis.Monotonicity, s.solver)
+	return analysis.CheckWith(ctx, a, analysis.Monotonicity, smt.Native{})
 }
 
 // AnalyzeSPP checks an SPP instance in one step, returning the analysis
@@ -239,18 +228,16 @@ func (s *Session) CheckMonotonicity(ctx context.Context, a Algebra) (AnalysisRes
 //
 // Every instance, whatever its size, takes the one §IV-B emitter
 // (spp.Analyze): sharded constraint generation over interned path ids,
-// without compiling the algebra. The native backends (the default one and
-// the SCC-decomposed one, with core minimization on) decide the dense
-// encoding on the SCC-decomposed engine and only render provenance for an
-// unsat core; any other backend solves the emitter's provenance list. Either
-// way the result, and the error for an instance that has no algebra, are
-// the ones ToAlgebra followed by CheckStrictMonotonicity would produce.
+// without compiling the algebra. The dense encoding is decided on the
+// SCC-decomposed engine, and provenance is rendered only for an unsat core.
+// The result, and the error for an instance that has no algebra, are the
+// ones ToAlgebra followed by CheckStrictMonotonicity would produce.
 func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResult, []SPPNode, error) {
 	ctx, op := obs.Flight().StartOp(ctx, "analyze-spp", in.Name)
 	op.SetSize(len(in.Nodes))
 	ctx, sp := obs.StartSpan(ctx, "analyze-spp")
 	sp.AttrInt("nodes", int64(len(in.Nodes)))
-	res, suspects, err := spp.Analyze(ctx, in, s.solver, s.parallelism)
+	res, suspects, err := spp.Analyze(ctx, in, s.parallelism)
 	sp.End()
 	if op != nil {
 		switch {
@@ -293,8 +280,9 @@ func (s *Session) OpenDeltaVerifier(in *SPPInstance) (*DeltaVerifier, error) {
 // the GPV program plus the generated policy functions (§V, Table II).
 func (s *Session) Compile(a Algebra) (*NDlogProgram, error) { return ndlog.Generate(a) }
 
-// SolverEncoding renders the §IV-C style solver input for a policy — the
-// exact text the YicesTextSolver backend round-trips.
+// SolverEncoding renders the §IV-C style solver input for a policy: the
+// Yices text the paper hands to its solver. Parse reads it back without
+// losing an assertion (the round-trip tests hold that).
 func (s *Session) SolverEncoding(a Algebra) (string, error) {
 	return analysis.Yices(a, analysis.StrictMonotonicity)
 }
@@ -312,11 +300,10 @@ func (s *Session) Run(ctx context.Context, in *SPPInstance) (*RunReport, error) 
 
 // Campaign runs a differential analysis-vs-simulation campaign (the
 // scenario engine): spec.Count procedurally generated scenarios are fanned
-// across the session's worker pool, each one safety-analyzed on the
-// session's solver and executed as a bounded run on the session's runner,
-// and every outcome is classified against the verdict its generator
+// across the session's worker pool, each one safety-analyzed and executed
+// as a bounded run on the session's runner, and every outcome is classified against the verdict its generator
 // guarantees by construction. Spec fields left zero inherit the session's
-// configuration (solver, runner, parallelism, seed, horizon); with
+// configuration (runner, parallelism, seed, horizon); with
 // spec.Shrink set, divergences and mismatches are delta-debugged down to
 // minimal replayable instances. Equal specs on equal sessions reproduce
 // identical classifications.
@@ -333,9 +320,6 @@ func (s *Session) Replay(ctx context.Context, entries []CorpusEntry) ([]ReplayRe
 
 // scenarioSpec fills a campaign spec's zero fields from the session.
 func (s *Session) scenarioSpec(spec CampaignSpec) CampaignSpec {
-	if spec.Solver == nil {
-		spec.Solver = s.solver
-	}
 	if spec.Runner == nil {
 		spec.Runner = s.runner
 	}

@@ -8,15 +8,14 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"fsr/internal/smt"
 )
 
-// TestSessionDefaults: the zero-configuration session uses the native
-// solver and the simulation runner.
+// TestSessionDefaults: the zero-configuration session uses the simulation
+// runner.
 func TestSessionDefaults(t *testing.T) {
 	sess := NewSession()
-	if sess.SolverName() != "native" {
-		t.Errorf("default solver = %s, want native", sess.SolverName())
-	}
 	if sess.RunnerName() != "sim" {
 		t.Errorf("default runner = %s, want sim", sess.RunnerName())
 	}
@@ -25,15 +24,11 @@ func TestSessionDefaults(t *testing.T) {
 // TestSessionOptions: every option lands on the session.
 func TestSessionOptions(t *testing.T) {
 	sess := NewSession(
-		WithSolver(YicesTextSolver()),
 		WithRunner(DeploymentRunner()),
 		WithSeed(7),
 		WithBatchWindow(30*time.Millisecond),
 		WithParallelism(-3),
 	)
-	if sess.SolverName() != "yices-text" {
-		t.Errorf("solver = %s, want yices-text", sess.SolverName())
-	}
 	if sess.RunnerName() != "tcp" {
 		t.Errorf("runner = %s, want tcp", sess.RunnerName())
 	}
@@ -45,78 +40,61 @@ func TestSessionOptions(t *testing.T) {
 	}
 }
 
-// TestSolverBackendSelection: name-based lookup round-trips every backend.
-func TestSolverBackendSelection(t *testing.T) {
-	for _, backend := range SolverBackends() {
-		got, err := SolverBackendByName(backend.Name())
+// TestRunnerBackendSelection: name-based lookup round-trips every runner
+// backend and rejects an unknown name.
+func TestRunnerBackendSelection(t *testing.T) {
+	for _, backend := range RunnerBackends() {
+		got, err := RunnerBackendByName(backend.Name())
 		if err != nil {
-			t.Fatalf("SolverBackendByName(%s): %v", backend.Name(), err)
+			t.Fatalf("RunnerBackendByName(%s): %v", backend.Name(), err)
 		}
 		if got.Name() != backend.Name() {
 			t.Errorf("lookup %s returned %s", backend.Name(), got.Name())
 		}
-	}
-	if _, err := SolverBackendByName("z3"); err == nil {
-		t.Error("unknown solver name should error")
 	}
 	if _, err := RunnerBackendByName("kubernetes"); err == nil {
 		t.Error("unknown runner name should error")
 	}
 }
 
-// TestSessionSolverBackends: both solver backends decide the paper's
-// headline queries identically — unsat with the c ⊕ C = C core for bare
-// Gao-Rexford, safe for the composition.
+// TestSessionSolverBackends: the session's solver decides the paper's
+// headline queries — unsat with the c ⊕ C = C core for bare Gao-Rexford,
+// safe for the composition.
 func TestSessionSolverBackends(t *testing.T) {
-	ctx := context.Background()
-	for _, backend := range SolverBackends() {
-		t.Run(backend.Name(), func(t *testing.T) {
-			sess := NewSession(WithSolver(backend))
-			res, err := sess.CheckStrictMonotonicity(ctx, GaoRexfordA())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Sat {
-				t.Fatalf("bare guideline should be unsat on %s", backend.Name())
-			}
-			if len(res.Core) != 1 || res.Core[0].Entry.String() != "c ⊕ C = C" {
-				t.Errorf("core should pinpoint c ⊕ C = C, got %v", res.Core)
-			}
-			rep, err := sess.Analyze(ctx, GaoRexfordSafe())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Verdict != Safe {
-				t.Errorf("composition should be safe on %s: %s", backend.Name(), rep)
-			}
-		})
-	}
-}
-
-// TestSessionSolverBackendsSPP: unsat-core provenance survives the
-// yices-text round trip — the Figure 3 suspects are identical across
-// backends.
-func TestSessionSolverBackendsSPP(t *testing.T) {
-	ctx := context.Background()
-	var want []SPPNode
-	for i, backend := range SolverBackends() {
-		res, suspects, err := NewSession(WithSolver(backend)).AnalyzeSPP(ctx, Figure3IBGP())
+	t.Run(smt.Native{}.Name(), func(t *testing.T) {
+		ctx, sess := context.Background(), NewSession()
+		res, err := sess.CheckStrictMonotonicity(ctx, GaoRexfordA())
 		if err != nil {
-			t.Fatalf("%s: %v", backend.Name(), err)
+			t.Fatal(err)
 		}
 		if res.Sat {
-			t.Fatalf("%s: Figure 3 gadget should be unsat", backend.Name())
+			t.Fatal("bare guideline should be unsat")
 		}
-		if i == 0 {
-			want = suspects
-			if len(want) == 0 {
-				t.Fatal("suspects should name the reflectors")
-			}
-			continue
+		if len(res.Core) != 1 || res.Core[0].Entry.String() != "c ⊕ C = C" {
+			t.Errorf("core should pinpoint c ⊕ C = C, got %v", res.Core)
 		}
-		if !reflect.DeepEqual(suspects, want) {
-			t.Errorf("%s suspects %v differ from %v", backend.Name(), suspects, want)
+		rep, err := sess.Analyze(ctx, GaoRexfordSafe())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.Verdict != Safe {
+			t.Errorf("composition should be safe: %s", rep)
+		}
+	})
+}
+
+// TestSessionSolverBackendsSPP: unsat-core provenance reaches the session —
+// the Figure 3 gadget is unsat with its reflectors as suspects.
+func TestSessionSolverBackendsSPP(t *testing.T) {
+	res, suspects, err := NewSession().AnalyzeSPP(context.Background(), Figure3IBGP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sat {
+		t.Fatal("Figure 3 gadget should be unsat")
+	}
+	if want := []SPPNode{"a", "b", "c"}; !reflect.DeepEqual(suspects, want) {
+		t.Errorf("suspects %v, want the reflectors %v", suspects, want)
 	}
 }
 
@@ -194,22 +172,20 @@ func TestSessionAnalyzeAllEmpty(t *testing.T) {
 	}
 }
 
-// TestSessionCancelMidSolve: a cancelled context aborts the solver, on both
-// backends, before and during core minimization.
+// TestSessionCancelMidSolve: a cancelled context aborts the solver before
+// and during core minimization.
 func TestSessionCancelMidSolve(t *testing.T) {
-	for _, backend := range SolverBackends() {
-		t.Run(backend.Name(), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			sess := NewSession(WithSolver(backend))
-			if _, err := sess.CheckStrictMonotonicity(ctx, GaoRexfordA()); !errors.Is(err, context.Canceled) {
-				t.Errorf("cancelled solve returned %v, want context.Canceled", err)
-			}
-			if _, err := sess.Analyze(ctx, GaoRexfordSafe()); !errors.Is(err, context.Canceled) {
-				t.Errorf("cancelled analyze returned %v, want context.Canceled", err)
-			}
-		})
-	}
+	t.Run(smt.Native{}.Name(), func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		sess := NewSession()
+		if _, err := sess.CheckStrictMonotonicity(ctx, GaoRexfordA()); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled solve returned %v, want context.Canceled", err)
+		}
+		if _, err := sess.Analyze(ctx, GaoRexfordSafe()); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled analyze returned %v, want context.Canceled", err)
+		}
+	})
 }
 
 // TestSessionCancelAnalyzeAll: cancellation propagates through the worker
@@ -401,25 +377,6 @@ func TestBuiltinLookups(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the pre-Session free functions still work via the
-// default session, so existing callers keep compiling and running.
-func TestDeprecatedWrappers(t *testing.T) {
-	rep, err := AnalyzeSafety(GaoRexfordSafe())
-	if err != nil || rep.Verdict != Safe {
-		t.Fatalf("AnalyzeSafety wrapper: %v %v", rep.Verdict, err)
-	}
-	if _, err := CompileNDlog(GaoRexfordA()); err != nil {
-		t.Fatalf("CompileNDlog wrapper: %v", err)
-	}
-	if _, err := YicesEncoding(GaoRexfordA()); err != nil {
-		t.Fatalf("YicesEncoding wrapper: %v", err)
-	}
-	res, suspects, err := AnalyzeSPP(Figure3IBGP())
-	if err != nil || res.Sat || len(suspects) == 0 {
-		t.Fatalf("AnalyzeSPP wrapper: sat=%v suspects=%v err=%v", res.Sat, suspects, err)
-	}
-}
-
 // TestSessionConcurrentUse: one session drives analyses and runs from many
 // goroutines at once (run with -race).
 func TestSessionConcurrentUse(t *testing.T) {
@@ -451,7 +408,7 @@ func TestSessionConcurrentUse(t *testing.T) {
 // round-trips through Session.Replay.
 func TestSessionCampaign(t *testing.T) {
 	ctx := context.Background()
-	sess := NewSession(WithSolver(YicesTextSolver()), WithParallelism(4))
+	sess := NewSession(WithParallelism(4))
 	spec := CampaignSpec{Count: 18, BaseSeed: 3}
 	rep, err := sess.Campaign(ctx, spec)
 	if err != nil {
