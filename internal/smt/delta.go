@@ -1,9 +1,10 @@
 // Delta solving: the verification-as-a-service extension of the engine. A
 // Context interns variables and builds its constraint graph once per Check;
-// a DeltaContext keeps the graph alive *across* checks, so a what-if that
-// touches one session or ranking re-links the edges of the segments it
-// replaces and re-probes only the region of the constraint graph reachable
-// from them, instead of rebuilding and re-solving everything.
+// a DeltaContext interns and links its graph once, at construction, and
+// keeps it alive *across* checks, so a what-if that touches one session or
+// ranking re-links the edges of the segments it replaces and re-probes only
+// the region of the constraint graph reachable from them, instead of
+// rebuilding and re-solving everything.
 //
 // Storage is slot-stable. The assertion list is a sequence of segments (the
 // unit callers edit by); an asserted atom lives in a slot that never moves,
@@ -17,21 +18,26 @@
 // histogram of the variables' standing distances answers what all of them
 // together relax the zero node to.
 //
-// The standing state is the fixed point of the last *satisfiable* graph G0
-// plus the changed set: the heads of every edge deleted or added since G0
-// (and the zero node when fresh variables brought new positivity edges),
-// accumulated over however many edits and unsat verdicts came between. A
-// node's fixed-point distance is the cheapest walk ending at it (from the
-// virtual source that seeds every node at 0). Take the forward closure of the
-// changed set over the out-edges of the current graph G — the affected
-// region. A walk of G0 into a node v outside it either survives intact in G,
-// or lost an edge whose head is changed and whose remaining suffix would put
-// v inside the region; a walk of G into v cannot use an added edge for the
-// same reason. So v keeps its distance, and SPFA re-seeded on the region
-// alone (its in-lists relaxed once from the standing distances outside it)
-// converges to the fixed point a full solve of G would reach. A negative
-// cycle of G must contain an edge G0 lacked — G0 was satisfiable — so it lies
-// inside the region and trips SPFA's enqueue bound, the region's size.
+// The graph is linked from construction on, whatever the verdicts. Until a
+// check is sat no fixed point stands, and a check decides the sub-system
+// induced on every referenced node (orphans stay out) with the same function
+// as a region core below; a fresh context numbers it as the string door
+// does. A sat verdict installs the standing state: the fixed point of the
+// last *satisfiable* graph G0, plus the changed set — the heads of every edge
+// deleted or added since G0 (and the zero node when fresh variables brought
+// new positivity edges), accumulated over however many edits and unsat
+// verdicts came between. A node's fixed-point distance is the cheapest walk
+// ending at it (from the virtual source that seeds every node at 0). Take the
+// forward closure of the changed set over the out-edges of the current graph
+// G — the affected region. A walk of G0 into a node v outside it either
+// survives intact in G, or lost an edge whose head is changed and whose
+// remaining suffix would put v inside the region; a walk of G into v cannot
+// use an added edge for the same reason. So v keeps its distance, and SPFA
+// re-seeded on the region alone (its in-lists relaxed once from the standing
+// distances outside it) converges to the fixed point a full solve of G would
+// reach. A negative cycle of G must contain an edge G0 lacked — G0 was
+// satisfiable — so it lies inside the region and trips SPFA's enqueue bound,
+// the region's size.
 //
 // When it does, the distances the probe reset are put back, the changed set
 // stays pending, and the exact verdict and deletion-minimal core come from
@@ -52,13 +58,14 @@
 //
 // Transactions make a what-if cost its edit. Between Begin and Rollback the
 // context journals every segment operation, the distance of every node a
-// successful re-probe reset, and — at Begin — the variable count, the pending
-// changed set and the memoized result. A replaced segment's slots stay
-// allocated, unlinked, until Commit frees them; Rollback replays the journal
-// backwards — unlink and free what was added, re-link what was removed —
-// restores the journalled distances (nodes outside every probed region never
-// moved), drops the variables interned since Begin, and reinstates the
-// changed set and memoized result of Begin.
+// successful re-probe reset or a whole solve installed, and — at Begin —
+// whether a fixed point stood, the variable count, the pending changed set
+// and the memoized result. A replaced segment's slots stay allocated,
+// unlinked, until Commit frees them; Rollback replays the journal backwards
+// — unlink and free what was added, re-link what was removed — restores the
+// journalled distances (nodes outside every probed region never moved), drops
+// the variables interned since Begin, and reinstates the rest of what Begin
+// found.
 
 package smt
 
@@ -112,10 +119,10 @@ type DeltaContext struct {
 	n     int     // asserted atoms
 	quant []int32 // slots of the quantified atoms, in no order
 
-	// built: every ground atom's edges are linked into the node lists and
-	// the nodes' distances are the fixed point of that graph as of the last
-	// sat solve; changed lists the nodes whose in-edges moved since. False
-	// until a first solve is sat.
+	// The graph: every ground atom's edges are linked into the node lists.
+	// built: the nodes' distances are its fixed point as of the last sat
+	// solve, and changed lists the nodes whose in-edges moved since. False
+	// until a check is sat.
 	built   bool
 	varID   map[Var]int32
 	names   []Var // by node; node 0 is the constant 0
@@ -157,10 +164,10 @@ type deltaEdge struct {
 	inPrev, inNext   int32
 }
 
-// deltaNode is one variable (or the zero node) of a built graph. A variable
+// deltaNode is one variable (or the zero node) of the graph. A variable
 // whose assertions were all removed stays as an orphan (positivity edge only)
-// until a Rollback drops it; ref masks orphans out of models, which keeps
-// them bit-for-bit equal to a fresh solve's.
+// until a Rollback drops it; ref masks orphans out of models and whole
+// solves, which keeps both bit-for-bit equal to a fresh solve's.
 type deltaNode struct {
 	dist                   int
 	out, in                int32 // list heads, −1 for none
@@ -220,9 +227,9 @@ type deltaTx struct {
 
 	ops      []segUndo
 	replaced int // SetSeg entries among ops
-	// dist holds the distances successful re-probes replaced. Every probe
-	// stages its region's here, transaction or not, to put them back if it
-	// finds a negative cycle.
+	// dist holds the distances successful re-probes and a first sat solve
+	// replaced. Every probe stages its region's here, transaction or not, to
+	// put them back if it finds a negative cycle.
 	dist []distUndo
 }
 
@@ -234,7 +241,7 @@ type segUndo struct {
 	old  []int32
 }
 
-// distUndo is one node's distance before a re-probe reset it.
+// distUndo is one node's distance before a check moved it.
 type distUndo struct {
 	node int32
 	dist int
@@ -242,7 +249,8 @@ type distUndo struct {
 
 // NewDeltaContext returns a delta context over a copy of the assertions
 // (normalized like Context.Assert), cut into consecutive segments of the
-// given lengths; nil segLen makes them one segment.
+// given lengths; nil segLen makes them one segment. Every ground atom is
+// interned and linked in canonical order.
 func NewDeltaContext(asserts []Assertion, segLen []int) *DeltaContext {
 	if segLen == nil {
 		segLen = []int{len(asserts)}
@@ -251,6 +259,9 @@ func NewDeltaContext(asserts []Assertion, segLen []int) *DeltaContext {
 		segs:  make([][]int32, len(segLen)),
 		slots: make([]deltaSlot, len(asserts)),
 		n:     len(asserts),
+		varID: make(map[Var]int32, len(asserts)), // about one variable per atom
+		names: append(make([]Var, 0, len(asserts)+1), ""),
+		nodes: append(make([]deltaNode, 0, len(asserts)+1), deltaNode{out: -1, in: -1}),
 		hist:  distHist{count: map[int]int32{}},
 	}
 	ids := make([]int32, len(asserts)) // one backing array: a segment's slice is replaced whole, never appended to
@@ -261,10 +272,8 @@ func NewDeltaContext(asserts []Assertion, segLen []int) *DeltaContext {
 			s := int32(at + i)
 			d.segs[p][i] = s
 			d.slots[s] = deltaSlot{a: asserts[s].normalized(), seg: int32(p), idx: int32(i)}
-			if asserts[s].QuantVar != "" {
-				d.quant = append(d.quant, s)
-			}
 		}
+		d.attach(d.segs[p])
 		at += n
 	}
 	if at != len(asserts) {
@@ -418,9 +427,6 @@ func (d *DeltaContext) Rollback() {
 		panic("smt: DeltaContext.Rollback outside a transaction")
 	}
 	tx.open = false // the inverse operations are not themselves journalled
-	// A first sat solve inside the transaction built a fixed point for
-	// assertions that are about to go; there was none before.
-	d.built = d.built && tx.built
 	for i := len(tx.ops) - 1; i >= 0; i-- {
 		switch u := tx.ops[i]; u.kind {
 		case 'r':
@@ -437,22 +443,21 @@ func (d *DeltaContext) Rollback() {
 			d.moveSegs(int(u.seg), slices.Insert(d.segs, int(u.seg), nil))
 		}
 	}
-	if tx.built {
-		for i := len(tx.dist) - 1; i >= 0; i-- {
-			d.setDist(tx.dist[i].node, tx.dist[i].dist)
-		}
-		d.clearChanged()
-		// Variables interned since Begin are referenced by nothing now.
-		for v := len(d.nodes) - 1; v >= tx.vars; v-- {
-			delete(d.varID, d.names[v])
-			d.hist.remove(d.nodes[v].dist)
-		}
-		clear(d.names[tx.vars:])
-		d.names, d.nodes = d.names[:tx.vars], d.nodes[:tx.vars]
-		for _, v := range tx.changed {
-			d.markChanged(v)
-		}
+	for i := len(tx.dist) - 1; i >= 0; i-- {
+		d.setDist(tx.dist[i].node, tx.dist[i].dist)
 	}
+	d.clearChanged()
+	// Variables interned since Begin are referenced by nothing now.
+	for v := len(d.nodes) - 1; v >= tx.vars; v-- {
+		delete(d.varID, d.names[v])
+		d.hist.remove(d.nodes[v].dist)
+	}
+	clear(d.names[tx.vars:])
+	d.names, d.nodes = d.names[:tx.vars], d.nodes[:tx.vars]
+	for _, v := range tx.changed {
+		d.markChanged(v)
+	}
+	d.built = tx.built
 	d.res, d.resValid = tx.res, tx.resValid
 	d.stats.LastAffected, d.stats.LastDuration = tx.lastAffected, tx.lastDuration
 	tx.close()
@@ -496,9 +501,9 @@ func (d *DeltaContext) journal(u segUndo) bool {
 // SetSeg replaces the atoms of segment id with add (normalized) and reports
 // whether that changed anything; a segment given its own content again is
 // left alone. The segment's old slots are unlinked and new ones linked — no
-// other slot, edge or position is touched. When a fixed point stands, new
-// variables are interned and the heads of every touched edge recorded as
-// changed, so the next Check can re-probe just the region they reach.
+// other slot, edge or position is touched. New variables are interned and
+// the heads of every touched edge recorded as changed, so the next Check can
+// re-probe just the region they reach.
 func (d *DeltaContext) SetSeg(id int, add []Assertion) (changed bool, err error) {
 	if err := d.checkSeg(id, len(d.segs)); err != nil {
 		return false, err
@@ -586,31 +591,26 @@ func (d *DeltaContext) release(slots []int32) {
 }
 
 // attach makes slots part of the asserted system: quantified atoms join the
-// quantified set, and when a fixed point stands the ground ones are linked.
+// quantified set, and the ground ones are linked.
 func (d *DeltaContext) attach(slots []int32) {
 	for _, s := range slots {
 		if d.slots[s].a.QuantVar != "" {
 			d.quant = append(d.quant, s)
-		} else if d.built {
+		} else {
 			d.link(s)
 		}
 	}
 	d.stats.Steps += len(slots)
 }
 
-// link interns the variables of ground slot s and puts its edges on the
-// lists. A ≤ B is val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka: an edge
-// vb → va; an equality adds the reverse edge.
+// link interns the variables of ground slot s and puts its difference edges
+// on the lists.
 func (d *DeltaContext) link(s int32) {
-	a := d.slots[s].a
-	va, vb := d.intern(a.A.Var), d.intern(a.B.Var)
-	w := a.B.K - a.A.K
-	if a.Rel == Lt {
-		w--
-	}
-	d.slots[s].e = [2]deltaEdge{{from: vb, to: va, w: w}, {from: -1}}
-	if a.Rel == Eq {
-		d.slots[s].e[1] = deltaEdge{from: va, to: vb, w: -w}
+	a := &d.slots[s].a
+	var buf [2]dlEdge
+	d.slots[s].e = [2]deltaEdge{1: {from: -1}}
+	for k, x := range appendDiffEdges(buf[:0], a, d.intern(a.A.Var), d.intern(a.B.Var), 0) {
+		d.slots[s].e[k] = deltaEdge{from: x.from, to: x.to, w: x.w}
 	}
 	d.relink(s, +1)
 }
@@ -621,7 +621,7 @@ func (d *DeltaContext) detach(slots []int32) {
 		if d.slots[s].a.QuantVar != "" {
 			i := slices.Index(d.quant, s)
 			d.quant = slices.Delete(d.quant, i, i+1)
-		} else if d.built {
+		} else {
 			d.relink(s, -1)
 		}
 	}
@@ -720,10 +720,10 @@ func (d *DeltaContext) clearChanged() {
 // next edit. With a fixed point standing, the check is a delta solve:
 // forward closure of the changed nodes, boundary relaxation, seeded SPFA,
 // and — when that finds a negative cycle — the exact core of the region's
-// sub-system. Every check before the first sat one solves the whole list as
-// Context.CheckContext does. Either way verdicts and minimal cores are
-// bit-for-bit those of a fresh solve. A sat result carries no model: Model
-// renders it.
+// sub-system. Every check before the first sat one decides the sub-system
+// induced on every referenced node. Either way verdicts and minimal cores
+// are bit-for-bit those of a fresh solve. A sat result carries no model:
+// Model renders it.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -737,11 +737,7 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	d.stats.Checks++
 	res, err := d.decideQuantified()
 	if err == nil && res.Core == nil { // no invalid universal settled it
-		if d.built {
-			res, err = d.deltaSolve(ctx)
-		} else {
-			res, err = d.firstSolve(ctx)
-		}
+		res, err = d.solveGround(ctx)
 	}
 	if err != nil {
 		return Result{}, err
@@ -785,49 +781,26 @@ func (d *DeltaContext) Model() map[Var]int {
 	return model
 }
 
-// firstSolve decides the whole list exactly as the string door does: build a
-// pooled engine for it and run the engine's one solve. A sat verdict becomes
-// the fixed point every later check re-probes from: each ground atom's edges
-// linked in canonical order, every node at its converged distance, nothing
-// changed.
-func (d *DeltaContext) firstSolve(ctx context.Context) (res Result, err error) {
-	e := enginePool.Get().(*dlEngine)
-	defer e.release()
-	defer e.flushStats()
-	asserts := d.Assertions()
-	e.build(asserts)
-	d.stats.FullSolves++
-	obsFullSolves.Inc()
-	d.stats.LastAffected = 0
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, false, &res.Stats)
-	if err != nil || !res.Sat {
-		res.Core = coreOf(asserts, res.CoreIdx)
-		return res, err
-	}
-	d.built = true
-	d.varID, d.names = make(map[Var]int32, len(e.idVar)), append(d.names[:0], "")
-	d.nodes = append(d.nodes[:0], deltaNode{dist: e.dist[zeroNode], out: -1, in: -1})
-	d.nEdges, d.changed = 0, d.changed[:0]
-	clear(d.hist.count)
-	for _, seg := range d.segs {
-		for _, s := range seg {
-			if d.slots[s].a.QuantVar == "" {
-				d.link(s)
+// solveGround decides the ground graph. With no fixed point standing it
+// decides the sub-system induced on every referenced node. With one, it
+// re-probes the affected region and, if that finds a negative cycle, decides
+// the sub-system induced on the region.
+func (d *DeltaContext) solveGround(ctx context.Context) (res Result, err error) {
+	if !d.built {
+		d.stats.FullSolves++
+		obsFullSolves.Inc()
+		d.stats.LastAffected = 0
+		d.region = append(d.region[:0], zeroNode)
+		for v := int32(1); v < int32(len(d.nodes)); v++ {
+			if d.nodes[v].ref > 0 {
+				d.region = append(d.region, v)
 			}
 		}
+		err = d.solveInduced(ctx, &res)
+		return res, err
 	}
-	for v := int32(1); v < int32(len(d.nodes)); v++ {
-		d.setDist(v, e.dist[e.varID[d.names[v]]])
-	}
-	d.clearChanged()
-	return res, nil
-}
-
-// deltaSolve answers a check from the standing fixed point: the re-probe of
-// the affected region and, if that finds a negative cycle, the region's core.
-func (d *DeltaContext) deltaSolve(ctx context.Context) (res Result, err error) {
 	if res.Sat = d.probe(&res.Stats); !res.Sat {
-		if err := d.regionCore(ctx, &res); err != nil {
+		if err := d.solveInduced(ctx, &res); err != nil {
 			return Result{}, err
 		}
 	}
@@ -953,7 +926,7 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	d.stats.Steps += steps + 2*len(region)
 
 	if !sat {
-		// Only nodes of the region were relaxed or queued; regionCore clears
+		// Only nodes of the region were relaxed or queued; solveInduced clears
 		// their region marks.
 		for _, u := range tx.dist[mark:] {
 			nodes[u.node].dist, nodes[u.node].inQ = u.dist, false
@@ -977,23 +950,26 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	return true
 }
 
-// regionCore answers a check whose probe found a negative cycle: the
-// verdict, deletion-minimal core and positivity involvement of the
-// sub-system induced on the affected region — the assertions whose edges
-// leave a region node, in canonical order, over region-local ids — decided
-// by the engine's one solve on a pooled engine. By the argument in the file
-// header that is the whole list's answer.
-func (d *DeltaContext) regionCore(ctx context.Context, res *Result) error {
-	ctx, sp := obs.StartSpan(ctx, "region-core")
-	defer sp.End()
-	for i, v := range d.region {
-		d.nodes[v].cnt = int32(i) // the probe is done with its enqueue counts
+// solveInduced decides the sub-system induced on the node set d.region
+// (zero node first): the ground atoms whose edges leave a node of the set,
+// in canonical order, over local ids (a node's index in d.region), by the
+// engine's one solve on a pooled engine, with a core mapped back to
+// canonical positions. With no fixed point standing the set is every
+// referenced node, the sub-system is the whole ground list, and a sat
+// verdict installs the fixed point. Otherwise the set is the affected
+// region of a probe that found a negative cycle, and by the argument in the
+// file header its sub-system has the whole list's answer.
+func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
+	name := "region-core"
+	if !d.built {
+		name = "solve"
 	}
-	// An equality's two edges leave the same region; its first stands for it.
-	items := d.items[:0]
-	steps := 0
-	for _, u := range d.region {
-		d.nodes[u].inRegion = false
+	ctx, sp := obs.StartSpan(ctx, name)
+	defer sp.End()
+	// An equality's two edges leave the same set; its first stands for it.
+	items, steps := d.items[:0], 0
+	for i, u := range d.region {
+		d.nodes[u].cnt, d.nodes[u].inRegion = int32(i), false // a probe is done with both
 		for ed := d.nodes[u].out; ed >= 0; ed = d.edge(ed).outNext {
 			steps++
 			if ed&1 == 0 {
@@ -1016,27 +992,42 @@ func (d *DeltaContext) regionCore(ctx context.Context, res *Result) error {
 			}
 		}
 	}
-	e.idVar = growVars(e.idVar, len(d.region)) // the region's dense universe, nothing interned
+	e.idVar = growVars(e.idVar, len(d.region)) // the set's dense universe, nothing interned
 	e.seal(len(items))
 	var st Stats
 	sat, core, usesPositivity, err := e.solve(ctx, 1, false, &st)
 	if err != nil {
 		return err
 	}
-	if sat {
-		// SPFA's enqueue bound trips only on a negative cycle.
-		return errors.New("smt: delta probe found a negative cycle the region's solve does not")
-	}
+	st.Assertions = d.n
 	st.Probes, st.Relaxations = st.Probes+res.Stats.Probes, st.Relaxations+res.Stats.Relaxations
-	res.Stats, res.UsesPositivity = st, usesPositivity
+	res.Sat, res.Stats, res.UsesPositivity = sat, st, usesPositivity
+	sp.AttrInt("nodes", int64(len(d.region)))
+	sp.AttrInt("edges", int64(len(e.edges)))
+	sp.AttrInt("probes", int64(st.Probes))
+	if sat {
+		if d.built {
+			// SPFA's enqueue bound trips only on a negative cycle.
+			return errors.New("smt: delta probe found a negative cycle the region's solve does not")
+		}
+		// The fixed point stands from now on. Nothing moves a distance while
+		// none stands, so an orphan is still at the virtual source, where a
+		// node without in-edges belongs.
+		for i, v := range d.region {
+			if d.tx.open {
+				d.tx.dist = append(d.tx.dist, distUndo{v, d.nodes[v].dist})
+			}
+			d.setDist(v, e.dist[i])
+		}
+		d.built = true
+		d.clearChanged()
+		return nil
+	}
 	res.Core, res.CoreIdx = make([]Assertion, len(core)), make([]int, len(core))
 	for k, i := range core {
 		res.CoreIdx[k] = int(items[i] >> 32)
 		res.Core[k] = d.slots[uint32(items[i])].a
 	}
-	sp.AttrInt("nodes", int64(len(d.region)))
-	sp.AttrInt("edges", int64(len(e.edges)))
-	sp.AttrInt("probes", int64(st.Probes))
 	sp.AttrInt("core", int64(len(core)))
 	return nil
 }

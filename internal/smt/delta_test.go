@@ -156,9 +156,6 @@ func stateOf(d *DeltaContext) deltaState {
 		st.Quant = append(st.Quant, d.position(s))
 	}
 	slices.Sort(st.Quant)
-	if !d.built { // an unbuilt context's graph is scratch
-		return st
-	}
 	view := func(ed int32) edgeView {
 		x := d.edge(ed)
 		return edgeView{x.from, x.to, x.w, d.position(ed >> 1)}
@@ -187,7 +184,7 @@ func stateOf(d *DeltaContext) deltaState {
 	return st
 }
 
-// requireConsistent checks the invariants between a built context's parts:
+// requireConsistent checks the invariants between a context's parts:
 // positions and Locate invert each other, every ground atom's edges are on
 // the lists of their endpoints, and the histogram counts the variables'
 // standing distances.
@@ -204,9 +201,6 @@ func requireConsistent(t *testing.T, label string, d *DeltaContext) {
 			}
 			pos++
 		}
-	}
-	if !d.built {
-		return
 	}
 	st := stateOf(d)
 	linked := 0
@@ -557,6 +551,69 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	// Now a benign delta on the warm state.
 	setSeg(t, d, 0, Assertion{Rel: Le, A: V("x"), B: V("y")})
 	requireOracle(t, "delta after recovery", d)
+
+	// Before any sat verdict the graph is linked all the same, orphans
+	// included: a check must leave them out like a fresh solve, which never
+	// interns them.
+	t.Run("orphans before any sat verdict", func(t *testing.T) {
+		d := NewDeltaContext([]Assertion{
+			{Rel: Lt, A: V("x"), B: V("y")},
+			{Rel: Lt, A: V("y"), B: V("x")},
+			{Rel: Lt, A: V("u"), B: V("v")},
+		}, singles(3))
+		if res := requireFullSolve(t, "x < y < x", d); res.Sat {
+			t.Fatal("x < y < x is sat")
+		}
+		setSeg(t, d, 1, Assertion{Rel: Lt, A: V("y"), B: V("z")})                                         // fresh z
+		setSeg(t, d, 2, Assertion{Rel: Le, A: V("u"), B: V("w")}, Assertion{Rel: Lt, A: V("w"), B: C(1)}) // orphans v, fresh w
+		if res := requireFullSolve(t, "w < 1, v orphaned", d); res.Sat || !res.UsesPositivity {
+			t.Fatalf("w < 1: sat=%v, positivity %v; want unsat through w ≥ 1", res.Sat, res.UsesPositivity)
+		}
+		setSeg(t, d, 2, Assertion{Rel: Le, A: V("u"), B: V("w")})
+		if res := requireFullSolve(t, "repaired, v still orphaned", d); !res.Sat {
+			t.Fatal("the repair is unsat")
+		}
+	})
+
+	// A first sat solve inside a transaction installs a fixed point for a
+	// list Rollback takes away: nothing stands after it.
+	t.Run("a first sat solve rolled back", func(t *testing.T) {
+		for _, edit := range []bool{false, true} {
+			d := NewDeltaContext(base, singles(2))
+			before := stateOf(d)
+			d.Begin()
+			if edit {
+				appendSeg(t, d, Assertion{Rel: Lt, A: V("z"), B: V("w")}) // fresh w
+			}
+			requireFullSolve(t, "inside", d)
+			d.Rollback()
+			if m := d.Model(); m != nil {
+				t.Fatalf("edit=%v: Model() = %v after the first sat solve was rolled back", edit, m)
+			}
+			if after := stateOf(d); !reflect.DeepEqual(after, before) {
+				t.Fatalf("edit=%v: rollback left\n%+v\nBegin found\n%+v", edit, after, before)
+			}
+			requireConsistent(t, "rolled back", d)
+			requireFullSolve(t, "after rollback", d)
+		}
+	})
+}
+
+// requireFullSolve checks a check that must solve the whole list against a
+// fresh Context.Check of it, the graph's size included.
+func requireFullSolve(t *testing.T, label string, d *DeltaContext) Result {
+	t.Helper()
+	st := d.Stats()
+	got, want := deltaCheck(t, d), oracleCheck(t, d.Assertions())
+	requireParity(t, label, got, want)
+	if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
+		t.Fatalf("%s: %d variables and %d edges, a fresh solve has %d and %d",
+			label, got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
+	}
+	if now := d.Stats(); now.FullSolves != st.FullSolves+1 || now.DeltaSolves != st.DeltaSolves {
+		t.Fatalf("%s: not a full solve: %+v → %+v", label, st, now)
+	}
+	return got
 }
 
 // TestDeltaOrphanVariables removes every assertion mentioning a variable

@@ -47,7 +47,9 @@ func randomInstance(rng *rand.Rand) []Assertion {
 // reference implementation on randomized instances: identical sat/unsat
 // verdicts, identical models (not merely valid ones — the shortest-path
 // fixpoint is unique, so both solvers must land on it), and identical
-// minimal cores element for element.
+// minimal cores element for element. The delta door must match the string
+// door on everything but the clock: a fresh DeltaContext numbers its graph as
+// the string door does, so even the condensation and effort counts agree.
 func TestDifferentialRandomized(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -56,6 +58,19 @@ func TestDifferentialRandomized(t *testing.T) {
 		got, err := (Native{}).Solve(ctx, asserts)
 		if err != nil {
 			t.Fatalf("trial %d: native: %v", trial, err)
+		}
+		dc := NewDeltaContext(asserts, nil)
+		delta, err := dc.Check(ctx)
+		if err != nil {
+			t.Fatalf("trial %d: delta: %v", trial, err)
+		}
+		delta.Model = dc.Model()
+		for _, r := range []*Result{&got, &delta} {
+			r.Stats.Duration, r.Stats.TarjanDuration = 0, 0
+		}
+		if !reflect.DeepEqual(delta, got) {
+			t.Fatalf("trial %d: delta door disagrees with native:\ndelta  %+v\nnative %+v\ninstance:\n%s",
+				trial, delta, got, FormatCore(asserts))
 		}
 		want, err := (Reference{}).Solve(ctx, asserts)
 		if err != nil {

@@ -1,10 +1,13 @@
 // The difference-logic engine behind every solver door.
 //
-// Variables are interned once into dense integer IDs, the edge list and a
-// CSR adjacency are built exactly once per solve, and every satisfiability
-// probe runs over an `active []bool` mask on preallocated dist/pred/queue
-// buffers. Engines are pooled and reused across solves, so the steady-state
-// sat path allocates only the result model.
+// A solve sees dense node IDs and an edge list, from one of three doors:
+// build interns an assertion list, SolveDense takes ids already interned,
+// and a DeltaContext copies a sub-system out of its own linked graph (build
+// and the DeltaContext share appendDiffEdges). seal builds the CSR adjacency
+// once per solve, and every satisfiability probe runs over an `active
+// []bool` mask on preallocated dist/pred/queue buffers. Engines are pooled
+// and reused across solves, so the steady-state sat path allocates only the
+// result model.
 //
 // solve is the one whole-system decision: condense the constraint graph
 // (scc.go), run the level plan, and — when some component hides a negative
@@ -133,23 +136,18 @@ func (e *dlEngine) intern(v Var) int32 {
 	return n
 }
 
-// appendEdges appends the difference edges of assertion a, at position idx
-// of its list, to dst: none for a quantified assertion, two for an equality.
-// A ≤ B is val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka.
-func (e *dlEngine) appendEdges(dst []dlEdge, a *Assertion, idx int32) []dlEdge {
-	if a.QuantVar != "" {
-		return dst
-	}
-	va, vb := e.intern(a.A.Var), e.intern(a.B.Var)
+// appendDiffEdges appends to dst the difference edges of ground assertion a,
+// at position idx of its list, whose sides are the nodes va and vb. A ≤ B is
+// val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka: an edge vb → va, one
+// tighter for A < B; an equality adds the reverse edge.
+func appendDiffEdges(dst []dlEdge, a *Assertion, va, vb, idx int32) []dlEdge {
 	w := a.B.K - a.A.K
-	switch a.Rel {
-	case Le:
-		dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx})
-	case Lt:
-		dst = append(dst, dlEdge{from: vb, to: va, w: w - 1, assertIdx: idx})
-	case Eq:
-		dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx},
-			dlEdge{from: va, to: vb, w: -w, assertIdx: idx})
+	if a.Rel == Lt {
+		w--
+	}
+	dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx})
+	if a.Rel == Eq {
+		dst = append(dst, dlEdge{from: va, to: vb, w: -w, assertIdx: idx})
 	}
 	return dst
 }
@@ -164,7 +162,9 @@ func (e *dlEngine) build(asserts []Assertion) {
 	e.idVar = append(e.idVar[:0], "") // node 0 = the constant 0
 	e.edges = e.edges[:0]
 	for i := range asserts {
-		e.edges = e.appendEdges(e.edges, &asserts[i], int32(i))
+		if a := &asserts[i]; a.QuantVar == "" {
+			e.edges = appendDiffEdges(e.edges, a, e.intern(a.A.Var), e.intern(a.B.Var), int32(i))
+		}
 	}
 	e.seal(len(asserts))
 	for i := range asserts {
@@ -430,13 +430,12 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 	return core, usesPositivity, nil
 }
 
-// solve is the engine's one whole-system decision, on the graph seal (or a
-// delta rebuild) left: condense, run the level plan — which leaves the
-// canonical all-zero-seeded fixpoint in e.dist when the system is
-// satisfiable — and otherwise find the witness cycle and report the core:
-// the cycle itself when noMinimize is set, the deletion-minimal core (under
-// a "minimize" span) otherwise. st receives the graph's size, the plan's
-// shape and the loop effort.
+// solve is the engine's one whole-system decision, on the graph seal left:
+// condense, run the level plan — which leaves the canonical all-zero-seeded
+// fixpoint in e.dist when the system is satisfiable — and otherwise find the
+// witness cycle and report the core: the cycle itself when noMinimize is
+// set, the deletion-minimal core (under a "minimize" span) otherwise. st
+// receives the graph's size, the plan's shape and the loop effort.
 func (e *dlEngine) solve(ctx context.Context, workers int, noMinimize bool, st *Stats) (sat bool, core []int, usesPositivity bool, err error) {
 	st.Assertions, st.Variables, st.Edges = len(e.active), len(e.idVar)-1, len(e.edges)
 	s := newSCCPlan(e)

@@ -30,9 +30,10 @@ var (
 		"Delta-context checks answered from the memoized result.")
 
 	// Condensation introspection, one observation per engine solve on any
-	// door (string, dense, a delta context's first solve or region core):
-	// plan shape plus Tarjan plan-building latency. The histogram handle is pre-resolved so the
-	// per-solve Observe is alloc-free.
+	// door (string, dense, and a delta context's induced solve, of the whole
+	// list before a fixed point stands or of a region core after): plan shape
+	// plus Tarjan plan-building latency. The histogram handle is pre-resolved
+	// so the per-solve Observe is alloc-free.
 	obsSCCSolves = obs.Default().Counter("fsr_scc_solves_total",
 		"Whole-system solves (every one runs on the SCC condensation; delta re-probes excluded).")
 	obsSCCComponents = obs.Default().Counter("fsr_scc_components_total",
