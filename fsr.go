@@ -36,7 +36,8 @@
 // The runner is chosen by option, never by importing a different package:
 // [WithRunner] selects between discrete-event simulation (compiled or
 // NDlog-interpreted GPV) and real-TCP deployment. [Session.AnalyzeAll] fans
-// a batch of policies out over a worker pool sized by [WithParallelism].
+// a batch of policies, and [Session.Campaign] its scenarios, out over worker
+// pools sized by [WithParallelism].
 //
 // The zero-configuration path: fsr.NewSession() uses the simulation runner,
 // seed 1, and unbatched sends.

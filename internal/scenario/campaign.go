@@ -360,7 +360,7 @@ func (r *Report) String() string {
 // proves the instance unsafe; rep is nil when no execution ran.
 func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, plan *engine.FaultPlan) (sat bool, suspects []string, rep *engine.RunReport, err error) {
 	actx, asp := obs.StartSpan(ctx, "analyze")
-	res, nodes, err := spp.Analyze(actx, in, 1)
+	res, nodes, err := spp.Analyze(actx, in)
 	asp.End()
 	if err != nil {
 		return false, nil, nil, err

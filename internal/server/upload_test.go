@@ -33,7 +33,7 @@ func newUploadServer(t *testing.T) (*Server, *httptest.Server) {
 			return nil, fmt.Errorf("unknown gadget %q", name)
 		},
 		Analyze: func(ctx context.Context, in *spp.Instance) (analysis.Result, []spp.Node, error) {
-			return spp.Analyze(ctx, in, 1)
+			return spp.Analyze(ctx, in)
 		},
 	})
 	ts := httptest.NewServer(s.Handler())

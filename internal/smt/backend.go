@@ -41,5 +41,5 @@ func (Native) Solve(ctx context.Context, assertions []Assertion) (Result, error)
 			break
 		}
 	}
-	return solveAsserts(ctx, assertions, false)
+	return solveAsserts(ctx, assertions)
 }

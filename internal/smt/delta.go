@@ -995,7 +995,7 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	e.idVar = growVars(e.idVar, len(d.region)) // the set's dense universe, nothing interned
 	e.seal(len(items))
 	var st Stats
-	sat, core, usesPositivity, err := e.solve(ctx, 1, false, &st)
+	sat, core, usesPositivity, err := e.solve(ctx, &st)
 	if err != nil {
 		return err
 	}

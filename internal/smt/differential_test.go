@@ -106,38 +106,6 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestDifferentialNoMinimize: with minimization disabled the two
-// implementations may pick different negative cycles (the contract says the
-// choice of cycle is arbitrary), but both must agree on the verdict and the
-// native cycle core must itself be unsatisfiable.
-func TestDifferentialNoMinimize(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		asserts := randomInstance(rng)
-		cycle := &Context{NoMinimize: true}
-		cycle.AssertAll(asserts)
-		got, err := cycle.CheckContext(ctx)
-		if err != nil {
-			t.Fatalf("trial %d: native: %v", trial, err)
-		}
-		want, err := (Reference{NoMinimize: true}).Solve(ctx, asserts)
-		if err != nil {
-			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
-		if got.Sat != want.Sat {
-			t.Fatalf("trial %d: verdicts disagree: native %v, reference %v", trial, got.Sat, want.Sat)
-		}
-		if !got.Sat && len(got.Core) > 0 {
-			s := NewContext()
-			s.AssertAll(got.Core)
-			if res, _ := s.Check(); res.Sat {
-				t.Fatalf("trial %d: native cycle core is not unsat: %s", trial, FormatCore(got.Core))
-			}
-		}
-	}
-}
-
 // TestDifferentialLargeChains exercises deep shortest-path chains (the
 // SolverScaling shape) where SPFA's queue behavior differs most from
 // pass-based Bellman–Ford.

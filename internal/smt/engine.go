@@ -10,11 +10,11 @@
 // result model.
 //
 // solve is the one whole-system decision: condense the constraint graph
-// (scc.go), run the level plan, and — when some component hides a negative
-// cycle — find the witness and minimize the core. A negative cycle of any
-// subset of the system lies inside one strongly connected component of the
-// whole, so every later probe (decide) re-runs only the components the plan
-// found unsatisfiable, never the whole graph.
+// (scc.go), walk its components once, and — when some component hides a
+// negative cycle — find the witness and minimize the core. A negative cycle
+// of any subset of the system lies inside one strongly connected component
+// of the whole, so every later probe (decide) re-runs only the components
+// the plan found unsatisfiable, never the whole graph.
 //
 // Core minimization keeps the exact semantics of the reference deletion
 // loop (walk candidates from last to first, drop every assertion whose
@@ -31,7 +31,6 @@ package smt
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"fsr/internal/obs"
@@ -68,12 +67,12 @@ type dlEngine struct {
 
 	// cycle extraction scratch.
 	cycleIdx  []int32 // assertion indices on the last extracted cycle
-	cyclePos  bool    // the last cycle used a positivity edge
 	inWitness []bool  // per-assertion membership in the current witness
 	witness   []int32 // current witness assertion indices (for clearing)
 
-	// The last solve's condensation and the components its level run found
-	// unsatisfiable (ascending): the only places a later probe has to look.
+	// The last solve's condensation and the components its component pass
+	// found unsatisfiable (ascending): the only places a later probe has to
+	// look.
 	plan sccPlan
 	bad  []int32
 
@@ -278,8 +277,8 @@ func (e *dlEngine) passBF() int32 {
 
 // extractCycle walks the predecessor edges backward from the trigger node,
 // collects the assertion indices on the first cycle it closes into
-// e.cycleIdx (setting e.cyclePos when a positivity edge participates), and
-// verifies the cycle weight is negative. It reports whether a verified
+// e.cycleIdx (positivity edges carry none), and verifies the cycle weight
+// is negative. It reports whether a verified
 // negative cycle was found. V bounds the walk: the node count of the
 // subgraph the predecessor edges were set in.
 func (e *dlEngine) extractCycle(from int32, V int) bool {
@@ -295,7 +294,6 @@ func (e *dlEngine) extractCycle(from int32, V int) bool {
 	}
 	start := node
 	e.cycleIdx = e.cycleIdx[:0]
-	e.cyclePos = false
 	weight := 0
 	for steps := 0; ; steps++ {
 		if steps > V {
@@ -309,8 +307,6 @@ func (e *dlEngine) extractCycle(from int32, V int) bool {
 		weight += ed.w
 		if ed.assertIdx >= 0 {
 			e.cycleIdx = append(e.cycleIdx, ed.assertIdx)
-		} else {
-			e.cyclePos = true
 		}
 		node = ed.from
 		if node == start {
@@ -322,8 +318,8 @@ func (e *dlEngine) extractCycle(from int32, V int) bool {
 
 // decide reports whether the active constraint subset is unsatisfiable,
 // leaving a verified negative cycle in e.cycleIdx when it is. Only the
-// components the level run found unsatisfiable are probed, each from the
-// virtual-source seed: a negative cycle of a subset of the system is a
+// components the component pass found unsatisfiable are probed, each from
+// the virtual-source seed: a negative cycle of a subset of the system is a
 // negative cycle of the whole, so it lies inside one of them. SPFA decides
 // almost every probe; an unconfirmable trigger falls back to exact
 // pass-based Bellman–Ford over the whole graph.
@@ -337,7 +333,7 @@ func (e *dlEngine) decide() (unsat bool) {
 			e.pred[u] = -1
 		}
 		var relax int
-		v, relax = e.plan.compSPFA(e, c, e.queue)
+		v, relax = e.plan.compSPFA(e, c)
 		e.statRelax += relax
 		if v < 0 {
 			continue
@@ -363,7 +359,6 @@ func (e *dlEngine) decide() (unsat bool) {
 	// "cycle" of every active assertion, which is a valid (if large)
 	// witness for minimization.
 	e.cycleIdx = e.cycleIdx[:0]
-	e.cyclePos = e.posActive
 	for i, on := range e.active {
 		if on {
 			e.cycleIdx = append(e.cycleIdx, int32(i))
@@ -431,17 +426,17 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 }
 
 // solve is the engine's one whole-system decision, on the graph seal left:
-// condense, run the level plan — which leaves the canonical all-zero-seeded
-// fixpoint in e.dist when the system is satisfiable — and otherwise find the
-// witness cycle and report the core: the cycle itself when noMinimize is
-// set, the deletion-minimal core (under a "minimize" span) otherwise. st
-// receives the graph's size, the plan's shape and the loop effort.
-func (e *dlEngine) solve(ctx context.Context, workers int, noMinimize bool, st *Stats) (sat bool, core []int, usesPositivity bool, err error) {
+// condense, run the component pass — which leaves the canonical
+// all-zero-seeded fixpoint in e.dist when the system is satisfiable — and
+// otherwise find the witness cycle and report the deletion-minimal core
+// (under a "minimize" span). st receives the graph's size, the plan's shape
+// and the loop effort.
+func (e *dlEngine) solve(ctx context.Context, st *Stats) (sat bool, core []int, usesPositivity bool, err error) {
 	st.Assertions, st.Variables, st.Edges = len(e.active), len(e.idVar)-1, len(e.edges)
 	s := newSCCPlan(e)
 	s.recordPlan(st)
 	defer e.snapshotStats(st)
-	if err := s.run(ctx, e, workers); err != nil {
+	if err := s.run(ctx, e); err != nil {
 		return false, nil, false, err
 	}
 	if len(e.bad) == 0 {
@@ -453,32 +448,10 @@ func (e *dlEngine) solve(ctx context.Context, workers int, noMinimize bool, st *
 		e.passBF()
 		return true, nil, false, nil
 	}
-	if noMinimize {
-		core, usesPositivity = e.cycleCore()
-		return false, core, usesPositivity, nil
-	}
 	_, sp := obs.StartSpan(ctx, "minimize")
 	defer sp.End()
 	core, usesPositivity, err = e.minimize(ctx)
 	sp.AttrInt("probes", int64(e.statProbes))
 	sp.AttrInt("core", int64(len(core)))
 	return false, core, usesPositivity, err
-}
-
-// cycleCore returns the last extracted cycle as a deduplicated, ascending
-// core (the fast, non-minimized core used when NoMinimize is set).
-func (e *dlEngine) cycleCore() (core []int, usesPositivity bool) {
-	core = make([]int, 0, len(e.cycleIdx))
-	for _, i := range e.cycleIdx {
-		core = append(core, int(i))
-	}
-	sort.Ints(core)
-	n := 0
-	for i, v := range core {
-		if i == 0 || core[n-1] != v {
-			core[n] = v
-			n++
-		}
-	}
-	return core[:n], e.cyclePos
 }

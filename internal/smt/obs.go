@@ -43,7 +43,7 @@ var (
 	obsSCCLevels = obs.Default().Gauge("fsr_scc_levels",
 		"Topological levels in the most recent solve's plan.")
 	obsSCCMaxWidth = obs.Default().Gauge("fsr_scc_max_level_width",
-		"Widest level's component count in the most recent solve (level-parallel occupancy bound).")
+		"Widest topological level's component count in the most recent solve's condensation.")
 	obsSCCTarjan = obs.Default().HistogramVec("fsr_scc_tarjan_seconds",
 		"Iterative Tarjan condensation time per solve.").With()
 )

@@ -11,25 +11,21 @@ package smt
 
 import (
 	"context"
-	"sort"
 	"time"
 )
 
 // Reference decides assertions with the retained original implementation.
 // It satisfies Solver so tests can swap it in anywhere a backend goes.
-type Reference struct {
-	// NoMinimize disables deletion-based core minimization, as on Context.
-	NoMinimize bool
-}
+type Reference struct{}
 
 // Name implements Solver.
 func (Reference) Name() string { return "reference" }
 
 // Solve implements Solver.
-func (r Reference) Solve(ctx context.Context, assertions []Assertion) (Result, error) {
+func (Reference) Solve(ctx context.Context, assertions []Assertion) (Result, error) {
 	c := NewContext()
 	c.AssertAll(assertions)
-	return referenceCheck(ctx, c.asserts, r.NoMinimize)
+	return referenceCheck(ctx, c.asserts)
 }
 
 // refEdge is one difference constraint to(x) − from(y) ≤ w, i.e. an edge
@@ -97,45 +93,39 @@ func buildRefGraphOpt(all []Assertion, idxs []int, active []bool, positivity boo
 }
 
 // bellmanFord relaxes the graph with an implicit virtual source (dist ≡ 0).
-// It returns the final distances, the predecessor edge per node, and a node
-// relaxed in the n-th pass (−1 when the graph converged, i.e. is
-// satisfiable).
-func (g refGraph) bellmanFord() (dist []int, pred []int, relaxedNode int) {
+// It returns the final distances and a node relaxed in the n-th pass (−1
+// when the graph converged, i.e. is satisfiable).
+func (g refGraph) bellmanFord() (dist []int, relaxedNode int) {
 	n := len(g.idVar)
 	dist = make([]int, n)
-	pred = make([]int, n)
-	for i := range pred {
-		pred[i] = -1
-	}
 	relaxedNode = -1
 	for pass := 0; pass < n; pass++ {
 		relaxedNode = -1
-		for ei, e := range g.edges {
+		for _, e := range g.edges {
 			if d := dist[e.from] + e.w; d < dist[e.to] {
 				dist[e.to] = d
-				pred[e.to] = ei
 				if relaxedNode < 0 {
 					relaxedNode = e.to
 				}
 			}
 		}
 		if relaxedNode < 0 {
-			return dist, pred, -1
+			return dist, -1
 		}
 	}
-	return dist, pred, relaxedNode
+	return dist, relaxedNode
 }
 
 // refGroundSat reports whether the subset of ground assertions selected by
 // active is satisfiable.
 func refGroundSat(all []Assertion, idxs []int, active []bool) bool {
-	_, _, relaxed := buildRefGraph(all, idxs, active).bellmanFord()
+	_, relaxed := buildRefGraph(all, idxs, active).bellmanFord()
 	return relaxed < 0
 }
 
 // referenceCheck is the original CheckContext, verbatim: per-probe graph
 // rebuilds and full-pass Bellman–Ford throughout.
-func referenceCheck(ctx context.Context, asserts []Assertion, noMinimize bool) (Result, error) {
+func referenceCheck(ctx context.Context, asserts []Assertion) (Result, error) {
 	start := time.Now()
 	res := Result{}
 	if err := ctx.Err(); err != nil {
@@ -167,19 +157,14 @@ func referenceCheck(ctx context.Context, asserts []Assertion, noMinimize bool) (
 	g := buildRefGraph(asserts, groundIdx, nil)
 	n := len(g.idVar)
 	res.Stats = Stats{Assertions: len(asserts), Variables: n - 1, Edges: len(g.edges)}
-	dist, pred, relaxedNode := g.bellmanFord()
+	dist, relaxedNode := g.bellmanFord()
 
 	if relaxedNode >= 0 {
-		var coreIdx []int
-		var err error
-		if noMinimize {
-			coreIdx, res.UsesPositivity = refExtractCycleCore(g, pred, relaxedNode, groundIdx)
-		} else {
-			coreIdx, res.UsesPositivity, err = refMinimizeCore(ctx, asserts, groundIdx)
-			if err != nil {
-				return Result{}, err
-			}
+		coreIdx, usesPositivity, err := refMinimizeCore(ctx, asserts, groundIdx)
+		if err != nil {
+			return Result{}, err
 		}
+		res.UsesPositivity = usesPositivity
 		core := make([]Assertion, len(coreIdx))
 		for i, ai := range coreIdx {
 			core[i] = asserts[ai]
@@ -234,49 +219,7 @@ func refMinimizeCore(ctx context.Context, asserts []Assertion, groundIdx []int) 
 	}
 	// The core involves positivity iff it becomes satisfiable over all of ℤ
 	// once the implicit n > 0 typing is dropped.
-	_, _, relaxed := buildRefGraphOpt(asserts, groundIdx, active, false).bellmanFord()
+	_, relaxed := buildRefGraphOpt(asserts, groundIdx, active, false).bellmanFord()
 	usesPositivity = relaxed < 0
 	return core, usesPositivity, nil
-}
-
-// refExtractCycleCore collects the assertions on the negative cycle
-// reachable through the predecessor pointers — the fast, non-minimized core
-// used when NoMinimize is set. The returned cycle is simple, hence itself a
-// minimal unsatisfiable subset, but which of several cores is found is
-// arbitrary.
-func refExtractCycleCore(g refGraph, pred []int, relaxedNode int, groundIdx []int) (core []int, usesPositivity bool) {
-	node := relaxedNode
-	for i := 0; i < len(g.idVar) && pred[node] >= 0; i++ {
-		node = g.edges[pred[node]].from
-	}
-	startNode := node
-	coreIdx := map[int]bool{}
-	for steps := 0; ; steps++ {
-		if pred[node] < 0 || steps > len(g.edges) {
-			// Defensive fallback; a pass-n relaxation guarantees the
-			// predecessor walk closes a cycle, so this path is unreachable
-			// in practice. Report the full ground set rather than a wrong
-			// core.
-			coreIdx = map[int]bool{}
-			for _, gi := range groundIdx {
-				coreIdx[gi] = true
-			}
-			break
-		}
-		e := g.edges[pred[node]]
-		if e.assertIdx >= 0 {
-			coreIdx[e.assertIdx] = true
-		} else {
-			usesPositivity = true
-		}
-		node = e.from
-		if node == startNode {
-			break
-		}
-	}
-	for i := range coreIdx {
-		core = append(core, i)
-	}
-	sort.Ints(core)
-	return core, usesPositivity
 }

@@ -5,15 +5,14 @@
 // negative-weight cycle lies entirely inside one SCC. That makes the
 // condensation a solve plan: number the components in topological order
 // (iterative Tarjan yields reverse-topological completion order for free),
-// seed every node with the virtual-source distance 0, then process the
-// condensation level by level — run SPFA restricted to each component's
-// internal edges, in parallel across the components of a level (their node
-// sets are disjoint, so they share the dist/pred arrays without conflict),
-// and relax the components' outgoing cross edges sequentially at the level
-// barrier. Trivially-safe singleton components — the vast majority of a
-// power-law instance, and every node of an all-strict ranking chain — never
-// touch a queue: their entire contribution is the cross-edge relaxation, so
-// a satisfiable all-strict system costs one linear pass whatever order its
+// seed every node with the virtual-source distance 0, then walk the
+// components once in topological order — run SPFA restricted to a
+// component's internal edges, then relax its outgoing cross edges, so every
+// component is entered with its predecessors' distances final.
+// Trivially-safe singleton components — the vast majority of a power-law
+// instance, and every node of an all-strict ranking chain — never touch a
+// queue: their entire contribution is the cross-edge relaxation, so a
+// satisfiable all-strict system costs one linear pass whatever order its
 // variables and assertions arrive in.
 //
 // The all-zero-seeded Bellman–Ford fixpoint is unique, so the distance
@@ -28,33 +27,26 @@ package smt
 
 import (
 	"context"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // sccPlan is the condensation of a constraint graph: the Tarjan component
-// of every node, the nodes grouped by component, each component's
-// topological level, and the components grouped by level. It lives on the
-// engine, so its buffers are reused across pooled solves.
+// of every node, the nodes grouped by component, and each component's
+// topological level. It lives on the engine, so its buffers are reused
+// across pooled solves.
 type sccPlan struct {
-	comp      []int32 // node → component; cross edge u→w implies comp[w] < comp[u]
-	order     []int32 // nodes grouped by component
-	compStart []int32 // order[compStart[c]:compStart[c+1]] are component c's nodes
-	internal  []bool  // component has at least one internal edge (needs SPFA)
-	level     []int32 // component → topological level
-	levels    []int32 // components grouped by ascending level
-	lvlStart  []int32
+	comp      []int32    // node → component; cross edge u→w implies comp[w] < comp[u]
+	order     []int32    // nodes grouped by component
+	compStart []int32    // order[compStart[c]:compStart[c+1]] are component c's nodes
+	internal  []bool     // component has at least one internal edge (needs SPFA)
+	level     []int32    // component → topological level
 	frames    []sccFrame // Tarjan's explicit DFS stack
-	work      []int32    // the current level's components with internal edges
 	ncomp     int
 	trivial   int // singleton components with no internal edge
-	maxComp   int // largest component size (SPFA scratch bound)
 
-	nLevels  int           // topological levels in the plan
-	maxWidth int           // widest level's component count (parallel occupancy bound)
+	nLevels  int           // the condensation's depth: topological levels
+	maxWidth int           // the widest level's component count
 	tarjan   time.Duration // condensation (plan-build) time
 }
 
@@ -83,10 +75,11 @@ func groupBy(key []int32, nkeys int, out, start []int32) (_, _ []int32) {
 }
 
 // newSCCPlan runs iterative Tarjan over the engine's edges (all ground and
-// positivity edges are active at solve entry) and derives the level plan
-// into e.plan. Tarjan's per-node state borrows the probe buffers, which the
-// level run re-initializes: pred is the discovery time, cnt the low-link,
-// inQ the on-stack flag and queue the stack.
+// positivity edges are active at solve entry) and derives the plan into
+// e.plan. Tarjan's per-node state borrows the probe buffers, which the
+// component pass re-initializes: pred is the discovery time, cnt the
+// low-link and then the per-level component count, inQ the on-stack flag
+// and queue the stack.
 func newSCCPlan(e *dlEngine) *sccPlan {
 	buildStart := time.Now()
 	s := &e.plan
@@ -155,7 +148,7 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 	clear(s.internal)
 	s.level = growInt32(s.level, s.ncomp)
 	clear(s.level)
-	s.trivial, s.maxComp, s.nLevels, s.maxWidth = 0, 0, 1, 0
+	s.trivial, s.nLevels, s.maxWidth = 0, 1, 0
 	for c := int32(s.ncomp) - 1; c >= 0; c-- {
 		lc := s.level[c]
 		nodes := s.nodes(c)
@@ -170,121 +163,75 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 				}
 			}
 		}
-		s.maxComp = max(s.maxComp, len(nodes))
 		if len(nodes) == 1 && !s.internal[c] {
 			s.trivial++
 		}
 	}
-	s.levels, s.lvlStart = groupBy(s.level, s.nLevels, s.levels, s.lvlStart)
-	for l := 0; l < s.nLevels; l++ {
-		s.maxWidth = max(s.maxWidth, int(s.lvlStart[l+1]-s.lvlStart[l]))
+	width := e.cnt[:s.nLevels] // nLevels ≤ ncomp ≤ node count
+	clear(width)
+	for _, l := range s.level {
+		width[l]++
+		s.maxWidth = max(s.maxWidth, int(width[l]))
 	}
 	s.tarjan = time.Since(buildStart)
 	return s
 }
 
-// run processes the condensation level by level, leaving the engine's dist
-// array at the canonical all-zero-seeded Bellman–Ford fixpoint when the
-// system is satisfiable, and in e.bad — ascending, whatever the worker
-// count — every component that contains a negative cycle. (A component
-// downstream of a bad one is seeded with unconverged distances; SPFA inside
-// it still converges or trips the bound on its own edges alone.)
-func (s *sccPlan) run(ctx context.Context, e *dlEngine, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// run walks the condensation once in topological order (descending
+// component id): SPFA inside each component with internal edges, then its
+// outgoing cross edges relaxed, so a component's predecessors are final
+// before it is entered. It leaves the engine's dist array at the canonical
+// all-zero-seeded Bellman–Ford fixpoint when the system is satisfiable, and
+// in e.bad — ascending — every component that contains a negative cycle. (A
+// component downstream of a bad one is seeded with unconverged distances;
+// SPFA inside it still converges or trips the bound on its own edges alone.)
+func (s *sccPlan) run(ctx context.Context, e *dlEngine) error {
 	e.statProbes++
 	e.bad = e.bad[:0]
 	for i := range s.comp {
 		e.dist[i] = 0
 		e.pred[i] = -1
 	}
-	var scratch [][]int32 // lazily allocated per-worker SPFA queues
-	for l := 0; l < s.nLevels; l++ {
-		comps := s.levels[s.lvlStart[l]:s.lvlStart[l+1]]
-		work := s.work[:0]
-		for _, c := range comps {
-			if s.internal[c] {
-				work = append(work, c)
-			}
-		}
-		s.work = work
-		if len(work) > 0 {
+	for c := int32(s.ncomp) - 1; c >= 0; c-- {
+		if s.internal[c] {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			v, relax := s.compSPFA(e, c)
+			e.statRelax += relax
+			if v >= 0 {
+				e.bad = append(e.bad, c)
+			}
 		}
-		if n := min(workers, len(work)); n <= 1 {
-			for _, c := range work {
-				v, relax := s.compSPFA(e, c, e.queue)
-				e.statRelax += relax
-				if v >= 0 {
-					e.bad = append(e.bad, c)
+		for _, u := range s.nodes(c) {
+			du := e.dist[u]
+			for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
+				ei := e.adjList[k]
+				ed := &e.edges[ei]
+				if s.comp[ed.to] == c {
+					continue
 				}
-			}
-		} else {
-			for len(scratch) < n {
-				scratch = append(scratch, make([]int32, s.maxComp))
-			}
-			var next atomic.Int32
-			var mu sync.Mutex // guards e.statRelax and e.bad
-			var wg sync.WaitGroup
-			for w := 0; w < n; w++ {
-				wg.Add(1)
-				go func(q, work []int32) { // work by value: a captured one would escape on every level
-					defer wg.Done()
-					relax := 0
-					var bad []int32
-					for i := int(next.Add(1)) - 1; i < len(work); i = int(next.Add(1)) - 1 {
-						v, r := s.compSPFA(e, work[i], q)
-						relax += r
-						if v >= 0 {
-							bad = append(bad, work[i])
-						}
-					}
-					mu.Lock()
-					e.statRelax += relax
-					e.bad = append(e.bad, bad...)
-					mu.Unlock()
-				}(scratch[w], work)
-			}
-			wg.Wait()
-		}
-		// Level barrier: the level's distances are final; push them across
-		// the outgoing cross edges sequentially (two components of this
-		// level may share a cross-edge target, so workers cannot do this).
-		for _, c := range comps {
-			for _, u := range s.nodes(c) {
-				du := e.dist[u]
-				for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-					ei := e.adjList[k]
-					ed := &e.edges[ei]
-					if s.comp[ed.to] == c {
-						continue
-					}
-					if d := du + ed.w; d < e.dist[ed.to] {
-						e.dist[ed.to] = d
-						e.pred[ed.to] = ei
-					}
+				if d := du + ed.w; d < e.dist[ed.to] {
+					e.dist[ed.to] = d
+					e.pred[ed.to] = ei
 				}
 			}
 		}
 	}
-	slices.Sort(e.bad)
+	slices.Reverse(e.bad)
 	return nil
 }
 
 // compSPFA runs SPFA restricted to one component's internal edges that are
 // active under the engine's mask, starting from the nodes' current
-// distances (cross-seeded in the level run, reset by decide). The
-// component's nodes are disjoint from every concurrently solved
-// component's, so dist, pred, cnt and inQ are shared without
-// synchronization; q is the caller's private ring buffer (capacity ≥
-// component size). It returns the node whose enqueue count proves a negative
-// cycle, or −1 when the component converged, and the relaxations it made.
-func (s *sccPlan) compSPFA(e *dlEngine, c int32, q []int32) (trigger int32, relax int) {
+// distances (cross-seeded by the component pass, reset by decide), with
+// the engine's queue as its ring buffer. It returns the node whose enqueue
+// count proves a negative cycle, or −1 when the component converged, and
+// the relaxations it made.
+func (s *sccPlan) compSPFA(e *dlEngine, c int32) (trigger int32, relax int) {
 	nodes := s.nodes(c)
 	n := int32(len(nodes))
+	q := e.queue
 	for i, v := range nodes {
 		e.cnt[v] = 1
 		e.inQ[v] = true
@@ -350,9 +297,8 @@ type DenseConstraint struct {
 // semantic, so they do not depend on how variables are numbered. The
 // implicit positivity typing (x ≥ 1) participates exactly as behind the
 // string door. Stats counts the dense universe (every id a variable) and all
-// probes: the level run, the witness, and the minimization's. workers caps
-// the per-level component parallelism (≤ 0: GOMAXPROCS).
-func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint, workers int) (res Result, model []int, err error) {
+// probes: the component pass, the witness, and the minimization's.
+func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res Result, model []int, err error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, err
@@ -372,7 +318,7 @@ func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint, worker
 	e.idVar = growVars(e.idVar, numVars+1) // the dense universe, nothing interned
 	e.seal(len(cons))
 
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, workers, false, &res.Stats)
+	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, &res.Stats)
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -44,9 +44,8 @@ func randomSystem(seed int64, k int) []Assertion {
 // TestSolveDenseMatchesContext: the pre-interned dense path computes the
 // same verdict, the same canonical model values and, when unsat, the same
 // deletion-minimal core (positions and positivity involvement) as the
-// string-interned path over the equivalent named system — at every worker
-// count, so the level-parallel run is held to the serial one. Both doors
-// report the condensation they ran on.
+// string-interned path over the equivalent named system. Both doors report
+// the condensation they ran on.
 func TestSolveDenseMatchesContext(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 40; seed++ {
@@ -83,36 +82,34 @@ func TestSolveDenseMatchesContext(t *testing.T) {
 		if want.Stats.Components == 0 {
 			t.Fatalf("seed %d: no condensation stats behind the string door: %+v", seed, want.Stats)
 		}
-		for _, workers := range []int{0, 1, 4} {
-			got, model, err := SolveDense(ctx, k, dense, workers)
-			if err != nil {
-				t.Fatalf("seed %d w=%d: %v", seed, workers, err)
+		got, model, err := SolveDense(ctx, k, dense)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got.Sat != want.Sat {
+			t.Fatalf("seed %d: dense sat %v, named %v", seed, got.Sat, want.Sat)
+		}
+		if got.Stats.Assertions != len(dense) || got.Stats.Components == 0 {
+			t.Fatalf("seed %d: bad stats %+v", seed, got.Stats)
+		}
+		if !got.Sat {
+			if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || got.UsesPositivity != want.UsesPositivity {
+				t.Fatalf("seed %d: dense core %v (positivity %v), named %v (%v)", seed,
+					got.CoreIdx, got.UsesPositivity, want.CoreIdx, want.UsesPositivity)
 			}
-			if got.Sat != want.Sat {
-				t.Fatalf("seed %d w=%d: dense sat %v, named %v", seed, workers, got.Sat, want.Sat)
+			// Ids here follow first appearance, the string door's own
+			// numbering, so even the probe sequence is the same.
+			if got.Stats.Probes != want.Stats.Probes {
+				t.Fatalf("seed %d: %d probes, named %d", seed, got.Stats.Probes, want.Stats.Probes)
 			}
-			if got.Stats.Assertions != len(dense) || got.Stats.Components == 0 {
-				t.Fatalf("seed %d w=%d: bad stats %+v", seed, workers, got.Stats)
-			}
-			if !got.Sat {
-				if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || got.UsesPositivity != want.UsesPositivity {
-					t.Fatalf("seed %d w=%d: dense core %v (positivity %v), named %v (%v)", seed, workers,
-						got.CoreIdx, got.UsesPositivity, want.CoreIdx, want.UsesPositivity)
-				}
-				// Ids here follow first appearance, the string door's own
-				// numbering, so even the probe sequence is the same.
-				if got.Stats.Probes != want.Stats.Probes {
-					t.Fatalf("seed %d w=%d: %d probes, named %d", seed, workers, got.Stats.Probes, want.Stats.Probes)
-				}
-				continue
-			}
-			// Named interning only sees variables that appear in assertions;
-			// every dense id 1..k appears here (every i is chained), so
-			// compare all ids.
-			for i := 0; i < k; i++ {
-				if got, wantV := model[i+1], want.Model[Var(fmt.Sprintf("d%d", i))]; got != wantV {
-					t.Fatalf("seed %d w=%d: model[d%d] = %d, named %d", seed, workers, i, got, wantV)
-				}
+			continue
+		}
+		// Named interning only sees variables that appear in assertions;
+		// every dense id 1..k appears here (every i is chained), so compare
+		// all ids.
+		for i := 0; i < k; i++ {
+			if got, wantV := model[i+1], want.Model[Var(fmt.Sprintf("d%d", i))]; got != wantV {
+				t.Fatalf("seed %d: model[d%d] = %d, named %d", seed, i, got, wantV)
 			}
 		}
 	}
@@ -167,7 +164,7 @@ func TestChainCostIsTheChain(t *testing.T) {
 		res, err = dc.Check(ctx)
 		res.Model = dc.Model() // a delta check renders its model on demand
 		check(order.name+"/delta", res, err)
-		res, model, err := SolveDense(ctx, n+1, order.dense, 1)
+		res, model, err := SolveDense(ctx, n+1, order.dense)
 		if err == nil && res.Sat {
 			res.Model = make(map[Var]int, n+1)
 			for i := 0; i <= n; i++ {

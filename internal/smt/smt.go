@@ -150,16 +150,15 @@ type Stats struct {
 	Components        int
 	TrivialComponents int
 	// Probes and Relaxations are this solve's loop effort: satisfiability
-	// probes decided (the level run, the witness, each minimization step)
+	// probes decided (the component pass, the witness, each minimization step)
 	// and successful edge relaxations inside components across SPFA and
 	// Bellman–Ford passes — the per-operation view of the process-global
 	// fsr_smt_probes_total / fsr_smt_relaxations_total counters.
 	Probes      int
 	Relaxations int
-	// Levels, MaxLevelWidth, and TarjanDuration describe the solve's level
-	// plan: topological levels in the condensation, the widest level's
-	// component count (the level-parallel occupancy bound), and the time
-	// iterative Tarjan spent building the plan.
+	// Levels, MaxLevelWidth, and TarjanDuration describe the solve's
+	// condensation: its depth (topological levels), its widest level's
+	// component count, and the time iterative Tarjan spent building it.
 	Levels         int
 	MaxLevelWidth  int
 	TarjanDuration time.Duration
@@ -190,13 +189,6 @@ type Result struct {
 // ready to use. Contexts are not safe for concurrent mutation.
 type Context struct {
 	asserts []Assertion
-
-	// NoMinimize disables deletion-based core minimization: unsat results
-	// then carry the (already minimal, but arbitrarily chosen) negative
-	// cycle found by Bellman–Ford instead of the deletion-minimized core
-	// biased toward earliest-asserted constraints. Exposed for the
-	// unsat-core ablation benchmark.
-	NoMinimize bool
 }
 
 // NewContext returns an empty logical context.
@@ -235,17 +227,17 @@ func (s *Context) Check() (Result, error) { return s.CheckContext(context.Backgr
 // unsat inputs), so a cancelled long-running solve returns ctx.Err()
 // promptly.
 func (s *Context) CheckContext(ctx context.Context) (Result, error) {
-	return solveAsserts(ctx, s.asserts, s.NoMinimize)
+	return solveAsserts(ctx, s.asserts)
 }
 
 // solveAsserts is the string door onto the engine, for a normalized
 // assertion list: quantified assertions are decided analytically, the ground
 // ones are interned into a pooled engine (engine.go) and decided by its one
-// solve — condensation, level run, and on unsat the minimal core. The
+// solve — condensation, component pass, and on unsat the minimal core. The
 // retained reference implementation (reference.go) decides the same inputs
 // the original way; differential tests hold the two to identical verdicts,
 // models, and cores.
-func solveAsserts(ctx context.Context, asserts []Assertion, noMinimize bool) (Result, error) {
+func solveAsserts(ctx context.Context, asserts []Assertion) (Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -265,7 +257,7 @@ func solveAsserts(ctx context.Context, asserts []Assertion, noMinimize bool) (Re
 		res Result
 		err error
 	)
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, 1, noMinimize, &res.Stats)
+	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, &res.Stats)
 	if err != nil {
 		return Result{}, err
 	}

@@ -181,40 +181,6 @@ func TestCoreMinimality(t *testing.T) {
 	}
 }
 
-// TestCycleCoreAgreesOnVerdict: with minimization disabled the verdict is
-// identical and the cycle core is still unsatisfiable.
-func TestCycleCoreAgreesOnVerdict(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vars := []string{"a", "b", "c", "d"}
-	for trial := 0; trial < 100; trial++ {
-		var asserts []Assertion
-		n := 3 + rng.Intn(8)
-		for i := 0; i < n; i++ {
-			asserts = append(asserts, Assertion{
-				Rel: []Rel{Lt, Le, Eq}[rng.Intn(3)],
-				A:   V(vars[rng.Intn(len(vars))]),
-				B:   V(vars[rng.Intn(len(vars))]),
-			})
-		}
-		min := NewContext()
-		min.AssertAll(asserts)
-		fast := NewContext()
-		fast.NoMinimize = true
-		fast.AssertAll(asserts)
-		r1, r2 := check(t, min), check(t, fast)
-		if r1.Sat != r2.Sat {
-			t.Fatalf("trial %d: verdicts disagree: minimized %v, cycle %v", trial, r1.Sat, r2.Sat)
-		}
-		if !r2.Sat && len(r2.Core) > 0 {
-			cs := NewContext()
-			cs.AssertAll(r2.Core)
-			if check(t, cs).Sat {
-				t.Fatalf("trial %d: cycle core not unsat", trial)
-			}
-		}
-	}
-}
-
 // TestModelsArePositive (property, testing/quick): every model assigns
 // positive integers.
 func TestModelsArePositive(t *testing.T) {

@@ -91,7 +91,7 @@ type DeltaVerifier struct {
 // them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := in.Clone()
-	p, err := buildShardPrep(cp, 0)
+	p, err := buildShardPrep(cp)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		return analysis.Result{}, nil, duplicatePath(v.in)
 	}
 	if v.fromScratch() {
-		res, suspects, err := Analyze(ctx, v.in, 0)
+		res, suspects, err := Analyze(ctx, v.in)
 		v.scratch, res.Model = res.Model, nil
 		return res, suspects, err
 	}

@@ -344,7 +344,7 @@ func TestDeltaVerifierLinkLabelClash(t *testing.T) {
 	requireClash := func(label string) {
 		t.Helper()
 		_, _, err := v.Verify(ctx)
-		_, _, want := Analyze(ctx, v.Snapshot(), 0)
+		_, _, want := Analyze(ctx, v.Snapshot())
 		if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "duplicate link ab→c") || !v.Degraded() {
 			t.Fatalf("%s: Verify error %v (degraded %v), a from-scratch analysis says %v", label, err, v.Degraded(), want)
 		}

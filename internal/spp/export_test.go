@@ -1,9 +1,9 @@
 package spp
 
 // PrepAllocProbe runs the emitter's validation-and-interning front half
-// alone, serially, so a test can count its allocations.
+// alone, so a test can count its allocations.
 func PrepAllocProbe(in *Instance) error {
-	_, err := buildShardPrep(in, 1)
+	_, err := buildShardPrep(in)
 	return err
 }
 

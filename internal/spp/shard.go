@@ -8,10 +8,11 @@
 // node (Nodes order) followed by one monotonicity segment per link (Links
 // order), and prefSeg and monoSeg below are the only functions that
 // construct an SPP analysis.Constraint. The batch forms loop them over every
-// segment, in parallel, into one preallocated buffer — element for element
-// what analysis.Constraints generates from in.ToAlgebra(), in
-// O(paths + links·K²) — and the DeltaVerifier calls the same two functions
-// for the segments an edit touches.
+// segment, sharded across cores once an input is large enough to pay for it
+// (parShards), into one preallocated buffer — element for element what
+// analysis.Constraints generates from in.ToAlgebra(), in O(paths + links·K²)
+// — and the DeltaVerifier calls the same two functions for the segments an
+// edit touches.
 //
 // Analyze sits on top: permitted paths become dense int32 ids (global rank
 // order) and the difference constraints go straight to smt.SolveDense, which
@@ -86,35 +87,35 @@ func (p *shardPrep) segLens() []int {
 	return out
 }
 
-// chunkSize is the shard length that splits [0,n) into at most `workers`
-// contiguous chunks (GOMAXPROCS when workers ≤ 0).
-func chunkSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, (n+workers-1)/workers)
-}
+// minShard is the fewest items a shard is given. Forking pays only once each
+// goroutine has thousands of items to walk: an input this size or smaller —
+// every campaign scenario, a 400-node upload — runs on the calling
+// goroutine. Chosen from serial-against-sharded timings of spp.Analyze at
+// internet:400 to :50000.
+const minShard = 4096
 
-// parShards runs fn concurrently on the chunkSize(n, workers) chunks of
-// [0,n). fn receives (shard, lo, hi); shard indexes are dense so callers can
-// collect per-shard results deterministically.
-func parShards(n, workers int, fn func(shard, lo, hi int)) {
-	chunk := chunkSize(n, workers)
-	if chunk >= n {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
+// parShards splits [0,n) into equal contiguous shards — GOMAXPROCS of them,
+// but none shorter than minShard — runs fn on each, concurrently when there
+// is more than one, and returns fn's results in shard order. It is the one
+// place shard boundaries are computed.
+func parShards[T any](n int, fn func(lo, hi int) T) []T {
+	out := make([]T, max(1, min(runtime.GOMAXPROCS(0), n/minShard)))
+	if len(out) == 1 {
+		out[0] = fn(0, n)
+		return out
 	}
+	chunk := (n + len(out) - 1) / len(out)
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
+	for i := range out {
 		wg.Add(1)
-		go func(lo int) {
+		go func() {
 			defer wg.Done()
-			fn(lo/chunk, lo, min(lo+chunk, n))
-		}(lo)
+			lo := i * chunk
+			out[i] = fn(lo, min(lo+chunk, n))
+		}()
 	}
 	wg.Wait()
+	return out
 }
 
 // cleanByte maps each ASCII byte to itself when it is in
@@ -190,7 +191,7 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 // non-nil error is a structural validation failure, the one Validate
 // reports. The interned variables are the natural
 // (unsuffixed) names; resolveNames makes them the algebra pipeline's.
-func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
+func buildShardPrep(in *Instance) (*shardPrep, error) {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
 	p := &shardPrep{
@@ -248,13 +249,10 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 		p.linkEnds[2*li], p.linkEnds[2*li+1] = resolve(l.From), resolve(l.To)
 	}
 
-	// Permitted-extension matches: one parallel pass, per-shard buffers
+	// Permitted-extension matches: one sharded pass, per-shard buffers
 	// concatenated in shard order. Shards are contiguous link ranges, so
 	// concatenation preserves the canonical link-order emission.
-	chunk := chunkSize(nl, workers)
-	bufs := make([][]linkMatch, (nl+chunk-1)/chunk)
-	parShards(nl, workers, func(shard, lo, hi int) {
-		var buf []linkMatch
+	bufs := parShards(nl, func(lo, hi int) (buf []linkMatch) {
 		for li := lo; li < hi; li++ {
 			fi, ti := p.linkEnds[2*li], p.linkEnds[2*li+1]
 			if fi < 0 || ti < 0 {
@@ -262,7 +260,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 			}
 			buf = appendMatches(buf, int32(li), in.Links[li].From, p.perms[fi], p.perms[ti])
 		}
-		bufs[shard] = buf
+		return buf
 	})
 	if len(bufs) == 1 {
 		p.matches = bufs[0]
@@ -281,7 +279,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 	// paths. Whatever is left unproven gets the string-keyed validator with
 	// Validate's exact per-path error messages.
 	valid := make([]bool, p.nPaths)
-	parShards(nn, workers, func(_, lo, hi int) {
+	parShards(nn, func(lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			n := in.Nodes[ni]
 			base := p.pathOff[ni]
@@ -291,6 +289,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 				}
 			}
 		}
+		return struct{}{}
 	})
 	for changed := true; changed; {
 		changed = false
@@ -341,7 +340,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 
 	// Solver-variable interning, sharded by node into the flat array.
 	p.vars = make([]smt.Var, p.nPaths)
-	parShards(nn, workers, func(_, lo, hi int) {
+	parShards(nn, func(lo, hi int) struct{} {
 		var buf []byte
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
@@ -349,6 +348,7 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 				p.vars[base+int32(r)], buf = renderVar(buf, q)
 			}
 		}
+		return struct{}{}
 	})
 	return p, nil
 }
@@ -361,9 +361,9 @@ func buildShardPrep(in *Instance, workers int) (*shardPrep, error) {
 // that keep solver variables distinct when different renderings sanitize to
 // one name. 64-bit hashes screen for duplicates without a string map; only
 // an instance with a hash collision pays for the exact pass.
-func (p *shardPrep) resolveNames(workers int) error {
+func (p *shardPrep) resolveNames() error {
 	in := p.in
-	if hashDup(len(in.Links), workers, func(i int) uint64 {
+	if hashDup(len(in.Links), func(i int) uint64 {
 		return fnv64(fnv64(fnvOffset, string(in.Links[i].From)), string(in.Links[i].To))
 	}) {
 		seen := make(map[string]bool, len(in.Links))
@@ -375,7 +375,7 @@ func (p *shardPrep) resolveNames(workers int) error {
 			seen[lab] = true
 		}
 	}
-	if hashDup(p.nPaths, workers, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
+	if hashDup(p.nPaths, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
 		obsShardCollisions.Inc()
 		if err := duplicatePath(in); err != nil {
 			return err
@@ -416,17 +416,18 @@ func duplicatePath(in *Instance) error {
 	return nil
 }
 
-// hashDup reports whether two of key(0..n−1) are equal. Keys are computed in
-// parallel and collected in an open-addressed set at most half full (0 marks
+// hashDup reports whether two of key(0..n−1) are equal. Keys are computed
+// in shards and collected in an open-addressed set at most half full (0 marks
 // an empty slot) — under half the cost of sorting them: the two screens of
 // an internet:50000 analysis take 8 ms this way against 20 ms sorted. Equal
 // inputs must hash equal, so false means no duplicates.
-func hashDup(n, workers int, key func(i int) uint64) bool {
+func hashDup(n int, key func(i int) uint64) bool {
 	keys := make([]uint64, n)
-	parShards(n, workers, func(_, lo, hi int) {
+	parShards(n, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			keys[i] = key(i) | 1
 		}
+		return struct{}{}
 	})
 	set := make([]uint64, 1<<bits.Len(uint(2*n)))
 	mask := uint64(len(set) - 1)
@@ -492,16 +493,17 @@ func extensionRank(perm []Path, from Node, q Path) int32 {
 // PrefPair/ConcatEntry symbols — so only the AoS buffer pays for them; the
 // dense route never calls this (an unsat core renders its own members'
 // through rankSlice).
-func (p *shardPrep) renderSyms(workers int) []string {
+func (p *shardPrep) renderSyms() []string {
 	defer timeEmit(obsEmitSyms, time.Now())
 	syms := make([]string, p.nPaths)
-	parShards(len(p.in.Nodes), workers, func(_, lo, hi int) {
+	parShards(len(p.in.Nodes), func(lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
 				syms[base+int32(r)] = sigName(q)
 			}
 		}
+		return struct{}{}
 	})
 	return syms
 }
@@ -579,25 +581,26 @@ func monoSeg(out []analysis.Constraint, l Link, ms []linkMatch, from, to ranking
 	}
 }
 
-// shardedConstraints fills the preallocated provenance buffer in parallel:
+// shardedConstraints fills the preallocated provenance buffer, sharded:
 // every node's prefSeg, then every link's monoSeg — the emission order of
 // algebra.Preferences followed by algebra.ConcatTable on the converted
 // instance.
-func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
-	syms := p.renderSyms(workers)
+func (p *shardPrep) shardedConstraints() []analysis.Constraint {
+	syms := p.renderSyms()
 	totalPref := p.totalPref()
 	cons := make([]analysis.Constraint, p.total())
 	prefStart := time.Now()
-	parShards(len(p.perms), workers, func(_, lo, hi int) {
+	parShards(len(p.perms), func(lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			prefSeg(cons[p.prefOff[ni]:p.prefOff[ni+1]], p.ranking(syms, int32(ni)))
 		}
+		return struct{}{}
 	})
 	timeEmit(obsEmitPref, prefStart)
 	monoStart := time.Now()
 	// Shards are runs of matches, not of links, so one hub link cannot
 	// unbalance them; a link's segment may straddle two shards.
-	parShards(len(p.matches), workers, func(_, lo, hi int) {
+	parShards(len(p.matches), func(lo, hi int) struct{} {
 		for j := lo; j < hi; {
 			li := p.matches[j].li
 			k := j + 1
@@ -608,25 +611,28 @@ func (p *shardPrep) shardedConstraints(workers int) []analysis.Constraint {
 				p.ranking(syms, p.linkEnds[2*li]), p.ranking(syms, p.linkEnds[2*li+1]))
 			j = k
 		}
+		return struct{}{}
 	})
 	timeEmit(obsEmitMono, monoStart)
 	return cons
 }
 
 // ShardedConstraints generates the instance's strict-monotonicity
-// constraint system in parallel: element-for-element identical (assertion,
-// origin, kind, provenance) to analysis.Constraints over in.ToAlgebra(),
-// without materializing the algebra, and failing with ToAlgebra's error
-// where that fails. The bool is err == nil.
-func ShardedConstraints(in *Instance, workers int) ([]analysis.Constraint, bool, error) {
-	p, err := buildShardPrep(in, workers)
+// constraint system, sharded above a size floor: element-for-element
+// identical (assertion, origin, kind, provenance) to analysis.Constraints
+// over in.ToAlgebra(), without materializing the algebra, and failing with
+// ToAlgebra's error where that fails. The bool is err == nil. The second
+// argument is ignored (the shards size themselves); it stays for the
+// benchmark harness's replay.
+func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error) {
+	p, err := buildShardPrep(in)
 	if err == nil {
-		err = p.resolveNames(workers)
+		err = p.resolveNames()
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	return p.shardedConstraints(workers), true, nil
+	return p.shardedConstraints(), true, nil
 }
 
 // denseConstraints emits the same constraint system as compact
@@ -634,11 +640,11 @@ func ShardedConstraints(in *Instance, workers int) ([]analysis.Constraint, bool,
 // solver's zero anchor) — no strings, no provenance — and marks which
 // variables appear, since string interning only sees (and models) variables
 // that occur in some assertion.
-func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, appears []bool) {
+func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bool) {
 	totalPref := p.totalPref()
 	cons = make([]smt.DenseConstraint, p.total())
 	prefStart := time.Now()
-	parShards(len(p.in.Nodes), workers, func(_, lo, hi int) {
+	parShards(len(p.in.Nodes), func(lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni] + 1
 			out := cons[p.prefOff[ni]:p.prefOff[ni+1]]
@@ -646,10 +652,11 @@ func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, a
 				out[i] = smt.DenseConstraint{A: base + int32(i), B: base + int32(i) + 1, Strict: true}
 			}
 		}
+		return struct{}{}
 	})
 	timeEmit(obsEmitDensePref, prefStart)
 	monoStart := time.Now()
-	parShards(len(p.matches), workers, func(_, lo, hi int) {
+	parShards(len(p.matches), func(lo, hi int) struct{} {
 		for j := lo; j < hi; j++ {
 			m := p.matches[j]
 			cons[totalPref+int32(j)] = smt.DenseConstraint{
@@ -658,6 +665,7 @@ func (p *shardPrep) denseConstraints(workers int) (cons []smt.DenseConstraint, a
 				Strict: true,
 			}
 		}
+		return struct{}{}
 	})
 	timeEmit(obsEmitDenseMono, monoStart)
 	appears = make([]bool, p.nPaths+1)
@@ -736,11 +744,11 @@ func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
 // unsatisfiable one materializes exactly its core's members
 // (coreConstraints) — the cost of "unsafe" is the cost of "safe" plus the
 // minimization probes.
-func Analyze(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, error) {
+func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error) {
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
-	p, err := buildShardPrep(in, workers)
+	p, err := buildShardPrep(in)
 	if err == nil {
-		err = p.resolveNames(workers)
+		err = p.resolveNames()
 	}
 	prepSpan.End()
 	if err != nil {
@@ -749,11 +757,11 @@ func Analyze(ctx context.Context, in *Instance, workers int) (analysis.Result, [
 	name := "spp-" + in.Name
 
 	ctx, emitSpan := obs.StartSpan(ctx, "dense-emit")
-	cons, appears := p.denseConstraints(workers)
+	cons, appears := p.denseConstraints()
 	emitSpan.AttrInt("constraints", int64(len(cons)))
 	emitSpan.End()
 	ctx, solveSpan := obs.StartSpan(ctx, "solve-dense")
-	out, model, err := smt.SolveDense(ctx, p.nPaths, cons, workers)
+	out, model, err := smt.SolveDense(ctx, p.nPaths, cons)
 	solveSpan.AttrInt("components", int64(out.Stats.Components))
 	solveSpan.AttrInt("levels", int64(out.Stats.Levels))
 	solveSpan.End()
@@ -793,8 +801,9 @@ func Analyze(ctx context.Context, in *Instance, workers int) (analysis.Result, [
 	return res, nil, nil
 }
 
-// AnalyzeScale is Analyze with a bool that is err == nil.
-func AnalyzeScale(ctx context.Context, in *Instance, workers int) (analysis.Result, []Node, bool, error) {
-	res, suspects, err := Analyze(ctx, in, workers)
+// AnalyzeScale is Analyze with a bool that is err == nil. The third
+// argument is ignored; it stays for the benchmark harness's replay.
+func AnalyzeScale(ctx context.Context, in *Instance, _ int) (analysis.Result, []Node, bool, error) {
+	res, suspects, err := Analyze(ctx, in)
 	return res, suspects, err == nil, err
 }

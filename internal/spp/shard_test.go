@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -68,18 +69,16 @@ func TestShardedConstraintsMatchClassic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Constraints: %v", name, err)
 		}
-		for _, workers := range []int{1, 4} {
-			got, ok, err := spp.ShardedConstraints(in, workers)
-			if err != nil || !ok {
-				t.Fatalf("%s w=%d: sharded gen: ok=%v err=%v", name, workers, ok, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s w=%d: %d constraints, classic %d", name, workers, len(got), len(want))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("%s w=%d: constraint %d differs:\n%+v\nvs\n%+v", name, workers, i, got[i], want[i])
-				}
+		got, ok, err := spp.ShardedConstraints(in, 0)
+		if err != nil || !ok {
+			t.Fatalf("%s: sharded gen: ok=%v err=%v", name, ok, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d constraints, classic %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: constraint %d differs:\n%+v\nvs\n%+v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -100,34 +99,80 @@ func TestAnalyzeScaleMatchesClassic(t *testing.T) {
 			t.Fatalf("%s: classic check: %v", name, err)
 		}
 		wantSuspects := conv.SuspectNodes(want.Core)
-		for _, workers := range []int{1, 4} {
-			got, suspects, ok, err := spp.AnalyzeScale(ctx, in, workers)
-			if err != nil || !ok {
-				t.Fatalf("%s w=%d: AnalyzeScale: ok=%v err=%v", name, workers, ok, err)
+		got, suspects, ok, err := spp.AnalyzeScale(ctx, in, 0)
+		if err != nil || !ok {
+			t.Fatalf("%s: AnalyzeScale: ok=%v err=%v", name, ok, err)
+		}
+		if got.Sat != want.Sat {
+			t.Fatalf("%s: sat %v, classic %v", name, got.Sat, want.Sat)
+		}
+		if got.Algebra != want.Algebra || got.Condition != want.Condition {
+			t.Fatalf("%s: identity (%s,%s) vs (%s,%s)", name, got.Algebra, got.Condition, want.Algebra, want.Condition)
+		}
+		if !reflect.DeepEqual(got.Model, want.Model) {
+			t.Fatalf("%s: model differs:\n%v\nvs\n%v", name, got.Model, want.Model)
+		}
+		if !reflect.DeepEqual(got.Core, want.Core) {
+			t.Fatalf("%s: core differs:\n%+v\nvs\n%+v", name, got.Core, want.Core)
+		}
+		if got.NumPreference != want.NumPreference || got.NumMonotonicity != want.NumMonotonicity {
+			t.Fatalf("%s: counts (%d,%d) vs (%d,%d)", name,
+				got.NumPreference, got.NumMonotonicity, want.NumPreference, want.NumMonotonicity)
+		}
+		if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
+			t.Fatalf("%s: stats vars/edges (%d,%d) vs (%d,%d)", name,
+				got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
+		}
+		if !reflect.DeepEqual(suspects, wantSuspects) {
+			t.Fatalf("%s: suspects %v, classic %v", name, suspects, wantSuspects)
+		}
+	}
+}
+
+// TestShardsMatchOneShard: above the shard floor the emitter forks, and
+// nothing it produces may depend on that. At GOMAXPROCS=4 every pass over
+// internet:12000 runs as two or more shards; the provenance buffer (element
+// for element) and Analyze's answers, safe and with a planted pair, must be
+// the ones GOMAXPROCS=1 gives.
+func TestShardsMatchOneShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=12000 instance")
+	}
+	ctx := context.Background()
+	safe := internetInstance(12000, 1)
+	unsafe := safe.Clone()
+	plantPair(unsafe, unsafe.Links[0].From, unsafe.Links[0].To, "rx_a", "rx_b")
+	type answers struct {
+		cons     []analysis.Constraint
+		res      [2]analysis.Result
+		suspects [2][]spp.Node
+	}
+	at := func(procs int) (a answers) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var err error
+		if a.cons, _, err = spp.ShardedConstraints(safe, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range []*spp.Instance{safe, unsafe} {
+			if a.res[i], a.suspects[i], err = spp.Analyze(ctx, in); err != nil {
+				t.Fatal(err)
 			}
-			if got.Sat != want.Sat {
-				t.Fatalf("%s w=%d: sat %v, classic %v", name, workers, got.Sat, want.Sat)
-			}
-			if got.Algebra != want.Algebra || got.Condition != want.Condition {
-				t.Fatalf("%s w=%d: identity (%s,%s) vs (%s,%s)", name, workers, got.Algebra, got.Condition, want.Algebra, want.Condition)
-			}
-			if !reflect.DeepEqual(got.Model, want.Model) {
-				t.Fatalf("%s w=%d: model differs:\n%v\nvs\n%v", name, workers, got.Model, want.Model)
-			}
-			if !reflect.DeepEqual(got.Core, want.Core) {
-				t.Fatalf("%s w=%d: core differs:\n%+v\nvs\n%+v", name, workers, got.Core, want.Core)
-			}
-			if got.NumPreference != want.NumPreference || got.NumMonotonicity != want.NumMonotonicity {
-				t.Fatalf("%s w=%d: counts (%d,%d) vs (%d,%d)", name, workers,
-					got.NumPreference, got.NumMonotonicity, want.NumPreference, want.NumMonotonicity)
-			}
-			if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
-				t.Fatalf("%s w=%d: stats vars/edges (%d,%d) vs (%d,%d)", name, workers,
-					got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
-			}
-			if !reflect.DeepEqual(suspects, wantSuspects) {
-				t.Fatalf("%s w=%d: suspects %v, classic %v", name, workers, suspects, wantSuspects)
-			}
+			a.res[i].Stats.Duration, a.res[i].Stats.TarjanDuration = 0, 0
+		}
+		return a
+	}
+	one, four := at(1), at(4)
+	if len(one.cons) != len(four.cons) || !one.res[0].Sat || one.res[1].Sat {
+		t.Fatalf("one shard: %d constraints, sat %v/%v; four: %d constraints", len(one.cons), one.res[0].Sat, one.res[1].Sat, len(four.cons))
+	}
+	for i := range one.cons {
+		if !reflect.DeepEqual(one.cons[i], four.cons[i]) {
+			t.Fatalf("constraint %d: %+v at GOMAXPROCS=1, %+v at 4", i, one.cons[i], four.cons[i])
+		}
+	}
+	for i := range one.res {
+		if !reflect.DeepEqual(one.res[i], four.res[i]) || !reflect.DeepEqual(one.suspects[i], four.suspects[i]) {
+			t.Fatalf("analysis %d differs:\n%+v %v\nvs\n%+v %v", i, one.res[i], one.suspects[i], four.res[i], four.suspects[i])
 		}
 	}
 }
@@ -147,7 +192,7 @@ func requireOracleParity(t *testing.T, in *spp.Instance) {
 		want, wantErr = analysis.CheckWith(ctx, conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 		wantSuspect = conv.SuspectNodes(want.Core)
 	}
-	got, suspects, err := spp.Analyze(ctx, in, 2)
+	got, suspects, err := spp.Analyze(ctx, in)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("%s: error %v, oracle %v", in.Name, err, wantErr)
@@ -219,7 +264,7 @@ func TestShardedFallback(t *testing.T) {
 			t.Fatalf("%s: want error ending %q, got sharded %v, scale %v", in.Name, want, err, errScale)
 		}
 	}
-	res, _, err := spp.Analyze(context.Background(), san, 2)
+	res, _, err := spp.Analyze(context.Background(), san)
 	if err != nil || !res.Sat || res.Model["x_y"] == 0 || res.Model["x_y_2"] == 0 {
 		t.Fatalf("sanitize-collision: want a model over x_y and x_y_2, got %v (err %v)", res.Model, err)
 	}
@@ -334,8 +379,7 @@ func multiCycleInstances(t *testing.T, seed int64) map[string]*spp.Instance {
 // TestUnsatCoresMatchOracle: on instances with several negative cycles the
 // dense minimization reports the untouched oracle's answer element for
 // element — core constraints (origin, kind, provenance), positions, counts,
-// suspects and the interned graph size — on both dense backends and at any
-// worker count.
+// suspects and the interned graph size.
 func TestUnsatCoresMatchOracle(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
@@ -358,26 +402,24 @@ func TestUnsatCoresMatchOracle(t *testing.T) {
 					t.Fatalf("collision seed %d: no suffixed name in the oracle's core %v", seed, want.Core)
 				}
 			}
-			for _, workers := range []int{1, 4} {
-				got, suspects, err := spp.Analyze(ctx, in, workers)
-				if err != nil {
-					t.Fatalf("%s seed %d w=%d: %v", name, seed, workers, err)
-				}
-				if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
-					t.Fatalf("%s seed %d w=%d: stats vars/edges (%d,%d), oracle (%d,%d)", name, seed, workers,
-						got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
-				}
-				if got.Stats.Components == 0 || got.Stats.Levels == 0 || got.Stats.Probes < 3 {
-					t.Fatalf("%s seed %d w=%d: condensation or probe stats missing: %+v", name, seed, workers, got.Stats)
-				}
-				g, w := got, want
-				g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
-				if !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s seed %d w=%d: result differs:\n%+v\nvs oracle\n%+v", name, seed, workers, g, w)
-				}
-				if !reflect.DeepEqual(suspects, wantSuspects) {
-					t.Fatalf("%s seed %d w=%d: suspects %v, oracle %v", name, seed, workers, suspects, wantSuspects)
-				}
+			got, suspects, err := spp.Analyze(ctx, in)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
+				t.Fatalf("%s seed %d: stats vars/edges (%d,%d), oracle (%d,%d)", name, seed,
+					got.Stats.Variables, got.Stats.Edges, want.Stats.Variables, want.Stats.Edges)
+			}
+			if got.Stats.Components == 0 || got.Stats.Levels == 0 || got.Stats.Probes < 3 {
+				t.Fatalf("%s seed %d: condensation or probe stats missing: %+v", name, seed, got.Stats)
+			}
+			g, w := got, want
+			g.Stats, w.Stats = smt.Stats{}, smt.Stats{}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s seed %d: result differs:\n%+v\nvs oracle\n%+v", name, seed, g, w)
+			}
+			if !reflect.DeepEqual(suspects, wantSuspects) {
+				t.Fatalf("%s seed %d: suspects %v, oracle %v", name, seed, suspects, wantSuspects)
 			}
 		}
 	}
@@ -409,7 +451,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 
 	allocs := func(in *spp.Instance, wantSat bool) float64 {
 		return testing.AllocsPerRun(3, func() {
-			res, _, err := spp.Analyze(ctx, in, 2)
+			res, _, err := spp.Analyze(ctx, in)
 			if err != nil || res.Sat != wantSat {
 				t.Fatalf("%s: sat=%v err=%v", in.Name, res.Sat, err)
 			}
@@ -431,7 +473,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	}
 
 	tr := obs.NewTracer()
-	res, suspects, err := spp.Analyze(obs.WithTracer(ctx, tr), unsafe, 2)
+	res, suspects, err := spp.Analyze(obs.WithTracer(ctx, tr), unsafe)
 	pair := []spp.Node{a, b}
 	slices.Sort(pair)
 	if err != nil || res.Sat || len(res.Core) != 4 || !reflect.DeepEqual(suspects, pair) {
@@ -500,7 +542,7 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 	doors := func(t *testing.T, in *spp.Instance, check func(door string, got analysis.Result, suspects []spp.Node)) {
 		t.Helper()
 		analyses := map[string]func() (analysis.Result, []spp.Node, error){
-			"analyze": func() (analysis.Result, []spp.Node, error) { return spp.Analyze(ctx, in, 1) },
+			"analyze": func() (analysis.Result, []spp.Node, error) { return spp.Analyze(ctx, in) },
 			"delta-verifier": func() (analysis.Result, []spp.Node, error) {
 				v, err := spp.NewDeltaVerifier(in)
 				if err != nil {
@@ -628,7 +670,7 @@ func TestValidatorFallbackCostIsThePaths(t *testing.T) {
 				}
 			}
 			want := broken.Validate()
-			if _, _, err := spp.Analyze(context.Background(), broken, 2); want == nil || err == nil || err.Error() != want.Error() {
+			if _, _, err := spp.Analyze(context.Background(), broken); want == nil || err == nil || err.Error() != want.Error() {
 				t.Fatalf("broken unproven path: Analyze %v, Validate %v", err, want)
 			}
 		}

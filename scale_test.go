@@ -295,3 +295,40 @@ func TestAnalyzeAllParallelSpeedup(t *testing.T) {
 		t.Fatalf("parallel fan-out speedup %.2fx < 1.5x (serial %v, parallel %v)", speedup, serial, par)
 	}
 }
+
+// TestShardedEmissionSpeedup asserts the one parallel path inside an
+// analysis pays: spp.Analyze on internet:50000, where every emission pass
+// is above the shard floor, must run at least 1.1× faster at GOMAXPROCS=4
+// than at GOMAXPROCS=1. Gated like TestAnalyzeAllParallelSpeedup.
+func TestShardedEmissionSpeedup(t *testing.T) {
+	if os.Getenv("FSR_SPEEDUP_TEST") == "" {
+		t.Skip("set FSR_SPEEDUP_TEST=1 to run the timing assertion")
+	}
+	if runtime.GOMAXPROCS(0) < 4 {
+		t.Skipf("needs ≥4 CPUs, have %d", runtime.GOMAXPROCS(0))
+	}
+	ctx := context.Background()
+	in := GenerateInternetSPP("internet:50000", 50000, 1)
+	measure := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		best := time.Duration(0)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if res, _, err := spp.Analyze(ctx, in); err != nil || !res.Sat {
+				t.Fatalf("internet:50000: sat=%v err=%v", res.Sat, err)
+			}
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	measure(1) // warm caches and pools
+	serial := measure(1)
+	sharded := measure(4)
+	speedup := float64(serial) / float64(sharded)
+	t.Logf("spp.Analyze internet:50000: GOMAXPROCS=1 %v, GOMAXPROCS=4 %v, speedup %.2fx", serial, sharded, speedup)
+	if speedup < 1.1 {
+		t.Fatalf("sharded emission speedup %.2fx < 1.1x (serial %v, sharded %v)", speedup, serial, sharded)
+	}
+}

@@ -105,8 +105,10 @@ func WithFaultPlan(p *FaultPlan) Option { return func(o *Session) { o.plan = p }
 // Nil (the default) gives each run a private collector.
 func WithTrace(c *TraceCollector) Option { return func(o *Session) { o.collector = c } }
 
-// WithParallelism caps the AnalyzeAll worker pool (default
-// runtime.GOMAXPROCS(0); values below 1 mean 1).
+// WithParallelism sizes the AnalyzeAll and Campaign worker pools (default
+// runtime.GOMAXPROCS(0); values below 1 mean 1). A single analysis takes no
+// worker count: AnalyzeSPP shards its constraint emission by itself, and
+// only once the instance is large enough for that to pay.
 func WithParallelism(n int) Option { return func(o *Session) { o.parallelism = n } }
 
 // NewSession returns a Session with the given options applied over the
@@ -237,7 +239,7 @@ func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResu
 	op.SetSize(len(in.Nodes))
 	ctx, sp := obs.StartSpan(ctx, "analyze-spp")
 	sp.AttrInt("nodes", int64(len(in.Nodes)))
-	res, suspects, err := spp.Analyze(ctx, in, s.parallelism)
+	res, suspects, err := spp.Analyze(ctx, in)
 	sp.End()
 	if op != nil {
 		switch {
