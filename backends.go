@@ -12,7 +12,7 @@ import (
 // are the only way to obtain one from outside the module, so commands and
 // examples never import internal packages.
 
-// RunnerBackend executes a converted SPP instance. Implementations:
+// RunnerBackend executes an SPP instance. Implementations:
 // SimulationRunner, NDlogRunner, DeploymentRunner.
 type RunnerBackend = engine.Runner
 

@@ -343,12 +343,8 @@ func BenchmarkSectionVIBSolver(b *testing.B) {
 // BenchmarkGadgetGood / Bad / Disagree emulate the §VI-C gadgets.
 func benchGadget(b *testing.B, mk func() *spp.Instance, wantConverge bool) {
 	for i := 0; i < b.N; i++ {
-		conv, err := mk().ToAlgebra()
-		if err != nil {
-			b.Fatal(err)
-		}
 		net := simnet.New(1, nil)
-		_, err = pathvector.BuildSPP(net, conv, simnet.DefaultLink(), pathvector.Config{
+		_, err := pathvector.BuildSPP(net, mk(), simnet.DefaultLink(), pathvector.Config{
 			BatchInterval: 20 * time.Millisecond,
 			StartStagger:  10 * time.Millisecond,
 		})
@@ -371,9 +367,8 @@ func BenchmarkGadgetDisagree(b *testing.B) { benchGadget(b, spp.Disagree, true) 
 // choice of §V).
 func BenchmarkAblationNativeVsNDlogNative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		conv, _ := spp.Figure3IBGPFixed().ToAlgebra()
 		net := simnet.New(1, nil)
-		_, err := pathvector.BuildSPP(net, conv, simnet.DefaultLink(), pathvector.Config{
+		_, err := pathvector.BuildSPP(net, spp.Figure3IBGPFixed(), simnet.DefaultLink(), pathvector.Config{
 			BatchInterval: 20 * time.Millisecond, StartStagger: 15 * time.Millisecond,
 		})
 		if err != nil {

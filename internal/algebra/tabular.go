@@ -87,19 +87,22 @@ func (t *Tabular) Concat(l Label, s Sig) Sig {
 }
 
 // Import implements Algebra (the ⊕I operator).
-func (t *Tabular) Import(l Label, s Sig) bool {
-	if v, ok := t.imports[labSig{l, s}]; ok {
-		return v
-	}
-	return t.impDef
-}
+func (t *Tabular) Import(l Label, s Sig) bool { return verdict(t.imports, l, s, t.impDef) }
 
 // Export implements Algebra (the ⊕E operator).
-func (t *Tabular) Export(l Label, s Sig) bool {
-	if v, ok := t.exports[labSig{l, s}]; ok {
+func (t *Tabular) Export(l Label, s Sig) bool { return verdict(t.exports, l, s, t.expDef) }
+
+// verdict reads a ⊕I or ⊕E table, def for absent entries. An empty table
+// answers without a lookup, which costs even on an empty map for keys that
+// hold interfaces.
+func verdict(m map[labSig]bool, l Label, s Sig, def bool) bool {
+	if len(m) == 0 {
+		return def
+	}
+	if v, ok := m[labSig{l, s}]; ok {
 		return v
 	}
-	return t.expDef
+	return def
 }
 
 // Reverse implements Algebra. Labels without a declared reverse are their own

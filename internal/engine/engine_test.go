@@ -64,12 +64,8 @@ func TestNDlogMatchesNative(t *testing.T) {
 			t.Fatalf("%s: NDlog run did not converge", in.Name)
 		}
 
-		conv, err := mk().ToAlgebra()
-		if err != nil {
-			t.Fatalf("%s: ToAlgebra: %v", in.Name, err)
-		}
 		net := simnet.New(1, nil)
-		natNodes, err := pathvector.BuildSPP(net, conv, simnet.DefaultLink(), pathvector.Config{
+		natNodes, err := pathvector.BuildSPP(net, mk(), simnet.DefaultLink(), pathvector.Config{
 			BatchInterval: 20 * time.Millisecond,
 			StartStagger:  15 * time.Millisecond,
 		})

@@ -44,10 +44,7 @@ func TestBuildFaultPlanDeterminism(t *testing.T) {
 // report carries fault accounting, and GOODGADGET re-converges after the
 // last fault.
 func TestSimRunnerWithPlan(t *testing.T) {
-	conv, err := spp.GoodGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := spp.GoodGadget()
 	plan := BuildFaultPlan(3, planNodes, planSessions,
 		FaultPlanSpec{Flaps: 2, Restarts: 1, PolicyChanges: 1})
 	// Restart every node once more, late, one after the other: each loses its
@@ -57,7 +54,7 @@ func TestSimRunnerWithPlan(t *testing.T) {
 		plan.Ops = append(plan.Ops, FaultOp{At: 20*time.Second + time.Duration(i)*time.Second, Kind: FaultRestart, A: n})
 	}
 	run := func() *RunReport {
-		rep, err := SimRunner{}.Run(context.Background(), conv, RunOptions{
+		rep, err := SimRunner{}.Run(context.Background(), in, RunOptions{
 			Seed: 3, Horizon: 60 * time.Second, Plan: plan,
 		})
 		if err != nil {
@@ -95,17 +92,14 @@ func TestSimRunnerWithPlan(t *testing.T) {
 // doesn't have are skipped (the shrinker removes topology out from under a
 // plan), and the run still executes the valid remainder.
 func TestPlanDanglingRefsSkipped(t *testing.T) {
-	conv, err := spp.GoodGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := spp.GoodGadget()
 	plan := &FaultPlan{Ops: []FaultOp{
 		{At: time.Second, Kind: FaultLinkDown, A: "1", B: "99"},
 		{At: time.Second, Kind: FaultRestart, A: "99"},
 		{At: time.Second, Kind: FaultPolicyWithdraw, A: "99"},
 		{At: 2 * time.Second, Kind: FaultRestart, A: "2"},
 	}}
-	rep, err := SimRunner{}.Run(context.Background(), conv, RunOptions{
+	rep, err := SimRunner{}.Run(context.Background(), in, RunOptions{
 		Seed: 1, Horizon: 60 * time.Second, Plan: plan,
 	})
 	if err != nil {
@@ -122,16 +116,13 @@ func TestPlanDanglingRefsSkipped(t *testing.T) {
 // TestPlanRejectedByOtherBackends: the interpreter and the TCP deployment
 // refuse fault plans instead of silently ignoring them.
 func TestPlanRejectedByOtherBackends(t *testing.T) {
-	conv, err := spp.GoodGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := spp.GoodGadget()
 	plan := &FaultPlan{Ops: []FaultOp{{At: time.Second, Kind: FaultRestart, A: "1"}}}
 	opts := RunOptions{Horizon: time.Second, Plan: plan}
-	if _, err := (SimRunner{Interpreted: true}).Run(context.Background(), conv, opts); err == nil {
+	if _, err := (SimRunner{Interpreted: true}).Run(context.Background(), in, opts); err == nil {
 		t.Errorf("interpreter should reject fault plans")
 	}
-	if _, err := (DeployRunner{}).Run(context.Background(), conv, opts); err == nil {
+	if _, err := (DeployRunner{}).Run(context.Background(), in, opts); err == nil {
 		t.Errorf("deployment should reject fault plans")
 	}
 }

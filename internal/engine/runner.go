@@ -16,8 +16,9 @@ import (
 // over the toolkit's two platforms (discrete-event simulation and real TCP
 // sockets) and two GPV implementations (the compiled pathvector protocol and
 // this package's NDlog interpreter). It mirrors RapidNet's simulation/
-// deployment duality (§VI-A): callers pick a backend by value, hand it a
-// converted SPP instance, and get back one uniform report.
+// deployment duality (§VI-A): callers pick a backend by value, hand it an
+// SPP instance, and get back one uniform report. Only the interpreter
+// converts the instance to its algebra (NDlog is generated from it).
 
 // RunOptions parameterizes one protocol execution, whichever backend runs
 // it. The zero value is usable: default link, immediate (unbatched) sends,
@@ -114,14 +115,15 @@ type RunReport struct {
 	NodeChanges map[string]int64
 }
 
-// Runner executes a converted SPP instance on one backend. Implementations
-// are stateless values; all per-run state lives inside Run. Cancelling ctx
-// aborts the execution with ctx.Err().
+// Runner executes an SPP instance on one backend; an instance ToAlgebra
+// rejects fails with its error. Implementations are stateless values; all
+// per-run state lives inside Run. Cancelling ctx aborts the execution with
+// ctx.Err().
 type Runner interface {
 	// Name identifies the backend ("sim", "sim-ndlog", "tcp").
 	Name() string
 	// Run executes the instance to quiescence or the horizon.
-	Run(ctx context.Context, conv *spp.Conversion, opts RunOptions) (*RunReport, error)
+	Run(ctx context.Context, in *spp.Instance, opts RunOptions) (*RunReport, error)
 }
 
 // SimRunner executes over the deterministic discrete-event simulator.
@@ -142,7 +144,7 @@ func (r SimRunner) Name() string {
 
 // Run implements Runner. Under a tracer the caller's span gains three
 // children: build (wire the network), run (the event loop) and collect.
-func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOptions) (*RunReport, error) {
+func (r SimRunner) Run(ctx context.Context, in *spp.Instance, opts RunOptions) (*RunReport, error) {
 	opts = opts.withDefaults()
 	net := simnet.New(opts.Seed, opts.Collector)
 	var (
@@ -153,7 +155,7 @@ func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOption
 	_, bsp := obs.StartSpan(ctx, "build")
 	switch {
 	case !r.Interpreted:
-		native, err = pathvector.BuildSPP(net, conv, opts.Link, pathvector.Config{
+		native, err = pathvector.BuildSPP(net, in, opts.Link, pathvector.Config{
 			BatchInterval: opts.BatchInterval,
 			StartStagger:  opts.StartStagger,
 		})
@@ -163,12 +165,21 @@ func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOption
 	case !opts.Plan.Empty():
 		err = fmt.Errorf("engine: fault plans require the compiled sim backend, not %s", r.Name())
 	default:
-		interp, err = BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
+		var conv *spp.Conversion
+		if conv, err = in.ToAlgebra(); err == nil {
+			interp, err = BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
+		}
 	}
 	bsp.End()
 	if err != nil {
 		return nil, err
 	}
+	return r.simulate(ctx, net, in.Name, native, interp, opts)
+}
+
+// simulate is Run's run and collect steps on a wired network of compiled
+// (native) or interpreted (interp) nodes.
+func (r SimRunner) simulate(ctx context.Context, net *simnet.Network, name string, native map[simnet.NodeID]*pathvector.Node, interp map[simnet.NodeID]*Node, opts RunOptions) (*RunReport, error) {
 	rctx, rsp := obs.StartSpan(ctx, "run")
 	res, err := net.RunContext(rctx, opts.Horizon)
 	var routeChanges int64
@@ -199,7 +210,7 @@ func (r SimRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOption
 	msgs, bytes := opts.Collector.Totals()
 	return &RunReport{
 		Runner:       r.Name(),
-		Instance:     conv.Instance.Name,
+		Instance:     name,
 		Converged:    res.Converged,
 		Time:         res.Time,
 		Delivered:    res.Delivered,
@@ -234,7 +245,7 @@ type DeployRunner struct{}
 func (DeployRunner) Name() string { return "tcp" }
 
 // Run implements Runner.
-func (d DeployRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOptions) (*RunReport, error) {
+func (d DeployRunner) Run(ctx context.Context, in *spp.Instance, opts RunOptions) (*RunReport, error) {
 	opts = opts.withDefaults()
 	if !opts.Plan.Empty() {
 		return nil, fmt.Errorf("engine: fault plans are not yet supported by the %s backend", d.Name())
@@ -244,7 +255,7 @@ func (d DeployRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOpt
 		idle = 200 * time.Millisecond
 	}
 	dep := simnet.NewDeployment(opts.Collector)
-	nodes, err := pathvector.BuildSPPDeployment(dep, conv, pathvector.Config{
+	nodes, err := pathvector.BuildSPPDeployment(dep, in, pathvector.Config{
 		BatchInterval: opts.BatchInterval,
 		StartStagger:  opts.StartStagger,
 	})
@@ -260,7 +271,7 @@ func (d DeployRunner) Run(ctx context.Context, conv *spp.Conversion, opts RunOpt
 	msgs, bytes := opts.Collector.Totals()
 	return &RunReport{
 		Runner:    d.Name(),
-		Instance:  conv.Instance.Name,
+		Instance:  in.Name,
 		Converged: res.Converged,
 		Time:      res.Time,
 		Messages:  msgs,

@@ -17,7 +17,9 @@ import (
 // preferred route through w, which u's import filter rejects. The generated
 // NDlog program (the model) retracts u's candidate on the rejected
 // replacement and falls back to x; the compiled node (the implementation)
-// once kept it, and u ended on a route v no longer offered.
+// once kept it, and u ended on a route v no longer offered. An instance
+// cannot state an ⊕I entry, so both runners execute the rebuilt algebra
+// through the reference wiring (runTabular).
 func TestRunnersAgreeUnderImportFilter(t *testing.T) {
 	in := spp.NewInstance("import-filter")
 	in.AddSession("u", "v", 0)
@@ -43,8 +45,8 @@ func TestRunnersAgreeUnderImportFilter(t *testing.T) {
 	conv.Algebra = b.MustBuild()
 
 	var tables []map[string]NodeRoute
-	for _, r := range []Runner{SimRunner{}, SimRunner{Interpreted: true}} {
-		rep, err := r.Run(context.Background(), conv, RunOptions{})
+	for _, r := range []SimRunner{{}, {Interpreted: true}} {
+		rep, err := runTabular(context.Background(), r, conv, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
@@ -70,13 +72,10 @@ func TestRunnersAgreeUnderImportFilter(t *testing.T) {
 func TestProtocolLoopAllocationShape(t *testing.T) {
 	ctx := context.Background()
 	for _, mk := range []func() *spp.Instance{spp.BadGadget, spp.Figure3IBGP} {
-		conv, err := mk().ToAlgebra()
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := mk()
 		measure := func(horizon time.Duration) (allocs float64, delivered int64) {
 			allocs = testing.AllocsPerRun(3, func() {
-				rep, err := SimRunner{}.Run(ctx, conv, RunOptions{Horizon: horizon})
+				rep, err := SimRunner{}.Run(ctx, in, RunOptions{Horizon: horizon})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,13 +86,13 @@ func TestProtocolLoopAllocationShape(t *testing.T) {
 		a2, d2 := measure(2 * time.Second)
 		a8, d8 := measure(8 * time.Second)
 		if d8 <= d2 {
-			t.Fatalf("%s: %d then %d deliveries; the gadget should keep oscillating", conv.Instance.Name, d2, d8)
+			t.Fatalf("%s: %d then %d deliveries; the gadget should keep oscillating", in.Name, d2, d8)
 		}
 		perMsg := (a8 - a2) / float64(d8-d2)
 		t.Logf("%s: %.0f allocs/%d delivered at 2 s, %.0f/%d at 8 s: %.2f objects per delivered message",
-			conv.Instance.Name, a2, d2, a8, d8, perMsg)
+			in.Name, a2, d2, a8, d8, perMsg)
 		if perMsg > 2 {
-			t.Errorf("%s: %.2f objects per delivered message, budget is 2", conv.Instance.Name, perMsg)
+			t.Errorf("%s: %.2f objects per delivered message, budget is 2", in.Name, perMsg)
 		}
 	}
 }
@@ -103,10 +102,6 @@ func TestProtocolLoopAllocationShape(t *testing.T) {
 // totals on run, and the protocol counters flushed once per run account for
 // every message the collector saw and every selection change in the report.
 func TestSimRunnerObservability(t *testing.T) {
-	conv, err := spp.BadGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
 	counters := func() map[string]float64 {
 		out := map[string]float64{}
 		for _, s := range obs.Default().Samples() {
@@ -117,7 +112,7 @@ func TestSimRunnerObservability(t *testing.T) {
 	before := counters()
 	tr := obs.NewTracer()
 	ctx, root := obs.StartSpan(obs.WithTracer(context.Background(), tr), "simulate")
-	rep, err := SimRunner{}.Run(ctx, conv, RunOptions{Horizon: time.Second})
+	rep, err := SimRunner{}.Run(ctx, spp.BadGadget(), RunOptions{Horizon: time.Second})
 	root.End()
 	if err != nil {
 		t.Fatal(err)

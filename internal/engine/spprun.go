@@ -58,12 +58,7 @@ func BuildSPP(net *simnet.Network, conv *spp.Conversion, link simnet.LinkConfig,
 			return nil, err
 		}
 	}
-	seen := map[spp.Link]bool{}
-	for _, l := range in.Links {
-		if seen[l] || seen[spp.Link{From: l.To, To: l.From}] {
-			continue
-		}
-		seen[l] = true
+	for _, l := range in.Sessions() {
 		if err := net.Connect(simnet.NodeID(l.From), simnet.NodeID(l.To), link); err != nil {
 			return nil, err
 		}

@@ -168,11 +168,11 @@ func Figure5(opts Figure5Options) (*Figure5Result, error) {
 	}
 
 	// Execution: Figure 5's bandwidth comparison.
-	res.Gadget, res.GadgetBytes, res.GadgetConv, err = runInstance(gadgetConv, opts)
+	res.Gadget, res.GadgetBytes, res.GadgetConv, err = runInstance(gadgetInst, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.NoGadget, res.NoGadgetBytes, res.NoGadgetConv, err = runInstance(fixedConv, opts)
+	res.NoGadget, res.NoGadgetBytes, res.NoGadgetConv, err = runInstance(fixedInst, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -367,13 +367,13 @@ func embedGadget(in *spp.Instance, ra, rb, rc string, egress map[string]string) 
 	in.Rank(spp.Node(cc), spp.P(cc, tc), spp.P(cc, rc, ra, ca, ta))
 }
 
-// runInstance executes a converted SPP instance under GPV and reports its
-// bandwidth series, total bytes, and (horizon-capped) convergence time.
-func runInstance(conv *spp.Conversion, opts Figure5Options) ([]trace.Point, int64, time.Duration, error) {
+// runInstance executes an SPP instance under GPV and reports its bandwidth
+// series, total bytes, and (horizon-capped) convergence time.
+func runInstance(in *spp.Instance, opts Figure5Options) ([]trace.Point, int64, time.Duration, error) {
 	col := trace.NewCollector(10 * time.Millisecond)
 	net := simnet.New(opts.Seed+29, col)
 	link := simnet.LinkConfig{Latency: 10 * time.Millisecond, Jitter: 3 * time.Millisecond, Bandwidth: 100e6}
-	_, err := pathvector.BuildSPP(net, conv, link, pathvector.Config{
+	_, err := pathvector.BuildSPP(net, in, link, pathvector.Config{
 		BatchInterval: opts.Batch,
 		StartStagger:  opts.Batch / 2,
 		MaxPathLen:    8,
@@ -383,6 +383,6 @@ func runInstance(conv *spp.Conversion, opts Figure5Options) ([]trace.Point, int6
 	}
 	res := net.Run(opts.Horizon)
 	_, bytes := col.Totals()
-	series := col.BandwidthSeries(len(conv.Instance.Nodes), opts.SeriesH)
+	series := col.BandwidthSeries(len(in.Nodes), opts.SeriesH)
 	return series, bytes, res.Time, nil
 }

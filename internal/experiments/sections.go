@@ -160,7 +160,7 @@ func studyGadget(in *spp.Instance, opts SectionVICOptions) (GadgetReport, error)
 	rep.Sat = ana.Sat
 	col := trace.NewCollector(10 * time.Millisecond)
 	net := simnet.New(opts.Seed+11, col)
-	_, err = pathvector.BuildSPP(net, conv, simnet.DefaultLink(), pathvector.Config{
+	_, err = pathvector.BuildSPP(net, in, simnet.DefaultLink(), pathvector.Config{
 		BatchInterval: opts.Batch,
 		StartStagger:  opts.Batch / 2,
 	})
@@ -219,12 +219,8 @@ func DisagreeSweep(n int, fractions []float64, opts SectionVICOptions) ([]Disagr
 	var out []DisagreeRow
 	for _, f := range fractions {
 		in := disagreeRing(n, f)
-		conv, err := in.ToAlgebra()
-		if err != nil {
-			return nil, err
-		}
 		net := simnet.New(opts.Seed+13, nil)
-		_, err = pathvector.BuildSPP(net, conv, simnet.DefaultLink(), pathvector.Config{
+		_, err := pathvector.BuildSPP(net, in, simnet.DefaultLink(), pathvector.Config{
 			BatchInterval: opts.Batch,
 			StartStagger:  opts.Batch / 2,
 		})

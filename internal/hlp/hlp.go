@@ -14,7 +14,9 @@ package hlp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"fsr/internal/simnet"
@@ -93,7 +95,7 @@ type Node struct {
 	// advPaths records the domain path last advertised per (peer, dest) so
 	// cost hiding only suppresses same-path cost jitter, never a path
 	// change.
-	advPaths map[simnet.NodeID]map[string]string
+	advPaths map[simnet.NodeID]map[string][]string
 	// routes[destDomain][key] are FPV candidates heard at this router
 	// (from external peers directly, or flooded internally).
 	routes map[string]map[string]FPV
@@ -220,7 +222,8 @@ func (n *Node) receiveFPV(env simnet.Env, from simnet.NodeID, f FPV) {
 }
 
 func (n *Node) storeRoute(env simnet.Env, f FPV) {
-	key := string(f.Border) + "|" + string(f.Via) + "|" + pathKey(f.DomainPath)
+	// Every domain is followed by "/": reselect's tie-break order.
+	key := string(f.Border) + "|" + string(f.Via) + "|" + strings.Join(append(slices.Clip(f.DomainPath), ""), "/")
 	if n.routes[f.DestDomain] == nil {
 		n.routes[f.DestDomain] = map[string]FPV{}
 	}
@@ -316,7 +319,7 @@ func (n *Node) reselect(env simnet.Env, destDomain string) {
 	if had {
 		prevCost, _ = n.totalCost(prev)
 	}
-	if had && prev.Border == best.Border && pathKey(prev.DomainPath) == pathKey(best.DomainPath) && prevCost == bestCost {
+	if had && prev.Border == best.Border && slices.Equal(prev.DomainPath, best.DomainPath) && prevCost == bestCost {
 		return
 	}
 	n.best[destDomain] = best
@@ -367,19 +370,19 @@ func (n *Node) propagate(env simnet.Env, destDomain string, f FPV, cost int) {
 
 func rememberPath(n *Node, nb simnet.NodeID, dest string, path []string) {
 	if n.advPaths == nil {
-		n.advPaths = map[simnet.NodeID]map[string]string{}
+		n.advPaths = map[simnet.NodeID]map[string][]string{}
 	}
 	if n.advPaths[nb] == nil {
-		n.advPaths[nb] = map[string]string{}
+		n.advPaths[nb] = map[string][]string{}
 	}
-	n.advPaths[nb][dest] = pathKey(path)
+	n.advPaths[nb][dest] = path
 }
 
 func samePathAdvertised(n *Node, nb simnet.NodeID, dest string, path []string) bool {
 	if n.advPaths == nil || n.advPaths[nb] == nil {
 		return false
 	}
-	return n.advPaths[nb][dest] == pathKey(path)
+	return slices.Equal(n.advPaths[nb][dest], path)
 }
 
 // scheduleFlush batches LSA and FPV sends, jittered like GPV batching.
@@ -417,13 +420,5 @@ func sortedIDs(m map[simnet.NodeID][]FPV) []simnet.NodeID {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func pathKey(p []string) string {
-	out := ""
-	for _, d := range p {
-		out += d + "/"
-	}
 	return out
 }

@@ -11,12 +11,8 @@ import (
 // buildGoodGadget wires GOODGADGET onto a fresh simulated network.
 func buildGoodGadget(t *testing.T) (*simnet.Network, map[simnet.NodeID]*Node) {
 	t.Helper()
-	conv, err := spp.GoodGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
 	net := simnet.New(1, nil)
-	nodes, err := BuildSPP(net, conv, simnet.DefaultLink(), testBase)
+	nodes, err := BuildSPP(net, spp.GoodGadget(), simnet.DefaultLink(), testBase)
 	if err != nil {
 		t.Fatal(err)
 	}

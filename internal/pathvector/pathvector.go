@@ -4,6 +4,11 @@
 // engine package executes the same four rules interpretively; this package
 // executes them directly, and the equivalence of the two is tested.
 //
+// A Node runs any algebra.Algebra. SPP nodes (BuildSPP) run the instance's
+// execution table, spp.NewTable, which also decodes adverts' signatures: no
+// string-keyed Tabular or SigCodec sits on their loop, and signatures still
+// travel as their renderings (Advert.SigKey).
+//
 // Per-message semantics follow the GPV rules:
 //
 //	gpvRecv:   on an advertisement from V, apply the import filter

@@ -13,12 +13,8 @@ import (
 // runSPP executes an SPP instance under GPV in simulation mode.
 func runSPP(t *testing.T, in *spp.Instance, base Config, horizon time.Duration) (map[simnet.NodeID]*Node, simnet.RunResult) {
 	t.Helper()
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		t.Fatalf("ToAlgebra(%s): %v", in.Name, err)
-	}
 	net := simnet.New(1, nil)
-	nodes, err := BuildSPP(net, conv, simnet.DefaultLink(), base)
+	nodes, err := BuildSPP(net, in, simnet.DefaultLink(), base)
 	if err != nil {
 		t.Fatalf("BuildSPP(%s): %v", in.Name, err)
 	}
@@ -204,12 +200,8 @@ func TestDeploymentGPV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	conv, err := spp.GoodGadget().ToAlgebra()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dep := simnet.NewDeployment(nil)
-	nodes, err := BuildSPPDeployment(dep, conv, Config{
+	nodes, err := BuildSPPDeployment(dep, spp.GoodGadget(), Config{
 		BatchInterval: 20 * time.Millisecond,
 		StartStagger:  10 * time.Millisecond,
 	})

@@ -13,89 +13,64 @@ import (
 // outside the modeled network.
 const SPPDest simnet.NodeID = "_dest"
 
+// BuildSPP wires a GPV network for an SPP instance onto an existing
+// simulated network: one node per real instance node, one link per session,
+// originations from the instance's egress paths, and the instance's
+// execution table (spp.NewTable) as policy, failing with ToAlgebra's error
+// on an instance that has no algebra. base supplies the runtime knobs
+// (batching, stagger, hooks); policy fields are filled in per node. It
+// returns the protocol nodes for post-run inspection.
+func BuildSPP(net *simnet.Network, in *spp.Instance, link simnet.LinkConfig, base Config) (map[simnet.NodeID]*Node, error) {
+	return buildSPP(in, base, net.AddNode, func(a, b simnet.NodeID) error { return net.Connect(a, b, link) })
+}
+
 // BuildSPPDeployment wires a GPV deployment (real TCP sockets) for an SPP
 // instance — the same per-node configuration BuildSPP derives, attached to
 // the deployment runtime instead of the simulator.
-func BuildSPPDeployment(dep *simnet.Deployment, conv *spp.Conversion, base Config) (map[simnet.NodeID]*Node, error) {
-	nodes, wires, err := sppNodes(conv, base)
+func BuildSPPDeployment(dep *simnet.Deployment, in *spp.Instance, base Config) (map[simnet.NodeID]*Node, error) {
+	return buildSPP(in, base, dep.AddNode, dep.Connect)
+}
+
+// buildSPP builds one node per instance node on the instance's execution
+// table — its labels, its originations, its signature names for decoding
+// adverts — attaching each with add, then connects every session.
+func buildSPP(in *spp.Instance, base Config, add func(simnet.NodeID, simnet.Handler) error, connect func(a, b simnet.NodeID) error) (map[simnet.NodeID]*Node, error) {
+	t, err := spp.NewTable(in)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range conv.Instance.Nodes {
-		id := simnet.NodeID(n)
-		if err := dep.AddNode(id, nodes[id]); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range wires {
-		if err := dep.Connect(w[0], w[1]); err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
-}
-
-// sppNodes builds the per-node protocol instances and the undirected wire
-// list shared by the simulation and deployment builders.
-func sppNodes(conv *spp.Conversion, base Config) (map[simnet.NodeID]*Node, [][2]simnet.NodeID, error) {
-	in := conv.Instance
 	label := func(from, to simnet.NodeID) algebra.Label {
-		l := conv.LabelOf[spp.Link{From: spp.Node(from), To: spp.Node(to)}]
+		l := t.LabelOf(spp.Link{From: spp.Node(from), To: spp.Node(to)})
 		if l == nil {
 			panic(fmt.Sprintf("pathvector: no label for link %s→%s", from, to))
 		}
 		return l
 	}
-	codec := NewSigCodec(conv.Algebra)
 	origs := map[spp.Node][]Route{}
-	for _, o := range conv.Originations() {
+	for _, o := range t.Originations() {
 		path := make([]simnet.NodeID, len(o.Path))
 		for i, n := range o.Path {
 			path[i] = simnet.NodeID(n)
 		}
 		origs[o.Node] = append(origs[o.Node], Route{Dest: SPPDest, Path: path, Sig: o.Sig})
 	}
+	sigByName := t.SigByName
 	nodes := map[simnet.NodeID]*Node{}
 	for _, n := range in.Nodes {
 		cfg := base
-		cfg.Algebra = conv.Algebra
+		cfg.Algebra = t
 		cfg.Label = label
 		cfg.Originations = origs[n]
 		cfg.SelfOriginate = false
-		cfg.SigFromKey = codec.FromKey
-		nodes[simnet.NodeID(n)] = NewNode(cfg)
-	}
-	var wires [][2]simnet.NodeID
-	seen := map[spp.Link]bool{}
-	for _, l := range in.Links {
-		if seen[l] || seen[spp.Link{From: l.To, To: l.From}] {
-			continue
-		}
-		seen[l] = true
-		wires = append(wires, [2]simnet.NodeID{simnet.NodeID(l.From), simnet.NodeID(l.To)})
-	}
-	return nodes, wires, nil
-}
-
-// BuildSPP wires a GPV network for an SPP instance onto an existing
-// simulated network: one node per real instance node, one link per session,
-// originations from the instance's egress paths, and the converted algebra
-// as policy. base supplies the runtime knobs (batching, stagger, hooks);
-// policy fields are filled in per node. It returns the protocol nodes for
-// post-run inspection.
-func BuildSPP(net *simnet.Network, conv *spp.Conversion, link simnet.LinkConfig, base Config) (map[simnet.NodeID]*Node, error) {
-	nodes, wires, err := sppNodes(conv, base)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range conv.Instance.Nodes {
+		cfg.SigFromKey = sigByName
 		id := simnet.NodeID(n)
-		if err := net.AddNode(id, nodes[id]); err != nil {
+		nodes[id] = NewNode(cfg)
+		if err := add(id, nodes[id]); err != nil {
 			return nil, err
 		}
 	}
-	for _, w := range wires {
-		if err := net.Connect(w[0], w[1], link); err != nil {
+	for _, s := range in.Sessions() {
+		if err := connect(simnet.NodeID(s.From), simnet.NodeID(s.To)); err != nil {
 			return nil, err
 		}
 	}

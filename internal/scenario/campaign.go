@@ -353,8 +353,8 @@ func (r *Report) String() string {
 
 // evaluate runs the differential pipeline on one instance: the
 // strict-monotonicity analysis of the one §IV-B emitter (spp.Analyze) and,
-// unless NoSim, the §III-B conversion and a bounded execution of it on the
-// spec's runner, with plan's faults injected when non-nil.
+// unless NoSim, a bounded execution of the instance on the spec's runner,
+// with plan's faults injected when non-nil.
 // simSeed keys the execution's deterministic randomness. suspects is the
 // §VI-B suspect set (the nodes the unsat core implicates) when the analysis
 // proves the instance unsafe; rep is nil when no execution ran.
@@ -372,16 +372,11 @@ func evaluate(ctx context.Context, in *spp.Instance, spec Spec, simSeed int64, p
 	if spec.NoSim {
 		return sat, suspects, nil, nil
 	}
-	// Only an execution needs the algebra (the runner's input).
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		return false, nil, nil, err
-	}
 	if simSeed == 0 {
 		simSeed = 1
 	}
 	sctx, ssp := obs.StartSpan(ctx, "simulate")
-	rep, err = spec.Runner.Run(sctx, conv, engine.RunOptions{Seed: simSeed, Horizon: spec.Horizon, Plan: plan})
+	rep, err = spec.Runner.Run(sctx, in, engine.RunOptions{Seed: simSeed, Horizon: spec.Horizon, Plan: plan})
 	ssp.End()
 	if err != nil {
 		return sat, suspects, nil, err

@@ -37,12 +37,7 @@ func planTopology(in *spp.Instance) (nodes []string, sessions [][2]string) {
 	for _, n := range in.Nodes {
 		nodes = append(nodes, string(n))
 	}
-	seen := map[spp.Link]bool{}
-	for _, l := range in.Links {
-		if seen[l] || seen[spp.Link{From: l.To, To: l.From}] {
-			continue
-		}
-		seen[l] = true
+	for _, l := range in.Sessions() {
 		sessions = append(sessions, [2]string{string(l.From), string(l.To)})
 	}
 	return nodes, sessions

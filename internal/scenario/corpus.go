@@ -58,7 +58,7 @@ func EncodeInstance(in *spp.Instance) InstanceJSON {
 	for _, o := range in.Origins {
 		out.Origins = append(out.Origins, string(o))
 	}
-	for _, l := range undirected(in) {
+	for _, l := range in.Sessions() {
 		out.Sessions = append(out.Sessions, SessionJSON{A: string(l.From), B: string(l.To), Cost: in.Cost[l]})
 	}
 	for _, n := range in.Nodes {

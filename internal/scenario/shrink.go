@@ -43,7 +43,7 @@ func Shrink(ctx context.Context, in *spp.Instance, keep func(context.Context, *s
 		}
 
 		// Pass 2: session removal.
-		for _, l := range undirected(cur) {
+		for _, l := range cur.Sessions() {
 			if !cur.HasLink(l.From, l.To) {
 				continue // removed by an earlier candidate this pass
 			}
@@ -73,18 +73,4 @@ func Shrink(ctx context.Context, in *spp.Instance, keep func(context.Context, *s
 		}
 	}
 	return cur.PruneOrigins(), tries, nil
-}
-
-// undirected snapshots the instance's sessions as one link per pair.
-func undirected(in *spp.Instance) []spp.Link {
-	seen := map[spp.Link]bool{}
-	var out []spp.Link
-	for _, l := range in.Links {
-		if seen[l] || seen[spp.Link{From: l.To, To: l.From}] {
-			continue
-		}
-		seen[l] = true
-		out = append(out, l)
-	}
-	return out
 }

@@ -43,22 +43,27 @@ func P(nodes ...string) Path {
 
 // String renders the path the way the paper writes it: "aber2", except that
 // multi-character node names are joined with dots ("u1.u7.r2").
-func (p Path) String() string {
-	single := true
-	for _, n := range p {
-		if len(n) > 1 && !isOrigin(n) {
-			single = false
-			break
+func (p Path) String() string { return p.render("") }
+
+// render returns prefix followed by String's rendering, in one allocation.
+func (p Path) render(prefix string) string {
+	sep, n := "", len(prefix)
+	for _, x := range p {
+		n += len(x)
+		if len(x) > 1 && !isOrigin(x) {
+			sep = "."
 		}
 	}
-	parts := make([]string, len(p))
-	for i, n := range p {
-		parts[i] = string(n)
+	var b strings.Builder
+	b.Grow(n + len(sep)*max(len(p)-1, 0))
+	b.WriteString(prefix)
+	for i, x := range p {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(string(x))
 	}
-	if single {
-		return strings.Join(parts, "")
-	}
-	return strings.Join(parts, ".")
+	return b.String()
 }
 
 // isOrigin reports whether the node looks like an origin token (r1, r2…);
@@ -177,6 +182,20 @@ func (in *Instance) Rank(n Node, paths ...Path) {
 // HasLink reports whether the directed link u→v exists.
 func (in *Instance) HasLink(u, v Node) bool {
 	return slices.Contains(in.Links, Link{u, v})
+}
+
+// Sessions lists the undirected sessions, one link per connected pair: the
+// direction Links lists first, in Links order.
+func (in *Instance) Sessions() []Link {
+	seen := make(map[Link]bool, len(in.Links))
+	var out []Link
+	for _, l := range in.Links {
+		if !seen[l] && !seen[Link{l.To, l.From}] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // topoIndex is the hash-set view of an instance's declarations — real
@@ -338,7 +357,7 @@ func sigName(p Path) string {
 	if len(p) == 2 {
 		return string(p[1])
 	}
-	return "r_" + p.String()
+	return p.render("r_")
 }
 
 // ToAlgebra converts the instance to a routing algebra following §III-B:

@@ -289,17 +289,6 @@ func (s *Session) SolverEncoding(a Algebra) (string, error) {
 	return analysis.Yices(a, analysis.StrictMonotonicity)
 }
 
-// Run executes an SPP instance on the session's runner backend: the
-// instance is converted to its algebra, the GPV implementation is built,
-// and the protocol runs to quiescence or the horizon.
-func (s *Session) Run(ctx context.Context, in *SPPInstance) (*RunReport, error) {
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		return nil, err
-	}
-	return s.RunConversion(ctx, conv)
-}
-
 // Campaign runs a differential analysis-vs-simulation campaign (the
 // scenario engine): spec.Count procedurally generated scenarios are fanned
 // across the session's worker pool, each one safety-analyzed and executed
@@ -337,9 +326,10 @@ func (s *Session) scenarioSpec(spec CampaignSpec) CampaignSpec {
 	return spec
 }
 
-// RunConversion is Run for an already converted instance, letting callers
-// reuse one conversion across analysis and execution.
-func (s *Session) RunConversion(ctx context.Context, conv *SPPConversion) (*RunReport, error) {
+// Run executes an SPP instance on the session's runner backend, which builds
+// its GPV implementation from the instance, to quiescence or the horizon. An
+// instance ConvertSPP rejects fails with the same error.
+func (s *Session) Run(ctx context.Context, in *SPPInstance) (*RunReport, error) {
 	stagger := s.stagger
 	if !s.staggerSet {
 		stagger = s.batch / 2
@@ -354,7 +344,7 @@ func (s *Session) RunConversion(ctx context.Context, conv *SPPConversion) (*RunR
 		link.Loss = s.loss
 		linkSet = true
 	}
-	return s.runner.Run(ctx, conv, engine.RunOptions{
+	return s.runner.Run(ctx, in, engine.RunOptions{
 		Seed:          s.seed,
 		Link:          link,
 		LinkExplicit:  linkSet,
@@ -365,4 +355,11 @@ func (s *Session) RunConversion(ctx context.Context, conv *SPPConversion) (*RunR
 		Collector:     s.collector,
 		Plan:          s.plan,
 	})
+}
+
+// RunConversion is Run(ctx, conv.Instance). conv.Algebra is not consulted:
+// execution runs the instance, not its conversion. It stays only for the
+// benchmark harness's replay, and goes when that replay does.
+func (s *Session) RunConversion(ctx context.Context, conv *SPPConversion) (*RunReport, error) {
+	return s.Run(ctx, conv.Instance)
 }
