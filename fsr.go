@@ -101,7 +101,8 @@ type (
 	NodeRoute = engine.NodeRoute
 	// ConfigFile is a parsed FSR configuration file.
 	ConfigFile = config.File
-	// TraceCollector accumulates per-node traffic metrics during a run.
+	// TraceCollector totals the traffic of a run: messages, bytes, and a
+	// bandwidth series.
 	TraceCollector = trace.Collector
 )
 

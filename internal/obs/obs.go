@@ -56,8 +56,7 @@ type Counter struct {
 	v          atomic.Int64
 }
 
-// NewCounter returns an unregistered counter; prefer Registry.Counter.
-func NewCounter(name, help string) *Counter { return &Counter{name: name, help: help} }
+func newCounter(name, help string) *Counter { return &Counter{name: name, help: help} }
 
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -82,8 +81,7 @@ type Gauge struct {
 	bits       atomic.Uint64
 }
 
-// NewGauge returns an unregistered gauge; prefer Registry.Gauge.
-func NewGauge(name, help string) *Gauge { return &Gauge{name: name, help: help} }
+func newGauge(name, help string) *Gauge { return &Gauge{name: name, help: help} }
 
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
@@ -117,8 +115,7 @@ type CounterVec struct {
 	vals       map[string]float64
 }
 
-// NewCounterVec returns an unregistered family; prefer Registry.CounterVec.
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
+func newCounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{name: name, help: help, labels: labels, vals: map[string]float64{}}
 }
 
@@ -207,20 +204,9 @@ type histSeries struct {
 	count  uint64
 }
 
-// NewHistogramVec returns an unregistered family with DefBuckets; prefer
-// Registry.HistogramVec.
-func NewHistogramVec(name, help string, labels ...string) *HistogramVec {
+func newHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{name: name, help: help, labels: labels,
-		buckets: DefBuckets, series: map[string]*histSeries{}}
-}
-
-// NewHistogramVecBuckets is NewHistogramVec for a quantity DefBuckets'
-// seconds do not fit: buckets are the family's finite upper bounds,
-// ascending.
-func NewHistogramVecBuckets(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	h := NewHistogramVec(name, help, labels...)
-	h.buckets = buckets
-	return h
+		buckets: buckets, series: map[string]*histSeries{}}
 }
 
 func (h *HistogramVec) Observe(v float64, labelVals ...string) {
@@ -351,9 +337,8 @@ func (s Sample) Key() string {
 }
 
 // SampleSource is anything that can report its series as structured
-// samples: a Registry, or an individual instrument (every obs instrument
-// implements it, so unregistered per-server metrics can feed the same
-// sampler as the process-global registry).
+// samples: a Registry (the process-global one, or a server's private one),
+// or an individual instrument.
 type SampleSource interface {
 	Samples() []Sample
 }
@@ -439,23 +424,29 @@ func register[M metric](r *Registry, name string, mk func() M) M {
 
 // Counter registers (or returns the existing) label-free counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return register(r, name, func() *Counter { return NewCounter(name, help) })
+	return register(r, name, func() *Counter { return newCounter(name, help) })
 }
 
 // Gauge registers (or returns the existing) label-free gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return register(r, name, func() *Gauge { return NewGauge(name, help) })
+	return register(r, name, func() *Gauge { return newGauge(name, help) })
 }
 
 // CounterVec registers (or returns the existing) labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return register(r, name, func() *CounterVec { return NewCounterVec(name, help, labels...) })
+	return register(r, name, func() *CounterVec { return newCounterVec(name, help, labels...) })
 }
 
 // HistogramVec registers (or returns the existing) labeled histogram
-// family.
+// family, on DefBuckets.
 func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
-	return register(r, name, func() *HistogramVec { return NewHistogramVec(name, help, labels...) })
+	return r.HistogramVecBuckets(name, help, DefBuckets, labels...)
+}
+
+// HistogramVecBuckets is HistogramVec for a quantity DefBuckets' seconds do
+// not fit: buckets are the family's finite upper bounds, ascending.
+func (r *Registry) HistogramVecBuckets(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	return register(r, name, func() *HistogramVec { return newHistogramVec(name, help, buckets, labels...) })
 }
 
 // AddHook registers f to run at the start of every Expose and Samples

@@ -13,7 +13,7 @@ import (
 // TestCounterExpose: the atomic counter renders exactly like the daemon's
 // original label-free counterVec, including the zero line when untouched.
 func TestCounterExpose(t *testing.T) {
-	c := NewCounter("fsr_test_total", "Test counter.")
+	c := newCounter("fsr_test_total", "Test counter.")
 	var b strings.Builder
 	c.Expose(&b)
 	want := "# HELP fsr_test_total Test counter.\n# TYPE fsr_test_total counter\nfsr_test_total 0\n"
@@ -35,7 +35,7 @@ func TestCounterExpose(t *testing.T) {
 // TestCounterVecExpose: label rendering, sorted series, and the empty
 // label-free zero line match the original registry byte-for-byte.
 func TestCounterVecExpose(t *testing.T) {
-	c := NewCounterVec("fsr_req_total", "Requests.", "endpoint", "code")
+	c := newCounterVec("fsr_req_total", "Requests.", "endpoint", "code")
 	c.Inc("verify", "200")
 	c.Add(2, "load", "200")
 	var b strings.Builder
@@ -54,7 +54,7 @@ func TestCounterVecExpose(t *testing.T) {
 // TestHistogramExpose: cumulative buckets, +Inf, sum/count, and bound
 // formatting (0.0001 not 0.000100) as the scrape format requires.
 func TestHistogramExpose(t *testing.T) {
-	h := NewHistogramVec("fsr_dur_seconds", "Duration.", "mode")
+	h := newHistogramVec("fsr_dur_seconds", "Duration.", DefBuckets, "mode")
 	h.Observe(0.0004, "delta")
 	h.Observe(0.3, "delta")
 	var b strings.Builder
@@ -100,9 +100,9 @@ func TestRegistryIdempotent(t *testing.T) {
 // TestHandlesAllocFree: the pre-resolved vec handles must be safe for
 // warm paths — no allocations per Add/Observe.
 func TestHandlesAllocFree(t *testing.T) {
-	cv := NewCounterVec("fsr_c_total", "C.", "stage")
+	cv := newCounterVec("fsr_c_total", "C.", "stage")
 	ch := cv.With("solve")
-	hv := NewHistogramVec("fsr_h_seconds", "H.", "stage")
+	hv := newHistogramVec("fsr_h_seconds", "H.", DefBuckets, "stage")
 	hh := hv.With("solve")
 	if n := testing.AllocsPerRun(100, func() { ch.Inc() }); n != 0 {
 		t.Errorf("CounterHandle.Inc allocates %v/op", n)
@@ -117,7 +117,7 @@ func TestHandlesAllocFree(t *testing.T) {
 
 // TestGaugeSetMax: the ratchet keeps the maximum under concurrent writes.
 func TestGaugeSetMax(t *testing.T) {
-	g := NewGauge("fsr_hw", "High water.")
+	g := newGauge("fsr_hw", "High water.")
 	var wg sync.WaitGroup
 	for i := 1; i <= 64; i++ {
 		wg.Add(1)

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,6 +202,83 @@ func TestServerLifecycle(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition lacks %q", want)
 		}
+	}
+}
+
+// TestMetricsFamilyOrder pins /metrics' families, in order, after a
+// scripted create → verify → what-if: the daemon's own instruments first, as
+// they registered on the server's registry, then the process-global ones.
+func TestMetricsFamilyOrder(t *testing.T) {
+	_, ts := newTestServer(t, false)
+	call(t, "POST", ts.URL+"/v1/instances", map[string]any{"id": "demo", "gadget": "fig3"}, nil)
+	call(t, "POST", ts.URL+"/v1/instances/demo/verify", nil, nil)
+	call(t, "POST", ts.URL+"/v1/instances/demo/whatif", map[string]any{"ops": []map[string]any{
+		{"op": "rerank", "node": "a", "paths": []string{"a,d,r1"}},
+	}}, nil)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, family)
+		}
+	}
+	want := []string{
+		"fsr_http_requests_total counter",
+		"fsr_http_request_duration_seconds histogram",
+		"fsr_instances_resident gauge",
+		"fsr_delta_solves_total counter",
+		"fsr_full_solves_total counter",
+		"fsr_solver_cache_hits_total counter",
+		"fsr_verify_duration_seconds histogram",
+		"fsr_oracle_mismatches_total counter",
+		"fsr_whatif_rollbacks_total counter",
+		"fsr_whatif_aborted_batches_total counter",
+		"fsr_request_decode_seconds histogram",
+		"fsr_request_body_bytes histogram",
+		"fsr_panics_total counter",
+		"fsr_smt_delta_region_nodes histogram",
+		"fsr_simnet_events_total counter",
+		"fsr_simnet_arena_high_water gauge",
+		"fsr_simnet_faults_injected_total counter",
+		"fsr_simnet_msgs_dropped_total counter",
+		"fsr_simnet_node_restarts_total counter",
+		"fsr_smt_probes_total counter",
+		"fsr_smt_relaxations_total counter",
+		"fsr_smt_minimize_iterations_total counter",
+		"fsr_smt_delta_splices_total counter",
+		"fsr_smt_delta_solves_total counter",
+		"fsr_smt_full_solves_total counter",
+		"fsr_smt_cache_hits_total counter",
+		"fsr_scc_solves_total counter",
+		"fsr_scc_components_total counter",
+		"fsr_scc_trivial_components_total counter",
+		"fsr_scc_levels gauge",
+		"fsr_scc_max_level_width gauge",
+		"fsr_scc_tarjan_seconds histogram",
+		"fsr_analysis_constraints_total counter",
+		"fsr_analysis_stage_duration_seconds histogram",
+		"fsr_spp_scale_path_total counter",
+		"fsr_spp_shard_collisions_total counter",
+		"fsr_spp_shard_emit_seconds histogram",
+		"fsr_pathvector_adverts_sent_total counter",
+		"fsr_pathvector_withdraws_sent_total counter",
+		"fsr_pathvector_selection_changes_total counter",
+		"fsr_pathvector_rejected_total counter",
+		"fsr_campaign_scenarios_total counter",
+		"fsr_campaign_scenarios_completed_total counter",
+		"fsr_goroutines gauge",
+		"fsr_heap_alloc_bytes gauge",
+		"fsr_gc_pause_last_ns gauge",
+		"fsr_gomaxprocs gauge",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("metric families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

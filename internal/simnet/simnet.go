@@ -4,18 +4,19 @@
 // tcp.go), both driving the same protocol code through the Env/Handler
 // interfaces. Links model latency, jitter, bandwidth serialization and FIFO
 // queueing; all traffic is accounted into a trace.Collector so experiments
-// can plot the paper's bandwidth and convergence figures.
+// can plot the paper's bandwidth figures, and a run's RunResult carries its
+// convergence time.
 //
 // The simulator's hot loop is allocation-free in steady state: events are
 // typed value records (timer vs. delivery vs. start) living in a slot arena
 // recycled through a free list, ordered by a hand-rolled index heap —
 // no per-event heap pointer, no per-delivery closure, no interface boxing.
 // Message delivery resolves links through dense per-node adjacency instead
-// of a global map keyed by node-ID pairs, and accounts traffic through the
-// per-node collector handle taken at AddNode. AddNode also draws the node's
-// seed from the network generator, but the generator itself is built on the
-// first Env.Rand call: protocols that neither batch nor stagger never pay
-// for it, and seeded runs see the same streams either way.
+// of a global map keyed by node-ID pairs, and only a send touches the
+// collector. AddNode draws the node's seed from the network generator, but
+// the generator itself is built on the first Env.Rand call: protocols that
+// neither batch nor stagger never pay for it, and seeded runs see the same
+// streams either way.
 package simnet
 
 import (
@@ -117,7 +118,6 @@ type event struct {
 	kind    uint8
 	node    int32  // target node index (start/restart target, delivery receiver, fault endpoint a)
 	from    int32  // delivery sender index; fault endpoint b
-	size    int32  // delivery wire size
 	li      int32  // delivery: index of the sender's outgoing link
 	epoch   uint32 // delivery: the link epoch the message was sent under
 	payload any
@@ -146,7 +146,6 @@ type node struct {
 	neighIdx  map[NodeID]int32 // neighbor ID → index into neighbors/links
 	seed      int64            // drawn from the network generator at AddNode
 	rng       *rand.Rand       // built from seed on the first Env.Rand call
-	acct      *trace.NodeHandle
 	env       *simEnv
 }
 
@@ -208,7 +207,6 @@ func (n *Network) AddNode(id NodeID, h Handler) error {
 		handler:  h,
 		neighIdx: map[NodeID]int32{},
 		seed:     n.rng.Int63(),
-		acct:     n.collector.Handle(string(id)),
 	}
 	nd.env = &simEnv{net: n, node: nd}
 	n.nodes[id] = nd
@@ -414,7 +412,6 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 				break
 			}
 			dst := n.byIdx[ev.node]
-			dst.acct.RecordRecv(int(ev.size))
 			n.delivered++
 			dst.handler.Receive(dst.env, from.id, ev.payload)
 		case evLinkDown:
@@ -426,7 +423,6 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 		}
 		processed++
 	}
-	n.collector.MarkConverged(lastEvent)
 	n.flushObs(processed)
 	return n.result(true, lastEvent, processed), nil
 }
@@ -441,7 +437,7 @@ func (n *Network) deliver(from *node, to NodeID, payload any, size int) {
 		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", from.id, to))
 	}
 	l := &from.links[li]
-	from.acct.RecordSend(size, n.now)
+	n.collector.RecordSend(size, n.now)
 	if l.down {
 		// The sender doesn't know the link is down (no control plane in the
 		// simulator): the transmission is silently lost, like a frame sent
@@ -472,7 +468,6 @@ func (n *Network) deliver(from *node, to NodeID, payload any, size int) {
 		kind:    evDeliver,
 		node:    l.dst,
 		from:    from.idx,
-		size:    int32(size),
 		li:      li,
 		epoch:   l.epoch,
 		payload: payload,

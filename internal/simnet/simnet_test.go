@@ -168,9 +168,6 @@ func TestCollectorAccounting(t *testing.T) {
 	if msgs != 2 || bytes != 200 {
 		t.Errorf("want 2 messages / 200 bytes, got %d / %d", msgs, bytes)
 	}
-	if col.Node("a").MsgsSent != 1 || col.Node("b").MsgsSent != 1 {
-		t.Errorf("per-node accounting wrong: %+v %+v", col.Node("a"), col.Node("b"))
-	}
 }
 
 // TestSchedule: timers fire in order at the requested offsets.

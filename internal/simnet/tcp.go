@@ -31,7 +31,6 @@ func RegisterPayload(v any) { gob.Register(v) }
 // envelope is the wire format.
 type envelope struct {
 	From    NodeID
-	Size    int // logical wire size, for metric comparability with sim mode
 	Payload any
 }
 
@@ -61,7 +60,6 @@ type tcpNode struct {
 	rawConns  []net.Conn
 	exec      chan func()
 	rng       *rand.Rand
-	acct      *trace.NodeHandle
 }
 
 // NewDeployment creates an empty deployment with the given metric collector.
@@ -91,7 +89,6 @@ func (d *Deployment) AddNode(id NodeID, h Handler) error {
 		conns:   map[NodeID]*gob.Encoder{},
 		exec:    make(chan func(), 4096),
 		rng:     rand.New(rand.NewSource(int64(len(d.nodes)) + 1)),
-		acct:    d.collector.Handle(string(id)),
 	}
 	d.order = append(d.order, id)
 	return nil
@@ -194,7 +191,6 @@ func (d *Deployment) RunContext(ctx context.Context, horizon, idleWindow time.Du
 		}
 		last := time.Duration(d.lastActivity.Load())
 		if d.pending.Load() == 0 && time.Since(d.start)-last >= idleWindow {
-			d.collector.MarkConverged(last)
 			d.shutdown()
 			return RunResult{Converged: true, Time: last}, nil
 		}
@@ -270,7 +266,6 @@ func (nd *tcpNode) readLoop(conn net.Conn) {
 		if d.stopped.Load() {
 			return
 		}
-		nd.acct.RecordRecv(env.Size)
 		d.touch()
 		e := env
 		nd.post(func() {
@@ -306,9 +301,9 @@ func (e *tcpEnv) Send(to NodeID, payload any, size int) {
 		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", nd.id, to))
 	}
 	d.pending.Add(1)
-	nd.acct.RecordSend(size, e.Now())
+	d.collector.RecordSend(size, e.Now())
 	d.touch()
-	if err := enc.Encode(envelope{From: nd.id, Size: size, Payload: payload}); err != nil {
+	if err := enc.Encode(envelope{From: nd.id, Payload: payload}); err != nil {
 		// Connection torn down during shutdown: drop and rebalance.
 		d.pending.Add(-1)
 	}

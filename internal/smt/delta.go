@@ -6,52 +6,58 @@
 // the region of the constraint graph reachable from them, instead of
 // rebuilding and re-solving everything.
 //
+// A DeltaContext takes the one atom §IV-B emits for an SPP instance: a strict
+// preference or strict monotonicity entry, A < B between two named variables
+// (Less). That is the difference constraint A − B ≤ −1, one edge B → A of
+// weight −1. Behind the string door every variable is also positive (x ≥ 1,
+// an edge x → 0 of weight −1 into the zero node), but no atom here mentions a
+// constant, so no edge ever leaves the zero node: it is a sink, it lies on no
+// cycle, and its distance is one below the lowest variable's. So positivity
+// can never take part in a contradiction (UsesPositivity is always false),
+// and the resident graph leaves the zero node out: a probe never relaxes or
+// marks it, and Model reads its distance off the variables'. Node 0 stays
+// reserved all the same, so a fresh context numbers its graph as the string
+// door does, and a solve hands the engine the zero anchor at local id 0.
+//
 // Storage is slot-stable. The assertion list is a sequence of segments (the
-// unit callers edit by); an asserted atom lives in a slot that never moves,
-// its difference edges live in the slot and sit on intrusive doubly-linked
-// out- and in-lists per node, and its canonical position — needed only to
-// order a region's assertions and to report CoreIdx — is a Fenwick prefix
-// over segment lengths plus its index in its segment. Replacing a segment
-// touches its own slots and their list neighbours; nothing is renumbered and
-// no tail moves. The implicit positivity edge of every variable (x ≥ 1, into
-// the zero node) is not stored: a probe relaxes it as it leaves a node, and a
-// histogram of the variables' standing distances answers what all of them
-// together relax the zero node to.
+// unit callers edit by); an atom lives in a slot that never moves, the slot
+// is its edge and sits on intrusive doubly-linked out- and in-lists per node,
+// and its canonical position — needed only to order a region's atoms and to
+// report CoreIdx — is a Fenwick prefix over segment lengths plus its index in
+// its segment. Replacing a segment touches its own slots and their list
+// neighbours; nothing is renumbered and no tail moves.
 //
 // The graph is linked from construction on, whatever the verdicts. Until a
 // check is sat no fixed point stands, and a check decides the sub-system
 // induced on every referenced node (orphans stay out) with the same function
-// as a region core below; a fresh context numbers it as the string door
-// does. A sat verdict installs the standing state: the fixed point of the
-// last *satisfiable* graph G0, plus the changed set — the heads of every edge
-// deleted or added since G0 (and the zero node when fresh variables brought
-// new positivity edges), accumulated over however many edits and unsat
-// verdicts came between. A node's fixed-point distance is the cheapest walk
-// ending at it (from the virtual source that seeds every node at 0). Take the
-// forward closure of the changed set over the out-edges of the current graph
-// G — the affected region. A walk of G0 into a node v outside it either
-// survives intact in G, or lost an edge whose head is changed and whose
-// remaining suffix would put v inside the region; a walk of G into v cannot
-// use an added edge for the same reason. So v keeps its distance, and SPFA
-// re-seeded on the region alone (its in-lists relaxed once from the standing
-// distances outside it) converges to the fixed point a full solve of G would
-// reach. A negative cycle of G must contain an edge G0 lacked — G0 was
-// satisfiable — so it lies inside the region and trips SPFA's enqueue bound,
-// the region's size.
+// as a region core below. A sat verdict installs the standing state: the
+// fixed point of the last *satisfiable* graph G0, plus the changed set — the
+// heads of every edge deleted or added since G0, accumulated over however
+// many edits and unsat verdicts came between. A node's fixed-point distance
+// is the cheapest walk ending at it (from the virtual source that seeds every
+// node at 0). Take the forward closure of the changed set over the out-edges
+// of the current graph G — the affected region. A walk of G0 into a node v
+// outside it either survives intact in G, or lost an edge whose head is
+// changed and whose remaining suffix would put v inside the region; a walk of
+// G into v cannot use an added edge for the same reason. So v keeps its
+// distance, and SPFA re-seeded on the region alone (its in-lists relaxed once
+// from the standing distances outside it) converges to the fixed point a full
+// solve of G would reach. A negative cycle of G must contain an edge G0
+// lacked — G0 was satisfiable — so it lies inside the region and trips SPFA's
+// enqueue bound, the region's size.
 //
 // When it does, the distances the probe reset are put back, the changed set
 // stays pending, and the exact verdict and deletion-minimal core come from
 // the region too. The proof obligation: the region is forward-closed, so
-// every negative cycle of every *subset* of the assertions lies inside it
-// (the argument above never used that G was the whole list). The deletion
-// loop walks the list from last to first and keeps an assertion exactly when
-// the remainder without it has no negative cycle: for an assertion whose
-// edges leave the region that is the same question asked of the region's
-// assertions alone, and every other assertion is on no negative cycle and is
-// dropped. So the sub-system induced on the region — its assertions in
-// canonical order over dense region-local ids, decided by the engine's one
-// solve on a pooled engine — has the whole list's core, position for
-// position once mapped back, and the same positivity involvement: bit for
+// every negative cycle of every *subset* of the atoms lies inside it (the
+// argument above never used that G was the whole list). The deletion loop
+// walks the list from last to first and keeps an atom exactly when the
+// remainder without it has no negative cycle: for an atom whose edge leaves
+// the region that is the same question asked of the region's atoms alone,
+// and every other atom is on no negative cycle and is dropped. So the
+// sub-system induced on the region — its atoms in canonical order over dense
+// region-local ids, decided by the engine's one solve on a pooled engine —
+// has the whole list's core, position for position once mapped back: bit for
 // bit a fresh Context.Check, the differential oracle the tests and the
 // server's -check-oracle mode enforce. The standing fixed point is not
 // involved, so the repair that follows an unsat verdict is a delta solve.
@@ -80,6 +86,27 @@ import (
 	"fsr/internal/obs"
 )
 
+// Less is the atom A < B between two named variables, the one atom a
+// DeltaContext takes. A and B may be the same variable: x < x is a one-atom
+// negative cycle.
+type Less struct{ A, B Var }
+
+// assertion spells the atom for the string door.
+func (l Less) assertion() Assertion {
+	return Assertion{Rel: Lt, A: Term{Var: l.A}, B: Term{Var: l.B}}
+}
+
+// checkNames rejects an atom without two variable names: the delta door
+// takes no constants.
+func checkNames(atoms []Less) error {
+	for _, a := range atoms {
+		if a.A == "" || a.B == "" {
+			return fmt.Errorf("smt: atom %q < %q: empty variable name", a.A, a.B)
+		}
+	}
+	return nil
+}
+
 // DeltaStats counts solver activity on a DeltaContext, for observability:
 // the server exports these as Prometheus counters.
 type DeltaStats struct {
@@ -105,35 +132,32 @@ type DeltaStats struct {
 }
 
 // DeltaContext is a mutable logical context with incremental solving:
-// SetSeg, InsertSeg and RemoveSeg edit the segmented assertion list in place
-// and Check re-decides it, reusing the converged state of the last sat solve
+// SetSeg, InsertSeg and RemoveSeg edit the segmented atom list in place and
+// Check re-decides it, reusing the converged state of the last sat solve
 // when there is one. It is the solver-level "delta verification" entry point
 // of the fsr serve daemon. A DeltaContext is not safe for concurrent use.
 type DeltaContext struct {
-	// The assertion list: segs[p] holds the slots of the segment at
-	// canonical position p, fen is the Fenwick tree over their lengths.
+	// The atom list: segs[p] holds the slots of the segment at canonical
+	// position p, fen is the Fenwick tree over their lengths.
 	segs  [][]int32
 	fen   []int32
 	slots []deltaSlot
 	free  []int32 // unused slots
-	n     int     // asserted atoms
-	quant []int32 // slots of the quantified atoms, in no order
+	n     int     // asserted atoms, each one linked edge
 
-	// The graph: every ground atom's edges are linked into the node lists.
-	// built: the nodes' distances are its fixed point as of the last sat
-	// solve, and changed lists the nodes whose in-edges moved since. False
-	// until a check is sat.
+	// The graph: every atom's edge is linked into the node lists. built: the
+	// nodes' distances are its fixed point as of the last sat solve, and
+	// changed lists the nodes whose in-edges moved since. False until a
+	// check is sat.
 	built   bool
 	varID   map[Var]int32
-	names   []Var // by node; node 0 is the constant 0
+	names   []Var // by node; node 0 is the string door's zero node, never linked
 	nodes   []deltaNode
-	nEdges  int // linked edges
-	hist    distHist
 	changed []int32
 
-	// Scratch: the affected region (zero node first, so a node's index is
-	// its region-local id), the probe's ring queue, and the region's
-	// assertions keyed for sorting.
+	// Scratch: the affected region (a node's index plus one is its
+	// region-local id), the probe's ring queue, and the region's atoms keyed
+	// for sorting.
 	region []int32
 	queue  []int32
 	items  []uint64
@@ -146,70 +170,26 @@ type DeltaContext struct {
 	stats DeltaStats
 }
 
-// deltaSlot is one asserted atom in stable storage, with its difference
-// edges: one, two for an equality, none (from < 0) for a quantified atom.
-// Edge k of slot s has id 2s+k.
+// deltaSlot is one atom A < B in stable storage, and its edge: from B's node
+// to A's, on from's out-list and to's in-list, with the slot's id as its
+// edge id. Every edge weighs −1.
 type deltaSlot struct {
-	a        Assertion
-	seg, idx int32 // segment position, and index within it
-	e        [2]deltaEdge
-}
-
-// deltaEdge is one difference constraint to − from ≤ w, on from's out-list
-// and to's in-list.
-type deltaEdge struct {
 	from, to         int32
-	w                int
 	outPrev, outNext int32
 	inPrev, inNext   int32
+	seg, idx         int32 // segment position, and index within it
 }
 
-// deltaNode is one variable (or the zero node) of the graph. A variable
-// whose assertions were all removed stays as an orphan (positivity edge only)
-// until a Rollback drops it; ref masks orphans out of models and whole
-// solves, which keeps both bit-for-bit equal to a fresh solve's.
+// deltaNode is one variable of the graph. A variable whose atoms were all
+// removed stays as an orphan, with no edge, until a Rollback drops it; ref
+// masks orphans out of models and whole solves, which keeps both bit-for-bit
+// equal to a fresh solve's.
 type deltaNode struct {
 	dist                   int
 	out, in                int32 // list heads, −1 for none
-	ref                    int32 // ground-assertion references
+	ref                    int32 // atom references
 	cnt                    int32 // enqueue count during a probe, region-local id after one
 	inQ, changed, inRegion bool
-}
-
-// distHist counts the variable nodes standing at each distance. Every
-// variable has a positivity edge into the zero node, so the zero node's
-// in-list is the whole graph; the histogram's lowest key is what those edges
-// relax it to, without walking them.
-type distHist struct {
-	count map[int]int32
-	low   int // the lowest key, unless stale
-	stale bool
-}
-
-func (h *distHist) add(d int) {
-	h.count[d]++
-	if len(h.count) == 1 {
-		h.low, h.stale = d, false
-	}
-	h.low = min(h.low, d)
-}
-
-func (h *distHist) remove(d int) {
-	if h.count[d]--; h.count[d] == 0 {
-		delete(h.count, d)
-		h.stale = h.stale || d == h.low
-	}
-}
-
-// lowest returns the lowest standing distance, if any variable is counted.
-func (h *distHist) lowest() (low int, ok bool) {
-	if h.stale {
-		h.low, h.stale = 0, false // distances are never positive
-		for d := range h.count {
-			h.low = min(h.low, d)
-		}
-	}
-	return h.low, len(h.count) > 0
 }
 
 // deltaTx is the undo journal of one transaction: what Begin found, and
@@ -247,40 +227,42 @@ type distUndo struct {
 	dist int
 }
 
-// NewDeltaContext returns a delta context over a copy of the assertions
-// (normalized like Context.Assert), cut into consecutive segments of the
-// given lengths; nil segLen makes them one segment. Every ground atom is
-// interned and linked in canonical order.
-func NewDeltaContext(asserts []Assertion, segLen []int) *DeltaContext {
+// NewDeltaContext returns a delta context over the atoms, cut into
+// consecutive segments of the given lengths; nil segLen makes them one
+// segment. Every atom is interned and linked in canonical order. An atom
+// with an empty variable name is an error.
+func NewDeltaContext(atoms []Less, segLen []int) (*DeltaContext, error) {
+	if err := checkNames(atoms); err != nil {
+		return nil, err
+	}
 	if segLen == nil {
-		segLen = []int{len(asserts)}
+		segLen = []int{len(atoms)}
 	}
 	d := &DeltaContext{
 		segs:  make([][]int32, len(segLen)),
-		slots: make([]deltaSlot, len(asserts)),
-		n:     len(asserts),
-		varID: make(map[Var]int32, len(asserts)), // about one variable per atom
-		names: append(make([]Var, 0, len(asserts)+1), ""),
-		nodes: append(make([]deltaNode, 0, len(asserts)+1), deltaNode{out: -1, in: -1}),
-		hist:  distHist{count: map[int]int32{}},
+		slots: make([]deltaSlot, len(atoms)),
+		n:     len(atoms),
+		varID: make(map[Var]int32, len(atoms)), // about one variable per atom
+		names: append(make([]Var, 0, len(atoms)+1), ""),
+		nodes: append(make([]deltaNode, 0, len(atoms)+1), deltaNode{out: -1, in: -1}),
 	}
-	ids := make([]int32, len(asserts)) // one backing array: a segment's slice is replaced whole, never appended to
+	ids := make([]int32, len(atoms)) // one backing array: a segment's slice is replaced whole, never appended to
 	at := 0
 	for p, n := range segLen {
 		d.segs[p] = ids[at : at+n : at+n]
 		for i := range d.segs[p] {
 			s := int32(at + i)
 			d.segs[p][i] = s
-			d.slots[s] = deltaSlot{a: asserts[s].normalized(), seg: int32(p), idx: int32(i)}
+			d.slots[s] = d.slot(atoms[s], p, i)
 		}
-		d.attach(d.segs[p])
+		d.link(d.segs[p], +1)
 		at += n
 	}
-	if at != len(asserts) {
-		panic(fmt.Sprintf("smt: segment lengths sum to %d for %d assertions", at, len(asserts)))
+	if at != len(atoms) {
+		panic(fmt.Sprintf("smt: segment lengths sum to %d for %d atoms", at, len(atoms)))
 	}
 	d.fenRebuild()
-	return d
+	return d, nil
 }
 
 // Len returns the number of asserted atoms.
@@ -292,13 +274,13 @@ func (d *DeltaContext) Segments() int { return len(d.segs) }
 // SegLen returns the number of atoms in segment id.
 func (d *DeltaContext) SegLen(id int) int { return len(d.segs[id]) }
 
-// Assertions returns a copy of the current assertion list in canonical
-// order.
+// Assertions renders the current atom list in canonical order as the string
+// door spells it.
 func (d *DeltaContext) Assertions() []Assertion {
 	out := make([]Assertion, 0, d.n)
 	for _, seg := range d.segs {
 		for _, s := range seg {
-			out = append(out, d.slots[s].a)
+			out = append(out, d.atom(s).assertion())
 		}
 	}
 	return out
@@ -318,9 +300,9 @@ func (d *DeltaContext) Clone() *DeltaContext {
 		ids = append(ids, seg...)
 		c.segs[p] = ids[len(ids)-len(seg) : len(ids) : len(ids)]
 	}
-	c.fen, c.slots, c.free, c.quant = slices.Clone(d.fen), slices.Clone(d.slots), slices.Clone(d.free), slices.Clone(d.quant)
+	c.fen, c.slots, c.free = slices.Clone(d.fen), slices.Clone(d.slots), slices.Clone(d.free)
 	c.varID, c.names, c.nodes = maps.Clone(d.varID), slices.Clone(d.names), slices.Clone(d.nodes)
-	c.hist.count, c.changed = maps.Clone(d.hist.count), slices.Clone(d.changed)
+	c.changed = slices.Clone(d.changed)
 	c.region, c.queue, c.items, c.tx = nil, nil, nil, deltaTx{}
 	return &c
 }
@@ -383,12 +365,11 @@ func (d *DeltaContext) Locate(p int) (seg, off int) {
 // --- transactions ---
 
 // Begin opens a transaction: every edit and Check until Commit or Rollback
-// is journalled, and Rollback leaves the context — assertions, graph,
-// standing fixed point, interned variables, pending changes, memoized
-// result — as Begin found it, so the next Check answers what, and how
-// (cached, delta), it would have answered had the transaction never run.
-// Only the monotone counters of Stats keep counting. Transactions do not
-// nest.
+// is journalled, and Rollback leaves the context — atoms, graph, standing
+// fixed point, interned variables, pending changes, memoized result — as
+// Begin found it, so the next Check answers what, and how (cached, delta),
+// it would have answered had the transaction never run. Only the monotone
+// counters of Stats keep counting. Transactions do not nest.
 func (d *DeltaContext) Begin() {
 	if d.tx.open {
 		panic("smt: DeltaContext.Begin inside a transaction")
@@ -415,7 +396,7 @@ func (d *DeltaContext) Commit() {
 		panic("smt: DeltaContext.Commit outside a transaction")
 	}
 	for _, u := range d.tx.ops {
-		d.release(u.old)
+		d.free = append(d.free, u.old...)
 	}
 	d.tx.close()
 }
@@ -431,9 +412,9 @@ func (d *DeltaContext) Rollback() {
 		switch u := tx.ops[i]; u.kind {
 		case 'r':
 			fresh := d.segs[u.seg]
-			d.detach(fresh)
-			d.release(fresh)
-			d.attach(u.old)
+			d.link(fresh, -1)
+			d.free = append(d.free, fresh...)
+			d.link(u.old, +1)
 			d.segs[u.seg] = u.old
 			d.n += len(u.old) - len(fresh)
 			d.fenAdd(u.seg, len(u.old)-len(fresh))
@@ -444,13 +425,12 @@ func (d *DeltaContext) Rollback() {
 		}
 	}
 	for i := len(tx.dist) - 1; i >= 0; i-- {
-		d.setDist(tx.dist[i].node, tx.dist[i].dist)
+		d.nodes[tx.dist[i].node].dist = tx.dist[i].dist
 	}
 	d.clearChanged()
 	// Variables interned since Begin are referenced by nothing now.
 	for v := len(d.nodes) - 1; v >= tx.vars; v-- {
 		delete(d.varID, d.names[v])
-		d.hist.remove(d.nodes[v].dist)
 	}
 	clear(d.names[tx.vars:])
 	d.names, d.nodes = d.names[:tx.vars], d.nodes[:tx.vars]
@@ -471,15 +451,6 @@ func (tx *deltaTx) close() {
 	tx.dist = tx.dist[:0]
 }
 
-// setDist moves node v's standing distance, keeping the histogram in step.
-func (d *DeltaContext) setDist(v int32, dist int) {
-	if v != zeroNode {
-		d.hist.remove(d.nodes[v].dist)
-		d.hist.add(dist)
-	}
-	d.nodes[v].dist = dist
-}
-
 // --- segment edits ---
 
 func (d *DeltaContext) checkSeg(id, limit int) error {
@@ -498,20 +469,24 @@ func (d *DeltaContext) journal(u segUndo) bool {
 	return d.tx.open
 }
 
-// SetSeg replaces the atoms of segment id with add (normalized) and reports
-// whether that changed anything; a segment given its own content again is
-// left alone. The segment's old slots are unlinked and new ones linked — no
-// other slot, edge or position is touched. New variables are interned and
-// the heads of every touched edge recorded as changed, so the next Check can
-// re-probe just the region they reach.
-func (d *DeltaContext) SetSeg(id int, add []Assertion) (changed bool, err error) {
+// SetSeg replaces the atoms of segment id with add and reports whether that
+// changed anything; a segment given its own content again is left alone.
+// The segment's old slots are unlinked and new ones linked — no other slot,
+// edge or position is touched. New variables are interned and the heads of
+// every touched edge recorded as changed, so the next Check can re-probe just
+// the region they reach. An atom with an empty variable name is an error,
+// and changes nothing.
+func (d *DeltaContext) SetSeg(id int, add []Less) (changed bool, err error) {
 	if err := d.checkSeg(id, len(d.segs)); err != nil {
+		return false, err
+	}
+	if err := checkNames(add); err != nil {
 		return false, err
 	}
 	old := d.segs[id]
 	same := len(old) == len(add)
 	for i := 0; same && i < len(add); i++ {
-		same = d.slots[old[i]].a == add[i].normalized()
+		same = d.atom(old[i]) == add[i]
 	}
 	d.stats.Steps += len(old) + len(add)
 	if same {
@@ -524,7 +499,7 @@ func (d *DeltaContext) SetSeg(id int, add []Assertion) (changed bool, err error)
 		fresh = make([]int32, len(add))
 	}
 	for i := range add {
-		rec := deltaSlot{a: add[i].normalized(), seg: int32(id), idx: int32(i)}
+		rec := d.slot(add[i], id, i)
 		if n := len(d.free); n > 0 {
 			fresh[i], d.free = d.free[n-1], d.free[:n-1]
 			d.slots[fresh[i]] = rec
@@ -533,15 +508,15 @@ func (d *DeltaContext) SetSeg(id int, add []Assertion) (changed bool, err error)
 			d.slots = append(d.slots, rec)
 		}
 	}
-	d.detach(old)
-	d.attach(fresh)
+	d.link(old, -1)
+	d.link(fresh, +1)
 	d.segs[id] = fresh
 	d.n += len(fresh) - len(old)
 	d.fenAdd(int32(id), len(fresh)-len(old))
 	if d.journal(segUndo{kind: 'r', seg: int32(id), old: old}) {
 		d.tx.replaced++
 	} else {
-		d.release(old)
+		d.free = append(d.free, old...)
 	}
 	return true, nil
 }
@@ -582,123 +557,79 @@ func (d *DeltaContext) moveSegs(from int, segs [][]int32) {
 	d.fenRebuild()
 }
 
-// release returns detached slots to the free list.
-func (d *DeltaContext) release(slots []int32) {
-	for _, s := range slots {
-		d.slots[s].a = Assertion{} // drop the names and the origin string
-	}
-	d.free = append(d.free, slots...)
+// slot returns atom a as the unlinked slot at index idx of segment seg,
+// interning A before B as the string door does.
+func (d *DeltaContext) slot(a Less, seg, idx int) deltaSlot {
+	to := d.intern(a.A)
+	return deltaSlot{from: d.intern(a.B), to: to, seg: int32(seg), idx: int32(idx)}
 }
 
-// attach makes slots part of the asserted system: quantified atoms join the
-// quantified set, and the ground ones are linked.
-func (d *DeltaContext) attach(slots []int32) {
+// atom reads slot s back as the atom it holds.
+func (d *DeltaContext) atom(s int32) Less {
+	return Less{A: d.names[d.slots[s].to], B: d.names[d.slots[s].from]}
+}
+
+// link puts the slots' edges on their endpoints' lists (dir +1) or takes
+// them off (dir −1); the slots stay allocated either way.
+func (d *DeltaContext) link(slots []int32, dir int32) {
 	for _, s := range slots {
-		if d.slots[s].a.QuantVar != "" {
-			d.quant = append(d.quant, s)
-		} else {
-			d.link(s)
-		}
+		d.relink(s, dir)
 	}
 	d.stats.Steps += len(slots)
 }
 
-// link interns the variables of ground slot s and puts its difference edges
-// on the lists.
-func (d *DeltaContext) link(s int32) {
-	a := &d.slots[s].a
-	var buf [2]dlEdge
-	d.slots[s].e = [2]deltaEdge{1: {from: -1}}
-	for k, x := range appendDiffEdges(buf[:0], a, d.intern(a.A.Var), d.intern(a.B.Var), 0) {
-		d.slots[s].e[k] = deltaEdge{from: x.from, to: x.to, w: x.w}
-	}
-	d.relink(s, +1)
-}
-
-// detach is attach's inverse; the slots stay allocated.
-func (d *DeltaContext) detach(slots []int32) {
-	for _, s := range slots {
-		if d.slots[s].a.QuantVar != "" {
-			i := slices.Index(d.quant, s)
-			d.quant = slices.Delete(d.quant, i, i+1)
-		} else {
-			d.relink(s, -1)
-		}
-	}
-	d.stats.Steps += len(slots)
-}
-
-// intern returns the node of a variable, minting one for a first occurrence;
-// the empty name is the constant 0. A fresh node starts at the virtual-source
-// distance like every node of a fresh solve; its positivity edge points at
-// the zero node, which it therefore changes.
+// intern returns the node of a variable, minting one for a first
+// occurrence. A fresh node starts at the virtual-source distance like every
+// node of a fresh solve.
 func (d *DeltaContext) intern(v Var) int32 {
-	if v == "" {
-		return zeroNode
-	}
 	id, ok := d.varID[v]
 	if !ok {
 		id = int32(len(d.nodes))
 		d.varID[v] = id
 		d.names = append(d.names, v)
 		d.nodes = append(d.nodes, deltaNode{out: -1, in: -1})
-		d.hist.add(0)
-		d.markChanged(zeroNode)
 	}
 	return id
 }
 
-// relink puts ground slot s's edges on (dir +1) or takes them off (dir −1)
-// their endpoints' lists, moves the endpoints' reference counts with them
-// (the zero node stands for a constant and has none), and marks the edges'
-// heads changed.
+// relink puts slot s's edge on (dir +1) or takes it off (dir −1) its
+// endpoints' lists, moves the endpoints' reference counts with it, and marks
+// its head changed.
 func (d *DeltaContext) relink(s int32, dir int32) {
-	for k := range d.slots[s].e {
-		x := &d.slots[s].e[k]
-		if x.from < 0 {
-			continue
+	x := &d.slots[s]
+	from, to := &d.nodes[x.from], &d.nodes[x.to]
+	if dir > 0 {
+		x.outPrev, x.outNext, from.out = -1, from.out, s
+		x.inPrev, x.inNext, to.in = -1, to.in, s
+		if x.outNext >= 0 {
+			d.slots[x.outNext].outPrev = s
 		}
-		id := s<<1 | int32(k)
-		from, to := &d.nodes[x.from], &d.nodes[x.to]
-		if dir > 0 {
-			x.outPrev, x.outNext, from.out = -1, from.out, id
-			x.inPrev, x.inNext, to.in = -1, to.in, id
-			if x.outNext >= 0 {
-				d.edge(x.outNext).outPrev = id
-			}
-			if x.inNext >= 0 {
-				d.edge(x.inNext).inPrev = id
-			}
+		if x.inNext >= 0 {
+			d.slots[x.inNext].inPrev = s
+		}
+	} else {
+		if x.outPrev >= 0 {
+			d.slots[x.outPrev].outNext = x.outNext
 		} else {
-			if x.outPrev >= 0 {
-				d.edge(x.outPrev).outNext = x.outNext
-			} else {
-				from.out = x.outNext
-			}
-			if x.outNext >= 0 {
-				d.edge(x.outNext).outPrev = x.outPrev
-			}
-			if x.inPrev >= 0 {
-				d.edge(x.inPrev).inNext = x.inNext
-			} else {
-				to.in = x.inNext
-			}
-			if x.inNext >= 0 {
-				d.edge(x.inNext).inPrev = x.inPrev
-			}
+			from.out = x.outNext
 		}
-		d.nEdges += int(dir)
-		d.markChanged(x.to)
-		d.stats.Steps++
-	}
-	for _, v := range [2]int32{d.slots[s].e[0].from, d.slots[s].e[0].to} {
-		if v != zeroNode {
-			d.nodes[v].ref += dir
+		if x.outNext >= 0 {
+			d.slots[x.outNext].outPrev = x.outPrev
+		}
+		if x.inPrev >= 0 {
+			d.slots[x.inPrev].inNext = x.inNext
+		} else {
+			to.in = x.inNext
+		}
+		if x.inNext >= 0 {
+			d.slots[x.inNext].inPrev = x.inPrev
 		}
 	}
+	from.ref += dir
+	to.ref += dir
+	d.markChanged(x.to)
+	d.stats.Steps++
 }
-
-func (d *DeltaContext) edge(id int32) *deltaEdge { return &d.slots[id>>1].e[id&1] }
 
 func (d *DeltaContext) markChanged(v int32) {
 	if !d.nodes[v].changed {
@@ -716,14 +647,14 @@ func (d *DeltaContext) clearChanged() {
 
 // --- checking ---
 
-// Check decides the current assertion list. Results are memoized until the
-// next edit. With a fixed point standing, the check is a delta solve:
-// forward closure of the changed nodes, boundary relaxation, seeded SPFA,
-// and — when that finds a negative cycle — the exact core of the region's
-// sub-system. Every check before the first sat one decides the sub-system
-// induced on every referenced node. Either way verdicts and minimal cores
-// are bit-for-bit those of a fresh solve. A sat result carries no model:
-// Model renders it.
+// Check decides the current atom list. Results are memoized until the next
+// edit. With a fixed point standing, the check is a delta solve: forward
+// closure of the changed nodes, boundary relaxation, seeded SPFA, and — when
+// that finds a negative cycle — the exact core of the region's sub-system.
+// Every check before the first sat one decides the sub-system induced on
+// every referenced node. Either way verdicts and minimal cores are
+// bit-for-bit those of a fresh solve, and UsesPositivity is always false (see
+// the file header). A sat result carries no model: Model renders it.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -735,10 +666,7 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	}
 	start := time.Now()
 	d.stats.Checks++
-	res, err := d.decideQuantified()
-	if err == nil && res.Core == nil { // no invalid universal settled it
-		res, err = d.solveGround(ctx)
-	}
+	res, err := d.solve(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -746,22 +674,6 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	d.stats.LastDuration = res.Stats.Duration
 	d.res, d.resValid = res, true
 	return res, nil
-}
-
-// decideQuantified is the package's decideQuantified over the quantified
-// set: the first invalid (or unsupported) universal in canonical order
-// settles the system, as a one-element core.
-func (d *DeltaContext) decideQuantified() (Result, error) {
-	slices.SortFunc(d.quant, func(a, b int32) int { return d.position(a) - d.position(b) })
-	for _, s := range d.quant {
-		a := d.slots[s].a
-		if ok, err := quantifiedValid(a); err != nil {
-			return Result{}, err
-		} else if !ok {
-			return Result{Core: []Assertion{a}, CoreIdx: []int{d.position(s)}, Stats: Stats{Assertions: d.n}}, nil
-		}
-	}
-	return Result{}, nil
 }
 
 // Model renders the satisfying assignment of the last Check off the
@@ -772,25 +684,34 @@ func (d *DeltaContext) Model() map[Var]int {
 	if !d.built || !d.resValid || !d.res.Sat {
 		return nil
 	}
+	// A fresh solve's zero node stands one below the lowest variable, over
+	// that variable's positivity edge.
+	d0 := 0
+	for v := 1; v < len(d.nodes); v++ {
+		if d.nodes[v].ref > 0 {
+			d0 = min(d0, d.nodes[v].dist)
+		}
+	}
+	d0--
 	model := make(map[Var]int, len(d.names)-1)
 	for v := 1; v < len(d.nodes); v++ {
 		if d.nodes[v].ref > 0 {
-			model[d.names[v]] = d.nodes[v].dist - d.nodes[zeroNode].dist
+			model[d.names[v]] = d.nodes[v].dist - d0
 		}
 	}
 	return model
 }
 
-// solveGround decides the ground graph. With no fixed point standing it
-// decides the sub-system induced on every referenced node. With one, it
-// re-probes the affected region and, if that finds a negative cycle, decides
-// the sub-system induced on the region.
-func (d *DeltaContext) solveGround(ctx context.Context) (res Result, err error) {
+// solve decides the graph. With no fixed point standing it decides the
+// sub-system induced on every referenced node. With one, it re-probes the
+// affected region and, if that finds a negative cycle, decides the
+// sub-system induced on the region.
+func (d *DeltaContext) solve(ctx context.Context) (res Result, err error) {
 	if !d.built {
 		d.stats.FullSolves++
 		obsFullSolves.Inc()
 		d.stats.LastAffected = 0
-		d.region = append(d.region[:0], zeroNode)
+		d.region = d.region[:0]
 		for v := int32(1); v < int32(len(d.nodes)); v++ {
 			if d.nodes[v].ref > 0 {
 				d.region = append(d.region, v)
@@ -805,18 +726,17 @@ func (d *DeltaContext) solveGround(ctx context.Context) (res Result, err error) 
 		}
 	}
 	res.Stats.Assertions, res.Stats.Variables = d.n, len(d.nodes)-1
-	res.Stats.Edges = d.nEdges + res.Stats.Variables
+	res.Stats.Edges = d.n + res.Stats.Variables // with the string door's positivity edges
 	d.stats.DeltaSolves++
 	obsDeltaSolves.Inc()
 	return res, nil
 }
 
 // probe re-solves the region of the graph the changed set reaches, leaving
-// it in d.region (zero node first), and reports whether it converged. If
-// SPFA tripped the negative-cycle bound, the region's distances are back
-// where they stood and the changed set is still pending. Inside a
-// transaction the distances a successful probe replaced are journalled for
-// Rollback.
+// it in d.region, and reports whether it converged. If SPFA tripped the
+// negative-cycle bound, the region's distances are back where they stood and
+// the changed set is still pending. Inside a transaction the distances a
+// successful probe replaced are journalled for Rollback.
 func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	d.region = d.region[:0]
 	d.stats.LastAffected = 0
@@ -829,11 +749,9 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 
 	// Affected region: forward closure of the changed nodes over out-edges.
 	// Only nodes in this set can see their fixed-point distance move, and
-	// any negative cycle lies entirely inside it. The zero node is always
-	// in: every variable reaches it over its positivity edge.
-	nodes, steps := d.nodes, 0
-	region := append(d.region, zeroNode)
-	nodes[zeroNode].inRegion = true
+	// any negative cycle lies entirely inside it.
+	nodes, slots, steps := d.nodes, d.slots, 0
+	region := d.region
 	for _, v := range d.changed {
 		if !nodes[v].inRegion {
 			nodes[v].inRegion = true
@@ -841,9 +759,9 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 		}
 	}
 	for qi := 0; qi < len(region); qi++ {
-		for ed := nodes[region[qi]].out; ed >= 0; ed = d.edge(ed).outNext {
+		for ed := nodes[region[qi]].out; ed >= 0; ed = slots[ed].outNext {
 			steps++
-			if v := d.edge(ed).to; !nodes[v].inRegion {
+			if v := slots[ed].to; !nodes[v].inRegion {
 				nodes[v].inRegion = true
 				region = append(region, v)
 			}
@@ -856,68 +774,53 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	// Reset the region to virtual-source distances, remembering what stood
 	// there, and seed the queue with it; boundary edges (unaffected tail →
 	// affected head, found on the region's in-lists) are relaxed once from
-	// the standing distances, which never move during the re-probe. The
-	// zero node's positivity boundary is the histogram's lowest distance
-	// once the region's own entries are out of it.
+	// the standing distances, which never move during the re-probe.
 	tx := &d.tx
 	mark := len(tx.dist)
 	d.queue = growInt32(d.queue, len(region))
 	for i, v := range region {
 		tx.dist = append(tx.dist, distUndo{v, nodes[v].dist})
-		if v != zeroNode {
-			d.hist.remove(nodes[v].dist)
-		}
 		nodes[v].dist, nodes[v].cnt, nodes[v].inQ = 0, 1, true
 		d.queue[i] = v
 	}
 	for _, v := range region {
-		for ed := nodes[v].in; ed >= 0; ed = d.edge(ed).inNext {
+		for ed := nodes[v].in; ed >= 0; ed = slots[ed].inNext {
 			steps++
-			if x := d.edge(ed); !nodes[x.from].inRegion {
-				nodes[v].dist = min(nodes[v].dist, nodes[x.from].dist+x.w)
+			if u := slots[ed].from; !nodes[u].inRegion {
+				nodes[v].dist = min(nodes[v].dist, nodes[u].dist-1)
 			}
 		}
-	}
-	if low, ok := d.hist.lowest(); ok {
-		nodes[zeroNode].dist = min(nodes[zeroNode].dist, low-1)
 	}
 
 	// SPFA over the region's ring queue. A node enqueued more often than the
 	// region has nodes lies on (or hangs off) a negative cycle.
 	relax, head, size := 0, int32(0), n
-	// relaxTo offers node v a distance and reports whether taking it tripped
-	// the bound.
-	relaxTo := func(v int32, dist int) bool {
-		nv := &nodes[v]
-		if dist >= nv.dist {
-			return false
-		}
-		relax++
-		nv.dist = dist
-		if nv.inQ {
-			return false
-		}
-		if nv.cnt++; nv.cnt > n {
-			return true
-		}
-		d.queue[(head+size)%n] = v
-		size++
-		nv.inQ = true
-		return false
-	}
 	sat = true
 	for size > 0 && sat {
 		u := d.queue[head]
 		head = (head + 1) % n
 		size--
 		nodes[u].inQ = false
-		du := nodes[u].dist
-		for ed := nodes[u].out; ed >= 0 && sat; ed = d.edge(ed).outNext {
+		du := nodes[u].dist - 1 // every edge weighs −1
+		for ed := nodes[u].out; ed >= 0; ed = slots[ed].outNext {
 			steps++
-			sat = !relaxTo(d.edge(ed).to, du+d.edge(ed).w)
-		}
-		if u != zeroNode && sat {
-			sat = !relaxTo(zeroNode, du-1)
+			v := slots[ed].to
+			nv := &nodes[v]
+			if du >= nv.dist {
+				continue
+			}
+			relax++
+			nv.dist = du
+			if nv.inQ {
+				continue
+			}
+			if nv.cnt++; nv.cnt > n {
+				sat = false
+				break
+			}
+			d.queue[(head+size)%n] = v
+			size++
+			nv.inQ = true
 		}
 	}
 	st.Probes, st.Relaxations = 1, relax
@@ -930,18 +833,12 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 		// their region marks.
 		for _, u := range tx.dist[mark:] {
 			nodes[u.node].dist, nodes[u.node].inQ = u.dist, false
-			if u.node != zeroNode {
-				d.hist.add(u.dist)
-			}
 		}
 		tx.dist = tx.dist[:mark]
 		return false
 	}
 	for _, v := range region {
 		nodes[v].inRegion = false
-		if v != zeroNode {
-			d.hist.add(nodes[v].dist)
-		}
 	}
 	if !tx.open {
 		tx.dist = tx.dist[:mark] // nobody to roll back for
@@ -950,15 +847,15 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	return true
 }
 
-// solveInduced decides the sub-system induced on the node set d.region
-// (zero node first): the ground atoms whose edges leave a node of the set,
-// in canonical order, over local ids (a node's index in d.region), by the
-// engine's one solve on a pooled engine, with a core mapped back to
+// solveInduced decides the sub-system induced on the node set d.region: the
+// atoms whose edges leave a node of the set, in canonical order, over local
+// ids (a node's index in d.region plus one, with the zero anchor at 0), by
+// the engine's one solve on a pooled engine, with a core mapped back to
 // canonical positions. With no fixed point standing the set is every
-// referenced node, the sub-system is the whole ground list, and a sat
-// verdict installs the fixed point. Otherwise the set is the affected
-// region of a probe that found a negative cycle, and by the argument in the
-// file header its sub-system has the whole list's answer.
+// referenced node, the sub-system is the whole list, and a sat verdict
+// installs the fixed point. Otherwise the set is the affected region of a
+// probe that found a negative cycle, and by the argument in the file header
+// its sub-system has the whole list's answer.
 func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	name := "region-core"
 	if !d.built {
@@ -966,15 +863,12 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	}
 	ctx, sp := obs.StartSpan(ctx, name)
 	defer sp.End()
-	// An equality's two edges leave the same set; its first stands for it.
 	items, steps := d.items[:0], 0
 	for i, u := range d.region {
-		d.nodes[u].cnt, d.nodes[u].inRegion = int32(i), false // a probe is done with both
-		for ed := d.nodes[u].out; ed >= 0; ed = d.edge(ed).outNext {
+		d.nodes[u].cnt, d.nodes[u].inRegion = int32(i+1), false // a probe is done with both
+		for ed := d.nodes[u].out; ed >= 0; ed = d.slots[ed].outNext {
 			steps++
-			if ed&1 == 0 {
-				items = append(items, uint64(d.position(ed>>1))<<32|uint64(ed>>1))
-			}
+			items = append(items, uint64(d.position(ed))<<32|uint64(ed))
 		}
 	}
 	slices.Sort(items)
@@ -986,13 +880,10 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	defer e.flushStats()
 	e.edges = e.edges[:0]
 	for i, it := range items {
-		for _, x := range d.slots[uint32(it)].e {
-			if x.from >= 0 {
-				e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, w: x.w, assertIdx: int32(i)})
-			}
-		}
+		x := &d.slots[uint32(it)]
+		e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, w: -1, assertIdx: int32(i)})
 	}
-	e.idVar = growVars(e.idVar, len(d.region)) // the set's dense universe, nothing interned
+	e.idVar = growVars(e.idVar, len(d.region)+1) // the set's dense universe, nothing interned
 	e.seal(len(items))
 	var st Stats
 	sat, core, usesPositivity, err := e.solve(ctx, &st)
@@ -1017,7 +908,7 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 			if d.tx.open {
 				d.tx.dist = append(d.tx.dist, distUndo{v, d.nodes[v].dist})
 			}
-			d.setDist(v, e.dist[i])
+			d.nodes[v].dist = e.dist[i+1]
 		}
 		d.built = true
 		d.clearChanged()
@@ -1026,7 +917,7 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	res.Core, res.CoreIdx = make([]Assertion, len(core)), make([]int, len(core))
 	for k, i := range core {
 		res.CoreIdx[k] = int(items[i] >> 32)
-		res.Core[k] = d.slots[uint32(items[i])].a
+		res.Core[k] = d.atom(int32(uint32(items[i]))).assertion()
 	}
 	sp.AttrInt("core", int64(len(core)))
 	return nil

@@ -3,7 +3,6 @@ package smt
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -84,7 +83,7 @@ func requireOracle(t *testing.T, label string, d *DeltaContext) Result {
 	return got
 }
 
-// singles cuts n assertions into one segment each.
+// singles cuts n atoms into one segment each.
 func singles(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -93,8 +92,21 @@ func singles(n int) []int {
 	return out
 }
 
-// appendSeg adds a new last segment holding the assertions.
-func appendSeg(t *testing.T, d *DeltaContext, as ...Assertion) {
+// less is the atom a < b.
+func less(a, b string) Less { return Less{A: Var(a), B: Var(b)} }
+
+// newDelta is NewDeltaContext on atoms that must be accepted.
+func newDelta(t testing.TB, atoms []Less, segLen []int) *DeltaContext {
+	t.Helper()
+	d, err := NewDeltaContext(atoms, segLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// appendSeg adds a new last segment holding the atoms.
+func appendSeg(t *testing.T, d *DeltaContext, as ...Less) {
 	t.Helper()
 	id := d.Segments()
 	if err := d.InsertSeg(id); err != nil {
@@ -103,7 +115,7 @@ func appendSeg(t *testing.T, d *DeltaContext, as ...Assertion) {
 	setSeg(t, d, id, as...)
 }
 
-func setSeg(t *testing.T, d *DeltaContext, id int, as ...Assertion) {
+func setSeg(t *testing.T, d *DeltaContext, id int, as ...Less) {
 	t.Helper()
 	if _, err := d.SetSeg(id, as); err != nil {
 		t.Fatal(err)
@@ -117,11 +129,11 @@ func removeSeg(t *testing.T, d *DeltaContext, id int) {
 	}
 }
 
-// edgeView is one linked edge as a list shows it: endpoints, weight and the
-// canonical position of the assertion it carries.
+// edgeView is one linked edge as a list shows it: endpoints and the
+// canonical position of the atom it carries.
 type edgeView struct {
 	From, To int32
-	W, Pos   int
+	Pos      int
 }
 
 // deltaState is everything a DeltaContext carries between checks, for
@@ -131,13 +143,10 @@ type edgeView struct {
 type deltaState struct {
 	Asserts  []Assertion
 	SegLen   []int
-	Quant    []int
 	Built    bool
 	Vars     []Var
 	Out, In  [][]edgeView
-	NEdges   int
 	Dist     []int
-	Hist     map[int]int32
 	VarRef   []int32
 	Changed  []int32
 	Res      Result
@@ -150,23 +159,18 @@ func stateOf(d *DeltaContext) deltaState {
 		st.SegLen = append(st.SegLen, d.SegLen(id))
 	}
 	if len(st.Asserts) != d.Len() {
-		panic(fmt.Sprintf("Len() = %d for %d assertions", d.Len(), len(st.Asserts)))
+		panic(fmt.Sprintf("Len() = %d for %d atoms", d.Len(), len(st.Asserts)))
 	}
-	for _, s := range d.quant {
-		st.Quant = append(st.Quant, d.position(s))
-	}
-	slices.Sort(st.Quant)
 	view := func(ed int32) edgeView {
-		x := d.edge(ed)
-		return edgeView{x.from, x.to, x.w, d.position(ed >> 1)}
+		return edgeView{d.slots[ed].from, d.slots[ed].to, d.position(ed)}
 	}
 	byPos := func(a, b edgeView) int { return a.Pos - b.Pos }
 	for v, node := range d.nodes {
 		var out, in []edgeView
-		for ed := node.out; ed >= 0; ed = d.edge(ed).outNext {
+		for ed := node.out; ed >= 0; ed = d.slots[ed].outNext {
 			out = append(out, view(ed))
 		}
-		for ed := node.in; ed >= 0; ed = d.edge(ed).inNext {
+		for ed := node.in; ed >= 0; ed = d.slots[ed].inNext {
 			in = append(in, view(ed))
 		}
 		slices.SortStableFunc(out, byPos)
@@ -178,16 +182,13 @@ func stateOf(d *DeltaContext) deltaState {
 		}
 	}
 	st.Vars = slices.Clone(d.names)
-	st.NEdges = d.nEdges
-	st.Hist = maps.Clone(d.hist.count)
 	st.Changed = slices.Sorted(slices.Values(d.changed))
 	return st
 }
 
 // requireConsistent checks the invariants between a context's parts:
-// positions and Locate invert each other, every ground atom's edges are on
-// the lists of their endpoints, and the histogram counts the variables'
-// standing distances.
+// positions and Locate invert each other, every atom's edge is on the lists
+// of its endpoints, and nothing touches the zero node.
 func requireConsistent(t *testing.T, label string, d *DeltaContext) {
 	t.Helper()
 	pos := 0
@@ -212,33 +213,19 @@ func requireConsistent(t *testing.T, label string, d *DeltaContext) {
 			}
 		}
 	}
-	want := 0
-	for _, a := range st.Asserts {
-		switch {
-		case a.QuantVar != "":
-		case a.Rel == Eq:
-			want += 2
-		default:
-			want++
-		}
+	if linked != len(st.Asserts) {
+		t.Fatalf("%s: %d edges linked for %d atoms", label, linked, len(st.Asserts))
 	}
-	if linked != want || st.NEdges != want {
-		t.Fatalf("%s: %d edges linked, %d counted, the assertions make %d", label, linked, st.NEdges, want)
-	}
-	hist := map[int]int32{}
-	for _, dist := range st.Dist[1:] {
-		hist[dist]++
-	}
-	if !maps.Equal(hist, st.Hist) {
-		t.Fatalf("%s: histogram %v, distances make %v", label, st.Hist, hist)
+	if len(st.In[zeroNode]) != 0 || len(st.Out[zeroNode]) != 0 || st.VarRef[zeroNode] != 0 || slices.Contains(st.Changed, zeroNode) {
+		t.Fatalf("%s: the zero node is part of the graph: %+v", label, d.nodes[zeroNode])
 	}
 }
 
 // txDriver turns a byte string into delta transactions: an initial
 // segmented list, then rounds of Begin, one to four segment operations
-// (replacements with fresh variables, constants, equalities and quantified
-// atoms, insertions, removals, a segment given its own content), a Check
-// that must match a fresh full solve of the same list bit for bit, and
+// (replacements with strict pairs — fresh variables, repeats and self-loops
+// among them — insertions, removals, a segment given its own content), a
+// Check that must match a fresh full solve of the same list bit for bit, and
 // Commit or Rollback. A rolled-back context must be, field for field, the
 // one Begin found: the next Check is answered from the memoized result, and
 // a one-edge edit after it by a delta solve — also when the check that was
@@ -262,33 +249,29 @@ func (x *txDriver) next() int {
 
 var driverVars = []Var{"a", "b", "c", "d", "e", "f", "g", "h"}
 
-func (x *txDriver) term() Term {
-	switch k := x.next(); {
-	case k%12 < 2:
-		return C(k/12%7 - 3)
-	case k%12 < 3: // a variable the context has never seen
+// atom draws a strict pair: mostly one that agrees with the order of
+// driverVars, so a system can stay sat, and otherwise one against it, a
+// self-loop, or one with a variable the context has never seen.
+func (x *txDriver) atom() Less {
+	k, i := x.next(), x.next()%len(driverVars)
+	j := (i + 1 + x.next()%(len(driverVars)-1)) % len(driverVars)
+	a, b := driverVars[min(i, j)], driverVars[max(i, j)]
+	switch k % 16 {
+	case 0: // a negative cycle by itself
+		b = a
+	case 1, 2, 3: // against the order: may close a cycle
+		a, b = b, a
+	case 4:
 		x.fresh++
-		return V(fmt.Sprintf("v%d", x.fresh)).Plus(k/12%3 - 1)
-	default:
-		return V(string(driverVars[k%len(driverVars)])).Plus(k/12%5 - 2)
+		a = Var(fmt.Sprintf("v%d", x.fresh))
 	}
+	return Less{A: a, B: b}
 }
 
-func (x *txDriver) assertion() Assertion {
-	k := x.next()
-	switch k % 30 {
-	case 0: // ∀n. n ≤ n+1: valid, owns no edge
-		return Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
-	case 1: // ∀n. n+1 < n: invalid, a one-element core by itself
-		return Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
-	}
-	return Assertion{Rel: Rel(k / 30 % 5), A: x.term(), B: x.term()} // Lt, Le, Eq, Gt, Ge
-}
-
-func (x *txDriver) assertions(n int) []Assertion {
-	out := make([]Assertion, n)
+func (x *txDriver) atoms(n int) []Less {
+	out := make([]Less, n)
 	for i := range out {
-		out[i] = x.assertion()
+		out[i] = x.atom()
 	}
 	return out
 }
@@ -300,7 +283,7 @@ func (x *txDriver) run(t *testing.T) {
 		segLen[i] = x.next() % 4
 		total += segLen[i]
 	}
-	d := NewDeltaContext(x.assertions(total), segLen)
+	d := newDelta(t, x.atoms(total), segLen)
 	requireOracle(t, "initial", d)
 	requireConsistent(t, "initial", d)
 	for round := 0; len(x.data) > 0 && round < 40; round++ {
@@ -316,16 +299,16 @@ func (x *txDriver) run(t *testing.T) {
 				err = d.RemoveSeg(id % d.Segments())
 			case op%8 == 7: // its own content: must change nothing
 				id %= d.Segments()
-				var same []Assertion
+				var same []Less
 				for _, s := range d.segs[id] {
-					same = append(same, d.slots[s].a)
+					same = append(same, d.atom(s))
 				}
 				var changed bool
 				if changed, err = d.SetSeg(id, same); changed {
 					t.Fatalf("%s: segment %d given its own content reports a change", label, id)
 				}
 			default:
-				_, err = d.SetSeg(id%d.Segments(), x.assertions(op/8%4))
+				_, err = d.SetSeg(id%d.Segments(), x.atoms(op/8%4))
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -363,10 +346,10 @@ func (x *txDriver) run(t *testing.T) {
 		if !inside.Sat {
 			x.unsatRolledBack++
 		}
-		// A one-edge edit on the restored fixed point: a ≤ a+1 keeps any
-		// system satisfiable.
+		// A one-edge edit on the restored fixed point: pad < a, with pad in
+		// no other atom, closes no cycle.
 		for _, edit := range []func(){
-			func() { appendSeg(t, d, Assertion{Rel: Le, A: V("a"), B: V("a").Plus(1)}) },
+			func() { appendSeg(t, d, less("pad", "a")) },
 			func() { removeSeg(t, d, d.Segments()-1) },
 		} {
 			st := d.Stats()
@@ -393,6 +376,7 @@ func TestDeltaSpliceFuzz(t *testing.T) {
 		freshRolledBack += x.freshRolledBack
 		regionCores += x.regionCores
 	}
+	t.Logf("unsat rolled back %d, fresh rolled back %d, region cores %d", unsatRolledBack, freshRolledBack, regionCores)
 	if unsatRolledBack == 0 || freshRolledBack == 0 || regionCores == 0 {
 		t.Fatalf("fuzz rolled back %d unsat checks and %d transactions with fresh variables and decided %d cores from a region, want all > 0",
 			unsatRolledBack, freshRolledBack, regionCores)
@@ -424,18 +408,17 @@ func requireRegionCore(t *testing.T, label string, d *DeltaContext, before Delta
 }
 
 // TestDeltaRegionCores plants the disputes the region argument has to get
-// right on a standing satisfiable chain x0 < x1 < … < x9 beside an
-// unrelated pair, and compares each with a fresh solve of the same list.
+// right on a standing satisfiable chain x0 < x1 < … < x9 beside two
+// unrelated pairs, and compares each with a fresh solve of the same list.
 func TestDeltaRegionCores(t *testing.T) {
-	x := func(i int) Term { return V(fmt.Sprintf("x%d", i)) }
-	lt := func(a, b Term) Assertion { return Assertion{Rel: Lt, A: a, B: b} }
+	x := func(i int) string { return fmt.Sprintf("x%d", i) }
 	standing := func() *DeltaContext {
-		var as []Assertion
+		var as []Less
 		for i := 0; i < 9; i++ {
-			as = append(as, lt(x(i), x(i+1)))
+			as = append(as, less(x(i), x(i+1)))
 		}
-		as = append(as, lt(V("p"), V("q")), lt(V("r"), V("s")))
-		d := NewDeltaContext(as, singles(len(as)))
+		as = append(as, less("p", "q"), less("r", "s"))
+		d := newDelta(t, as, singles(len(as)))
 		if res := requireOracle(t, "standing", d); !res.Sat {
 			t.Fatal("the standing system is unsat")
 		}
@@ -446,8 +429,8 @@ func TestDeltaRegionCores(t *testing.T) {
 		d := standing()
 		st := d.Stats()
 		d.Begin()
-		appendSeg(t, d, lt(V("q"), V("p")))
-		appendSeg(t, d, lt(V("s"), V("r")))
+		appendSeg(t, d, less("q", "p"))
+		appendSeg(t, d, less("s", "r"))
 		res := requireRegionCore(t, "both planted", d, st)
 		if len(res.CoreIdx) != 2 {
 			t.Fatalf("core %v, want one dispute's two atoms", res.CoreIdx)
@@ -459,12 +442,12 @@ func TestDeltaRegionCores(t *testing.T) {
 	t.Run("a second break on a standing unsat verdict", func(t *testing.T) {
 		d := standing()
 		st := d.Stats()
-		appendSeg(t, d, lt(V("q"), V("p")))
+		appendSeg(t, d, less("q", "p"))
 		first := requireRegionCore(t, "first break", d, st)
 		st = d.Stats()
 		d.Begin()
-		setSeg(t, d, 0, lt(x(1), x(0))) // x0 < x1 becomes x1 < x0: no cycle by itself
-		setSeg(t, d, 1, lt(x(0), x(1))) // x1 < x2 becomes x0 < x1: closes it
+		setSeg(t, d, 0, less(x(1), x(0))) // x0 < x1 becomes x1 < x0: no cycle by itself
+		setSeg(t, d, 1, less(x(0), x(1))) // x1 < x2 becomes x0 < x1: closes it
 		d.Commit()
 		second := requireRegionCore(t, "second break", d, st)
 		if slices.Equal(first.CoreIdx, second.CoreIdx) {
@@ -473,8 +456,8 @@ func TestDeltaRegionCores(t *testing.T) {
 		// Repair the later one, then the earlier: the fixed point that stood
 		// before both is still the one re-probed from.
 		st = d.Stats()
-		setSeg(t, d, 0, lt(x(0), x(1)))
-		setSeg(t, d, 1, lt(x(1), x(2)))
+		setSeg(t, d, 0, less(x(0), x(1)))
+		setSeg(t, d, 1, less(x(1), x(2)))
 		requireRegionCore(t, "first dispute still standing", d, st)
 		removeSeg(t, d, d.Segments()-1)
 		st = d.Stats()
@@ -483,23 +466,18 @@ func TestDeltaRegionCores(t *testing.T) {
 		}
 	})
 
-	t.Run("a dispute through the zero node", func(t *testing.T) {
+	t.Run("a self-loop", func(t *testing.T) {
 		d := standing()
 		st := d.Stats()
-		appendSeg(t, d, Assertion{Rel: Le, A: C(7), B: x(4)}, Assertion{Rel: Le, A: x(6), B: C(8)})
-		res := requireRegionCore(t, "7 ≤ x4 < … < x6 ≤ 8", d, st)
-		if len(res.CoreIdx) != 4 || res.UsesPositivity {
-			t.Fatalf("core %v (positivity %v), want the two bounds and the two links between them", res.CoreIdx, res.UsesPositivity)
+		appendSeg(t, d, less(x(4), x(4)))
+		res := requireRegionCore(t, "x4 < x4", d, st)
+		if !slices.Equal(res.CoreIdx, []int{d.Len() - 1}) || res.UsesPositivity {
+			t.Fatalf("core %v (positivity %v), want the self-loop alone", res.CoreIdx, res.UsesPositivity)
 		}
-	})
-
-	t.Run("a core that uses positivity", func(t *testing.T) {
-		d := standing()
-		st := d.Stats()
-		appendSeg(t, d, Assertion{Rel: Le, A: x(3), B: C(3)})
-		res := requireRegionCore(t, "x3 ≤ 3", d, st)
-		if len(res.CoreIdx) != 4 || !res.UsesPositivity {
-			t.Fatalf("core %v (positivity %v), want the bound and the three links below it, through x0 ≥ 1", res.CoreIdx, res.UsesPositivity)
+		st = d.Stats()
+		removeSeg(t, d, d.Segments()-1)
+		if res := requireOracle(t, "x4 < x4 removed", d); !res.Sat || d.Stats().DeltaSolves != st.DeltaSolves+1 || d.Stats().FullSolves != st.FullSolves {
+			t.Fatalf("removal: sat=%v, stats %+v → %+v; want a sat delta solve", res.Sat, st, d.Stats())
 		}
 	})
 
@@ -507,14 +485,14 @@ func TestDeltaRegionCores(t *testing.T) {
 		d := standing()
 		st := d.Stats()
 		d.Begin()
-		setSeg(t, d, 9, lt(V("q"), x(0)))                     // p < q becomes q < x0 …
-		appendSeg(t, d, lt(x(9), V("r")), lt(V("s"), V("q"))) // … and x9 < r < s < q closes the ring
+		setSeg(t, d, 9, less("q", x(0)))                 // p < q becomes q < x0 …
+		appendSeg(t, d, less(x(9), "r"), less("s", "q")) // … and x9 < r < s < q closes the ring
 		res := requireRegionCore(t, "ring", d, st)
 		if len(res.CoreIdx) != d.Len() {
 			t.Fatalf("core %v, want all %d atoms", res.CoreIdx, d.Len())
 		}
-		if got, vars := d.Stats().LastAffected, len(d.nodes); got != vars {
-			t.Fatalf("region of %d nodes, the graph has %d", got, vars)
+		if got, vars := d.Stats().LastAffected, len(d.nodes)-1; got != vars {
+			t.Fatalf("region of %d nodes, the graph has %d variables", got, vars)
 		}
 		d.Rollback()
 		requireOracle(t, "rolled back", d)
@@ -525,22 +503,19 @@ func TestDeltaRegionCores(t *testing.T) {
 // an unsat verdict (exact core from the region, on a pooled engine) costs
 // the standing fixed point nothing, so the repair is a delta solve.
 func TestDeltaSatToUnsatAndBack(t *testing.T) {
-	base := []Assertion{
-		{Rel: Lt, A: V("x"), B: V("y")},
-		{Rel: Lt, A: V("y"), B: V("z")},
-	}
-	d := NewDeltaContext(base, singles(2))
+	base := []Less{less("x", "y"), less("y", "z")}
+	d := newDelta(t, base, singles(2))
 	requireOracle(t, "sat", d)
 
-	// z < x closes a strict cycle: unsat with a three-assertion core.
+	// z < x closes a strict cycle: unsat with a three-atom core.
 	st := d.Stats()
-	appendSeg(t, d, Assertion{Rel: Lt, A: V("z"), B: V("x")})
+	appendSeg(t, d, less("z", "x"))
 	if res := requireRegionCore(t, "unsat", d, st); len(res.Core) != 3 {
-		t.Fatalf("expected 3-assertion unsat core, got %v", res.Core)
+		t.Fatalf("expected 3-atom unsat core, got %v", res.Core)
 	}
 
-	// Remove the closing assertion: sat again, re-probed from the fixed
-	// point that stood before the cycle.
+	// Remove the closing atom: sat again, re-probed from the fixed point
+	// that stood before the cycle.
 	st = d.Stats()
 	removeSeg(t, d, 2)
 	requireOracle(t, "sat again", d)
@@ -549,27 +524,23 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	}
 
 	// Now a benign delta on the warm state.
-	setSeg(t, d, 0, Assertion{Rel: Le, A: V("x"), B: V("y")})
+	setSeg(t, d, 0, less("x", "z"))
 	requireOracle(t, "delta after recovery", d)
 
 	// Before any sat verdict the graph is linked all the same, orphans
 	// included: a check must leave them out like a fresh solve, which never
 	// interns them.
 	t.Run("orphans before any sat verdict", func(t *testing.T) {
-		d := NewDeltaContext([]Assertion{
-			{Rel: Lt, A: V("x"), B: V("y")},
-			{Rel: Lt, A: V("y"), B: V("x")},
-			{Rel: Lt, A: V("u"), B: V("v")},
-		}, singles(3))
+		d := newDelta(t, []Less{less("x", "y"), less("y", "x"), less("u", "v")}, singles(3))
 		if res := requireFullSolve(t, "x < y < x", d); res.Sat {
 			t.Fatal("x < y < x is sat")
 		}
-		setSeg(t, d, 1, Assertion{Rel: Lt, A: V("y"), B: V("z")})                                         // fresh z
-		setSeg(t, d, 2, Assertion{Rel: Le, A: V("u"), B: V("w")}, Assertion{Rel: Lt, A: V("w"), B: C(1)}) // orphans v, fresh w
-		if res := requireFullSolve(t, "w < 1, v orphaned", d); res.Sat || !res.UsesPositivity {
-			t.Fatalf("w < 1: sat=%v, positivity %v; want unsat through w ≥ 1", res.Sat, res.UsesPositivity)
+		setSeg(t, d, 1, less("y", "z"))                 // fresh z
+		setSeg(t, d, 2, less("u", "w"), less("w", "u")) // orphans v, fresh w
+		if res := requireFullSolve(t, "u < w < u, v orphaned", d); res.Sat || len(res.CoreIdx) != 2 {
+			t.Fatalf("u < w < u: sat=%v, core %v; want the two-atom cycle", res.Sat, res.CoreIdx)
 		}
-		setSeg(t, d, 2, Assertion{Rel: Le, A: V("u"), B: V("w")})
+		setSeg(t, d, 2, less("u", "w"))
 		if res := requireFullSolve(t, "repaired, v still orphaned", d); !res.Sat {
 			t.Fatal("the repair is unsat")
 		}
@@ -579,11 +550,11 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	// list Rollback takes away: nothing stands after it.
 	t.Run("a first sat solve rolled back", func(t *testing.T) {
 		for _, edit := range []bool{false, true} {
-			d := NewDeltaContext(base, singles(2))
+			d := newDelta(t, base, singles(2))
 			before := stateOf(d)
 			d.Begin()
 			if edit {
-				appendSeg(t, d, Assertion{Rel: Lt, A: V("z"), B: V("w")}) // fresh w
+				appendSeg(t, d, less("z", "w")) // fresh w
 			}
 			requireFullSolve(t, "inside", d)
 			d.Rollback()
@@ -616,14 +587,11 @@ func requireFullSolve(t *testing.T, label string, d *DeltaContext) Result {
 	return got
 }
 
-// TestDeltaOrphanVariables removes every assertion mentioning a variable
-// and checks the orphan is filtered from the model, matching the oracle
-// (which never interns it).
+// TestDeltaOrphanVariables removes every atom mentioning a variable and
+// checks the orphan is filtered from the model, matching the oracle (which
+// never interns it).
 func TestDeltaOrphanVariables(t *testing.T) {
-	d := NewDeltaContext([]Assertion{
-		{Rel: Lt, A: V("x"), B: V("y")},
-		{Rel: Lt, A: V("u"), B: V("v")},
-	}, singles(2))
+	d := newDelta(t, []Less{less("x", "y"), less("u", "v")}, singles(2))
 	requireOracle(t, "initial", d)
 	setSeg(t, d, 1) // orphans u and v
 	res := requireOracle(t, "after orphaning", d)
@@ -633,41 +601,17 @@ func TestDeltaOrphanVariables(t *testing.T) {
 		}
 	}
 	// Re-adding a reference resurrects the variable.
-	setSeg(t, d, 1, Assertion{Rel: Lt, A: V("u"), B: V("x")})
+	setSeg(t, d, 1, less("u", "x"))
 	res = requireOracle(t, "after resurrection", d)
 	if _, ok := res.Model["u"]; !ok {
 		t.Fatalf("resurrected u missing from model %v", res.Model)
 	}
 }
 
-// TestDeltaQuantified checks the analytic quantified path: an invalid
-// quantified assertion short-circuits with itself as the core, valid ones
-// are skipped by the graph, both before and after edits.
-func TestDeltaQuantified(t *testing.T) {
-	valid := Assertion{Rel: Le, A: Term{Var: "n"}, B: Term{Var: "n", K: 1}, QuantVar: "n"}
-	invalid := Assertion{Rel: Lt, A: Term{Var: "n", K: 1}, B: Term{Var: "n"}, QuantVar: "n"}
-	ground := Assertion{Rel: Lt, A: V("x"), B: V("y")}
-
-	d := NewDeltaContext([]Assertion{valid, ground}, singles(2))
-	requireOracle(t, "valid quant", d)
-
-	if err := d.InsertSeg(1); err != nil {
-		t.Fatal(err)
-	}
-	setSeg(t, d, 1, invalid)
-	res := requireOracle(t, "invalid quant", d)
-	if res.Sat || len(res.CoreIdx) != 1 || res.CoreIdx[0] != 1 {
-		t.Fatalf("expected core [1], got Sat=%v CoreIdx=%v", res.Sat, res.CoreIdx)
-	}
-
-	removeSeg(t, d, 1)
-	requireOracle(t, "quant removed", d)
-}
-
 // TestDeltaCheckMemoization verifies repeated Checks without intervening
 // edits are answered from the cache.
 func TestDeltaCheckMemoization(t *testing.T) {
-	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}}, nil)
+	d := newDelta(t, []Less{less("x", "y")}, nil)
 	first := deltaCheck(t, d)
 	second := deltaCheck(t, d)
 	if st := d.Stats(); st.Checks != 1 || st.CacheHits != 1 {
@@ -679,14 +623,11 @@ func TestDeltaCheckMemoization(t *testing.T) {
 // TestDeltaClone applies divergent edits to a clone and its original and
 // checks they stay independent and each matches its own oracle.
 func TestDeltaClone(t *testing.T) {
-	d := NewDeltaContext([]Assertion{
-		{Rel: Lt, A: V("x"), B: V("y")},
-		{Rel: Lt, A: V("y"), B: V("z")},
-	}, singles(2))
+	d := newDelta(t, []Less{less("x", "y"), less("y", "z")}, singles(2))
 	deltaCheck(t, d) // warm the engine so the clone copies live state
 	c := d.Clone()
-	appendSeg(t, c, Assertion{Rel: Lt, A: V("z"), B: V("x")})
-	setSeg(t, d, 0, Assertion{Rel: Eq, A: V("x"), B: V("y").Plus(2)})
+	appendSeg(t, c, less("z", "x"))
+	setSeg(t, d, 0, less("w", "x"))
 	requireOracle(t, "clone", c)
 	requireOracle(t, "original", d)
 	requireConsistent(t, "clone", c)
@@ -699,9 +640,10 @@ func TestDeltaClone(t *testing.T) {
 	}
 }
 
-// TestDeltaSpliceBounds checks the segment range validation.
+// TestDeltaSpliceBounds checks the segment range validation, and that an
+// atom naming no variable is turned away at the door.
 func TestDeltaSpliceBounds(t *testing.T) {
-	d := NewDeltaContext([]Assertion{{Rel: Lt, A: V("x"), B: V("y")}}, nil)
+	d := newDelta(t, []Less{less("x", "y")}, nil)
 	for _, id := range []int{-1, 1} {
 		if _, err := d.SetSeg(id, nil); err == nil {
 			t.Fatalf("SetSeg(%d) accepted", id)
@@ -715,7 +657,15 @@ func TestDeltaSpliceBounds(t *testing.T) {
 			t.Fatalf("InsertSeg(%d) accepted", id)
 		}
 	}
-	if d.Len() != 1 || d.Segments() != 1 {
-		t.Fatalf("rejected edits left %d atoms in %d segments", d.Len(), d.Segments())
+	for _, bad := range []Less{less("", "x"), less("x", "")} {
+		if _, err := d.SetSeg(0, []Less{less("x", "z"), bad}); err == nil {
+			t.Fatalf("SetSeg accepted %+v", bad)
+		}
+		if _, err := NewDeltaContext([]Less{bad}, nil); err == nil {
+			t.Fatalf("NewDeltaContext accepted %+v", bad)
+		}
+	}
+	if d.Len() != 1 || d.Segments() != 1 || d.Assertions()[0] != less("x", "y").assertion() {
+		t.Fatalf("rejected edits left %v in %d segments", d.Assertions(), d.Segments())
 	}
 }

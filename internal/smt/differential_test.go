@@ -43,13 +43,39 @@ func randomInstance(rng *rand.Rand) []Assertion {
 	return out
 }
 
+// randomPairs draws a system of the one atom the delta door takes, strict
+// pairs x < y over a few variables: mostly distinct variables in an order
+// the rest agrees with, against it often enough that most systems are unsat,
+// now and then a self-loop, and sometimes an atom twice.
+func randomPairs(rng *rand.Rand) []Less {
+	vars := []Var{"a", "b", "c", "d", "e", "f"}
+	out := make([]Less, 0, 14)
+	for n := 1 + rng.Intn(12); len(out) < n; {
+		i, j := rng.Intn(len(vars)), rng.Intn(len(vars))
+		switch {
+		case rng.Intn(3) == 0:
+			i, j = max(i, j), min(i, j)
+		case i == j && rng.Intn(4) > 0:
+			continue
+		default:
+			i, j = min(i, j), max(i, j)
+		}
+		out = append(out, Less{A: vars[i], B: vars[j]})
+	}
+	if rng.Intn(4) == 0 {
+		out = append(out, out[rng.Intn(len(out))])
+	}
+	return out
+}
+
 // TestDifferentialRandomized holds the incremental engine to the retained
-// reference implementation on randomized instances: identical sat/unsat
-// verdicts, identical models (not merely valid ones — the shortest-path
-// fixpoint is unique, so both solvers must land on it), and identical
-// minimal cores element for element. The delta door must match the string
-// door on everything but the clock: a fresh DeltaContext numbers its graph as
-// the string door does, so even the condensation and effort counts agree.
+// reference implementation on randomized instances of the whole fragment:
+// identical sat/unsat verdicts, identical models (not merely valid ones —
+// the shortest-path fixpoint is unique, so both solvers must land on it),
+// and identical minimal cores element for element. On the strict pairs it
+// takes, the delta door must match the string door on everything but the
+// clock: a fresh DeltaContext numbers its graph as the string door does, so
+// even the condensation and effort counts agree.
 func TestDifferentialRandomized(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -58,19 +84,6 @@ func TestDifferentialRandomized(t *testing.T) {
 		got, err := (Native{}).Solve(ctx, asserts)
 		if err != nil {
 			t.Fatalf("trial %d: native: %v", trial, err)
-		}
-		dc := NewDeltaContext(asserts, nil)
-		delta, err := dc.Check(ctx)
-		if err != nil {
-			t.Fatalf("trial %d: delta: %v", trial, err)
-		}
-		delta.Model = dc.Model()
-		for _, r := range []*Result{&got, &delta} {
-			r.Stats.Duration, r.Stats.TarjanDuration = 0, 0
-		}
-		if !reflect.DeepEqual(delta, got) {
-			t.Fatalf("trial %d: delta door disagrees with native:\ndelta  %+v\nnative %+v\ninstance:\n%s",
-				trial, delta, got, FormatCore(asserts))
 		}
 		want, err := (Reference{}).Solve(ctx, asserts)
 		if err != nil {
@@ -103,6 +116,40 @@ func TestDifferentialRandomized(t *testing.T) {
 			t.Fatalf("trial %d: positivity flags disagree: native %v, reference %v",
 				trial, got.UsesPositivity, want.UsesPositivity)
 		}
+	}
+	sat := 0
+	for trial := 0; trial < 400; trial++ {
+		atoms := randomPairs(rng)
+		asserts := make([]Assertion, len(atoms))
+		for i, a := range atoms {
+			asserts[i] = a.assertion()
+		}
+		want, err := (Native{}).Solve(ctx, asserts)
+		if err != nil {
+			t.Fatalf("pairs %d: native: %v", trial, err)
+		}
+		dc, err := NewDeltaContext(atoms, nil)
+		if err != nil {
+			t.Fatalf("pairs %d: %v", trial, err)
+		}
+		got, err := dc.Check(ctx)
+		if err != nil {
+			t.Fatalf("pairs %d: delta: %v", trial, err)
+		}
+		got.Model = dc.Model()
+		for _, r := range []*Result{&got, &want} {
+			r.Stats.Duration, r.Stats.TarjanDuration = 0, 0
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pairs %d: delta door disagrees with native:\ndelta  %+v\nnative %+v\ninstance:\n%s",
+				trial, got, want, FormatCore(asserts))
+		}
+		if got.Sat {
+			sat++
+		}
+	}
+	if sat == 0 || sat > 400/2 {
+		t.Fatalf("%d of 400 strict-pair systems are sat, want some but under half", sat)
 	}
 }
 

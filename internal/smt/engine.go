@@ -1,9 +1,12 @@
 // The difference-logic engine behind every solver door.
 //
 // A solve sees dense node IDs and an edge list, from one of three doors:
-// build interns an assertion list, SolveDense takes ids already interned,
-// and a DeltaContext copies a sub-system out of its own linked graph (build
-// and the DeltaContext share appendDiffEdges). seal builds the CSR adjacency
+// build interns an assertion list of the whole fragment (appendDiffEdges),
+// while SolveDense, over ids already interned, and a DeltaContext, copying a
+// sub-system out of its own linked graph, take only the atom §IV-B emits for
+// an SPP instance — x < y between two variables, one edge of weight −1 — and
+// hand the engine the same zero anchor and positivity edges the string door
+// builds, so every door reports the same Stats. seal builds the CSR adjacency
 // once per solve, and every satisfiability probe runs over an `active
 // []bool` mask on preallocated dist/pred/queue buffers. Engines are pooled
 // and reused across solves, so the steady-state sat path allocates only the

@@ -277,27 +277,25 @@ func (s *sccPlan) compSPFA(e *dlEngine, c int32) (trigger int32, relax int) {
 	return -1, relax
 }
 
-// DenseConstraint is one ground difference atom A ≤ B + K (A < B + K when
-// Strict) over pre-interned variable ids. Ids 1..NumVars name variables;
-// id 0 is the reserved zero anchor (the constant 0).
-type DenseConstraint struct {
-	A, B   int32
-	K      int
-	Strict bool
-}
+// DenseConstraint is the strict atom A < B over pre-interned variable ids:
+// the difference constraint A − B ≤ −1. Ids 1..numVars name variables; id 0
+// is the solver's reserved zero anchor and names none.
+type DenseConstraint struct{ A, B int32 }
 
-// SolveDense decides a pre-interned ground system: the whole decision on
-// dense ids — no variable interning, no Origin strings, no assertion list.
-// The Result names nothing: Model and Core stay nil, the caller owns the
-// names. When sat, model holds dist[v]−dist[0] for v in 1..numVars (index 0
-// unused), bit-for-bit the values Context.CheckContext would assign the same
-// variables. When unsat, CoreIdx (positions in cons) and UsesPositivity are
-// the deletion-minimal core Context.CheckContext reports for the same
-// constraints in the same order — the loop's drop/keep decisions are
-// semantic, so they do not depend on how variables are numbered. The
-// implicit positivity typing (x ≥ 1) participates exactly as behind the
-// string door. Stats counts the dense universe (every id a variable) and all
-// probes: the component pass, the witness, and the minimization's.
+// SolveDense decides a pre-interned system of strict atoms: the whole
+// decision on dense ids — no variable interning, no Origin strings, no
+// assertion list. The Result names nothing: Model and Core stay nil, the
+// caller owns the names. When sat, model holds dist[v]−dist[0] for v in
+// 1..numVars (index 0 unused), bit-for-bit the values Context.CheckContext
+// would assign the same variables. When unsat, CoreIdx (positions in cons)
+// is the deletion-minimal core Context.CheckContext reports for the same
+// atoms in the same order — the loop's drop/keep decisions are semantic, so
+// they do not depend on how variables are numbered. The zero anchor and the
+// implicit positivity typing (x ≥ 1) are in the graph as behind the string
+// door, but no cycle of strict atoms between variables passes the zero node,
+// so UsesPositivity is always false. Stats counts the dense universe (every
+// id a variable) and all probes: the component pass, the witness, and the
+// minimization's.
 func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res Result, model []int, err error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -307,13 +305,8 @@ func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res R
 	defer e.release()
 	defer e.flushStats()
 	e.edges = e.edges[:0]
-	for i := range cons {
-		c := &cons[i]
-		w := c.K
-		if c.Strict {
-			w--
-		}
-		e.edges = append(e.edges, dlEdge{from: c.B, to: c.A, w: w, assertIdx: int32(i)})
+	for i, c := range cons {
+		e.edges = append(e.edges, dlEdge{from: c.B, to: c.A, w: -1, assertIdx: int32(i)})
 	}
 	e.idVar = growVars(e.idVar, numVars+1) // the dense universe, nothing interned
 	e.seal(len(cons))

@@ -179,7 +179,9 @@ type Result struct {
 	// records without string matching on Origin.
 	CoreIdx []int
 	// UsesPositivity reports whether the implicit n > 0 typing of variables
-	// participates in the contradiction (the paper's Sig subtype).
+	// participates in the contradiction (the paper's Sig subtype). It is
+	// always false from SolveDense and a DeltaContext: their atoms are strict
+	// pairs between variables, and no cycle of those passes the zero node.
 	UsesPositivity bool
 	// Stats reports effort.
 	Stats Stats

@@ -114,28 +114,25 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	}
 	// The canonical emission order, in the prep's interned names: every
 	// node's preference chain, then the matches, which are in link order.
-	asserts := make([]smt.Assertion, 0, p.total())
+	atoms := make([]smt.Less, 0, p.total())
 	for ni := range p.perms {
-		asserts = prefAsserts(asserts, p.vars[p.pathOff[ni]:p.pathOff[ni+1]])
+		atoms = prefAsserts(atoms, p.vars[p.pathOff[ni]:p.pathOff[ni+1]])
 	}
 	for _, m := range p.matches {
 		from, to := p.pathOff[p.linkEnds[2*m.li]], p.pathOff[p.linkEnds[2*m.li+1]]
-		asserts = append(asserts, lt(p.vars[to+m.tq], p.vars[from+m.fq]))
+		atoms = append(atoms, smt.Less{A: p.vars[to+m.tq], B: p.vars[from+m.fq]})
 	}
-	v.dc = smt.NewDeltaContext(asserts, p.segLens())
+	if v.dc, err = smt.NewDeltaContext(atoms, p.segLens()); err != nil {
+		return nil, err
+	}
 	return v, nil
-}
-
-// lt is the one shape an SPP constraint takes in the solver: a < b.
-func lt(a, b smt.Var) smt.Assertion {
-	return smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: a}, B: smt.Term{Var: b}}
 }
 
 // prefAsserts appends what prefSeg asserts over a ranking's variables: the
 // ranked list as strict pairwise preferences.
-func prefAsserts(dst []smt.Assertion, vars []smt.Var) []smt.Assertion {
+func prefAsserts(dst []smt.Less, vars []smt.Var) []smt.Less {
 	for i := 1; i < len(vars); i++ {
-		dst = append(dst, lt(vars[i-1], vars[i]))
+		dst = append(dst, smt.Less{A: vars[i-1], B: vars[i]})
 	}
 	return dst
 }
@@ -143,9 +140,9 @@ func prefAsserts(dst []smt.Assertion, vars []smt.Var) []smt.Assertion {
 // monoAsserts appends what monoSeg asserts for a link's matches over its
 // endpoints' variables: each permitted extension ranks strictly below the
 // path it extends.
-func monoAsserts(dst []smt.Assertion, ms []linkMatch, from, to []smt.Var) []smt.Assertion {
+func monoAsserts(dst []smt.Less, ms []linkMatch, from, to []smt.Var) []smt.Less {
 	for _, m := range ms {
-		dst = append(dst, lt(to[m.tq], from[m.fq]))
+		dst = append(dst, smt.Less{A: to[m.tq], B: from[m.fq]})
 	}
 	return dst
 }
@@ -540,7 +537,7 @@ func (v *DeltaVerifier) refresh(touched ...int32) error {
 		}
 		return vars
 	}
-	var seg []smt.Assertion
+	var seg []smt.Less
 	for _, id := range segs {
 		seg = v.segAsserts(seg[:0], id, varsOf)
 		if err := v.setSeg(id, seg); err != nil {
@@ -564,7 +561,7 @@ func (v *DeltaVerifier) rankVars(n Node) []smt.Var {
 
 // segAsserts appends what segment id asserts under the current rankings:
 // a node's preference chain, or a directed link's monotonicity entries.
-func (v *DeltaVerifier) segAsserts(dst []smt.Assertion, id int, varsOf func(Node) []smt.Var) []smt.Assertion {
+func (v *DeltaVerifier) segAsserts(dst []smt.Less, id int, varsOf func(Node) []smt.Var) []smt.Less {
 	nn := len(v.in.Nodes)
 	if id < nn {
 		return prefAsserts(dst, varsOf(v.in.Nodes[id]))
@@ -615,7 +612,7 @@ func (v *DeltaVerifier) setCost(l Link, cost int) {
 
 // setSeg replaces the assertions of segment id in the solver context,
 // which leaves a segment given its own content alone.
-func (v *DeltaVerifier) setSeg(id int, fresh []smt.Assertion) error {
+func (v *DeltaVerifier) setSeg(id int, fresh []smt.Less) error {
 	old := v.dc.SegLen(id)
 	changed, err := v.dc.SetSeg(id, fresh)
 	if changed && id < len(v.in.Nodes) {

@@ -649,7 +649,7 @@ func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bo
 			base := p.pathOff[ni] + 1
 			out := cons[p.prefOff[ni]:p.prefOff[ni+1]]
 			for i := range out {
-				out[i] = smt.DenseConstraint{A: base + int32(i), B: base + int32(i) + 1, Strict: true}
+				out[i] = smt.DenseConstraint{A: base + int32(i), B: base + int32(i) + 1}
 			}
 		}
 		return struct{}{}
@@ -660,9 +660,8 @@ func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bo
 		for j := lo; j < hi; j++ {
 			m := p.matches[j]
 			cons[totalPref+int32(j)] = smt.DenseConstraint{
-				A:      p.pathOff[p.linkEnds[2*m.li+1]] + m.tq + 1,
-				B:      p.pathOff[p.linkEnds[2*m.li]] + m.fq + 1,
-				Strict: true,
+				A: p.pathOff[p.linkEnds[2*m.li+1]] + m.tq + 1,
+				B: p.pathOff[p.linkEnds[2*m.li]] + m.fq + 1,
 			}
 		}
 		return struct{}{}

@@ -102,7 +102,9 @@ func WithFaultPlan(p *FaultPlan) Option { return func(o *Session) { o.plan = p }
 
 // WithTrace attaches a traffic collector; the same collector accumulates
 // across every Run on the session, and RunReport totals are read from it.
-// Nil (the default) gives each run a private collector.
+// It totals messages and bytes sent and buckets them into a bandwidth
+// series; there is no per-node table. Nil (the default) gives each run a
+// private collector.
 func WithTrace(c *TraceCollector) Option { return func(o *Session) { o.collector = c } }
 
 // WithParallelism sizes the AnalyzeAll and Campaign worker pools (default
