@@ -588,15 +588,33 @@ func BenchmarkConstraintGen(b *testing.B) {
 // smt.Native{}, which interns every variable name before it condenses and
 // solves. mode=scc is AnalyzeScale: the dense encoding straight into the
 // same engine, skipping provenance materialization on the sat path; it also
-// reports retained analysis memory per node. Both rows run the one
-// condensed solve (the row names date from when only mode=scc did, and are
-// kept so BENCH_*.json stays comparable); the ns/op ratio between them is
-// what naming the variables costs.
+// reports retained analysis memory per node. mode=scc-planted is the same
+// door on the instance with a DISAGREE pair planted on its first session —
+// the unsafe leg of a scale-session operation. Both scc rows report gc/op,
+// the garbage-collection cycles an analysis triggers, beside B/op. All rows
+// run the one condensed solve (the names date from when only mode=scc did);
+// the ns/op ratio between mode=undecomposed and mode=scc is what naming the
+// variables costs.
 func BenchmarkInternetScale(b *testing.B) {
 	const n = 50000
 	ctx := context.Background()
 	g := topology.GenerateInternet(9, topology.InternetParams{N: n})
 	in := scenario.InternetSPP(fmt.Sprintf("internet-%d", n), g, 3)
+	planted := plantDisagree(in.Clone(), "rx_a", "rx_b")
+	// analyses runs b.N analyses of the instance and reports the GC cycles
+	// they triggered per analysis.
+	analyses := func(b *testing.B, in *spp.Instance, wantSat bool) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			res, _, ok, err := spp.AnalyzeScale(ctx, in, 0)
+			if err != nil || !ok || res.Sat != wantSat {
+				b.Fatalf("scale analysis: sat=%v ok=%v err=%v, want sat=%v", res.Sat, ok, err, wantSat)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
+	}
 	b.Run("mode=undecomposed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -610,34 +628,41 @@ func BenchmarkInternetScale(b *testing.B) {
 			}
 		}
 	})
+	// Two cycles empty the solver's and the emitter's pools (the first moves
+	// pooled scratch to the victim cache, the second frees it), so B/node is
+	// what the result itself retains.
+	settle := func() { runtime.GC(); runtime.GC() }
 	b.Run("mode=scc", func(b *testing.B) {
-		runtime.GC()
+		settle()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, _, ok, err := spp.AnalyzeScale(ctx, in, 0)
 		if err != nil || !ok || !res.Sat {
 			b.Fatalf("scale analysis: sat=%v ok=%v err=%v", res.Sat, ok, err)
 		}
-		runtime.GC()
+		settle()
 		runtime.ReadMemStats(&after)
 		perNode := 0.0
 		if after.HeapAlloc > before.HeapAlloc {
 			perNode = float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 		}
 		runtime.KeepAlive(res)
+		// Refill the pools settle emptied, so the loop measures steady state.
+		if _, _, _, err := spp.AnalyzeScale(ctx, in, 0); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer() // clears extra metrics — report perNode after, not before
 		b.ReportAllocs()
 		if perNode > 0 {
 			b.ReportMetric(perNode, "B/node")
 		}
-		for i := 0; i < b.N; i++ {
-			res, _, ok, err := spp.AnalyzeScale(ctx, in, 0)
-			if err != nil || !ok || !res.Sat {
-				b.Fatalf("scale analysis: sat=%v ok=%v err=%v", res.Sat, ok, err)
-			}
-		}
+		analyses(b, in, true)
 		b.ReportMetric(float64(res.Stats.Components), "components")
 		b.ReportMetric(float64(res.Stats.TrivialComponents), "trivial")
+	})
+	b.Run("mode=scc-planted", func(b *testing.B) {
+		b.ReportAllocs()
+		analyses(b, planted, false)
 	})
 }
 

@@ -91,7 +91,8 @@ type DeltaVerifier struct {
 // them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := in.Clone()
-	p, err := buildShardPrep(cp)
+	p := new(shardPrep)
+	err := buildShardPrep(p, cp)
 	if err != nil {
 		return nil, err
 	}

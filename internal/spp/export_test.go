@@ -3,8 +3,7 @@ package spp
 // PrepAllocProbe runs the emitter's validation-and-interning front half
 // alone, so a test can count its allocations.
 func PrepAllocProbe(in *Instance) error {
-	_, err := buildShardPrep(in)
-	return err
+	return buildShardPrep(new(shardPrep), in)
 }
 
 // The random-transaction driver and the oracle-parity check, for the

@@ -27,6 +27,14 @@
 // minimization probes. ToAlgebra's own rejections (duplicate links and
 // renderings, degenerate algebras) and its collision suffixes on
 // solver-variable names are reproduced by resolveNames.
+//
+// An analysis allocates its answer, not its scratch. Analyze borrows its
+// shardPrep from prepPool, and buildShardPrep, resolveNames and
+// denseConstraints refill that prep's arrays in place. What escapes is the
+// model map, whose keys are the interned variable names, on a safe verdict,
+// and the core and suspects on an unsafe one — strings shared with the prep,
+// never a slice of it. NewTable and NewDeltaVerifier keep their prep, so
+// they fill a fresh one through the same function.
 
 package spp
 
@@ -59,6 +67,7 @@ type linkMatch struct {
 // id ((node, rank) order) rather than per-node slices — at 10⁵ nodes the
 // slice headers alone would dominate allocation — and signature renderings
 // are not materialized at all until a provenance buffer asks for them.
+// A prep filled again reuses its arrays; the fields after matches are scratch.
 type shardPrep struct {
 	in       *Instance
 	perms    [][]Path // per node index: its permitted paths (shared, not copied)
@@ -68,6 +77,38 @@ type shardPrep struct {
 	vars     []smt.Var // per path id: the solver variable
 	prefOff  []int32   // per node: first preference-constraint index
 	matches  []linkMatch
+
+	nodes     map[Node]int32 // declared node → index in Nodes
+	valid     []bool         // per path id: proven by extension propagation
+	shardBufs [][]linkMatch  // per shard of the match pass; never matches' array
+	keys, set []uint64       // hashDup's keys and open-addressed set
+	dense     []smt.DenseConstraint
+	appears   []bool // per dense id: occurs in some constraint
+}
+
+// prepPool holds Analyze's preps between analyses; like smt's engine pool
+// it is emptied by the garbage collector, not by a size rule.
+var prepPool = sync.Pool{New: func() any { return new(shardPrep) }}
+
+// release returns a pooled prep, first dropping what still points into the
+// instance it served — the instance, its rankings and the node map's keys —
+// so the pool cannot keep a caller's discarded instance alive.
+func (p *shardPrep) release() {
+	p.in = nil
+	clear(p.perms)
+	clear(p.nodes)
+	prepPool.Put(p)
+}
+
+// resize returns s zeroed at length n, reusing its array when that is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (p *shardPrep) totalPref() int32 { return p.prefOff[len(p.prefOff)-1] }
@@ -95,13 +136,13 @@ func (p *shardPrep) segLens() []int {
 const minShard = 4096
 
 // parShards splits [0,n) into equal contiguous shards — GOMAXPROCS of them,
-// but none shorter than minShard — runs fn on each, concurrently when there
-// is more than one, and returns fn's results in shard order. It is the one
-// place shard boundaries are computed.
-func parShards[T any](n int, fn func(lo, hi int) T) []T {
+// but none shorter than minShard — runs fn(s, lo, hi) on each shard s,
+// concurrently when there is more than one, and returns fn's results in shard
+// order. It is the one place shard boundaries are computed.
+func parShards[T any](n int, fn func(s, lo, hi int) T) []T {
 	out := make([]T, max(1, min(runtime.GOMAXPROCS(0), n/minShard)))
 	if len(out) == 1 {
-		out[0] = fn(0, n)
+		out[0] = fn(0, 0, n)
 		return out
 	}
 	chunk := (n + len(out) - 1) / len(out)
@@ -111,7 +152,7 @@ func parShards[T any](n int, fn func(lo, hi int) T) []T {
 		go func() {
 			defer wg.Done()
 			lo := i * chunk
-			out[i] = fn(lo, min(lo+chunk, n))
+			out[i] = fn(i, lo, min(lo+chunk, n))
 		}()
 	}
 	wg.Wait()
@@ -181,38 +222,48 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 	return smt.Var(buf), buf
 }
 
-// buildShardPrep validates the instance, interns every permitted path's
-// solver variable into the flat array, and collects the permitted-extension
-// matches in link order. Validation rides on the match list (extension
-// propagation, below) instead of calling Instance.Validate: that is linear
-// too, but its per-hop set lookups take 0.16 s on internet:50000, more than
-// either analysis there (≈ 0.07 s safe, ≈ 0.11 s with a planted dispute; a
-// `go run ./bench -workload scale-session` operation runs one of each). A
-// non-nil error is a structural validation failure, the one Validate
-// reports. The interned variables are the natural
-// (unsuffixed) names; resolveNames makes them the algebra pipeline's.
-func buildShardPrep(in *Instance) (*shardPrep, error) {
+// buildShardPrep fills p from the instance: it validates the instance,
+// interns every permitted path's solver variable into the flat array, and
+// collects the permitted-extension matches in link order. It is the one
+// function that fills a prep; p is fresh for a caller that keeps the prep
+// (NewTable, NewDeltaVerifier) and pooled for Analyze, which keeps only its
+// answer. Validation rides on the match list (extension propagation, below)
+// instead of calling Instance.Validate, whose per-hop set lookups cost more
+// than this whole function. On internet:50000 (2-core Xeon guest, go1.24) the
+// phases took 64 ms before undeclared rankings were counted instead of
+// scanned for: node map and ranking lookups 10, link-end resolution 17,
+// extension matches 15 (two shards), validation 4, the undeclared-ranking
+// scan 7.5, variable rendering 12.5. A non-nil error is a structural
+// validation failure, the one Validate reports. The interned variables are
+// the natural (unsuffixed) names; resolveNames makes them the algebra
+// pipeline's.
+func buildShardPrep(p *shardPrep, in *Instance) error {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
-	p := &shardPrep{
-		in:       in,
-		perms:    make([][]Path, nn),
-		linkEnds: make([]int32, 2*nl),
-		pathOff:  make([]int32, nn+1),
-		prefOff:  make([]int32, nn+1),
+	p.in = in
+	p.perms = resize(p.perms, nn)
+	p.linkEnds = resize(p.linkEnds, 2*nl)
+	p.pathOff = resize(p.pathOff, nn+1)
+	p.prefOff = resize(p.prefOff, nn+1)
+	if p.nodes == nil {
+		p.nodes = make(map[Node]int32, nn)
 	}
 	// The link set is only filled if some path escapes extension
 	// propagation and needs the per-path validator, and then only with the
 	// hops those paths walk.
-	ix := topoIndex{nodes: make(map[Node]int32, nn), origins: make(map[Node]bool, len(in.Origins))}
+	ix := topoIndex{nodes: p.nodes, origins: make(map[Node]bool, len(in.Origins))}
 	for i, n := range in.Nodes {
 		ix.nodes[n] = int32(i)
 	}
 	for _, o := range in.Origins {
 		ix.origins[o] = true
 	}
+	ranked := 0 // declared nodes with a ranking, duplicates counted again
 	for ni, n := range in.Nodes {
-		paths := in.Permitted[n]
+		paths, ok := in.Permitted[n]
+		if ok {
+			ranked++
+		}
 		p.perms[ni] = paths
 		p.pathOff[ni+1] = p.pathOff[ni] + int32(len(paths))
 		p.prefOff[ni+1] = p.prefOff[ni] + int32(max(len(paths)-1, 0))
@@ -251,8 +302,14 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 
 	// Permitted-extension matches: one sharded pass, per-shard buffers
 	// concatenated in shard order. Shards are contiguous link ranges, so
-	// concatenation preserves the canonical link-order emission.
-	bufs := parShards(nl, func(lo, hi int) (buf []linkMatch) {
+	// concatenation preserves the canonical link-order emission. A shard
+	// buffer never shares an array with the match list: a lone shard trades
+	// places with it, several are copied into it.
+	bufs := parShards(nl, func(s, lo, hi int) []linkMatch {
+		var buf []linkMatch
+		if s < len(p.shardBufs) {
+			buf = p.shardBufs[s][:0]
+		}
 		for li := lo; li < hi; li++ {
 			fi, ti := p.linkEnds[2*li], p.linkEnds[2*li+1]
 			if fi < 0 || ti < 0 {
@@ -263,10 +320,14 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 		return buf
 	})
 	if len(bufs) == 1 {
-		p.matches = bufs[0]
+		p.matches, bufs[0] = bufs[0], p.matches
 	} else {
-		p.matches = slices.Concat(bufs...)
+		p.matches = p.matches[:0]
+		for _, b := range bufs {
+			p.matches = append(p.matches, b...)
+		}
 	}
+	p.shardBufs = bufs
 
 	// Validation by extension propagation. A two-element path is valid iff
 	// it is [owner, origin]. A matched extension [From]+q over link li is
@@ -278,8 +339,9 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 	// generators, and anything GenerateInternet produces) have no other
 	// paths. Whatever is left unproven gets the string-keyed validator with
 	// Validate's exact per-path error messages.
-	valid := make([]bool, p.nPaths)
-	parShards(nn, func(lo, hi int) struct{} {
+	p.valid = resize(p.valid, p.nPaths)
+	valid := p.valid
+	parShards(nn, func(_, lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			n := in.Nodes[ni]
 			base := p.pathOff[ni]
@@ -330,17 +392,21 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 		}
 		for _, u := range unproven {
 			if err := ix.validatePath(in.Name, in.Nodes[u.ni], p.perms[u.ni][u.r], false); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	if err := ix.undeclaredRanking(in); err != nil {
-		return nil, err
+	// Every ranking belongs to a declared node unless the rankings of the
+	// distinct declared nodes are fewer than the rankings.
+	if ranked != len(in.Permitted) || len(ix.nodes) != nn {
+		if err := ix.undeclaredRanking(in); err != nil {
+			return err
+		}
 	}
 
 	// Solver-variable interning, sharded by node into the flat array.
-	p.vars = make([]smt.Var, p.nPaths)
-	parShards(nn, func(lo, hi int) struct{} {
+	p.vars = resize(p.vars, p.nPaths)
+	parShards(nn, func(_, lo, hi int) struct{} {
 		var buf []byte
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
@@ -350,7 +416,7 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 		}
 		return struct{}{}
 	})
-	return p, nil
+	return nil
 }
 
 // resolveNames reproduces what ToAlgebra and analysis.newSigVars do to a
@@ -363,7 +429,7 @@ func buildShardPrep(in *Instance) (*shardPrep, error) {
 // an instance with a hash collision pays for the exact pass.
 func (p *shardPrep) resolveNames() error {
 	in := p.in
-	if hashDup(len(in.Links), func(i int) uint64 {
+	if p.hashDup(len(in.Links), func(i int) uint64 {
 		return fnv64(fnv64(fnvOffset, string(in.Links[i].From)), string(in.Links[i].To))
 	}) {
 		seen := make(map[string]bool, len(in.Links))
@@ -375,7 +441,7 @@ func (p *shardPrep) resolveNames() error {
 			seen[lab] = true
 		}
 	}
-	if hashDup(p.nPaths, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
+	if p.hashDup(p.nPaths, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
 		obsShardCollisions.Inc()
 		if err := duplicatePath(in); err != nil {
 			return err
@@ -420,16 +486,18 @@ func duplicatePath(in *Instance) error {
 // in shards and collected in an open-addressed set at most half full (0 marks
 // an empty slot) — under half the cost of sorting them: the two screens of
 // an internet:50000 analysis take 8 ms this way against 20 ms sorted. Equal
-// inputs must hash equal, so false means no duplicates.
-func hashDup(n int, key func(i int) uint64) bool {
-	keys := make([]uint64, n)
-	parShards(n, func(lo, hi int) struct{} {
+// inputs must hash equal, so false means no duplicates. Both arrays are the
+// prep's, reused by the next screen.
+func (p *shardPrep) hashDup(n int, key func(i int) uint64) bool {
+	p.keys = resize(p.keys, n)
+	p.set = resize(p.set, 1<<bits.Len(uint(2*n)))
+	keys, set := p.keys, p.set
+	parShards(n, func(_, lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			keys[i] = key(i) | 1
 		}
 		return struct{}{}
 	})
-	set := make([]uint64, 1<<bits.Len(uint(2*n)))
 	mask := uint64(len(set) - 1)
 	for _, k := range keys {
 		i := k >> 1 & mask
@@ -496,7 +564,7 @@ func extensionRank(perm []Path, from Node, q Path) int32 {
 func (p *shardPrep) renderSyms() []string {
 	defer timeEmit(obsEmitSyms, time.Now())
 	syms := make([]string, p.nPaths)
-	parShards(len(p.in.Nodes), func(lo, hi int) struct{} {
+	parShards(len(p.in.Nodes), func(_, lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
@@ -590,7 +658,7 @@ func (p *shardPrep) shardedConstraints() []analysis.Constraint {
 	totalPref := p.totalPref()
 	cons := make([]analysis.Constraint, p.total())
 	prefStart := time.Now()
-	parShards(len(p.perms), func(lo, hi int) struct{} {
+	parShards(len(p.perms), func(_, lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			prefSeg(cons[p.prefOff[ni]:p.prefOff[ni+1]], p.ranking(syms, int32(ni)))
 		}
@@ -600,7 +668,7 @@ func (p *shardPrep) shardedConstraints() []analysis.Constraint {
 	monoStart := time.Now()
 	// Shards are runs of matches, not of links, so one hub link cannot
 	// unbalance them; a link's segment may straddle two shards.
-	parShards(len(p.matches), func(lo, hi int) struct{} {
+	parShards(len(p.matches), func(_, lo, hi int) struct{} {
 		for j := lo; j < hi; {
 			li := p.matches[j].li
 			k := j + 1
@@ -625,7 +693,8 @@ func (p *shardPrep) shardedConstraints() []analysis.Constraint {
 // argument is ignored (the shards size themselves); it stays for the
 // benchmark harness's replay.
 func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error) {
-	p, err := buildShardPrep(in)
+	p := new(shardPrep)
+	err := buildShardPrep(p, in)
 	if err == nil {
 		err = p.resolveNames()
 	}
@@ -639,12 +708,13 @@ func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error
 // smt.DenseConstraint records over global path ids (1-based; 0 is the
 // solver's zero anchor) — no strings, no provenance — and marks which
 // variables appear, since string interning only sees (and models) variables
-// that occur in some assertion.
+// that occur in some assertion. Both arrays are the prep's.
 func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bool) {
 	totalPref := p.totalPref()
-	cons = make([]smt.DenseConstraint, p.total())
+	p.dense = resize(p.dense, int(p.total()))
+	cons = p.dense
 	prefStart := time.Now()
-	parShards(len(p.in.Nodes), func(lo, hi int) struct{} {
+	parShards(len(p.in.Nodes), func(_, lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni] + 1
 			out := cons[p.prefOff[ni]:p.prefOff[ni+1]]
@@ -656,7 +726,7 @@ func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bo
 	})
 	timeEmit(obsEmitDensePref, prefStart)
 	monoStart := time.Now()
-	parShards(len(p.matches), func(lo, hi int) struct{} {
+	parShards(len(p.matches), func(_, lo, hi int) struct{} {
 		for j := lo; j < hi; j++ {
 			m := p.matches[j]
 			cons[totalPref+int32(j)] = smt.DenseConstraint{
@@ -667,35 +737,13 @@ func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bo
 		return struct{}{}
 	})
 	timeEmit(obsEmitDenseMono, monoStart)
-	appears = make([]bool, p.nPaths+1)
+	p.appears = resize(p.appears, p.nPaths+1)
+	appears = p.appears
 	for i := range cons {
 		appears[cons[i].A] = true
 		appears[cons[i].B] = true
 	}
 	return cons, appears
-}
-
-// suspects is the §VI-B hint read off the core's positions in the canonical
-// emission order (segLen: one segment per node, then one per link): a
-// preference constraint implicates the node whose ranking it orders, a
-// monotonicity constraint the link's tail, owner of the extended path.
-// Deduplicated and sorted, as Conversion.SuspectNodes reports them.
-func suspects(in *Instance, segLen, coreIdx []int) []Node {
-	idx := slices.Sorted(slices.Values(coreIdx))
-	var out []Node
-	end := 0
-	for seg := 0; seg < len(segLen) && len(idx) > 0; seg++ {
-		end += segLen[seg]
-		for ; len(idx) > 0 && idx[0] < end; idx = idx[1:] {
-			if seg < len(in.Nodes) {
-				out = append(out, in.Nodes[seg])
-			} else {
-				out = append(out, in.Links[seg-len(in.Nodes)].From)
-			}
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // rankSlice names ranks [lo,hi) of node ni, rendering just those paths'
@@ -713,9 +761,13 @@ func (p *shardPrep) rankSlice(ni, lo, hi int32) ranking {
 // coreConstraints materializes the constraints at the given positions of the
 // canonical emission order — an unsat core's members — through prefSeg and
 // monoSeg, one single-slot segment each, so only the two or three rankings a
-// dispute involves are ever rendered.
-func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
-	out := make([]analysis.Constraint, len(coreIdx))
+// dispute involves are ever rendered. It also reads off the §VI-B hint: a
+// preference constraint implicates the node whose ranking it orders, a
+// monotonicity constraint the link's tail, owner of the extended path —
+// deduplicated and sorted, as Conversion.SuspectNodes reports them.
+func (p *shardPrep) coreConstraints(coreIdx []int) (core []analysis.Constraint, suspects []Node) {
+	core = make([]analysis.Constraint, len(coreIdx))
+	suspects = make([]Node, len(coreIdx))
 	totalPref := int(p.totalPref())
 	for k, c := range coreIdx {
 		if c < totalPref {
@@ -723,15 +775,18 @@ func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
 			ni, _ := slices.BinarySearch(p.prefOff, int32(c)+1)
 			ni--
 			i := int32(c) - p.prefOff[ni]
-			prefSeg(out[k:k+1], p.rankSlice(int32(ni), i, i+2))
+			prefSeg(core[k:k+1], p.rankSlice(int32(ni), i, i+2))
+			suspects[k] = p.in.Nodes[ni]
 			continue
 		}
 		m := p.matches[c-totalPref]
 		fi, ti := p.linkEnds[2*m.li], p.linkEnds[2*m.li+1]
-		monoSeg(out[k:k+1], p.in.Links[m.li], []linkMatch{{li: m.li}},
+		monoSeg(core[k:k+1], p.in.Links[m.li], []linkMatch{{li: m.li}},
 			p.rankSlice(fi, m.fq, m.fq+1), p.rankSlice(ti, m.tq, m.tq+1))
+		suspects[k] = p.in.Links[m.li].From
 	}
-	return out
+	slices.Sort(suspects)
+	return core, slices.Compact(suspects)
 }
 
 // Analyze decides strict monotonicity for the instance on the native engine
@@ -742,10 +797,14 @@ func (p *shardPrep) coreConstraints(coreIdx []int) []analysis.Constraint {
 // materializes a provenance constraint or even a signature rendering, and an
 // unsatisfiable one materializes exactly its core's members
 // (coreConstraints) — the cost of "unsafe" is the cost of "safe" plus the
-// minimization probes.
+// minimization probes. It allocates only that answer — the model map when
+// safe, the core and suspects when not; everything else the emitter fills is
+// a prep borrowed from prepPool, which no returned slice aliases.
 func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error) {
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
-	p, err := buildShardPrep(in)
+	p := prepPool.Get().(*shardPrep)
+	defer p.release()
+	err := buildShardPrep(p, in)
 	if err == nil {
 		err = p.resolveNames()
 	}
@@ -785,10 +844,15 @@ func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error)
 	}
 	res.Stats.Variables = nVars
 	res.Stats.Edges = len(cons) + nVars
+	_, matSpan := obs.StartSpan(ctx, "materialize")
+	defer matSpan.End()
 	if !out.Sat {
 		obsPathResolve.Inc()
-		res.Core, res.CoreIdx = p.coreConstraints(out.CoreIdx), out.CoreIdx
-		return res, suspects(in, p.segLens(), res.CoreIdx), nil
+		var suspects []Node
+		res.Core, suspects = p.coreConstraints(out.CoreIdx)
+		res.CoreIdx = out.CoreIdx
+		matSpan.AttrInt("core", int64(len(res.Core)))
+		return res, suspects, nil
 	}
 	obsPathDense.Inc()
 	res.Model = make(map[string]int, nVars)
@@ -797,6 +861,7 @@ func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error)
 			res.Model[string(p.vars[id-1])] = model[id]
 		}
 	}
+	matSpan.AttrInt("entries", int64(len(res.Model)))
 	return res, nil, nil
 }
 

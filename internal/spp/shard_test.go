@@ -11,10 +11,13 @@ package spp_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fsr/internal/analysis"
@@ -173,6 +176,110 @@ func TestShardsMatchOneShard(t *testing.T) {
 	for i := range one.res {
 		if !reflect.DeepEqual(one.res[i], four.res[i]) || !reflect.DeepEqual(one.suspects[i], four.suspects[i]) {
 			t.Fatalf("analysis %d differs:\n%+v %v\nvs\n%+v %v", i, one.res[i], one.suspects[i], four.res[i], four.suspects[i])
+		}
+	}
+}
+
+// TestPooledAnalysesAnswerLikeFresh: Analyze borrows its scratch from a pool,
+// and no answer may depend on which analysis used the scratch last, nor keep
+// a piece of it. Four goroutines interleave, for three rounds, analyses that
+// take different shard counts and routes — internet:12000 safe and planted
+// (several shards at GOMAXPROCS ≥ 2), chain:40 and Figure 3 (one shard), the
+// duplicate-rendering and sanitize-collision fallbacks, a structurally
+// invalid instance — and every answer must be the one computed before the
+// loop at GOMAXPROCS=1. The round-1 answers must also still equal deep copies
+// taken when they returned, which fails if a result aliases pooled memory a
+// later analysis overwrote.
+func TestPooledAnalysesAnswerLikeFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=12000 instance")
+	}
+	ctx := context.Background()
+	safe := internetInstance(12000, 1)
+	unsafe := safe.Clone()
+	unsafe.Name += "-planted"
+	plantPair(unsafe, unsafe.Links[0].From, unsafe.Links[0].To, "rx_a", "rx_b")
+	dup := spp.NewInstance("dup-rendering")
+	dup.AddOrigin("r1")
+	dup.AddSession("a", "b", 0)
+	dup.Rank("a", spp.Path{"a", "r1"}, spp.Path{"a", "b", "r1"})
+	dup.Rank("b", spp.Path{"b", "r1"})
+	san := spp.NewInstance("sanitize-collision")
+	san.AddSession("a", "b", 0)
+	san.Rank("a", spp.Path{"a", "x.y"}, spp.Path{"a", "b", "x_y"})
+	san.Rank("b", spp.Path{"b", "x_y"}, spp.Path{"b", "a", "x.y"})
+	invalid := spp.NewInstance("invalid")
+	invalid.AddOrigin("r1")
+	invalid.AddSession("a", "b", 0)
+	invalid.Rank("a", spp.Path{"a", "c", "r1"}) // missing link a→c
+	mix := []*spp.Instance{safe, unsafe, spp.ChainGadget(40), spp.Figure3IBGP(), dup, san, invalid}
+
+	type answer struct {
+		res      analysis.Result
+		suspects []spp.Node
+		err      string
+	}
+	analyze := func(in *spp.Instance) answer {
+		res, suspects, err := spp.Analyze(ctx, in)
+		a := answer{res: res, suspects: suspects}
+		if err != nil {
+			a.err = err.Error()
+		}
+		a.res.Stats.Duration, a.res.Stats.TarjanDuration = 0, 0
+		return a
+	}
+	deepCopy := func(a answer) answer {
+		a.res.Model = maps.Clone(a.res.Model)
+		a.res.Core = slices.Clone(a.res.Core)
+		a.res.CoreIdx = slices.Clone(a.res.CoreIdx)
+		a.suspects = slices.Clone(a.suspects)
+		return a
+	}
+	want := make([]answer, len(mix))
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for i, in := range mix {
+			want[i] = analyze(in)
+		}
+	}()
+	if !want[0].res.Sat || want[1].res.Sat || len(want[1].suspects) != 2 || want[4].err == "" || want[5].err != "" || want[6].err == "" {
+		t.Fatalf("reference answers: safe %v, planted %v %v, errors %q %q %q",
+			want[0].res.Sat, want[1].res.Sat, want[1].suspects, want[4].err, want[5].err, want[6].err)
+	}
+
+	const workers, rounds = 4, 3
+	first := make([][]answer, workers)  // round-1 answers as returned
+	copies := make([][]answer, workers) // and as they were then
+	for round := range rounds {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := make([]answer, len(mix))
+				for k := range mix {
+					i := (w + k) % len(mix) // each worker starts elsewhere in the mix
+					got[i] = analyze(mix[i])
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("round %d, worker %d: %s answers\n%+v\nwant\n%+v", round+1, w, mix[i].Name, got[i], want[i])
+					}
+				}
+				if round == 0 {
+					first[w] = got
+					copies[w] = make([]answer, len(got))
+					for i := range got {
+						copies[w][i] = deepCopy(got[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for w := range first {
+		for i := range mix {
+			if !reflect.DeepEqual(first[w][i], copies[w][i]) {
+				t.Errorf("worker %d: the round-1 answer for %s changed after later analyses:\n%+v\nwas\n%+v", w, mix[i].Name, first[w][i], copies[w][i])
+			}
 		}
 	}
 }
@@ -438,7 +545,9 @@ func spanNames(nodes []*obs.SpanNode, into map[string]map[string]string) map[str
 // unsafe analysis allocates about as often as its safe twin (the parent of
 // this guard rendered every signature and provenance constraint, ~11× the
 // allocations at n=50000), never reaches the provenance emitter, and shows
-// up in the span tree as minimize — as a string-door unsat solve does.
+// up in the span tree as minimize — as a string-door unsat solve does. Both
+// legs show the answer's rendering as a materialize span: model entries when
+// safe, core members when not.
 func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=5000 instance")
@@ -492,12 +601,79 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	if !ok || md["core"] != "4" || md["probes"] != fmt.Sprint(res.Stats.Probes) {
 		t.Errorf("minimize span %v (present=%v), want core=4 probes=%d", md, ok, res.Stats.Probes)
 	}
+	if mat, ok := spans["materialize"]; !ok || mat["core"] != "4" {
+		t.Errorf("unsafe leg: materialize span %v (present=%v), want core=4", mat, ok)
+	}
+	tr = obs.NewTracer()
+	if res, _, err = spp.Analyze(obs.WithTracer(ctx, tr), safe); err != nil || !res.Sat {
+		t.Fatalf("safe twin: sat=%v err=%v", res.Sat, err)
+	}
+	mat, ok := spanNames(tr.SpanTree(), map[string]map[string]string{})["materialize"]
+	if !ok || mat["entries"] != fmt.Sprint(len(res.Model)) {
+		t.Errorf("safe leg: materialize span %v (present=%v), want entries=%d", mat, ok, len(res.Model))
+	}
 	tr = obs.NewTracer()
 	sres, err := smt.Native{}.Solve(obs.WithTracer(ctx, tr), []smt.Assertion{
 		{Rel: smt.Lt, A: smt.V("x"), B: smt.V("y")}, {Rel: smt.Lt, A: smt.V("y"), B: smt.V("x")}})
 	md, ok = spanNames(tr.SpanTree(), map[string]map[string]string{})["minimize"]
 	if err != nil || !ok || md["core"] != "2" || md["probes"] != fmt.Sprint(sres.Stats.Probes) {
 		t.Errorf("string door: minimize span %v (present=%v, err=%v), want core=2 probes=%d", md, ok, err, sres.Stats.Probes)
+	}
+}
+
+// TestAnalysisAllocatesItsAnswer is the counter-based guard on an analysis's
+// scratch. After one warm-up, the bytes an Analyze of internet:12000
+// allocates are its answer's — model map and variable names when safe, core
+// and suspects when not — and the solver's: the emitter's node map, offsets,
+// match list, validity bitmap, duplicate screen and dense constraints are
+// borrowed from its pool. The parent of this guard allocated 6.11 MB safe and
+// 6.45 MB planted per analysis here (TotalAlloc over 5 runs, GOMAXPROCS=1);
+// each leg may take at most 40 % of that.
+func TestAnalysisAllocatesItsAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=12000 instance")
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch at random")
+	}
+	// One P: sync.Pool keeps what is put back on a P private to that P, so
+	// with more, a Get on another P could miss the warm scratch. Two
+	// collections empty the pools of what earlier tests left there, and none
+	// runs during the count, which would charge a fresh scratch to it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	safe := internetInstance(12000, 1)
+	unsafe := safe.Clone()
+	plantPair(unsafe, unsafe.Links[0].From, unsafe.Links[0].To, "rx_a", "rx_b")
+	perAnalysis := func(in *spp.Instance, wantSat bool) float64 {
+		analyze := func() {
+			if res, _, err := spp.Analyze(ctx, in); err != nil || res.Sat != wantSat {
+				t.Fatalf("%s: sat=%v err=%v", in.Name, res.Sat, err)
+			}
+		}
+		analyze()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			analyze()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 5
+	}
+	for _, leg := range []struct {
+		name   string
+		in     *spp.Instance
+		sat    bool
+		parent float64
+	}{{"safe", safe, true, 6.11e6}, {"planted", unsafe, false, 6.45e6}} {
+		got := perAnalysis(leg.in, leg.sat)
+		t.Logf("%s: %.2f MB per analysis, %.0f %% of the parent's %.2f MB", leg.name, got/1e6, 100*got/leg.parent, leg.parent/1e6)
+		if got > 0.4*leg.parent {
+			t.Errorf("%s: an analysis allocates %.2f MB, more than 40 %% of the parent's %.2f MB", leg.name, got/1e6, leg.parent/1e6)
+		}
 	}
 }
 

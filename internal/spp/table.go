@@ -46,7 +46,8 @@ var _ algebra.Algebra = (*Table)(nil)
 // NewTable builds the instance's execution table. It rejects exactly the
 // instances ToAlgebra rejects, with ToAlgebra's errors.
 func NewTable(in *Instance) (*Table, error) {
-	p, err := buildShardPrep(in)
+	p := new(shardPrep)
+	err := buildShardPrep(p, in)
 	if err == nil {
 		err = p.resolveNames()
 	}
