@@ -216,7 +216,7 @@ func BenchmarkTableII(b *testing.B) {
 func BenchmarkFigure1Pipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		alg := algebra.GaoRexfordWithHopCount()
-		rep, err := analysis.AnalyzeSafety(alg)
+		rep, err := analysis.AnalyzeSafetyWith(context.Background(), alg, smt.Native{})
 		if err != nil || rep.Verdict != analysis.Safe {
 			b.Fatalf("analysis: %v %v", rep.Verdict, err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkFigure3Analysis(b *testing.B) {
 	b.ReportAllocs()
 	var res analysis.Result
 	for i := 0; i < b.N; i++ {
-		res, err = analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+		res, err = analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 		if err != nil || res.Sat {
 			b.Fatalf("want unsat, got %v %v", res.Sat, err)
 		}
@@ -382,9 +382,8 @@ func BenchmarkAblationNativeVsNDlogNative(b *testing.B) {
 
 func BenchmarkAblationNativeVsNDlogNDlog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		conv, _ := spp.Figure3IBGPFixed().ToAlgebra()
 		net := simnet.New(1, nil)
-		_, err := enginepkg.BuildSPP(net, conv, simnet.DefaultLink(), 20*time.Millisecond, 15*time.Millisecond)
+		_, err := enginepkg.BuildSPP(net, spp.Figure3IBGPFixed(), simnet.DefaultLink(), 20*time.Millisecond, 15*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -85,10 +85,8 @@ func main() {
 	switch os.Args[1] {
 	case "analyze":
 		err = cmdAnalyze(os.Args[2:])
-	case "compile":
-		err = cmdCompile(os.Args[2:])
-	case "yices":
-		err = cmdYices(os.Args[2:])
+	case "compile", "yices":
+		err = cmdEmit(os.Args[1], os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
 	case "campaign":
@@ -137,8 +135,9 @@ divergence/mismatch, or a replay that does not reproduce), 2 tool error
 `)
 }
 
-// loadPolicy resolves -builtin/-config/-spp flags to an algebra.
-func loadPolicy(builtin, configPath, sppName string) (fsr.Algebra, *fsr.SPPConversion, error) {
+// loadPolicy resolves -builtin/-config/-spp flags to an algebra, or to the
+// SPP instance when the policy is one.
+func loadPolicy(builtin, configPath, sppName string) (fsr.Algebra, *fsr.SPPInstance, error) {
 	if configPath != "" {
 		data, err := os.ReadFile(configPath)
 		if err != nil {
@@ -152,30 +151,16 @@ func loadPolicy(builtin, configPath, sppName string) (fsr.Algebra, *fsr.SPPConve
 			return file.Algebras[0], nil, nil
 		}
 		if len(file.Instances) > 0 {
-			conv, err := fsr.ConvertSPP(file.Instances[0])
-			if err != nil {
-				return nil, nil, err
-			}
-			return conv.Algebra, conv, nil
+			return nil, file.Instances[0], nil
 		}
 		return nil, nil, fmt.Errorf("config %s defines no algebra or spp instance", configPath)
 	}
 	if sppName != "" {
 		inst, err := fsr.Gadget(sppName)
-		if err != nil {
-			return nil, nil, err
-		}
-		conv, err := fsr.ConvertSPP(inst)
-		if err != nil {
-			return nil, nil, err
-		}
-		return conv.Algebra, conv, nil
+		return nil, inst, err
 	}
 	alg, err := fsr.BuiltinAlgebra(builtin)
-	if err != nil {
-		return nil, nil, err
-	}
-	return alg, nil, nil
+	return alg, nil, err
 }
 
 // withTraceOut attaches a fresh tracer to the context when path is
@@ -239,7 +224,7 @@ func cmdAnalyze(args []string) error {
 	sppName := fs.String("spp", "", "built-in SPP gadget name")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file of the analysis spans")
 	fs.Parse(args)
-	alg, conv, err := loadPolicy(*builtin, *configPath, *sppName)
+	alg, inst, err := loadPolicy(*builtin, *configPath, *sppName)
 	if err != nil {
 		return err
 	}
@@ -248,7 +233,17 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	ctx, flush := withTraceOut(context.Background(), *traceOut)
-	rep, err := sess.Analyze(ctx, alg)
+	var (
+		rep      fsr.SafetyReport
+		suspects []fsr.SPPNode
+	)
+	if inst != nil {
+		var res fsr.AnalysisResult
+		res, suspects, err = sess.AnalyzeSPP(ctx, inst)
+		rep = res.Report()
+	} else {
+		rep, err = sess.Analyze(ctx, alg)
+	}
 	if ferr := flush(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -256,8 +251,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	fmt.Println(rep)
-	if conv != nil && rep.Verdict == fsr.Unsafe && len(rep.Steps) > 0 {
-		suspects := conv.SuspectNodes(rep.Steps[0].Core)
+	if inst != nil && rep.Verdict == fsr.Unsafe {
 		fmt.Printf("suspect nodes: %v\n", suspects)
 	}
 	if rep.Verdict == fsr.Unsafe {
@@ -482,39 +476,31 @@ func cmdServe(args []string) error {
 	})
 }
 
-func cmdCompile(args []string) error {
-	fs := flag.NewFlagSet("compile", flag.ExitOnError)
+// cmdEmit is compile and yices: it prints the NDlog program or the solver
+// encoding of the policy the flags name.
+func cmdEmit(name string, args []string) error {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	builtin := fs.String("builtin", "", "built-in policy name")
 	configPath := fs.String("config", "", "configuration file")
 	sppName := fs.String("spp", "", "built-in SPP gadget name")
 	fs.Parse(args)
-	alg, _, err := loadPolicy(*builtin, *configPath, *sppName)
+	alg, inst, err := loadPolicy(*builtin, *configPath, *sppName)
+	if err == nil && inst != nil {
+		alg, err = fsr.SPPAlgebra(inst)
+	}
+	var out any
+	switch {
+	case err != nil:
+		return err
+	case name == "compile":
+		out, err = fsr.NewSession().Compile(alg)
+	default:
+		out, err = fsr.NewSession().SolverEncoding(alg)
+	}
 	if err != nil {
 		return err
 	}
-	prog, err := fsr.NewSession().Compile(alg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(prog)
-	return nil
-}
-
-func cmdYices(args []string) error {
-	fs := flag.NewFlagSet("yices", flag.ExitOnError)
-	builtin := fs.String("builtin", "", "built-in policy name")
-	configPath := fs.String("config", "", "configuration file")
-	sppName := fs.String("spp", "", "built-in SPP gadget name")
-	fs.Parse(args)
-	alg, _, err := loadPolicy(*builtin, *configPath, *sppName)
-	if err != nil {
-		return err
-	}
-	text, err := fsr.NewSession().SolverEncoding(alg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(text)
+	fmt.Print(out)
 	return nil
 }
 

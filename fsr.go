@@ -76,8 +76,9 @@ type (
 	SafetyReport = analysis.Report
 	// SPPInstance is a Stable Paths Problem instance.
 	SPPInstance = spp.Instance
-	// SPPConversion is an SPP instance converted to its algebra, with the
-	// pinpointing maps that translate unsat cores back to nodes.
+	// SPPConversion is an SPP instance converted to a string-keyed algebra,
+	// with the maps that translate unsat cores back to nodes; it is the
+	// analysis oracle's form, and only RunConversion takes it.
 	SPPConversion = spp.Conversion
 	// SPPNode names a node of an SPP instance.
 	SPPNode = spp.Node
@@ -267,9 +268,10 @@ func GadgetNames() []string {
 // solver scaling studies.
 func ChainGadget(n int) *SPPInstance { return spp.ChainGadget(n) }
 
-// ConvertSPP translates an SPP instance to its algebraic representation
-// (§III-B), returning the conversion with its pinpointing maps.
-func ConvertSPP(in *SPPInstance) (*SPPConversion, error) { return in.ToAlgebra() }
+// SPPAlgebra is an SPP instance's algebraic representation (§III-B), the
+// one its runners execute, for Compile and SolverEncoding. AnalyzeSPP
+// decides the instance itself and names its suspect nodes.
+func SPPAlgebra(in *SPPInstance) (Algebra, error) { return spp.NewTable(in) }
 
 // ParseConfig reads the FSR configuration language (algebras, SPP
 // instances, AS relationship graphs).

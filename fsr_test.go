@@ -82,8 +82,8 @@ func TestFacadeConfig(t *testing.T) {
 	if len(f.Instances) != 1 {
 		t.Fatalf("want 1 instance")
 	}
-	if _, err := ConvertSPP(f.Instances[0]); err != nil {
-		t.Fatalf("ConvertSPP: %v", err)
+	if _, err := SPPAlgebra(f.Instances[0]); err != nil {
+		t.Fatalf("SPPAlgebra: %v", err)
 	}
 }
 

@@ -391,16 +391,10 @@ func Constraints(a algebra.Algebra, cond Condition) ([]Constraint, error) {
 	return g.constraints(cond), nil
 }
 
-// Check decides the given condition for the algebra with the native solver
-// backend: it generates the constraints, runs the solver, and maps the
-// outcome back to policy terms.
-func Check(a algebra.Algebra, cond Condition) (Result, error) {
-	return CheckWith(context.Background(), a, cond, smt.Native{})
-}
-
-// CheckWith is Check with an explicit context and solver: production passes
-// smt.Native, tests the smt.Reference oracle, and a cancelled context aborts
-// the solve with ctx.Err().
+// CheckWith decides the given condition for the algebra: it generates the
+// constraints, runs the solver, and maps the outcome back to policy terms.
+// Production passes smt.Native, tests the smt.Reference oracle, and a
+// cancelled context aborts the solve with ctx.Err().
 func CheckWith(ctx context.Context, a algebra.Algebra, cond Condition, solver smt.Solver) (Result, error) {
 	g, err := newConstraintGen(a)
 	if err != nil {
@@ -533,7 +527,7 @@ func (v Verdict) String() string {
 	return "unsafe"
 }
 
-// Report is the outcome of AnalyzeSafety: the verdict, the reasoning chain
+// Report is the outcome of AnalyzeSafetyWith: the verdict, the reasoning chain
 // (which factor was checked for which condition), and every solver result
 // along the way.
 type Report struct {
@@ -552,17 +546,11 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// AnalyzeSafety decides safety for a policy configuration with the native
-// solver, applying the composition rule for lexical products
+// AnalyzeSafetyWith decides safety for a policy configuration on the given
+// solver backend, applying the composition rule for lexical products
 // (§IV-B): for A ⊗ B, if A is strictly monotonic the product is safe; if A
 // is monotonic and B strictly monotonic it is safe; otherwise it is deemed
 // unsafe. Non-product algebras are safe iff strictly monotonic.
-func AnalyzeSafety(a algebra.Algebra) (Report, error) {
-	return AnalyzeSafetyWith(context.Background(), a, smt.Native{})
-}
-
-// AnalyzeSafetyWith is AnalyzeSafety with an explicit context and solver
-// backend.
 func AnalyzeSafetyWith(ctx context.Context, a algebra.Algebra, solver smt.Solver) (Report, error) {
 	if p, ok := a.(algebra.Product); ok {
 		return analyzeProduct(ctx, p, solver)
@@ -571,15 +559,21 @@ func AnalyzeSafetyWith(ctx context.Context, a algebra.Algebra, solver smt.Solver
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{Steps: []Result{res}}
-	if res.Sat {
+	return res.Report(), nil
+}
+
+// Report is the safety report of a non-product algebra whose strict
+// monotonicity check r is: safe iff r is sat.
+func (r Result) Report() Report {
+	rep := Report{Steps: []Result{r}}
+	if r.Sat {
 		rep.Verdict = Safe
-		rep.Reason = fmt.Sprintf("%s is strictly monotonic", a.Name())
+		rep.Reason = fmt.Sprintf("%s is strictly monotonic", r.Algebra)
 	} else {
 		rep.Verdict = Unsafe
-		rep.Reason = fmt.Sprintf("%s violates strict monotonicity (%d-constraint core)", a.Name(), len(res.Core))
+		rep.Reason = fmt.Sprintf("%s violates strict monotonicity (%d-constraint core)", r.Algebra, len(r.Core))
 	}
-	return rep, nil
+	return rep
 }
 
 func analyzeProduct(ctx context.Context, p algebra.Product, solver smt.Solver) (Report, error) {

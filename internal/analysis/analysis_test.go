@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"context"
+	"fsr/internal/smt"
 	"strings"
 	"testing"
 
@@ -11,9 +13,9 @@ import (
 // hop-count algebra is strictly monotonic (Yices returns sat for the
 // quantified encoding forall s. s < s+1).
 func TestHopCountSat(t *testing.T) {
-	res, err := Check(algebra.HopCount{}, StrictMonotonicity)
+	res, err := CheckWith(context.Background(), algebra.HopCount{}, StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if !res.Sat {
 		t.Fatalf("hop count should be strictly monotonic, got %s", res)
@@ -23,9 +25,9 @@ func TestHopCountSat(t *testing.T) {
 // TestGaoRexfordStrictUnsat reproduces §IV-C: guideline A is not strictly
 // monotonic, and the violating constraints include c ⊕ C = C.
 func TestGaoRexfordStrictUnsat(t *testing.T) {
-	res, err := Check(algebra.GaoRexfordA(), StrictMonotonicity)
+	res, err := CheckWith(context.Background(), algebra.GaoRexfordA(), StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if res.Sat {
 		t.Fatalf("guideline A should violate strict monotonicity")
@@ -49,9 +51,9 @@ func TestGaoRexfordStrictUnsat(t *testing.T) {
 // We check the model's structure (C strictly below P and R, P equal to R)
 // rather than the exact integers, which are solver-specific.
 func TestGaoRexfordMonotoneSat(t *testing.T) {
-	res, err := Check(algebra.GaoRexfordA(), Monotonicity)
+	res, err := CheckWith(context.Background(), algebra.GaoRexfordA(), Monotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if !res.Sat {
 		t.Fatalf("guideline A should be monotonic, got %s", res)
@@ -68,9 +70,9 @@ func TestGaoRexfordMonotoneSat(t *testing.T) {
 // TestCompositionSafe reproduces the §IV-C composition argument: guideline A
 // (monotonic) composed with shortest hop-count (strictly monotonic) is safe.
 func TestCompositionSafe(t *testing.T) {
-	rep, err := AnalyzeSafety(algebra.GaoRexfordWithHopCount())
+	rep, err := AnalyzeSafetyWith(context.Background(), algebra.GaoRexfordWithHopCount(), smt.Native{})
 	if err != nil {
-		t.Fatalf("AnalyzeSafety: %v", err)
+		t.Fatalf("AnalyzeSafetyWith: %v", err)
 	}
 	if rep.Verdict != Safe {
 		t.Fatalf("composition should be safe: %s", rep)
@@ -84,9 +86,9 @@ func TestCompositionSafe(t *testing.T) {
 // monotonicity fails), matching the known need for an acyclicity assumption
 // or a strictly monotonic tie-breaker.
 func TestGaoRexfordAloneUnsafe(t *testing.T) {
-	rep, err := AnalyzeSafety(algebra.GaoRexfordA())
+	rep, err := AnalyzeSafetyWith(context.Background(), algebra.GaoRexfordA(), smt.Native{})
 	if err != nil {
-		t.Fatalf("AnalyzeSafety: %v", err)
+		t.Fatalf("AnalyzeSafetyWith: %v", err)
 	}
 	if rep.Verdict != Unsafe {
 		t.Fatalf("guideline A alone should be deemed unsafe: %s", rep)
@@ -97,9 +99,9 @@ func TestGaoRexfordAloneUnsafe(t *testing.T) {
 // second example: 3 preference constraints (C<R, C<P, R=P) and 5 strict-
 // monotonicity constraints (the non-φ entries of the combined ⊕ table).
 func TestGaoRexfordConstraintCounts(t *testing.T) {
-	res, err := Check(algebra.GaoRexfordA(), StrictMonotonicity)
+	res, err := CheckWith(context.Background(), algebra.GaoRexfordA(), StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if res.NumPreference != 3 {
 		t.Errorf("want 3 preference constraints, got %d", res.NumPreference)

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"context"
+	"fsr/internal/smt"
 	"strings"
 	"testing"
 
@@ -52,11 +54,11 @@ func TestAlgebraSection(t *testing.T) {
 			}
 		}
 	}
-	r1, err := analysis.Check(parsed, analysis.StrictMonotonicity)
+	r1, err := analysis.CheckWith(context.Background(), parsed, analysis.StrictMonotonicity, smt.Native{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := analysis.Check(builtin, analysis.StrictMonotonicity)
+	r2, _ := analysis.CheckWith(context.Background(), builtin, analysis.StrictMonotonicity, smt.Native{})
 	if r1.Sat != r2.Sat || r1.NumPreference != r2.NumPreference || r1.NumMonotonicity != r2.NumMonotonicity {
 		t.Errorf("parsed and builtin analyses differ: %+v vs %+v", r1.Sat, r2.Sat)
 	}
@@ -82,7 +84,7 @@ end
 	if err != nil {
 		t.Fatalf("ToAlgebra: %v", err)
 	}
-	res, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+	res, err := analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,8 @@ import (
 
 func runNDlogSPP(t *testing.T, in *spp.Instance, horizon time.Duration) (map[simnet.NodeID]*Node, simnet.RunResult) {
 	t.Helper()
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		t.Fatalf("ToAlgebra(%s): %v", in.Name, err)
-	}
 	net := simnet.New(1, nil)
-	nodes, err := BuildSPP(net, conv, simnet.DefaultLink(), 20*time.Millisecond, 15*time.Millisecond)
+	nodes, err := BuildSPP(net, in, simnet.DefaultLink(), 20*time.Millisecond, 15*time.Millisecond)
 	if err != nil {
 		t.Fatalf("BuildSPP(%s): %v", in.Name, err)
 	}

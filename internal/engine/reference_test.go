@@ -54,7 +54,8 @@ func runTabular(ctx context.Context, r SimRunner, conv *spp.Conversion, opts Run
 	net := simnet.New(opts.Seed, opts.Collector)
 	name := conv.Instance.Name
 	if r.Interpreted {
-		interp, err := BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
+		labelOf := func(l spp.Link) algebra.Label { return conv.LabelOf[l] }
+		interp, err := buildNDlog(net, conv.Instance, conv.Algebra, labelOf, conv.Originations(), opts.Link, opts.BatchInterval, opts.StartStagger)
 		if err != nil {
 			return nil, err
 		}

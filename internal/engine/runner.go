@@ -17,8 +17,9 @@ import (
 // sockets) and two GPV implementations (the compiled pathvector protocol and
 // this package's NDlog interpreter). It mirrors RapidNet's simulation/
 // deployment duality (§VI-A): callers pick a backend by value, hand it an
-// SPP instance, and get back one uniform report. Only the interpreter
-// converts the instance to its algebra (NDlog is generated from it).
+// SPP instance, and get back one uniform report. Every backend runs the
+// instance's algebra, spp.NewTable: compiled nodes answer on it, and the
+// interpreter's NDlog program is generated from it.
 
 // RunOptions parameterizes one protocol execution, whichever backend runs
 // it. The zero value is usable: default link, immediate (unbatched) sends,
@@ -115,7 +116,7 @@ type RunReport struct {
 	NodeChanges map[string]int64
 }
 
-// Runner executes an SPP instance on one backend; an instance ToAlgebra
+// Runner executes an SPP instance on one backend; an instance spp.NewTable
 // rejects fails with its error. Implementations are stateless values; all
 // per-run state lives inside Run. Cancelling ctx aborts the execution with
 // ctx.Err().
@@ -165,10 +166,7 @@ func (r SimRunner) Run(ctx context.Context, in *spp.Instance, opts RunOptions) (
 	case !opts.Plan.Empty():
 		err = fmt.Errorf("engine: fault plans require the compiled sim backend, not %s", r.Name())
 	default:
-		var conv *spp.Conversion
-		if conv, err = in.ToAlgebra(); err == nil {
-			interp, err = BuildSPP(net, conv, opts.Link, opts.BatchInterval, opts.StartStagger)
-		}
+		interp, err = BuildSPP(net, in, opts.Link, opts.BatchInterval, opts.StartStagger)
 	}
 	bsp.End()
 	if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"fsr/internal/algebra"
 	"fsr/internal/ndlog"
 	"fsr/internal/simnet"
 	"fsr/internal/spp"
@@ -13,25 +14,33 @@ import (
 const SPPDest = "_dest"
 
 // BuildSPP wires an NDlog-interpreted GPV network for an SPP instance: it
-// generates the GPV program from the instance's algebra (§V-B) and installs
-// each node's step-4 configuration tuples — label rows for its links and
-// sig rows for its externally learned routes.
-func BuildSPP(net *simnet.Network, conv *spp.Conversion, link simnet.LinkConfig, batch, stagger time.Duration) (map[simnet.NodeID]*Node, error) {
-	prog, err := ndlog.Generate(conv.Algebra)
+// generates the GPV program from the instance's algebra (spp.NewTable, §V-B)
+// and installs each node's step-4 configuration tuples — label rows for its
+// links and sig rows for its externally learned routes. An instance NewTable
+// rejects fails with its error.
+func BuildSPP(net *simnet.Network, in *spp.Instance, link simnet.LinkConfig, batch, stagger time.Duration) (map[simnet.NodeID]*Node, error) {
+	t, err := spp.NewTable(in)
 	if err != nil {
 		return nil, err
 	}
-	in := conv.Instance
+	return buildNDlog(net, in, t, t.LabelOf, t.Originations(), link, batch, stagger)
+}
 
+// buildNDlog is BuildSPP on a given algebra of the instance: labelOf labels
+// its links and origs are its originations.
+func buildNDlog(net *simnet.Network, in *spp.Instance, alg algebra.Algebra, labelOf func(spp.Link) algebra.Label, origs []spp.Origination, link simnet.LinkConfig, batch, stagger time.Duration) (map[simnet.NodeID]*Node, error) {
+	prog, err := ndlog.Generate(alg)
+	if err != nil {
+		return nil, err
+	}
 	initial := map[spp.Node][]Tuple{}
 	for _, l := range in.Links {
-		lab := conv.LabelOf[l]
 		initial[l.From] = append(initial[l.From], Tuple{
 			Pred: "label",
-			Args: []ndlog.Value{string(l.From), string(l.To), lab.String()},
+			Args: []ndlog.Value{string(l.From), string(l.To), labelOf(l).String()},
 		})
 	}
-	for _, o := range conv.Originations() {
+	for _, o := range origs {
 		path := make(ndlog.List, len(o.Path))
 		for i, n := range o.Path {
 			path[i] = string(n)

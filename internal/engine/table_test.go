@@ -10,12 +10,13 @@ import (
 	"fsr/internal/scenario"
 )
 
-// TestOneNodeTwoAlgebras: the compiled Node runs an instance on its
-// execution table exactly as it ran on ToAlgebra's Tabular. The first ten
-// scenarios of every generator kind, fault plans included, execute as a
-// campaign executes them, once through SimRunner and once through the
-// reference wiring, and the reports agree on every route with its signature
-// and on every traffic, fault and selection-change count.
+// TestOneNodeTwoAlgebras: both runners run an instance on its table exactly
+// as they ran on ToAlgebra's Tabular. The first ten scenarios of every
+// generator kind, fault plans included, execute as a campaign executes them,
+// once through SimRunner and once through the reference wiring — the
+// compiled node on every scenario, the NDlog interpreter on those without a
+// plan — and the reports agree on every route with its signature and on
+// every traffic, fault and selection-change count.
 func TestOneNodeTwoAlgebras(t *testing.T) {
 	ctx := context.Background()
 	faulted := 0
@@ -29,20 +30,26 @@ func TestOneNodeTwoAlgebras(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", kind, seed, err)
 			}
-			opts := engine.RunOptions{Seed: seed, Horizon: 2 * time.Second, Plan: sc.Plan}
-			got, err := engine.SimRunner{}.Run(ctx, sc.Instance, opts)
-			if err != nil {
-				t.Fatalf("%s seed %d: table: %v", kind, seed, err)
+			runners := []engine.SimRunner{{}}
+			if sc.Plan.Empty() {
+				runners = append(runners, engine.SimRunner{Interpreted: true})
 			}
-			want, err := engine.RunTabular(ctx, engine.SimRunner{}, conv, opts)
-			if err != nil {
-				t.Fatalf("%s seed %d: Tabular: %v", kind, seed, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s seed %d: on the table\n %+v\non the Tabular\n %+v", kind, seed, got, want)
-			}
-			if got.Faults > 0 {
-				faulted++
+			for _, r := range runners {
+				opts := engine.RunOptions{Seed: seed, Horizon: 2 * time.Second, Plan: sc.Plan}
+				got, err := r.Run(ctx, sc.Instance, opts)
+				if err != nil {
+					t.Fatalf("%s seed %d %s: table: %v", kind, seed, r.Name(), err)
+				}
+				want, err := engine.RunTabular(ctx, r, conv, opts)
+				if err != nil {
+					t.Fatalf("%s seed %d %s: Tabular: %v", kind, seed, r.Name(), err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s seed %d %s: on the table\n %+v\non the Tabular\n %+v", kind, seed, r.Name(), got, want)
+				}
+				if got.Faults > 0 {
+					faulted++
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"fsr/internal/algebra"
 	"fsr/internal/analysis"
+	"fsr/internal/engine"
 	"fsr/internal/pathvector"
 	"fsr/internal/simnet"
 	"fsr/internal/spp"
@@ -19,7 +21,9 @@ import (
 // on a Rocketfuel-style ISP with an embedded Figure 3 gadget, plus the
 // bandwidth comparison of Figure 5.
 type Figure5Result struct {
-	// Analysis of the extracted SPP instance with the embedded gadget.
+	// Analysis of the extracted SPP instance with the embedded gadget, by
+	// spp.Analyze; its Stats.Duration, the reported solver time, is that
+	// analysis's dense solve.
 	GadgetAnalysis analysis.Result
 	// Suspects are the nodes implicated by the unsat core — expected to be
 	// the embedded reflectors.
@@ -149,20 +153,12 @@ func Figure5(opts Figure5Options) (*Figure5Result, error) {
 	}
 
 	// Analysis.
-	gadgetConv, err := gadgetInst.ToAlgebra()
+	ctx := context.TODO()
+	res.GadgetAnalysis, res.Suspects, err = spp.Analyze(ctx, gadgetInst)
 	if err != nil {
 		return nil, err
 	}
-	res.GadgetAnalysis, err = analysis.Check(gadgetConv.Algebra, analysis.StrictMonotonicity)
-	if err != nil {
-		return nil, err
-	}
-	res.Suspects = gadgetConv.SuspectNodes(res.GadgetAnalysis.Core)
-	fixedConv, err := fixedInst.ToAlgebra()
-	if err != nil {
-		return nil, err
-	}
-	res.FixedAnalysis, err = analysis.Check(fixedConv.Algebra, analysis.StrictMonotonicity)
+	res.FixedAnalysis, _, err = spp.Analyze(ctx, fixedInst)
 	if err != nil {
 		return nil, err
 	}
@@ -371,18 +367,16 @@ func embedGadget(in *spp.Instance, ra, rb, rc string, egress map[string]string) 
 // series, total bytes, and (horizon-capped) convergence time.
 func runInstance(in *spp.Instance, opts Figure5Options) ([]trace.Point, int64, time.Duration, error) {
 	col := trace.NewCollector(10 * time.Millisecond)
-	net := simnet.New(opts.Seed+29, col)
-	link := simnet.LinkConfig{Latency: 10 * time.Millisecond, Jitter: 3 * time.Millisecond, Bandwidth: 100e6}
-	_, err := pathvector.BuildSPP(net, in, link, pathvector.Config{
+	rep, err := engine.SimRunner{}.Run(context.TODO(), in, engine.RunOptions{
+		Seed:          opts.Seed + 29,
+		Link:          simnet.LinkConfig{Latency: 10 * time.Millisecond, Jitter: 3 * time.Millisecond, Bandwidth: 100e6},
 		BatchInterval: opts.Batch,
 		StartStagger:  opts.Batch / 2,
-		MaxPathLen:    8,
+		Horizon:       opts.Horizon,
+		Collector:     col,
 	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res := net.Run(opts.Horizon)
-	_, bytes := col.Totals()
-	series := col.BandwidthSeries(len(in.Nodes), opts.SeriesH)
-	return series, bytes, res.Time, nil
+	return col.BandwidthSeries(len(in.Nodes), opts.SeriesH), rep.Bytes, rep.Time, nil
 }

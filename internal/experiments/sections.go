@@ -1,16 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"fsr/internal/algebra"
-	"fsr/internal/analysis"
-	"fsr/internal/pathvector"
-	"fsr/internal/simnet"
+	"fsr/internal/engine"
 	"fsr/internal/spp"
-	"fsr/internal/trace"
 )
 
 // TableIRow classifies one policy configuration on the Table I spectrum.
@@ -125,6 +123,17 @@ type SectionVICOptions struct {
 	Horizon time.Duration
 }
 
+// run executes the instance on the compiled simulator under the options,
+// seeded with opts.Seed+salt.
+func (opts SectionVICOptions) run(in *spp.Instance, salt int64) (*engine.RunReport, error) {
+	return engine.SimRunner{}.Run(context.TODO(), in, engine.RunOptions{
+		Seed:          opts.Seed + salt,
+		BatchInterval: opts.Batch,
+		StartStagger:  opts.Batch / 2,
+		Horizon:       opts.Horizon,
+	})
+}
+
 // SectionVIC reproduces the §VI-C eBGP gadget studies: GOODGADGET is safe
 // and converges, BADGADGET is unsafe and never converges, DISAGREE is
 // reported unsafe by the (sufficient, not necessary) condition yet
@@ -149,28 +158,18 @@ func SectionVIC(opts SectionVICOptions) ([]GadgetReport, error) {
 
 func studyGadget(in *spp.Instance, opts SectionVICOptions) (GadgetReport, error) {
 	rep := GadgetReport{Name: in.Name}
-	conv, err := in.ToAlgebra()
-	if err != nil {
-		return rep, err
-	}
-	ana, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+	ana, _, err := spp.Analyze(context.TODO(), in)
 	if err != nil {
 		return rep, err
 	}
 	rep.Sat = ana.Sat
-	col := trace.NewCollector(10 * time.Millisecond)
-	net := simnet.New(opts.Seed+11, col)
-	_, err = pathvector.BuildSPP(net, in, simnet.DefaultLink(), pathvector.Config{
-		BatchInterval: opts.Batch,
-		StartStagger:  opts.Batch / 2,
-	})
+	run, err := opts.run(in, 11)
 	if err != nil {
 		return rep, err
 	}
-	run := net.Run(opts.Horizon)
 	rep.Converged = run.Converged
 	rep.Time = run.Time
-	rep.Messages, rep.TotalBytes = col.Totals()
+	rep.Messages, rep.TotalBytes = run.Messages, run.Bytes
 	return rep, nil
 }
 
@@ -218,16 +217,10 @@ func DisagreeSweep(n int, fractions []float64, opts SectionVICOptions) ([]Disagr
 	}
 	var out []DisagreeRow
 	for _, f := range fractions {
-		in := disagreeRing(n, f)
-		net := simnet.New(opts.Seed+13, nil)
-		_, err := pathvector.BuildSPP(net, in, simnet.DefaultLink(), pathvector.Config{
-			BatchInterval: opts.Batch,
-			StartStagger:  opts.Batch / 2,
-		})
+		run, err := opts.run(disagreeRing(n, f), 13)
 		if err != nil {
 			return nil, err
 		}
-		run := net.Run(opts.Horizon)
 		out = append(out, DisagreeRow{ConflictFraction: f, Converged: run.Converged, Time: run.Time})
 	}
 	return out, nil

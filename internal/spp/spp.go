@@ -472,15 +472,6 @@ func (c *Conversion) Originations() []Origination {
 	return out
 }
 
-// OwnerOfSig returns the node whose ranking contains the signature's path.
-func (c *Conversion) OwnerOfSig(s algebra.Sig) (Node, bool) {
-	p, ok := c.PathOf[s]
-	if !ok {
-		return "", false
-	}
-	return p.Owner(), true
-}
-
 // SuspectNodes maps an unsat core back to the nodes whose configuration the
 // violating constraints mention — the §VI-B "hint" pointing operators at the
 // routers to fix. Preference constraints implicate the ranking's owner;
@@ -489,9 +480,9 @@ func (c *Conversion) SuspectNodes(core []analysis.Constraint) []Node {
 	seen := map[Node]bool{}
 	var out []Node
 	add := func(s algebra.Sig) {
-		if n, found := c.OwnerOfSig(s); found && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+		if p, found := c.PathOf[s]; found && !seen[p.Owner()] {
+			seen[p.Owner()] = true
+			out = append(out, p.Owner())
 		}
 	}
 	for _, cc := range core {

@@ -1,6 +1,8 @@
 package spp
 
 import (
+	"context"
+	"fsr/internal/smt"
 	"testing"
 
 	"fsr/internal/algebra"
@@ -16,9 +18,9 @@ func TestFigure3Constraints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToAlgebra: %v", err)
 	}
-	res, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+	res, err := analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if got := res.NumPreference + res.NumMonotonicity; got != 18 {
 		t.Errorf("want 18 constraints as in the paper, got %d (%d pref + %d mono)",
@@ -40,9 +42,9 @@ func TestFigure3Unsat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToAlgebra: %v", err)
 	}
-	res, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+	res, err := analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if res.Sat {
 		t.Fatalf("Figure 3 instance should be unsat")
@@ -70,9 +72,9 @@ func TestFigure3FixedSat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToAlgebra: %v", err)
 	}
-	res, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+	res, err := analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckWith: %v", err)
 	}
 	if !res.Sat {
 		t.Fatalf("fixed instance should be sat:\n%s", res)
@@ -96,9 +98,9 @@ func TestGadgetVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ToAlgebra: %v", c.inst.Name, err)
 		}
-		res, err := analysis.Check(conv.Algebra, analysis.StrictMonotonicity)
+		res, err := analysis.CheckWith(context.Background(), conv.Algebra, analysis.StrictMonotonicity, smt.Native{})
 		if err != nil {
-			t.Fatalf("%s: Check: %v", c.inst.Name, err)
+			t.Fatalf("%s: CheckWith: %v", c.inst.Name, err)
 		}
 		if res.Sat != c.sat {
 			t.Errorf("%s: want sat=%v, got %s", c.inst.Name, c.sat, res)

@@ -1,8 +1,9 @@
-// The execution form of an instance: the per-node GPV state §V compiles a
-// policy into, on the emitter's path ids instead of a string-keyed Tabular.
-// ⪯ compares ranks within one owner; ⊕P binary-searches the link's run of
-// buildShardPrep's match list, which is sorted by the tail's rank. ToAlgebra
-// stays the analysis and NDlog form, and the model this is tested against.
+// The algebra of an instance: the per-node GPV state §V compiles a policy
+// into, on the emitter's path ids instead of a string-keyed Tabular. Both
+// runners execute it, and the NDlog program and the Yices text are generated
+// from it. ⪯ compares ranks within one owner; ⊕P binary-searches the link's
+// run of buildShardPrep's match list, which is sorted by the tail's rank.
+// ToAlgebra's Tabular is the model this is tested against.
 
 package spp
 
@@ -28,7 +29,7 @@ type tableLabel struct {
 	link, lo, hi int32
 }
 
-// Table is an instance's execution algebra: exactly the ⊕P entries and
+// Table is an instance's algebra: exactly the ⊕P entries and
 // preferences of ToAlgebra's Tabular, answered on path ids. ⊕I and ⊕E pass
 // everything, a link constant is its own reverse, and no label originates a
 // route (the egress paths are Originations). It is immutable, so every node
@@ -41,7 +42,11 @@ type Table struct {
 	byLink map[Link]int32
 }
 
-var _ algebra.Algebra = (*Table)(nil)
+var (
+	_ algebra.Algebra          = (*Table)(nil)
+	_ algebra.PrefEnumerator   = (*Table)(nil)
+	_ algebra.ConcatEnumerator = (*Table)(nil)
+)
 
 // NewTable builds the instance's execution table. It rejects exactly the
 // instances ToAlgebra rejects, with ToAlgebra's errors.
@@ -135,6 +140,29 @@ func (t *Table) Concat(l algebra.Label, s algebra.Sig) algebra.Sig {
 		return algebra.Prohibited
 	}
 	return &t.sigs[t.pathOff[t.linkEnds[2*lab.link]]+seg[i].fq]
+}
+
+// PrefList implements algebra.PrefEnumerator: each ranking's adjacent pairs,
+// strict, in Nodes order, as ToAlgebra asserts them.
+func (t *Table) PrefList() []algebra.PrefPair {
+	out := make([]algebra.PrefPair, 0, t.totalPref())
+	for ni, off := range t.pathOff[:len(t.perms)] {
+		for r := 1; r < len(t.perms[ni]); r++ {
+			out = append(out, algebra.PrefPair{A: &t.sigs[off+int32(r)-1], B: &t.sigs[off+int32(r)], Strict: true})
+		}
+	}
+	return out
+}
+
+// ConcatList implements algebra.ConcatEnumerator: the match list, which is
+// label-major and, within a label, in its tail's (Sigs) order.
+func (t *Table) ConcatList() []algebra.ConcatEntry {
+	out := make([]algebra.ConcatEntry, len(t.matches))
+	for j, m := range t.matches {
+		from, to := t.linkEnds[2*m.li], t.linkEnds[2*m.li+1]
+		out[j] = algebra.ConcatEntry{Label: &t.labels[m.li], In: &t.sigs[t.pathOff[to]+m.tq], Out: &t.sigs[t.pathOff[from]+m.fq]}
+	}
+	return out
 }
 
 // Import, Export, Reverse and Origin implement algebra.Algebra: SPP

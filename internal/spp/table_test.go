@@ -14,7 +14,8 @@ import (
 // operator by operator, on every gadget, chain:40, internet:200 and the
 // first twenty scenarios of every generator kind — names and renderings,
 // ⪯ on every pair of signatures, ⊕P/⊕I/⊕E on every (label, signature) pair,
-// Origin and Reverse on every label, the link labels and the originations —
+// Origin and Reverse on every label, the asserted preferences and defined ⊕
+// entries in enumeration order, the link labels and the originations —
 // and it rejects what ToAlgebra rejects, with ToAlgebra's error.
 func TestTableMatchesToAlgebra(t *testing.T) {
 	corpus := map[string]*spp.Instance{
@@ -144,6 +145,33 @@ func requireSameAlgebra(t *testing.T, name string, tab *spp.Table, conv *spp.Con
 			if tab.Import(l, s) != ref.Import(rl, rs) || tab.Export(l, s) != ref.Export(rl, rs) {
 				t.Fatalf("%s: ⊕I/⊕E differ on %s, %s", name, l, s)
 			}
+		}
+	}
+
+	// The enumerations the generators walk: the asserted preferences and the
+	// defined ⊕ entries, position by position.
+	prefs, refPrefs := algebra.Preferences(tab), algebra.Preferences(ref)
+	if len(prefs) != len(refPrefs) {
+		t.Fatalf("%s: %d asserted preferences, ToAlgebra's %d", name, len(prefs), len(refPrefs))
+	}
+	for i, p := range prefs {
+		r := refPrefs[i]
+		if idx(p.A) != idx(r.A) || idx(p.B) != idx(r.B) || p.Strict != r.Strict || p.Equal != r.Equal {
+			t.Fatalf("%s: preference %d is %v, ToAlgebra's %v", name, i, p, r)
+		}
+	}
+	labPos := map[algebra.Label]int{}
+	for k := range labels {
+		labPos[labels[k]], labPos[refLabels[k]] = k, k
+	}
+	entries, refEntries := algebra.ConcatTable(tab), algebra.ConcatTable(ref)
+	if len(entries) != len(refEntries) {
+		t.Fatalf("%s: %d ⊕ entries, ToAlgebra's %d", name, len(entries), len(refEntries))
+	}
+	for i, e := range entries {
+		r := refEntries[i]
+		if labPos[e.Label] != labPos[r.Label] || idx(e.In) != idx(r.In) || idx(e.Out) != idx(r.Out) {
+			t.Fatalf("%s: ⊕ entry %d is %v, ToAlgebra's %v", name, i, e, r)
 		}
 	}
 

@@ -330,7 +330,7 @@ func (s *Session) scenarioSpec(spec CampaignSpec) CampaignSpec {
 
 // Run executes an SPP instance on the session's runner backend, which builds
 // its GPV implementation from the instance, to quiescence or the horizon. An
-// instance ConvertSPP rejects fails with the same error.
+// instance SPPAlgebra rejects fails with the same error.
 func (s *Session) Run(ctx context.Context, in *SPPInstance) (*RunReport, error) {
 	stagger := s.stagger
 	if !s.staggerSet {
