@@ -163,22 +163,43 @@ func BenchmarkStageAnalyzeAll(b *testing.B) {
 // BenchmarkCampaign measures the scenario engine at growing sweep sizes:
 // generation, analysis, and bounded simulation per scenario across the
 // worker pool — the scaling point for "as many scenarios as you can
-// imagine" workloads.
+// imagine" workloads. The campaign-sim row is one operation of the
+// end-to-end benchmark's campaign-sim workload: the mixed and the churn
+// generators, 128 scenarios. Every row also reports allocations per
+// delivered message (messages sent less those dropped), the protocol loop's
+// shape at campaign scale.
 func BenchmarkCampaign(b *testing.B) {
 	ctx := context.Background()
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec CampaignSpec
+	}{
+		{"n=16", CampaignSpec{Count: 16, BaseSeed: 1}},
+		{"n=64", CampaignSpec{Count: 64, BaseSeed: 1}},
+		{"campaign-sim", CampaignSpec{Count: 128, BaseSeed: 1, Kinds: []ScenarioKind{
+			ScenarioGadgetSplice, ScenarioGaoRexford, ScenarioIBGP,
+			ScenarioChurnFlap, ScenarioChurnStorm, ScenarioChurnDispute,
+		}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			sess := NewSession()
 			b.ReportAllocs()
+			var delivered int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				rep, err := sess.Campaign(ctx, CampaignSpec{Count: n, BaseSeed: 1})
+				rep, err := sess.Campaign(ctx, c.spec)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(rep.Interesting()) != 0 {
 					b.Fatalf("campaign found divergences:\n%s", rep)
 				}
+				_, dropped, messages := rep.FaultTotals()
+				delivered += int64(messages) - dropped
 			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(delivered), "allocs/delivered")
 		})
 	}
 }

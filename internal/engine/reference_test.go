@@ -11,8 +11,8 @@ import (
 )
 
 // The reference execution: SimRunner.Run as it ran on ToAlgebra's Tabular.
-// Compiled nodes are wired from the conversion — conv.LabelOf, a SigCodec
-// over conv.Algebra, conv.Originations() — and interpreted nodes run the
+// Compiled nodes are wired from the conversion — conv.LabelOf and
+// conv.Originations() on conv.Algebra — and interpreted nodes run the
 // NDlog program generated from it. Whatever algebra the conversion carries
 // runs, so a test may rebuild it with entries an instance cannot state.
 
@@ -25,7 +25,6 @@ func tabularNodes(conv *spp.Conversion, base pathvector.Config) map[simnet.NodeI
 		}
 		return l
 	}
-	codec := pathvector.NewSigCodec(conv.Algebra)
 	origs := map[spp.Node][]pathvector.Route{}
 	for _, o := range conv.Originations() {
 		path := make([]simnet.NodeID, len(o.Path))
@@ -40,7 +39,6 @@ func tabularNodes(conv *spp.Conversion, base pathvector.Config) map[simnet.NodeI
 		cfg.Algebra = conv.Algebra
 		cfg.Label = label
 		cfg.Originations = origs[n]
-		cfg.SigFromKey = codec.FromKey
 		nodes[simnet.NodeID(n)] = pathvector.NewNode(cfg)
 	}
 	return nodes

@@ -67,15 +67,36 @@ func TestRunnersAgreeUnderImportFilter(t *testing.T) {
 // protocol loop without a wall clock: two oscillating gadgets run to a 2 s
 // and an 8 s horizon, and the extra objects per extra delivered message —
 // the marginal cost, so set-up cannot hide in it or inflate it — stay within
-// two: the received advert's path, and a share of the one payload a flush
-// boxes for all its neighbours.
+// half an object. An imported advert allocates its one-hop route record; a
+// flush sends the selected record itself and allocates nothing. The churn
+// run puts link flaps, a partition, a restart and an origination flap
+// between the two horizons, so withdraws and restarts are inside the budget.
 func TestProtocolLoopAllocationShape(t *testing.T) {
 	ctx := context.Background()
-	for _, mk := range []func() *spp.Instance{spp.BadGadget, spp.Figure3IBGP} {
-		in := mk()
+	for _, c := range []struct {
+		in    *spp.Instance
+		churn bool
+	}{{spp.BadGadget(), false}, {spp.Figure3IBGP(), false}, {spp.BadGadget(), true}} {
+		in, opts := c.in, RunOptions{}
+		name := in.Name
+		if c.churn {
+			var nodes []string
+			for _, n := range in.Nodes {
+				nodes = append(nodes, string(n))
+			}
+			var sessions [][2]string
+			for _, s := range in.Sessions() {
+				sessions = append(sessions, [2]string{string(s.From), string(s.To)})
+			}
+			spec := fullSpec
+			spec.Start = 3 * time.Second
+			opts.Plan = BuildFaultPlan(1, nodes, sessions, spec)
+			name += " under churn"
+		}
 		measure := func(horizon time.Duration) (allocs float64, delivered int64) {
+			opts.Horizon = horizon
 			allocs = testing.AllocsPerRun(3, func() {
-				rep, err := SimRunner{}.Run(ctx, in, RunOptions{Horizon: horizon})
+				rep, err := SimRunner{}.Run(ctx, in, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,13 +107,13 @@ func TestProtocolLoopAllocationShape(t *testing.T) {
 		a2, d2 := measure(2 * time.Second)
 		a8, d8 := measure(8 * time.Second)
 		if d8 <= d2 {
-			t.Fatalf("%s: %d then %d deliveries; the gadget should keep oscillating", in.Name, d2, d8)
+			t.Fatalf("%s: %d then %d deliveries; the gadget should keep oscillating", name, d2, d8)
 		}
 		perMsg := (a8 - a2) / float64(d8-d2)
 		t.Logf("%s: %.0f allocs/%d delivered at 2 s, %.0f/%d at 8 s: %.2f objects per delivered message",
-			in.Name, a2, d2, a8, d8, perMsg)
-		if perMsg > 2 {
-			t.Errorf("%s: %.2f objects per delivered message, budget is 2", in.Name, perMsg)
+			name, a2, d2, a8, d8, perMsg)
+		if perMsg > 0.5 {
+			t.Errorf("%s: %.2f objects per delivered message, budget is 0.5", name, perMsg)
 		}
 	}
 }

@@ -113,14 +113,12 @@ func gaoRexfordConfig(g *topology.ASGraph, batch time.Duration) (algebra.Algebra
 		}
 		return algebra.LabelPair{A: l, B: algebra.LNum(1)}
 	}
-	codec := pathvector.NewSigCodec(alg)
 	base := pathvector.Config{
 		Algebra:       alg,
 		Label:         label,
 		SelfOriginate: true,
 		BatchInterval: batch,
 		StartStagger:  batch / 4,
-		SigFromKey:    codec.FromKey,
 	}
 	return alg, label, base
 }

@@ -250,7 +250,6 @@ func harvestPaths(g *topology.RouterGraph, sessions []topology.WLink, egress map
 		costs[spp.Link{From: spp.Node(l.B), To: spp.Node(l.A)}] = l.Weight
 	}
 	alg := algebra.IGPCost{}
-	codec := pathvector.NewSigCodec(alg)
 	var obs []spp.Observation
 	base := pathvector.Config{
 		Algebra: alg,
@@ -264,7 +263,6 @@ func harvestPaths(g *topology.RouterGraph, sessions []topology.WLink, egress map
 		BatchInterval: opts.Batch,
 		StartStagger:  opts.Batch / 2,
 		MaxPathLen:    8,
-		SigFromKey:    codec.FromKey,
 		OnAdvert: func(node simnet.NodeID, rt pathvector.Route) {
 			p := make(spp.Path, len(rt.Path))
 			for i, h := range rt.Path {

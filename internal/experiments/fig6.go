@@ -203,7 +203,6 @@ func runPV(h *hierNet, opts Figure6Options) ([]trace.Point, time.Duration, float
 	col := trace.NewCollector(10 * time.Millisecond)
 	net := simnet.New(opts.Seed+3, col)
 	alg := algebra.IGPCost{}
-	codec := pathvector.NewSigCodec(alg)
 	label := func(from, to simnet.NodeID) algebra.Label {
 		if w, ok := h.intraW[[2]string{string(from), string(to)}]; ok {
 			return algebra.LNum(w)
@@ -217,7 +216,6 @@ func runPV(h *hierNet, opts Figure6Options) ([]trace.Point, time.Duration, float
 			SelfOriginate: true,
 			BatchInterval: opts.Batch,
 			StartStagger:  opts.Batch / 2,
-			SigFromKey:    codec.FromKey,
 		}
 		if err := net.AddNode(simnet.NodeID(n), pathvector.NewNode(cfg)); err != nil {
 			return nil, 0, 0, err

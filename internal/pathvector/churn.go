@@ -54,8 +54,8 @@ func (n *Node) LinkUp(env simnet.Env, nb simnet.NodeID) {
 	s := n.slotFor(nb)
 	for _, dest := range sortedNeighbors(n.dests) {
 		e := n.dests[dest]
-		e.slots[s].hasSent = false
-		if e.hasBest {
+		e.slots[s].sent = nil
+		if e.best != nil {
 			n.markDirty(env, e)
 		}
 	}
@@ -73,11 +73,11 @@ func (n *Node) SetOriginationsEnabled(env simnet.Env, on bool) {
 	if !n.started {
 		return // Start (or the restart re-Start) honors origsOff.
 	}
-	for _, rt := range n.cfg.Originations {
+	for _, rt := range n.origs {
 		if on {
-			n.store(env, n.entryFor(rt.Dest), n.selfSlot(), rt)
+			n.store(env, n.entryFor(rt.dest), n.selfSlot(), rt)
 		} else {
-			n.dropCandidate(env, n.dests[rt.Dest], n.selfSlot())
+			n.dropCandidate(env, n.dests[rt.dest], n.selfSlot())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pathvector
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func wantPath(t *testing.T, nodes map[simnet.NodeID]*Node, id simnet.NodeID, wan
 	if !ok {
 		t.Fatalf("node %s has no route", id)
 	}
-	if !pathEqual(best.Path, want) {
+	if !slices.Equal(best.Path, want) {
 		t.Errorf("node %s selected %v, want %v", id, best.Path, want)
 	}
 }

@@ -5,9 +5,8 @@
 // executes them directly, and the equivalence of the two is tested.
 //
 // A Node runs any algebra.Algebra. SPP nodes (BuildSPP) run the instance's
-// execution table, spp.NewTable, which also decodes adverts' signatures: no
-// string-keyed Tabular or SigCodec sits on their loop, and signatures still
-// travel as their renderings (Advert.SigKey).
+// execution table, spp.NewTable: no string-keyed Tabular or SigCodec sits on
+// their loop.
 //
 // Per-message semantics follow the GPV rules:
 //
@@ -23,14 +22,23 @@
 //	           over label(U→N) admits the route; neighbors that previously
 //	           received a now-filtered or withdrawn route get a withdraw.
 //
+// A route is an immutable record shared by reference: its head hop, its
+// signature, and a pointer to the route it extends. In simulation a flush
+// sends the selected record itself, and a receiver that imports it stores a
+// one-hop record pointing at the sender's — so the path is never copied and
+// the signature is never rendered or decoded. Over TCP a record travels as
+// its wire form, Advert, which the receiver decodes back into a record
+// (Config.SigFromKey) before the same import and store code.
+//
 // State lives on the node's neighbour slots, resolved once from
 // env.Neighbors() (slot = position, plus one for the node's own
 // originations). A destination is one record: per slot the candidate learned
 // from it and what it was last sent, then the selection and a dirty flag. In
-// steady state a received advert allocates its path and a flush one boxed
-// Advert per dirty destination: duplicates are suppressed by comparing
-// (signature, path) by value, labels are looked up once per slot, and the
-// dirty list and the timer callback are reused.
+// steady state an imported advert allocates its one-hop record and a flush
+// nothing: duplicates are suppressed by comparing routes (pointer first, then
+// signature and hops), labels are looked up once per slot, a destination
+// boxes its withdraw once, and the dirty list and the timer callback are
+// reused.
 //
 // gpvSelect folds the candidates in ascending NodeID order, not slot order.
 // The order is observable — on a partially ordered algebra, ⪯ with the
@@ -54,14 +62,15 @@ import (
 	"fsr/internal/simnet"
 )
 
-// Advert is a route advertisement: dest D reachable via Path with signature
-// Sig. Origination announcements carry Origination=true and no signature —
-// the receiver derives the one-hop signature from the algebra's origination
-// set (§V-B step 4).
+// Advert is a route advertisement's wire form, what deployment mode
+// gob-encodes: dest D reachable via Path with signature SigKey. Origination
+// announcements carry Origination=true and no signature — the receiver
+// derives the one-hop signature from the algebra's origination set (§V-B
+// step 4). Simulation never builds one; it sends the route record itself.
 type Advert struct {
 	Dest        simnet.NodeID
 	Path        []simnet.NodeID
-	SigKey      string // rendered signature (wire form)
+	SigKey      string // rendered signature
 	Origination bool
 }
 
@@ -69,10 +78,6 @@ type Advert struct {
 type Withdraw struct {
 	Dest simnet.NodeID
 }
-
-// WireSize estimates the on-the-wire size of an advert: a fixed header plus
-// four bytes per path element, the granularity the bandwidth figures need.
-func (a Advert) WireSize() int { return 20 + 4*len(a.Path) }
 
 // WireSize of a withdraw: header only.
 func (w Withdraw) WireSize() int { return 24 }
@@ -82,11 +87,88 @@ func init() {
 	simnet.RegisterPayload(Withdraw{})
 }
 
-// Route is a stored candidate route.
+// Route is the public view of a route: its destination, its whole path and
+// its signature. Best and OnAdvert build one; Config.Originations are given
+// as such.
 type Route struct {
 	Dest simnet.NodeID
 	Path []simnet.NodeID
 	Sig  algebra.Sig
+}
+
+// route is one immutable route record: the path's head hop, the route it
+// extends (nil at the path's last hop), and the signature, destination,
+// origination flag and length of the whole route. A record is never changed
+// once built, so nodes share them: a selection is the candidate record, a
+// flush sends it, and the receiver's route points at it.
+type route struct {
+	hop  simnet.NodeID
+	sig  algebra.Sig // nil for a self-origination (and an undecodable advert)
+	dest simnet.NodeID
+	next *route
+	n    int32 // path length
+	orig bool  // a self-origination: the receiver derives the signature
+}
+
+var _ simnet.WireFormer = (*route)(nil)
+
+// newRoute builds the record chain for a whole path; only the head carries
+// the signature and the origination flag.
+func newRoute(dest simnet.NodeID, path []simnet.NodeID, sig algebra.Sig, orig bool) *route {
+	var r *route
+	for i := len(path) - 1; i >= 0; i-- {
+		r = &route{hop: path[i], dest: dest, next: r, n: int32(len(path) - i)}
+	}
+	r.sig, r.orig = sig, orig
+	return r
+}
+
+// view renders the record as a Route.
+func (r *route) view() Route {
+	path := make([]simnet.NodeID, 0, r.n)
+	for h := r; h != nil; h = h.next {
+		path = append(path, h.hop)
+	}
+	return Route{Dest: r.dest, Path: path, Sig: r.sig}
+}
+
+// WireSize is the advert's on-the-wire size: a fixed header plus four bytes
+// per path element, the granularity the bandwidth figures need.
+func (r *route) WireSize() int { return 20 + 4*int(r.n) }
+
+// WireForm implements simnet.WireFormer: deployment mode sends the Advert.
+func (r *route) WireForm() any {
+	key := ""
+	if r.sig != nil {
+		key = r.sig.String()
+	}
+	return Advert{Dest: r.dest, Path: r.view().Path, SigKey: key, Origination: r.orig}
+}
+
+// contains reports whether id is a hop of the route.
+func (r *route) contains(id simnet.NodeID) bool {
+	for ; r != nil; r = r.next {
+		if r.hop == id {
+			return true
+		}
+	}
+	return false
+}
+
+// comparePaths orders two routes' paths of equal length lexicographically,
+// hop by hop; a shared tail ends the walk.
+func comparePaths(a, b *route) int {
+	for ; a != b; a, b = a.next, b.next {
+		if c := cmp.Compare(a.hop, b.hop); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// sameRoute reports whether two routes have one signature and one path.
+func sameRoute(a, b *route) bool {
+	return a == b || a.sig == b.sig && a.n == b.n && comparePaths(a, b) == 0
 }
 
 // Config parameterizes a GPV node.
@@ -121,25 +203,28 @@ type Config struct {
 	// advertisement — the hook §VI-B uses to extract SPP instances from
 	// executions.
 	OnAdvert func(node simnet.NodeID, rt Route)
-	// SigFromKey recovers a signature from its wire rendering. Required
-	// because signatures travel as strings; the default understands the
-	// renderings of the built-in algebras via SigCodec.
+	// SigFromKey recovers a signature from its rendering in a received
+	// Advert, the wire form deployment mode carries; simulated adverts share
+	// the signature itself. The default, built on the first decode,
+	// understands the renderings of the built-in algebras via SigCodec.
 	SigFromKey func(key string) (algebra.Sig, bool)
 }
 
 // Node is a GPV protocol instance attached to one simnet node. Create with
 // NewNode; one Node per network node.
 type Node struct {
-	cfg Config
+	cfg   Config
+	origs []*route // Config.Originations as records
 	// The neighbour slots (see the package comment), resolved by bind.
-	self    simnet.NodeID
-	ids     []simnet.NodeID          // slot → node: env.Neighbors(), then self
-	slotOf  map[simnet.NodeID]int32  // node → slot
-	fold    []int32                  // the slots in ascending NodeID order
-	labels  []algebra.Label          // label(self→ids[slot]), filled on first use
-	flushFn func()                   // the batch-timer callback
-	dests   map[simnet.NodeID]*entry // per-destination state
-	dirty   []*entry                 // destinations changed since the last flush
+	self     simnet.NodeID
+	selfOrig *route                   // the self-origination, when SelfOriginate
+	ids      []simnet.NodeID          // slot → node: env.Neighbors(), then self
+	slotOf   map[simnet.NodeID]int32  // node → slot
+	fold     []int32                  // the slots in ascending NodeID order
+	labels   []algebra.Label          // label(self→ids[slot]), filled on first use
+	flushFn  func()                   // the batch-timer callback
+	dests    map[simnet.NodeID]*entry // per-destination state
+	dirty    []*entry                 // destinations changed since the last flush
 	// flushScheduled guards the batch timer.
 	flushScheduled bool
 	started        bool
@@ -157,29 +242,29 @@ type Node struct {
 
 // entry is everything the node knows about one destination.
 type entry struct {
-	dest    simnet.NodeID
-	slots   []slot // by neighbour slot
-	best    Route  // the current selection, when hasBest
-	hasBest bool
-	dirty   bool // queued in Node.dirty
+	dest     simnet.NodeID
+	slots    []slot // by neighbour slot
+	best     *route // the current selection, or nil
+	withdraw any    // Withdraw{dest}, boxed on the first withdraw
+	dirty    bool   // queued in Node.dirty
 }
 
 // slot is a destination's state toward one neighbour (or the node itself):
-// the candidate learned from it and what it was last sent.
+// the candidate learned from it and what it was last sent (implicit-withdraw
+// bookkeeping, the Adj-RIB-Out). Either is nil when there is none.
 type slot struct {
-	cand, sent       Route // sent: implicit-withdraw bookkeeping (Adj-RIB-Out)
-	hasCand, hasSent bool
+	cand, sent *route
 }
 
 var _ simnet.Handler = (*Node)(nil)
 
 // NewNode builds a GPV node from the configuration.
 func NewNode(cfg Config) *Node {
-	if cfg.SigFromKey == nil {
-		codec := NewSigCodec(cfg.Algebra)
-		cfg.SigFromKey = codec.FromKey
+	n := &Node{cfg: cfg, dests: map[simnet.NodeID]*entry{}}
+	for _, rt := range cfg.Originations {
+		n.origs = append(n.origs, newRoute(rt.Dest, rt.Path, rt.Sig, false))
 	}
-	return &Node{cfg: cfg, dests: map[simnet.NodeID]*entry{}}
+	return n
 }
 
 // bind resolves the neighbour slots on the node's first callback; the
@@ -201,6 +286,9 @@ func (n *Node) bind(env simnet.Env) {
 	n.flushFn = func() {
 		n.flushScheduled = false
 		n.flush(env)
+	}
+	if n.cfg.SelfOriginate {
+		n.selfOrig = &route{hop: n.self, dest: n.self, n: 1, orig: true}
 	}
 }
 
@@ -237,8 +325,8 @@ func (n *Node) entryFor(dest simnet.NodeID) *entry {
 
 // Best returns the node's current selection for dest.
 func (n *Node) Best(dest simnet.NodeID) (Route, bool) {
-	if e := n.dests[dest]; e != nil && e.hasBest {
-		return e.best, true
+	if e := n.dests[dest]; e != nil && e.best != nil {
+		return e.best.view(), true
 	}
 	return Route{}, false
 }
@@ -247,7 +335,7 @@ func (n *Node) Best(dest simnet.NodeID) (Route, bool) {
 func (n *Node) Routes() int {
 	c := 0
 	for _, e := range n.dests {
-		if e.hasBest {
+		if e.best != nil {
 			c++
 		}
 	}
@@ -260,19 +348,19 @@ func (n *Node) Start(env simnet.Env) {
 	start := func() {
 		n.started = true
 		if !n.origsOff {
-			for _, rt := range n.cfg.Originations {
+			for _, rt := range n.origs {
 				// Injection replaces the destination's whole candidate set, so
 				// a staggered start forgets what it heard before starting.
-				e := n.entryFor(rt.Dest)
+				e := n.entryFor(rt.dest)
 				for s := range e.slots {
-					e.slots[s].hasCand = false
+					e.slots[s].cand = nil
 				}
 				n.store(env, e, n.selfSlot(), rt)
 			}
 		}
-		if n.cfg.SelfOriginate {
+		if n.selfOrig != nil {
 			e := n.entryFor(n.self)
-			e.best, e.hasBest = Route{Dest: n.self, Path: []simnet.NodeID{n.self}}, true
+			e.best = n.selfOrig
 			n.markDirty(env, e)
 		}
 	}
@@ -284,12 +372,15 @@ func (n *Node) Start(env simnet.Env) {
 	}
 }
 
-// Receive implements simnet.Handler: the gpvRecv rule.
+// Receive implements simnet.Handler: the gpvRecv rule. A simulated advert is
+// the sender's route record; a deployed one is its wire form, decoded here.
 func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
 	n.bind(env)
 	switch m := payload.(type) {
+	case *route:
+		n.receiveRoute(env, n.slotFor(from), m)
 	case Advert:
-		n.receiveAdvert(env, n.slotFor(from), m)
+		n.receiveRoute(env, n.slotFor(from), n.decode(m))
 	case Withdraw:
 		n.dropCandidate(env, n.dests[m.Dest], n.slotFor(from))
 	default:
@@ -297,59 +388,74 @@ func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
 	}
 }
 
-// receiveAdvert stores the advertised route as the slot's candidate, or —
-// on every reject — retracts the slot's previous one: each UPDATE replaces
-// the neighbour's prior announcement, whether or not it is usable.
-func (n *Node) receiveAdvert(env simnet.Env, from int32, adv Advert) {
-	e := n.dests[adv.Dest]
+// decode turns a wire-form advert back into a record — the one place a
+// signature rendering is decoded. A rendering SigFromKey does not know
+// leaves the record without a signature, which the import rejects.
+func (n *Node) decode(adv Advert) *route {
+	var sig algebra.Sig
+	if !adv.Origination {
+		if n.cfg.SigFromKey == nil {
+			n.cfg.SigFromKey = NewSigCodec(n.cfg.Algebra).FromKey
+		}
+		if s, ok := n.cfg.SigFromKey(adv.SigKey); ok {
+			sig = s
+		}
+	}
+	return newRoute(adv.Dest, adv.Path, sig, adv.Origination)
+}
+
+// receiveRoute stores the advertised route, extended by this node, as the
+// slot's candidate, or — on every reject — retracts the slot's previous one:
+// each UPDATE replaces the neighbour's prior announcement, whether or not it
+// is usable.
+func (n *Node) receiveRoute(env simnet.Env, from int32, adv *route) {
+	e := n.dests[adv.dest]
 	// Path-vector loop prevention: reject adverts already containing us.
-	if slices.Contains(adv.Path, n.self) {
+	if adv.contains(n.self) {
 		n.loopRejects++
 		n.dropCandidate(env, e, from)
 		return
 	}
 	sig, ok := n.importSig(from, adv)
-	if !ok || (n.cfg.MaxPathLen > 0 && len(adv.Path)+1 > n.cfg.MaxPathLen) {
+	if !ok || (n.cfg.MaxPathLen > 0 && int(adv.n)+1 > n.cfg.MaxPathLen) {
 		n.filterRejects++
 		n.dropCandidate(env, e, from)
 		return
 	}
-	path := append(append(make([]simnet.NodeID, 0, len(adv.Path)+1), n.self), adv.Path...)
-	rt := Route{Dest: adv.Dest, Path: path, Sig: sig}
+	rt := &route{hop: n.self, sig: sig, dest: adv.dest, next: adv, n: adv.n + 1}
 	if n.cfg.OnAdvert != nil {
-		n.cfg.OnAdvert(n.self, rt)
+		n.cfg.OnAdvert(n.self, rt.view())
 	}
-	n.store(env, n.entryFor(adv.Dest), from, rt)
+	n.store(env, n.entryFor(adv.dest), from, rt)
 }
 
 // importSig is gpvRecv's policy half, over the receiver-side label of the
 // link U→V: the import filter ⊕I, then signature generation with ⊕P (from
 // the origination set for a one-hop route, §V-B step 4). ok is false when
 // the route is filtered, prohibited, or its signature is unknown.
-func (n *Node) importSig(from int32, adv Advert) (sig algebra.Sig, ok bool) {
+func (n *Node) importSig(from int32, adv *route) (sig algebra.Sig, ok bool) {
 	l := n.label(from)
-	if adv.Origination {
+	if adv.orig {
 		sig = n.cfg.Algebra.Origin(l)
 	} else {
-		prev, known := n.cfg.SigFromKey(adv.SigKey)
-		if !known || !n.cfg.Algebra.Import(l, prev) {
+		if adv.sig == nil || !n.cfg.Algebra.Import(l, adv.sig) {
 			return nil, false
 		}
-		sig = n.cfg.Algebra.Concat(l, prev)
+		sig = n.cfg.Algebra.Concat(l, adv.sig)
 	}
 	return sig, !algebra.IsProhibited(sig)
 }
 
 // store is gpvStore with (dest, neighbor) keying: the slot's new candidate
 // replaces its old one, BGP's implicit withdraw.
-func (n *Node) store(env simnet.Env, e *entry, s int32, rt Route) {
-	e.slots[s].cand, e.slots[s].hasCand = rt, true
+func (n *Node) store(env simnet.Env, e *entry, s int32, rt *route) {
+	e.slots[s].cand = rt
 	n.reselect(env, e)
 }
 
 func (n *Node) dropCandidate(env simnet.Env, e *entry, s int32) {
-	if e != nil && e.slots[s].hasCand {
-		e.slots[s].hasCand = false
+	if e != nil && e.slots[s].cand != nil {
+		e.slots[s].cand = nil
 		n.reselect(env, e)
 	}
 }
@@ -358,24 +464,22 @@ func (n *Node) dropCandidate(env simnet.Env, e *entry, s int32) {
 // folding the slots in ascending NodeID order. Ties (equally preferred or
 // unordered signatures) break deterministically toward the shorter path,
 // then the lexicographically smaller one — the stand-in for BGP's final
-// tie-breakers, which the algebra leaves open.
+// tie-breakers, which the algebra leaves open. A new candidate equal to the
+// selection (one signature, one path) is no change.
 func (n *Node) reselect(env simnet.Env, e *entry) {
-	var best *Route
+	var best *route
 	for _, s := range n.fold {
-		if c := &e.slots[s]; c.hasCand && (best == nil || better(n.cfg.Algebra, c.cand, *best)) {
-			best = &c.cand
+		if c := e.slots[s].cand; c != nil && (best == nil || better(n.cfg.Algebra, c, best)) {
+			best = c
 		}
 	}
 	switch {
-	case best == nil && !e.hasBest:
+	case best == nil && e.best == nil:
 		return
-	case best != nil && e.hasBest && e.best.Sig == best.Sig && pathEqual(e.best.Path, best.Path):
+	case best != nil && e.best != nil && sameRoute(e.best, best):
 		return
-	case best != nil:
-		e.best, e.hasBest = *best, true
-	default:
-		e.best, e.hasBest = Route{}, false
 	}
+	e.best = best
 	n.changes++
 	n.lastChange = env.Now()
 	n.markDirty(env, e)
@@ -391,9 +495,9 @@ func (n *Node) markDirty(env simnet.Env, e *entry) {
 }
 
 // better reports whether a should replace b as the selection.
-func better(alg algebra.Algebra, a, b Route) bool {
-	ab := alg.Prefer(a.Sig, b.Sig)
-	ba := alg.Prefer(b.Sig, a.Sig)
+func better(alg algebra.Algebra, a, b *route) bool {
+	ab := alg.Prefer(a.sig, b.sig)
+	ba := alg.Prefer(b.sig, a.sig)
 	switch {
 	case ab && !ba:
 		return true
@@ -401,10 +505,10 @@ func better(alg algebra.Algebra, a, b Route) bool {
 		return false
 	default:
 		// Equally preferred or unordered: deterministic tie-break.
-		if len(a.Path) != len(b.Path) {
-			return len(a.Path) < len(b.Path)
+		if a.n != b.n {
+			return a.n < b.n
 		}
-		return slices.Compare(a.Path, b.Path) < 0
+		return comparePaths(a, b) < 0
 	}
 }
 
@@ -428,52 +532,40 @@ func (n *Node) scheduleFlush(env simnet.Env) {
 // flush implements gpvSend: advertise every dirty destination, in
 // ascending order, to every neighbor admitted by the export filter, and
 // withdraw from neighbors that previously received a route we can no longer
-// offer them. A neighbor already holding exactly this (signature, path) is
-// skipped; the others share one boxed Advert per destination.
+// offer them. A neighbor already holding this route is skipped; the others
+// are all sent the selected record itself.
 func (n *Node) flush(env simnet.Env) {
 	slices.SortFunc(n.dirty, func(a, b *entry) int { return cmp.Compare(a.dest, b.dest) })
 	for _, e := range n.dirty {
 		e.dirty = false
-		// Originations skip ⊕E; the receiver derives the signature (§V-B step 4).
-		origin := n.cfg.SelfOriginate && e.dest == n.self
-		adv := Advert{Dest: e.dest, Path: e.best.Path, SigKey: sigKey(e.best.Sig), Origination: origin}
-		var boxed any // adv as a payload, boxed at the first send
+		best := e.best
 		for s, nb := range n.ids[:n.selfSlot()] {
 			if n.cfg.SelfOriginate && nb == e.dest {
 				continue // never advertise a node to itself
 			}
 			st := &e.slots[s]
-			if !e.hasBest || !(origin || n.cfg.Algebra.Export(n.label(int32(s)), e.best.Sig)) {
-				if st.hasSent {
-					w := Withdraw{Dest: e.dest}
-					env.Send(nb, w, w.WireSize())
+			// Originations skip ⊕E; the receiver derives the signature (§V-B step 4).
+			if best == nil || !(best.orig || n.cfg.Algebra.Export(n.label(int32(s)), best.sig)) {
+				if st.sent != nil {
+					if e.withdraw == nil {
+						e.withdraw = Withdraw{Dest: e.dest}
+					}
+					env.Send(nb, e.withdraw, Withdraw{}.WireSize())
 					n.withdrawsSent++
-					st.hasSent = false
+					st.sent = nil
 				}
 				continue
 			}
-			if st.hasSent && st.sent.Sig == e.best.Sig && pathEqual(st.sent.Path, e.best.Path) {
+			if st.sent != nil && sameRoute(st.sent, best) {
 				continue
 			}
-			if boxed == nil {
-				boxed = adv
-			}
-			env.Send(nb, boxed, adv.WireSize())
+			env.Send(nb, best, best.WireSize())
 			n.advertsSent++
-			st.sent, st.hasSent = e.best, true
+			st.sent = best
 		}
 	}
 	n.dirty = n.dirty[:0]
 }
-
-func sigKey(s algebra.Sig) string {
-	if s == nil {
-		return ""
-	}
-	return s.String()
-}
-
-func pathEqual(a, b []simnet.NodeID) bool { return slices.Equal(a, b) }
 
 // sortedNeighbors returns map keys in sorted order for deterministic
 // iteration.

@@ -1,7 +1,9 @@
 package pathvector
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestGoodGadgetConverges(t *testing.T) {
 		t.Fatalf("node 1 has no route")
 	}
 	want := []simnet.NodeID{"1", "3", "r3"}
-	if !pathEqual(best.Path, want) {
+	if !slices.Equal(best.Path, want) {
 		t.Errorf("node 1 selected %v, want %v", best.Path, want)
 	}
 }
@@ -102,7 +104,7 @@ func TestFigure3FixedConverges(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %s has no route", node)
 		}
-		if !pathEqual(best.Path, want) {
+		if !slices.Equal(best.Path, want) {
 			t.Errorf("node %s selected %v, want %v", node, best.Path, want)
 		}
 	}
@@ -180,7 +182,7 @@ func TestImportFilteredReplacementRetracts(t *testing.T) {
 	env := &scriptEnv{self: "u", nbrs: []simnet.NodeID{"v"}}
 	n.Start(env)
 	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
-	if best, ok := n.Best("d"); !ok || !pathEqual(best.Path, []simnet.NodeID{"u", "v"}) || best.Sig != out {
+	if best, ok := n.Best("d"); !ok || !slices.Equal(best.Path, []simnet.NodeID{"u", "v"}) || best.Sig != out {
 		t.Fatalf("after the imported advert: best %v (ok=%v), want [u v] with %s", best, ok, out)
 	}
 	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s2"})
@@ -194,29 +196,123 @@ func TestImportFilteredReplacementRetracts(t *testing.T) {
 	}
 }
 
-// TestDeploymentGPV runs the GOODGADGET over real TCP sockets (deployment
-// mode) and checks it reaches the same selections as simulation mode.
+// TestWarmFlushAllocatesNothing: a flush sends the selected record itself
+// and a withdraw boxed once per destination, so once a node is warm a flush
+// that re-advertises and withdraws allocates nothing.
+func TestWarmFlushAllocatesNothing(t *testing.T) {
+	s1, out := algebra.Symbol("s1"), algebra.Symbol("out")
+	l := algebra.LSym("l")
+	alg := algebra.NewBuilder("flush").Sigs(s1, out).Labels(l).Concat(l, s1, out).MustBuild()
+	n := NewNode(Config{Algebra: alg, Label: func(from, to simnet.NodeID) algebra.Label { return l }})
+	env := &scriptEnv{self: "u", nbrs: []simnet.NodeID{"v", "w"}}
+	n.Start(env)
+	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
+	n.Receive(env, "w", Advert{Dest: "d", Path: []simnet.NodeID{"w"}, SigKey: "s1"})
+	e := n.dests["d"]
+	viaV, viaW := e.slots[0].cand, e.slots[1].cand
+	if viaV == nil || viaW == nil {
+		t.Fatalf("both adverts should be imported")
+	}
+	selections := []*route{viaV, viaW, nil}
+	i, sends := 0, env.sends
+	allocs := testing.AllocsPerRun(30, func() {
+		e.best = selections[i%len(selections)]
+		i++
+		n.markDirty(env, e) // scriptEnv runs the flush timer at once
+	})
+	if allocs != 0 {
+		t.Errorf("a warm flush allocates %.1f objects, want 0", allocs)
+	}
+	if env.sends-sends < 2*30 {
+		t.Errorf("the flushes sent %d messages; each should advertise or withdraw to both neighbours", env.sends-sends)
+	}
+}
+
+// TestDeploymentGPV is the cross-representation oracle: the simulator
+// shares route records between nodes, while the TCP deployment copies every
+// advert through its wire form (Advert, gob, SigFromKey). Every node's Best —
+// path and signature rendering — must come out the same either way. On an
+// instance with one stable state (GOODGADGET, fixed Figure 3, a 12-node
+// chain) the deployed selections equal the simulated ones; on DISAGREE (two
+// stable states, picked by timing) and on BADGADGET and the Figure 3 gadget
+// (none; the run is cut at the horizon) each deployed selection must be a
+// route the simulated node imported or originated over three seeds.
 func TestDeploymentGPV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	dep := simnet.NewDeployment(nil)
-	nodes, err := BuildSPPDeployment(dep, spp.GoodGadget(), Config{
-		BatchInterval: 20 * time.Millisecond,
-		StartStagger:  10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dep.Run(10*time.Second, 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("deployment run should quiesce")
-	}
-	best, ok := nodes["1"].Best(SPPDest)
-	if !ok || !pathEqual(best.Path, []simnet.NodeID{"1", "3", "r3"}) {
-		t.Errorf("node 1 selected %v over TCP, want [1 3 r3]", best.Path)
+	for _, c := range []struct {
+		in     *spp.Instance
+		unique bool
+	}{
+		{spp.GoodGadget(), true},
+		{spp.Figure3IBGPFixed(), true},
+		{spp.ChainGadget(12), true},
+		{spp.Disagree(), false},
+		{spp.BadGadget(), false},
+		{spp.Figure3IBGP(), false},
+	} {
+		t.Run(c.in.Name, func(t *testing.T) {
+			horizon := 10 * time.Second
+			if !c.unique {
+				horizon = time.Second
+			}
+			dep := simnet.NewDeployment(nil)
+			deployed, err := BuildSPPDeployment(dep, c.in, testBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dep.Run(horizon, 150*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.unique && !res.Converged {
+				t.Fatalf("deployment run should quiesce")
+			}
+			if c.unique {
+				simulated, run := runSPP(t, c.in, testBase, horizon)
+				if !run.Converged {
+					t.Fatalf("simulated run should converge")
+				}
+				for id, sn := range simulated {
+					want, wantOK := sn.Best(SPPDest)
+					got, gotOK := deployed[id].Best(SPPDest)
+					if gotOK != wantOK || routeKey(got) != routeKey(want) {
+						t.Errorf("node %s: deployed %s (ok=%v), simulated %s (ok=%v)", id, routeKey(got), gotOK, routeKey(want), wantOK)
+					}
+				}
+				return
+			}
+			seen := map[simnet.NodeID]map[string]bool{}
+			note := func(node simnet.NodeID, rt Route) {
+				if seen[node] == nil {
+					seen[node] = map[string]bool{}
+				}
+				seen[node][routeKey(rt)] = true
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				base := testBase
+				base.OnAdvert = note
+				net := simnet.New(seed, nil)
+				nodes, err := BuildSPP(net, c.in, simnet.DefaultLink(), base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Run(3 * time.Second)
+				for id, n := range nodes {
+					for _, o := range n.cfg.Originations {
+						note(id, o)
+					}
+				}
+			}
+			for id, dn := range deployed {
+				if got, ok := dn.Best(SPPDest); ok && !seen[id][routeKey(got)] {
+					t.Errorf("node %s: deployed %s, which no simulated run imported or originated", id, routeKey(got))
+				}
+			}
+		})
 	}
 }
+
+// routeKey renders a route's path and signature.
+func routeKey(rt Route) string { return fmt.Sprint(rt.Path, " ", rt.Sig) }

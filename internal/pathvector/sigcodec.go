@@ -8,9 +8,9 @@ import (
 
 // SigCodec recovers signatures from their wire rendering (Sig.String()).
 // Finite algebras decode by table lookup; closed-form numeric algebras parse
-// integers; lexical products decode componentwise. Adverts carry signatures
-// as strings so that simulation payloads, deployment gob payloads, and
-// NDlog tuples all share one representation.
+// integers; lexical products decode componentwise. It is a Node's default
+// Config.SigFromKey: only deployment mode's Advert carries a rendering, and
+// simulated adverts share the signature itself.
 type SigCodec struct {
 	byKey         map[string]algebra.Sig
 	numeric       bool

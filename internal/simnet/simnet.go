@@ -11,6 +11,9 @@
 // typed value records (timer vs. delivery vs. start) living in a slot arena
 // recycled through a free list, ordered by a hand-rolled index heap —
 // no per-event heap pointer, no per-delivery closure, no interface boxing.
+// A payload is delivered as the value that was sent, never copied (see
+// Env.Send), so a protocol that sends a pointer to an immutable record adds
+// no allocation per message either.
 // Message delivery resolves links through dense per-node adjacency instead
 // of a global map keyed by node-ID pairs, and only a send touches the
 // collector. AddNode draws the node's seed from the network generator, but
@@ -46,7 +49,11 @@ type Env interface {
 	// returned slice is shared and read-only: callers must not modify it.
 	Neighbors() []NodeID
 	// Send transmits a payload of the given wire size to a neighbor.
-	// Sending to a non-neighbor is a programming error and panics.
+	// Sending to a non-neighbor is a programming error and panics. In
+	// simulation the payload is delivered as the same Go value — shared,
+	// never copied, so a pointer payload reaches the receiver as that
+	// pointer — and a sender must not mutate it after sending. Deployment
+	// mode gob-encodes it (its WireForm, when it is a WireFormer).
 	Send(to NodeID, payload any, size int)
 	// Schedule runs fn on this node after d (a protocol timer, e.g. the
 	// 1-second route batching of §VI-A).

@@ -57,6 +57,39 @@ func TestDeliveryAndLatency(t *testing.T) {
 	}
 }
 
+// sharer sends one pointer payload at start and keeps whatever it receives.
+type sharer struct {
+	send *[]NodeID
+	got  any
+}
+
+func (h *sharer) Start(env Env) {
+	if h.send != nil {
+		env.Send(env.Neighbors()[0], h.send, 8)
+	}
+}
+
+func (h *sharer) Receive(env Env, from NodeID, payload any) { h.got = payload }
+
+// TestPayloadIsShared pins Env.Send's contract in simulation: the receiver
+// gets the very value that was sent — a pointer payload arrives as the same
+// pointer, not a copy — which is what lets a protocol send a shared,
+// immutable record instead of building a message per neighbour.
+func TestPayloadIsShared(t *testing.T) {
+	net := New(1, nil)
+	payload := &[]NodeID{"a", "b"}
+	a, b := &sharer{send: payload}, &sharer{}
+	net.AddNode("a", a)
+	net.AddNode("b", b)
+	net.Connect("a", "b", DefaultLink())
+	if res := net.Run(time.Second); !res.Converged || res.Delivered != 1 {
+		t.Fatalf("one delivery expected: %+v", res)
+	}
+	if got, ok := b.got.(*[]NodeID); !ok || got != payload {
+		t.Errorf("b received %p (%T), sent %p", b.got, b.got, payload)
+	}
+}
+
 // TestBandwidthSerialization: a large message takes size*8/bandwidth to
 // serialize before the latency applies.
 func TestBandwidthSerialization(t *testing.T) {

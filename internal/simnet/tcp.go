@@ -20,13 +20,22 @@ import (
 // the network stack in simulation or using actual sockets", §VI-A).
 //
 // Each node owns a listener and one outbound TCP connection per neighbor;
-// payloads travel as gob-encoded envelopes. Protocol payload types must be
-// registered with gob by the protocol package (see RegisterPayload).
+// payloads travel as gob-encoded envelopes (a WireFormer as its wire form).
+// Protocol payload types must be registered with gob by the protocol package
+// (see RegisterPayload).
 // Convergence is detected by global quiescence: no in-flight messages, no
 // pending timers, and no activity for an idle window.
 
 // RegisterPayload registers a payload type for deployment-mode transport.
 func RegisterPayload(v any) { gob.Register(v) }
+
+// WireFormer is implemented by a payload whose simulated form is shared by
+// reference (see Env.Send) and so is not what goes on a socket: deployment
+// mode gob-encodes WireForm()'s value instead, and that value is what the
+// receiving handler gets.
+type WireFormer interface {
+	WireForm() any
+}
 
 // envelope is the wire format.
 type envelope struct {
@@ -303,6 +312,9 @@ func (e *tcpEnv) Send(to NodeID, payload any, size int) {
 	d.pending.Add(1)
 	d.collector.RecordSend(size, e.Now())
 	d.touch()
+	if w, ok := payload.(WireFormer); ok {
+		payload = w.WireForm()
+	}
 	if err := enc.Encode(envelope{From: nd.id, Payload: payload}); err != nil {
 		// Connection torn down during shutdown: drop and rebalance.
 		d.pending.Add(-1)
