@@ -54,6 +54,20 @@ curl -fsS -X POST "$base/v1/instances/smoke/whatif" -d '{
   "ops": [{"op":"rerank","node":"a","paths":["a,d,r1"]}]
 }' | grep -q '"mode":"delta"'
 
+# A what-if body is read like an upload's: a repeated key (encoding/json
+# would have applied the second ops list) and an unknown field are 400s,
+# and the instance is left as it was — the next verify is the cached
+# verdict with the same model.
+before="$(curl -fsS -X POST "$base/v1/instances/smoke/verify" | jq -c '.model')"
+for body in '{"ops":[],"ops":[{"op":"rerank","node":"a","paths":["a,b,e,r2","a,d,r1"]}]}' \
+            '{"ops":[{"op":"rerank","node":"a","paths":["a,b,e,r2","a,d,r1"],"via":"b"}]}'; do
+    [ "$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/instances/smoke/whatif" -d "$body")" = 400 ] \
+        || { echo "FAIL: what-if body $body was not a 400" >&2; exit 1; }
+done
+curl -fsS -X POST "$base/v1/instances/smoke/verify" \
+    | jq -e --argjson model "$before" '.mode == "cached" and .model == $model' >/dev/null \
+    || { echo "FAIL: a refused what-if body changed the instance" >&2; exit 1; }
+
 metrics="$(curl -fsS "$base/metrics")"
 delta="$(echo "$metrics" | awk '$1 == "fsr_delta_solves_total" {print $2}')"
 mismatch="$(echo "$metrics" | awk '$1 == "fsr_oracle_mismatches_total" {print $2}')"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -28,7 +29,8 @@ import (
 // is stricter in three ways, each pinned by FuzzReadInstance: keys match
 // exactly (encoding/json folds case), a key may appear once per object
 // (encoding/json merges the two values of a repeated rank, sessions or
-// instance key), and only whitespace may follow the value.
+// instance key), and only whitespace may follow the value. ReadWhatIf reads
+// a what-if batch with the same strictness (FuzzReadWhatIf).
 
 // Request is the decoded body of POST /v1/instances and POST /v1/analyze.
 type Request struct {
@@ -112,12 +114,55 @@ func ReadInstance(body []byte) (*spp.Instance, ReadStats, error) {
 	return in, st, nil
 }
 
-// The keys of the three objects with a fixed field set, in the order the
-// readers switch on.
+// WhatIf is the decoded body of POST /v1/instances/{id}/whatif: a batch of
+// edits, and whether to roll it back once verified (a pure query).
+type WhatIf struct {
+	Ops     []WhatIfOp
+	Discard bool
+}
+
+// WhatIfOp is one edit: Op is rerank (Node, Paths most preferred first),
+// drop-session (A, B) or add-session (A, B, Cost).
+type WhatIfOp struct {
+	Op    string
+	Node  spp.Node
+	Paths []spp.Path
+	A, B  spp.Node
+	Cost  int
+}
+
+// ReadWhatIf decodes a what-if body {"ops": [{"op", "node", "paths", "a",
+// "b", "cost"}, …], "discard"}. A path is a comma-joined node list, the
+// space around every hop trimmed; it costs one string for all its hops and
+// one slice.
+func ReadWhatIf(body []byte) (WhatIf, error) {
+	s := scanner{data: body}
+	var req WhatIf
+	err := s.object(whatIfKeys, func(i int, _ []byte) (err error) {
+		if i == 1 {
+			req.Discard, err = s.boolean()
+			return err
+		}
+		return s.array(func() error {
+			op, err := s.whatIfOp()
+			req.Ops = append(req.Ops, op)
+			return err
+		})
+	})
+	if err == nil {
+		err = s.end()
+	}
+	return req, err
+}
+
+// The keys of the objects with a fixed field set, in the order the readers
+// switch on.
 var (
 	envelopeKeys = []string{"gadget", "instance", "id"}
 	instanceKeys = []string{"name", "nodes", "origins", "sessions", "rank"}
 	sessionKeys  = []string{"a", "b", "cost"}
+	whatIfKeys   = []string{"ops", "discard"}
+	opKeys       = []string{"op", "node", "paths", "a", "b", "cost"}
 )
 
 // scanner is a cursor over one JSON text.
@@ -161,9 +206,12 @@ func (s *scanner) end() error {
 }
 
 // null consumes a null literal if one is next.
-func (s *scanner) null() bool {
-	if s.peek() == 'n' && bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
-		s.pos += 4
+func (s *scanner) null() bool { return s.literal("null") }
+
+// literal consumes lit if it is next.
+func (s *scanner) literal(lit string) bool {
+	if s.peek() == lit[0] && bytes.HasPrefix(s.data[s.pos:], []byte(lit)) {
+		s.pos += len(lit)
 		return true
 	}
 	return false
@@ -382,6 +430,17 @@ func (s *scanner) hex4(at int) (rune, bool) {
 	return r, true
 }
 
+// boolean reads true, false or null (false).
+func (s *scanner) boolean() (bool, error) {
+	switch {
+	case s.literal("true"):
+		return true, nil
+	case s.literal("false"), s.null():
+		return false, nil
+	}
+	return false, s.unexpected("a boolean")
+}
+
 // integer reads a JSON number that is an integer fitting int (or null, 0),
 // which is what encoding/json stores into an int field.
 func (s *scanner) integer() (int, error) {
@@ -488,4 +547,42 @@ func (s *scanner) session(w *wire) error {
 	}
 	w.sessions = append(w.sessions, ses)
 	return err
+}
+
+// whatIfOp reads one op object (or null, the zero op).
+func (s *scanner) whatIfOp() (op WhatIfOp, err error) {
+	nodes := [...]*spp.Node{1: &op.Node, 3: &op.A, 4: &op.B}
+	err = s.object(opKeys, func(i int, _ []byte) (err error) {
+		var text string
+		switch i {
+		case 0:
+			op.Op, err = s.text()
+		case 2:
+			err = s.array(func() error {
+				text, err := s.text()
+				op.Paths = append(op.Paths, hops(text))
+				return err
+			})
+		case 5:
+			op.Cost, err = s.integer()
+		default:
+			text, err = s.text()
+			*nodes[i] = spp.Node(text)
+		}
+		return err
+	})
+	return op, err
+}
+
+// hops splits a comma-joined node list into substrings of it, trimmed.
+func hops(path string) spp.Path {
+	p := make(spp.Path, 0, strings.Count(path, ",")+1)
+	for {
+		hop, rest, more := strings.Cut(path, ",")
+		p = append(p, spp.Node(strings.TrimSpace(hop)))
+		if !more {
+			return p
+		}
+		path = rest
+	}
 }

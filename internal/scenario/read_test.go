@@ -51,14 +51,7 @@ func oracleDecode(data []byte) (scenario.InstanceJSON, error) {
 //
 // A text that is not JSON reports neither: both sides reject it anyway.
 func keyQuirks(data []byte) (folded, repeated bool) {
-	type frame struct {
-		fields []string // the exact keys of this object, nil when any key goes
-		keys   map[string]bool
-		key    string // the key whose value is being read
-		isKey  bool   // an object expecting a key next
-		array  bool
-	}
-	fieldsUnder := func(parent *frame) []string {
+	return quirks(data, func(parent *quirkFrame) []string {
 		switch {
 		case parent == nil:
 			return []string{"name", "nodes", "origins", "sessions", "rank"}
@@ -66,7 +59,22 @@ func keyQuirks(data []byte) (folded, repeated bool) {
 			return []string{"a", "b", "cost"}
 		}
 		return nil
-	}
+	})
+}
+
+// quirkFrame is one open object or array of the text quirks walks.
+type quirkFrame struct {
+	fields []string // the exact keys of this object, nil when any key goes
+	keys   map[string]bool
+	key    string // the key whose value is being read
+	isKey  bool   // an object expecting a key next
+	array  bool
+}
+
+// quirks is keyQuirks over any schema: fieldsUnder names the exact keys of
+// an object opened under parent (nil at the top), nil when any key goes.
+func quirks(data []byte, fieldsUnder func(parent *quirkFrame) []string) (folded, repeated bool) {
+	type frame = quirkFrame
 	var stack []*frame
 	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
@@ -413,6 +421,152 @@ func FuzzReadInstance(f *testing.F) {
 			return
 		}
 		requireAnalysisParity(t, "fuzz input", in)
+	})
+}
+
+// The what-if body as the daemon decoded it before the byte reader:
+// encoding/json into whatIfRequest (unknown fields disallowed, nothing but
+// whitespace after the value), then parsePath on every path.
+type whatIfOp struct {
+	Op    string   `json:"op"`
+	Node  string   `json:"node,omitempty"`
+	Paths []string `json:"paths,omitempty"`
+	A     string   `json:"a,omitempty"`
+	B     string   `json:"b,omitempty"`
+	Cost  int      `json:"cost,omitempty"`
+}
+
+type whatIfRequest struct {
+	Ops     []whatIfOp `json:"ops"`
+	Discard bool       `json:"discard,omitempty"`
+}
+
+func parsePath(s string) spp.Path {
+	parts := strings.Split(s, ",")
+	p := make(spp.Path, 0, len(parts))
+	for _, n := range parts {
+		p = append(p, spp.Node(strings.TrimSpace(n)))
+	}
+	return p
+}
+
+// oracleWhatIf decodes a what-if body the old way, into ReadWhatIf's shape
+// with empty lists nil.
+func oracleWhatIf(data []byte) (scenario.WhatIf, error) {
+	var req whatIfRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return scenario.WhatIf{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return scenario.WhatIf{}, errors.New("data after the value")
+	}
+	out := scenario.WhatIf{Discard: req.Discard}
+	for _, o := range req.Ops {
+		op := scenario.WhatIfOp{Op: o.Op, Node: spp.Node(o.Node), A: spp.Node(o.A), B: spp.Node(o.B), Cost: o.Cost}
+		for _, ps := range o.Paths {
+			op.Paths = append(op.Paths, parsePath(ps))
+		}
+		out.Ops = append(out.Ops, op)
+	}
+	return out, nil
+}
+
+// whatIfQuirks is keyQuirks for the what-if body's keys.
+func whatIfQuirks(data []byte) (folded, repeated bool) {
+	return quirks(data, func(parent *quirkFrame) []string {
+		switch {
+		case parent == nil:
+			return []string{"ops", "discard"}
+		case parent.array && strings.EqualFold(parent.key, "ops"):
+			return []string{"op", "node", "paths", "a", "b", "cost"}
+		}
+		return nil
+	})
+}
+
+// requireWhatIfParity runs one body through ReadWhatIf and the oracle and
+// fails unless both reject it or both return the same ops, empty lists
+// read as none. The exclusions are FuzzReadInstance's: a key matched only
+// case-insensitively, a repeated key, and data after the value, all of
+// which the reader rejects.
+func requireWhatIfParity(t *testing.T, label string, data []byte) {
+	t.Helper()
+	got, gotErr := scenario.ReadWhatIf(data)
+	if folded, repeated := whatIfQuirks(data); folded || repeated {
+		if gotErr == nil {
+			t.Fatalf("%s: ReadWhatIf accepted a body with a case-folded (%v) or repeated (%v) key", label, folded, repeated)
+		}
+		return
+	}
+	want, wantErr := oracleWhatIf(data)
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("%s: ReadWhatIf: %v, encoding/json: %v", label, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if !strings.HasPrefix(gotErr.Error(), "offset ") {
+			t.Fatalf("%s: rejection %q does not say where", label, gotErr)
+		}
+		return
+	}
+	if len(got.Ops) == 0 {
+		got.Ops = nil
+	}
+	for i := range got.Ops {
+		if len(got.Ops[i].Paths) == 0 {
+			got.Ops[i].Paths = nil
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: ReadWhatIf read\n%+v\nencoding/json + parsePath\n%+v", label, got, want)
+	}
+}
+
+// whatIfBodies are what-if bodies at the edges of the format.
+var whatIfBodies = []string{
+	`{"ops":[{"op":"rerank","node":"a","paths":["a,d,r1","a,b,e,r2"]}],"discard":true}`,
+	`{"discard":false,"ops":[{"op":"drop-session","a":"a","b":"b"},{"op":"add-session","a":"a","b":"c","cost":3}]}`,
+	`{"ops":[{"op":"rerank","node":"a","paths":[" a , d ,r1\t","",",", null]}]}`,
+	`{"ops":[null,{"op":null,"node":null,"paths":null,"a":null,"b":null,"cost":null}],"discard":null}`,
+	`{"ops":null}`, `{}`, `null`, ` {"ops":[]} `,
+	`{"o\u0070s":[{"op":"rer\u0061nk","node":"\u00e9","paths":["\u00e9,x\u2028"]}]}`,
+	"{\"ops\":[{\"op\":\"rerank\",\"paths\":[\"a\xffb, c\xc3\"]}]}",
+	`{"ops":[{"op":"rerank","node":"a","paths":["a,b\u00a0,\u0085c"]}]}`,
+	`{"ops":[],"ops":[]}`, `{"OPS":[]}`, `{"ops":[{"Op":"x"}]}`, `{"ops":[{"op":"x","op":"y"}]}`,
+	`{"ops":[{"op":"x","via":"y"}]}`, `{"ops":[],"extra":1}`, `{"ops":[]} []`, `{"ops":[]},`,
+	`{"ops":[{"cost":1.5}]}`, `{"ops":[{"cost":-0}]}`, `{"ops":[{"cost":"3"}]}`, `{"ops":[{"cost":01}]}`,
+	`{"ops":[{"cost":99999999999999999999}]}`, `{"discard":1}`, `{"discard":"true"}`, `{"discard":tru}`,
+	`{"ops":[{"paths":[1]}]}`, `{"ops":[{"paths":"a,b"}]}`, `{"ops":{}}`, `[]`, `""`, ``, `{"ops":[,]}`,
+	`{"ops":[{"op":"x",}]}`, `{"ops":[{"op":"x"}]`, `{"ops":[{"op":"\q"}]}`, "{\"ops\":[{\"op\":\"\x01\"}]}",
+}
+
+// TestReadWhatIfEdges holds ReadWhatIf to the oracle on the edge bodies,
+// and checks that it says where a body goes wrong.
+func TestReadWhatIfEdges(t *testing.T) {
+	for _, body := range whatIfBodies {
+		requireWhatIfParity(t, strconv.Quote(body), []byte(body))
+	}
+	for body, want := range map[string]string{
+		`{"ops":[],"ops":[]}`:            `offset 15: duplicate key "ops"`,
+		`{"ops":[{"op":"x","via":"y"}]}`: `offset 23: unknown field "via"`,
+		`{"ops":[]} x`:                   `offset 11: unexpected 'x' after the request's value`,
+		`{"discard":"true"}`:             `offset 11: unexpected '"', want a boolean`,
+	} {
+		if _, err := scenario.ReadWhatIf([]byte(body)); errText(err) != want {
+			t.Errorf("%s: %s, want %s", body, errText(err), want)
+		}
+	}
+}
+
+// FuzzReadWhatIf drives arbitrary bytes through ReadWhatIf and through
+// encoding/json + parsePath.
+func FuzzReadWhatIf(f *testing.F) {
+	for _, body := range whatIfBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireWhatIfParity(t, "fuzz input", data)
 	})
 }
 

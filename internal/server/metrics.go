@@ -52,9 +52,10 @@ type Metrics struct {
 	// verification errored.
 	Rollbacks      *obs.CounterVec
 	AbortedBatches *obs.CounterVec
-	// DecodeDuration is the time the byte reader took to turn an upload's
-	// body into a validated instance, and BodyBytes the size of that body,
-	// per instance-carrying endpoint (analyze | create).
+	// DecodeDuration is the time the byte reader took to turn a request
+	// body into what it carries — an upload's validated instance, a what-if
+	// batch's ops — and BodyBytes the size of that body, per endpoint
+	// (analyze | create | whatif).
 	DecodeDuration *obs.HistogramVec
 	BodyBytes      *obs.HistogramVec
 	// Panics counts handler panics recovered by the middleware, per
@@ -91,8 +92,8 @@ func NewMetrics() *Metrics {
 		OracleMismatches: r.CounterVec("fsr_oracle_mismatches_total", "Delta-vs-full-rebuild verification disagreements (check-oracle mode)."),
 		Rollbacks:        r.CounterVec("fsr_whatif_rollbacks_total", "What-if batches verified and rolled back on request (discard)."),
 		AbortedBatches:   r.CounterVec("fsr_whatif_aborted_batches_total", "What-if batches rolled back because an edit or the verification failed."),
-		DecodeDuration:   r.HistogramVec("fsr_request_decode_seconds", "Upload body to validated instance, by endpoint.", "endpoint"),
-		BodyBytes:        r.HistogramVecBuckets("fsr_request_body_bytes", "Upload body size, by endpoint.", bodyBuckets, "endpoint"),
+		DecodeDuration:   r.HistogramVec("fsr_request_decode_seconds", "Request body to validated instance or what-if ops, by endpoint.", "endpoint"),
+		BodyBytes:        r.HistogramVecBuckets("fsr_request_body_bytes", "Request body size, by endpoint.", bodyBuckets, "endpoint"),
 		Panics:           r.CounterVec("fsr_panics_total", "Handler panics recovered by the middleware.", "endpoint"),
 		RegionNodes:      r.HistogramVecBuckets("fsr_smt_delta_region_nodes", "Constraint-graph nodes re-solved per delta verification.", regionBuckets),
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"maps"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -227,51 +225,19 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // maxBody caps every request body.
 const maxBody = 8 << 20
 
-// writeBodyErr answers a body that could not be read or decoded: 413 when
-// it ran over maxBody, 400 otherwise.
-func writeBodyErr(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	writeErr(w, code, "decoding request: %v", err)
-}
-
-// readJSON decodes the small bodies (what-if batches) through
-// encoding/json: one value, unknown fields refused, nothing but whitespace
-// after it.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeBodyErr(w, err)
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			err = errors.New("data after the request's value")
-		}
-		writeBodyErr(w, err)
-		return false
-	}
-	return true
-}
-
-// bodies recycles the buffers upload bodies are read into: a decoded
-// instance shares no byte with its body, so the buffer goes back before the
-// analysis runs.
+// bodies recycles the buffers request bodies are read into: nothing
+// decoded from a body shares a byte with it, so the buffer goes back before
+// the request is served.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readUpload reads the body of an instance-carrying request whole — into a
-// recycled buffer sized from Content-Length — and decodes it in one pass
-// with the wire form's byte reader, envelope included. The decode is one
-// span of the request's tree and one observation of the per-endpoint decode
-// histograms. It writes the error response itself.
-func (s *Server) readUpload(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint string, withID bool) (scenario.Request, bool) {
+// readBody reads a request body whole into a recycled buffer sized from
+// Content-Length (over maxBody is 413, up front when Content-Length says so)
+// and decodes it in the request's decode span, observed in the per-endpoint
+// decode histograms; a decode error is 400. It writes the error response.
+func (s *Server) readBody(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint string, decode func(body []byte, sp *obs.Span) error) bool {
 	if r.ContentLength > maxBody {
 		writeErr(w, http.StatusRequestEntityTooLarge, "decoding request: %d-byte body exceeds the %d-byte limit", r.ContentLength, maxBody)
-		return scenario.Request{}, false
+		return false
 	}
 	buf := bodies.Get().(*bytes.Buffer)
 	defer bodies.Put(buf)
@@ -280,28 +246,42 @@ func (s *Server) readUpload(ctx context.Context, w http.ResponseWriter, r *http.
 		buf.Grow(int(r.ContentLength) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
-		writeBodyErr(w, err)
-		return scenario.Request{}, false
+		code, tooLarge := http.StatusBadRequest, (*http.MaxBytesError)(nil)
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "decoding request: %v", err)
+		return false
 	}
 	_, sp := obs.StartSpan(ctx, "decode")
 	start := time.Now()
-	req, err := scenario.ReadRequest(buf.Bytes(), withID)
+	err := decode(buf.Bytes(), sp)
 	s.metrics.DecodeDuration.Observe(time.Since(start).Seconds(), endpoint)
 	s.metrics.BodyBytes.Observe(float64(buf.Len()), endpoint)
 	sp.AttrInt("bytes", int64(buf.Len()))
-	sp.AttrInt("nodes", int64(req.Stats.Nodes))
-	sp.AttrInt("paths", int64(req.Stats.Paths))
-	fallback := int64(0)
-	if req.Stats.FallbackValidate {
-		fallback = 1
-	}
-	sp.AttrInt("fallback_validate", fallback)
 	sp.End()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
-		return scenario.Request{}, false
+		return false
 	}
-	return req, true
+	return true
+}
+
+// readUpload reads the body of an instance-carrying request and decodes it
+// in one pass with the wire form's byte reader, envelope included.
+func (s *Server) readUpload(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint string, withID bool) (req scenario.Request, ok bool) {
+	ok = s.readBody(ctx, w, r, endpoint, func(body []byte, sp *obs.Span) (err error) {
+		req, err = scenario.ReadRequest(body, withID)
+		sp.AttrInt("nodes", int64(req.Stats.Nodes))
+		sp.AttrInt("paths", int64(req.Stats.Paths))
+		fallback := int64(0)
+		if req.Stats.FallbackValidate {
+			fallback = 1
+		}
+		sp.AttrInt("fallback_validate", fallback)
+		return err
+	})
+	return req, ok
 }
 
 // lookup resolves {id} to its entry or writes a 404.
@@ -593,57 +573,23 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// whatIfOp is one edit of a what-if batch.
-type whatIfOp struct {
-	// Op is rerank, drop-session, or add-session.
-	Op string `json:"op"`
-	// Node and Paths parameterize rerank; paths are comma-joined node
-	// lists, most preferred first, as in the corpus wire form.
-	Node  string   `json:"node,omitempty"`
-	Paths []string `json:"paths,omitempty"`
-	// A, B, and Cost parameterize drop-session and add-session.
-	A    string `json:"a,omitempty"`
-	B    string `json:"b,omitempty"`
-	Cost int    `json:"cost,omitempty"`
-}
-
-type whatIfRequest struct {
-	Ops []whatIfOp `json:"ops"`
-	// Discard rolls the edits back once the verdict is in: the resident
-	// instance is left as it was, making the call a pure query.
-	Discard bool `json:"discard,omitempty"`
-}
-
-func parsePath(s string) spp.Path {
-	parts := strings.Split(s, ",")
-	p := make(spp.Path, 0, len(parts))
-	for _, n := range parts {
-		p = append(p, spp.Node(strings.TrimSpace(n)))
-	}
-	return p
-}
-
-func applyOp(v *spp.DeltaVerifier, op whatIfOp) error {
+func applyOp(v *spp.DeltaVerifier, op scenario.WhatIfOp) error {
 	switch op.Op {
 	case "rerank":
 		if op.Node == "" {
 			return fmt.Errorf("rerank wants a node")
 		}
-		paths := make([]spp.Path, len(op.Paths))
-		for i, ps := range op.Paths {
-			paths[i] = parsePath(ps)
-		}
-		return v.ReRank(spp.Node(op.Node), paths...)
+		return v.ReRank(op.Node, op.Paths...)
 	case "drop-session":
 		if op.A == "" || op.B == "" {
 			return fmt.Errorf("drop-session wants a and b")
 		}
-		return v.DropSession(spp.Node(op.A), spp.Node(op.B))
+		return v.DropSession(op.A, op.B)
 	case "add-session":
 		if op.A == "" || op.B == "" {
 			return fmt.Errorf("add-session wants a and b")
 		}
-		return v.AddSession(spp.Node(op.A), spp.Node(op.B), op.Cost)
+		return v.AddSession(op.A, op.B, op.Cost)
 	default:
 		return fmt.Errorf("unknown op %q (want rerank, drop-session, add-session)", op.Op)
 	}
@@ -653,24 +599,32 @@ func applyOp(v *spp.DeltaVerifier, op whatIfOp) error {
 // apply, verify (oracle included, while the edits stand), then commit — or
 // roll back, when the caller asked for a pure query or anything failed, so
 // a batch is kept whole or not at all. The cost is the edits', whichever
-// way it ends.
+// way it ends. The body is read like an upload's, by the byte reader
+// (scenario.ReadWhatIf), in the op's decode span, before the entry lock is
+// taken.
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	ent := s.lookup(w, r)
 	if ent == nil {
 		return
 	}
-	var req whatIfRequest
-	if !readJSON(w, r, &req) {
+	ctx, op := obs.Flight().StartOp(r.Context(), "whatif", ent.id)
+	defer op.Finish()
+	var req scenario.WhatIf
+	if !s.readBody(ctx, w, r, "whatif", func(body []byte, sp *obs.Span) (err error) {
+		req, err = scenario.ReadWhatIf(body)
+		sp.AttrInt("ops", int64(len(req.Ops)))
+		return err
+	}) {
+		op.SetVerdict("error")
 		return
 	}
 	if len(req.Ops) == 0 {
+		op.SetVerdict("error")
 		writeErr(w, http.StatusBadRequest, "what-if wants at least one op")
 		return
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	ctx, op := obs.Flight().StartOp(r.Context(), "whatif", ent.id)
-	defer op.Finish()
 
 	v := ent.v
 	v.Begin()

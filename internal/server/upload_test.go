@@ -239,6 +239,48 @@ func TestUploadDecodeIsVisible(t *testing.T) {
 	}
 }
 
+// TestWhatIfDecodeIsObserved: a what-if's body is read like an upload's —
+// by the byte reader, with its strictness and its error text, observed in
+// the per-endpoint decode histograms under endpoint="whatif" — and a body it
+// refuses leaves the instance as it was.
+func TestWhatIfDecodeIsObserved(t *testing.T) {
+	s, ts := newUploadServer(t)
+	if code, out := post(t, ts.URL+"/v1/instances", `{"id":"x","gadget":"fig3"}`); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, out)
+	}
+	whatif := `{"discard":true,"ops":[{"op":"rerank","node":"a","paths":["a,d,r1"]}]}`
+	if code, out := post(t, ts.URL+"/v1/instances/x/whatif", whatif); code != http.StatusOK || out["safe"] != true {
+		t.Fatalf("what-if: %d %v", code, out)
+	}
+	text := s.Metrics().Expose()
+	for _, want := range []string{
+		`fsr_request_decode_seconds_count{endpoint="whatif"} 1`,
+		fmt.Sprintf(`fsr_request_body_bytes_sum{endpoint="whatif"} %d`, len(whatif)),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics exposition lacks %q", want)
+		}
+	}
+
+	for _, c := range []struct{ name, body, want string }{
+		{"repeated ops", `{"ops":[],"ops":[]}`, `decoding request: offset 15: duplicate key "ops"`},
+		{"unknown field", `{"ops":[{"op":"rerank","node":"a","via":"b"}]}`, `decoding request: offset 39: unknown field "via"`},
+		{"exact-case keys", `{"Ops":[]}`, `decoding request: offset 6: unknown field "Ops"`},
+		{"no op", `{"ops":[]}`, "what-if wants at least one op"},
+	} {
+		if code, out := post(t, ts.URL+"/v1/instances/x/whatif", c.body); code != http.StatusBadRequest || out["error"] != c.want {
+			t.Errorf("%s: %d %q, want 400 %q", c.name, code, out["error"], c.want)
+		}
+	}
+	if n := s.Metrics().DecodeDuration.Count("whatif"); n != 5 {
+		t.Errorf("fsr_request_decode_seconds{whatif} has %d observations, want 5", n)
+	}
+	var v verdict
+	if call(t, "POST", ts.URL+"/v1/instances/x/verify", nil, &v); v.Safe || v.Mode != "full" {
+		t.Errorf("verify after the refused what-ifs: %+v, want fig3's unsafe verdict, decided for the first time", v)
+	}
+}
+
 // TestUploadCostIsTheBody is the structural guard on first contact: what a
 // POST /v1/analyze with an inline instance allocates before the analysis is
 // entered. A warm daemon reads the upload into the store the previous one

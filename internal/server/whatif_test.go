@@ -123,10 +123,10 @@ func TestWhatIfLeavesTheFixedPoint(t *testing.T) {
 			attrs[c.Name+"."+k] = val
 		}
 	}
-	if fmt.Sprint(names) != "[apply verify rollback]" {
+	if fmt.Sprint(names) != "[decode apply verify rollback]" {
 		t.Fatalf("whatif op's child spans: %v", names)
 	}
-	for _, key := range []string{"apply.splices", "verify.affected", "rollback.journal_entries"} {
+	for _, key := range []string{"decode.bytes", "decode.ops", "apply.splices", "verify.affected", "rollback.journal_entries"} {
 		if attrs[key] == "" || attrs[key] == "0" {
 			t.Errorf("span attribute %s = %q, want a positive count (have %v)", key, attrs[key], attrs)
 		}
@@ -169,6 +169,22 @@ type whatIfProbe struct {
 // internetInstance generates the resident instance of the cost guards.
 func internetInstance(n int) *spp.Instance {
 	return scenario.InternetSPP(fmt.Sprintf("internet:%d", n), topology.GenerateInternet(1, topology.InternetParams{N: n}), 3)
+}
+
+// whatIfOp and whatIfRequest are the what-if body's JSON shape, for
+// building requests.
+type whatIfOp struct {
+	Op    string   `json:"op"`
+	Node  string   `json:"node,omitempty"`
+	Paths []string `json:"paths,omitempty"`
+	A     string   `json:"a,omitempty"`
+	B     string   `json:"b,omitempty"`
+	Cost  int      `json:"cost,omitempty"`
+}
+
+type whatIfRequest struct {
+	Ops     []whatIfOp `json:"ops"`
+	Discard bool       `json:"discard,omitempty"`
 }
 
 func rerankOp(n spp.Node, paths []spp.Path) whatIfOp {

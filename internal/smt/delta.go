@@ -1,23 +1,26 @@
 // Delta solving: the verification-as-a-service extension of the engine. A
 // Context interns variables and builds its constraint graph once per Check;
-// a DeltaContext interns and links its graph once, at construction, and
-// keeps it alive *across* checks, so a what-if that touches one session or
-// ranking re-links the edges of the segments it replaces and re-probes only
-// the region of the constraint graph reachable from them, instead of
-// rebuilding and re-solving everything.
+// a DeltaContext links its graph once, at construction, and keeps it alive
+// *across* checks, so a what-if that touches one session or ranking re-links
+// the edges of the segments it replaces and re-probes only the region of the
+// constraint graph reachable from them, instead of rebuilding and re-solving
+// everything.
 //
-// A DeltaContext takes the one atom §IV-B emits for an SPP instance: a strict
-// preference or strict monotonicity entry, A < B between two named variables
-// (Less). That is the difference constraint A − B ≤ −1, one edge B → A of
-// weight −1. Behind the string door every variable is also positive (x ≥ 1,
-// an edge x → 0 of weight −1 into the zero node), but no atom here mentions a
-// constant, so no edge ever leaves the zero node: it is a sink, it lies on no
-// cycle, and its distance is one below the lowest variable's. So positivity
-// can never take part in a contradiction (UsesPositivity is always false),
-// and the resident graph leaves the zero node out: a probe never relaxes or
-// marks it, and Model reads its distance off the variables'. Node 0 stays
-// reserved all the same, so a fresh context numbers its graph as the string
-// door does, and a solve hands the engine the zero anchor at local id 0.
+// A DeltaContext takes the one atom §IV-B emits for an SPP instance, as
+// SolveDense does: a strict preference or strict monotonicity entry A < B
+// between two variables the caller has numbered from 1 (DenseConstraint).
+// It holds no names: variable v is node v, and a model and a core are
+// reported by id and position. The atom is the difference constraint
+// A − B ≤ −1, one edge B → A of weight −1. Behind the string door every
+// variable is also positive (x ≥ 1, an edge x → 0 of weight −1 into the zero
+// node), but no atom here mentions a constant, so no edge ever leaves the
+// zero node: it is a sink, it lies on no cycle, and its distance is one below
+// the lowest variable's. So positivity can never take part in a
+// contradiction (UsesPositivity is always false), and the resident graph
+// leaves the zero node out: a probe never relaxes or marks it, and Model
+// reads its distance off the variables'. Id 0 stays reserved all the same,
+// as the dense door's zero anchor, and a solve hands the engine that anchor
+// at local id 0.
 //
 // Storage is slot-stable. The assertion list is a sequence of segments (the
 // unit callers edit by); an atom lives in a slot that never moves, the slot
@@ -25,7 +28,8 @@
 // and its canonical position — needed only to order a region's atoms and to
 // report CoreIdx — is a Fenwick prefix over segment lengths plus its index in
 // its segment. Replacing a segment touches its own slots and their list
-// neighbours; nothing is renumbered and no tail moves.
+// neighbours; nothing is renumbered and no tail moves. An atom over an id the
+// graph has not reached yet grows the graph to it.
 //
 // The graph is linked from construction on, whatever the verdicts. Until a
 // check is sat no fixed point stands, and a check decides the sub-system
@@ -65,13 +69,13 @@
 // Transactions make a what-if cost its edit. Between Begin and Rollback the
 // context journals every segment operation, the distance of every node a
 // successful re-probe reset or a whole solve installed, and — at Begin —
-// whether a fixed point stood, the variable count, the pending changed set
-// and the memoized result. A replaced segment's slots stay allocated,
-// unlinked, until Commit frees them; Rollback replays the journal backwards
-// — unlink and free what was added, re-link what was removed — restores the
-// journalled distances (nodes outside every probed region never moved), drops
-// the variables interned since Begin, and reinstates the rest of what Begin
-// found.
+// whether a fixed point stood, the graph's size, the pending changed set and
+// the memoized result. A replaced segment's slots stay allocated, unlinked,
+// until Commit frees them; Rollback replays the journal backwards — unlink
+// and free what was added, re-link what was removed — restores the
+// journalled distances (nodes outside every probed region never moved),
+// shrinks the graph back to the ids Begin found (no atom reaches the nodes
+// grown since), and reinstates the rest of what Begin found.
 
 package smt
 
@@ -79,29 +83,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
 	"time"
 
 	"fsr/internal/obs"
 )
 
-// Less is the atom A < B between two named variables, the one atom a
-// DeltaContext takes. A and B may be the same variable: x < x is a one-atom
-// negative cycle.
-type Less struct{ A, B Var }
-
-// assertion spells the atom for the string door.
-func (l Less) assertion() Assertion {
-	return Assertion{Rel: Lt, A: Term{Var: l.A}, B: Term{Var: l.B}}
-}
-
-// checkNames rejects an atom without two variable names: the delta door
-// takes no constants.
-func checkNames(atoms []Less) error {
+// checkIDs rejects an atom over an id outside 1..limit: the delta door takes
+// no constants, so the zero anchor is no atom's variable. A and B may be the
+// same variable: x < x is a one-atom negative cycle.
+func checkIDs(atoms []DenseConstraint, limit int32) error {
 	for _, a := range atoms {
-		if a.A == "" || a.B == "" {
-			return fmt.Errorf("smt: atom %q < %q: empty variable name", a.A, a.B)
+		if min(a.A, a.B) < 1 || max(a.A, a.B) > limit {
+			return fmt.Errorf("smt: atom %d < %d: variable ids run from 1 to %d", a.A, a.B, limit)
 		}
 	}
 	return nil
@@ -150,9 +145,7 @@ type DeltaContext struct {
 	// changed lists the nodes whose in-edges moved since. False until a
 	// check is sat.
 	built   bool
-	varID   map[Var]int32
-	names   []Var // by node; node 0 is the string door's zero node, never linked
-	nodes   []deltaNode
+	nodes   []deltaNode // by variable id; node 0 is the zero anchor, never linked
 	changed []int32
 
 	// Scratch: the affected region (a node's index plus one is its
@@ -180,10 +173,10 @@ type deltaSlot struct {
 	seg, idx         int32 // segment position, and index within it
 }
 
-// deltaNode is one variable of the graph. A variable whose atoms were all
-// removed stays as an orphan, with no edge, until a Rollback drops it; ref
-// masks orphans out of models and whole solves, which keeps both bit-for-bit
-// equal to a fresh solve's.
+// deltaNode is one variable of the graph. A variable no atom references —
+// one whose atoms were all removed, or an id the caller never used — stays
+// as an orphan, with no edge; ref masks orphans out of models and whole
+// solves, which keeps both bit-for-bit equal to a fresh solve's.
 type deltaNode struct {
 	dist                   int
 	out, in                int32 // list heads, −1 for none
@@ -198,7 +191,7 @@ type deltaTx struct {
 	open bool
 
 	built        bool
-	vars         int     // node count
+	vars         int     // graph size
 	changed      []int32 // the pending changed set
 	res          Result
 	resValid     bool
@@ -227,12 +220,12 @@ type distUndo struct {
 	dist int
 }
 
-// NewDeltaContext returns a delta context over the atoms, cut into
-// consecutive segments of the given lengths; nil segLen makes them one
-// segment. Every atom is interned and linked in canonical order. An atom
-// with an empty variable name is an error.
-func NewDeltaContext(atoms []Less, segLen []int) (*DeltaContext, error) {
-	if err := checkNames(atoms); err != nil {
+// NewDeltaContext returns a delta context over variables 1..nVars and the
+// atoms between them, cut into consecutive segments of the given lengths;
+// nil segLen makes them one segment. Every atom is linked in canonical order.
+// An atom over an id outside 1..nVars is an error.
+func NewDeltaContext(nVars int, atoms []DenseConstraint, segLen []int) (*DeltaContext, error) {
+	if err := checkIDs(atoms, int32(min(nVars, math.MaxInt32))); err != nil {
 		return nil, err
 	}
 	if segLen == nil {
@@ -242,9 +235,7 @@ func NewDeltaContext(atoms []Less, segLen []int) (*DeltaContext, error) {
 		segs:  make([][]int32, len(segLen)),
 		slots: make([]deltaSlot, len(atoms)),
 		n:     len(atoms),
-		varID: make(map[Var]int32, len(atoms)), // about one variable per atom
-		names: append(make([]Var, 0, len(atoms)+1), ""),
-		nodes: append(make([]deltaNode, 0, len(atoms)+1), deltaNode{out: -1, in: -1}),
+		nodes: append(make([]deltaNode, 0, max(nVars, 0)+1), deltaNode{out: -1, in: -1}),
 	}
 	ids := make([]int32, len(atoms)) // one backing array: a segment's slice is replaced whole, never appended to
 	at := 0
@@ -274,17 +265,8 @@ func (d *DeltaContext) Segments() int { return len(d.segs) }
 // SegLen returns the number of atoms in segment id.
 func (d *DeltaContext) SegLen(id int) int { return len(d.segs[id]) }
 
-// Assertions renders the current atom list in canonical order as the string
-// door spells it.
-func (d *DeltaContext) Assertions() []Assertion {
-	out := make([]Assertion, 0, d.n)
-	for _, seg := range d.segs {
-		for _, s := range seg {
-			out = append(out, d.atom(s).assertion())
-		}
-	}
-	return out
-}
+// At returns the atom at offset off of segment seg.
+func (d *DeltaContext) At(seg, off int) DenseConstraint { return d.atom(d.segs[seg][off]) }
 
 // Stats returns the accumulated solver statistics.
 func (d *DeltaContext) Stats() DeltaStats { return d.stats }
@@ -301,8 +283,7 @@ func (d *DeltaContext) Clone() *DeltaContext {
 		c.segs[p] = ids[len(ids)-len(seg) : len(ids) : len(ids)]
 	}
 	c.fen, c.slots, c.free = slices.Clone(d.fen), slices.Clone(d.slots), slices.Clone(d.free)
-	c.varID, c.names, c.nodes = maps.Clone(d.varID), slices.Clone(d.names), slices.Clone(d.nodes)
-	c.changed = slices.Clone(d.changed)
+	c.nodes, c.changed = slices.Clone(d.nodes), slices.Clone(d.changed)
 	c.region, c.queue, c.items, c.tx = nil, nil, nil, deltaTx{}
 	return &c
 }
@@ -366,7 +347,7 @@ func (d *DeltaContext) Locate(p int) (seg, off int) {
 
 // Begin opens a transaction: every edit and Check until Commit or Rollback
 // is journalled, and Rollback leaves the context — atoms, graph, standing
-// fixed point, interned variables, pending changes, memoized result — as
+// fixed point, pending changes, memoized result — as
 // Begin found it, so the next Check answers what, and how (cached, delta),
 // it would have answered had the transaction never run. Only the monotone
 // counters of Stats keep counting. Transactions do not nest.
@@ -428,12 +409,7 @@ func (d *DeltaContext) Rollback() {
 		d.nodes[tx.dist[i].node].dist = tx.dist[i].dist
 	}
 	d.clearChanged()
-	// Variables interned since Begin are referenced by nothing now.
-	for v := len(d.nodes) - 1; v >= tx.vars; v-- {
-		delete(d.varID, d.names[v])
-	}
-	clear(d.names[tx.vars:])
-	d.names, d.nodes = d.names[:tx.vars], d.nodes[:tx.vars]
+	d.nodes = d.nodes[:tx.vars] // no atom reaches the nodes grown since Begin
 	for _, v := range tx.changed {
 		d.markChanged(v)
 	}
@@ -472,15 +448,15 @@ func (d *DeltaContext) journal(u segUndo) bool {
 // SetSeg replaces the atoms of segment id with add and reports whether that
 // changed anything; a segment given its own content again is left alone.
 // The segment's old slots are unlinked and new ones linked — no other slot,
-// edge or position is touched. New variables are interned and the heads of
-// every touched edge recorded as changed, so the next Check can re-probe just
-// the region they reach. An atom with an empty variable name is an error,
-// and changes nothing.
-func (d *DeltaContext) SetSeg(id int, add []Less) (changed bool, err error) {
+// edge or position is touched. An id the graph has not reached grows it, and
+// the heads of every touched edge are recorded as changed, so the next Check
+// can re-probe just the region they reach. An atom over the zero anchor or a
+// negative id is an error, and changes nothing.
+func (d *DeltaContext) SetSeg(id int, add []DenseConstraint) (changed bool, err error) {
 	if err := d.checkSeg(id, len(d.segs)); err != nil {
 		return false, err
 	}
-	if err := checkNames(add); err != nil {
+	if err := checkIDs(add, math.MaxInt32); err != nil {
 		return false, err
 	}
 	old := d.segs[id]
@@ -558,15 +534,18 @@ func (d *DeltaContext) moveSegs(from int, segs [][]int32) {
 }
 
 // slot returns atom a as the unlinked slot at index idx of segment seg,
-// interning A before B as the string door does.
-func (d *DeltaContext) slot(a Less, seg, idx int) deltaSlot {
-	to := d.intern(a.A)
-	return deltaSlot{from: d.intern(a.B), to: to, seg: int32(seg), idx: int32(idx)}
+// growing the graph to its ids. A fresh node starts at the virtual-source
+// distance like every node of a fresh solve.
+func (d *DeltaContext) slot(a DenseConstraint, seg, idx int) deltaSlot {
+	for v := max(a.A, a.B); int(v) >= len(d.nodes); {
+		d.nodes = append(d.nodes, deltaNode{out: -1, in: -1})
+	}
+	return deltaSlot{from: a.B, to: a.A, seg: int32(seg), idx: int32(idx)}
 }
 
 // atom reads slot s back as the atom it holds.
-func (d *DeltaContext) atom(s int32) Less {
-	return Less{A: d.names[d.slots[s].to], B: d.names[d.slots[s].from]}
+func (d *DeltaContext) atom(s int32) DenseConstraint {
+	return DenseConstraint{A: d.slots[s].to, B: d.slots[s].from}
 }
 
 // link puts the slots' edges on their endpoints' lists (dir +1) or takes
@@ -576,20 +555,6 @@ func (d *DeltaContext) link(slots []int32, dir int32) {
 		d.relink(s, dir)
 	}
 	d.stats.Steps += len(slots)
-}
-
-// intern returns the node of a variable, minting one for a first
-// occurrence. A fresh node starts at the virtual-source distance like every
-// node of a fresh solve.
-func (d *DeltaContext) intern(v Var) int32 {
-	id, ok := d.varID[v]
-	if !ok {
-		id = int32(len(d.nodes))
-		d.varID[v] = id
-		d.names = append(d.names, v)
-		d.nodes = append(d.nodes, deltaNode{out: -1, in: -1})
-	}
-	return id
 }
 
 // relink puts slot s's edge on (dir +1) or takes it off (dir −1) its
@@ -654,7 +619,9 @@ func (d *DeltaContext) clearChanged() {
 // Every check before the first sat one decides the sub-system induced on
 // every referenced node. Either way verdicts and minimal cores are
 // bit-for-bit those of a fresh solve, and UsesPositivity is always false (see
-// the file header). A sat result carries no model: Model renders it.
+// the file header). The result names nothing, as SolveDense's does: a sat
+// one carries no model (Model reads it), an unsat one its core as CoreIdx
+// alone, positions whose atoms At reads back.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -676,11 +643,12 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// Model renders the satisfying assignment of the last Check off the
-// standing fixed point — bit for bit a fresh solve's model, orphaned
-// variables masked out. It is nil unless that Check was sat and no edit
-// came after it.
-func (d *DeltaContext) Model() map[Var]int {
+// Model reads the satisfying assignment of the last Check off the standing
+// fixed point, by id: model[v] is bit for bit what a fresh solve assigns
+// variable v, at least 1, for every v some atom references, and 0 for every
+// other index (the zero anchor, orphans, ids no atom ever named). It is nil
+// unless that Check was sat and no edit came after it.
+func (d *DeltaContext) Model() []int {
 	if !d.built || !d.resValid || !d.res.Sat {
 		return nil
 	}
@@ -693,10 +661,10 @@ func (d *DeltaContext) Model() map[Var]int {
 		}
 	}
 	d0--
-	model := make(map[Var]int, len(d.names)-1)
+	model := make([]int, len(d.nodes))
 	for v := 1; v < len(d.nodes); v++ {
 		if d.nodes[v].ref > 0 {
-			model[d.names[v]] = d.nodes[v].dist - d0
+			model[v] = d.nodes[v].dist - d0
 		}
 	}
 	return model
@@ -914,10 +882,9 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 		d.clearChanged()
 		return nil
 	}
-	res.Core, res.CoreIdx = make([]Assertion, len(core)), make([]int, len(core))
+	res.CoreIdx = make([]int, len(core))
 	for k, i := range core {
 		res.CoreIdx[k] = int(items[i] >> 32)
-		res.Core[k] = d.atom(int32(uint32(items[i]))).assertion()
 	}
 	sp.AttrInt("core", int64(len(core)))
 	return nil

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -57,20 +59,25 @@ func requireParity(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// deltaCheck runs Check and attaches the model Model renders for it, so a
-// result compares field for field with a fresh Context.Check.
+// deltaCheck runs Check and names its answer — the model Model reads by
+// id, the core atoms CoreIdx locates — so a result compares field for field
+// with a fresh Context.Check of the spelled list.
 func deltaCheck(t *testing.T, d *DeltaContext) Result {
 	t.Helper()
 	res, err := d.Check(context.Background())
 	if err != nil {
 		t.Fatalf("delta check: %v", err)
 	}
-	if res.Model != nil {
-		t.Fatalf("delta check built a model: %v", res.Model)
+	if res.Model != nil || res.Core != nil {
+		t.Fatalf("delta check named its answer: model %v, core %v", res.Model, res.Core)
 	}
-	res.Model = d.Model()
+	res.Model = spellModel(d.Model())
 	if res.Sat != (res.Model != nil) {
 		t.Fatalf("Sat=%v but Model()=%v", res.Sat, res.Model)
+	}
+	for _, pos := range res.CoreIdx {
+		seg, off := d.Locate(pos)
+		res.Core = append(res.Core, spell(d.At(seg, off)))
 	}
 	return res
 }
@@ -79,8 +86,85 @@ func deltaCheck(t *testing.T, d *DeltaContext) Result {
 func requireOracle(t *testing.T, label string, d *DeltaContext) Result {
 	t.Helper()
 	got := deltaCheck(t, d)
-	requireParity(t, label, got, oracleCheck(t, d.Assertions()))
+	requireParity(t, label, got, oracleCheck(t, spellAll(atomsOf(d))))
 	return got
+}
+
+// The tests write atoms over names; the context takes ids. testIDs numbers a
+// name on its first use, for the whole test binary, and the string door
+// gets the atoms back spelled over "x<id>".
+var testIDs struct {
+	sync.Mutex
+	of map[string]int32
+}
+
+func id(name string) int32 {
+	testIDs.Lock()
+	defer testIDs.Unlock()
+	if testIDs.of == nil {
+		testIDs.of = map[string]int32{}
+	}
+	v, ok := testIDs.of[name]
+	if !ok {
+		v = int32(len(testIDs.of) + 1)
+		testIDs.of[name] = v
+	}
+	return v
+}
+
+// less is the atom a < b.
+func less(a, b string) DenseConstraint { return DenseConstraint{A: id(a), B: id(b)} }
+
+// spellVar names variable v for the string door.
+func spellVar(v int32) Var { return Var("x" + strconv.Itoa(int(v))) }
+
+// spell is atom a as the string door's assertion.
+func spell(a DenseConstraint) Assertion {
+	return Assertion{Rel: Lt, A: Term{Var: spellVar(a.A)}, B: Term{Var: spellVar(a.B)}}
+}
+
+func spellAll(atoms []DenseConstraint) []Assertion {
+	out := make([]Assertion, len(atoms))
+	for i, a := range atoms {
+		out[i] = spell(a)
+	}
+	return out
+}
+
+// spellModel names a model read by id: its nonzero entries, the variables
+// some atom references.
+func spellModel(model []int) map[Var]int {
+	if model == nil {
+		return nil
+	}
+	out := map[Var]int{}
+	for v, val := range model {
+		if val != 0 {
+			out[spellVar(int32(v))] = val
+		}
+	}
+	return out
+}
+
+// atomsOf returns the context's atom list in canonical order.
+func atomsOf(d *DeltaContext) []DenseConstraint {
+	out := make([]DenseConstraint, 0, d.n)
+	for _, seg := range d.segs {
+		for _, s := range seg {
+			out = append(out, d.atom(s))
+		}
+	}
+	return out
+}
+
+// maxID is the largest id the atoms use: the variable count a context over
+// them is built with.
+func maxID(atoms []DenseConstraint) int {
+	n := int32(0)
+	for _, a := range atoms {
+		n = max(n, a.A, a.B)
+	}
+	return int(n)
 }
 
 // singles cuts n atoms into one segment each.
@@ -92,13 +176,11 @@ func singles(n int) []int {
 	return out
 }
 
-// less is the atom a < b.
-func less(a, b string) Less { return Less{A: Var(a), B: Var(b)} }
-
-// newDelta is NewDeltaContext on atoms that must be accepted.
-func newDelta(t testing.TB, atoms []Less, segLen []int) *DeltaContext {
+// newDelta is NewDeltaContext on atoms that must be accepted, over the
+// variables they use.
+func newDelta(t testing.TB, atoms []DenseConstraint, segLen []int) *DeltaContext {
 	t.Helper()
-	d, err := NewDeltaContext(atoms, segLen)
+	d, err := NewDeltaContext(maxID(atoms), atoms, segLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +188,7 @@ func newDelta(t testing.TB, atoms []Less, segLen []int) *DeltaContext {
 }
 
 // appendSeg adds a new last segment holding the atoms.
-func appendSeg(t *testing.T, d *DeltaContext, as ...Less) {
+func appendSeg(t *testing.T, d *DeltaContext, as ...DenseConstraint) {
 	t.Helper()
 	id := d.Segments()
 	if err := d.InsertSeg(id); err != nil {
@@ -115,16 +197,16 @@ func appendSeg(t *testing.T, d *DeltaContext, as ...Less) {
 	setSeg(t, d, id, as...)
 }
 
-func setSeg(t *testing.T, d *DeltaContext, id int, as ...Less) {
+func setSeg(t *testing.T, d *DeltaContext, seg int, as ...DenseConstraint) {
 	t.Helper()
-	if _, err := d.SetSeg(id, as); err != nil {
+	if _, err := d.SetSeg(seg, as); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func removeSeg(t *testing.T, d *DeltaContext, id int) {
+func removeSeg(t *testing.T, d *DeltaContext, seg int) {
 	t.Helper()
-	if err := d.RemoveSeg(id); err != nil {
+	if err := d.RemoveSeg(seg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,10 +223,9 @@ type edgeView struct {
 // and list order are storage, not state: the lists are compared by what
 // they hold.
 type deltaState struct {
-	Asserts  []Assertion
+	Atoms    []DenseConstraint
 	SegLen   []int
 	Built    bool
-	Vars     []Var
 	Out, In  [][]edgeView
 	Dist     []int
 	VarRef   []int32
@@ -154,12 +235,12 @@ type deltaState struct {
 }
 
 func stateOf(d *DeltaContext) deltaState {
-	st := deltaState{Asserts: d.Assertions(), Built: d.built, Res: d.res, ResValid: d.resValid}
+	st := deltaState{Atoms: atomsOf(d), Built: d.built, Res: d.res, ResValid: d.resValid}
 	for id := 0; id < d.Segments(); id++ {
 		st.SegLen = append(st.SegLen, d.SegLen(id))
 	}
-	if len(st.Asserts) != d.Len() {
-		panic(fmt.Sprintf("Len() = %d for %d atoms", d.Len(), len(st.Asserts)))
+	if len(st.Atoms) != d.Len() {
+		panic(fmt.Sprintf("Len() = %d for %d atoms", d.Len(), len(st.Atoms)))
 	}
 	view := func(ed int32) edgeView {
 		return edgeView{d.slots[ed].from, d.slots[ed].to, d.position(ed)}
@@ -181,7 +262,6 @@ func stateOf(d *DeltaContext) deltaState {
 			panic(fmt.Sprintf("node %d: flags %+v, changed set %v", v, node, d.changed))
 		}
 	}
-	st.Vars = slices.Clone(d.names)
 	st.Changed = slices.Sorted(slices.Values(d.changed))
 	return st
 }
@@ -213,8 +293,8 @@ func requireConsistent(t *testing.T, label string, d *DeltaContext) {
 			}
 		}
 	}
-	if linked != len(st.Asserts) {
-		t.Fatalf("%s: %d edges linked for %d atoms", label, linked, len(st.Asserts))
+	if linked != len(st.Atoms) {
+		t.Fatalf("%s: %d edges linked for %d atoms", label, linked, len(st.Atoms))
 	}
 	if len(st.In[zeroNode]) != 0 || len(st.Out[zeroNode]) != 0 || st.VarRef[zeroNode] != 0 || slices.Contains(st.Changed, zeroNode) {
 		t.Fatalf("%s: the zero node is part of the graph: %+v", label, d.nodes[zeroNode])
@@ -247,12 +327,12 @@ func (x *txDriver) next() int {
 	return int(b)
 }
 
-var driverVars = []Var{"a", "b", "c", "d", "e", "f", "g", "h"}
+var driverVars = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 // atom draws a strict pair: mostly one that agrees with the order of
 // driverVars, so a system can stay sat, and otherwise one against it, a
 // self-loop, or one with a variable the context has never seen.
-func (x *txDriver) atom() Less {
+func (x *txDriver) atom() DenseConstraint {
 	k, i := x.next(), x.next()%len(driverVars)
 	j := (i + 1 + x.next()%(len(driverVars)-1)) % len(driverVars)
 	a, b := driverVars[min(i, j)], driverVars[max(i, j)]
@@ -263,13 +343,13 @@ func (x *txDriver) atom() Less {
 		a, b = b, a
 	case 4:
 		x.fresh++
-		a = Var(fmt.Sprintf("v%d", x.fresh))
+		a = fmt.Sprintf("v%d", x.fresh)
 	}
-	return Less{A: a, B: b}
+	return less(a, b)
 }
 
-func (x *txDriver) atoms(n int) []Less {
-	out := make([]Less, n)
+func (x *txDriver) atoms(n int) []DenseConstraint {
+	out := make([]DenseConstraint, n)
 	for i := range out {
 		out[i] = x.atom()
 	}
@@ -299,7 +379,7 @@ func (x *txDriver) run(t *testing.T) {
 				err = d.RemoveSeg(id % d.Segments())
 			case op%8 == 7: // its own content: must change nothing
 				id %= d.Segments()
-				var same []Less
+				var same []DenseConstraint
 				for _, s := range d.segs[id] {
 					same = append(same, d.atom(s))
 				}
@@ -333,7 +413,7 @@ func (x *txDriver) run(t *testing.T) {
 		}
 		requireConsistent(t, label+" rolled back", d)
 		st := d.Stats()
-		requireParity(t, label+" rolled back", deltaCheck(t, d), oracleCheck(t, before.Asserts))
+		requireParity(t, label+" rolled back", deltaCheck(t, d), oracleCheck(t, spellAll(before.Atoms)))
 		if now := d.Stats(); now.CacheHits != st.CacheHits+1 || now.Checks != st.Checks {
 			t.Fatalf("%s: check after rollback was not answered from the memoized result: %+v → %+v", label, st, now)
 		}
@@ -413,7 +493,7 @@ func requireRegionCore(t *testing.T, label string, d *DeltaContext, before Delta
 func TestDeltaRegionCores(t *testing.T) {
 	x := func(i int) string { return fmt.Sprintf("x%d", i) }
 	standing := func() *DeltaContext {
-		var as []Less
+		var as []DenseConstraint
 		for i := 0; i < 9; i++ {
 			as = append(as, less(x(i), x(i+1)))
 		}
@@ -491,8 +571,12 @@ func TestDeltaRegionCores(t *testing.T) {
 		if len(res.CoreIdx) != d.Len() {
 			t.Fatalf("core %v, want all %d atoms", res.CoreIdx, d.Len())
 		}
-		if got, vars := d.Stats().LastAffected, len(d.nodes)-1; got != vars {
-			t.Fatalf("region of %d nodes, the graph has %d variables", got, vars)
+		vars := map[int32]bool{}
+		for _, a := range append(atomsOf(d), less("p", "q")) { // p is an orphan of the graph now
+			vars[a.A], vars[a.B] = true, true
+		}
+		if got := d.Stats().LastAffected; got != len(vars) {
+			t.Fatalf("region of %d nodes, the graph has %d variables", got, len(vars))
 		}
 		d.Rollback()
 		requireOracle(t, "rolled back", d)
@@ -503,7 +587,7 @@ func TestDeltaRegionCores(t *testing.T) {
 // an unsat verdict (exact core from the region, on a pooled engine) costs
 // the standing fixed point nothing, so the repair is a delta solve.
 func TestDeltaSatToUnsatAndBack(t *testing.T) {
-	base := []Less{less("x", "y"), less("y", "z")}
+	base := []DenseConstraint{less("x", "y"), less("y", "z")}
 	d := newDelta(t, base, singles(2))
 	requireOracle(t, "sat", d)
 
@@ -531,7 +615,7 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 	// included: a check must leave them out like a fresh solve, which never
 	// interns them.
 	t.Run("orphans before any sat verdict", func(t *testing.T) {
-		d := newDelta(t, []Less{less("x", "y"), less("y", "x"), less("u", "v")}, singles(3))
+		d := newDelta(t, []DenseConstraint{less("x", "y"), less("y", "x"), less("u", "v")}, singles(3))
 		if res := requireFullSolve(t, "x < y < x", d); res.Sat {
 			t.Fatal("x < y < x is sat")
 		}
@@ -575,7 +659,7 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 func requireFullSolve(t *testing.T, label string, d *DeltaContext) Result {
 	t.Helper()
 	st := d.Stats()
-	got, want := deltaCheck(t, d), oracleCheck(t, d.Assertions())
+	got, want := deltaCheck(t, d), oracleCheck(t, spellAll(atomsOf(d)))
 	requireParity(t, label, got, want)
 	if got.Stats.Variables != want.Stats.Variables || got.Stats.Edges != want.Stats.Edges {
 		t.Fatalf("%s: %d variables and %d edges, a fresh solve has %d and %d",
@@ -591,19 +675,19 @@ func requireFullSolve(t *testing.T, label string, d *DeltaContext) Result {
 // checks the orphan is filtered from the model, matching the oracle (which
 // never interns it).
 func TestDeltaOrphanVariables(t *testing.T) {
-	d := newDelta(t, []Less{less("x", "y"), less("u", "v")}, singles(2))
+	d := newDelta(t, []DenseConstraint{less("x", "y"), less("u", "v")}, singles(2))
 	requireOracle(t, "initial", d)
 	setSeg(t, d, 1) // orphans u and v
 	res := requireOracle(t, "after orphaning", d)
-	for _, v := range []Var{"u", "v"} {
-		if _, ok := res.Model[v]; ok {
+	for _, v := range []string{"u", "v"} {
+		if _, ok := res.Model[spellVar(id(v))]; ok {
 			t.Fatalf("orphaned %s still in model %v", v, res.Model)
 		}
 	}
 	// Re-adding a reference resurrects the variable.
 	setSeg(t, d, 1, less("u", "x"))
 	res = requireOracle(t, "after resurrection", d)
-	if _, ok := res.Model["u"]; !ok {
+	if _, ok := res.Model[spellVar(id("u"))]; !ok {
 		t.Fatalf("resurrected u missing from model %v", res.Model)
 	}
 }
@@ -611,7 +695,7 @@ func TestDeltaOrphanVariables(t *testing.T) {
 // TestDeltaCheckMemoization verifies repeated Checks without intervening
 // edits are answered from the cache.
 func TestDeltaCheckMemoization(t *testing.T) {
-	d := newDelta(t, []Less{less("x", "y")}, nil)
+	d := newDelta(t, []DenseConstraint{less("x", "y")}, nil)
 	first := deltaCheck(t, d)
 	second := deltaCheck(t, d)
 	if st := d.Stats(); st.Checks != 1 || st.CacheHits != 1 {
@@ -623,7 +707,7 @@ func TestDeltaCheckMemoization(t *testing.T) {
 // TestDeltaClone applies divergent edits to a clone and its original and
 // checks they stay independent and each matches its own oracle.
 func TestDeltaClone(t *testing.T) {
-	d := newDelta(t, []Less{less("x", "y"), less("y", "z")}, singles(2))
+	d := newDelta(t, []DenseConstraint{less("x", "y"), less("y", "z")}, singles(2))
 	deltaCheck(t, d) // warm the engine so the clone copies live state
 	c := d.Clone()
 	appendSeg(t, c, less("z", "x"))
@@ -641,9 +725,10 @@ func TestDeltaClone(t *testing.T) {
 }
 
 // TestDeltaSpliceBounds checks the segment range validation, and that an
-// atom naming no variable is turned away at the door.
+// atom over the zero anchor, a negative id or (at construction) an id past
+// the variable count is turned away at the door.
 func TestDeltaSpliceBounds(t *testing.T) {
-	d := newDelta(t, []Less{less("x", "y")}, nil)
+	d := newDelta(t, []DenseConstraint{less("x", "y")}, nil)
 	for _, id := range []int{-1, 1} {
 		if _, err := d.SetSeg(id, nil); err == nil {
 			t.Fatalf("SetSeg(%d) accepted", id)
@@ -657,15 +742,19 @@ func TestDeltaSpliceBounds(t *testing.T) {
 			t.Fatalf("InsertSeg(%d) accepted", id)
 		}
 	}
-	for _, bad := range []Less{less("", "x"), less("x", "")} {
-		if _, err := d.SetSeg(0, []Less{less("x", "z"), bad}); err == nil {
+	x := id("x")
+	for _, bad := range []DenseConstraint{{A: 0, B: x}, {A: x, B: 0}, {A: -1, B: x}} {
+		if _, err := d.SetSeg(0, []DenseConstraint{less("x", "z"), bad}); err == nil {
 			t.Fatalf("SetSeg accepted %+v", bad)
 		}
-		if _, err := NewDeltaContext([]Less{bad}, nil); err == nil {
+		if _, err := NewDeltaContext(int(x), []DenseConstraint{bad}, nil); err == nil {
 			t.Fatalf("NewDeltaContext accepted %+v", bad)
 		}
 	}
-	if d.Len() != 1 || d.Segments() != 1 || d.Assertions()[0] != less("x", "y").assertion() {
-		t.Fatalf("rejected edits left %v in %d segments", d.Assertions(), d.Segments())
+	if _, err := NewDeltaContext(int(x), []DenseConstraint{{A: x, B: x + 1}}, nil); err == nil {
+		t.Fatalf("NewDeltaContext(%d, …) accepted variable %d", x, x+1)
+	}
+	if d.Len() != 1 || d.Segments() != 1 || atomsOf(d)[0] != less("x", "y") {
+		t.Fatalf("rejected edits left %v in %d segments", atomsOf(d), d.Segments())
 	}
 }

@@ -1,35 +1,36 @@
 // Delta verification of SPP instances: the bridge between an operator's
 // what-if edits (re-rank a router, drop or add a session) and the smt
 // package's delta solver. A DeltaVerifier keeps the instance's constraint
-// system resident in the solver's own form — two variable names per
-// constraint, no provenance — organized as one segment per node (its
-// pairwise preference chain) followed by one segment per directed link (its
-// ⊕ monotonicity entries), exactly the order §IV-B constraint generation
-// produces. An edit regenerates only the segments whose content is a
-// function of the touched rankings, reached through the node's position and
-// its incident-link list rather than a scan of the instance, and replaces
-// them in a warm smt.DeltaContext, which re-probes only the dispute-digraph
-// region those constraints reach. When that region holds a dispute, the
-// solver decides the exact core from the region alone (the argument, with
-// its proof obligation, heads internal/smt/delta.go), and Verify renders
-// just the core's members — through prefSeg and monoSeg on the two or three
-// rankings a dispute involves, as Analyze does — so an unsafe answer costs
-// its dispute, not the instance.
+// system resident in the solver's own form — two variable ids per
+// constraint, no provenance, no names — organized as one segment per node
+// (its pairwise preference chain) followed by one segment per directed link
+// (its ⊕ monotonicity entries), exactly the order §IV-B constraint
+// generation produces, over the ids of the verifier's one name table. An
+// edit looks up only the paths it is handed, regenerates only the segments
+// whose content is a function of the touched rankings — reached through the
+// node's position and its incident-link list, rendering nothing — and
+// replaces them in a warm smt.DeltaContext, which re-probes only the
+// dispute-digraph region those constraints reach. When that region holds a
+// dispute, the solver decides the exact core from the region alone (the
+// argument, with its proof obligation, heads internal/smt/delta.go), and
+// Verify renders just the core's members through prefSeg and monoSeg, as
+// Analyze does, so an unsafe answer costs its dispute, not the instance.
 //
 // A what-if that is not kept costs its edit, not the instance: between
 // Begin and Rollback every mutation — of the instance, the topology index,
-// the collision counters — logs its inverse, the solver context journals
-// its own segments, and Rollback runs both backwards, leaving the verifier
-// as Begin found it. Nothing is copied up front.
+// the name table and its counts — logs its inverse, the solver context
+// journals its own segments, and Rollback runs both backwards, leaving the
+// verifier as Begin found it. Nothing is copied up front.
 //
 // Correctness is anchored to the full pipeline, not argued independently:
 // the resident system is what the batch emitter's two segment functions
 // (prefSeg, monoSeg) assert under the natural naming, tests enforce
 // bit-for-bit parity against VerifyFull — after edits, inside transactions
 // and after rolling them back — and any instance the natural naming does
-// not fit — signature-rendering or link-label collisions, duplicate
-// permitted paths — flips the verifier into degraded mode, where Verify
-// analyses the instance from scratch instead.
+// not fit — a name held by two paths (a duplicate permitted path, or two
+// renderings sanitized to one name) or a label by two links — flips the
+// verifier into degraded mode, where Verify analyses the instance from
+// scratch instead.
 
 package spp
 
@@ -47,8 +48,9 @@ import (
 // solver state needed to re-verify it incrementally after edits. It is not
 // safe for concurrent use.
 type DeltaVerifier struct {
-	in *Instance
-	dc *smt.DeltaContext
+	in      *Instance
+	dc      *smt.DeltaContext
+	algebra string // the result's Algebra: the instance's name never changes
 
 	// ix answers node, origin and link membership for edit validation; a
 	// node's position is also its preference segment id, and incident[pos]
@@ -62,23 +64,35 @@ type DeltaVerifier struct {
 	// node segments' total.
 	numPref int
 
-	// symCount counts permitted paths per signature rendering, nameCount
-	// per sanitized solver-variable name, labelCount links per label. Any
-	// rendering shared by two paths or label by two links (ToAlgebra
-	// errors) or any name collision (where the full pipeline would suffix)
-	// makes the naturally named resident system the wrong one to answer
-	// from, so a nonzero dup count degrades Verify to a from-scratch
-	// analysis until edits resolve the clash.
-	symCount   map[string]int
-	nameCount  map[string]int
+	// The name table, the one place a solver variable has a name: ids maps
+	// a name to its id, names and refs hold by id the name and the number
+	// of permitted paths holding it (id 0 is the solver's zero anchor), and
+	// ranks[pos] is node pos's ranking as ids. A name nothing holds keeps
+	// its id. held counts the names some path holds, dupNames those two or
+	// more paths hold: the collision counter.
+	ids      map[string]int32
+	names    []smt.Var
+	refs     []int32
+	ranks    [][]int32
+	held     int
+	dupNames int
+
+	// labelCount counts links per label, dupLabels the labels two links
+	// share. Any clash makes the naturally named resident system the wrong
+	// one to answer from, so Verify analyses from scratch until edits
+	// resolve it.
 	labelCount map[string]int
-	dupSyms    int
-	dupNames   int
 	dupLabels  int
 
 	// scratch is the witness of the last from-scratch Verify, for Model;
 	// any edit drops it.
 	scratch map[string]int
+
+	// Scratch: refresh's segments, atoms and matches, ReRank's rendering.
+	segs    []int
+	atoms   []smt.DenseConstraint
+	matches []linkMatch
+	buf     []byte
 
 	// undo holds the open transaction's inverses, oldest first.
 	inTx bool
@@ -98,52 +112,55 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	}
 	v := &DeltaVerifier{
 		in:         cp,
+		algebra:    "spp-" + cp.Name,
 		ix:         indexInstance(cp),
 		numPref:    int(p.totalPref()),
-		symCount:   map[string]int{},
-		nameCount:  map[string]int{},
+		ids:        make(map[string]int32, p.nPaths),
+		names:      append(make([]smt.Var, 0, p.nPaths+1), ""),
+		refs:       append(make([]int32, 0, p.nPaths+1), 0),
+		ranks:      make([][]int32, len(cp.Nodes)),
 		labelCount: map[string]int{},
 	}
 	v.incident = incidentLinks(cp, v.ix.nodes)
-	for _, paths := range p.perms {
-		for _, q := range paths {
-			v.countPath(q, +1)
+	// The table is the prep's interned names, in global path order; one
+	// backing array holds every ranking (replaced whole, never appended to).
+	byPath := make([]int32, p.nPaths)
+	for g, name := range p.vars {
+		id, ok := v.ids[string(name)]
+		if !ok {
+			id = v.intern(name)
 		}
+		byPath[g] = id
+		v.hold(id, +1)
+	}
+	for ni := range v.ranks {
+		lo, hi := p.pathOff[ni], p.pathOff[ni+1]
+		v.ranks[ni] = byPath[lo:hi:hi]
 	}
 	for _, l := range cp.Links {
 		v.countLabel(l, +1)
 	}
-	// The canonical emission order, in the prep's interned names: every
-	// node's preference chain, then the matches, which are in link order.
-	atoms := make([]smt.Less, 0, p.total())
-	for ni := range p.perms {
-		atoms = prefAsserts(atoms, p.vars[p.pathOff[ni]:p.pathOff[ni+1]])
+	// The canonical emission order: every node's preference chain, then
+	// the matches, which are in link order.
+	atoms := make([]smt.DenseConstraint, 0, p.total())
+	for _, ids := range v.ranks {
+		atoms = prefAtoms(atoms, ids)
 	}
 	for _, m := range p.matches {
-		from, to := p.pathOff[p.linkEnds[2*m.li]], p.pathOff[p.linkEnds[2*m.li+1]]
-		atoms = append(atoms, smt.Less{A: p.vars[to+m.tq], B: p.vars[from+m.fq]})
+		from, to := v.ranks[p.linkEnds[2*m.li]], v.ranks[p.linkEnds[2*m.li+1]]
+		atoms = append(atoms, smt.DenseConstraint{A: to[m.tq], B: from[m.fq]})
 	}
-	if v.dc, err = smt.NewDeltaContext(atoms, p.segLens()); err != nil {
+	if v.dc, err = smt.NewDeltaContext(len(v.names)-1, atoms, p.segLens()); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// prefAsserts appends what prefSeg asserts over a ranking's variables: the
-// ranked list as strict pairwise preferences.
-func prefAsserts(dst []smt.Less, vars []smt.Var) []smt.Less {
-	for i := 1; i < len(vars); i++ {
-		dst = append(dst, smt.Less{A: vars[i-1], B: vars[i]})
-	}
-	return dst
-}
-
-// monoAsserts appends what monoSeg asserts for a link's matches over its
-// endpoints' variables: each permitted extension ranks strictly below the
-// path it extends.
-func monoAsserts(dst []smt.Less, ms []linkMatch, from, to []smt.Var) []smt.Less {
-	for _, m := range ms {
-		dst = append(dst, smt.Less{A: to[m.tq], B: from[m.fq]})
+// prefAtoms appends what prefSeg asserts over a ranking's ids: the ranked
+// list as strict pairwise preferences.
+func prefAtoms(dst []smt.DenseConstraint, ids []int32) []smt.DenseConstraint {
+	for i := 1; i < len(ids); i++ {
+		dst = append(dst, smt.DenseConstraint{A: ids[i-1], B: ids[i]})
 	}
 	return dst
 }
@@ -161,31 +178,35 @@ func (v *DeltaVerifier) Size() (nodes, sessions int) {
 }
 
 // Degraded reports whether the resident system is the wrong one to answer
-// from for the current instance (rendering or link-label collision,
-// duplicate permitted path) and Verify is analysing from scratch.
-func (v *DeltaVerifier) Degraded() bool { return v.dupSyms > 0 || v.dupNames > 0 || v.dupLabels > 0 }
+// from for the current instance (a name or link-label clash) and Verify is
+// analysing from scratch.
+func (v *DeltaVerifier) Degraded() bool { return v.dupNames > 0 || v.dupLabels > 0 }
 
 // DeltaStats returns the underlying solver's delta statistics.
 func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
 
 // Clone returns an independent copy, including the warm solver state, taken
 // outside any transaction. What-ifs roll back instead; only the benchmark's
-// frozen replay still clones.
+// frozen replay still clones. Rankings are replaced whole, never written in
+// place, so the copy shares their id slices.
 func (v *DeltaVerifier) Clone() *DeltaVerifier {
 	c := &DeltaVerifier{
-		in: v.in.Clone(),
-		dc: v.dc.Clone(),
+		in:      v.in.Clone(),
+		dc:      v.dc.Clone(),
+		algebra: v.algebra,
 		ix: &topoIndex{
 			nodes:   maps.Clone(v.ix.nodes),
 			origins: maps.Clone(v.ix.origins),
 			links:   maps.Clone(v.ix.links),
 		},
 		numPref:    v.numPref,
-		symCount:   maps.Clone(v.symCount),
-		nameCount:  maps.Clone(v.nameCount),
-		labelCount: maps.Clone(v.labelCount),
-		dupSyms:    v.dupSyms,
+		ids:        maps.Clone(v.ids),
+		names:      slices.Clone(v.names),
+		refs:       slices.Clone(v.refs),
+		ranks:      slices.Clone(v.ranks),
+		held:       v.held,
 		dupNames:   v.dupNames,
+		labelCount: maps.Clone(v.labelCount),
 		dupLabels:  v.dupLabels,
 		scratch:    v.scratch,
 	}
@@ -246,11 +267,11 @@ func (v *DeltaVerifier) Journal() (splices, entries int) {
 }
 
 // fromScratch reports that the instance is Analyze's to decide: a name
-// collision needs the suffixed variables, and a label clash or a degenerate
-// instance (no links, or no permitted paths at all) the error a fresh
-// analysis reports.
+// clash needs the suffixed variables or is the duplicate-path error, and a
+// label clash or a degenerate instance (no links, or no permitted paths at
+// all) the error a fresh analysis reports.
 func (v *DeltaVerifier) fromScratch() bool {
-	return v.dupLabels > 0 || v.dupNames > 0 || len(v.in.Links) == 0 || len(v.symCount) == 0
+	return v.dupLabels > 0 || v.dupNames > 0 || len(v.in.Links) == 0 || v.held == 0
 }
 
 // Verify decides strict monotonicity for the current instance on the delta
@@ -259,9 +280,6 @@ func (v *DeltaVerifier) fromScratch() bool {
 // Session.AnalyzeSPP, except that a safe result carries no model: Model
 // renders the witness for the caller that wants it.
 func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, error) {
-	if v.dupSyms > 0 && v.dupLabels == 0 { // a label clash is reported first
-		return analysis.Result{}, nil, duplicatePath(v.in)
-	}
 	if v.fromScratch() {
 		res, suspects, err := Analyze(ctx, v.in)
 		v.scratch, res.Model = res.Model, nil
@@ -272,7 +290,7 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		return analysis.Result{}, nil, err
 	}
 	res := analysis.Result{
-		Algebra:         "spp-" + v.in.Name,
+		Algebra:         v.algebra,
 		Condition:       analysis.StrictMonotonicity,
 		Sat:             out.Sat,
 		Stats:           out.Stats,
@@ -295,19 +313,31 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 // order — an unsat core's member — into out, a single-slot segment, through
 // prefSeg or monoSeg on just the paths it names, and returns the §VI-B
 // suspect it implicates: the node whose ranking a preference orders, or the
-// tail of a monotonicity entry's link, owner of the extended path.
+// tail of a monotonicity entry's link, owner of the extended path. A
+// monotonicity member's ranks are found by its resident atom's two ids.
 func (v *DeltaVerifier) coreMember(out []analysis.Constraint, pos int) Node {
 	seg, k := v.dc.Locate(pos)
 	if nn := len(v.in.Nodes); seg >= nn {
 		l := v.in.Links[seg-nn]
-		from, to := v.in.Permitted[l.From], v.in.Permitted[l.To]
-		m := appendMatches(nil, 0, l.From, from, to)[k]
-		monoSeg(out, l, []linkMatch{{}}, naturalRanking(from[m.fq:m.fq+1]), naturalRanking(to[m.tq:m.tq+1]))
+		a := v.dc.At(seg, k)
+		fi, ti := v.ix.nodes[l.From], v.ix.nodes[l.To]
+		fq, tq := slices.Index(v.ranks[fi], a.B), slices.Index(v.ranks[ti], a.A)
+		monoSeg(out, l, []linkMatch{{}}, v.rankSlice(fi, fq, fq+1), v.rankSlice(ti, tq, tq+1))
 		return l.From
 	}
-	n := v.in.Nodes[seg]
-	prefSeg(out, naturalRanking(v.in.Permitted[n][k:k+2]))
-	return n
+	prefSeg(out, v.rankSlice(int32(seg), k, k+2))
+	return v.in.Nodes[seg]
+}
+
+// rankSlice names ranks [lo,hi) of node position ni: signature renderings
+// for provenance, solver variables from the table.
+func (v *DeltaVerifier) rankSlice(ni int32, lo, hi int) ranking {
+	paths := v.in.Permitted[v.in.Nodes[ni]][lo:hi]
+	r := ranking{paths: paths, syms: make([]string, len(paths)), vars: make([]smt.Var, len(paths))}
+	for i, q := range paths {
+		r.syms[i], r.vars[i] = sigName(q), v.names[v.ranks[ni][lo+i]]
+	}
+	return r
 }
 
 // Model renders the strict-monotonicity witness of the last Verify: the
@@ -321,9 +351,11 @@ func (v *DeltaVerifier) Model() map[string]int {
 	if m == nil {
 		return nil
 	}
-	out := make(map[string]int, len(m))
-	for name, val := range m {
-		out[string(name)] = val
+	out := make(map[string]int, v.held)
+	for id, val := range m {
+		if val != 0 { // an id no constraint references
+			out[string(v.names[id])] = val
+		}
 	}
 	return out
 }
@@ -347,7 +379,9 @@ func (v *DeltaVerifier) VerifyFull(ctx context.Context) (analysis.Result, []Node
 // any new origin tokens like Instance.Rank) and refreshes the node's
 // preference segment plus the monotonicity segments of its incident links.
 // The paths are validated against the current topology first; an invalid
-// ranking is rejected without mutating anything.
+// ranking is rejected without mutating anything. Each path's name is looked
+// up in the table, rendered into a scratch buffer; only a name the table has
+// never held is allocated.
 func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 	if n == "" {
 		return fmt.Errorf("spp %s: rerank of empty node name", v.in.Name)
@@ -358,10 +392,16 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 		}
 	}
 	v.scratch = nil
-	old, ranked := v.in.Permitted[n]
 	fresh := clonePaths(paths)
-	v.recount(old, fresh)
-	v.onRollback(func() { v.recount(fresh, old) })
+	ids := make([]int32, len(fresh))
+	for i, q := range fresh {
+		v.buf = appendVar(v.buf[:0], q)
+		id, ok := v.ids[string(v.buf)]
+		if !ok {
+			id = v.intern(smt.Var(v.buf))
+		}
+		ids[i] = id
+	}
 	for _, p := range fresh {
 		if o := p[len(p)-1]; !v.ix.origins[o] {
 			v.ix.origins[o] = true
@@ -376,14 +416,7 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 	if !known {
 		ni = v.declareNode(n)
 	}
-	v.in.Permitted[n] = fresh
-	v.onRollback(func() {
-		if ranked {
-			v.in.Permitted[n] = old
-		} else {
-			delete(v.in.Permitted, n)
-		}
-	})
+	v.rank(ni, true, fresh, ids)
 	return v.refresh(ni)
 }
 
@@ -442,17 +475,14 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 			continue
 		}
 		kept := make([]Path, 0, len(old)-1)
-		for _, p := range old {
+		ids := make([]int32, 0, len(old)-1)
+		for r, p := range old {
 			if !crosses(p) {
 				kept = append(kept, p)
+				ids = append(ids, v.ranks[ni][r])
 			}
 		}
-		v.recount(old, kept)
-		v.in.Permitted[n] = kept
-		v.onRollback(func() {
-			v.recount(kept, old)
-			v.in.Permitted[n] = old
-		})
+		v.rank(int32(ni), true, kept, ids)
 		pruned = append(pruned, int32(ni))
 	}
 	return v.refresh(pruned...)
@@ -504,7 +534,7 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 		if err := v.dc.InsertSeg(id); err != nil {
 			return err
 		}
-		if err := v.setSeg(id, v.segAsserts(nil, id, v.rankVars)); err != nil {
+		if err := v.setSeg(id, v.segAtoms(nil, id)); err != nil {
 			return err
 		}
 	}
@@ -517,7 +547,7 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 // is regenerated from the final rankings.
 func (v *DeltaVerifier) refresh(touched ...int32) error {
 	nn := len(v.in.Nodes)
-	var segs []int
+	segs := v.segs[:0]
 	for _, ni := range touched {
 		segs = append(segs, int(ni))
 		for _, li := range v.incident[ni] {
@@ -525,51 +555,36 @@ func (v *DeltaVerifier) refresh(touched ...int32) error {
 		}
 	}
 	slices.Sort(segs)
-	segs = slices.Compact(segs)
-
-	// Each endpoint's names are rendered once per refresh, however many
-	// touched segments share it.
-	rendered := map[Node][]smt.Var{}
-	varsOf := func(n Node) []smt.Var {
-		vars, ok := rendered[n]
-		if !ok {
-			vars = v.rankVars(n)
-			rendered[n] = vars
-		}
-		return vars
-	}
-	var seg []smt.Less
-	for _, id := range segs {
-		seg = v.segAsserts(seg[:0], id, varsOf)
-		if err := v.setSeg(id, seg); err != nil {
+	v.segs = slices.Compact(segs)
+	for _, id := range v.segs {
+		v.atoms = v.segAtoms(v.atoms[:0], id)
+		if err := v.setSeg(id, v.atoms); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// rankVars renders the solver variables of a node's ranking under the
-// natural naming, by rank.
-func (v *DeltaVerifier) rankVars(n Node) []smt.Var {
-	paths := v.in.Permitted[n]
-	vars := make([]smt.Var, len(paths))
-	var buf []byte
-	for i, q := range paths {
-		vars[i], buf = renderVar(buf, q)
-	}
-	return vars
-}
-
-// segAsserts appends what segment id asserts under the current rankings:
-// a node's preference chain, or a directed link's monotonicity entries.
-func (v *DeltaVerifier) segAsserts(dst []smt.Less, id int, varsOf func(Node) []smt.Var) []smt.Less {
+// segAtoms appends what segment id asserts under the current rankings, over
+// their ids: a node's preference chain, or a directed link's monotonicity
+// entries — each permitted extension ranks strictly below the path it
+// extends.
+func (v *DeltaVerifier) segAtoms(dst []smt.DenseConstraint, id int) []smt.DenseConstraint {
 	nn := len(v.in.Nodes)
 	if id < nn {
-		return prefAsserts(dst, varsOf(v.in.Nodes[id]))
+		return prefAtoms(dst, v.ranks[id])
 	}
 	l := v.in.Links[id-nn]
-	ms := appendMatches(nil, 0, l.From, v.in.Permitted[l.From], v.in.Permitted[l.To])
-	return monoAsserts(dst, ms, varsOf(l.From), varsOf(l.To))
+	fi, okF := v.ix.nodes[l.From]
+	ti, okT := v.ix.nodes[l.To]
+	if !okF || !okT { // an undeclared end has no ranking
+		return dst
+	}
+	v.matches = appendMatches(v.matches[:0], 0, l.From, v.in.Permitted[l.From], v.in.Permitted[l.To])
+	for _, m := range v.matches {
+		dst = append(dst, smt.DenseConstraint{A: v.ranks[ti][m.tq], B: v.ranks[fi][m.fq]})
+	}
+	return dst
 }
 
 // declareNode appends a real node with an empty preference segment (an
@@ -586,6 +601,7 @@ func (v *DeltaVerifier) declareNode(n Node) int32 {
 	v.ix.nodes[n] = int32(id)
 	v.in.Nodes = append(v.in.Nodes, n)
 	v.incident = append(v.incident, links)
+	v.ranks = append(v.ranks, nil)
 	if err := v.dc.InsertSeg(id); err != nil {
 		panic(err) // id is the node segments' count
 	}
@@ -593,6 +609,7 @@ func (v *DeltaVerifier) declareNode(n Node) int32 {
 		delete(v.ix.nodes, n)
 		v.in.Nodes = v.in.Nodes[:id]
 		v.incident = v.incident[:id]
+		v.ranks = v.ranks[:id]
 	})
 	return int32(id)
 }
@@ -611,9 +628,9 @@ func (v *DeltaVerifier) setCost(l Link, cost int) {
 	v.onRollback(func() { v.setCost(l, old) })
 }
 
-// setSeg replaces the assertions of segment id in the solver context,
-// which leaves a segment given its own content alone.
-func (v *DeltaVerifier) setSeg(id int, fresh []smt.Less) error {
+// setSeg replaces the atoms of segment id in the solver context, which
+// leaves a segment given its own content alone.
+func (v *DeltaVerifier) setSeg(id int, fresh []smt.DenseConstraint) error {
 	old := v.dc.SegLen(id)
 	changed, err := v.dc.SetSeg(id, fresh)
 	if changed && id < len(v.in.Nodes) {
@@ -622,54 +639,90 @@ func (v *DeltaVerifier) setSeg(id int, fresh []smt.Less) error {
 	return err
 }
 
-// recount moves the collision counters from one ranking to another; its own
-// inverse with the arguments exchanged.
-func (v *DeltaVerifier) recount(out, in []Path) {
-	for _, p := range out {
-		v.countPath(p, -1)
+// rank installs a ranking at node position ni — its paths in the instance
+// (ranked false removes the node's ranking), its ids in ranks — and moves
+// the table's counts from the ranking it replaces, which it logs.
+func (v *DeltaVerifier) rank(ni int32, ranked bool, paths []Path, ids []int32) {
+	n := v.in.Nodes[ni]
+	old, wasRanked := v.in.Permitted[n]
+	oldIDs := v.ranks[ni]
+	v.onRollback(func() { v.rank(ni, wasRanked, old, oldIDs) })
+	for _, id := range oldIDs {
+		v.hold(id, -1)
 	}
-	for _, p := range in {
-		v.countPath(p, +1)
+	for _, id := range ids {
+		v.hold(id, +1)
 	}
+	if ranked {
+		v.in.Permitted[n] = paths
+	} else {
+		delete(v.in.Permitted, n)
+	}
+	v.ranks[ni] = ids
 }
 
-// countPath tracks rendering and variable-name multiplicity as paths come
-// and go, maintaining the degradation counters.
-func (v *DeltaVerifier) countPath(p Path, d int) {
-	sym := sigName(p)
-	bump(v.symCount, sym, d, &v.dupSyms)
-	bump(v.nameCount, string(analysis.VarName(sym)), d, &v.dupNames)
+// intern adds a name to the table, held by nothing yet, and returns its id.
+func (v *DeltaVerifier) intern(name smt.Var) int32 {
+	id := int32(len(v.names))
+	v.ids[string(name)] = id
+	v.names = append(v.names, name)
+	v.refs = append(v.refs, 0)
+	v.onRollback(func() {
+		delete(v.ids, string(name))
+		v.names[id] = ""
+		v.names, v.refs = v.names[:id], v.refs[:id]
+	})
+	return id
+}
+
+// hold moves the number of paths holding name id by d (±1).
+func (v *DeltaVerifier) hold(id, d int32) {
+	old, nw := v.refs[id], v.refs[id]+d
+	v.refs[id] = nw
+	v.held += crossed(old, nw, 1)
+	v.dupNames += crossed(old, nw, 2)
 }
 
 // countLabel tracks link-label multiplicity as links come and go: ToAlgebra
 // names a link's label after its ends joined, so a↔bc and ab↔c clash.
 func (v *DeltaVerifier) countLabel(l Link, d int) {
-	bump(v.labelCount, string(l.From)+string(l.To), d, &v.dupLabels)
+	key := string(l.From) + string(l.To)
+	old, nw := v.labelCount[key], v.labelCount[key]+d
+	if nw == 0 {
+		delete(v.labelCount, key)
+	} else {
+		v.labelCount[key] = nw
+	}
+	v.dupLabels += int(crossed(int32(old), int32(nw), 2))
 }
 
-// bump adds d to a key's multiplicity and keeps dup, the number of keys held
-// more than once, in step.
-func bump(m map[string]int, key string, d int, dup *int) {
-	old := m[key]
-	nw := old + d
-	if nw == 0 {
-		delete(m, key)
-	} else {
-		m[key] = nw
+// crossed is how a count's move from old to nw changes the counts ≥ at.
+func crossed(old, nw, at int32) int {
+	switch {
+	case old < at && nw >= at:
+		return 1
+	case old >= at && nw < at:
+		return -1
 	}
-	if old <= 1 && nw >= 2 {
-		*dup++
-	} else if old >= 2 && nw <= 1 {
-		*dup--
-	}
+	return 0
 }
 
 // --- helpers ---
 
+// clonePaths copies a ranking into one backing array, each path capped at
+// its length: two allocations however many paths it holds.
 func clonePaths(paths []Path) []Path {
+	hops := 0
+	for _, p := range paths {
+		hops += len(p)
+	}
+	flat := make(Path, 0, hops)
 	out := make([]Path, len(paths))
 	for i, p := range paths {
-		out[i] = append(Path(nil), p...)
+		if len(p) > 0 { // an empty path stays nil, as append(nil, p...) has it
+			flat = append(flat, p...)
+			out[i] = flat[len(flat)-len(p) : len(flat) : len(flat)]
+		}
 	}
 	return out
 }

@@ -58,6 +58,42 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 	if v.dc.Segments() != len(in.Nodes)+len(in.Links) {
 		t.Fatalf("%s: %d segments for %d nodes + %d links", label, v.dc.Segments(), len(in.Nodes), len(in.Links))
 	}
+	requireTableMatchesSnapshot(t, label, v, in)
+}
+
+// requireTableMatchesSnapshot checks the name table against the instance:
+// every ranking's ids name its paths' natural variables, each id's count is
+// the number of paths holding its name, the map and the names agree, and
+// held and dupNames count what the counts say.
+func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, in *Instance) {
+	t.Helper()
+	if len(v.ids) != len(v.names)-1 || len(v.refs) != len(v.names) || len(v.ranks) != len(in.Nodes) {
+		t.Fatalf("%s: table of %d names, %d map entries, %d counts, %d rankings for %d nodes",
+			label, len(v.names)-1, len(v.ids), len(v.refs), len(v.ranks), len(in.Nodes))
+	}
+	holders := make([]int32, len(v.names))
+	for ni, n := range in.Nodes {
+		if len(v.ranks[ni]) != len(in.Permitted[n]) {
+			t.Fatalf("%s: node %s ranks %d ids for %d paths", label, n, len(v.ranks[ni]), len(in.Permitted[n]))
+		}
+		for r, q := range in.Permitted[n] {
+			id := v.ranks[ni][r]
+			if want := string(appendVar(nil, q)); string(v.names[id]) != want || v.ids[want] != id {
+				t.Fatalf("%s: %s's path %s has id %d named %q, want %q", label, n, q, id, v.names[id], want)
+			}
+			holders[id]++
+		}
+	}
+	held, dup := 0, 0
+	for id, c := range holders {
+		if v.refs[id] != c {
+			t.Fatalf("%s: name %q counts %d holders, the instance has %d", label, v.names[id], v.refs[id], c)
+		}
+		held, dup = held+crossed(0, c, 1), dup+crossed(0, c, 2)
+	}
+	if v.held != held || v.dupNames != dup {
+		t.Fatalf("%s: held %d and dupNames %d, the counts say %d and %d", label, v.held, v.dupNames, held, dup)
+	}
 }
 
 // randomEdit applies one seeded what-if edit and describes it. Topology

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsr/internal/analysis"
+	"fsr/internal/smt"
 )
 
 // requireVerifyParity runs the delta path and the full-pipeline oracle on
@@ -377,9 +378,10 @@ func TestDeltaVerifierLinkLabelClash(t *testing.T) {
 }
 
 // TestResidentAssertionsAreTheSegments pins the solver's view of a segment
-// to the provenance functions': what prefAsserts and monoAsserts emit is the
-// Assertion of every prefSeg and monoSeg constraint, less its origin — on
-// the generated instances, for every node and link.
+// to the provenance functions': what prefAtoms and monoAtoms emit, named
+// through the verifier's table, is the Assertion of every prefSeg and
+// monoSeg constraint, less its origin — on the generated instances, for
+// every node and link.
 func TestResidentAssertionsAreTheSegments(t *testing.T) {
 	for _, in := range []*Instance{Figure3IBGP(), Disagree(), ChainGadget(6)} {
 		v, err := NewDeltaVerifier(in)
@@ -390,7 +392,13 @@ func TestResidentAssertionsAreTheSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := v.dc.Assertions()
+		var got []smt.Assertion
+		for id := 0; id < v.dc.Segments(); id++ {
+			for off := 0; off < v.dc.SegLen(id); off++ {
+				a := v.dc.At(id, off)
+				got = append(got, smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: v.names[a.A]}, B: smt.Term{Var: v.names[a.B]}})
+			}
+		}
 		if len(got) != len(cons) {
 			t.Fatalf("%s: %d resident assertions, %d constraints", in.Name, len(got), len(cons))
 		}
@@ -403,7 +411,7 @@ func TestResidentAssertionsAreTheSegments(t *testing.T) {
 		}
 		// Regenerating every segment from the rankings changes nothing.
 		for id := 0; id < v.dc.Segments(); id++ {
-			if changed, err := v.dc.SetSeg(id, v.segAsserts(nil, id, v.rankVars)); err != nil || changed {
+			if changed, err := v.dc.SetSeg(id, v.segAtoms(nil, id)); err != nil || changed {
 				t.Fatalf("%s: segment %d regenerated differently (err %v)", in.Name, id, err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"fsr/internal/scenario"
 	"fsr/internal/spp"
+	"fsr/internal/spp/spptest"
 )
 
 // TestDeltaTransactionsGenerated runs the random-transaction driver of
@@ -109,4 +110,67 @@ func TestDiscardedWhatIfsLeaveNoResidue(t *testing.T) {
 	}
 
 	spp.RequireVerifyParity(t, "after the what-ifs", v)
+}
+
+// TestDiscardedWhatIfCostsItsEdit is the shape guard on the daemon's pure
+// query, at the verifier: Begin, a top-two swap ReRank, Verify, Rollback
+// allocates at most 12 objects and 1 KiB, the same at internet:5000 as at
+// internet:20000 (twins of one shape and reach). The names it touches are
+// looked up, not rendered again: before the seam passed ids the same query
+// allocated 51 objects and 2 280 B, 38 of them names.
+func TestDiscardedWhatIfCostsItsEdit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("internet:20000 instance")
+	}
+	ctx := context.Background()
+	sizes := [2]int{5000, 20000}
+	var reach [2]*spptest.Reach
+	for i, n := range sizes {
+		reach[i] = spptest.NewReach(internetInstance(n, 1))
+	}
+	nodes := [2][]spp.Node{}
+	nodes[0], nodes[1] = spptest.Twins(reach[0], reach[1], (*spptest.Reach).Swappable)
+	if nodes[0] == nil {
+		t.Fatal("internet:5000 and internet:20000 share no swappable node of one shape and reach")
+	}
+	var allocs, bytes [2]float64
+	for i, n := range sizes {
+		in, node := reach[i].In, nodes[i][0]
+		v, err := spp.NewDeltaVerifier(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _, err := v.Verify(ctx); err != nil || !res.Sat {
+			t.Fatalf("internet:%d: sat=%v err=%v", n, res.Sat, err)
+		}
+		paths := in.Permitted[node]
+		swapped := append([]spp.Path{paths[1], paths[0]}, paths[2:]...)
+		discard := func() {
+			v.Begin()
+			if err := v.ReRank(node, swapped...); err != nil {
+				t.Fatal(err)
+			}
+			if res, _, err := v.Verify(ctx); err != nil || !res.Sat {
+				t.Fatalf("swap on %s: sat=%v err=%v", node, res.Sat, err)
+			}
+			v.Rollback()
+		}
+		discard() // grow the journals and scratch buffers
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs[i] = testing.AllocsPerRun(runs, discard)
+		runtime.ReadMemStats(&after)
+		bytes[i] = float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		t.Logf("internet:%d, node %s (%d paths): %.1f objects, %.0f B per discarded swap", n, node, len(paths), allocs[i], bytes[i])
+		if allocs[i] > 12 || bytes[i] > 1<<10 {
+			t.Errorf("internet:%d: %.1f objects and %.0f B per discarded swap, want at most 12 and 1 KiB", n, allocs[i], bytes[i])
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("%.1f objects per discarded swap at internet:5000, %.1f at internet:20000, want equal", allocs[0], allocs[1])
+	}
 }

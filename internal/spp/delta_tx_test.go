@@ -29,7 +29,7 @@ func driveTransactions(t *testing.T, in *Instance, seed int64, rounds int) (roll
 	fresh := 0
 	for round := 0; round < rounds; round++ {
 		label := fmt.Sprintf("%s seed %d round %d", in.Name, seed, round)
-		before, wasDegraded := v.Snapshot(), v.Degraded()
+		before, wasDegraded, names := v.Snapshot(), v.Degraded(), len(v.names)
 		want, wantSus, wantErr := v.Verify(ctx)
 		wantModel := v.Model()
 
@@ -65,6 +65,9 @@ func driveTransactions(t *testing.T, in *Instance, seed int64, rounds int) (roll
 		}
 		if v.Degraded() != wasDegraded {
 			t.Fatalf("%s: Degraded() = %v after rollback, %v before Begin", label, v.Degraded(), wasDegraded)
+		}
+		if len(v.names) != names {
+			t.Fatalf("%s: rollback left a table of %d names, Begin found %d", label, len(v.names), names)
 		}
 		requireIndexMatchesSnapshot(t, label+" rolled back", v)
 		got, gotSus, gotErr := v.Verify(ctx)

@@ -191,19 +191,17 @@ func appendClean(b []byte, s string) []byte {
 	return b
 }
 
-// renderVar computes analysis.VarName(sigName(q)) — the sanitized solver
-// variable — in a single allocation, fusing sigName's rendering (the bare
-// origin token for two-element paths, otherwise "r_" + the dot- or
-// butt-joined elements of Path.String) with sanitize's per-rune '_'
-// substitution. buf is a scratch buffer returned for reuse.
-func renderVar(buf []byte, q Path) (smt.Var, []byte) {
-	buf = buf[:0]
+// appendVar appends analysis.VarName(sigName(q)) to b without allocating a
+// string, fusing sigName's rendering (the bare origin token for two-element
+// paths, otherwise "r_" + the dot- or butt-joined elements of Path.String)
+// with sanitize's per-rune '_' substitution.
+func appendVar(b []byte, q Path) []byte {
 	if len(q) == 2 {
-		buf = appendClean(buf, string(q[1]))
-		if len(buf) == 0 {
-			return "sig", buf // sanitize("") == "sig"
+		at := len(b)
+		if b = appendClean(b, string(q[1])); len(b) == at {
+			b = append(b, "sig"...) // sanitize("") == "sig"
 		}
-		return smt.Var(buf), buf
+		return b
 	}
 	single := true
 	for _, n := range q {
@@ -212,14 +210,14 @@ func renderVar(buf []byte, q Path) (smt.Var, []byte) {
 			break
 		}
 	}
-	buf = append(buf, 'r', '_')
+	b = append(b, 'r', '_')
 	for i, n := range q {
 		if i > 0 && !single {
-			buf = append(buf, '_') // the '.' join, post-sanitize
+			b = append(b, '_') // the '.' join, post-sanitize
 		}
-		buf = appendClean(buf, string(n))
+		b = appendClean(b, string(n))
 	}
-	return smt.Var(buf), buf
+	return b
 }
 
 // buildShardPrep fills p from the instance: it validates the instance,
@@ -411,7 +409,8 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		for ni := lo; ni < hi; ni++ {
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
-				p.vars[base+int32(r)], buf = renderVar(buf, q)
+				buf = appendVar(buf[:0], q)
+				p.vars[base+int32(r)] = smt.Var(buf) // a single allocation
 			}
 		}
 		return struct{}{}
@@ -582,18 +581,6 @@ type ranking struct {
 	paths []Path
 	syms  []string
 	vars  []smt.Var
-}
-
-// naturalRanking names a node's paths after their renderings alone — what
-// the algebra pipeline assigns as long as no two paths of the instance share
-// a rendering or a sanitized name.
-func naturalRanking(paths []Path) ranking {
-	r := ranking{paths: paths, syms: make([]string, len(paths)), vars: make([]smt.Var, len(paths))}
-	for i, q := range paths {
-		r.syms[i] = sigName(q)
-		r.vars[i] = analysis.VarName(r.syms[i])
-	}
-	return r
 }
 
 // ranking slices node ni's names out of the prep's flat arrays.
