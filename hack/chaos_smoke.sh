@@ -3,10 +3,12 @@
 # fault plan: link flaps, flap storms, partitions, node restarts, policy
 # changes) under the race detector, and assert that (a) the campaign
 # classifies clean — exit 0 means zero divergences/mismatches and no
-# timeouts/errors — and (b) faults were actually injected, read from
+# timeouts/errors — (b) faults were actually injected, read from
 # fsr_simnet_faults_injected_total on the campaign's metrics listener
 # (with the report's own "faults injected" summary line as the backstop
-# should the campaign outrun the scrape).
+# should the campaign outrun the scrape), and (c) simulated runs converged,
+# read from the count of the fsr_simnet_convergence_seconds histogram on
+# the same listener (no backstop: the report has no such line).
 # Usage: hack/chaos_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,12 +24,19 @@ go build -race -o "$bin" ./cmd/fsr
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
-# Scrape the injection counter mid-flight; the campaign keeps running.
+# Scrape the injection counter and the convergence histogram's count
+# mid-flight; the campaign keeps running.
 scraped=0
+converged=0
 while kill -0 "$pid" 2>/dev/null; do
-    if curl -fsS "http://$addr/metrics" 2>/dev/null \
-        | awk '$1 == "fsr_simnet_faults_injected_total" && $2 > 0 {found=1} END {exit !found}'; then
+    metrics="$(curl -fsS "http://$addr/metrics" 2>/dev/null || true)"
+    if awk '$1 == "fsr_simnet_convergence_seconds_count" && $2 > 0 {found=1} END {exit !found}' <<<"$metrics"; then
+        converged=1
+    fi
+    if awk '$1 == "fsr_simnet_faults_injected_total" && $2 > 0 {found=1} END {exit !found}' <<<"$metrics"; then
         scraped=1
+    fi
+    if [ "$scraped" -eq 1 ] && [ "$converged" -eq 1 ]; then
         break
     fi
     sleep 0.2
@@ -43,5 +52,9 @@ if [ "$scraped" -ne 1 ]; then
         echo "chaos smoke: no faults injected (neither scraped nor reported)" >&2
         exit 1
     }
+fi
+if [ "$converged" -ne 1 ]; then
+    echo "chaos smoke: fsr_simnet_convergence_seconds_count never scraped above 0" >&2
+    exit 1
 fi
 echo "chaos smoke OK (metrics scraped mid-flight: $scraped)"

@@ -151,6 +151,10 @@ type Node struct {
 
 	outbox         []outMsg
 	flushScheduled bool
+	// pos maps a neighbour's name, which the rules' location specifiers
+	// give, to its position in env.Neighbors(), which Send takes. Built on
+	// the first flush.
+	pos map[simnet.NodeID]int
 }
 
 type outMsg struct {
@@ -250,7 +254,7 @@ func (n *Node) Start(env simnet.Env) {
 
 // Receive implements simnet.Handler: a remote tuple arrives (an event such
 // as msg, or a shipped materialized tuple).
-func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
+func (n *Node) Receive(env simnet.Env, from int, payload any) {
 	t, ok := payload.(Tuple)
 	if !ok {
 		panic(fmt.Sprintf("engine: unexpected payload %T", payload))
@@ -548,8 +552,15 @@ func (n *Node) scheduleFlush(env simnet.Env) {
 		n.flushScheduled = false
 		out := n.outbox
 		n.outbox = nil
+		if n.pos == nil {
+			n.pos = simnet.Positions(env)
+		}
 		for _, m := range out {
-			env.Send(m.to, m.tuple, m.tuple.WireSize())
+			to, ok := n.pos[m.to]
+			if !ok {
+				panic(fmt.Sprintf("engine: %s sent to non-neighbor %s", env.Self(), m.to))
+			}
+			env.Send(to, m.tuple, m.tuple.WireSize())
 		}
 	})
 }

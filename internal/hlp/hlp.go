@@ -109,6 +109,9 @@ type Node struct {
 	outLSA  []LSA
 	outFPV  map[simnet.NodeID][]FPV
 	flushOn bool
+	// pos maps a peer's name to its position in env.Neighbors(), which Send
+	// takes. Built on the first flush.
+	pos map[simnet.NodeID]int
 }
 
 var _ simnet.Handler = (*Node)(nil)
@@ -182,8 +185,9 @@ func (n *Node) Start(env simnet.Env) {
 	}
 }
 
-// Receive implements simnet.Handler.
-func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
+// Receive implements simnet.Handler. The FPV rules name the sender, so its
+// position is translated back to its name.
+func (n *Node) Receive(env simnet.Env, from int, payload any) {
 	switch m := payload.(type) {
 	case LSA:
 		if have, ok := n.lsdb[m.Origin]; ok && have.Seq >= m.Seq {
@@ -197,7 +201,7 @@ func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
 			n.reselect(env, d)
 		}
 	case FPV:
-		n.receiveFPV(env, from, m)
+		n.receiveFPV(env, env.Neighbors()[from], m)
 	default:
 		panic(fmt.Sprintf("hlp: unexpected payload %T", payload))
 	}
@@ -400,15 +404,20 @@ func (n *Node) scheduleFlush(env simnet.Env) {
 		lsas := n.outLSA
 		n.outLSA = nil
 		for _, l := range lsas {
-			for _, nb := range n.intraNeighbors(env) {
-				env.Send(nb, l, l.WireSize())
+			for i, nb := range env.Neighbors() {
+				if n.cfg.DomainOf[nb] == n.cfg.Domain {
+					env.Send(i, l, l.WireSize())
+				}
 			}
 		}
 		out := n.outFPV
 		n.outFPV = map[simnet.NodeID][]FPV{}
+		if n.pos == nil {
+			n.pos = simnet.Positions(env)
+		}
 		for _, nb := range sortedIDs(out) {
 			for _, f := range out[nb] {
-				env.Send(nb, f, f.WireSize())
+				env.Send(n.pos[nb], f, f.WireSize())
 			}
 		}
 	})

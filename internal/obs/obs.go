@@ -13,9 +13,10 @@
 //     safe to call from the solver inner loop.
 //   - CounterVec and HistogramVec are labeled families behind a mutex,
 //     ported from the daemon's original registry so the rendered text is
-//     byte-identical. Their With method returns a pre-resolved handle
-//     whose Add/Observe skips label rendering, for per-call use on warm
-//     paths.
+//     byte-identical. A series renders its labels once, when it is
+//     created; Add/Inc/Observe on an existing series find it without
+//     allocating. Their With method returns a pre-resolved handle that
+//     skips the lookup too, for per-call use on warm paths.
 //
 // Everything is off by default in the sense that recording into an
 // unscraped registry costs a few atomic ops; the span tracer in span.go
@@ -23,30 +24,87 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // labelSet renders label names/values as they appear inside the braces of
-// a sample line: `endpoint="verify",code="200"`. Series are keyed by this
-// rendering, which is stable because callers pass values positionally.
+// a sample line: `endpoint="verify",code="200"`. A series renders it once,
+// at creation; series sort by it.
 func labelSet(names, vals []string) string {
-	if len(names) != len(vals) {
-		panic(fmt.Sprintf("obs: %d label(s) want %d value(s)", len(names), len(vals)))
-	}
-	var b strings.Builder
+	var b []byte
 	for i, n := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, vals[i])
+		b = append(b, n...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, vals[i])
 	}
-	return b.String()
+	return string(b)
+}
+
+// seriesIndex finds a labeled family's series by its label values. The
+// lookup key is the values, each prefixed by its length, built in a
+// scratch buffer, so finding an existing series allocates nothing. The
+// caller holds the family's lock.
+type seriesIndex[S any] struct {
+	names  []string
+	byKey  map[string]*S
+	key    []byte // scratch for the lookup key
+	create func(labels string) *S
+}
+
+func newSeriesIndex[S any](names []string, create func(labels string) *S) seriesIndex[S] {
+	return seriesIndex[S]{names: names, byKey: map[string]*S{}, create: create}
+}
+
+// lookupKey builds the values' key in the scratch buffer.
+func (x *seriesIndex[S]) lookupKey(vals []string) []byte {
+	if len(x.names) != len(vals) {
+		panic(fmt.Sprintf("obs: %d label(s) want %d value(s)", len(x.names), len(vals)))
+	}
+	k := x.key[:0]
+	for _, v := range vals {
+		k = binary.AppendUvarint(k, uint64(len(v)))
+		k = append(k, v...)
+	}
+	x.key = k
+	return k
+}
+
+// find returns the series for the values, or nil when it does not exist.
+func (x *seriesIndex[S]) find(vals []string) *S {
+	return x.byKey[string(x.lookupKey(vals))]
+}
+
+// get returns the series for the values, creating it (and rendering its
+// labels) on first use.
+func (x *seriesIndex[S]) get(vals []string) *S {
+	k := x.lookupKey(vals)
+	if s := x.byKey[string(k)]; s != nil {
+		return s
+	}
+	s := x.create(labelSet(x.names, vals))
+	x.byKey[string(k)] = s
+	return s
+}
+
+// sorted returns the series in the order of their rendered labels.
+func (x *seriesIndex[S]) sorted(labels func(*S) string) []*S {
+	out := make([]*S, 0, len(x.byKey))
+	for _, s := range x.byKey {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return labels(out[i]) < labels(out[j]) })
+	return out
 }
 
 // Counter is a label-free monotonic counter on an atomic int64 — cheap
@@ -112,21 +170,28 @@ type CounterVec struct {
 	name, help string
 	labels     []string
 	mu         sync.Mutex
-	vals       map[string]float64
+	series     seriesIndex[counterSeries]
+}
+
+// counterSeries is one series of a CounterVec: its rendered labels and its
+// value.
+type counterSeries struct {
+	labels string
+	v      float64
 }
 
 func newCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{name: name, help: help, labels: labels, vals: map[string]float64{}}
+	return &CounterVec{name: name, help: help, labels: labels,
+		series: newSeriesIndex(labels, func(l string) *counterSeries { return &counterSeries{labels: l} })}
 }
 
 func (c *CounterVec) Add(delta float64, labelVals ...string) {
 	if delta < 0 {
 		panic("obs: counter decrease")
 	}
-	key := labelSet(c.labels, labelVals)
 	c.mu.Lock()
-	c.vals[key] += delta
-	c.mu.Unlock()
+	defer c.mu.Unlock() // get panics on a wrong label count
+	c.series.get(labelVals).v += delta
 }
 
 func (c *CounterVec) Inc(labelVals ...string) { c.Add(1, labelVals...) }
@@ -134,26 +199,27 @@ func (c *CounterVec) Inc(labelVals ...string) { c.Add(1, labelVals...) }
 // Value reads one series (zero if never touched) — for tests and health
 // reporting.
 func (c *CounterVec) Value(labelVals ...string) float64 {
-	key := labelSet(c.labels, labelVals)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.vals[key]
+	if s := c.series.find(labelVals); s != nil {
+		return s.v
+	}
+	return 0
 }
 
-// With pre-resolves one series so repeated Adds skip label rendering.
+// With pre-resolves one series, materializing it so it exposes as 0, so
+// repeated Adds skip the lookup.
 func (c *CounterVec) With(labelVals ...string) *CounterHandle {
-	key := labelSet(c.labels, labelVals)
 	c.mu.Lock()
-	c.vals[key] += 0 // materialize the series so it exposes as 0
-	c.mu.Unlock()
-	return &CounterHandle{vec: c, key: key}
+	defer c.mu.Unlock()
+	return &CounterHandle{vec: c, s: c.series.get(labelVals)}
 }
 
 // CounterHandle is one pre-resolved series of a CounterVec. Add is
 // alloc-free.
 type CounterHandle struct {
 	vec *CounterVec
-	key string
+	s   *counterSeries
 }
 
 func (h *CounterHandle) Add(delta float64) {
@@ -161,7 +227,7 @@ func (h *CounterHandle) Add(delta float64) {
 		panic("obs: counter decrease")
 	}
 	h.vec.mu.Lock()
-	h.vec.vals[h.key] += delta
+	h.s.v += delta
 	h.vec.mu.Unlock()
 }
 
@@ -173,14 +239,14 @@ func (c *CounterVec) Expose(b *strings.Builder) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-	for _, key := range sortedKeys(c.vals) {
-		if key == "" {
-			fmt.Fprintf(b, "%s %v\n", c.name, c.vals[key])
+	for _, s := range c.series.sorted(counterLabels) {
+		if s.labels == "" {
+			fmt.Fprintf(b, "%s %v\n", c.name, s.v)
 		} else {
-			fmt.Fprintf(b, "%s{%s} %v\n", c.name, key, c.vals[key])
+			fmt.Fprintf(b, "%s{%s} %v\n", c.name, s.labels, s.v)
 		}
 	}
-	if len(c.vals) == 0 && len(c.labels) == 0 {
+	if len(c.series.byKey) == 0 && len(c.labels) == 0 {
 		fmt.Fprintf(b, "%s 0\n", c.name)
 	}
 }
@@ -195,34 +261,27 @@ type HistogramVec struct {
 	labels     []string
 	buckets    []float64
 	mu         sync.Mutex
-	series     map[string]*histSeries
+	series     seriesIndex[histSeries]
 }
 
 type histSeries struct {
+	labels string   // rendered once, at creation
 	counts []uint64 // one per bucket, cumulative at expose time only
 	sum    float64
 	count  uint64
 }
 
 func newHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{name: name, help: help, labels: labels,
-		buckets: buckets, series: map[string]*histSeries{}}
+	return &HistogramVec{name: name, help: help, labels: labels, buckets: buckets,
+		series: newSeriesIndex(labels, func(l string) *histSeries {
+			return &histSeries{labels: l, counts: make([]uint64, len(buckets))}
+		})}
 }
 
 func (h *HistogramVec) Observe(v float64, labelVals ...string) {
-	key := labelSet(h.labels, labelVals)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.observeLocked(h.seriesLocked(key), v)
-}
-
-func (h *HistogramVec) seriesLocked(key string) *histSeries {
-	s := h.series[key]
-	if s == nil {
-		s = &histSeries{counts: make([]uint64, len(h.buckets))}
-		h.series[key] = s
-	}
-	return s
+	h.observeLocked(h.series.get(labelVals), v)
 }
 
 func (h *HistogramVec) observeLocked(s *histSeries, v float64) {
@@ -238,23 +297,20 @@ func (h *HistogramVec) observeLocked(s *histSeries, v float64) {
 
 // Count reads one series' observation count, for tests.
 func (h *HistogramVec) Count(labelVals ...string) uint64 {
-	key := labelSet(h.labels, labelVals)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if s := h.series[key]; s != nil {
+	if s := h.series.find(labelVals); s != nil {
 		return s.count
 	}
 	return 0
 }
 
-// With pre-resolves one series so repeated Observes skip label rendering
-// and the map lookup. Observe on the handle is alloc-free.
+// With pre-resolves one series so repeated Observes skip the lookup.
+// Observe on the handle is alloc-free.
 func (h *HistogramVec) With(labelVals ...string) *HistogramHandle {
-	key := labelSet(h.labels, labelVals)
 	h.mu.Lock()
-	s := h.seriesLocked(key)
-	h.mu.Unlock()
-	return &HistogramHandle{vec: h, s: s}
+	defer h.mu.Unlock()
+	return &HistogramHandle{vec: h, s: h.series.get(labelVals)}
 }
 
 // HistogramHandle is one pre-resolved series of a HistogramVec.
@@ -275,8 +331,8 @@ func (h *HistogramVec) Expose(b *strings.Builder) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
-	for _, key := range sortedKeys(h.series) {
-		s := h.series[key]
+	for _, s := range h.series.sorted(histLabels) {
+		key := s.labels
 		sep := ""
 		if key != "" {
 			sep = key + ","
@@ -301,14 +357,8 @@ func FormatBound(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func counterLabels(s *counterSeries) string { return s.labels }
+func histLabels(s *histSeries) string       { return s.labels }
 
 // Sample is one series' instantaneous value in structured form — the
 // machine-readable counterpart of the text exposition, consumed by the
@@ -357,9 +407,9 @@ func (g *Gauge) Samples() []Sample {
 func (c *CounterVec) Samples() []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Sample, 0, len(c.vals))
-	for _, key := range sortedKeys(c.vals) {
-		out = append(out, Sample{Name: c.name, Labels: key, Kind: "counter", Value: c.vals[key]})
+	out := make([]Sample, 0, len(c.series.byKey))
+	for _, s := range c.series.sorted(counterLabels) {
+		out = append(out, Sample{Name: c.name, Labels: s.labels, Kind: "counter", Value: s.v})
 	}
 	return out
 }
@@ -368,11 +418,10 @@ func (c *CounterVec) Samples() []Sample {
 func (h *HistogramVec) Samples() []Sample {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]Sample, 0, len(h.series))
-	for _, key := range sortedKeys(h.series) {
-		s := h.series[key]
+	out := make([]Sample, 0, len(h.series.byKey))
+	for _, s := range h.series.sorted(histLabels) {
 		out = append(out, Sample{
-			Name: h.name, Labels: key, Kind: "histogram",
+			Name: h.name, Labels: s.labels, Kind: "histogram",
 			Buckets: h.buckets, Counts: append([]uint64(nil), s.counts...),
 			Count: s.count, Sum: s.sum,
 		})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,80 @@ func TestHandlesAllocFree(t *testing.T) {
 	}
 	if cv.Value("solve") == 0 || hv.Count("solve") == 0 {
 		t.Error("handle writes not visible through the vec")
+	}
+}
+
+// TestLabeledSeriesAllocFree: Inc/Add/Observe on a series that exists find
+// it without rendering its labels, so they allocate nothing.
+func TestLabeledSeriesAllocFree(t *testing.T) {
+	cv := newCounterVec("fsr_c_total", "C.", "endpoint", "code")
+	hv := newHistogramVec("fsr_h_seconds", "H.", DefBuckets, "mode")
+	cv.Inc("verify", "200")
+	hv.Observe(0.1, "delta")
+	if n := testing.AllocsPerRun(100, func() { cv.Inc("verify", "200") }); n != 0 {
+		t.Errorf("CounterVec.Inc on an existing series allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { cv.Add(2, "verify", "200") }); n != 0 {
+		t.Errorf("CounterVec.Add on an existing series allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { hv.Observe(0.001, "delta") }); n != 0 {
+		t.Errorf("HistogramVec.Observe on an existing series allocates %v/op", n)
+	}
+	if got := cv.Value("verify", "200"); got <= 1 {
+		t.Errorf("Value = %v: the measured calls did not reach the series", got)
+	}
+}
+
+// TestLabeledSeriesConcurrent: goroutines creating and bumping series of
+// one family at once — the series lookup shares one scratch key per
+// family — lose nothing.
+func TestLabeledSeriesConcurrent(t *testing.T) {
+	cv := newCounterVec("fsr_cc_total", "C.", "worker", "kind")
+	hv := newHistogramVec("fsr_hc_seconds", "H.", DefBuckets, "worker")
+	const workers, per = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w string) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				cv.Inc(w, "all")
+				cv.Inc("shared", "all")
+				hv.Observe(0.01, w)
+			}
+		}(fmt.Sprint(w))
+	}
+	wg.Wait()
+	if got := cv.Value("shared", "all"); got != workers*per {
+		t.Errorf("shared series = %v, want %d", got, workers*per)
+	}
+	for w := 0; w < workers; w++ {
+		if got, n := cv.Value(fmt.Sprint(w), "all"), hv.Count(fmt.Sprint(w)); got != per || n != per {
+			t.Errorf("worker %d: counter %v, histogram count %d; want %d", w, got, n, per)
+		}
+	}
+}
+
+// TestLabelRendering: a series' labels render as fmt's %q does, whatever
+// the value holds, and series whose values differ only in how they split
+// stay apart.
+func TestLabelRendering(t *testing.T) {
+	for _, v := range []string{"", "plain", `q"uote`, "back\\slash", "new\nline", "ünï", "\x00\xff"} {
+		want := fmt.Sprintf("%s=%q,%s=%q", "a", v, "b", v+"!")
+		if got := labelSet([]string{"a", "b"}, []string{v, v + "!"}); got != want {
+			t.Errorf("labelSet(%q) = %s, want %s", v, got, want)
+		}
+	}
+	c := newCounterVec("fsr_split_total", "Split.", "a", "b")
+	c.Inc("ab", "c")
+	c.Add(2, "a", "bc")
+	var b strings.Builder
+	c.Expose(&b)
+	want := "# HELP fsr_split_total Split.\n# TYPE fsr_split_total counter\n" +
+		`fsr_split_total{a="a",b="bc"} 2` + "\n" +
+		`fsr_split_total{a="ab",b="c"} 1` + "\n"
+	if b.String() != want {
+		t.Errorf("expose:\n got %q\nwant %q", b.String(), want)
 	}
 }
 

@@ -13,7 +13,8 @@
 package pathvector
 
 import (
-	"time"
+	"maps"
+	"slices"
 
 	"fsr/internal/simnet"
 )
@@ -29,32 +30,33 @@ var (
 // neighbour slots and the cumulative counters survive.
 func (n *Node) Reset() {
 	n.dests = map[simnet.NodeID]*entry{}
+	n.last = nil
 	n.dirty = n.dirty[:0]
 	n.flushScheduled = false
 	n.started = false
 }
 
-// LinkDown implements simnet.LinkObserver: the session to nb is gone, so
-// every candidate learned from it is invalid (BGP session teardown,
-// RFC 4271 §6.7: delete all routes from the peer).
-func (n *Node) LinkDown(env simnet.Env, nb simnet.NodeID) {
+// LinkDown implements simnet.LinkObserver: the session to the neighbour at
+// position nb (its slot) is gone, so every candidate learned from it is
+// invalid (BGP session teardown, RFC 4271 §6.7: delete all routes from the
+// peer).
+func (n *Node) LinkDown(env simnet.Env, nb int) {
 	n.bind(env)
-	s := n.slotFor(nb)
-	for _, dest := range sortedNeighbors(n.dests) {
-		n.dropCandidate(env, n.dests[dest], s)
+	for _, dest := range slices.Sorted(maps.Keys(n.dests)) {
+		n.dropCandidate(env, n.dests[dest], int32(nb))
 	}
 }
 
-// LinkUp implements simnet.LinkObserver: the session to nb is back. Forget
-// the Adj-RIB-Out bookkeeping for it and mark every selected destination
-// dirty so the next flush re-advertises the full table to the rejoined
-// peer (duplicate suppression keeps the other neighbors quiet).
-func (n *Node) LinkUp(env simnet.Env, nb simnet.NodeID) {
+// LinkUp implements simnet.LinkObserver: the session to the neighbour at
+// position nb is back. Forget the Adj-RIB-Out bookkeeping for it and mark
+// every selected destination dirty so the next flush re-advertises the full
+// table to the rejoined peer (duplicate suppression keeps the other
+// neighbors quiet).
+func (n *Node) LinkUp(env simnet.Env, nb int) {
 	n.bind(env)
-	s := n.slotFor(nb)
-	for _, dest := range sortedNeighbors(n.dests) {
+	for _, dest := range slices.Sorted(maps.Keys(n.dests)) {
 		e := n.dests[dest]
-		e.slots[s].sent = nil
+		e.slots[nb].sent = nil
 		if e.best != nil {
 			n.markDirty(env, e)
 		}
@@ -86,8 +88,3 @@ func (n *Node) SetOriginationsEnabled(env simnet.Env, on bool) {
 // any destination, cumulative across restarts. Under churn, a node whose
 // count keeps growing is oscillating.
 func (n *Node) SelectionChanges() int64 { return n.changes }
-
-// LastSelectionChange returns the instant of the most recent selection
-// change (zero if none). The maximum over all nodes is the network's
-// route-settling time.
-func (n *Node) LastSelectionChange() time.Duration { return n.lastChange }

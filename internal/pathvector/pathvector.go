@@ -30,15 +30,19 @@
 // its wire form, Advert, which the receiver decodes back into a record
 // (Config.SigFromKey) before the same import and store code.
 //
-// State lives on the node's neighbour slots, resolved once from
-// env.Neighbors() (slot = position, plus one for the node's own
-// originations). A destination is one record: per slot the candidate learned
-// from it and what it was last sent, then the selection and a dirty flag. In
-// steady state an imported advert allocates its one-hop record and a flush
-// nothing: duplicates are suppressed by comparing routes (pointer first, then
-// signature and hops), labels are looked up once per slot, a destination
-// boxes its withdraw once, and the dirty list and the timer callback are
-// reused.
+// State lives on the node's neighbour slots. A slot is the neighbour's
+// position in env.Neighbors() — the address simnet's Send and Receive use —
+// plus one slot after them for the node's own originations, so a received
+// advert names its slot and a flush sends to one, with no lookup. A
+// destination is one record: per slot the candidate learned from it and what
+// it was last sent, then the selection and a dirty flag; the last record
+// looked up is kept at hand, so an advert for the destination a node heard
+// about last (an SPP run's only one) reaches its record without hashing the
+// name. In steady state an imported advert allocates its one-hop record and
+// a flush nothing: duplicates are suppressed by comparing routes (pointer
+// first, then signature and hops), labels are looked up once per slot, a
+// destination boxes its withdraw once, and the dirty list and the timer
+// callback are reused.
 //
 // gpvSelect folds the candidates in ascending NodeID order, not slot order.
 // The order is observable — on a partially ordered algebra, ⪯ with the
@@ -54,7 +58,6 @@ package pathvector
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -219,11 +222,11 @@ type Node struct {
 	self     simnet.NodeID
 	selfOrig *route                   // the self-origination, when SelfOriginate
 	ids      []simnet.NodeID          // slot → node: env.Neighbors(), then self
-	slotOf   map[simnet.NodeID]int32  // node → slot
 	fold     []int32                  // the slots in ascending NodeID order
 	labels   []algebra.Label          // label(self→ids[slot]), filled on first use
 	flushFn  func()                   // the batch-timer callback
 	dests    map[simnet.NodeID]*entry // per-destination state
+	last     *entry                   // the entry lookup returned last; nil after Reset
 	dirty    []*entry                 // destinations changed since the last flush
 	// flushScheduled guards the batch timer.
 	flushScheduled bool
@@ -232,10 +235,9 @@ type Node struct {
 	// fault; see SetOriginationsEnabled in churn.go).
 	origsOff bool
 	// changes counts selection changes across all destinations, cumulative
-	// across restarts; lastChange is the instant of the most recent one.
-	// Campaign drivers use them to spot oscillating nodes under churn.
-	changes    int64
-	lastChange time.Duration
+	// across restarts. A campaign reads it to spot oscillating nodes under
+	// churn.
+	changes int64
 	// Traffic counters since the last FlushObs (obs.go).
 	advertsSent, withdrawsSent, loopRejects, filterRejects, flushedChanges int64
 }
@@ -276,11 +278,10 @@ func (n *Node) bind(env simnet.Env) {
 	}
 	n.self = env.Self()
 	n.ids = append(slices.Clone(env.Neighbors()), n.self)
-	n.slotOf = make(map[simnet.NodeID]int32, len(n.ids))
 	n.fold = make([]int32, len(n.ids))
 	n.labels = make([]algebra.Label, len(n.ids))
-	for s, id := range n.ids {
-		n.slotOf[id], n.fold[s] = int32(s), int32(s)
+	for s := range n.ids {
+		n.fold[s] = int32(s)
 	}
 	slices.SortFunc(n.fold, func(a, b int32) int { return cmp.Compare(n.ids[a], n.ids[b]) })
 	n.flushFn = func() {
@@ -295,15 +296,6 @@ func (n *Node) bind(env simnet.Env) {
 // selfSlot is the slot holding the node's own originations.
 func (n *Node) selfSlot() int32 { return int32(len(n.ids) - 1) }
 
-// slotFor resolves a node to its slot; only neighbours (and self) have one.
-func (n *Node) slotFor(id simnet.NodeID) int32 {
-	s, ok := n.slotOf[id]
-	if !ok {
-		panic(fmt.Sprintf("pathvector: %s is not a neighbor of %s", id, n.self))
-	}
-	return s
-}
-
 // label returns the label of the link to a neighbour slot — the one place
 // Config.Label is consulted, once per slot.
 func (n *Node) label(s int32) algebra.Label {
@@ -313,12 +305,27 @@ func (n *Node) label(s int32) algebra.Label {
 	return n.labels[s]
 }
 
+// lookup returns the destination's record, or nil when there is none. The
+// record it found last answers first, so a run of adverts for one
+// destination hashes its name once.
+func (n *Node) lookup(dest simnet.NodeID) *entry {
+	if e := n.last; e != nil && e.dest == dest {
+		return e
+	}
+	e := n.dests[dest]
+	if e != nil {
+		n.last = e
+	}
+	return e
+}
+
 // entryFor returns the destination's record, creating it on first use.
 func (n *Node) entryFor(dest simnet.NodeID) *entry {
-	e := n.dests[dest]
+	e := n.lookup(dest)
 	if e == nil {
 		e = &entry{dest: dest, slots: make([]slot, len(n.ids))}
 		n.dests[dest] = e
+		n.last = e
 	}
 	return e
 }
@@ -329,17 +336,6 @@ func (n *Node) Best(dest simnet.NodeID) (Route, bool) {
 		return e.best.view(), true
 	}
 	return Route{}, false
-}
-
-// Routes returns the number of destinations with a selected route.
-func (n *Node) Routes() int {
-	c := 0
-	for _, e := range n.dests {
-		if e.best != nil {
-			c++
-		}
-	}
-	return c
 }
 
 // Start implements simnet.Handler: inject originations and self-origination.
@@ -372,17 +368,18 @@ func (n *Node) Start(env simnet.Env) {
 	}
 }
 
-// Receive implements simnet.Handler: the gpvRecv rule. A simulated advert is
-// the sender's route record; a deployed one is its wire form, decoded here.
-func (n *Node) Receive(env simnet.Env, from simnet.NodeID, payload any) {
+// Receive implements simnet.Handler: the gpvRecv rule. from is the sender's
+// position in env.Neighbors(), which is its slot. A simulated advert is the
+// sender's route record; a deployed one is its wire form, decoded here.
+func (n *Node) Receive(env simnet.Env, from int, payload any) {
 	n.bind(env)
 	switch m := payload.(type) {
 	case *route:
-		n.receiveRoute(env, n.slotFor(from), m)
+		n.receiveRoute(env, int32(from), m)
 	case Advert:
-		n.receiveRoute(env, n.slotFor(from), n.decode(m))
+		n.receiveRoute(env, int32(from), n.decode(m))
 	case Withdraw:
-		n.dropCandidate(env, n.dests[m.Dest], n.slotFor(from))
+		n.dropCandidate(env, n.lookup(m.Dest), int32(from))
 	default:
 		panic(fmt.Sprintf("pathvector: unexpected payload %T", payload))
 	}
@@ -409,7 +406,7 @@ func (n *Node) decode(adv Advert) *route {
 // each UPDATE replaces the neighbour's prior announcement, whether or not it
 // is usable.
 func (n *Node) receiveRoute(env simnet.Env, from int32, adv *route) {
-	e := n.dests[adv.dest]
+	e := n.lookup(adv.dest)
 	// Path-vector loop prevention: reject adverts already containing us.
 	if adv.contains(n.self) {
 		n.loopRejects++
@@ -426,7 +423,10 @@ func (n *Node) receiveRoute(env simnet.Env, from int32, adv *route) {
 	if n.cfg.OnAdvert != nil {
 		n.cfg.OnAdvert(n.self, rt.view())
 	}
-	n.store(env, n.entryFor(adv.dest), from, rt)
+	if e == nil {
+		e = n.entryFor(adv.dest)
+	}
+	n.store(env, e, from, rt)
 }
 
 // importSig is gpvRecv's policy half, over the receiver-side label of the
@@ -481,7 +481,6 @@ func (n *Node) reselect(env simnet.Env, e *entry) {
 	}
 	e.best = best
 	n.changes++
-	n.lastChange = env.Now()
 	n.markDirty(env, e)
 }
 
@@ -550,7 +549,7 @@ func (n *Node) flush(env simnet.Env) {
 					if e.withdraw == nil {
 						e.withdraw = Withdraw{Dest: e.dest}
 					}
-					env.Send(nb, e.withdraw, Withdraw{}.WireSize())
+					env.Send(s, e.withdraw, Withdraw{}.WireSize())
 					n.withdrawsSent++
 					st.sent = nil
 				}
@@ -559,16 +558,10 @@ func (n *Node) flush(env simnet.Env) {
 			if st.sent != nil && sameRoute(st.sent, best) {
 				continue
 			}
-			env.Send(nb, best, best.WireSize())
+			env.Send(s, best, best.WireSize())
 			n.advertsSent++
 			st.sent = best
 		}
 	}
 	n.dirty = n.dirty[:0]
-}
-
-// sortedNeighbors returns map keys in sorted order for deterministic
-// iteration.
-func sortedNeighbors[V any](m map[simnet.NodeID]V) []simnet.NodeID {
-	return slices.Sorted(maps.Keys(m))
 }

@@ -165,7 +165,7 @@ type scriptEnv struct {
 func (e *scriptEnv) Self() simnet.NodeID                 { return e.self }
 func (e *scriptEnv) Now() time.Duration                  { return 0 }
 func (e *scriptEnv) Neighbors() []simnet.NodeID          { return e.nbrs }
-func (e *scriptEnv) Send(simnet.NodeID, any, int)        { e.sends++ }
+func (e *scriptEnv) Send(int, any, int)                  { e.sends++ }
 func (e *scriptEnv) Schedule(_ time.Duration, fn func()) { fn() }
 func (e *scriptEnv) Rand() *rand.Rand                    { return nil }
 
@@ -181,11 +181,11 @@ func TestImportFilteredReplacementRetracts(t *testing.T) {
 	n := NewNode(Config{Algebra: alg, Label: func(from, to simnet.NodeID) algebra.Label { return l }})
 	env := &scriptEnv{self: "u", nbrs: []simnet.NodeID{"v"}}
 	n.Start(env)
-	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
+	n.Receive(env, 0, Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
 	if best, ok := n.Best("d"); !ok || !slices.Equal(best.Path, []simnet.NodeID{"u", "v"}) || best.Sig != out {
 		t.Fatalf("after the imported advert: best %v (ok=%v), want [u v] with %s", best, ok, out)
 	}
-	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s2"})
+	n.Receive(env, 0, Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s2"})
 	if best, ok := n.Best("d"); ok {
 		t.Errorf("after the filtered replacement: stale route %v %s survives", best.Path, best.Sig)
 	}
@@ -206,8 +206,8 @@ func TestWarmFlushAllocatesNothing(t *testing.T) {
 	n := NewNode(Config{Algebra: alg, Label: func(from, to simnet.NodeID) algebra.Label { return l }})
 	env := &scriptEnv{self: "u", nbrs: []simnet.NodeID{"v", "w"}}
 	n.Start(env)
-	n.Receive(env, "v", Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
-	n.Receive(env, "w", Advert{Dest: "d", Path: []simnet.NodeID{"w"}, SigKey: "s1"})
+	n.Receive(env, 0, Advert{Dest: "d", Path: []simnet.NodeID{"v"}, SigKey: "s1"})
+	n.Receive(env, 1, Advert{Dest: "d", Path: []simnet.NodeID{"w"}, SigKey: "s1"})
 	e := n.dests["d"]
 	viaV, viaW := e.slots[0].cand, e.slots[1].cand
 	if viaV == nil || viaW == nil {

@@ -248,6 +248,8 @@ func TestMetricsFamilyOrder(t *testing.T) {
 		"fsr_simnet_faults_injected_total counter",
 		"fsr_simnet_msgs_dropped_total counter",
 		"fsr_simnet_node_restarts_total counter",
+		"fsr_simnet_convergence_seconds histogram",
+		"fsr_simnet_run_bytes histogram",
 		"fsr_smt_probes_total counter",
 		"fsr_smt_relaxations_total counter",
 		"fsr_smt_minimize_iterations_total counter",

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ import (
 type bouncer struct{ remaining int }
 
 func (b *bouncer) Start(env Env) {}
-func (b *bouncer) Receive(env Env, from NodeID, payload any) {
+func (b *bouncer) Receive(env Env, from int, payload any) {
 	if b.remaining > 0 {
 		b.remaining--
 		env.Send(from, payload, 64)
@@ -40,12 +41,12 @@ func TestSimulationAllocationBudget(t *testing.T) {
 	}
 	payload := &struct{ n int }{42}
 	na := net.nodes["a"]
-	kick := func() { na.env.Send("b", payload, 64) }
+	kick := func() { na.env.Send(0, payload, 64) }
 	ctx := context.Background()
 	const bounces = 1000
 	run := func() {
 		ha.remaining, hb.remaining = bounces/2, bounces/2
-		net.schedule(net.now, kick)
+		net.scheduleTimer(net.now, kick)
 		res, err := net.resume(ctx, net.now+time.Hour)
 		if err != nil || !res.Converged {
 			t.Fatalf("run: converged=%v err=%v", res.Converged, err)
@@ -56,10 +57,26 @@ func TestSimulationAllocationBudget(t *testing.T) {
 		t.Errorf("1000-event run allocates %.1f objects, budget is 8", got)
 	}
 	// The arena must not retain payloads or closures after the events fire
-	// (the slice-retention leak of the old pointer heap).
-	for i := range net.events {
-		if net.events[i].payload != nil || net.events[i].fn != nil {
+	// (the slice-retention leak of the old pointer heap). They live in the
+	// payload array beside the pointer-free keys.
+	for i := range net.carries {
+		if net.carries[i].payload != nil || net.carries[i].fn != nil {
 			t.Fatalf("arena slot %d retains payload/closure after processing", i)
+		}
+	}
+}
+
+// TestEventKeyHoldsNoPointer: the arena's key type is plain memory, so
+// copying events in and out of it needs no GC write barrier; payloads and
+// closures live in the carry array beside it.
+func TestEventKeyHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("event.%s is a %s; the arena key must hold no pointer", f.Name, f.Type)
 		}
 	}
 }
@@ -75,7 +92,7 @@ func TestDeterminismWithArena(t *testing.T) {
 		_ = net.AddNode("b", hb)
 		_ = net.Connect("a", "b", LinkConfig{Latency: 3 * time.Millisecond, Jitter: time.Millisecond, Bandwidth: 1e6})
 		na := net.nodes["a"]
-		net.schedule(0, func() { na.env.Send("b", 1, 100) })
+		net.scheduleTimer(0, func() { na.env.Send(0, 1, 100) })
 		res := net.Run(time.Minute)
 		return res.Time, res.Delivered
 	}

@@ -56,11 +56,15 @@ type FaultEvent struct {
 // down (drop routes learned over it) and coming back up (re-advertise the
 // full table). Without it, a protocol that only sends on change would never
 // repair the messages lost during an outage.
+// Like Receive, the hooks name the neighbour by its position in
+// env.Neighbors().
 type LinkObserver interface {
-	// LinkDown reports that the link to neighbor went down.
-	LinkDown(env Env, neighbor NodeID)
-	// LinkUp reports that the link to neighbor came back up.
-	LinkUp(env Env, neighbor NodeID)
+	// LinkDown reports that the link to the neighbour at position nb went
+	// down.
+	LinkDown(env Env, nb int)
+	// LinkUp reports that the link to the neighbour at position nb came
+	// back up.
+	LinkUp(env Env, nb int)
 }
 
 // Resetter is an optional Handler extension: Reset clears all protocol
@@ -83,14 +87,14 @@ func (n *Network) ScheduleFault(at time.Duration, f FaultEvent) error {
 	ev := event{at: at, node: na.idx}
 	switch f.Kind {
 	case FaultLinkDown, FaultLinkUp:
-		nb := n.nodes[f.B]
-		if nb == nil {
+		if n.nodes[f.B] == nil {
 			return fmt.Errorf("simnet: fault %s: unknown node %s", f.Kind, f.B)
 		}
-		if _, ok := na.neighIdx[f.B]; !ok {
+		li, ok := na.neighIdx[f.B]
+		if !ok {
 			return fmt.Errorf("simnet: fault %s: no link %s–%s", f.Kind, f.A, f.B)
 		}
-		ev.from = nb.idx
+		ev.li = li
 		if f.Kind == FaultLinkDown {
 			ev.kind = evLinkDown
 		} else {
@@ -116,7 +120,7 @@ func (n *Network) ScheduleCall(at time.Duration, id NodeID, fn func(Env)) error 
 		return fmt.Errorf("simnet: schedule call: unknown node %s", id)
 	}
 	env := nd.env
-	n.scheduleEvent(event{at: at, kind: evTimer, fn: func() { fn(env) }})
+	n.scheduleTimer(at, func() { fn(env) })
 	return nil
 }
 
@@ -135,8 +139,7 @@ func (n *Network) LinkState(a, b NodeID) (up bool, err error) {
 
 // setDirected flips one direction of a link, bumping the epoch on a down
 // transition. Reports whether the state actually changed.
-func setDirected(from, to *node, up bool) bool {
-	l := &from.links[from.neighIdx[to.id]]
+func setDirected(l *link, up bool) bool {
 	if l.down == !up {
 		return false
 	}
@@ -147,26 +150,29 @@ func setDirected(from, to *node, up bool) bool {
 	return true
 }
 
-// applyLinkState processes a link up/down fault event: both directions flip
-// together, and handlers implementing LinkObserver on either endpoint are
-// notified (a-side first, then b-side, for determinism). Redundant
-// transitions (downing a down link) are counted as faults but trigger no
-// callbacks.
-func (n *Network) applyLinkState(a, b int32, up bool) {
+// applyLinkState processes a link up/down fault event on node a's link at
+// position li: both directions flip together, and handlers implementing
+// LinkObserver on either endpoint are notified (a-side first, then b-side,
+// for determinism). Redundant transitions (downing a down link) are counted
+// as faults but trigger no callbacks.
+func (n *Network) applyLinkState(a, li int32, up bool) {
 	n.faults++
 	n.lastFault = n.now
-	na, nb := n.byIdx[a], n.byIdx[b]
-	changed := setDirected(na, nb, up)
-	setDirected(nb, na, up)
+	na := n.byIdx[a]
+	l := &na.links[li]
+	nb := n.byIdx[l.dst]
+	changed := setDirected(l, up)
+	setDirected(&nb.links[l.rev], up)
 	if !changed {
 		return
 	}
-	notifyLink(na, nb.id, up)
-	notifyLink(nb, na.id, up)
+	notifyLink(na, int(li), up)
+	notifyLink(nb, int(l.rev), up)
 }
 
-// notifyLink invokes the node's LinkObserver hook, if implemented.
-func notifyLink(nd *node, neighbor NodeID, up bool) {
+// notifyLink invokes the node's LinkObserver hook, if implemented, for its
+// neighbour at position neighbor.
+func notifyLink(nd *node, neighbor int, up bool) {
 	obs, ok := nd.handler.(LinkObserver)
 	if !ok {
 		return
@@ -190,12 +196,12 @@ func (n *Network) applyRestart(idx int32) {
 	n.lastFault = n.now
 	nd := n.byIdx[idx]
 	for i := range nd.links {
-		nb := n.byIdx[nd.links[i].dst]
-		nd.links[i].epoch++
-		back := &nb.links[nb.neighIdx[nd.id]]
-		back.epoch++
-		if !nd.links[i].down {
-			notifyLink(nb, nd.id, false)
+		l := &nd.links[i]
+		nb := n.byIdx[l.dst]
+		l.epoch++
+		nb.links[l.rev].epoch++
+		if !l.down {
+			notifyLink(nb, int(l.rev), false)
 		}
 	}
 	if r, ok := nd.handler.(Resetter); ok {
@@ -203,8 +209,8 @@ func (n *Network) applyRestart(idx int32) {
 	}
 	nd.handler.Start(nd.env)
 	for i := range nd.links {
-		if !nd.links[i].down {
-			notifyLink(n.byIdx[nd.links[i].dst], nd.id, true)
+		if l := &nd.links[i]; !l.down {
+			notifyLink(n.byIdx[l.dst], int(l.rev), true)
 		}
 	}
 }

@@ -18,23 +18,23 @@ type recorder struct {
 func (h *recorder) Start(env Env) {
 	h.log = append(h.log, "start")
 	if h.sendOnStart {
-		for _, nb := range env.Neighbors() {
+		for nb := range env.Neighbors() {
 			env.Send(nb, "ping", 100)
 		}
 	}
 }
 
-func (h *recorder) Receive(env Env, from NodeID, payload any) {
+func (h *recorder) Receive(env Env, from int, payload any) {
 	h.got = append(h.got, payload.(string))
-	h.log = append(h.log, fmt.Sprintf("recv %s from %s", payload, from))
+	h.log = append(h.log, fmt.Sprintf("recv %s from %s", payload, env.Neighbors()[from]))
 }
 
-func (h *recorder) LinkDown(env Env, nb NodeID) {
-	h.log = append(h.log, fmt.Sprintf("link-down %s", nb))
+func (h *recorder) LinkDown(env Env, nb int) {
+	h.log = append(h.log, fmt.Sprintf("link-down %s", env.Neighbors()[nb]))
 }
 
-func (h *recorder) LinkUp(env Env, nb NodeID) {
-	h.log = append(h.log, fmt.Sprintf("link-up %s", nb))
+func (h *recorder) LinkUp(env Env, nb int) {
+	h.log = append(h.log, fmt.Sprintf("link-up %s", env.Neighbors()[nb]))
 }
 
 func (h *recorder) Reset() {
@@ -99,7 +99,7 @@ func TestLinkDownDropsSend(t *testing.T) {
 	if err := net.ScheduleFault(time.Millisecond, FaultEvent{Kind: FaultLinkDown, A: "a", B: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	net.ScheduleCall(2*time.Millisecond, "a", func(env Env) { env.Send("b", "ping", 100) })
+	net.ScheduleCall(2*time.Millisecond, "a", func(env Env) { env.Send(0, "ping", 100) })
 	res := net.Run(time.Second)
 	if !res.Converged {
 		t.Fatalf("should quiesce")
@@ -188,7 +188,7 @@ func TestProbabilisticLoss(t *testing.T) {
 		net.Connect("a", "b", LinkConfig{Latency: time.Millisecond, Loss: 0.5})
 		for i := 0; i < 40; i++ {
 			net.ScheduleCall(time.Duration(i)*time.Millisecond, "a",
-				func(env Env) { env.Send("b", "ping", 100) })
+				func(env Env) { env.Send(0, "ping", 100) })
 		}
 		return net.Run(time.Second)
 	}
@@ -255,12 +255,12 @@ type tickerHandler struct{}
 
 func (h *tickerHandler) Start(env Env) { h.tick(env) }
 func (h *tickerHandler) tick(env Env) {
-	for _, nb := range env.Neighbors() {
+	for nb := range env.Neighbors() {
 		env.Send(nb, "ping", 100)
 	}
 	env.Schedule(time.Millisecond, func() { h.tick(env) })
 }
-func (h *tickerHandler) Receive(Env, NodeID, any) {}
+func (h *tickerHandler) Receive(Env, int, any) {}
 
 // TestCancelDuringChurn exercises RunContext cancellation racing the fault
 // machinery under -race: an endless ping-pong with scheduled flaps is

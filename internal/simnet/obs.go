@@ -3,7 +3,11 @@
 
 package simnet
 
-import "fsr/internal/obs"
+import (
+	"time"
+
+	"fsr/internal/obs"
+)
 
 var (
 	obsEvents = obs.Default().Counter("fsr_simnet_events_total",
@@ -16,16 +20,28 @@ var (
 		"Messages dropped by downed links, probabilistic loss, or restarts.")
 	obsRestarts = obs.Default().Counter("fsr_simnet_node_restarts_total",
 		"Node restarts processed.")
+	obsConvergence = obs.Default().HistogramVec("fsr_simnet_convergence_seconds",
+		"Virtual time at which a converged simulation run drained its event queue.").With()
+	obsRunBytes = obs.Default().HistogramVecBuckets("fsr_simnet_run_bytes",
+		"Bytes sent per simulation run.",
+		[]float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}).With()
 )
 
 // flushObs records one finished (or aborted) resume loop: the events it
-// processed, the arena high-water mark it drove, and its fault totals.
-// Counters are flushed as deltas since the previous flush so resume can be
-// re-entered without double-counting.
-func (n *Network) flushObs(processed int64) {
+// processed, the arena high-water mark it drove, its fault totals, the
+// bytes it sent and, when it converged at t, its convergence time. It
+// merges the loop's send tally into the collector. Counters are flushed as
+// deltas since the previous flush so resume can be re-entered without
+// double-counting.
+func (n *Network) flushObs(processed int64, converged bool, t time.Duration) {
 	if processed > 0 {
 		obsEvents.Add(processed)
 	}
+	if converged {
+		obsConvergence.Observe(t.Seconds())
+	}
+	obsRunBytes.Observe(float64(n.tally.Bytes()))
+	n.collector.Merge(&n.tally)
 	obsArenaHighWater.SetMax(float64(len(n.events)))
 	if d := n.faults - n.flushedFaults; d > 0 {
 		obsFaults.Add(d)

@@ -7,19 +7,30 @@
 // can plot the paper's bandwidth figures, and a run's RunResult carries its
 // convergence time.
 //
+// Protocol code addresses a neighbour by its position in Env.Neighbors(),
+// never by name: Send takes the position, and Receive (and the LinkObserver
+// hooks) hand the handler the sender's position. Connect records each
+// link's reverse position, so a delivery names its sender's slot with no
+// lookup. Names appear only where a run is configured: AddNode, Connect,
+// ScheduleFault, ScheduleCall.
+//
 // The simulator's hot loop is allocation-free in steady state: events are
 // typed value records (timer vs. delivery vs. start) living in a slot arena
 // recycled through a free list, ordered by a hand-rolled index heap —
 // no per-event heap pointer, no per-delivery closure, no interface boxing.
+// The arena's keys hold no pointer, so scheduling and popping an event
+// copies plain memory; a payload or timer closure lives in a parallel
+// array, written and cleared only for the events that carry one.
 // A payload is delivered as the value that was sent, never copied (see
 // Env.Send), so a protocol that sends a pointer to an immutable record adds
 // no allocation per message either.
-// Message delivery resolves links through dense per-node adjacency instead
-// of a global map keyed by node-ID pairs, and only a send touches the
-// collector. AddNode draws the node's seed from the network generator, but
-// the generator itself is built on the first Env.Rand call: protocols that
-// neither batch nor stagger never pay for it, and seeded runs see the same
-// streams either way.
+// A send is counted into the run's own unsynchronised trace.Tally, which is
+// merged into the Collector whenever the event loop returns: the collector
+// is complete when Run (or RunContext) returns, drained, stopped at the
+// horizon or cancelled. AddNode draws the node's seed from the network
+// generator, but the generator itself is built on the first Env.Rand call:
+// protocols that neither batch nor stagger never pay for it, and seeded runs
+// see the same streams either way.
 package simnet
 
 import (
@@ -45,16 +56,19 @@ type Env interface {
 	// Now returns the current time: virtual in simulation mode, wall-clock
 	// elapsed in deployment mode.
 	Now() time.Duration
-	// Neighbors returns the node's neighbors in a stable order. The
-	// returned slice is shared and read-only: callers must not modify it.
+	// Neighbors returns the node's neighbors in a stable order; a
+	// neighbour's index in it is its position, the address Send and
+	// Receive use. The returned slice is shared and read-only: callers must
+	// not modify it.
 	Neighbors() []NodeID
-	// Send transmits a payload of the given wire size to a neighbor.
-	// Sending to a non-neighbor is a programming error and panics. In
-	// simulation the payload is delivered as the same Go value — shared,
-	// never copied, so a pointer payload reaches the receiver as that
-	// pointer — and a sender must not mutate it after sending. Deployment
-	// mode gob-encodes it (its WireForm, when it is a WireFormer).
-	Send(to NodeID, payload any, size int)
+	// Send transmits a payload of the given wire size to the neighbour at
+	// position to in Neighbors(). A position out of range is a programming
+	// error and panics. In simulation the payload is delivered as the same
+	// Go value — shared, never copied, so a pointer payload reaches the
+	// receiver as that pointer — and a sender must not mutate it after
+	// sending. Deployment mode gob-encodes it (its WireForm, when it is a
+	// WireFormer).
+	Send(to int, payload any, size int)
 	// Schedule runs fn on this node after d (a protocol timer, e.g. the
 	// 1-second route batching of §VI-A).
 	Schedule(d time.Duration, fn func())
@@ -63,12 +77,25 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
+// Positions maps each neighbour of env's node to its position in
+// env.Neighbors(): the table a protocol whose rules name their peers builds
+// once and then sends by.
+func Positions(env Env) map[NodeID]int {
+	nbrs := env.Neighbors()
+	m := make(map[NodeID]int, len(nbrs))
+	for i, id := range nbrs {
+		m[id] = i
+	}
+	return m
+}
+
 // Handler is the protocol logic attached to a node.
 type Handler interface {
 	// Start is invoked once before any message is delivered.
 	Start(env Env)
-	// Receive is invoked for each delivered payload.
-	Receive(env Env, from NodeID, payload any)
+	// Receive is invoked for each delivered payload; from is the sender's
+	// position in env.Neighbors().
+	Receive(env Env, from int, payload any)
 }
 
 // LinkConfig models one direction of a link, with the parameters the
@@ -118,15 +145,23 @@ const (
 	evRestart         // fault: clear node's handler state and re-Start it
 )
 
-// event is one scheduled occurrence, stored by value in the arena.
+// event is one scheduled occurrence's key, stored by value in the arena. It
+// holds no pointer, so the arena is plain memory to the garbage collector:
+// copying an event in or out needs no write barrier.
 type event struct {
-	at      time.Duration
-	seq     int64 // tie-break for determinism
-	kind    uint8
-	node    int32  // target node index (start/restart target, delivery receiver, fault endpoint a)
-	from    int32  // delivery sender index; fault endpoint b
-	li      int32  // delivery: index of the sender's outgoing link
-	epoch   uint32 // delivery: the link epoch the message was sent under
+	at    time.Duration
+	seq   int64 // tie-break for determinism
+	kind  uint8
+	node  int32  // target node index (start/restart target, delivery receiver, link fault endpoint a)
+	from  int32  // delivery sender index
+	li    int32  // delivery: index of the sender's outgoing link; link fault: a's link to b
+	epoch uint32 // delivery: the link epoch the message was sent under
+}
+
+// carry is what an event carries beyond its key: a delivery's payload or a
+// timer's closure. The arena keeps it in a parallel array, set and cleared
+// only for the kinds that have one (evTimer, evDeliver).
+type carry struct {
 	payload any
 	fn      func()
 }
@@ -137,6 +172,7 @@ type link struct {
 	cfg       LinkConfig
 	busyUntil time.Duration // FIFO serialization: next transmission start
 	dst       int32         // receiver node index
+	rev       int32         // the sender's position in the receiver's neighbours
 	down      bool          // fault state: messages are dropped while down
 	epoch     uint32        // incremented on every down transition; in-flight
 	// deliveries carry the epoch they were sent under and are dropped on
@@ -150,7 +186,7 @@ type node struct {
 	handler   Handler
 	neighbors []NodeID
 	links     []link           // parallel to neighbors: the outgoing link per neighbor
-	neighIdx  map[NodeID]int32 // neighbor ID → index into neighbors/links
+	neighIdx  map[NodeID]int32 // neighbor ID → position, for name-addressed setup and faults
 	seed      int64            // drawn from the network generator at AddNode
 	rng       *rand.Rand       // built from seed on the first Env.Rand call
 	env       *simEnv
@@ -163,14 +199,16 @@ type Network struct {
 	order []NodeID
 	byIdx []*node
 
-	events []event // slot arena; recycled through free
-	free   []int32 // vacant arena slots
-	heap   []int32 // index heap over events, ordered by (at, seq)
+	events  []event // slot arena; recycled through free
+	carries []carry // parallel to events: payloads and timer closures
+	free    []int32 // vacant arena slots
+	heap    []int32 // index heap over events, ordered by (at, seq)
 
 	now       time.Duration
 	seq       int64
 	rng       *rand.Rand
 	collector *trace.Collector
+	tally     trace.Tally // sends since the last flushObs, merged there
 	delivered int64
 
 	// Fault accounting (see fault.go). The flushed* shadows track what has
@@ -194,6 +232,7 @@ func New(seed int64, c *trace.Collector) *Network {
 		nodes:     map[NodeID]*node{},
 		rng:       rand.New(rand.NewSource(seed)),
 		collector: c,
+		tally:     c.NewTally(),
 	}
 }
 
@@ -240,18 +279,19 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) error {
 	if _, dup := na.neighIdx[b]; dup {
 		return fmt.Errorf("simnet: duplicate link %s–%s", a, b)
 	}
-	na.neighIdx[b] = int32(len(na.neighbors))
+	pa, pb := int32(len(na.neighbors)), int32(len(nb.neighbors))
+	na.neighIdx[b], nb.neighIdx[a] = pa, pb
 	na.neighbors = append(na.neighbors, b)
-	na.links = append(na.links, link{cfg: cfg, dst: nb.idx})
-	nb.neighIdx[a] = int32(len(nb.neighbors))
+	na.links = append(na.links, link{cfg: cfg, dst: nb.idx, rev: pb})
 	nb.neighbors = append(nb.neighbors, a)
-	nb.links = append(nb.links, link{cfg: cfg, dst: na.idx})
+	nb.links = append(nb.links, link{cfg: cfg, dst: na.idx, rev: pa})
 	return nil
 }
 
 // scheduleEvent stamps the event with the next sequence number and enqueues
-// it, reusing a free arena slot when one exists.
-func (n *Network) scheduleEvent(ev event) {
+// it, reusing a free arena slot when one exists. It returns the slot, so a
+// caller whose event carries a payload or closure can set it.
+func (n *Network) scheduleEvent(ev event) int32 {
 	n.seq++
 	ev.seq = n.seq
 	var idx int32
@@ -262,13 +302,16 @@ func (n *Network) scheduleEvent(ev event) {
 	} else {
 		idx = int32(len(n.events))
 		n.events = append(n.events, ev)
+		n.carries = append(n.carries, carry{})
 	}
 	n.heapPush(idx)
+	return idx
 }
 
-// schedule enqueues fn at time at (the timer path; kept for tests).
-func (n *Network) schedule(at time.Duration, fn func()) {
-	n.scheduleEvent(event{at: at, kind: evTimer, fn: fn})
+// scheduleTimer enqueues fn at time at.
+func (n *Network) scheduleTimer(at time.Duration, fn func()) {
+	idx := n.scheduleEvent(event{at: at, kind: evTimer})
+	n.carries[idx].fn = fn
 }
 
 // eventLess orders arena slots by (at, seq).
@@ -280,9 +323,11 @@ func (n *Network) eventLess(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-// heapPush inserts an arena index into the event heap.
+// heapPush inserts an arena index into the event heap. Appending to n.heap
+// in place stores only its length until the backing array grows.
 func (n *Network) heapPush(idx int32) {
-	h := append(n.heap, idx)
+	n.heap = append(n.heap, idx)
+	h := n.heap
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -292,15 +337,16 @@ func (n *Network) heapPush(idx int32) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	n.heap = h
 }
 
-// heapPop removes and returns the arena index of the earliest event.
+// heapPop removes and returns the arena index of the earliest event,
+// shortening n.heap in place.
 func (n *Network) heapPop() int32 {
 	h := n.heap
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
+	n.heap = n.heap[:last]
 	h = h[:last]
 	i := 0
 	for {
@@ -318,7 +364,6 @@ func (n *Network) heapPop() int32 {
 		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
-	n.heap = h
 	return top
 }
 
@@ -370,8 +415,10 @@ func (n *Network) RunContext(ctx context.Context, horizon time.Duration) (RunRes
 // that the atomic load cost is invisible.
 const ctxCheckInterval = 64
 
-// result assembles a RunResult from the loop state.
-func (n *Network) result(converged bool, t time.Duration, processed int64) RunResult {
+// finish ends one pass of the event loop: it flushes the pass's counters
+// and send tally (flushObs) and assembles the RunResult.
+func (n *Network) finish(converged bool, t time.Duration, processed int64) RunResult {
+	n.flushObs(processed, converged, t)
 	return RunResult{
 		Converged: converged, Time: t, Events: processed,
 		Delivered: n.delivered, Dropped: n.dropped,
@@ -386,18 +433,15 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 	for len(n.heap) > 0 {
 		if processed%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				n.flushObs(processed)
-				return n.result(false, n.now, processed), err
+				return n.finish(false, n.now, processed), err
 			}
 		}
 		if n.events[n.heap[0]].at > horizon {
 			n.now = horizon
-			n.flushObs(processed)
-			return n.result(false, horizon, processed), nil
+			return n.finish(false, horizon, processed), nil
 		}
 		idx := n.heapPop()
-		ev := n.events[idx]     // copy out: dispatch below may grow the arena
-		n.events[idx] = event{} // clear the slot so payload/fn don't leak
+		ev := n.events[idx] // copy out: dispatch below may grow the arena
 		n.free = append(n.free, idx)
 		if ev.at > n.now {
 			n.now = ev.at
@@ -408,8 +452,12 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 			nd := n.byIdx[ev.node]
 			nd.handler.Start(nd.env)
 		case evTimer:
-			ev.fn()
+			fn := n.carries[idx].fn
+			n.carries[idx].fn = nil // the slot must not keep the closure alive
+			fn()
 		case evDeliver:
+			payload := n.carries[idx].payload
+			n.carries[idx].payload = nil
 			from := n.byIdx[ev.from]
 			l := &from.links[ev.li]
 			if l.down || l.epoch != ev.epoch {
@@ -420,31 +468,26 @@ func (n *Network) resume(ctx context.Context, horizon time.Duration) (RunResult,
 			}
 			dst := n.byIdx[ev.node]
 			n.delivered++
-			dst.handler.Receive(dst.env, from.id, ev.payload)
+			dst.handler.Receive(dst.env, int(l.rev), payload)
 		case evLinkDown:
-			n.applyLinkState(ev.node, ev.from, false)
+			n.applyLinkState(ev.node, ev.li, false)
 		case evLinkUp:
-			n.applyLinkState(ev.node, ev.from, true)
+			n.applyLinkState(ev.node, ev.li, true)
 		case evRestart:
 			n.applyRestart(ev.node)
 		}
 		processed++
 	}
-	n.flushObs(processed)
-	return n.result(true, lastEvent, processed), nil
+	return n.finish(true, lastEvent, processed), nil
 }
 
-// deliver models the link: FIFO serialization at the sender, then
-// propagation latency plus jitter. The receive itself is a typed event
-// record, not a closure, so the send path allocates nothing in steady
-// state.
-func (n *Network) deliver(from *node, to NodeID, payload any, size int) {
-	li, ok := from.neighIdx[to]
-	if !ok {
-		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", from.id, to))
-	}
+// deliver models the link to the sender's neighbour at position li: FIFO
+// serialization at the sender, then propagation latency plus jitter. The
+// receive itself is a typed event record, not a closure, so the send path
+// allocates nothing in steady state.
+func (n *Network) deliver(from *node, li int, payload any, size int) {
 	l := &from.links[li]
-	n.collector.RecordSend(size, n.now)
+	n.tally.Record(size, n.now)
 	if l.down {
 		// The sender doesn't know the link is down (no control plane in the
 		// simulator): the transmission is silently lost, like a frame sent
@@ -470,15 +513,15 @@ func (n *Network) deliver(from *node, to NodeID, payload any, size int) {
 	if l.cfg.Jitter > 0 {
 		prop += time.Duration(n.rng.Int63n(int64(l.cfg.Jitter)))
 	}
-	n.scheduleEvent(event{
-		at:      txEnd + prop,
-		kind:    evDeliver,
-		node:    l.dst,
-		from:    from.idx,
-		li:      li,
-		epoch:   l.epoch,
-		payload: payload,
+	idx := n.scheduleEvent(event{
+		at:    txEnd + prop,
+		kind:  evDeliver,
+		node:  l.dst,
+		from:  from.idx,
+		li:    int32(li),
+		epoch: l.epoch,
 	})
+	n.carries[idx].payload = payload
 }
 
 // simEnv implements Env for a simulated node.
@@ -504,7 +547,7 @@ func (e *simEnv) Rand() *rand.Rand {
 // must not be modified by the caller.
 func (e *simEnv) Neighbors() []NodeID { return e.node.neighbors }
 
-func (e *simEnv) Send(to NodeID, payload any, size int) {
+func (e *simEnv) Send(to int, payload any, size int) {
 	e.net.deliver(e.node, to, payload, size)
 }
 
@@ -512,5 +555,5 @@ func (e *simEnv) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.net.scheduleEvent(event{at: e.net.now + d, kind: evTimer, fn: fn})
+	e.net.scheduleTimer(e.net.now+d, fn)
 }

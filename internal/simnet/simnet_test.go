@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,13 +20,13 @@ type echoHandler struct {
 
 func (h *echoHandler) Start(env Env) {
 	if h.initiator {
-		for _, nb := range env.Neighbors() {
+		for nb := range env.Neighbors() {
 			env.Send(nb, "ping", 100)
 		}
 	}
 }
 
-func (h *echoHandler) Receive(env Env, from NodeID, payload any) {
+func (h *echoHandler) Receive(env Env, from int, payload any) {
 	h.got = append(h.got, payload.(string))
 	if h.remaining > 0 {
 		h.remaining--
@@ -65,11 +68,11 @@ type sharer struct {
 
 func (h *sharer) Start(env Env) {
 	if h.send != nil {
-		env.Send(env.Neighbors()[0], h.send, 8)
+		env.Send(0, h.send, 8)
 	}
 }
 
-func (h *sharer) Receive(env Env, from NodeID, payload any) { h.got = payload }
+func (h *sharer) Receive(env Env, from int, payload any) { h.got = payload }
 
 // TestPayloadIsShared pins Env.Send's contract in simulation: the receiver
 // gets the very value that was sent — a pointer payload arrives as the same
@@ -212,7 +215,7 @@ func (h *timerHandler) Start(env Env) {
 	env.Schedule(30*time.Millisecond, func() { h.fired = append(h.fired, env.Now()) })
 	env.Schedule(10*time.Millisecond, func() { h.fired = append(h.fired, env.Now()) })
 }
-func (h *timerHandler) Receive(Env, NodeID, any) {}
+func (h *timerHandler) Receive(Env, int, any) {}
 
 func TestSchedule(t *testing.T) {
 	net := New(1, nil)
@@ -252,5 +255,172 @@ func TestDeploymentEcho(t *testing.T) {
 	msgs, _ := col.Totals()
 	if msgs != 2 {
 		t.Errorf("want 2 messages accounted, got %d", msgs)
+	}
+}
+
+// namer sends its own name to every neighbour at start and checks that
+// each receive's from is the sender's position in Neighbors().
+type namer struct {
+	got, wrong []string
+}
+
+func (h *namer) Start(env Env) {
+	for nb := range env.Neighbors() {
+		env.Send(nb, string(env.Self()), 8)
+	}
+}
+
+func (h *namer) Receive(env Env, from int, payload any) {
+	h.got = append(h.got, payload.(string))
+	if nbrs := env.Neighbors(); from < 0 || from >= len(nbrs) || string(nbrs[from]) != payload {
+		h.wrong = append(h.wrong, fmt.Sprintf("%s from position %d of %v", payload, from, nbrs))
+	}
+}
+
+// TestReceiveFromIsThePosition: on both platforms a handler is told who
+// sent a message by the sender's position in its Neighbors(), on a graph
+// where the positions differ from node to node.
+func TestReceiveFromIsThePosition(t *testing.T) {
+	ids := []NodeID{"a", "b", "c", "d"}
+	links := [][2]NodeID{{"a", "b"}, {"c", "a"}, {"b", "c"}, {"d", "b"}, {"a", "d"}}
+	degree := map[NodeID]int{}
+	for _, l := range links {
+		degree[l[0]]++
+		degree[l[1]]++
+	}
+	check := func(t *testing.T, hs map[NodeID]*namer) {
+		for _, id := range ids {
+			h := hs[id]
+			if len(h.got) != degree[id] || len(h.wrong) != 0 {
+				t.Errorf("%s: received %v (degree %d); misaddressed: %v", id, h.got, degree[id], h.wrong)
+			}
+		}
+	}
+	t.Run("simnet", func(t *testing.T) {
+		net := New(3, nil)
+		hs := map[NodeID]*namer{}
+		for _, id := range ids {
+			hs[id] = &namer{}
+			net.AddNode(id, hs[id])
+		}
+		for _, l := range links {
+			if err := net.Connect(l[0], l[1], DefaultLink()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res := net.Run(time.Second); !res.Converged {
+			t.Fatalf("should quiesce")
+		}
+		check(t, hs)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		dep := NewDeployment(nil)
+		hs := map[NodeID]*namer{}
+		for _, id := range ids {
+			hs[id] = &namer{}
+			dep.AddNode(id, hs[id])
+		}
+		for _, l := range links {
+			if err := dep.Connect(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := dep.Run(5*time.Second, 100*time.Millisecond)
+		if err != nil || !res.Converged {
+			t.Fatalf("deployment should quiesce: %+v, %v", res, err)
+		}
+		check(t, hs)
+	})
+}
+
+// chatter answers every message to its sender and to its next neighbour
+// while its budget lasts, with varying sizes, and records each send into
+// its own collector through RecordSend. cancel, when set, is called at the
+// cancelAt-th receive.
+type chatter struct {
+	remaining, received, cancelAt int
+	cancel                        func()
+	ref                           *trace.Collector
+}
+
+func (h *chatter) send(env Env, to, size int) {
+	env.Send(to, "m", size)
+	h.ref.RecordSend(size, env.Now())
+}
+
+func (h *chatter) Start(env Env) {
+	for nb := range env.Neighbors() {
+		h.send(env, nb, 100+nb)
+	}
+}
+
+func (h *chatter) Receive(env Env, from int, payload any) {
+	h.received++
+	if h.cancel != nil && h.received == h.cancelAt {
+		h.cancel()
+	}
+	if h.remaining > 0 {
+		h.remaining--
+		h.send(env, from, 40+h.remaining%200)
+		h.send(env, (from+1)%len(env.Neighbors()), 1000+h.remaining%3000)
+	}
+}
+
+// TestCollectorParity: a simulated run counts its sends into its own tally
+// and merges it into the Collector when the event loop returns — so
+// whether the run drained, stopped at the horizon or was cancelled, the
+// Collector's totals and bandwidth series equal the sends the handlers
+// recorded, lossy links and jitter included.
+func TestCollectorParity(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		budget   int
+		cancelAt int
+		wantErr  bool
+		wantConv bool
+	}{
+		{name: "drained", budget: 40, wantConv: true},
+		{name: "horizon", budget: 1 << 30},
+		{name: "cancelled", budget: 1 << 30, cancelAt: 20, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const horizon = 400 * time.Millisecond
+			col, ref := trace.NewCollector(10*time.Millisecond), trace.NewCollector(10*time.Millisecond)
+			net := New(5, col)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ids := []NodeID{"a", "b", "c"}
+			for _, id := range ids {
+				h := &chatter{remaining: tc.budget, ref: ref}
+				if tc.cancelAt > 0 {
+					h.cancel, h.cancelAt = cancel, tc.cancelAt
+				}
+				net.AddNode(id, h)
+			}
+			link := LinkConfig{Latency: 3 * time.Millisecond, Jitter: 2 * time.Millisecond, Bandwidth: 1e6, Loss: 0.1}
+			for i, a := range ids {
+				if err := net.Connect(a, ids[(i+1)%len(ids)], link); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := net.RunContext(ctx, horizon)
+			if (err != nil) != tc.wantErr || res.Converged != tc.wantConv {
+				t.Fatalf("converged=%v err=%v; want converged=%v, error=%v", res.Converged, err, tc.wantConv, tc.wantErr)
+			}
+			if stopped := res.Time == horizon; stopped != (tc.name == "horizon") {
+				t.Fatalf("stopped at %v (horizon %v)", res.Time, horizon)
+			}
+			gotMsgs, gotBytes := col.Totals()
+			wantMsgs, wantBytes := ref.Totals()
+			if wantMsgs == 0 || gotMsgs != wantMsgs || gotBytes != wantBytes {
+				t.Errorf("collector %d messages / %d bytes, handlers sent %d / %d", gotMsgs, gotBytes, wantMsgs, wantBytes)
+			}
+			for _, upTo := range []time.Duration{0, horizon} {
+				got, want := col.BandwidthSeries(len(ids), upTo), ref.BandwidthSeries(len(ids), upTo)
+				if !slices.Equal(got, want) {
+					t.Errorf("bandwidth series up to %v: collector %v, handlers %v", upTo, got, want)
+				}
+			}
+		})
 	}
 }

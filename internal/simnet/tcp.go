@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,9 @@ import (
 //
 // Each node owns a listener and one outbound TCP connection per neighbor;
 // payloads travel as gob-encoded envelopes (a WireFormer as its wire form).
+// A connection opens with the dialer's name, which the reader resolves to
+// the dialer's position once; every envelope on it is received from that
+// position.
 // Protocol payload types must be registered with gob by the protocol package
 // (see RegisterPayload).
 // Convergence is detected by global quiescence: no in-flight messages, no
@@ -39,7 +43,6 @@ type WireFormer interface {
 
 // envelope is the wire format.
 type envelope struct {
-	From    NodeID
 	Payload any
 }
 
@@ -62,13 +65,16 @@ type tcpNode struct {
 	dep       *Deployment
 	id        NodeID
 	handler   Handler
+	env       *tcpEnv
 	neighbors []NodeID
 	listener  net.Listener
-	conns     map[NodeID]*gob.Encoder
-	connMu    sync.Mutex
-	rawConns  []net.Conn
-	exec      chan func()
-	rng       *rand.Rand
+	// conns is parallel to neighbors: the outbound connection per position.
+	// Run fills it before any handler runs, so Send reads it unlocked.
+	conns    []*gob.Encoder
+	connMu   sync.Mutex // guards rawConns, which acceptLoop appends to
+	rawConns []net.Conn
+	exec     chan func()
+	rng      *rand.Rand
 }
 
 // NewDeployment creates an empty deployment with the given metric collector.
@@ -91,14 +97,15 @@ func (d *Deployment) AddNode(id NodeID, h Handler) error {
 	if _, dup := d.nodes[id]; dup {
 		return fmt.Errorf("simnet: duplicate node %s", id)
 	}
-	d.nodes[id] = &tcpNode{
+	nd := &tcpNode{
 		dep:     d,
 		id:      id,
 		handler: h,
-		conns:   map[NodeID]*gob.Encoder{},
 		exec:    make(chan func(), 4096),
 		rng:     rand.New(rand.NewSource(int64(len(d.nodes)) + 1)),
 	}
+	nd.env = &tcpEnv{node: nd}
+	d.nodes[id] = nd
 	d.order = append(d.order, id)
 	return nil
 }
@@ -148,7 +155,8 @@ func (d *Deployment) RunContext(ctx context.Context, horizon, idleWindow time.Du
 	// first byte stream element identifies the dialer.
 	for _, id := range d.order {
 		nd := d.nodes[id]
-		for _, nb := range nd.neighbors {
+		nd.conns = make([]*gob.Encoder, len(nd.neighbors))
+		for i, nb := range nd.neighbors {
 			peer := d.nodes[nb]
 			conn, err := net.Dial("tcp", peer.listener.Addr().String())
 			if err != nil {
@@ -160,8 +168,8 @@ func (d *Deployment) RunContext(ctx context.Context, horizon, idleWindow time.Du
 				d.shutdown()
 				return RunResult{}, fmt.Errorf("simnet: handshake %s→%s: %w", id, nb, err)
 			}
+			nd.conns[i] = enc
 			nd.connMu.Lock()
-			nd.conns[nb] = enc
 			nd.rawConns = append(nd.rawConns, conn)
 			nd.connMu.Unlock()
 		}
@@ -180,7 +188,7 @@ func (d *Deployment) RunContext(ctx context.Context, horizon, idleWindow time.Du
 		d.pending.Add(1)
 		nd.exec <- func() {
 			defer d.pending.Add(-1)
-			nd.handler.Start(&tcpEnv{node: nd})
+			nd.handler.Start(nd.env)
 		}
 	}
 	// Phase 4: quiescence detection.
@@ -259,11 +267,16 @@ func (nd *tcpNode) acceptLoop() {
 }
 
 // readLoop decodes envelopes from one inbound connection and posts them to
-// the executor.
+// the executor, from the dialer's position, resolved once from its
+// handshake.
 func (nd *tcpNode) readLoop(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
-	var from NodeID
-	if err := dec.Decode(&from); err != nil {
+	var id NodeID
+	if err := dec.Decode(&id); err != nil {
+		return
+	}
+	from := slices.Index(nd.neighbors, id)
+	if from < 0 {
 		return
 	}
 	for {
@@ -276,10 +289,10 @@ func (nd *tcpNode) readLoop(conn net.Conn) {
 			return
 		}
 		d.touch()
-		e := env
+		payload := env.Payload
 		nd.post(func() {
 			defer d.pending.Add(-1)
-			nd.handler.Receive(&tcpEnv{node: nd}, e.From, e.Payload)
+			nd.handler.Receive(nd.env, from, payload)
 			d.touch()
 		})
 	}
@@ -294,28 +307,19 @@ func (e *tcpEnv) Self() NodeID       { return e.node.id }
 func (e *tcpEnv) Now() time.Duration { return time.Since(e.node.dep.start) }
 func (e *tcpEnv) Rand() *rand.Rand   { return e.node.rng }
 
-func (e *tcpEnv) Neighbors() []NodeID {
-	out := make([]NodeID, len(e.node.neighbors))
-	copy(out, e.node.neighbors)
-	return out
-}
+func (e *tcpEnv) Neighbors() []NodeID { return e.node.neighbors }
 
-func (e *tcpEnv) Send(to NodeID, payload any, size int) {
+func (e *tcpEnv) Send(to int, payload any, size int) {
 	nd := e.node
 	d := nd.dep
-	nd.connMu.Lock()
 	enc := nd.conns[to]
-	nd.connMu.Unlock()
-	if enc == nil {
-		panic(fmt.Sprintf("simnet: %s sent to non-neighbor %s", nd.id, to))
-	}
 	d.pending.Add(1)
 	d.collector.RecordSend(size, e.Now())
 	d.touch()
 	if w, ok := payload.(WireFormer); ok {
 		payload = w.WireForm()
 	}
-	if err := enc.Encode(envelope{From: nd.id, Payload: payload}); err != nil {
+	if err := enc.Encode(envelope{Payload: payload}); err != nil {
 		// Connection torn down during shutdown: drop and rebalance.
 		d.pending.Add(-1)
 	}

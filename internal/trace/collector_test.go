@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -83,5 +84,43 @@ func TestBandwidthSeriesBoundary(t *testing.T) {
 	// upTo exactly one width is a genuine 1-point truncation.
 	if got := len(c.BandwidthSeries(1, w)); got != 1 {
 		t.Errorf("upTo=width: %d points, want 1", got)
+	}
+}
+
+// TestMergeEqualsRecordSend: tallies merged into a collector — into an
+// empty one, which takes the first tally's buckets, and into one that
+// already counted, longer and shorter than the tally — leave it exactly
+// as recording every send through RecordSend would, and each merge
+// empties its tally for reuse.
+func TestMergeEqualsRecordSend(t *testing.T) {
+	type send struct {
+		bytes int
+		at    time.Duration
+	}
+	rounds := [][]send{
+		{{100, 0}, {200, 35 * time.Millisecond}},
+		{{50, 5 * time.Millisecond}, {70, 95 * time.Millisecond}},
+		{{10, 12 * time.Millisecond}},
+	}
+	merged, direct := NewCollector(10*time.Millisecond), NewCollector(10*time.Millisecond)
+	tally := merged.NewTally()
+	for _, round := range rounds {
+		for _, s := range round {
+			tally.Record(s.bytes, s.at)
+			direct.RecordSend(s.bytes, s.at)
+		}
+		merged.Merge(&tally)
+		if tally.Bytes() != 0 || tally.msgs != 0 || len(tally.buckets) != 0 {
+			t.Fatalf("merge left the tally holding %d msgs, %d bytes, %d buckets", tally.msgs, tally.Bytes(), len(tally.buckets))
+		}
+		gm, gb := merged.Totals()
+		wm, wb := direct.Totals()
+		if gm != wm || gb != wb {
+			t.Fatalf("merged totals %d / %d, recorded %d / %d", gm, gb, wm, wb)
+		}
+		got, want := merged.BandwidthSeries(2, 0), direct.BandwidthSeries(2, 0)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("merged series %v, recorded %v", got, want)
+		}
 	}
 }
