@@ -144,12 +144,6 @@ func (t *Tabular) ConcatList() []ConcatEntry {
 	return out
 }
 
-// HasSig reports whether s belongs to the algebra's signature universe.
-func (t *Tabular) HasSig(s Sig) bool { _, ok := t.sigIdx[s]; return ok }
-
-// HasLabel reports whether l belongs to the algebra's label universe.
-func (t *Tabular) HasLabel(l Label) bool { _, ok := t.labIdx[l]; return ok }
-
 // Builder assembles a Tabular algebra. The zero value is not usable; call
 // NewBuilder. Methods return the builder for chaining; errors are collected
 // and reported by Build so policy-construction code stays readable.

@@ -405,8 +405,7 @@ func CheckWith(ctx context.Context, a algebra.Algebra, cond Condition, solver sm
 
 // checkGen runs one condition check over a prepared generator, mapping the
 // solver outcome back to policy terms. Cores come back positionally via
-// Result.CoreIdx; the Origin-keyed map is only built as a fallback for
-// third-party Solver implementations that don't fill it.
+// Result.CoreIdx, which every Solver fills.
 func checkGen(ctx context.Context, g *constraintGen, cond Condition, solver smt.Solver) (Result, error) {
 	if solver == nil {
 		solver = smt.Native{}
@@ -469,26 +468,10 @@ func solvePrepared(ctx context.Context, name string, cond Condition, cons []Cons
 		}
 		return res, nil
 	}
-	idx := out.CoreIdx
-	if len(idx) != len(out.Core) {
-		byOrigin := make(map[string]int, len(cons))
-		for i := range cons {
-			byOrigin[cons[i].Assertion.Origin] = i
-		}
-		idx = make([]int, 0, len(out.Core))
-		for _, a := range out.Core {
-			if i, ok := byOrigin[a.Origin]; ok {
-				idx = append(idx, i)
-			}
-		}
-	}
-	res.Core = make([]Constraint, 0, len(idx))
-	res.CoreIdx = make([]int, 0, len(idx))
-	for _, i := range idx {
-		if i >= 0 && i < len(cons) {
-			res.Core = append(res.Core, cons[i])
-			res.CoreIdx = append(res.CoreIdx, i)
-		}
+	res.CoreIdx = out.CoreIdx
+	res.Core = make([]Constraint, len(out.CoreIdx))
+	for k, i := range out.CoreIdx {
+		res.Core[k] = cons[i]
 	}
 	return res, nil
 }

@@ -131,32 +131,3 @@ func TestYicesEmission(t *testing.T) {
 		}
 	}
 }
-
-// TestIterateCores reproduces the §IV-B repair loop: removing cores one by
-// one terminates with a satisfiable remainder, and the first core of the
-// Gao-Rexford guideline is the c ⊕ C = C self-violation.
-func TestIterateCores(t *testing.T) {
-	cores, err := IterateCores(algebra.GaoRexfordA(), StrictMonotonicity, 0)
-	if err != nil {
-		t.Fatalf("IterateCores: %v", err)
-	}
-	if len(cores) < 2 {
-		t.Fatalf("guideline A has several independent conflicts, got %d cores", len(cores))
-	}
-	first := cores[0]
-	if len(first) != 1 || first[0].Kind != KindMonotonicity ||
-		first[0].Entry.Label != algebra.LabC || first[0].Entry.In != algebra.SigC {
-		t.Errorf("first core should be c ⊕ C = C, got %v", first)
-	}
-	// Each reported core must itself be unsatisfiable in isolation only if
-	// singleton self-loops; at minimum, all cores are disjoint.
-	seen := map[string]bool{}
-	for _, core := range cores {
-		for _, c := range core {
-			if seen[c.Assertion.Origin] {
-				t.Errorf("constraint %s appears in two cores", c.Assertion.Origin)
-			}
-			seen[c.Assertion.Origin] = true
-		}
-	}
-}

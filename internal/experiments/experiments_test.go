@@ -195,37 +195,3 @@ func TestSectionVIC(t *testing.T) {
 		t.Errorf("DISAGREE should converge after transient oscillation: %+v", g)
 	}
 }
-
-// TestGoodGadgetScaling: more gadgets, more messages, still convergent.
-func TestGoodGadgetScaling(t *testing.T) {
-	reps, err := GoodGadgetScaling([]int{1, 3, 6}, SectionVICOptions{Seed: 1})
-	if err != nil {
-		t.Fatalf("GoodGadgetScaling: %v", err)
-	}
-	for i, r := range reps {
-		if !r.Converged {
-			t.Errorf("%s should converge", r.Name)
-		}
-		if i > 0 && r.Messages <= reps[i-1].Messages {
-			t.Errorf("communication cost should grow with gadget count: %s %d msgs vs %s %d msgs",
-				r.Name, r.Messages, reps[i-1].Name, reps[i-1].Messages)
-		}
-	}
-}
-
-// TestDisagreeSweep: more conflicting links, slower convergence.
-func TestDisagreeSweep(t *testing.T) {
-	rows, err := DisagreeSweep(6, []float64{0, 0.5, 1.0}, SectionVICOptions{Seed: 2})
-	if err != nil {
-		t.Fatalf("DisagreeSweep: %v", err)
-	}
-	for _, r := range rows {
-		if !r.Converged {
-			t.Errorf("fraction %.2f: should converge, took %v", r.ConflictFraction, r.Time)
-		}
-	}
-	if rows[len(rows)-1].Time <= rows[0].Time {
-		t.Errorf("convergence should slow with conflicting links: %v (all) vs %v (none)",
-			rows[len(rows)-1].Time, rows[0].Time)
-	}
-}

@@ -21,7 +21,7 @@ import (
 // routers and are unsat by the subset argument.
 
 // genIBGP implements the ibgp kind. The shortest-path trees come from
-// topology.ShortestPathTree (shared with AllPairsIGP), whose name-based
+// topology.ShortestPathTree, whose name-based
 // tie-breaking keeps equal seeds rebuilding equal instances; the golden
 // test in ibgp_golden_test.go pins the exact outputs.
 func genIBGP(seed int64) (*Scenario, error) {

@@ -105,19 +105,6 @@ func (e Expectation) String() string {
 	}
 }
 
-// ExpectationByName parses the String rendering.
-func ExpectationByName(s string) (Expectation, error) {
-	switch s {
-	case "any", "":
-		return ExpectAny, nil
-	case "safe":
-		return ExpectSafe, nil
-	case "unsafe":
-		return ExpectUnsafe, nil
-	}
-	return ExpectAny, fmt.Errorf("scenario: unknown expectation %q", s)
-}
-
 // Scenario is one self-describing generated workload: the instance, the
 // seed and kind that deterministically reproduce it, and the verdict its
 // construction guarantees.

@@ -111,19 +111,6 @@ func TestKindByName(t *testing.T) {
 	}
 }
 
-// TestExpectationRoundTrip: String and ExpectationByName are inverses.
-func TestExpectationRoundTrip(t *testing.T) {
-	for _, e := range []Expectation{ExpectAny, ExpectSafe, ExpectUnsafe} {
-		got, err := ExpectationByName(e.String())
-		if err != nil || got != e {
-			t.Errorf("round trip %v: %v, %v", e, got, err)
-		}
-	}
-	if _, err := ExpectationByName("bogus"); err == nil {
-		t.Error("bogus expectation parsed")
-	}
-}
-
 // TestSppMutators: the shrinker's vocabulary preserves instance validity
 // and the receiver.
 func TestSppMutators(t *testing.T) {

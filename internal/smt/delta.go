@@ -1,6 +1,5 @@
 // Delta solving: the verification-as-a-service extension of the engine. A
-// Context interns variables and builds its constraint graph once per Check;
-// a DeltaContext links its graph once, at construction, and keeps it alive
+// whole solve builds its constraint graph once per call; a DeltaContext links its graph once, at construction, and keeps it alive
 // *across* checks, so a what-if that touches one session or ranking re-links
 // the edges of the segments it replaces and re-probes only the region of the
 // constraint graph reachable from them, instead of rebuilding and re-solving
@@ -11,13 +10,12 @@
 // between two variables the caller has numbered from 1 (DenseConstraint).
 // It holds no names: variable v is node v, and a model and a core are
 // reported by id and position. The atom is the difference constraint
-// A − B ≤ −1, one edge B → A of weight −1. Behind the string door every
-// variable is also positive (x ≥ 1, an edge x → 0 of weight −1 into the zero
-// node), but no atom here mentions a constant, so no edge ever leaves the
-// zero node: it is a sink, it lies on no cycle, and its distance is one below
-// the lowest variable's. So positivity can never take part in a
-// contradiction (UsesPositivity is always false), and the resident graph
-// leaves the zero node out: a probe never relaxes or marks it, and Model
+// A − B ≤ −1, one edge B → A of weight −1. In a whole solve every variable
+// is also positive (x ≥ 1, an edge x → 0 of weight −1 into the zero node),
+// but no atom mentions a constant, so no edge ever leaves the zero node: it
+// is a sink, it lies on no cycle, and its distance is one below the lowest
+// variable's. So positivity can never take part in a contradiction, and the
+// resident graph leaves the zero node out: a probe never relaxes or marks it, and Model
 // reads its distance off the variables'. Id 0 stays reserved all the same,
 // as the dense door's zero anchor, and a solve hands the engine that anchor
 // at local id 0.
@@ -90,11 +88,15 @@ import (
 	"fsr/internal/obs"
 )
 
-// checkIDs rejects an atom over an id outside 1..limit: the delta door takes
-// no constants, so the zero anchor is no atom's variable. A and B may be the
-// same variable: x < x is a one-atom negative cycle.
+// checkIDs rejects an atom that is not strict or is over an id outside
+// 1..limit: the delta door takes only x < y, and no constants, so the zero
+// anchor is no atom's variable. A and B may be the same variable: x < x is a
+// one-atom negative cycle.
 func checkIDs(atoms []DenseConstraint, limit int32) error {
 	for _, a := range atoms {
+		if a.Rel != Lt {
+			return fmt.Errorf("smt: atom %d %s %d: a delta context takes only strict atoms", a.A, a.Rel, a.B)
+		}
 		if min(a.A, a.B) < 1 || max(a.A, a.B) > limit {
 			return fmt.Errorf("smt: atom %d < %d: variable ids run from 1 to %d", a.A, a.B, limit)
 		}
@@ -293,7 +295,7 @@ func (d *DeltaContext) Clone() *DeltaContext {
 // fenRebuild recomputes the Fenwick tree from the segment lengths, after the
 // segment sequence itself changed.
 func (d *DeltaContext) fenRebuild() {
-	d.fen = growInt32(d.fen, len(d.segs)+1)
+	d.fen = grow(d.fen, len(d.segs)+1)
 	clear(d.fen)
 	for i := 1; i < len(d.fen); i++ {
 		d.fen[i] += int32(len(d.segs[i-1]))
@@ -618,8 +620,7 @@ func (d *DeltaContext) clearChanged() {
 // that finds a negative cycle — the exact core of the region's sub-system.
 // Every check before the first sat one decides the sub-system induced on
 // every referenced node. Either way verdicts and minimal cores are
-// bit-for-bit those of a fresh solve, and UsesPositivity is always false (see
-// the file header). The result names nothing, as SolveDense's does: a sat
+// bit-for-bit those of a fresh solve. The result names nothing, as SolveDense's does: a sat
 // one carries no model (Model reads it), an unsat one its core as CoreIdx
 // alone, positions whose atoms At reads back.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
@@ -694,7 +695,7 @@ func (d *DeltaContext) solve(ctx context.Context) (res Result, err error) {
 		}
 	}
 	res.Stats.Assertions, res.Stats.Variables = d.n, len(d.nodes)-1
-	res.Stats.Edges = d.n + res.Stats.Variables // with the string door's positivity edges
+	res.Stats.Edges = d.n + res.Stats.Variables // with a whole solve's positivity edges
 	d.stats.DeltaSolves++
 	obsDeltaSolves.Inc()
 	return res, nil
@@ -745,7 +746,7 @@ func (d *DeltaContext) probe(st *Stats) (sat bool) {
 	// the standing distances, which never move during the re-probe.
 	tx := &d.tx
 	mark := len(tx.dist)
-	d.queue = growInt32(d.queue, len(region))
+	d.queue = grow(d.queue, len(region))
 	for i, v := range region {
 		tx.dist = append(tx.dist, distUndo{v, nodes[v].dist})
 		nodes[v].dist, nodes[v].cnt, nodes[v].inQ = 0, 1, true
@@ -849,18 +850,17 @@ func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
 	e.edges = e.edges[:0]
 	for i, it := range items {
 		x := &d.slots[uint32(it)]
-		e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, w: -1, assertIdx: int32(i)})
+		e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, assertIdx: int32(i), strict: true})
 	}
-	e.idVar = growVars(e.idVar, len(d.region)+1) // the set's dense universe, nothing interned
-	e.seal(len(items))
+	e.seal(len(d.region)+1, len(items)) // the set's dense universe, with the zero anchor
 	var st Stats
-	sat, core, usesPositivity, err := e.solve(ctx, &st)
+	sat, core, err := e.solve(ctx, &st)
 	if err != nil {
 		return err
 	}
 	st.Assertions = d.n
 	st.Probes, st.Relaxations = st.Probes+res.Stats.Probes, st.Relaxations+res.Stats.Relaxations
-	res.Sat, res.Stats, res.UsesPositivity = sat, st, usesPositivity
+	res.Sat, res.Stats = sat, st
 	sp.AttrInt("nodes", int64(len(d.region)))
 	sp.AttrInt("edges", int64(len(e.edges)))
 	sp.AttrInt("probes", int64(st.Probes))

@@ -17,7 +17,7 @@ func oracleCheck(t *testing.T, asserts []Assertion) Result {
 	t.Helper()
 	c := NewContext()
 	c.AssertAll(asserts)
-	res, err := c.CheckContext(context.Background())
+	res, err := c.Check()
 	if err != nil {
 		t.Fatalf("oracle check: %v", err)
 	}
@@ -25,7 +25,7 @@ func oracleCheck(t *testing.T, asserts []Assertion) Result {
 }
 
 // requireParity fails unless got matches the oracle on verdict, model,
-// core, core indices, and positivity involvement (Stats are excluded:
+// core and core indices (Stats are excluded:
 // durations differ by construction, and a delta solve may keep orphaned
 // variables interned).
 func requireParity(t *testing.T, label string, got, want Result) {
@@ -53,9 +53,6 @@ func requireParity(t *testing.T, label string, got, want Result) {
 		if got.Core[i] != want.Core[i] {
 			t.Fatalf("%s: Core[%d] = %v, oracle %v", label, i, got.Core[i], want.Core[i])
 		}
-	}
-	if got.UsesPositivity != want.UsesPositivity {
-		t.Fatalf("%s: UsesPositivity = %v, oracle %v", label, got.UsesPositivity, want.UsesPositivity)
 	}
 }
 
@@ -551,8 +548,8 @@ func TestDeltaRegionCores(t *testing.T) {
 		st := d.Stats()
 		appendSeg(t, d, less(x(4), x(4)))
 		res := requireRegionCore(t, "x4 < x4", d, st)
-		if !slices.Equal(res.CoreIdx, []int{d.Len() - 1}) || res.UsesPositivity {
-			t.Fatalf("core %v (positivity %v), want the self-loop alone", res.CoreIdx, res.UsesPositivity)
+		if !slices.Equal(res.CoreIdx, []int{d.Len() - 1}) {
+			t.Fatalf("core %v, want the self-loop alone", res.CoreIdx)
 		}
 		st = d.Stats()
 		removeSeg(t, d, d.Segments()-1)

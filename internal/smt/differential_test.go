@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// randomInstance draws a difference-constraint instance with occasional
-// constants and quantified monotonicity atoms — the full shape the analysis
-// layer emits. Instances skew toward unsat so the core paths get exercised.
+// randomInstance draws an instance of the decided fragment with occasional
+// quantified monotonicity atoms — the full shape the analysis layer emits:
+// variable-to-variable atoms in all five relations. Instances skew toward
+// unsat so the core paths get exercised.
 func randomInstance(rng *rand.Rand) []Assertion {
 	vars := []string{"a", "b", "c", "d", "e", "f"}
 	rels := []Rel{Lt, Le, Eq, Gt, Ge}
@@ -19,13 +20,6 @@ func randomInstance(rng *rand.Rand) []Assertion {
 	out := make([]Assertion, 0, n)
 	for i := 0; i < n; i++ {
 		switch rng.Intn(12) {
-		case 0: // constant on one side
-			out = append(out, Assertion{
-				Rel:    rels[rng.Intn(len(rels))],
-				A:      V(vars[rng.Intn(len(vars))]).Plus(rng.Intn(3) - 1),
-				B:      C(rng.Intn(4)),
-				Origin: fmt.Sprintf("r%d", i),
-			})
 		case 1: // valid quantified monotonicity
 			out = append(out, Assertion{
 				Rel: Lt, A: V("s"), B: V("s").Plus(1 + rng.Intn(2)),
@@ -34,8 +28,8 @@ func randomInstance(rng *rand.Rand) []Assertion {
 		default:
 			out = append(out, Assertion{
 				Rel:    rels[rng.Intn(len(rels))],
-				A:      V(vars[rng.Intn(len(vars))]).Plus(rng.Intn(5) - 2),
-				B:      V(vars[rng.Intn(len(vars))]).Plus(rng.Intn(5) - 2),
+				A:      V(vars[rng.Intn(len(vars))]),
+				B:      V(vars[rng.Intn(len(vars))]),
 				Origin: fmt.Sprintf("r%d", i),
 			})
 		}
@@ -127,10 +121,6 @@ func TestDifferentialRandomized(t *testing.T) {
 			t.Fatalf("trial %d: core assertions disagree:\nnative    %s\nreference %s",
 				trial, FormatCore(got.Core), FormatCore(want.Core))
 		}
-		if got.UsesPositivity != want.UsesPositivity {
-			t.Fatalf("trial %d: positivity flags disagree: native %v, reference %v",
-				trial, got.UsesPositivity, want.UsesPositivity)
-		}
 	}
 	sat := 0
 	for trial := 0; trial < 400; trial++ {
@@ -161,9 +151,8 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestDifferentialLargeChains exercises deep shortest-path chains (the
-// SolverScaling shape) where SPFA's queue behavior differs most from
-// pass-based Bellman–Ford.
+// TestDifferentialLargeChains exercises deep chains (the SolverScaling
+// shape): a long topological sweep when sat, one long cycle when unsat.
 func TestDifferentialLargeChains(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{50, 500} {

@@ -1,72 +1,84 @@
-// The difference-logic engine behind every solver door.
+// The decision engine behind every solver door.
 //
-// A solve sees dense node IDs and an edge list, from one of three doors:
-// build interns an assertion list of the whole fragment (appendDiffEdges),
-// while SolveDense, over ids already interned, and a DeltaContext, copying a
-// sub-system out of its own linked graph, take only the atom §IV-B emits for
-// an SPP instance — x < y between two variables, one edge of weight −1 — and
-// hand the engine the same zero anchor and positivity edges the string door
-// builds, so every door reports the same Stats. seal builds the CSR adjacency
-// once per solve, and every satisfiability probe runs over an `active
-// []bool` mask on preallocated dist/pred/queue buffers. Engines are pooled
-// and reused across solves, so the steady-state sat path allocates only the
-// result model.
+// Every atom the engine takes relates two variables: x ≤ y, x = y or x < y
+// (DenseConstraint). As a difference constraint each is an edge of weight 0
+// or −1, so the engine keeps no weights: an edge is strict or it is not. A
+// system is unsatisfiable exactly when some cycle holds a strict edge, i.e.
+// when some strongly connected component of the constraint graph holds a
+// strict internal edge, and its canonical model is the all-zero-seeded
+// shortest-path fixpoint, which one topological sweep of the condensation
+// computes (scc.go).
 //
-// solve is the one whole-system decision: condense the constraint graph
-// (scc.go), walk its components once, and — when some component hides a
-// negative cycle — find the witness and minimize the core. A negative cycle
-// of any subset of the system lies inside one strongly connected component
-// of the whole, so every later probe (decide) re-runs only the components
-// the plan found unsatisfiable, never the whole graph.
+// A solve sees dense node ids and an edge list, from one of two loaders:
+// load, for SolveDense and the Native adapter, and a DeltaContext, copying a
+// sub-system out of its own linked graph. Both hand the engine the same zero
+// anchor and positivity edges (x ≥ 1, an edge x → 0), so every door reports
+// the same Stats. No atom mentions a constant, so no edge leaves the zero
+// node and positivity lies on no cycle. seal builds the CSR adjacency once
+// per solve, and every satisfiability probe runs over an `active []bool`
+// mask on preallocated buffers. Engines are pooled and reused across solves,
+// so the steady-state sat path allocates only the result model.
+//
+// solve is the one whole-system decision: condense the constraint graph,
+// walk its components once, and — when some component holds a strict
+// internal edge — find the witness cycle and minimize the core. A cycle of
+// any subset of the system lies inside one strongly connected component of
+// the whole, so every later probe (decide) searches only the components the
+// plan found bad, never the whole graph: a Tarjan over the component's
+// active internal edges, then a breadth-first search for the shortest cycle
+// through one strict edge of a sub-component that holds one.
 //
 // Core minimization keeps the exact semantics of the reference deletion
 // loop (walk candidates from last to first, drop every assertion whose
 // removal keeps the remainder unsatisfiable) but prunes probes with a
-// witness cycle: an assertion outside the currently known negative cycle
-// can be dropped without solving, because the witness is still a
-// contradiction without it. Only assertions on the witness trigger a
-// re-probe, which either proves them necessary or yields the next, smaller
-// witness. The drop/keep decisions are semantic, so the result is bit-for-bit
-// the minimal core of the naive loop whichever witness a probe happens to
-// find.
+// witness cycle: an assertion outside the currently known cycle can be
+// dropped without solving, because the witness is still a contradiction
+// without it. Only assertions on the witness trigger a re-probe, which
+// either proves them necessary or yields the next, smaller witness. The
+// drop/keep decisions are semantic, so the result is bit-for-bit the minimal
+// core of the naive loop whichever witness a probe happens to find.
 
 package smt
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"fsr/internal/obs"
 )
 
-// dlEdge is one difference constraint to − from ≤ w, i.e. an edge
-// from → to of weight w in the constraint graph; assertIdx < 0 marks the
-// implicit positivity constraints (x ≥ 1, from the paper's Sig subtype).
+// dlEdge is one atom's edge from → to in the constraint graph: the
+// difference constraint to − from ≤ 0, or ≤ −1 when strict. assertIdx < 0
+// marks the implicit positivity edges (x ≥ 1, from the paper's Sig
+// subtype).
 type dlEdge struct {
 	from, to  int32
-	w         int
 	assertIdx int32
+	strict    bool
 }
 
 // dlEngine is the reusable solver state. All slices are grown once to the
 // instance size and reused across probes (and, via enginePool, across
 // solves), keeping the hot paths allocation-free.
 type dlEngine struct {
-	varID map[Var]int32
-	idVar []Var
+	nodes int // node count: the zero anchor and the variables
 
 	edges    []dlEdge
 	adjStart []int32 // CSR: adjList[adjStart[v]:adjStart[v+1]] are v's out-edges
 	adjList  []int32
 
-	active    []bool // per-assertion mask; quantified entries stay false
-	posActive bool   // whether the implicit positivity edges participate
+	active []bool // per-assertion mask
+	dist   []int  // the component pass's fixpoint
 
-	dist  []int
-	pred  []int32 // predecessor edge per node, -1 for none
-	cnt   []int32 // SPFA enqueue counts (negative-cycle trigger)
-	inQ   []bool
-	queue []int32 // ring buffer of node IDs, capacity = node count
+	// Tarjan and cycle-search scratch, per node: discovery time, low-link,
+	// on-stack flag, decide's sub-component label, the breadth-first
+	// search's parent edge, and a stack or queue of node ids.
+	disc, low []int32
+	onStk     []bool
+	sub       []int32
+	pred      []int32
+	queue     []int32
 
 	// cycle extraction scratch.
 	cycleIdx  []int32 // assertion indices on the last extracted cycle
@@ -80,127 +92,58 @@ type dlEngine struct {
 	bad  []int32
 
 	// Loop-effort counts, drained into the obs registry by flushStats
-	// (obs.go) once per Check so the inner loops stay atomic-free.
+	// (obs.go) once per solve so the inner loops stay atomic-free.
 	statProbes  int
 	statRelax   int
 	statMinIter int
 }
 
-var enginePool = sync.Pool{New: func() any {
-	return &dlEngine{varID: make(map[Var]int32, 64)}
-}}
+var enginePool = sync.Pool{New: func() any { return new(dlEngine) }}
 
 // release returns the engine to the pool for reuse by a later solve.
 func (e *dlEngine) release() { enginePool.Put(e) }
 
-func growInt32(s []int32, n int) []int32 {
+// grow resizes s to n elements, reallocating only when its capacity falls
+// short; the contents are not preserved.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// growVars resizes the node-name table without preserving contents: the
-// dense door only needs its length.
-func growVars(s []Var, n int) []Var {
-	if cap(s) < n {
-		return make([]Var, n)
-	}
-	return s[:n]
-}
-
-// intern returns the dense id of a variable, minting the next one for a
-// first occurrence; the empty name is the constant 0.
-func (e *dlEngine) intern(v Var) int32 {
-	if v == "" {
-		return zeroNode
-	}
-	if n, ok := e.varID[v]; ok {
-		return n
-	}
-	n := int32(len(e.idVar))
-	e.varID[v] = n
-	e.idVar = append(e.idVar, v)
-	return n
-}
-
-// appendDiffEdges appends to dst the difference edges of ground assertion a,
-// at position idx of its list, whose sides are the nodes va and vb. A ≤ B is
-// val(va)+ka ≤ val(vb)+kb, i.e. va − vb ≤ kb − ka: an edge vb → va, one
-// tighter for A < B; an equality adds the reverse edge.
-func appendDiffEdges(dst []dlEdge, a *Assertion, va, vb, idx int32) []dlEdge {
-	w := a.B.K - a.A.K
-	if a.Rel == Lt {
-		w--
-	}
-	dst = append(dst, dlEdge{from: vb, to: va, w: w, assertIdx: idx})
-	if a.Rel == Eq {
-		dst = append(dst, dlEdge{from: va, to: vb, w: -w, assertIdx: idx})
-	}
-	return dst
-}
-
-// build interns the variables of the ground assertions into dense IDs
-// (node 0 is the constant 0) and translates each assertion into its
-// difference edges exactly once — two map probes per assertion, the dominant
-// cost. Edge capacity is retained across pooled reuses, so the appends are
-// allocation-free in steady state.
-func (e *dlEngine) build(asserts []Assertion) {
-	clear(e.varID)
-	e.idVar = append(e.idVar[:0], "") // node 0 = the constant 0
+// load is the engine's one loader: atom i of cons over variables
+// 1..numVars becomes the edge B → A, strict for Lt, and Eq adds the reverse
+// edge A → B under the same position.
+func (e *dlEngine) load(numVars int, cons []DenseConstraint) {
 	e.edges = e.edges[:0]
-	for i := range asserts {
-		if a := &asserts[i]; a.QuantVar == "" {
-			e.edges = appendDiffEdges(e.edges, a, e.intern(a.A.Var), e.intern(a.B.Var), int32(i))
+	for i, c := range cons {
+		e.edges = append(e.edges, dlEdge{from: c.B, to: c.A, assertIdx: int32(i), strict: c.Rel == Lt})
+		if c.Rel == Eq {
+			e.edges = append(e.edges, dlEdge{from: c.A, to: c.B, assertIdx: int32(i)})
 		}
 	}
-	e.seal(len(asserts))
-	for i := range asserts {
-		if asserts[i].QuantVar != "" {
-			e.active[i] = false
-		}
-	}
+	e.seal(numVars+1, len(cons))
 }
 
-// appendPositivity appends the implicit typing of every variable:
-// x ≥ 1  ⇔  0 − x ≤ −1  ⇒  edge x → zero of weight −1.
-func (e *dlEngine) appendPositivity() {
-	for v := int32(1); v < int32(len(e.idVar)); v++ {
-		e.edges = append(e.edges, dlEdge{from: v, to: zeroNode, w: -1, assertIdx: -1})
+// seal finishes a fresh graph of the given node count whose n assertions'
+// edges are in e.edges: positivity edges, the CSR adjacency, and the probe
+// buffers — every assertion active, no witness.
+func (e *dlEngine) seal(nodes, n int) {
+	e.nodes = nodes
+	for v := int32(1); v < int32(nodes); v++ {
+		e.edges = append(e.edges, dlEdge{from: v, to: zeroNode, assertIdx: -1, strict: true})
 	}
-}
-
-// seal finishes a fresh graph whose n assertions' edges are in e.edges and
-// whose nodes are e.idVar: positivity edges, the CSR adjacency, and the
-// probe buffers — every assertion active, no witness. build masks the
-// quantified entries out afterwards; the dense door has none.
-func (e *dlEngine) seal(n int) {
-	e.appendPositivity()
-	e.posActive = true
 	e.buildCSR()
-	V := len(e.idVar)
-	e.dist = growInt(e.dist, V)
-	e.pred = growInt32(e.pred, V)
-	e.cnt = growInt32(e.cnt, V)
-	e.inQ = growBool(e.inQ, V)
-	e.queue = growInt32(e.queue, V)
-	e.cycleIdx = e.cycleIdx[:0]
-	e.active = growBool(e.active, n)
-	e.inWitness = growBool(e.inWitness, n)
+	e.dist = grow(e.dist, nodes)
+	e.disc = grow(e.disc, nodes)
+	e.low = grow(e.low, nodes)
+	e.onStk = grow(e.onStk, nodes)
+	e.sub = grow(e.sub, nodes)
+	e.pred = grow(e.pred, nodes)
+	e.queue = grow(e.queue, nodes)
+	e.active = grow(e.active, n)
+	e.inWitness = grow(e.inWitness, n)
 	for i := range e.active {
 		e.active[i] = true
 		e.inWitness[i] = false
@@ -211,161 +154,102 @@ func (e *dlEngine) seal(n int) {
 // buildCSR (re)indexes e.edges into the CSR adjacency by counting sort on
 // the source node. e.cycleIdx is borrowed as the fill cursor and left empty.
 func (e *dlEngine) buildCSR() {
-	V := len(e.idVar)
-	e.adjStart = growInt32(e.adjStart, V+1)
-	for i := range e.adjStart {
-		e.adjStart[i] = 0
-	}
+	V := e.nodes
+	e.adjStart = grow(e.adjStart, V+1)
+	clear(e.adjStart)
 	for i := range e.edges {
 		e.adjStart[e.edges[i].from+1]++
 	}
 	for v := 1; v <= V; v++ {
 		e.adjStart[v] += e.adjStart[v-1]
 	}
-	e.adjList = growInt32(e.adjList, len(e.edges))
-	e.cycleIdx = growInt32(e.cycleIdx, V) // reuse the cycle scratch as the fill cursor
-	fill := e.cycleIdx
+	e.adjList = grow(e.adjList, len(e.edges))
+	fill := grow(e.cycleIdx, V)
 	copy(fill, e.adjStart[:V])
 	for i := range e.edges {
 		f := e.edges[i].from
 		e.adjList[fill[f]] = int32(i)
 		fill[f]++
 	}
-	e.cycleIdx = e.cycleIdx[:0]
+	e.cycleIdx = fill[:0]
 }
 
-// edgeActive reports whether the edge participates under the current mask.
-func (e *dlEngine) edgeActive(ed *dlEdge) bool {
-	if ed.assertIdx < 0 {
-		return e.posActive
-	}
-	return e.active[ed.assertIdx]
-}
-
-// passBF is the classic pass-based Bellman–Ford on the same buffers: exact,
-// allocation-free, and guaranteed to leave a predecessor structure whose
-// backward walk from the returned node closes a negative cycle. It is the
-// fallback when SPFA's trigger cannot be confirmed (never in practice).
-func (e *dlEngine) passBF() int32 {
-	V := len(e.idVar)
-	for i := 0; i < V; i++ {
-		e.dist[i] = 0
-		e.pred[i] = -1
-	}
-	relaxed := int32(-1)
-	relax := 0
-	for pass := 0; pass < V; pass++ {
-		relaxed = -1
-		for i := range e.edges {
-			ed := &e.edges[i]
-			if !e.edgeActive(ed) {
-				continue
-			}
-			if d := e.dist[ed.from] + ed.w; d < e.dist[ed.to] {
-				relax++
-				e.dist[ed.to] = d
-				e.pred[ed.to] = int32(i)
-				if relaxed < 0 {
-					relaxed = ed.to
-				}
-			}
-		}
-		if relaxed < 0 {
-			break
-		}
-	}
-	e.statRelax += relax
-	return relaxed
-}
-
-// extractCycle walks the predecessor edges backward from the trigger node,
-// collects the assertion indices on the first cycle it closes into
-// e.cycleIdx (positivity edges carry none), and verifies the cycle weight
-// is negative. It reports whether a verified
-// negative cycle was found. V bounds the walk: the node count of the
-// subgraph the predecessor edges were set in.
-func (e *dlEngine) extractCycle(from int32, V int) bool {
-	// Step inside the cycle: V predecessor hops from the trigger node must
-	// land on a node of the cycle if the predecessor walk closes one.
-	node := from
-	for i := 0; i < V; i++ {
-		p := e.pred[node]
-		if p < 0 {
-			return false
-		}
-		node = e.edges[p].from
-	}
-	start := node
-	e.cycleIdx = e.cycleIdx[:0]
-	weight := 0
-	for steps := 0; ; steps++ {
-		if steps > V {
-			return false
-		}
-		p := e.pred[node]
-		if p < 0 {
-			return false
-		}
-		ed := &e.edges[p]
-		weight += ed.w
-		if ed.assertIdx >= 0 {
-			e.cycleIdx = append(e.cycleIdx, ed.assertIdx)
-		}
-		node = ed.from
-		if node == start {
-			break
-		}
-	}
-	return weight < 0
+// inside reports whether edge ei is an active internal edge of the plan's
+// component c: the edges a probe of c searches.
+func (e *dlEngine) inside(ei, c int32) bool {
+	ed := &e.edges[ei]
+	return e.plan.comp[ed.to] == c && (ed.assertIdx < 0 || e.active[ed.assertIdx])
 }
 
 // decide reports whether the active constraint subset is unsatisfiable,
-// leaving a verified negative cycle in e.cycleIdx when it is. Only the
-// components the component pass found unsatisfiable are probed, each from
-// the virtual-source seed: a negative cycle of a subset of the system is a
-// negative cycle of the whole, so it lies inside one of them. SPFA decides
-// almost every probe; an unconfirmable trigger falls back to exact
-// pass-based Bellman–Ford over the whole graph.
+// leaving a witness cycle's assertion indices in e.cycleIdx when it is. Only
+// the components the component pass found bad are searched: a cycle of a
+// subset of the system is a cycle of the whole, so it lies inside one of
+// them.
 func (e *dlEngine) decide() (unsat bool) {
 	e.statProbes++
-	v := int32(-1)
 	for _, c := range e.bad {
-		nodes := e.plan.nodes(c)
-		for _, u := range nodes {
-			e.dist[u] = 0
-			e.pred[u] = -1
-		}
-		var relax int
-		v, relax = e.plan.compSPFA(e, c)
-		e.statRelax += relax
-		if v < 0 {
-			continue
-		}
-		if e.extractCycle(v, len(nodes)) {
+		if e.cycleIn(c) {
 			return true
 		}
-		break
 	}
-	if v < 0 {
+	return false
+}
+
+// cycleIn searches component c's active internal edges for a cycle through
+// a strict edge. Tarjan splits the component into its active
+// sub-components; the first strict edge whose ends share one closes a
+// cycle, and a breadth-first search from its head back to its tail over
+// that sub-component's active edges makes it a shortest one. The edges the
+// two searches follow are the probe's relaxation count.
+func (e *dlEngine) cycleIn(c int32) bool {
+	nodes := e.plan.nodes(c)
+	for _, u := range nodes {
+		e.disc[u] = 0
+	}
+	_, examined := e.tarjan(nodes, c, e.sub)
+	e.statRelax += examined
+	strict := int32(-1)
+	for _, u := range nodes {
+		for k := e.adjStart[u]; k < e.adjStart[u+1] && strict < 0; k++ {
+			ei := e.adjList[k]
+			if ed := &e.edges[ei]; ed.strict && e.inside(ei, c) && e.sub[ed.to] == e.sub[u] {
+				strict = ei
+			}
+		}
+		if strict >= 0 {
+			break
+		}
+	}
+	if strict < 0 {
 		return false
 	}
-	// Trigger could not be confirmed on SPFA's predecessor structure; redo
-	// with the exact pass-based algorithm, whose pass-V relaxation
-	// guarantees the predecessor walk closes a cycle.
-	if v = e.passBF(); v < 0 {
-		return false
-	}
-	if e.extractCycle(v, len(e.idVar)) {
+	from, to := e.edges[strict].from, e.edges[strict].to
+	e.cycleIdx = append(e.cycleIdx[:0], e.edges[strict].assertIdx)
+	if to == from {
 		return true
 	}
-	// Defensively unreachable: report unsat with an over-approximate
-	// "cycle" of every active assertion, which is a valid (if large)
-	// witness for minimization.
-	e.cycleIdx = e.cycleIdx[:0]
-	for i, on := range e.active {
-		if on {
-			e.cycleIdx = append(e.cycleIdx, int32(i))
+	// Breadth-first from the strict edge's head to its tail; the tail is
+	// reachable because both ends share a strongly connected sub-component.
+	for _, u := range nodes {
+		e.pred[u] = -1
+	}
+	label := e.sub[to]
+	q := append(e.queue[:0], to)
+	e.pred[to] = strict
+	for qi := 0; e.pred[from] < 0; qi++ {
+		u := q[qi]
+		for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
+			ei := e.adjList[k]
+			e.statRelax++
+			if w := e.edges[ei].to; e.pred[w] < 0 && e.sub[w] == label && e.inside(ei, c) {
+				e.pred[w] = ei
+				q = append(q, w)
+			}
 		}
+	}
+	for v := from; v != to; v = e.edges[e.pred[v]].from {
+		e.cycleIdx = append(e.cycleIdx, e.edges[e.pred[v]].assertIdx)
 	}
 	return true
 }
@@ -381,21 +265,16 @@ func (e *dlEngine) setWitness() {
 	}
 }
 
-// minimize runs the deletion-minimization loop over the ground assertions,
-// in the exact order and with the exact drop/keep decisions of the
-// reference implementation, but skipping the re-solve whenever the probed
-// assertion is not on the current witness cycle. On entry e.active must be
-// the ground mask — every ground assertion active, quantified entries not,
-// as build and seal leave it — and e.cycleIdx must hold a verified
-// cycle of that full set. It returns the minimal core as ascending
-// assertion positions plus the positivity involvement flag. The engine's
-// own mask is all it reads, so every door shares this one loop.
-func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity bool, err error) {
+// minimize runs the deletion-minimization loop over the assertions, in the
+// exact order and with the exact drop/keep decisions of the reference
+// implementation, but skipping the re-solve whenever the probed assertion
+// is not on the current witness cycle. On entry every assertion must be
+// active, as seal leaves them, and e.cycleIdx must hold a cycle of that full
+// set. It returns the minimal core as ascending assertion positions. The
+// engine's own mask is all it reads, so every door shares this one loop.
+func (e *dlEngine) minimize(ctx context.Context) (core []int, err error) {
 	e.setWitness()
 	for i := len(e.active) - 1; i >= 0; i-- {
-		if !e.active[i] {
-			continue // quantified: position i is untouched until iteration i
-		}
 		e.statMinIter++
 		if !e.inWitness[i] {
 			// The witness is a contradiction not involving i: removing i
@@ -405,7 +284,7 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		e.active[i] = false
 		if e.decide() {
@@ -420,12 +299,7 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 			core = append(core, i)
 		}
 	}
-	// The core involves positivity iff it becomes satisfiable over all of ℤ
-	// once the implicit n > 0 typing is dropped.
-	e.posActive = false
-	usesPositivity = !e.decide()
-	e.posActive = true
-	return core, usesPositivity, nil
+	return core, nil
 }
 
 // solve is the engine's one whole-system decision, on the graph seal left:
@@ -434,27 +308,24 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, usesPositivity boo
 // otherwise find the witness cycle and report the deletion-minimal core
 // (under a "minimize" span). st receives the graph's size, the plan's shape
 // and the loop effort.
-func (e *dlEngine) solve(ctx context.Context, st *Stats) (sat bool, core []int, usesPositivity bool, err error) {
-	st.Assertions, st.Variables, st.Edges = len(e.active), len(e.idVar)-1, len(e.edges)
+func (e *dlEngine) solve(ctx context.Context, st *Stats) (sat bool, core []int, err error) {
+	st.Assertions, st.Variables, st.Edges = len(e.active), e.nodes-1, len(e.edges)
 	s := newSCCPlan(e)
 	s.recordPlan(st)
 	defer e.snapshotStats(st)
 	if err := s.run(ctx, e); err != nil {
-		return false, nil, false, err
+		return false, nil, err
 	}
 	if len(e.bad) == 0 {
-		return true, nil, false, nil
+		return true, nil, nil
 	}
 	if !e.decide() {
-		// Defensively unreachable — the enqueue bound only trips on a
-		// negative cycle: report the exact whole-graph fixpoint.
-		e.passBF()
-		return true, nil, false, nil
+		return false, nil, errors.New("smt: a component with a strict internal edge holds no cycle through it")
 	}
 	_, sp := obs.StartSpan(ctx, "minimize")
 	defer sp.End()
-	core, usesPositivity, err = e.minimize(ctx)
+	core, err = e.minimize(ctx)
 	sp.AttrInt("probes", int64(e.statProbes))
 	sp.AttrInt("core", int64(len(core)))
-	return false, core, usesPositivity, err
+	return false, core, err
 }

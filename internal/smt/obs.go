@@ -15,9 +15,9 @@ import "fsr/internal/obs"
 
 var (
 	obsProbes = obs.Default().Counter("fsr_smt_probes_total",
-		"Satisfiability probes decided by the difference-logic engine.")
+		"Satisfiability probes decided by the engine: component passes, cycle searches and delta re-probes.")
 	obsRelaxations = obs.Default().Counter("fsr_smt_relaxations_total",
-		"Successful edge relaxations across SPFA and Bellman-Ford passes.")
+		"Edges the cycle searches examined inside bad components, plus successful delta re-probe relaxations.")
 	obsMinimizeIters = obs.Default().Counter("fsr_smt_minimize_iterations_total",
 		"Core-minimization deletion-loop iterations.")
 	obsDeltaSplices = obs.Default().Counter("fsr_smt_delta_splices_total",

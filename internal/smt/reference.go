@@ -160,11 +160,10 @@ func referenceCheck(ctx context.Context, asserts []Assertion) (Result, error) {
 	dist, relaxedNode := g.bellmanFord()
 
 	if relaxedNode >= 0 {
-		coreIdx, usesPositivity, err := refMinimizeCore(ctx, asserts, groundIdx)
+		coreIdx, err := refMinimizeCore(ctx, asserts, groundIdx)
 		if err != nil {
 			return Result{}, err
 		}
-		res.UsesPositivity = usesPositivity
 		core := make([]Assertion, len(coreIdx))
 		for i, ai := range coreIdx {
 			core[i] = asserts[ai]
@@ -197,14 +196,14 @@ func referenceCheck(ctx context.Context, asserts []Assertion) (Result, error) {
 // narratives name the first violation (c ⊕ C = C for Gao-Rexford). This is
 // the semantic contract the incremental engine's witness-pruned loop must
 // reproduce decision for decision.
-func refMinimizeCore(ctx context.Context, asserts []Assertion, groundIdx []int) (core []int, usesPositivity bool, err error) {
+func refMinimizeCore(ctx context.Context, asserts []Assertion, groundIdx []int) (core []int, err error) {
 	active := make([]bool, len(asserts))
 	for _, i := range groundIdx {
 		active[i] = true
 	}
 	for k := len(groundIdx) - 1; k >= 0; k-- {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		i := groundIdx[k]
 		active[i] = false
@@ -217,9 +216,5 @@ func refMinimizeCore(ctx context.Context, asserts []Assertion, groundIdx []int) 
 			core = append(core, i)
 		}
 	}
-	// The core involves positivity iff it becomes satisfiable over all of ℤ
-	// once the implicit n > 0 typing is dropped.
-	_, relaxed := buildRefGraphOpt(asserts, groundIdx, active, false).bellmanFord()
-	usesPositivity = relaxed < 0
-	return core, usesPositivity, nil
+	return core, nil
 }

@@ -2,26 +2,25 @@
 //
 // The constraint graph of a safe (sat) instance is almost a DAG: dispute
 // cycles are exactly the nontrivial strongly connected components, and a
-// negative-weight cycle lies entirely inside one SCC. That makes the
-// condensation a solve plan: number the components in topological order
-// (iterative Tarjan yields reverse-topological completion order for free),
-// seed every node with the virtual-source distance 0, then walk the
-// components once in topological order — run SPFA restricted to a
-// component's internal edges, then relax its outgoing cross edges, so every
-// component is entered with its predecessors' distances final.
-// Trivially-safe singleton components — the vast majority of a power-law
-// instance, and every node of an all-strict ranking chain — never touch a
-// queue: their entire contribution is the cross-edge relaxation, so a
-// satisfiable all-strict system costs one linear pass whatever order its
-// variables and assertions arrive in.
+// cycle lies entirely inside one SCC. That makes the condensation a solve
+// plan: number the components in topological order (iterative Tarjan yields
+// reverse-topological completion order for free), then walk them once in
+// topological order. Every edge weighs 0 or −1 (engine.go), so a component
+// is bad — holds a cycle through a strict edge — exactly when it holds a
+// strict internal edge, which the plan marks while it derives the levels.
+// Every other component's internal edges weigh 0, so its nodes share one
+// fixpoint value: the least its incoming cross edges bring, or the virtual
+// source's 0. The walk gives every node of the component that value and
+// relaxes the component's outgoing cross edges, so every component is
+// entered with its predecessors final, and no node of a sat system is ever
+// visited twice.
 //
-// The all-zero-seeded Bellman–Ford fixpoint is unique, so the distance
-// vector — and the extracted model — does not depend on the plan. The run
-// records every component whose SPFA hits the enqueue bound; the engine's
-// decide (engine.go) then probes only those, for the witness and for every
-// minimization step. SolveDense is the same solve for callers that already
-// hold dense variable ids: the whole decision — model or minimal core —
-// without a variable name or an assertion list.
+// The all-zero-seeded shortest-path fixpoint is unique, so the distance
+// vector — and the extracted model — does not depend on the plan. The
+// engine's decide (engine.go) then searches only the bad components, for
+// the witness and for every minimization step. SolveDense is the same solve
+// for callers that already hold dense variable ids: the whole decision —
+// model or minimal core — without a variable name or an assertion list.
 
 package smt
 
@@ -39,7 +38,8 @@ type sccPlan struct {
 	comp      []int32    // node → component; cross edge u→w implies comp[w] < comp[u]
 	order     []int32    // nodes grouped by component
 	compStart []int32    // order[compStart[c]:compStart[c+1]] are component c's nodes
-	internal  []bool     // component has at least one internal edge (needs SPFA)
+	internal  []bool     // component has at least one internal edge
+	strict    []bool     // component has a strict internal edge: it is bad
 	level     []int32    // component → topological level
 	frames    []sccFrame // Tarjan's explicit DFS stack
 	ncomp     int
@@ -59,7 +59,7 @@ func (s *sccPlan) nodes(c int32) []int32 { return s.order[s.compStart[c]:s.compS
 // returns the items grouped by ascending key in out and the group
 // boundaries in start (out[start[k]:start[k+1]] holds key k's items).
 func groupBy(key []int32, nkeys int, out, start []int32) (_, _ []int32) {
-	out, start = growInt32(out, len(key)), growInt32(start, nkeys+2)
+	out, start = grow(out, len(key)), grow(start, nkeys+2)
 	clear(start)
 	for _, k := range key {
 		start[k+2]++
@@ -74,24 +74,26 @@ func groupBy(key []int32, nkeys int, out, start []int32) (_, _ []int32) {
 	return out, start[:nkeys+1]
 }
 
-// newSCCPlan runs iterative Tarjan over the engine's edges (all ground and
-// positivity edges are active at solve entry) and derives the plan into
-// e.plan. Tarjan's per-node state borrows the probe buffers, which the
-// component pass re-initializes: pred is the discovery time, cnt the
-// low-link and then the per-level component count, inQ the on-stack flag
-// and queue the stack.
-func newSCCPlan(e *dlEngine) *sccPlan {
-	buildStart := time.Now()
-	s := &e.plan
-	V := int32(len(e.idVar))
-	s.comp = growInt32(s.comp, int(V))
-	s.ncomp = 0
-	disc, low, onStk, stk := e.pred, e.cnt, e.inQ, e.queue[:0]
-	clear(disc)
-	clear(onStk)
-	frames := s.frames
+// tarjan runs iterative Tarjan from each root in turn (every node, in id
+// order, when roots is nil), skipping roots already discovered, and labels
+// every node it reaches with its strongly connected component in comp,
+// numbered from 0 in completion order, which is reverse topological. With
+// c < 0 it follows every edge; otherwise only component c's active internal
+// edges, and the caller clears disc for c's nodes first. It returns the
+// component count and the edges a restricted search examined.
+func (e *dlEngine) tarjan(roots []int32, c int32, comp []int32) (ncomp, examined int) {
+	disc, low, onStk, stk := e.disc, e.low, e.onStk, e.queue[:0]
+	frames := e.plan.frames
 	timer := int32(0)
-	for root := int32(0); root < V; root++ {
+	n := len(roots)
+	if roots == nil {
+		n = e.nodes
+	}
+	for i := 0; i < n; i++ {
+		root := int32(i)
+		if roots != nil {
+			root = roots[i]
+		}
 		if disc[root] != 0 {
 			continue
 		}
@@ -103,8 +105,15 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if f.ei < e.adjStart[f.v+1] {
-				w := e.edges[e.adjList[f.ei]].to
+				ei := e.adjList[f.ei]
 				f.ei++
+				if c >= 0 {
+					examined++
+					if !e.inside(ei, c) {
+						continue
+					}
+				}
+				w := e.edges[ei].to
 				if disc[w] == 0 {
 					timer++
 					disc[w], low[w] = timer, timer
@@ -128,25 +137,40 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 					w := stk[len(stk)-1]
 					stk = stk[:len(stk)-1]
 					onStk[w] = false
-					s.comp[w] = int32(s.ncomp)
+					comp[w] = int32(ncomp)
 					if w == v {
 						break
 					}
 				}
-				s.ncomp++
+				ncomp++
 			}
 		}
 	}
-	s.frames = frames
+	e.plan.frames = frames
+	return ncomp, examined
+}
+
+// newSCCPlan condenses the engine's whole graph (every edge is active at
+// solve entry) into e.plan: Tarjan's components, the nodes grouped by
+// component, each component's internal and strict-internal marks, and its
+// topological level.
+func newSCCPlan(e *dlEngine) *sccPlan {
+	buildStart := time.Now()
+	s := &e.plan
+	s.comp = grow(s.comp, e.nodes)
+	clear(e.disc[:e.nodes])
+	s.ncomp, _ = e.tarjan(nil, -1, s.comp)
 	s.order, s.compStart = groupBy(s.comp, s.ncomp, s.order, s.compStart)
 
-	// Mark components with internal edges and compute levels in one pass.
-	// Tarjan completion order is reverse-topological, so descending
-	// component id is topological order and each component's level is
-	// final before its successors are visited.
-	s.internal = growBool(s.internal, s.ncomp)
+	// Mark components with internal and strict internal edges and compute
+	// levels in one pass. Tarjan completion order is reverse-topological, so
+	// descending component id is topological order and each component's
+	// level is final before its successors are visited.
+	s.internal = grow(s.internal, s.ncomp)
 	clear(s.internal)
-	s.level = growInt32(s.level, s.ncomp)
+	s.strict = grow(s.strict, s.ncomp)
+	clear(s.strict)
+	s.level = grow(s.level, s.ncomp)
 	clear(s.level)
 	s.trivial, s.nLevels, s.maxWidth = 0, 1, 0
 	for c := int32(s.ncomp) - 1; c >= 0; c-- {
@@ -154,9 +178,11 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 		nodes := s.nodes(c)
 		for _, u := range nodes {
 			for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-				cw := s.comp[e.edges[e.adjList[k]].to]
+				ed := &e.edges[e.adjList[k]]
+				cw := s.comp[ed.to]
 				if cw == c {
 					s.internal[c] = true
+					s.strict[c] = s.strict[c] || ed.strict
 				} else if lc+1 > s.level[cw] {
 					s.level[cw] = lc + 1
 					s.nLevels = max(s.nLevels, int(lc)+2)
@@ -167,7 +193,7 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 			s.trivial++
 		}
 	}
-	width := e.cnt[:s.nLevels] // nLevels ≤ ncomp ≤ node count
+	width := e.low[:s.nLevels] // nLevels ≤ ncomp ≤ node count
 	clear(width)
 	for _, l := range s.level {
 		width[l]++
@@ -178,42 +204,45 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 }
 
 // run walks the condensation once in topological order (descending
-// component id): SPFA inside each component with internal edges, then its
-// outgoing cross edges relaxed, so a component's predecessors are final
-// before it is entered. It leaves the engine's dist array at the canonical
-// all-zero-seeded Bellman–Ford fixpoint when the system is satisfiable, and
-// in e.bad — ascending — every component that contains a negative cycle. (A
-// component downstream of a bad one is seeded with unconverged distances;
-// SPFA inside it still converges or trips the bound on its own edges alone.)
+// component id): a component with a strict internal edge goes to e.bad
+// (ascending once the walk is done); any other component's nodes all take
+// the least value its incoming cross edges left on them; then its outgoing
+// cross edges are relaxed, so a component's predecessors are final before
+// it is entered. It leaves the engine's dist array at the canonical
+// all-zero-seeded shortest-path fixpoint when no component is bad.
 func (s *sccPlan) run(ctx context.Context, e *dlEngine) error {
 	e.statProbes++
 	e.bad = e.bad[:0]
-	for i := range s.comp {
-		e.dist[i] = 0
-		e.pred[i] = -1
-	}
+	clear(e.dist[:e.nodes])
 	for c := int32(s.ncomp) - 1; c >= 0; c-- {
-		if s.internal[c] {
+		nodes := s.nodes(c)
+		if s.strict[c] {
+			e.bad = append(e.bad, c)
+		} else if len(nodes) > 1 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			v, relax := s.compSPFA(e, c)
-			e.statRelax += relax
-			if v >= 0 {
-				e.bad = append(e.bad, c)
+			m := 0
+			for _, u := range nodes {
+				m = min(m, e.dist[u])
+			}
+			for _, u := range nodes {
+				e.dist[u] = m
 			}
 		}
-		for _, u := range s.nodes(c) {
+		for _, u := range nodes {
 			du := e.dist[u]
 			for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-				ei := e.adjList[k]
-				ed := &e.edges[ei]
+				ed := &e.edges[e.adjList[k]]
 				if s.comp[ed.to] == c {
 					continue
 				}
-				if d := du + ed.w; d < e.dist[ed.to] {
+				d := du
+				if ed.strict {
+					d--
+				}
+				if d < e.dist[ed.to] {
 					e.dist[ed.to] = d
-					e.pred[ed.to] = ei
 				}
 			}
 		}
@@ -222,79 +251,25 @@ func (s *sccPlan) run(ctx context.Context, e *dlEngine) error {
 	return nil
 }
 
-// compSPFA runs SPFA restricted to one component's internal edges that are
-// active under the engine's mask, starting from the nodes' current
-// distances (cross-seeded by the component pass, reset by decide), with
-// the engine's queue as its ring buffer. It returns the node whose enqueue
-// count proves a negative cycle, or −1 when the component converged, and
-// the relaxations it made.
-func (s *sccPlan) compSPFA(e *dlEngine, c int32) (trigger int32, relax int) {
-	nodes := s.nodes(c)
-	n := int32(len(nodes))
-	q := e.queue
-	for i, v := range nodes {
-		e.cnt[v] = 1
-		e.inQ[v] = true
-		q[i] = v
-	}
-	head, size := int32(0), n
-	for size > 0 {
-		u := q[head]
-		head++
-		if head == n {
-			head = 0
-		}
-		size--
-		e.inQ[u] = false
-		du := e.dist[u]
-		for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
-			ei := e.adjList[k]
-			ed := &e.edges[ei]
-			if s.comp[ed.to] != c || !e.edgeActive(ed) {
-				continue
-			}
-			if d := du + ed.w; d < e.dist[ed.to] {
-				relax++
-				v := ed.to
-				e.dist[v] = d
-				e.pred[v] = ei
-				if !e.inQ[v] {
-					e.cnt[v]++
-					if e.cnt[v] > n {
-						return v, relax
-					}
-					tail := head + size
-					if tail >= n {
-						tail -= n
-					}
-					q[tail] = v
-					size++
-					e.inQ[v] = true
-				}
-			}
-		}
-	}
-	return -1, relax
+// DenseConstraint is the atom A Rel B over pre-interned variable ids, for
+// Rel one of Lt, Le and Eq. The zero Rel is Lt, so {A, B} is the strict atom
+// A < B. Ids 1..numVars name variables; id 0 is the solver's reserved zero
+// anchor and names none.
+type DenseConstraint struct {
+	A, B int32
+	Rel  Rel
 }
 
-// DenseConstraint is the strict atom A < B over pre-interned variable ids:
-// the difference constraint A − B ≤ −1. Ids 1..numVars name variables; id 0
-// is the solver's reserved zero anchor and names none.
-type DenseConstraint struct{ A, B int32 }
-
-// SolveDense decides a pre-interned system of strict atoms: the whole
-// decision on dense ids — no variable interning, no Origin strings, no
-// assertion list. The Result names nothing: Model and Core stay nil, the
-// caller owns the names. When sat, model holds dist[v]−dist[0] for v in
-// 1..numVars (index 0 unused), bit-for-bit the values Context.CheckContext
-// would assign the same variables. When unsat, CoreIdx (positions in cons)
-// is the deletion-minimal core Context.CheckContext reports for the same
-// atoms in the same order — the loop's drop/keep decisions are semantic, so
-// they do not depend on how variables are numbered. The zero anchor and the
-// implicit positivity typing (x ≥ 1) are in the graph as behind the string
-// door, but no cycle of strict atoms between variables passes the zero node,
-// so UsesPositivity is always false. Stats counts the dense universe (every
-// id a variable) and all probes: the component pass, the witness, and the
+// SolveDense decides a pre-interned system: the whole decision on dense ids
+// — no variable interning, no Origin strings, no assertion list. The Result
+// names nothing: Model and Core stay nil, the caller owns the names. When
+// sat, model holds dist[v]−dist[0] for v in 1..numVars (index 0 unused), the
+// canonical model every door assigns. When unsat, CoreIdx (positions in
+// cons) is the deletion-minimal core the reference loop reports for the
+// same atoms in the same order — the loop's drop/keep decisions are
+// semantic, so they do not depend on how variables are numbered. Stats
+// counts the dense universe (every id a variable) with the zero anchor's
+// positivity edges, and all probes: the component pass, the witness, and the
 // minimization's.
 func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res Result, model []int, err error) {
 	start := time.Now()
@@ -304,24 +279,22 @@ func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res R
 	e := enginePool.Get().(*dlEngine)
 	defer e.release()
 	defer e.flushStats()
-	e.edges = e.edges[:0]
-	for i, c := range cons {
-		e.edges = append(e.edges, dlEdge{from: c.B, to: c.A, w: -1, assertIdx: int32(i)})
-	}
-	e.idVar = growVars(e.idVar, numVars+1) // the dense universe, nothing interned
-	e.seal(len(cons))
-
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, &res.Stats)
+	e.load(numVars, cons)
+	res.Sat, res.CoreIdx, err = e.solve(ctx, &res.Stats)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	if res.Sat {
 		model = make([]int, numVars+1)
-		d0 := e.dist[zeroNode]
 		for v := 1; v <= numVars; v++ {
-			model[v] = e.dist[v] - d0
+			model[v] = e.value(int32(v))
 		}
 	}
 	res.Stats.Duration = time.Since(start)
 	return res, model, nil
 }
+
+// value reads variable v's model value off a sat solve's fixpoint: the
+// positivity edges put the zero anchor one below the least variable, so
+// every value is at least 1.
+func (e *dlEngine) value(v int32) int { return e.dist[v] - e.dist[zeroNode] }

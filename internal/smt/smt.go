@@ -2,22 +2,27 @@
 // FSR safety analysis emits, substituting for the Yices binary the paper
 // shells out to (§IV-B).
 //
-// The fragment: conjunctions of ordering atoms  a < b, a ≤ b, a = b  over
-// positive-integer variables and constants, where each side may carry an
-// additive constant (a+3 ≤ b), plus the single quantified pattern the
-// closed-form algebras need (∀s. s < s+d). This is integer difference logic:
+// The fragment: conjunctions of ordering atoms  a < b, a ≤ b, a = b  between
+// two positive-integer variables, plus the single quantified pattern the
+// closed-form algebras need (∀s. s < s+d), which is decided in closed form.
+// Every ground atom is a difference constraint a − b ≤ 0 or ≤ −1, an edge of
+// weight 0 or −1, so:
 //
-//   - every ground atom normalizes to a difference constraint x − y ≤ c;
-//   - the conjunction is satisfiable iff the constraint graph has no
-//     negative-weight cycle (decided with Bellman–Ford);
-//   - a model is read off the shortest-path distances;
-//   - a *minimal* unsatisfiable core is a simple negative cycle: removing
-//     any single edge of a simple cycle leaves an acyclic (hence
-//     satisfiable) subset, which matches the unsat-core contract Yices
-//     provides for these inputs.
+//   - the conjunction is satisfiable iff no cycle of the constraint graph
+//     holds a strict edge, i.e. no strongly connected component holds a
+//     strict internal edge (decided on the SCC condensation);
+//   - a model is read off the all-zero-seeded shortest-path fixpoint, which
+//     one topological sweep of the condensation computes;
+//   - a *minimal* unsatisfiable core is a simple cycle through a strict
+//     edge: removing any single edge of a simple cycle leaves an acyclic
+//     (hence satisfiable) subset, which matches the unsat-core contract
+//     Yices provides for these inputs.
 //
-// Package yices-compatible surface syntax (emit and parse) lives in
-// yices.go, so the paper's §IV-C listings round-trip through this solver.
+// Terms may still carry constants and offsets (a+3 ≤ b): Emit and Parse
+// round-trip them and Reference decides them, but the engine reports an
+// error for such an atom. Yices-compatible surface syntax (emit and parse)
+// lives in yices.go, so the paper's §IV-C listings round-trip through this
+// solver.
 package smt
 
 import (
@@ -25,8 +30,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"fsr/internal/obs"
 )
 
 // Var names an integer variable. Variables range over positive integers
@@ -66,7 +69,7 @@ func (t Term) String() string {
 }
 
 // Rel is an ordering relation between two terms.
-type Rel int
+type Rel uint8
 
 // The relations of the fragment. Gt/Ge exist for parser convenience and are
 // normalized to Lt/Le by swapping sides at assertion time.
@@ -150,10 +153,12 @@ type Stats struct {
 	Components        int
 	TrivialComponents int
 	// Probes and Relaxations are this solve's loop effort: satisfiability
-	// probes decided (the component pass, the witness, each minimization step)
-	// and successful edge relaxations inside components across SPFA and
-	// Bellman–Ford passes — the per-operation view of the process-global
-	// fsr_smt_probes_total / fsr_smt_relaxations_total counters.
+	// probes decided (the component pass, the witness, each minimization
+	// step) and, on a whole solve, the edges the cycle searches examined
+	// inside bad components (a sat solve makes none), or on a delta re-probe
+	// the successful relaxations of its region's SPFA — the per-operation
+	// view of the process-global fsr_smt_probes_total /
+	// fsr_smt_relaxations_total counters.
 	Probes      int
 	Relaxations int
 	// Levels, MaxLevelWidth, and TarjanDuration describe the solve's
@@ -178,11 +183,6 @@ type Result struct {
 	// order, letting callers map cores back to their own constraint
 	// records without string matching on Origin.
 	CoreIdx []int
-	// UsesPositivity reports whether the implicit n > 0 typing of variables
-	// participates in the contradiction (the paper's Sig subtype). It is
-	// always false from SolveDense and a DeltaContext: their atoms are strict
-	// pairs between variables, and no cycle of those passes the zero node.
-	UsesPositivity bool
 	// Stats reports effort.
 	Stats Stats
 }
@@ -217,60 +217,12 @@ func (s *Context) Assertions() []Assertion {
 // Len returns the number of asserted atoms.
 func (s *Context) Len() int { return len(s.asserts) }
 
-const zeroNode = 0 // graph node representing the constant 0
+const zeroNode = 0 // the zero anchor: node 0, which every positivity edge enters
 
-// Check decides the conjunction of all asserted atoms. It returns an error
-// only for quantified assertions outside the supported pattern; unsat inputs
-// produce Sat=false with a minimal core, not an error.
-func (s *Context) Check() (Result, error) { return s.CheckContext(context.Background()) }
-
-// CheckContext is Check with cancellation: the context is consulted between
-// solver phases and on every core-minimization probe (the dominant cost on
-// unsat inputs), so a cancelled long-running solve returns ctx.Err()
-// promptly.
-func (s *Context) CheckContext(ctx context.Context) (Result, error) {
-	return solveAsserts(ctx, s.asserts)
-}
-
-// solveAsserts is the string door onto the engine, for a normalized
-// assertion list: quantified assertions are decided analytically, the ground
-// ones are interned into a pooled engine (engine.go) and decided by its one
-// solve — condensation, component pass, and on unsat the minimal core. The
-// retained reference implementation (reference.go) decides the same inputs
-// the original way; differential tests hold the two to identical verdicts,
-// models, and cores.
-func solveAsserts(ctx context.Context, asserts []Assertion) (Result, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	ctx, sp := obs.StartSpan(ctx, "solve")
-	sp.AttrInt("assertions", int64(len(asserts)))
-	defer sp.End()
-	if res, decided, err := decideQuantified(asserts, start); decided || err != nil {
-		return res, err
-	}
-
-	e := enginePool.Get().(*dlEngine)
-	defer e.release()
-	defer e.flushStats() // LIFO: drain the loop counts before pooling
-	e.build(asserts)
-	var (
-		res Result
-		err error
-	)
-	res.Sat, res.CoreIdx, res.UsesPositivity, err = e.solve(ctx, &res.Stats)
-	if err != nil {
-		return Result{}, err
-	}
-	if res.Sat {
-		res.Model = e.model()
-	} else {
-		res.Core = coreOf(asserts, res.CoreIdx)
-	}
-	res.Stats.Duration = time.Since(start)
-	return res, nil
-}
+// Check decides the conjunction of all asserted atoms with Native: an error
+// for an atom outside the decided fragment, Sat=false with a minimal core
+// for an unsat input.
+func (s *Context) Check() (Result, error) { return Native{}.Solve(context.Background(), s.asserts) }
 
 // decideQuantified decides the quantified assertions analytically — the
 // first phase of every assertion-list solve. decided reports that an invalid
@@ -294,19 +246,6 @@ func decideQuantified(asserts []Assertion, start time.Time) (res Result, decided
 		}
 	}
 	return Result{}, false, nil
-}
-
-// model reads the satisfying assignment off the converged distances:
-// val(x) = dist(x) − dist(zero) satisfies every difference constraint
-// (distances do) and positivity (the positivity edges are part of the
-// graph).
-func (e *dlEngine) model() map[Var]int {
-	model := make(map[Var]int, len(e.idVar)-1)
-	d0 := e.dist[zeroNode]
-	for i := 1; i < len(e.idVar); i++ {
-		model[e.idVar[i]] = e.dist[i] - d0
-	}
-	return model
 }
 
 // coreOf materializes the assertions at the given core positions.

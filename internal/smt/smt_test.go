@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -81,36 +82,38 @@ func TestEqualityChainUnsat(t *testing.T) {
 	}
 }
 
-// TestConstants: terms with offsets and pure constants.
+// TestConstants: terms with offsets and pure constants are outside what
+// Native decides — it reports an error — while the Reference oracle still
+// decides them.
 func TestConstants(t *testing.T) {
-	s := NewContext()
-	s.Assert(Assertion{Rel: Le, A: V("a").Plus(5), B: V("b")}) // a+5 ≤ b
-	res := check(t, s)
-	if !res.Sat {
-		t.Fatalf("want sat")
+	ctx := context.Background()
+	offset := []Assertion{{Rel: Le, A: V("a").Plus(5), B: V("b")}} // a+5 ≤ b
+	if _, err := (Native{}).Solve(ctx, offset); err == nil {
+		t.Fatalf("native decided an offset")
+	}
+	res, err := (Reference{}).Solve(ctx, offset)
+	if err != nil || !res.Sat {
+		t.Fatalf("reference: sat=%v err=%v", res.Sat, err)
 	}
 	if res.Model["b"]-res.Model["a"] < 5 {
 		t.Errorf("model must satisfy a+5 ≤ b: a=%d b=%d", res.Model["a"], res.Model["b"])
 	}
-
-	s2 := NewContext()
-	s2.Assert(Assertion{Rel: Lt, A: C(5), B: C(3)})
-	res2 := check(t, s2)
-	if res2.Sat {
-		t.Fatalf("5 < 3 should be unsat")
+	res, err = (Reference{}).Solve(ctx, []Assertion{{Rel: Lt, A: C(5), B: C(3)}})
+	if err != nil || res.Sat {
+		t.Fatalf("5 < 3 should be unsat: sat=%v err=%v", res.Sat, err)
 	}
 }
 
-// TestPositivity: the implicit n > 0 typing participates in contradictions.
+// TestPositivity: the implicit n > 0 typing takes part in the Reference
+// oracle's contradictions; Native refuses the constant that would make it.
 func TestPositivity(t *testing.T) {
-	s := NewContext()
-	s.Assert(Assertion{Rel: Le, A: V("x"), B: C(0), Origin: "x<=0"})
-	res := check(t, s)
-	if res.Sat {
-		t.Fatalf("x ≤ 0 contradicts positivity")
+	asserts := []Assertion{{Rel: Le, A: V("x"), B: C(0), Origin: "x<=0"}}
+	res, err := (Reference{}).Solve(context.Background(), asserts)
+	if err != nil || res.Sat || len(res.Core) != 1 {
+		t.Fatalf("x ≤ 0 contradicts positivity: sat=%v core=%v err=%v", res.Sat, res.Core, err)
 	}
-	if !res.UsesPositivity {
-		t.Errorf("result should flag the positivity typing")
+	if _, err := (Native{}).Solve(context.Background(), asserts); err == nil {
+		t.Fatalf("native decided a constant")
 	}
 }
 
@@ -147,8 +150,8 @@ func TestCoreMinimality(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a := Assertion{
 				Rel: rels[rng.Intn(len(rels))],
-				A:   V(vars[rng.Intn(len(vars))]).Plus(rng.Intn(3) - 1),
-				B:   V(vars[rng.Intn(len(vars))]).Plus(rng.Intn(3) - 1),
+				A:   V(vars[rng.Intn(len(vars))]),
+				B:   V(vars[rng.Intn(len(vars))]),
 			}
 			s.Assert(a)
 		}
@@ -190,14 +193,14 @@ func TestModelsArePositive(t *testing.T) {
 		vars := []string{"p", "q", "r"}
 		for i := 0; i < 4; i++ {
 			s.Assert(Assertion{
-				Rel: Le,
+				Rel: []Rel{Lt, Le}[rng.Intn(2)],
 				A:   V(vars[rng.Intn(3)]),
-				B:   V(vars[rng.Intn(3)]).Plus(rng.Intn(4)),
+				B:   V(vars[rng.Intn(3)]),
 			})
 		}
 		res, err := s.Check()
 		if err != nil || !res.Sat {
-			return err == nil // ≤ with non-negative offsets is always sat
+			return err == nil // an unsat draw has no model to check
 		}
 		for _, v := range res.Model {
 			if v < 1 {

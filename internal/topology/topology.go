@@ -310,18 +310,6 @@ func bfsDepth(adj map[string][]string, root string) map[string]int {
 	return depth
 }
 
-// AllPairsIGP computes all-pairs shortest-path costs over the weighted
-// links (the pairwise IGP costs §VI-B precomputes).
-func (g *RouterGraph) AllPairsIGP() map[string]map[string]int {
-	adj := WeightedAdjacency(g.Links)
-	out := map[string]map[string]int{}
-	for _, src := range g.Routers {
-		dist, _ := ShortestPathTree(adj, src)
-		out[src] = dist
-	}
-	return out
-}
-
 // WeightedAdjacency builds the both-direction weighted adjacency of an
 // undirected link set, neighbors in a stable (name) order. Each entry's A
 // field is the owning node, so adj[n][i].B is n's i-th neighbor.

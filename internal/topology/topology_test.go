@@ -99,7 +99,7 @@ func TestISPShape(t *testing.T) {
 		}
 	}
 	// Connectivity via IGP costs: every pair reachable.
-	igp := g.AllPairsIGP()
+	igp := allPairsIGP(g)
 	for _, a := range g.Routers {
 		for _, b := range g.Routers {
 			if _, ok := igp[a][b]; !ok {
@@ -109,11 +109,22 @@ func TestISPShape(t *testing.T) {
 	}
 }
 
+// allPairsIGP runs ShortestPathTree from every router: the pairwise IGP
+// costs §VI-B precomputes.
+func allPairsIGP(g *RouterGraph) map[string]map[string]int {
+	adj := WeightedAdjacency(g.Links)
+	out := map[string]map[string]int{}
+	for _, src := range g.Routers {
+		out[src], _ = ShortestPathTree(adj, src)
+	}
+	return out
+}
+
 // TestIGPTriangleInequality (property): shortest-path costs satisfy the
 // triangle inequality.
 func TestIGPTriangleInequality(t *testing.T) {
 	g := GenerateISP(3, ISPParams{Routers: 20, Links: 45, Reflectors: 8, Levels: 4})
-	igp := g.AllPairsIGP()
+	igp := allPairsIGP(g)
 	for _, a := range g.Routers {
 		for _, b := range g.Routers {
 			for _, c := range g.Routers {

@@ -52,11 +52,11 @@ func TestCondensationPlanShape(t *testing.T) {
 		core                               []int
 		suspects                           []spp.Node
 	}{
-		{gadget("fig3"), 11, 10, 5, 3, 9, 166, []int{0, 1, 2, 9, 10, 11}, []spp.Node{"a", "b", "c"}},
+		{gadget("fig3"), 11, 10, 5, 3, 8, 118, []int{0, 1, 2, 9, 10, 11}, []spp.Node{"a", "b", "c"}},
 		{gadget("chain:400"), 800, 800, 3, 400, 1, 0, nil, nil},
-		{plantPairs(gadget("chain:400"), 2), 794, 792, 3, 397, 7, 81, []int{0, 1, 399, 400}, []spp.Node{"n0", "n1"}},
+		{plantPairs(gadget("chain:400"), 2), 794, 792, 3, 397, 6, 78, []int{0, 1, 399, 400}, []spp.Node{"n0", "n1"}},
 		{gadget("internet:2000"), 2734, 2734, 11, 1554, 1, 0, nil, nil},
-		{plantPairs(gadget("internet:2000"), 5), 2719, 2714, 11, 1553, 7, 135, []int{0, 1, 733, 734}, []spp.Node{"as0", "as1"}},
+		{plantPairs(gadget("internet:2000"), 5), 2719, 2714, 11, 1553, 6, 174, []int{0, 1, 733, 734}, []spp.Node{"as0", "as1"}},
 	} {
 		res, suspects, err := NewSession().AnalyzeSPP(context.Background(), tc.in)
 		if err != nil {

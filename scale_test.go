@@ -249,7 +249,7 @@ func TestEmitParseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Sat != want.Sat || got.UsesPositivity != want.UsesPositivity ||
+			if got.Sat != want.Sat ||
 				!reflect.DeepEqual(got.Model, want.Model) || !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) {
 				t.Fatalf("%s: re-parsed check differs from the original: sat %v/%v, core %v/%v, models equal %v",
 					in.Name, got.Sat, want.Sat, got.CoreIdx, want.CoreIdx, reflect.DeepEqual(got.Model, want.Model))
