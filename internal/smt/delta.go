@@ -1,6 +1,7 @@
 // Delta solving: the verification-as-a-service extension of the engine. A
-// whole solve builds its constraint graph once per call; a DeltaContext links its graph once, at construction, and keeps it alive
-// *across* checks, so a what-if that touches one session or ranking re-links
+// whole solve builds its constraint graph once per call; a DeltaContext
+// links its graph once, at construction, and keeps it alive *across*
+// checks, so a what-if that touches one session or ranking re-links
 // the edges of the segments it replaces and re-probes only the region of the
 // constraint graph reachable from them, instead of rebuilding and re-solving
 // everything.
@@ -15,10 +16,10 @@
 // but no atom mentions a constant, so no edge ever leaves the zero node: it
 // is a sink, it lies on no cycle, and its distance is one below the lowest
 // variable's. So positivity can never take part in a contradiction, and the
-// resident graph leaves the zero node out: a probe never relaxes or marks it, and Model
-// reads its distance off the variables'. Id 0 stays reserved all the same,
-// as the dense door's zero anchor, and a solve hands the engine that anchor
-// at local id 0.
+// resident graph leaves the zero node out: a probe never relaxes or marks
+// it, and Model reads its distance off the variables'. Id 0 stays reserved
+// all the same, as the dense door's zero anchor, and a solve hands the
+// engine that anchor at local id 0.
 //
 // Storage is slot-stable. The assertion list is a sequence of segments (the
 // unit callers edit by); an atom lives in a slot that never moves, the slot
@@ -620,9 +621,9 @@ func (d *DeltaContext) clearChanged() {
 // that finds a negative cycle — the exact core of the region's sub-system.
 // Every check before the first sat one decides the sub-system induced on
 // every referenced node. Either way verdicts and minimal cores are
-// bit-for-bit those of a fresh solve. The result names nothing, as SolveDense's does: a sat
-// one carries no model (Model reads it), an unsat one its core as CoreIdx
-// alone, positions whose atoms At reads back.
+// bit-for-bit those of a fresh solve. The result names nothing, as
+// SolveDense's does: a sat one carries no model (Model reads it), an unsat
+// one its core as CoreIdx alone, positions whose atoms At reads back.
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++

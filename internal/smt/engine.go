@@ -210,15 +210,14 @@ func (e *dlEngine) cycleIn(c int32) bool {
 	_, examined := e.tarjan(nodes, c, e.sub)
 	e.statRelax += examined
 	strict := int32(-1)
+search:
 	for _, u := range nodes {
-		for k := e.adjStart[u]; k < e.adjStart[u+1] && strict < 0; k++ {
+		for k := e.adjStart[u]; k < e.adjStart[u+1]; k++ {
 			ei := e.adjList[k]
 			if ed := &e.edges[ei]; ed.strict && e.inside(ei, c) && e.sub[ed.to] == e.sub[u] {
 				strict = ei
+				break search
 			}
-		}
-		if strict >= 0 {
-			break
 		}
 	}
 	if strict < 0 {
