@@ -30,7 +30,7 @@ func decodeSystem(data []byte) []Assertion {
 	return out
 }
 
-// isCycleCore reports whether the atoms of an unsat core are item 3's
+// isCycleCore reports whether the atoms of an unsat core are a cheap
 // certificate: oriented as edges A → B (an equality either way), they close
 // exactly one simple cycle, and at least one of them is strict. Each
 // variable then meets exactly two atom ends, and a walk from the first
