@@ -103,8 +103,8 @@ function render(ts, fl) {
   for (const p of PINNED)
     for (const s of ts.series)
       if (p.re.test(s.name)) pinned += panel(s.name, s.points, p.unit);
-  // delta-vs-full discharge ratio from the two rate series.
-  const d = byName["fsr_smt_delta_solves_total"], f = byName["fsr_smt_full_solves_total"];
+  // delta-vs-full discharge ratio from the daemon's two rate series.
+  const d = byName["fsr_delta_solves_total"], f = byName["fsr_full_solves_total"];
   if (d && f) {
     const pts = d.points.map((p, i) => {
       const fv = f.points[i] ? f.points[i].v : 0;

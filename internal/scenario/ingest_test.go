@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -336,19 +335,25 @@ func FuzzDecodeInstance(f *testing.F) {
 	})
 }
 
-// minOf reports the fastest of n runs of fn, each started on a collected
-// heap so one run's garbage is not charged to the next.
-func minOf(n int, fn func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
-		runtime.GC()
+// minOfEach reports the fastest of n runs of fn on each of small and large,
+// timed alternately so that a neighbour's burst (the other packages' tests
+// share the cores) lands on both sizes, not on one. Each run starts on a
+// collected heap whose free pages went back to the OS: one run's garbage is
+// not charged to the next, and a small run does not ride on the pages a
+// large one left behind, which would read as growth that is not there.
+func minOfEach[T any](n int, fn func(T), small, large T) (bestSmall, bestLarge time.Duration) {
+	timed := func(x T) time.Duration {
+		debug.FreeOSMemory()
 		start := time.Now()
-		fn()
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		fn(x)
+		return time.Since(start)
 	}
-	return best
+	bestSmall, bestLarge = time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < n; i++ {
+		bestSmall = min(bestSmall, timed(small))
+		bestLarge = min(bestLarge, timed(large))
+	}
+	return bestSmall, bestLarge
 }
 
 // TestFirstContactGrowthRate is the asymptotic guard on the two layers an
@@ -365,54 +370,54 @@ func TestFirstContactGrowthRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard: two internet instances up to n=8000")
 	}
-	type cost struct {
-		size         int
-		ingest, emit time.Duration
+	type instance struct {
+		size int
+		in   *spp.Instance
+		body []byte
 	}
-	measure := func(n int) cost {
+	load := func(n int) instance {
 		g := topology.GenerateInternet(1, topology.InternetParams{N: n})
 		in := scenario.InternetSPP(fmt.Sprintf("internet-%d", n), g, 3)
 		body, err := json.Marshal(scenario.EncodeInstance(in))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cost{size: len(in.Nodes) + len(in.Links)}
+		x := instance{size: len(in.Nodes) + len(in.Links), in: in, body: body}
 		for _, paths := range in.Permitted {
 			for _, p := range paths {
-				c.size += len(p)
+				x.size += len(p)
 			}
 		}
-		// Milliseconds per run: enough of them that a neighbour's burst (the
-		// other packages' tests share the two cores) cannot sit on all. And
-		// no collection inside a run: internet:2000 decodes within the 4 MB
-		// minimum heap and internet:8000 does not, a step that is the
-		// collector's, not the reader's (7 MB of garbage per run at most).
-		gc := debug.SetGCPercent(-1)
-		c.ingest = minOf(9, func() {
-			if _, _, err := scenario.ReadInstance(body); err != nil {
-				t.Fatal(err)
-			}
-		})
-		debug.SetGCPercent(gc)
-		c.emit = minOf(3, func() {
-			conv, err := in.ToAlgebra()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := analysis.Constraints(conv.Algebra, analysis.StrictMonotonicity); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return c
+		return x
 	}
-	small, large := measure(2000), measure(8000)
+	small, large := load(2000), load(8000)
+	// Milliseconds per run: enough of them that a neighbour's burst cannot
+	// sit on all. And no collection inside a run: internet:2000 decodes
+	// within the 4 MB minimum heap and internet:8000 does not, a step that is
+	// the collector's, not the reader's (7 MB of garbage per run at most).
+	gc := debug.SetGCPercent(-1)
+	smallIngest, largeIngest := minOfEach(9, func(x instance) {
+		if _, _, err := scenario.ReadInstance(x.body); err != nil {
+			t.Fatal(err)
+		}
+	}, small, large)
+	debug.SetGCPercent(gc)
+	smallEmit, largeEmit := minOfEach(3, func(x instance) {
+		conv, err := x.in.ToAlgebra()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := analysis.Constraints(conv.Algebra, analysis.StrictMonotonicity); err != nil {
+			t.Fatal(err)
+		}
+	}, small, large)
 	grown := float64(large.size) / float64(small.size)
 	for _, layer := range []struct {
 		name         string
 		small, large time.Duration
 	}{
-		{"ReadInstance", small.ingest, large.ingest},
-		{"ToAlgebra+Constraints", small.emit, large.emit},
+		{"ReadInstance", smallIngest, largeIngest},
+		{"ToAlgebra+Constraints", smallEmit, largeEmit},
 	} {
 		ratio := float64(layer.large) / float64(layer.small)
 		t.Logf("%s: %v → %v, %.1f× for %.1f× the instance", layer.name, layer.small, layer.large, ratio, grown)

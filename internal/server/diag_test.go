@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"fsr/internal/analysis"
 	"fsr/internal/obs"
@@ -31,6 +34,7 @@ func newDiagServer(t *testing.T) (*Server, *httptest.Server) {
 			res.Stats.Relaxations = 20
 			return res, nil, nil
 		},
+		DiagInterval: 10 * time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
@@ -80,7 +84,9 @@ func TestServerAnalyzeUnmounted(t *testing.T) {
 }
 
 // TestServerDiagnosticsEndpoints: every Server mounts the diagnosis
-// surface — timeseries, flight recorder, dashboard — with live payloads.
+// surface — timeseries, flight recorder, dashboard — with live payloads, and
+// after a session that solves both ways every series the dashboard looks up
+// by name is one /v1/timeseries serves.
 func TestServerDiagnosticsEndpoints(t *testing.T) {
 	_, ts := newDiagServer(t)
 
@@ -126,5 +132,54 @@ func TestServerDiagnosticsEndpoints(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("dashboard Content-Type = %q", ct)
+	}
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lookups []string
+	for _, m := range regexp.MustCompile(`byName\["([^"]+)"\]`).FindAllStringSubmatch(string(page), -1) {
+		lookups = append(lookups, m[1])
+	}
+	if len(lookups) == 0 {
+		t.Fatal("the dashboard looks up no series by name")
+	}
+
+	// A full solve, then a delta one.
+	call(t, "POST", ts.URL+"/v1/instances", map[string]any{"id": "x", "gadget": "fig3-fixed"}, nil)
+	var v verdict
+	if call(t, "POST", ts.URL+"/v1/instances/x/verify", nil, &v); v.Mode != "full" {
+		t.Fatalf("first verify: %+v", v)
+	}
+	trim := map[string]any{"discard": true, "ops": []map[string]any{
+		{"op": "rerank", "node": "a", "paths": []string{"a,d,r1"}},
+	}}
+	if call(t, "POST", ts.URL+"/v1/instances/x/whatif", trim, &v); v.Mode != "delta" {
+		t.Fatalf("what-if: %+v", v)
+	}
+	var missing []string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		var payload struct {
+			Series []struct {
+				Name string `json:"name"`
+			} `json:"series"`
+		}
+		call(t, "GET", ts.URL+"/v1/timeseries", nil, &payload)
+		served := map[string]bool{}
+		for _, s := range payload.Series {
+			served[s.Name] = true
+		}
+		missing = missing[:0]
+		for _, name := range lookups {
+			if !served[name] {
+				missing = append(missing, name)
+			}
+		}
+		if len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("the dashboard looks up %v, which /v1/timeseries never served", missing)
 	}
 }

@@ -254,9 +254,6 @@ func TestMetricsFamilyOrder(t *testing.T) {
 		"fsr_smt_relaxations_total counter",
 		"fsr_smt_minimize_iterations_total counter",
 		"fsr_smt_delta_splices_total counter",
-		"fsr_smt_delta_solves_total counter",
-		"fsr_smt_full_solves_total counter",
-		"fsr_smt_cache_hits_total counter",
 		"fsr_scc_solves_total counter",
 		"fsr_scc_components_total counter",
 		"fsr_scc_trivial_components_total counter",

@@ -133,7 +133,7 @@ func TestWhatIfLeavesTheFixedPoint(t *testing.T) {
 	}
 
 	// The discarded break's core came from the region its edits disturbed:
-	// its verify span has a region-core child, and both what-ifs fed the
+	// its verify span has a region child, and both what-ifs fed the
 	// region-size histogram.
 	var core *obs.SpanNode
 	for _, op := range fl.Slow {
@@ -142,17 +142,17 @@ func TestWhatIfLeavesTheFixedPoint(t *testing.T) {
 		}
 		for _, c := range op.Spans[0].Children {
 			for _, g := range c.Children {
-				if c.Name == "verify" && g.Name == "region-core" {
+				if c.Name == "verify" && g.Name == "region" {
 					core = g
 				}
 			}
 		}
 	}
 	if core == nil {
-		t.Fatalf("no verify span with a region-core child in the flight recorder: %+v", fl.Slow)
+		t.Fatalf("no verify span with a region child in the flight recorder: %+v", fl.Slow)
 	}
 	if core.Attrs["core"] != "6" || core.Attrs["nodes"] == "" || core.Attrs["edges"] == "" || core.Attrs["probes"] == "" {
-		t.Errorf("region-core span attributes %v, want a core of 6 with nodes, edges and probes", core.Attrs)
+		t.Errorf("region span attributes %v, want a core of 6 with nodes, edges and probes", core.Attrs)
 	}
 	if got := s.Metrics().RegionNodes.Count(); got != 2 {
 		t.Errorf("fsr_smt_delta_region_nodes observed %d delta verifications, want 2", got)

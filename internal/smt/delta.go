@@ -2,9 +2,9 @@
 // whole solve builds its constraint graph once per call; a DeltaContext
 // links its graph once, at construction, and keeps it alive *across*
 // checks, so a what-if that touches one session or ranking re-links
-// the edges of the segments it replaces and re-probes only the region of the
-// constraint graph reachable from them, instead of rebuilding and re-solving
-// everything.
+// the edges of the segments it replaces and re-decides only the region of
+// the constraint graph reachable from them, instead of rebuilding and
+// re-solving everything.
 //
 // A DeltaContext takes the one atom §IV-B emits for an SPP instance, as
 // SolveDense does: a strict preference or strict monotonicity entry A < B
@@ -16,9 +16,9 @@
 // but no atom mentions a constant, so no edge ever leaves the zero node: it
 // is a sink, it lies on no cycle, and its distance is one below the lowest
 // variable's. So positivity can never take part in a contradiction, and the
-// resident graph leaves the zero node out: a probe never relaxes or marks
-// it, and Model reads its distance off the variables'. Id 0 stays reserved
-// all the same, as the dense door's zero anchor, and a solve hands the
+// resident graph leaves the zero node out: no check takes it into a node
+// set, and Model reads its distance off the variables'. Id 0 stays reserved
+// all the same, as the dense door's zero anchor, and a check hands the
 // engine that anchor at local id 0.
 //
 // Storage is slot-stable. The assertion list is a sequence of segments (the
@@ -30,57 +30,59 @@
 // neighbours; nothing is renumbered and no tail moves. An atom over an id the
 // graph has not reached yet grows the graph to it.
 //
-// The graph is linked from construction on, whatever the verdicts. Until a
-// check is sat no fixed point stands, and a check decides the sub-system
-// induced on every referenced node (orphans stay out) with the same function
-// as a region core below. A sat verdict installs the standing state: the
-// fixed point of the last *satisfiable* graph G0, plus the changed set — the
-// heads of every edge deleted or added since G0, accumulated over however
-// many edits and unsat verdicts came between. A node's fixed-point distance
-// is the cheapest walk ending at it (from the virtual source that seeds every
-// node at 0). Take the forward closure of the changed set over the out-edges
-// of the current graph G — the affected region. A walk of G0 into a node v
-// outside it either survives intact in G, or lost an edge whose head is
-// changed and whose remaining suffix would put v inside the region; a walk of
-// G into v cannot use an added edge for the same reason. So v keeps its
-// distance, and SPFA re-seeded on the region alone (its in-lists relaxed once
-// from the standing distances outside it) converges to the fixed point a full
-// solve of G would reach. A negative cycle of G must contain an edge G0
-// lacked — G0 was satisfiable — so it lies inside the region and trips SPFA's
-// enqueue bound, the region's size.
+// Every check is one engine solve of the sub-system induced on a node set:
+// the atoms whose edges leave a node of the set, in canonical order, over
+// dense set-local ids. Until a check is sat no fixed point stands, and the
+// set is every referenced node (orphans stay out), whose sub-system is the
+// whole list. A sat verdict installs the standing state: the fixed point of
+// the last *satisfiable* graph G0, plus the changed set — the heads of every
+// edge deleted or added since G0, accumulated over however many edits and
+// unsat verdicts came between. A node's fixed-point distance is the cheapest
+// walk ending at it (from the virtual source that seeds every node at 0).
+// From then on the set is the affected region: the forward closure of the
+// changed set over the out-edges of the current graph G.
 //
-// When it does, the distances the probe reset are put back, the changed set
-// stays pending, and the exact verdict and deletion-minimal core come from
-// the region too. The proof obligation: the region is forward-closed, so
-// every negative cycle of every *subset* of the atoms lies inside it (the
-// argument above never used that G was the whole list). The deletion loop
-// walks the list from last to first and keeps an atom exactly when the
-// remainder without it has no negative cycle: for an atom whose edge leaves
-// the region that is the same question asked of the region's atoms alone,
-// and every other atom is on no negative cycle and is dropped. So the
-// sub-system induced on the region — its atoms in canonical order over dense
-// region-local ids, decided by the engine's one solve on a pooled engine —
-// has the whole list's core, position for position once mapped back: bit for
-// bit a fresh Context.Check, the differential oracle the tests and the
-// server's -check-oracle mode enforce. The standing fixed point is not
-// involved, so the repair that follows an unsat verdict is a delta solve.
+// Why the region's solve is G's. A walk of G0 into a node v outside the
+// region either survives intact in G, or lost an edge whose head is changed
+// and whose remaining suffix would put v inside the region; a walk of G into
+// v cannot use an added edge for the same reason. So v keeps its distance.
+// The region is forward-closed, so a walk of G that enters it never leaves:
+// it starts inside, or arrives over an in-edge u → w from outside with u's
+// standing distance. So each region node is seeded with the least
+// dist(u) − 1 its in-edges from outside bring (0 with none), the engine's
+// component pass runs from those seeds, and the fixpoint it reaches on the
+// region is the one a whole solve of G reaches there. A negative cycle of G
+// must contain an edge G0 lacked — G0 was satisfiable — so it lies inside
+// the region, and the region's solve is unsat exactly when G is.
+//
+// And its core. The argument never used that G was the whole list, so every
+// negative cycle of every *subset* of the atoms lies inside the region too.
+// The deletion loop walks the list from last to first and keeps an atom
+// exactly when the remainder without it has no negative cycle: for an atom
+// whose edge leaves the region that is the same question asked of the
+// region's atoms alone, and every other atom is on no negative cycle and is
+// dropped. Seeds take no part in a cycle. So the region's sub-system, its
+// atoms in canonical order, has the whole list's core, position for position
+// once mapped back: bit for bit a fresh Context.Check, the differential
+// oracle the tests and the server's -check-oracle mode enforce. An unsat
+// verdict installs nothing: the standing fixed point and the changed set
+// stay, so the repair that follows is a delta solve.
 //
 // Transactions make a what-if cost its edit. Between Begin and Rollback the
-// context journals every segment operation, the distance of every node a
-// successful re-probe reset or a whole solve installed, and — at Begin —
-// whether a fixed point stood, the graph's size, the pending changed set and
-// the memoized result. A replaced segment's slots stay allocated, unlinked,
-// until Commit frees them; Rollback replays the journal backwards — unlink
-// and free what was added, re-link what was removed — restores the
-// journalled distances (nodes outside every probed region never moved),
-// shrinks the graph back to the ids Begin found (no atom reaches the nodes
-// grown since), and reinstates the rest of what Begin found.
+// context journals every segment operation, the distance of every node a sat
+// check installed, and — at Begin — whether a fixed point stood, the graph's
+// size, the pending changed set and the memoized result. A replaced
+// segment's slots stay allocated, unlinked, until Commit frees them;
+// Rollback replays the journal backwards — unlink and free what was added,
+// re-link what was removed — restores the journalled distances (nodes
+// outside every checked region never moved), shrinks the graph back to the
+// ids Begin found (no atom reaches the nodes grown since), and reinstates
+// the rest of what Begin found.
 
 package smt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -113,11 +115,11 @@ type DeltaStats struct {
 	// CacheHits counts Check calls answered from the memoized result
 	// (no edit since the last solve).
 	CacheHits int
-	// DeltaSolves counts checks answered from the affected region: the
-	// re-probe and, when it finds a negative cycle, the region's exact core.
+	// DeltaSolves counts checks answered from the affected region: one
+	// engine solve of its seeded sub-system, the fixed point or the core.
 	DeltaSolves int
 	// FullSolves counts checks that solved the whole assertion list: every
-	// check until the first sat verdict leaves a fixed point to re-probe from.
+	// check until the first sat verdict leaves a fixed point to start from.
 	FullSolves int
 	// LastAffected is the size of the affected region of the last delta
 	// solve (0 when the last solve was full).
@@ -125,7 +127,8 @@ type DeltaStats struct {
 	// LastDuration is the wall time of the last solving Check.
 	LastDuration time.Duration
 	// Steps counts the slots, edges, list links and Fenwick entries read or
-	// written by edits and delta checks: what an edit cost, without a clock.
+	// written by edits and checks, and the atoms a check loads into the
+	// engine: what an edit cost, without a clock.
 	Steps int
 }
 
@@ -151,11 +154,9 @@ type DeltaContext struct {
 	nodes   []deltaNode // by variable id; node 0 is the zero anchor, never linked
 	changed []int32
 
-	// Scratch: the affected region (a node's index plus one is its
-	// region-local id), the probe's ring queue, and the region's atoms keyed
-	// for sorting.
+	// Scratch: the node set a check decides (a node's index plus one is its
+	// region-local id) and its atoms keyed for sorting.
 	region []int32
-	queue  []int32
 	items  []uint64
 
 	// memoized result of the last Check, valid until the next edit.
@@ -181,11 +182,11 @@ type deltaSlot struct {
 // as an orphan, with no edge; ref masks orphans out of models and whole
 // solves, which keeps both bit-for-bit equal to a fresh solve's.
 type deltaNode struct {
-	dist                   int
-	out, in                int32 // list heads, −1 for none
-	ref                    int32 // atom references
-	cnt                    int32 // enqueue count during a probe, region-local id after one
-	inQ, changed, inRegion bool
+	dist    int
+	out, in int32 // list heads, −1 for none
+	ref     int32 // atom references
+	local   int32 // region-local id during a check, 0 outside the region
+	changed bool
 }
 
 // deltaTx is the undo journal of one transaction: what Begin found, and
@@ -203,9 +204,7 @@ type deltaTx struct {
 
 	ops      []segUndo
 	replaced int // SetSeg entries among ops
-	// dist holds the distances successful re-probes and a first sat solve
-	// replaced. Every probe stages its region's here, transaction or not, to
-	// put them back if it finds a negative cycle.
+	// dist holds the distances sat checks replaced.
 	dist []distUndo
 }
 
@@ -287,7 +286,7 @@ func (d *DeltaContext) Clone() *DeltaContext {
 	}
 	c.fen, c.slots, c.free = slices.Clone(d.fen), slices.Clone(d.slots), slices.Clone(d.free)
 	c.nodes, c.changed = slices.Clone(d.nodes), slices.Clone(d.changed)
-	c.region, c.queue, c.items, c.tx = nil, nil, nil, deltaTx{}
+	c.region, c.items, c.tx = nil, nil, deltaTx{}
 	return &c
 }
 
@@ -453,7 +452,7 @@ func (d *DeltaContext) journal(u segUndo) bool {
 // The segment's old slots are unlinked and new ones linked — no other slot,
 // edge or position is touched. An id the graph has not reached grows it, and
 // the heads of every touched edge are recorded as changed, so the next Check
-// can re-probe just the region they reach. An atom over the zero anchor or a
+// can re-decide just the region they reach. An atom over the zero anchor or a
 // negative id is an error, and changes nothing.
 func (d *DeltaContext) SetSeg(id int, add []DenseConstraint) (changed bool, err error) {
 	if err := d.checkSeg(id, len(d.segs)); err != nil {
@@ -616,10 +615,9 @@ func (d *DeltaContext) clearChanged() {
 // --- checking ---
 
 // Check decides the current atom list. Results are memoized until the next
-// edit. With a fixed point standing, the check is a delta solve: forward
-// closure of the changed nodes, boundary relaxation, seeded SPFA, and — when
-// that finds a negative cycle — the exact core of the region's sub-system.
-// Every check before the first sat one decides the sub-system induced on
+// edit. With a fixed point standing, the check is a delta solve: one engine
+// solve of the affected region, seeded from the standing distances around
+// it. Every check before the first sat one decides the sub-system induced on
 // every referenced node. Either way verdicts and minimal cores are
 // bit-for-bit those of a fresh solve. The result names nothing, as
 // SolveDense's does: a sat one carries no model (Model reads it), an unsat
@@ -627,7 +625,6 @@ func (d *DeltaContext) clearChanged() {
 func (d *DeltaContext) Check(ctx context.Context) (Result, error) {
 	if d.resValid {
 		d.stats.CacheHits++
-		obsCacheHits.Inc()
 		return d.res, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -672,221 +669,112 @@ func (d *DeltaContext) Model() []int {
 	return model
 }
 
-// solve decides the graph. With no fixed point standing it decides the
-// sub-system induced on every referenced node. With one, it re-probes the
-// affected region and, if that finds a negative cycle, decides the
-// sub-system induced on the region.
+// solve decides the graph with one engine solve, of the sub-system induced
+// on the node set d.region: the atoms whose edges leave a node of the set, in
+// canonical order, over region-local ids (a node's index in d.region plus
+// one, with the zero anchor at 0), on a pooled engine. With no fixed point
+// standing the set is every referenced node; with one, it is the affected
+// region, each node seeded from its in-edges that come from outside it. A sat
+// verdict installs the set's distances as the fixed point; an unsat one maps
+// its core back to canonical positions and moves nothing.
 func (d *DeltaContext) solve(ctx context.Context) (res Result, err error) {
-	if !d.built {
-		d.stats.FullSolves++
-		obsFullSolves.Inc()
-		d.stats.LastAffected = 0
-		d.region = d.region[:0]
-		for v := int32(1); v < int32(len(d.nodes)); v++ {
-			if d.nodes[v].ref > 0 {
-				d.region = append(d.region, v)
-			}
-		}
-		err = d.solveInduced(ctx, &res)
-		return res, err
-	}
-	if res.Sat = d.probe(&res.Stats); !res.Sat {
-		if err := d.solveInduced(ctx, &res); err != nil {
-			return Result{}, err
-		}
-	}
-	res.Stats.Assertions, res.Stats.Variables = d.n, len(d.nodes)-1
-	res.Stats.Edges = d.n + res.Stats.Variables // with a whole solve's positivity edges
-	d.stats.DeltaSolves++
-	obsDeltaSolves.Inc()
-	return res, nil
-}
-
-// probe re-solves the region of the graph the changed set reaches, leaving
-// it in d.region, and reports whether it converged. If SPFA tripped the
-// negative-cycle bound, the region's distances are back where they stood and
-// the changed set is still pending. Inside a transaction the distances a
-// successful probe replaced are journalled for Rollback.
-func (d *DeltaContext) probe(st *Stats) (sat bool) {
-	d.region = d.region[:0]
-	d.stats.LastAffected = 0
-	if len(d.changed) == 0 {
-		// Nothing touched the graph since the fixed point (e.g. an edit that
-		// put back what the last one removed): the standing distances are
-		// the answer.
-		return true
-	}
-
-	// Affected region: forward closure of the changed nodes over out-edges.
-	// Only nodes in this set can see their fixed-point distance move, and
-	// any negative cycle lies entirely inside it.
+	ctx, sp := obs.StartSpan(ctx, "region")
+	defer sp.End()
 	nodes, slots, steps := d.nodes, d.slots, 0
-	region := d.region
-	for _, v := range d.changed {
-		if !nodes[v].inRegion {
-			nodes[v].inRegion = true
-			region = append(region, v)
-		}
-	}
-	for qi := 0; qi < len(region); qi++ {
-		for ed := nodes[region[qi]].out; ed >= 0; ed = slots[ed].outNext {
-			steps++
-			if v := slots[ed].to; !nodes[v].inRegion {
-				nodes[v].inRegion = true
+	region, items := d.region[:0], d.items[:0]
+	delta := d.built
+	if delta {
+		region = append(region, d.changed...)
+		d.stats.DeltaSolves++
+	} else {
+		for v := int32(1); v < int32(len(nodes)); v++ {
+			if nodes[v].ref > 0 {
 				region = append(region, v)
 			}
 		}
+		d.stats.FullSolves++
 	}
-	d.region = region
-	n := int32(len(region))
-	d.stats.LastAffected = len(region)
-
-	// Reset the region to virtual-source distances, remembering what stood
-	// there, and seed the queue with it; boundary edges (unaffected tail →
-	// affected head, found on the region's in-lists) are relaxed once from
-	// the standing distances, which never move during the re-probe.
-	tx := &d.tx
-	mark := len(tx.dist)
-	d.queue = grow(d.queue, len(region))
 	for i, v := range region {
-		tx.dist = append(tx.dist, distUndo{v, nodes[v].dist})
-		nodes[v].dist, nodes[v].cnt, nodes[v].inQ = 0, 1, true
-		d.queue[i] = v
+		nodes[v].local = int32(i + 1)
 	}
-	for _, v := range region {
-		for ed := nodes[v].in; ed >= 0; ed = slots[ed].inNext {
-			steps++
-			if u := slots[ed].from; !nodes[u].inRegion {
-				nodes[v].dist = min(nodes[v].dist, nodes[u].dist-1)
-			}
-		}
-	}
-
-	// SPFA over the region's ring queue. A node enqueued more often than the
-	// region has nodes lies on (or hangs off) a negative cycle.
-	relax, head, size := 0, int32(0), n
-	sat = true
-	for size > 0 && sat {
-		u := d.queue[head]
-		head = (head + 1) % n
-		size--
-		nodes[u].inQ = false
-		du := nodes[u].dist - 1 // every edge weighs −1
-		for ed := nodes[u].out; ed >= 0; ed = slots[ed].outNext {
-			steps++
-			v := slots[ed].to
-			nv := &nodes[v]
-			if du >= nv.dist {
-				continue
-			}
-			relax++
-			nv.dist = du
-			if nv.inQ {
-				continue
-			}
-			if nv.cnt++; nv.cnt > n {
-				sat = false
-				break
-			}
-			d.queue[(head+size)%n] = v
-			size++
-			nv.inQ = true
-		}
-	}
-	st.Probes, st.Relaxations = 1, relax
-	obsProbes.Inc()
-	obsRelaxations.Add(int64(relax))
-	d.stats.Steps += steps + 2*len(region)
-
-	if !sat {
-		// Only nodes of the region were relaxed or queued; solveInduced clears
-		// their region marks.
-		for _, u := range tx.dist[mark:] {
-			nodes[u.node].dist, nodes[u.node].inQ = u.dist, false
-		}
-		tx.dist = tx.dist[:mark]
-		return false
-	}
-	for _, v := range region {
-		nodes[v].inRegion = false
-	}
-	if !tx.open {
-		tx.dist = tx.dist[:mark] // nobody to roll back for
-	}
-	d.clearChanged()
-	return true
-}
-
-// solveInduced decides the sub-system induced on the node set d.region: the
-// atoms whose edges leave a node of the set, in canonical order, over local
-// ids (a node's index in d.region plus one, with the zero anchor at 0), by
-// the engine's one solve on a pooled engine, with a core mapped back to
-// canonical positions. With no fixed point standing the set is every
-// referenced node, the sub-system is the whole list, and a sat verdict
-// installs the fixed point. Otherwise the set is the affected region of a
-// probe that found a negative cycle, and by the argument in the file header
-// its sub-system has the whole list's answer.
-func (d *DeltaContext) solveInduced(ctx context.Context, res *Result) error {
-	name := "region-core"
-	if !d.built {
-		name = "solve"
-	}
-	ctx, sp := obs.StartSpan(ctx, name)
-	defer sp.End()
-	items, steps := d.items[:0], 0
-	for i, u := range d.region {
-		d.nodes[u].cnt, d.nodes[u].inRegion = int32(i+1), false // a probe is done with both
-		for ed := d.nodes[u].out; ed >= 0; ed = d.slots[ed].outNext {
+	// Walk the set's out-edges, keying its atoms for sorting and growing it to
+	// its forward closure: from the changed nodes, the affected region, the
+	// only nodes whose distance can move and the home of every negative
+	// cycle. The set of every referenced node is closed already.
+	for qi := 0; qi < len(region); qi++ {
+		for ed := nodes[region[qi]].out; ed >= 0; ed = slots[ed].outNext {
 			steps++
 			items = append(items, uint64(d.position(ed))<<32|uint64(ed))
+			if v := slots[ed].to; nodes[v].local == 0 {
+				region = append(region, v)
+				nodes[v].local = int32(len(region))
+			}
 		}
 	}
 	slices.Sort(items)
-	d.items = items
-	d.stats.Steps += steps + len(items)
-
+	d.region, d.items = region, items
+	d.stats.LastAffected = 0
+	if delta {
+		d.stats.LastAffected = len(region)
+	}
 	e := enginePool.Get().(*dlEngine)
 	defer e.release()
 	defer e.flushStats()
 	e.edges = e.edges[:0]
 	for i, it := range items {
-		x := &d.slots[uint32(it)]
-		e.edges = append(e.edges, dlEdge{from: d.nodes[x.from].cnt, to: d.nodes[x.to].cnt, assertIdx: int32(i), strict: true})
+		x := &slots[uint32(it)]
+		e.edges = append(e.edges, dlEdge{from: nodes[x.from].local, to: nodes[x.to].local, assertIdx: int32(i), strict: true})
 	}
-	e.seal(len(d.region)+1, len(items)) // the set's dense universe, with the zero anchor
-	var st Stats
-	sat, core, err := e.solve(ctx, &st)
-	if err != nil {
-		return err
-	}
-	st.Assertions = d.n
-	st.Probes, st.Relaxations = st.Probes+res.Stats.Probes, st.Relaxations+res.Stats.Relaxations
-	res.Sat, res.Stats = sat, st
-	sp.AttrInt("nodes", int64(len(d.region)))
-	sp.AttrInt("edges", int64(len(e.edges)))
-	sp.AttrInt("probes", int64(st.Probes))
-	if sat {
-		if d.built {
-			// SPFA's enqueue bound trips only on a negative cycle.
-			return errors.New("smt: delta probe found a negative cycle the region's solve does not")
-		}
-		// The fixed point stands from now on. Nothing moves a distance while
-		// none stands, so an orphan is still at the virtual source, where a
-		// node without in-edges belongs.
-		for i, v := range d.region {
-			if d.tx.open {
-				d.tx.dist = append(d.tx.dist, distUndo{v, d.nodes[v].dist})
+	e.seal(len(region)+1, len(items))
+	// Seed each node with the least standing distance, minus one, that an
+	// in-edge from outside the set brings. Before a fixed point stands no
+	// in-edge comes from outside and every distance is 0.
+	if delta {
+		for i, v := range region {
+			for ed := nodes[v].in; ed >= 0; ed = slots[ed].inNext {
+				steps++
+				if u := slots[ed].from; nodes[u].local == 0 {
+					e.dist[i+1] = min(e.dist[i+1], nodes[u].dist-1)
+				}
 			}
-			d.nodes[v].dist = e.dist[i+1]
 		}
-		d.built = true
-		d.clearChanged()
-		return nil
 	}
-	res.CoreIdx = make([]int, len(core))
-	for k, i := range core {
-		res.CoreIdx[k] = int(items[i] >> 32)
+	for _, v := range region {
+		nodes[v].local = 0
 	}
-	sp.AttrInt("core", int64(len(core)))
-	return nil
+	d.stats.Steps += steps + len(items)
+
+	sat, core, err := e.solve(ctx, &res.Stats)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Sat = sat
+	res.Stats.Assertions = d.n
+	if delta { // the graph's size, with a whole solve's positivity edges
+		res.Stats.Variables = len(nodes) - 1
+		res.Stats.Edges = d.n + res.Stats.Variables
+	}
+	sp.AttrInt("nodes", int64(len(region)))
+	sp.AttrInt("edges", int64(len(e.edges)))
+	sp.AttrInt("probes", int64(res.Stats.Probes))
+	if !sat {
+		res.CoreIdx = make([]int, len(core))
+		for k, i := range core {
+			res.CoreIdx[k] = int(items[i] >> 32)
+		}
+		sp.AttrInt("core", int64(len(core)))
+		return res, nil
+	}
+	// The set's distances are the fixed point from now on. Nothing moves a
+	// distance while none stands, so an orphan is still at the virtual
+	// source, where a node without in-edges belongs.
+	for i, v := range region {
+		if d.tx.open {
+			d.tx.dist = append(d.tx.dist, distUndo{v, nodes[v].dist})
+		}
+		nodes[v].dist = e.dist[i+1]
+	}
+	d.built = true
+	d.clearChanged()
+	return res, nil
 }

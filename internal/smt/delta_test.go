@@ -255,7 +255,7 @@ func stateOf(d *DeltaContext) deltaState {
 		slices.SortStableFunc(in, byPos)
 		st.Out, st.In = append(st.Out, out), append(st.In, in)
 		st.Dist, st.VarRef = append(st.Dist, node.dist), append(st.VarRef, node.ref)
-		if node.changed != slices.Contains(d.changed, int32(v)) || node.inQ || node.inRegion {
+		if node.changed != slices.Contains(d.changed, int32(v)) || node.local != 0 {
 			panic(fmt.Sprintf("node %d: flags %+v, changed set %v", v, node, d.changed))
 		}
 	}

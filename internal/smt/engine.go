@@ -10,14 +10,17 @@
 // computes (scc.go).
 //
 // A solve sees dense node ids and an edge list, from one of two loaders:
-// load, for SolveDense and the Native adapter, and a DeltaContext, copying a
-// sub-system out of its own linked graph. Both hand the engine the same zero
-// anchor and positivity edges (x ≥ 1, an edge x → 0), so every door reports
-// the same Stats. No atom mentions a constant, so no edge leaves the zero
-// node and positivity lies on no cycle. seal builds the CSR adjacency once
-// per solve, and every satisfiability probe runs over an `active []bool`
-// mask on preallocated buffers. Engines are pooled and reused across solves,
-// so the steady-state sat path allocates only the result model.
+// load, for SolveDense and the Native adapter, and a DeltaContext, copying
+// out of its own linked graph the sub-system induced on a node set (every
+// referenced node, or the region an edit disturbed) and, for the region,
+// seeding each node with what its in-edges from outside bring. Both hand
+// the engine the same zero anchor and positivity edges (x ≥ 1, an edge
+// x → 0), so every door reports the same Stats. No atom mentions a
+// constant, so no edge leaves the zero node and positivity lies on no
+// cycle. seal builds the CSR adjacency once per solve, and every
+// satisfiability probe runs over an `active []bool` mask on preallocated
+// buffers. Engines are pooled and reused across solves, so the steady-state
+// sat path allocates only the result model.
 //
 // solve is the one whole-system decision: condense the constraint graph,
 // walk its components once, and — when some component holds a strict
@@ -128,7 +131,7 @@ func (e *dlEngine) load(numVars int, cons []DenseConstraint) {
 
 // seal finishes a fresh graph of the given node count whose n assertions'
 // edges are in e.edges: positivity edges, the CSR adjacency, and the probe
-// buffers — every assertion active, no witness.
+// buffers — every assertion active, no witness, every node seeded at 0.
 func (e *dlEngine) seal(nodes, n int) {
 	e.nodes = nodes
 	for v := int32(1); v < int32(nodes); v++ {
@@ -136,6 +139,7 @@ func (e *dlEngine) seal(nodes, n int) {
 	}
 	e.buildCSR()
 	e.dist = grow(e.dist, nodes)
+	clear(e.dist)
 	e.disc = grow(e.disc, nodes)
 	e.low = grow(e.low, nodes)
 	e.onStk = grow(e.onStk, nodes)
@@ -302,11 +306,12 @@ func (e *dlEngine) minimize(ctx context.Context) (core []int, err error) {
 }
 
 // solve is the engine's one whole-system decision, on the graph seal left:
-// condense, run the component pass — which leaves the canonical
-// all-zero-seeded fixpoint in e.dist when the system is satisfiable — and
-// otherwise find the witness cycle and report the deletion-minimal core
-// (under a "minimize" span). st receives the graph's size, the plan's shape
-// and the loop effort.
+// condense, run the component pass — which leaves in e.dist the fixpoint
+// from its seeds (all zero, the canonical model, unless a delta check
+// lowered some) when the system is satisfiable — and otherwise find the
+// witness cycle and report the deletion-minimal core (under a "minimize"
+// span). st receives the graph's size, the plan's shape and the loop
+// effort.
 func (e *dlEngine) solve(ctx context.Context, st *Stats) (sat bool, core []int, err error) {
 	st.Assertions, st.Variables, st.Edges = len(e.active), e.nodes-1, len(e.edges)
 	s := newSCCPlan(e)

@@ -4,10 +4,10 @@
 //
 // The engine's inner loops count into plain int fields on the pooled
 // dlEngine — a register increment, invisible to the solve benchmarks —
-// and flushStats drains them into the atomic counters once per solve; a
-// delta re-probe counts in locals and adds them once. The
-// DeltaContext-level counters (segment replacements, delta vs full
-// discharges) mirror the per-context DeltaStats the daemon already reports.
+// and flushStats drains them into the atomic counters once per solve, a
+// delta check's included. How a delta context discharged its checks (delta,
+// full, cached) is the daemon's to export, from the per-context DeltaStats:
+// fsr_delta_solves_total, fsr_full_solves_total, fsr_solver_cache_hits_total.
 
 package smt
 
@@ -15,27 +15,21 @@ import "fsr/internal/obs"
 
 var (
 	obsProbes = obs.Default().Counter("fsr_smt_probes_total",
-		"Satisfiability probes decided by the engine: component passes, cycle searches and delta re-probes.")
+		"Satisfiability probes decided by the engine: component passes and cycle searches, on every door.")
 	obsRelaxations = obs.Default().Counter("fsr_smt_relaxations_total",
-		"Edges the cycle searches examined inside bad components, plus successful delta re-probe relaxations.")
+		"Edges the cycle searches examined inside bad components.")
 	obsMinimizeIters = obs.Default().Counter("fsr_smt_minimize_iterations_total",
 		"Core-minimization deletion-loop iterations.")
 	obsDeltaSplices = obs.Default().Counter("fsr_smt_delta_splices_total",
 		"Assertion-list segments replaced in delta contexts.")
-	obsDeltaSolves = obs.Default().Counter("fsr_smt_delta_solves_total",
-		"Delta-context checks discharged from the affected region: the re-probe and, when unsat, the region's core.")
-	obsFullSolves = obs.Default().Counter("fsr_smt_full_solves_total",
-		"Delta-context checks that solved the whole assertion list (no fixed point stood yet).")
-	obsCacheHits = obs.Default().Counter("fsr_smt_cache_hits_total",
-		"Delta-context checks answered from the memoized result.")
 
 	// Condensation introspection, one observation per engine solve on any
-	// door (string, dense, and a delta context's induced solve, of the whole
-	// list before a fixed point stands or of a region core after): plan shape
-	// plus Tarjan plan-building latency. The histogram handle is pre-resolved
-	// so the per-solve Observe is alloc-free.
+	// door (string, dense, and every solving delta check, of the whole list
+	// before a fixed point stands or of the affected region after): plan
+	// shape plus Tarjan plan-building latency. The histogram handle is
+	// pre-resolved so the per-solve Observe is alloc-free.
 	obsSCCSolves = obs.Default().Counter("fsr_scc_solves_total",
-		"Whole-system solves (every one runs on the SCC condensation; delta re-probes excluded).")
+		"Engine solves, each on the SCC condensation: whole systems, and the sub-system a delta check decides.")
 	obsSCCComponents = obs.Default().Counter("fsr_scc_components_total",
 		"Strongly connected components condensed across all solves.")
 	obsSCCTrivial = obs.Default().Counter("fsr_scc_trivial_components_total",

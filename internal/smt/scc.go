@@ -208,12 +208,12 @@ func newSCCPlan(e *dlEngine) *sccPlan {
 // (ascending once the walk is done); any other component's nodes all take
 // the least value its incoming cross edges left on them; then its outgoing
 // cross edges are relaxed, so a component's predecessors are final before
-// it is entered. It leaves the engine's dist array at the canonical
-// all-zero-seeded shortest-path fixpoint when no component is bad.
+// it is entered. It starts from the seeds in e.dist (seal zeroes them; a
+// delta check may lower some first) and, when no component is bad, leaves
+// there the shortest-path fixpoint from those seeds.
 func (s *sccPlan) run(ctx context.Context, e *dlEngine) error {
 	e.statProbes++
 	e.bad = e.bad[:0]
-	clear(e.dist[:e.nodes])
 	for c := int32(s.ncomp) - 1; c >= 0; c-- {
 		nodes := s.nodes(c)
 		if s.strict[c] {

@@ -115,7 +115,8 @@ func TestSolveDenseMatchesContext(t *testing.T) {
 // chain x0 < x1 < … < xn — how every ranking is emitted — costs every door
 // the same whether it is asserted ascending or descending. (Whole-graph SPFA
 // read 512 M relaxations on the ascending 32 000-chain and 96 k on the
-// descending one; condensed, the sweep visits each node once.)
+// descending one; condensed, the sweep visits each node once.) The delta
+// re-probe door is held to its region in any list order the same way.
 func TestChainCostIsTheChain(t *testing.T) {
 	const n = 32000
 	ctx := context.Background()
@@ -177,5 +178,34 @@ func TestChainCostIsTheChain(t *testing.T) {
 	}
 	if want[Var("x0")] != 1 || want[Var(fmt.Sprintf("x%d", n))] != n+1 {
 		t.Errorf("model is not the canonical fixpoint: x0=%d x%d=%d", want["x0"], n, want[Var(fmt.Sprintf("x%d", n))])
+	}
+
+	// The delta re-probe door: on a standing k-node chain, a new node h fans
+	// out to every chain node (x_i < h), listed from the chain's sink x0 up —
+	// reverse topological order, the order the changed set and so the region
+	// come in. The region is the chain, seeded from h. (A region SPFA queued
+	// in that order re-relaxed it k(k+1)/2 times.)
+	const k = 2000
+	dc := newDelta(t, ascDense[:k-1], nil)
+	if res, err := dc.Check(ctx); err != nil || !res.Sat {
+		t.Fatalf("standing chain: sat=%v err=%v", res.Sat, err)
+	}
+	fan := make([]DenseConstraint, k)
+	for i := range fan {
+		fan[i] = DenseConstraint{A: int32(i + 1), B: k + 1}
+	}
+	appendSeg(t, dc, fan...)
+	before := dc.Stats()
+	res, err := dc.Check(ctx)
+	after := dc.Stats()
+	if err != nil || !res.Sat || after.DeltaSolves != before.DeltaSolves+1 || after.LastAffected != k {
+		t.Fatalf("delta re-probe: sat=%v err=%v, stats %+v → %+v; want a sat delta solve of the %d-node chain", res.Sat, err, before, after, k)
+	}
+	if steps := after.Steps - before.Steps; steps > 4*k || res.Stats.Probes != 1 {
+		t.Errorf("delta re-probe: %d steps in %d probe(s), want ≤ %d in 1", steps, res.Stats.Probes, 4*k)
+	}
+	_, model, err := SolveDense(ctx, k+1, append(slices.Clone(ascDense[:k-1]), fan...))
+	if err != nil || !slices.Equal(dc.Model(), model) {
+		t.Errorf("delta re-probe: model differs from a dense solve's (err=%v)", err)
 	}
 }

@@ -146,18 +146,17 @@ type Stats struct {
 	Edges      int
 	Duration   time.Duration
 	// Components and TrivialComponents report the condensation every solve
-	// runs on: total strongly connected components of the constraint graph,
-	// and how many were singletons with no internal edge (decided without
-	// touching a solver queue). Zero only when no ground solve ran (an
-	// invalid universal, a delta re-probe).
+	// runs on: total strongly connected components of the constraint graph
+	// (on a delta check, of the sub-system it decided), and how many were
+	// singletons with no internal edge (decided without touching a solver
+	// queue). Zero only when no ground solve ran (an invalid universal).
 	Components        int
 	TrivialComponents int
-	// Probes and Relaxations are this solve's loop effort: satisfiability
-	// probes decided (the component pass, the witness, each minimization
-	// step) and, on a whole solve, the edges the cycle searches examined
-	// inside bad components (a sat solve makes none), or on a delta re-probe
-	// the successful relaxations of its region's SPFA — the per-operation
-	// view of the process-global fsr_smt_probes_total /
+	// Probes and Relaxations are this solve's loop effort, a delta check's
+	// included: satisfiability probes decided (the component pass, the
+	// witness, each minimization step) and the edges the cycle searches
+	// examined inside bad components (a sat solve makes none) — the
+	// per-operation view of the process-global fsr_smt_probes_total /
 	// fsr_smt_relaxations_total counters.
 	Probes      int
 	Relaxations int
