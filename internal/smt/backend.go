@@ -93,7 +93,7 @@ func (Native) Solve(ctx context.Context, assertions []Assertion) (Result, error)
 		n.pos = append(n.pos, i)
 	}
 
-	e := enginePool.Get().(*dlEngine)
+	e := newEngine()
 	defer e.release()
 	defer e.flushStats() // LIFO: drain the loop counts before pooling
 	e.load(len(n.names), n.cons)

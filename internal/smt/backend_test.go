@@ -3,7 +3,9 @@ package smt
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // unsatChain builds x < y, y < x — unsat with a two-element core.
@@ -49,5 +51,34 @@ func TestBackendCancellation(t *testing.T) {
 		if _, err := backend.Solve(ctx, unsatChain()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled solve returned %v, want context.Canceled", backend.Name(), err)
 		}
+	}
+}
+
+// TestEnginePoolIsOneList: an engine released on one goroutine is the one a
+// solve on another goroutine takes next, whichever P each ran on, and the
+// collector empties the pool of engines nobody takes: after a few
+// collections neither list holds one.
+func TestEnginePoolIsOneList(t *testing.T) {
+	e := newEngine()
+	e.release()
+	got := make(chan *dlEngine)
+	go func() { got <- newEngine() }()
+	if g := <-got; g != e {
+		t.Fatal("a solve on another goroutine did not take the released engine")
+	}
+	newEngine().release()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		enginePool.Lock()
+		held := len(enginePool.free) + len(enginePool.aged)
+		enginePool.Unlock()
+		if held == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the pool still holds %d engines after 5 s of collections", held)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -717,7 +717,7 @@ func (d *DeltaContext) solve(ctx context.Context) (res Result, err error) {
 	if delta {
 		d.stats.LastAffected = len(region)
 	}
-	e := enginePool.Get().(*dlEngine)
+	e := newEngine()
 	defer e.release()
 	defer e.flushStats()
 	e.edges = e.edges[:0]

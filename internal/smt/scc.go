@@ -276,7 +276,7 @@ func SolveDense(ctx context.Context, numVars int, cons []DenseConstraint) (res R
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, err
 	}
-	e := enginePool.Get().(*dlEngine)
+	e := newEngine()
 	defer e.release()
 	defer e.flushStats()
 	e.load(numVars, cons)

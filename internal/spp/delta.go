@@ -110,6 +110,7 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.name(false) // natural names: the verifier counts collisions itself
 	v := &DeltaVerifier{
 		in:         cp,
 		algebra:    "spp-" + cp.Name,

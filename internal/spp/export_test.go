@@ -1,9 +1,15 @@
 package spp
 
-// PrepAllocProbe runs the emitter's validation-and-interning front half
+import "fsr/internal/smt"
+
+// PrepAllocProbe runs the emitter's validation-and-naming front half
 // alone, so a test can count its allocations.
 func PrepAllocProbe(in *Instance) error {
-	return buildShardPrep(new(shardPrep), in)
+	p := new(shardPrep)
+	if err := buildShardPrep(p, in); err != nil {
+		return err
+	}
+	return p.name(true)
 }
 
 // The random-transaction driver and the oracle-parity check, for the
@@ -12,3 +18,15 @@ var (
 	DriveTransactions   = driveTransactions
 	RequireVerifyParity = requireVerifyParity
 )
+
+// PrepNames runs the emitter's front half and returns every permitted
+// path's solver variable in global path order, and how many of them were
+// copied from a tail's.
+func PrepNames(in *Instance) ([]smt.Var, int, error) {
+	p := new(shardPrep)
+	err := buildShardPrep(p, in)
+	if err == nil {
+		err = p.name(true)
+	}
+	return p.vars, p.composed, err
+}

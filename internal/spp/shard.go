@@ -14,36 +14,45 @@
 // — and the DeltaVerifier calls the same two functions for the segments an
 // edit touches.
 //
+// A match is also the §IV-B definition of a signature through its tail,
+// l_uv ⊕ r_vp = r_uvp, so the prep keeps it per path: tail[b] = a when path
+// b is [u] + path a. Validation walks those tails (a path is proven when its
+// tail is), and so does naming: a proven path's solver variable is its
+// owner's token in front of its tail's, copied rather than rendered again
+// (name).
+//
 // Analyze sits on top: permitted paths become dense int32 ids (global rank
 // order) and the difference constraints go straight to smt.SolveDense, which
 // makes the whole decision on those ids — no Origin strings, no
-// per-constraint provenance, not even the signature renderings (only the
-// sanitized solver variables, each fused into a single allocation). A
-// satisfiable instance gets its model back by id; an unsatisfiable one gets
-// its deletion-minimal core back as constraint positions, and
-// coreConstraints runs prefSeg/monoSeg for exactly those positions, so the
-// minimized core and the §VI-B suspect set are the ones the algebra
-// pipeline reports while "unsafe" costs what "safe" costs plus the
-// minimization probes. ToAlgebra's own rejections (duplicate links and
-// renderings, degenerate algebras) and its collision suffixes on
-// solver-variable names are reproduced by resolveNames.
+// per-constraint provenance, not even the signature renderings. The solve
+// does not read a name, so at scale the naming step runs on a goroutine of
+// its own beside it and is joined before the answer is read. A satisfiable
+// instance gets its model back by id; an unsatisfiable one gets its
+// deletion-minimal core back as constraint positions, and coreConstraints
+// runs prefSeg/monoSeg for exactly those positions, so the minimized core
+// and the §VI-B suspect set are the ones the algebra pipeline reports while
+// "unsafe" costs what "safe" costs plus the minimization probes. ToAlgebra's
+// own rejections (duplicate links and renderings, degenerate algebras) and
+// its collision suffixes on solver-variable names are reproduced by name.
 //
 // An analysis allocates its answer, not its scratch. Analyze borrows its
-// shardPrep from prepPool, and buildShardPrep, resolveNames and
-// denseConstraints refill that prep's arrays in place. What escapes is the
-// model map, whose keys are the interned variable names, on a safe verdict,
-// and the core and suspects on an unsafe one — strings shared with the prep,
-// never a slice of it. NewTable and NewDeltaVerifier keep their prep, so
-// they fill a fresh one through the same function.
+// shardPrep from prepPool, and buildShardPrep, name and denseConstraints
+// refill that prep's arrays in place. What escapes is the model map, whose
+// keys are substrings of the one string that holds every variable name, on
+// a safe verdict, and the core and suspects on an unsafe one — never a slice
+// of the prep. NewTable and NewDeltaVerifier keep their prep, so they fill a
+// fresh one through the same functions.
 
 package spp
 
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -74,29 +83,51 @@ type shardPrep struct {
 	linkEnds []int32  // per link: from-index, to-index (2 entries each; −1 undeclared)
 	pathOff  []int32  // global path-id base per node; id = pathOff[ni]+rank
 	nPaths   int
-	vars     []smt.Var // per path id: the solver variable
+	vars     []smt.Var // per path id: the solver variable, set by name
 	prefOff  []int32   // per node: first preference-constraint index
 	matches  []linkMatch
 
 	nodes     map[Node]int32 // declared node → index in Nodes
-	valid     []bool         // per path id: proven by extension propagation
+	tail      []int32        // per path id: the id of its tail, −1 when no match
+	state     []uint8        // per path id: pathProven, pathMulti, pathComposed
+	order     []pathRef      // every path, shortest first
+	lenCount  []int32        // order's counting sort, by path length
 	shardBufs [][]linkMatch  // per shard of the match pass; never matches' array
-	keys, set []uint64       // hashDup's keys and open-addressed set
+	keys, set []uint64       // the screens' hashes (labels, then names) and set
+	nameMax   []int32        // per path id: a bound on its variable's length
+	scratch   []byte         // one name's rendering, before it joins the rest
+	composed  int            // names the last name call copied from a tail
 	dense     []smt.DenseConstraint
 	appears   []bool // per dense id: occurs in some constraint
 }
+
+// pathRef addresses a permitted path by node index and rank.
+type pathRef struct{ ni, r int32 }
+
+// Per-path state bits. A proven path is structurally valid by extension;
+// a multi-mode one has a hop of two or more bytes that is not an origin
+// token, so its rendering joins elements with '.' (a '_' once sanitized);
+// a composed one is proven, has four or more elements and a multi-mode
+// tail, so its variable is its owner's token in front of its tail's.
+const (
+	pathProven uint8 = 1 << iota
+	pathMulti
+	pathComposed
+)
 
 // prepPool holds Analyze's preps between analyses; like smt's engine pool
 // it is emptied by the garbage collector, not by a size rule.
 var prepPool = sync.Pool{New: func() any { return new(shardPrep) }}
 
 // release returns a pooled prep, first dropping what still points into the
-// instance it served — the instance, its rankings and the node map's keys —
-// so the pool cannot keep a caller's discarded instance alive.
+// instance it served or the answer it gave — the instance, its rankings, the
+// node map's keys and the variable names — so the pool keeps neither a
+// caller's discarded instance nor the last answer's names alive.
 func (p *shardPrep) release() {
 	p.in = nil
 	clear(p.perms)
 	clear(p.nodes)
+	clear(p.vars)
 	prepPool.Put(p)
 }
 
@@ -191,6 +222,10 @@ func appendClean(b []byte, s string) []byte {
 	return b
 }
 
+// multiMode reports whether hop n makes its path's rendering dot-joined:
+// Path.String's rule, a token longer than one byte that is not an origin.
+func multiMode(n Node) bool { return len(n) > 1 && !isOrigin(n) }
+
 // appendVar appends analysis.VarName(sigName(q)) to b without allocating a
 // string, fusing sigName's rendering (the bare origin token for two-element
 // paths, otherwise "r_" + the dot- or butt-joined elements of Path.String)
@@ -203,16 +238,10 @@ func appendVar(b []byte, q Path) []byte {
 		}
 		return b
 	}
-	single := true
-	for _, n := range q {
-		if len(n) > 1 && !isOrigin(n) {
-			single = false
-			break
-		}
-	}
+	multi := slices.ContainsFunc(q, multiMode)
 	b = append(b, 'r', '_')
 	for i, n := range q {
-		if i > 0 && !single {
+		if i > 0 && multi {
 			b = append(b, '_') // the '.' join, post-sanitize
 		}
 		b = appendClean(b, string(n))
@@ -220,21 +249,42 @@ func appendVar(b []byte, q Path) []byte {
 	return b
 }
 
+// endCache resolves link endpoints to node indexes. Sessions append both
+// directions back to back, so the previous link's endpoints predict this
+// one's — string equality on the shared backing array short-circuits before
+// hashing. Each shard of the match pass keeps its own.
+type endCache struct {
+	n  [2]Node
+	id [2]int32
+	ok [2]bool
+}
+
+// resolve returns n's index in nodes, or −1 when n is undeclared.
+func (c *endCache) resolve(nodes map[Node]int32, n Node) int32 {
+	for i := range c.n {
+		if c.ok[i] && c.n[i] == n {
+			return c.id[i]
+		}
+	}
+	id, ok := nodes[n]
+	if !ok {
+		id = -1
+	}
+	c.n[0], c.id[0], c.ok[0] = c.n[1], c.id[1], c.ok[1]
+	c.n[1], c.id[1], c.ok[1] = n, id, true
+	return id
+}
+
 // buildShardPrep fills p from the instance: it validates the instance,
-// interns every permitted path's solver variable into the flat array, and
-// collects the permitted-extension matches in link order. It is the one
+// collects the permitted-extension matches in link order, records every
+// matched path's tail, and orders the paths shortest first. It is the one
 // function that fills a prep; p is fresh for a caller that keeps the prep
 // (NewTable, NewDeltaVerifier) and pooled for Analyze, which keeps only its
-// answer. Validation rides on the match list (extension propagation, below)
-// instead of calling Instance.Validate, whose per-hop set lookups cost more
-// than this whole function. On internet:50000 (2-core Xeon guest, go1.24) the
-// phases took 64 ms before undeclared rankings were counted instead of
-// scanned for: node map and ranking lookups 10, link-end resolution 17,
-// extension matches 15 (two shards), validation 4, the undeclared-ranking
-// scan 7.5, variable rendering 12.5. A non-nil error is a structural
-// validation failure, the one Validate reports. The interned variables are
-// the natural (unsuffixed) names; resolveNames makes them the algebra
-// pipeline's.
+// answer. Validation rides on the tails (below) instead of calling
+// Instance.Validate, whose per-hop set lookups cost more than this whole
+// function. A non-nil error is a structural validation failure, the one
+// Validate reports. No path is named yet: name does that, and Analyze
+// overlaps it with the solve.
 func buildShardPrep(p *shardPrep, in *Instance) error {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
@@ -243,12 +293,13 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 	p.linkEnds = resize(p.linkEnds, 2*nl)
 	p.pathOff = resize(p.pathOff, nn+1)
 	p.prefOff = resize(p.prefOff, nn+1)
+	p.keys = resize(p.keys, nl)
 	if p.nodes == nil {
 		p.nodes = make(map[Node]int32, nn)
 	}
-	// The link set is only filled if some path escapes extension
-	// propagation and needs the per-path validator, and then only with the
-	// hops those paths walk.
+	// The link set is only filled if some path escapes its tail's proof and
+	// needs the per-path validator, and then only with the hops those paths
+	// walk.
 	ix := topoIndex{nodes: p.nodes, origins: make(map[Node]bool, len(in.Origins))}
 	for i, n := range in.Nodes {
 		ix.nodes[n] = int32(i)
@@ -257,63 +308,58 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		ix.origins[o] = true
 	}
 	ranked := 0 // declared nodes with a ranking, duplicates counted again
-	for ni, n := range in.Nodes {
-		paths, ok := in.Permitted[n]
-		if ok {
-			ranked++
+	for _, c := range parShards(nn, func(_, lo, hi int) (ranked int) {
+		for ni := lo; ni < hi; ni++ {
+			paths, ok := in.Permitted[in.Nodes[ni]]
+			if ok {
+				ranked++
+			}
+			p.perms[ni] = paths
 		}
-		p.perms[ni] = paths
+		return ranked
+	}) {
+		ranked += c
+	}
+	for ni, paths := range p.perms {
 		p.pathOff[ni+1] = p.pathOff[ni] + int32(len(paths))
 		p.prefOff[ni+1] = p.prefOff[ni] + int32(max(len(paths)-1, 0))
 	}
 	p.nPaths = int(p.pathOff[nn])
 
-	// One string-resolution pass over the links: index pairs for the match
-	// and fill loops. Links with undeclared endpoints can't be resolved and
-	// never produce matches; paths crossing them fall to the string-keyed
-	// validator below, where the "crosses undeclared node" error stays
-	// reachable exactly where Validate reports it.
-	// Sessions append both directions back to back, so the previous link's
-	// endpoints predict this one's — string equality on the shared backing
-	// array short-circuits before hashing.
-	var cacheA, cacheB Node
-	var cacheAi, cacheBi int32
-	var haveA, haveB bool
-	resolve := func(n Node) int32 {
-		if haveA && n == cacheA {
-			return cacheAi
-		}
-		if haveB && n == cacheB {
-			return cacheBi
-		}
-		id, ok := ix.nodes[n]
-		if !ok {
-			id = -1
-		}
-		cacheA, cacheAi, haveA = cacheB, cacheBi, haveB
-		cacheB, cacheBi, haveB = n, id, true
-		return id
-	}
-	for li, l := range in.Links {
-		p.linkEnds[2*li], p.linkEnds[2*li+1] = resolve(l.From), resolve(l.To)
-	}
-
-	// Permitted-extension matches: one sharded pass, per-shard buffers
-	// concatenated in shard order. Shards are contiguous link ranges, so
-	// concatenation preserves the canonical link-order emission. A shard
-	// buffer never shares an array with the match list: a lone shard trades
-	// places with it, several are copied into it.
+	// Permitted-extension matches: one sharded pass that also resolves each
+	// link's endpoints, per-shard buffers concatenated in shard order.
+	// Shards are contiguous link ranges, so concatenation preserves the
+	// canonical link-order emission. A shard buffer never shares an array
+	// with the match list: a lone shard trades places with it, several are
+	// copied into it. Links with undeclared endpoints never produce matches;
+	// paths crossing them fall to the string-keyed validator below, where
+	// the "crosses undeclared node" error stays reachable exactly where
+	// Validate reports it.
 	bufs := parShards(nl, func(s, lo, hi int) []linkMatch {
 		var buf []linkMatch
 		if s < len(p.shardBufs) {
 			buf = p.shardBufs[s][:0]
 		}
+		// Resolving the shard's links first keeps the node map's buckets
+		// and the rankings out of each other's way in the cache. The label
+		// l_uv is the concatenation, so it is hashed as one: a→bc and ab→c
+		// collide.
+		var ends endCache
+		var h maphash.Hash
+		h.SetSeed(screenSeed)
+		for li := lo; li < hi; li++ {
+			l := &in.Links[li]
+			p.linkEnds[2*li], p.linkEnds[2*li+1] = ends.resolve(ix.nodes, l.From), ends.resolve(ix.nodes, l.To)
+			h.Reset()
+			h.WriteString(string(l.From))
+			h.WriteString(string(l.To))
+			p.keys[li] = h.Sum64()
+		}
 		for li := lo; li < hi; li++ {
 			fi, ti := p.linkEnds[2*li], p.linkEnds[2*li+1]
-			if fi < 0 || ti < 0 {
-				continue
+			if fi >= 0 && ti >= 0 {
+				buf = appendMatches(buf, int32(li), in.Links[li].From, p.perms[fi], p.perms[ti])
 			}
-			buf = appendMatches(buf, int32(li), in.Links[li].From, p.perms[fi], p.perms[ti])
 		}
 		return buf
 	})
@@ -326,51 +372,105 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		}
 	}
 	p.shardBufs = bufs
+	p.tail = resize(p.tail, p.nPaths)
+	for i := range p.tail {
+		p.tail[i] = -1
+	}
+	for _, m := range p.matches {
+		p.tail[p.pathOff[p.linkEnds[2*m.li]]+m.fq] = p.pathOff[p.linkEnds[2*m.li+1]] + m.tq
+	}
 
-	// Validation by extension propagation. A two-element path is valid iff
-	// it is [owner, origin]. A matched extension [From]+q over link li is
-	// valid whenever q is: its first hop IS link li (both endpoints
-	// declared), its owner is From by extensionRank's prefix check, and its
-	// remaining hops and origin token are q's. Propagating validity through
-	// the match list therefore proves every extension-structured path
-	// without touching a map — and instances built by rank-and-extend (all
-	// generators, and anything GenerateInternet produces) have no other
+	// Shortest first, by a counting sort on length: a tail is one element
+	// shorter than its path, so a pass in this order finds every tail done.
+	p.lenCount = p.lenCount[:0]
+	for _, paths := range p.perms {
+		for _, q := range paths {
+			for len(q) >= len(p.lenCount) {
+				p.lenCount = append(p.lenCount, 0)
+			}
+			p.lenCount[len(q)]++
+		}
+	}
+	at := int32(0)
+	for l, c := range p.lenCount {
+		p.lenCount[l] = at
+		at += c
+	}
+	p.order = resize(p.order, p.nPaths)
+	for ni, paths := range p.perms {
+		for r, q := range paths {
+			p.order[p.lenCount[len(q)]] = pathRef{int32(ni), int32(r)}
+			p.lenCount[len(q)]++
+		}
+	}
+
+	// Validation along tails. A two-element path is proven iff it is
+	// [owner, origin]. A longer path is proven when its tail is: its first
+	// hop IS the matched link (both endpoints declared), its owner is the
+	// link's From by extensionRank's prefix check, and its remaining hops
+	// and origin token are the tail's. Instances built by rank-and-extend
+	// (all generators, and anything GenerateInternet produces) have no other
 	// paths. Whatever is left unproven gets the string-keyed validator with
 	// Validate's exact per-path error messages.
-	p.valid = resize(p.valid, p.nPaths)
-	valid := p.valid
+	//
+	// What name needs rides along: the mode bit (a proven path is
+	// multi-mode when its owner or its tail is), the composed bit, and
+	// nameMax, 3 + Σ(len(hop)+1) over the path's hops — never less than its
+	// variable's length, and its tail's plus the owner's for a matched path.
+	p.state = resize(p.state, p.nPaths)
+	p.nameMax = resize(p.nameMax, p.nPaths)
+	state := p.state
 	parShards(nn, func(_, lo, hi int) struct{} {
 		for ni := lo; ni < hi; ni++ {
 			n := in.Nodes[ni]
 			base := p.pathOff[ni]
 			for r, q := range p.perms[ni] {
+				id := base + int32(r)
+				if p.tail[id] < 0 {
+					m := 3
+					for _, hop := range q {
+						m += len(hop) + 1
+					}
+					p.nameMax[id] = int32(m)
+				}
 				if len(q) == 2 && q[0] == n && ix.origins[q[1]] {
-					valid[base+int32(r)] = true
+					state[id] = pathProven
+					if multiMode(q[0]) || multiMode(q[1]) {
+						state[id] |= pathMulti
+					}
 				}
 			}
 		}
 		return struct{}{}
 	})
-	for changed := true; changed; {
-		changed = false
-		for _, m := range p.matches {
-			a := p.pathOff[p.linkEnds[2*m.li+1]] + m.tq
-			b := p.pathOff[p.linkEnds[2*m.li]] + m.fq
-			if valid[a] && !valid[b] {
-				valid[b] = true
-				changed = true
-			}
+	for _, u := range p.order {
+		id := p.pathOff[u.ni] + u.r
+		a := p.tail[id]
+		if a < 0 {
+			continue
 		}
+		owner := in.Nodes[u.ni] // the matched link's From, the path's first hop
+		p.nameMax[id] = p.nameMax[a] + int32(len(owner)) + 1
+		if state[a]&pathProven == 0 {
+			continue
+		}
+		st := pathProven | state[a]&pathMulti
+		if multiMode(owner) {
+			st |= pathMulti
+		}
+		if state[a]&pathMulti != 0 && len(p.perms[u.ni][u.r]) >= 4 {
+			st |= pathComposed
+		}
+		state[id] = st
 	}
 	// The link set answers only what validatePath will ask: the hops of the
 	// unproven paths, marked present in one pass over the links. Its size is
 	// set by the paths that need it, not by the topology.
-	type pathRef struct{ ni, r int32 }
 	var unproven []pathRef
 	for ni := 0; ni < nn; ni++ {
 		base := p.pathOff[ni]
 		for r := range p.perms[ni] {
-			if !valid[base+int32(r)] {
+			if state[base+int32(r)]&pathProven == 0 {
 				unproven = append(unproven, pathRef{int32(ni), int32(r)})
 			}
 		}
@@ -401,36 +501,32 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 			return err
 		}
 	}
-
-	// Solver-variable interning, sharded by node into the flat array.
-	p.vars = resize(p.vars, p.nPaths)
-	parShards(nn, func(_, lo, hi int) struct{} {
-		var buf []byte
-		for ni := lo; ni < hi; ni++ {
-			base := p.pathOff[ni]
-			for r, q := range p.perms[ni] {
-				buf = appendVar(buf[:0], q)
-				p.vars[base+int32(r)] = smt.Var(buf) // a single allocation
-			}
-		}
-		return struct{}{}
-	})
 	return nil
 }
 
-// resolveNames reproduces what ToAlgebra and analysis.newSigVars do to a
-// structurally valid instance beyond naming each path after its rendering:
-// the rejections, in ToAlgebra's order and wording (two links sharing a
-// label, two paths sharing a rendering, an algebra with no labels or no
-// signatures), and the first-come _2, _3, … suffixes over global path order
-// that keep solver variables distinct when different renderings sanitize to
-// one name. 64-bit hashes screen for duplicates without a string map; only
-// an instance with a hash collision pays for the exact pass.
-func (p *shardPrep) resolveNames() error {
+// name gives every permitted path its solver variable,
+// analysis.VarName(sigName(q)), in one string: the variables are its
+// substrings, one allocation however many paths there are. Paths are taken
+// shortest first. A composed path (proven, four or more elements, a
+// multi-mode tail) is "r_" + its owner, sanitized, + "_" + a copy of its
+// tail's name after the tail's "r_"; every other path goes through
+// appendVar. The builder is grown once, to the sum of buildShardPrep's
+// nameMax bounds, so a name read back for a copy is already final.
+//
+// With asAlgebra it then does what ToAlgebra and analysis.newSigVars do to
+// a structurally valid instance beyond that: the rejections, in ToAlgebra's
+// order and wording (two links sharing a label, two paths sharing a
+// rendering, an algebra with no labels or no signatures), and the
+// first-come _2, _3, … suffixes over global path order that keep solver
+// variables distinct when different renderings sanitize to one name. Hashes
+// screen for duplicates without a string map — the labels' were taken by
+// buildShardPrep's match pass, the names' are taken here — and only an
+// instance with a hash collision pays for the exact pass. The
+// DeltaVerifier, which tolerates collisions and counts them itself, takes
+// the natural names alone.
+func (p *shardPrep) name(asAlgebra bool) error {
 	in := p.in
-	if p.hashDup(len(in.Links), func(i int) uint64 {
-		return fnv64(fnv64(fnvOffset, string(in.Links[i].From)), string(in.Links[i].To))
-	}) {
+	if asAlgebra && p.hasDup() {
 		seen := make(map[string]bool, len(in.Links))
 		for _, l := range in.Links {
 			lab := string(l.From) + string(l.To)
@@ -440,7 +536,41 @@ func (p *shardPrep) resolveNames() error {
 			seen[lab] = true
 		}
 	}
-	if p.hashDup(p.nPaths, func(i int) uint64 { return fnv64(fnvOffset, string(p.vars[i])) }) {
+
+	total := 0
+	for _, m := range p.nameMax {
+		total += int(m)
+	}
+	var all strings.Builder
+	all.Grow(total)
+	p.vars = resize(p.vars, p.nPaths)
+	p.composed = 0
+	for _, u := range p.order {
+		id := p.pathOff[u.ni] + u.r
+		at := all.Len()
+		if p.state[id]&pathComposed != 0 {
+			p.scratch = append(appendClean(append(p.scratch[:0], "r_"...), string(in.Nodes[u.ni])), '_')
+			all.Write(p.scratch)
+			all.WriteString(string(p.vars[p.tail[id]][2:]))
+			p.composed++
+		} else {
+			p.scratch = appendVar(p.scratch[:0], p.perms[u.ni][u.r])
+			all.Write(p.scratch)
+		}
+		p.vars[id] = smt.Var(all.String()[at:])
+	}
+	if !asAlgebra {
+		return nil
+	}
+
+	p.keys = resize(p.keys, p.nPaths)
+	parShards(p.nPaths, func(_, lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			p.keys[i] = maphash.String(screenSeed, string(p.vars[i]))
+		}
+		return struct{}{}
+	})
+	if p.hasDup() {
 		obsShardCollisions.Inc()
 		if err := duplicatePath(in); err != nil {
 			return err
@@ -481,24 +611,20 @@ func duplicatePath(in *Instance) error {
 	return nil
 }
 
-// hashDup reports whether two of key(0..n−1) are equal. Keys are computed
-// in shards and collected in an open-addressed set at most half full (0 marks
-// an empty slot) — under half the cost of sorting them: the two screens of
-// an internet:50000 analysis take 8 ms this way against 20 ms sorted. Equal
-// inputs must hash equal, so false means no duplicates. Both arrays are the
-// prep's, reused by the next screen.
-func (p *shardPrep) hashDup(n int, key func(i int) uint64) bool {
-	p.keys = resize(p.keys, n)
-	p.set = resize(p.set, 1<<bits.Len(uint(2*n)))
-	keys, set := p.keys, p.set
-	parShards(n, func(_, lo, hi int) struct{} {
-		for i := lo; i < hi; i++ {
-			keys[i] = key(i) | 1
-		}
-		return struct{}{}
-	})
+// screenSeed seeds both duplicate screens, so equal inputs hash equal in
+// every shard.
+var screenSeed = maphash.MakeSeed()
+
+// hasDup reports whether two of p.keys are equal, collecting them in an
+// open-addressed set at most half full (0 marks an empty slot) — under half
+// the cost of sorting them. Equal inputs must hash equal, so false means no
+// duplicates. The set is the prep's, reused by the next screen.
+func (p *shardPrep) hasDup() bool {
+	p.set = resize(p.set, 1<<bits.Len(uint(2*len(p.keys))))
+	set := p.set
 	mask := uint64(len(set) - 1)
-	for _, k := range keys {
+	for _, k := range p.keys {
+		k |= 1
 		i := k >> 1 & mask
 		for ; set[i] != 0; i = (i + 1) & mask {
 			if set[i] == k {
@@ -508,17 +634,6 @@ func (p *shardPrep) hashDup(n int, key func(i int) uint64) bool {
 		set[i] = k
 	}
 	return false
-}
-
-const fnvOffset = 14695981039346656037
-
-// fnv64 folds s into the FNV-1a state h — the duplicate screen's hash.
-func fnv64(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // appendMatches appends link li's permitted extensions: for every permitted
@@ -683,7 +798,7 @@ func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error
 	p := new(shardPrep)
 	err := buildShardPrep(p, in)
 	if err == nil {
-		err = p.resolveNames()
+		err = p.name(true)
 	}
 	if err != nil {
 		return nil, false, err
@@ -772,6 +887,21 @@ func (p *shardPrep) coreConstraints(coreIdx []int) (core []analysis.Constraint, 
 			p.rankSlice(fi, m.fq, m.fq+1), p.rankSlice(ti, m.tq, m.tq+1))
 		suspects[k] = p.in.Links[m.li].From
 	}
+	// The core's variables move into one string of their own: a few
+	// constraints must not keep every name of the instance alive.
+	n := 0
+	for _, c := range core {
+		n += len(c.Assertion.A.Var) + len(c.Assertion.B.Var)
+	}
+	var own strings.Builder
+	own.Grow(n)
+	for k := range core {
+		for _, v := range []*smt.Var{&core[k].Assertion.A.Var, &core[k].Assertion.B.Var} {
+			at := own.Len()
+			own.WriteString(string(*v))
+			*v = smt.Var(own.String()[at:])
+		}
+	}
 	slices.Sort(suspects)
 	return core, slices.Compact(suspects)
 }
@@ -784,20 +914,42 @@ func (p *shardPrep) coreConstraints(coreIdx []int) (core []analysis.Constraint, 
 // materializes a provenance constraint or even a signature rendering, and an
 // unsatisfiable one materializes exactly its core's members
 // (coreConstraints) — the cost of "unsafe" is the cost of "safe" plus the
-// minimization probes. It allocates only that answer — the model map when
-// safe, the core and suspects when not; everything else the emitter fills is
-// a prep borrowed from prepPool, which no returned slice aliases.
+// minimization probes. It allocates only that answer — the model map and
+// the one string of names when safe, the core and suspects when not;
+// everything else the emitter fills is a prep borrowed from prepPool, which
+// no returned slice aliases.
+//
+// Naming reads only what buildShardPrep wrote, and the solve never reads a
+// name, so an instance of minShard paths or more is named on a goroutine of
+// its own while the solve runs; a smaller one is named first, inline. Errors
+// keep their precedence either way: the prep's, then naming's rejections,
+// then the solve's.
 func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error) {
-	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
 	p := prepPool.Get().(*shardPrep)
 	defer p.release()
+	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
 	err := buildShardPrep(p, in)
-	if err == nil {
-		err = p.resolveNames()
-	}
 	prepSpan.End()
 	if err != nil {
 		return analysis.Result{}, nil, err
+	}
+	nameCtx := ctx // ctx moves on to the solve's spans meanwhile
+	nameStep := func() error {
+		_, nameSpan := obs.StartSpan(nameCtx, "name")
+		defer nameSpan.End()
+		err := p.name(true)
+		nameSpan.AttrInt("paths", int64(p.nPaths))
+		nameSpan.AttrInt("composed", int64(p.composed))
+		return err
+	}
+	var named chan error
+	if p.nPaths < minShard {
+		if err := nameStep(); err != nil {
+			return analysis.Result{}, nil, err
+		}
+	} else {
+		named = make(chan error, 1)
+		go func() { named <- nameStep() }()
 	}
 	name := "spp-" + in.Name
 
@@ -810,6 +962,11 @@ func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error)
 	solveSpan.AttrInt("components", int64(out.Stats.Components))
 	solveSpan.AttrInt("levels", int64(out.Stats.Levels))
 	solveSpan.End()
+	if named != nil {
+		if nameErr := <-named; nameErr != nil {
+			return analysis.Result{}, nil, nameErr
+		}
+	}
 	if err != nil {
 		return analysis.Result{}, nil, err
 	}

@@ -54,7 +54,7 @@ func NewTable(in *Instance) (*Table, error) {
 	p := new(shardPrep)
 	err := buildShardPrep(p, in)
 	if err == nil {
-		err = p.resolveNames()
+		err = p.name(true)
 	}
 	if err != nil {
 		return nil, err

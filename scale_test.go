@@ -296,16 +296,18 @@ func TestAnalyzeAllParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestShardedEmissionSpeedup asserts the one parallel path inside an
-// analysis pays: spp.Analyze on internet:50000, where every emission pass
-// is above the shard floor, must run at least 1.1× faster at GOMAXPROCS=4
-// than at GOMAXPROCS=1. Gated like TestAnalyzeAllParallelSpeedup.
+// TestShardedEmissionSpeedup asserts the parallel paths inside an analysis
+// pay: spp.Analyze on internet:50000, where every emission pass is above the
+// shard floor and the naming step runs beside the solve, must run at least
+// 1.1× faster at the machine's GOMAXPROCS than at GOMAXPROCS=1. Gated like
+// TestAnalyzeAllParallelSpeedup.
 func TestShardedEmissionSpeedup(t *testing.T) {
 	if os.Getenv("FSR_SPEEDUP_TEST") == "" {
 		t.Skip("set FSR_SPEEDUP_TEST=1 to run the timing assertion")
 	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("needs ≥4 CPUs, have %d", runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skipf("needs ≥2 CPUs, have %d", procs)
 	}
 	ctx := context.Background()
 	in := GenerateInternetSPP("internet:50000", 50000, 1)
@@ -325,9 +327,9 @@ func TestShardedEmissionSpeedup(t *testing.T) {
 	}
 	measure(1) // warm caches and pools
 	serial := measure(1)
-	sharded := measure(4)
+	sharded := measure(procs)
 	speedup := float64(serial) / float64(sharded)
-	t.Logf("spp.Analyze internet:50000: GOMAXPROCS=1 %v, GOMAXPROCS=4 %v, speedup %.2fx", serial, sharded, speedup)
+	t.Logf("spp.Analyze internet:50000: GOMAXPROCS=1 %v, GOMAXPROCS=%d %v, speedup %.2fx", serial, procs, sharded, speedup)
 	if speedup < 1.1 {
 		t.Fatalf("sharded emission speedup %.2fx < 1.1x (serial %v, sharded %v)", speedup, serial, sharded)
 	}
