@@ -487,10 +487,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkSolverScaling measures the SMT substrate on growing chain
 // instances (pure solver throughput: context construction, incremental
-// graph build, SPFA decision, model extraction). The n=1000 and n=5000
-// points anchor the scaling trajectory future PRs are held to; the
+// graph build, the condensed decision, model extraction). The n=1000 and
+// n=5000 points anchor the scaling trajectory future PRs are held to; the
 // n=20000 and n=50000 points are the internet-scale additions, set up
-// through the sharded generator (the classic concatenation-table path is
+// through spp.ShardedConstraints (the classic concatenation-table path is
 // quadratic in instance size and infeasible there) and reporting retained
 // solver memory per node at the top size.
 func BenchmarkSolverScaling(b *testing.B) {
@@ -556,11 +556,13 @@ func BenchmarkSolverScaling(b *testing.B) {
 // BenchmarkConstraintGen compares constraint generation on power-law
 // internet instances: the classic concatenation-table pipeline (mode=table,
 // at n=1500 only — SPP → algebra conversion plus table enumeration, the
-// quadratic wall every earlier PR hit) against the sharded generator on one
-// core (mode=sharded/procs=1) and on all of them (procs=default).
-// table/sharded is the algorithmic win. default/1 at n=20000 is the
-// sharding win on multi-core hosts; at n=1500 every pass is below the shard
-// floor, so both rows run on the calling goroutine.
+// quadratic wall every earlier PR hit) against spp.ShardedConstraints on one
+// core (mode=sharded/procs=1) and on all of them (procs=default). Its prep
+// shards; its rendering, one position at a time as an unsat core's members
+// are rendered, runs on the calling goroutine. table/sharded is the
+// algorithmic win. default/1 at n=20000 is what sharding the prep wins on
+// multi-core hosts; at n=1500 every pass is below the shard floor, so both
+// rows run on the calling goroutine.
 func BenchmarkConstraintGen(b *testing.B) {
 	for _, n := range []int{1500, 20000} {
 		g := topology.GenerateInternet(1, topology.InternetParams{N: n})
@@ -604,17 +606,17 @@ func BenchmarkConstraintGen(b *testing.B) {
 
 // BenchmarkInternetScale is the scale measurement: full analysis of a
 // 50000-AS power-law instance. mode=undecomposed is the provenance list
-// through the string door — sharded constraint generation feeding
-// smt.Native{}, which interns every variable name before it condenses and
-// solves. mode=scc is AnalyzeScale: the dense encoding straight into the
+// through the string door — spp.ShardedConstraints, every position rendered
+// with its provenance, feeding smt.Native{}, which interns every variable
+// name before it condenses and solves. mode=scc is AnalyzeScale: the dense encoding straight into the
 // same engine, skipping provenance materialization on the sat path; it also
 // reports retained analysis memory per node. mode=scc-planted is the same
 // door on the instance with a DISAGREE pair planted on its first session —
 // the unsafe leg of a scale-session operation. Both scc rows report gc/op,
 // the garbage-collection cycles an analysis triggers, beside B/op. All rows
 // run the one condensed solve (the names date from when only mode=scc did);
-// the ns/op ratio between mode=undecomposed and mode=scc is what naming the
-// variables costs.
+// the ns/op ratio between mode=undecomposed and mode=scc is what rendering
+// the provenance and interning the variables cost.
 func BenchmarkInternetScale(b *testing.B) {
 	const n = 50000
 	ctx := context.Background()

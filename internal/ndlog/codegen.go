@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fsr/internal/algebra"
@@ -64,16 +65,23 @@ func Generate(alg algebra.Algebra) (*Program, error) {
 	return prog, nil
 }
 
-// keyCodec converts between signatures and their wire renderings.
+// keyCodec converts between signatures and labels and their wire
+// renderings. Both maps are built once, so a policy-function call costs a
+// lookup, not a pass over the algebra.
 type keyCodec struct {
-	alg   algebra.Algebra
-	byKey map[string]algebra.Sig
+	byKey   map[string]algebra.Sig
+	byLabel map[string]algebra.Label
 }
 
 func newKeyCodec(alg algebra.Algebra) *keyCodec {
-	c := &keyCodec{alg: alg, byKey: map[string]algebra.Sig{}}
+	c := &keyCodec{byKey: map[string]algebra.Sig{}, byLabel: map[string]algebra.Label{}}
 	for _, s := range alg.Sigs() {
 		c.byKey[s.String()] = s
+	}
+	for _, l := range alg.Labels() {
+		if _, taken := c.byLabel[l.String()]; !taken { // the first label of a rendering wins
+			c.byLabel[l.String()] = l
+		}
 	}
 	return c
 }
@@ -87,8 +95,7 @@ func (c *keyCodec) decode(key string) (algebra.Sig, bool) {
 	}
 	// Closed-form numeric algebras render signatures as integers.
 	if len(c.byKey) == 0 {
-		var n int
-		if _, err := fmt.Sscanf(key, "%d", &n); err == nil {
+		if n, err := strconv.Atoi(key); err == nil {
 			return algebra.Num(n), true
 		}
 	}
@@ -102,15 +109,13 @@ func encode(s algebra.Sig) string {
 	return s.String()
 }
 
-// labelCodec: labels travel as their renderings too.
+// decodeLabel: labels travel as their renderings too, integers for the
+// closed-form algebras.
 func (c *keyCodec) decodeLabel(key string) (algebra.Label, bool) {
-	for _, l := range c.alg.Labels() {
-		if l.String() == key {
-			return l, true
-		}
+	if l, ok := c.byLabel[key]; ok {
+		return l, true
 	}
-	var n int
-	if _, err := fmt.Sscanf(key, "%d", &n); err == nil {
+	if n, err := strconv.Atoi(key); err == nil {
 		return algebra.LNum(n), true
 	}
 	return nil, false
@@ -362,12 +367,13 @@ func prefText(alg algebra.Algebra) string {
 func concatText(alg algebra.Algebra) string {
 	var b strings.Builder
 	b.WriteString("#def_func f_concatSig(L,S) {\n")
-	if alg.Sigs() == nil {
+	sigs := alg.Sigs()
+	if sigs == nil {
 		b.WriteString("  return L+S\n}")
 		return b.String()
 	}
 	for _, l := range alg.Labels() {
-		for _, s := range alg.Sigs() {
+		for _, s := range sigs {
 			out := alg.Concat(l, s)
 			if algebra.IsProhibited(out) {
 				continue
@@ -384,8 +390,9 @@ func concatText(alg algebra.Algebra) string {
 func filterText(alg algebra.Algebra, name string, allow func(algebra.Label, algebra.Sig) bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "#def_func %s(L,S) {\n", name)
+	sigs := alg.Sigs()
 	for _, l := range alg.Labels() {
-		for _, s := range alg.Sigs() {
+		for _, s := range sigs {
 			if !allow(l, s) {
 				fmt.Fprintf(&b, "  if (L=='%s' && S=='%s') return false\n", l, s)
 			}

@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -195,7 +196,10 @@ func TestGeneratedTextMatchesPaperShape(t *testing.T) {
 	}
 }
 
-// TestGenerateHopCount: closed-form algebras generate the L+S form.
+// TestGenerateHopCount: closed-form algebras generate the L+S form, and
+// read a rendering as an integer only when all of it is one, as
+// pathvector.SigCodec does: a signature with trailing bytes is unknown, so
+// prohibited, and a label with them is an unknown label.
 func TestGenerateHopCount(t *testing.T) {
 	prog, err := Generate(algebra.HopCount{})
 	if err != nil {
@@ -205,9 +209,67 @@ func TestGenerateHopCount(t *testing.T) {
 	if !strings.Contains(def.Text, "return L+S") {
 		t.Errorf("hop-count concat should render as L+S:\n%s", def.Text)
 	}
-	v, err := def.Impl([]Value{"1", "3"})
-	if err != nil || v != "4" {
-		t.Errorf("f_concatSig(1,3) = %v, %v; want \"4\"", v, err)
+	for _, c := range []struct{ l, s, want string }{{"1", "3", "4"}, {"1", "12", "13"}, {"1", "12abc", PhiKey}} {
+		if v, err := def.Impl([]Value{c.l, c.s}); err != nil || v != c.want {
+			t.Errorf("f_concatSig(%s,%s) = %v, %v; want %q", c.l, c.s, v, err, c.want)
+		}
+	}
+	if v, err := def.Impl([]Value{"1x", "12"}); err == nil || !strings.Contains(err.Error(), `unknown label "1x"`) {
+		t.Errorf("f_concatSig(1x,12) = %v, %v; want an unknown-label error", v, err)
+	}
+}
+
+// countingAlgebra counts the calls to Labels and Sigs, each of which may
+// copy the algebra's whole list.
+type countingAlgebra struct {
+	algebra.Algebra
+	labels, sigs int
+}
+
+func (c *countingAlgebra) Labels() []algebra.Label { c.labels++; return c.Algebra.Labels() }
+func (c *countingAlgebra) Sigs() []algebra.Sig     { c.sigs++; return c.Algebra.Sigs() }
+
+// TestPolicyCallsDoNotListTheAlgebra: Generate lists the algebra's labels
+// and signatures a fixed number of times, not once per label, and the
+// policy functions it returns list neither — a call costs a lookup, not the
+// algebra's size. The algebra is a line of 32 labels, each extending one
+// signature into the next.
+func TestPolicyCallsDoNotListTheAlgebra(t *testing.T) {
+	const k = 32
+	b := algebra.NewBuilder("line")
+	sig := func(i int) algebra.Sig { return algebra.Symbol(fmt.Sprintf("s%d", i)) }
+	lab := func(i int) algebra.Label { return algebra.LSym(fmt.Sprintf("l%d", i)) }
+	for i := 0; i <= k; i++ {
+		b.Sigs(sig(i))
+	}
+	for i := 1; i <= k; i++ {
+		b.Labels(lab(i)).Concat(lab(i), sig(i-1), sig(i))
+	}
+	alg := &countingAlgebra{Algebra: b.MustBuild()}
+	prog, err := Generate(alg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	if alg.labels > 8 || alg.sigs > 8 {
+		t.Fatalf("Generate listed the labels %d times and the signatures %d times, want at most 8 each (the algebra has %d labels)", alg.labels, alg.sigs, k)
+	}
+	alg.labels, alg.sigs = 0, 0
+	for i := range 1000 {
+		l, s := lab(i%k+1).String(), sig(i%k).String()
+		for _, fn := range []string{"f_concatSig", "f_import", "f_export", "f_origin"} {
+			def, _ := prog.Func(fn)
+			args := []Value{l, s}[:len(def.Params)]
+			if _, err := def.Impl(args); err != nil {
+				t.Fatalf("%s(%s,%s): %v", fn, l, s, err)
+			}
+		}
+	}
+	if alg.labels != 0 || alg.sigs != 0 {
+		t.Fatalf("policy calls listed the labels %d times and the signatures %d times, want none", alg.labels, alg.sigs)
+	}
+	def, _ := prog.Func("f_concatSig")
+	if v, _ := def.Impl([]Value{"l3", "s2"}); v != "s3" {
+		t.Errorf("f_concatSig(l3,s2) = %v, want s3", v)
 	}
 }
 

@@ -23,8 +23,8 @@
 // verifier as Begin found it. Nothing is copied up front.
 //
 // Correctness is anchored to the full pipeline, not argued independently:
-// the resident system is what the batch emitter's two segment functions
-// (prefSeg, monoSeg) assert under the natural naming, tests enforce
+// the resident system is what the emitter's prefSeg and monoSeg assert,
+// position for position, under the natural naming, tests enforce
 // bit-for-bit parity against VerifyFull — after edits, inside transactions
 // and after rolling them back — and any instance the natural naming does
 // not fit — a name held by two paths (a duplicate permitted path, or two
@@ -157,8 +157,8 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	return v, nil
 }
 
-// prefAtoms appends what prefSeg asserts over a ranking's ids: the ranked
-// list as strict pairwise preferences.
+// prefAtoms appends what prefSeg asserts on each adjacent pair of a
+// ranking's ids: the ranked list as strict pairwise preferences.
 func prefAtoms(dst []smt.DenseConstraint, ids []int32) []smt.DenseConstraint {
 	for i := 1; i < len(ids); i++ {
 		dst = append(dst, smt.DenseConstraint{A: ids[i-1], B: ids[i]})
@@ -302,41 +302,38 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		return res, nil, nil
 	}
 	res.Core, res.CoreIdx = make([]analysis.Constraint, len(out.CoreIdx)), out.CoreIdx
-	var suspects []Node
+	suspects := make([]Node, len(out.CoreIdx))
 	for k, pos := range out.CoreIdx {
-		suspects = append(suspects, v.coreMember(res.Core[k:k+1], pos))
+		res.Core[k], suspects[k] = v.coreMember(pos)
 	}
 	slices.Sort(suspects)
 	return res, slices.Compact(suspects), nil
 }
 
 // coreMember renders the constraint at a position of the canonical emission
-// order — an unsat core's member — into out, a single-slot segment, through
-// prefSeg or monoSeg on just the paths it names, and returns the §VI-B
-// suspect it implicates: the node whose ranking a preference orders, or the
-// tail of a monotonicity entry's link, owner of the extended path. A
-// monotonicity member's ranks are found by its resident atom's two ids.
-func (v *DeltaVerifier) coreMember(out []analysis.Constraint, pos int) Node {
+// order — an unsat core's member — through prefSeg or monoSeg on just the
+// paths it names, and returns the §VI-B suspect it implicates: the node
+// whose ranking a preference orders, or the tail of a monotonicity entry's
+// link, owner of the extended path. A monotonicity member's ranks are found
+// by its resident atom's two ids.
+func (v *DeltaVerifier) coreMember(pos int) (analysis.Constraint, Node) {
 	seg, k := v.dc.Locate(pos)
 	if nn := len(v.in.Nodes); seg >= nn {
 		l := v.in.Links[seg-nn]
 		a := v.dc.At(seg, k)
 		fi, ti := v.ix.nodes[l.From], v.ix.nodes[l.To]
 		fq, tq := slices.Index(v.ranks[fi], a.B), slices.Index(v.ranks[ti], a.A)
-		monoSeg(out, l, []linkMatch{{}}, v.rankSlice(fi, fq, fq+1), v.rankSlice(ti, tq, tq+1))
-		return l.From
+		return monoSeg(l, v.rankSlice(fi, fq, fq+1), v.rankSlice(ti, tq, tq+1)), l.From
 	}
-	prefSeg(out, v.rankSlice(int32(seg), k, k+2))
-	return v.in.Nodes[seg]
+	return prefSeg(v.rankSlice(int32(seg), k, k+2)), v.in.Nodes[seg]
 }
 
-// rankSlice names ranks [lo,hi) of node position ni: signature renderings
-// for provenance, solver variables from the table.
+// rankSlice is ranks [lo,hi) of node position ni, its solver variables
+// read from the table.
 func (v *DeltaVerifier) rankSlice(ni int32, lo, hi int) ranking {
-	paths := v.in.Permitted[v.in.Nodes[ni]][lo:hi]
-	r := ranking{paths: paths, syms: make([]string, len(paths)), vars: make([]smt.Var, len(paths))}
-	for i, q := range paths {
-		r.syms[i], r.vars[i] = sigName(q), v.names[v.ranks[ni][lo+i]]
+	r := ranking{paths: v.in.Permitted[v.in.Nodes[ni]][lo:hi], vars: make([]smt.Var, hi-lo)}
+	for i := range r.vars {
+		r.vars[i] = v.names[v.ranks[ni][lo+i]]
 	}
 	return r
 }

@@ -30,9 +30,6 @@ var (
 		"Sharded emission pass latency by stage.", "stage")
 	obsEmitDensePref = obsShardEmit.With("dense-pref")
 	obsEmitDenseMono = obsShardEmit.With("dense-mono")
-	obsEmitSyms      = obsShardEmit.With("syms")
-	obsEmitPref      = obsShardEmit.With("pref")
-	obsEmitMono      = obsShardEmit.With("mono")
 )
 
 // timeEmit observes one emission pass's duration on a pre-resolved stage

@@ -6,13 +6,16 @@
 // u→v, the permitted paths q of v whose extension u·q is permitted at u, in
 // rank order. The constraint system is therefore one preference segment per
 // node (Nodes order) followed by one monotonicity segment per link (Links
-// order), and prefSeg and monoSeg below are the only functions that
-// construct an SPP analysis.Constraint. The batch forms loop them over every
-// segment, sharded across cores once an input is large enough to pay for it
-// (parShards), into one preallocated buffer — element for element what
-// analysis.Constraints generates from in.ToAlgebra(), in O(paths + links·K²)
-// — and the DeltaVerifier calls the same two functions for the segments an
-// edit touches.
+// order), and two renderers write it. denseConstraints writes every position
+// as a pair of path ids, sharded across cores once an input is large enough
+// to pay for it (parShards), in O(paths + links·K²): the form every decision
+// is made on. prefSeg and monoSeg, the only functions that construct an SPP
+// analysis.Constraint, render one position with its provenance
+// (constraintAt) — an unsat core's members, or every position for
+// ShardedConstraints, element for element what analysis.Constraints
+// generates from in.ToAlgebra(). The DeltaVerifier keeps dense atoms
+// resident, patches those for the segments an edit touches, and renders its
+// core's members through the same two functions.
 //
 // A match is also the §IV-B definition of a signature through its tail,
 // l_uv ⊕ r_vp = r_uvp, so the prep keeps it per path: tail[b] = a when path
@@ -29,11 +32,11 @@
 // its own beside it and is joined before the answer is read. A satisfiable
 // instance gets its model back by id; an unsatisfiable one gets its
 // deletion-minimal core back as constraint positions, and coreConstraints
-// runs prefSeg/monoSeg for exactly those positions, so the minimized core
-// and the §VI-B suspect set are the ones the algebra pipeline reports while
-// "unsafe" costs what "safe" costs plus the minimization probes. ToAlgebra's
-// own rejections (duplicate links and renderings, degenerate algebras) and
-// its collision suffixes on solver-variable names are reproduced by name.
+// renders exactly those positions, so the minimized core and the §VI-B
+// suspect set are the ones the algebra pipeline reports while "unsafe" costs
+// what "safe" costs plus the minimization probes. ToAlgebra's own rejections
+// (duplicate links and renderings, degenerate algebras) and its collision
+// suffixes on solver-variable names are reproduced by name.
 //
 // An analysis allocates its answer, not its scratch. Analyze borrows its
 // shardPrep from prepPool, and buildShardPrep, name and denseConstraints
@@ -71,11 +74,11 @@ type linkMatch struct {
 	li, tq, fq int32
 }
 
-// shardPrep is the interned, densely indexed view of an instance the batch
-// emitters share. Per-path state lives in flat arrays indexed by global path
+// shardPrep is the interned, densely indexed view of an instance both
+// renderers share. Per-path state lives in flat arrays indexed by global path
 // id ((node, rank) order) rather than per-node slices — at 10⁵ nodes the
-// slice headers alone would dominate allocation — and signature renderings
-// are not materialized at all until a provenance buffer asks for them.
+// slice headers alone would dominate allocation — and a signature rendering
+// is materialized only when constraintAt renders a position that names it.
 // A prep filled again reuses its arrays; the fields after matches are scratch.
 type shardPrep struct {
 	in       *Instance
@@ -670,130 +673,62 @@ func extensionRank(perm []Path, from Node, q Path) int32 {
 	return -1
 }
 
-// renderSyms materializes every path's signature rendering (sigName) into
-// a flat array. Renderings exist purely for provenance — origin strings,
-// PrefPair/ConcatEntry symbols — so only the AoS buffer pays for them; the
-// dense route never calls this (an unsat core renders its own members'
-// through rankSlice).
-func (p *shardPrep) renderSyms() []string {
-	defer timeEmit(obsEmitSyms, time.Now())
-	syms := make([]string, p.nPaths)
-	parShards(len(p.in.Nodes), func(_, lo, hi int) struct{} {
-		for ni := lo; ni < hi; ni++ {
-			base := p.pathOff[ni]
-			for r, q := range p.perms[ni] {
-				syms[base+int32(r)] = sigName(q)
-			}
-		}
-		return struct{}{}
-	})
-	return syms
-}
-
-// ranking is one node's ranked permitted paths as the constraints name
-// them: signature rendering (provenance) and solver variable, by rank.
+// ranking is a run of one node's ranked permitted paths as the constraints
+// name them: the paths, whose signatures prefSeg and monoSeg render, and
+// their solver variables, by rank.
 type ranking struct {
 	paths []Path
-	syms  []string
 	vars  []smt.Var
 }
 
-// ranking slices node ni's names out of the prep's flat arrays.
-func (p *shardPrep) ranking(syms []string, ni int32) ranking {
-	lo, hi := p.pathOff[ni], p.pathOff[ni+1]
-	return ranking{paths: p.perms[ni], syms: syms[lo:hi], vars: p.vars[lo:hi]}
-}
-
-// prefSeg fills out, one slot per adjacent pair of the ranking, with the
-// node's preference segment: the ranked list as strict pairwise preferences,
-// Builder.Chain's expansion.
-func prefSeg(out []analysis.Constraint, r ranking) {
-	for i := range out {
-		pair := algebra.PrefPair{
-			A:      algebra.Symbol(r.syms[i]),
-			B:      algebra.Symbol(r.syms[i+1]),
-			Strict: true,
-		}
-		out[i] = analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      smt.Term{Var: r.vars[i]},
-				B:      smt.Term{Var: r.vars[i+1]},
-				Origin: "pref: " + pair.String(),
-			},
-			Kind: analysis.KindPreference,
-			Pref: pair,
-		}
+// prefSeg is a node's preference constraint on two adjacent ranks, r's two
+// paths: one strict pairwise preference of Builder.Chain's expansion.
+func prefSeg(r ranking) analysis.Constraint {
+	pair := algebra.PrefPair{
+		A:      algebra.Symbol(sigName(r.paths[0])),
+		B:      algebra.Symbol(sigName(r.paths[1])),
+		Strict: true,
+	}
+	return analysis.Constraint{
+		Assertion: smt.Assertion{
+			Rel:    smt.Lt,
+			A:      smt.Term{Var: r.vars[0]},
+			B:      smt.Term{Var: r.vars[1]},
+			Origin: "pref: " + pair.String(),
+		},
+		Kind: analysis.KindPreference,
+		Pref: pair,
 	}
 }
 
-// monoSeg fills out, one slot per match, with link l's monotonicity
-// constraints: the ⊕ entry l_uv ⊕ r_q = r_uq for each permitted extension —
-// the slice of algebra.ConcatTable this link contributes.
-func monoSeg(out []analysis.Constraint, l Link, ms []linkMatch, from, to ranking) {
-	lab := algebra.LSym("l_" + string(l.From) + string(l.To))
-	for j, m := range ms {
-		entry := algebra.ConcatEntry{
-			Label: lab,
-			In:    algebra.Symbol(to.syms[m.tq]),
-			Out:   algebra.Symbol(from.syms[m.fq]),
-		}
-		out[j] = analysis.Constraint{
-			Assertion: smt.Assertion{
-				Rel:    smt.Lt,
-				A:      smt.Term{Var: to.vars[m.tq]},
-				B:      smt.Term{Var: from.vars[m.fq]},
-				Origin: "mono: " + entry.String(),
-			},
-			Kind:  analysis.KindMonotonicity,
-			Entry: entry,
-		}
+// monoSeg is link l's monotonicity constraint on one permitted extension,
+// from's path = l.From · to's path: the ⊕ entry l_uv ⊕ r_q = r_uq, one entry
+// of algebra.ConcatTable.
+func monoSeg(l Link, from, to ranking) analysis.Constraint {
+	entry := algebra.ConcatEntry{
+		Label: algebra.LSym("l_" + string(l.From) + string(l.To)),
+		In:    algebra.Symbol(sigName(to.paths[0])),
+		Out:   algebra.Symbol(sigName(from.paths[0])),
 	}
-}
-
-// shardedConstraints fills the preallocated provenance buffer, sharded:
-// every node's prefSeg, then every link's monoSeg — the emission order of
-// algebra.Preferences followed by algebra.ConcatTable on the converted
-// instance.
-func (p *shardPrep) shardedConstraints() []analysis.Constraint {
-	syms := p.renderSyms()
-	totalPref := p.totalPref()
-	cons := make([]analysis.Constraint, p.total())
-	prefStart := time.Now()
-	parShards(len(p.perms), func(_, lo, hi int) struct{} {
-		for ni := lo; ni < hi; ni++ {
-			prefSeg(cons[p.prefOff[ni]:p.prefOff[ni+1]], p.ranking(syms, int32(ni)))
-		}
-		return struct{}{}
-	})
-	timeEmit(obsEmitPref, prefStart)
-	monoStart := time.Now()
-	// Shards are runs of matches, not of links, so one hub link cannot
-	// unbalance them; a link's segment may straddle two shards.
-	parShards(len(p.matches), func(_, lo, hi int) struct{} {
-		for j := lo; j < hi; {
-			li := p.matches[j].li
-			k := j + 1
-			for k < hi && p.matches[k].li == li {
-				k++
-			}
-			monoSeg(cons[totalPref+int32(j):totalPref+int32(k)], p.in.Links[li], p.matches[j:k],
-				p.ranking(syms, p.linkEnds[2*li]), p.ranking(syms, p.linkEnds[2*li+1]))
-			j = k
-		}
-		return struct{}{}
-	})
-	timeEmit(obsEmitMono, monoStart)
-	return cons
+	return analysis.Constraint{
+		Assertion: smt.Assertion{
+			Rel:    smt.Lt,
+			A:      smt.Term{Var: to.vars[0]},
+			B:      smt.Term{Var: from.vars[0]},
+			Origin: "mono: " + entry.String(),
+		},
+		Kind:  analysis.KindMonotonicity,
+		Entry: entry,
+	}
 }
 
 // ShardedConstraints generates the instance's strict-monotonicity
-// constraint system, sharded above a size floor: element-for-element
-// identical (assertion, origin, kind, provenance) to analysis.Constraints
-// over in.ToAlgebra(), without materializing the algebra, and failing with
-// ToAlgebra's error where that fails. The bool is err == nil. The second
-// argument is ignored (the shards size themselves); it stays for the
-// benchmark harness's replay.
+// constraint system: element-for-element identical (assertion, origin,
+// kind, provenance) to analysis.Constraints over in.ToAlgebra(), without
+// materializing the algebra, and failing with ToAlgebra's error where that
+// fails. Every position is rendered the way an unsat core's member is
+// (constraintAt). The bool is err == nil. The second argument is ignored;
+// it stays for the benchmark harness's replay.
 func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error) {
 	p := new(shardPrep)
 	err := buildShardPrep(p, in)
@@ -803,7 +738,11 @@ func ShardedConstraints(in *Instance, _ int) ([]analysis.Constraint, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	return p.shardedConstraints(), true, nil
+	cons := make([]analysis.Constraint, p.total())
+	for c := range cons {
+		cons[c], _ = p.constraintAt(c)
+	}
+	return cons, true, nil
 }
 
 // denseConstraints emits the same constraint system as compact
@@ -848,44 +787,42 @@ func (p *shardPrep) denseConstraints() (cons []smt.DenseConstraint, appears []bo
 	return cons, appears
 }
 
-// rankSlice names ranks [lo,hi) of node ni, rendering just those paths'
-// signatures — what a core member needs of a ranking.
+// rankSlice is ranks [lo,hi) of node ni — what a constraint at one
+// position needs of a ranking.
 func (p *shardPrep) rankSlice(ni, lo, hi int32) ranking {
-	paths := p.perms[ni][lo:hi]
-	syms := make([]string, len(paths))
-	for i, q := range paths {
-		syms[i] = sigName(q)
-	}
 	base := p.pathOff[ni]
-	return ranking{paths: paths, syms: syms, vars: p.vars[base+lo : base+hi]}
+	return ranking{paths: p.perms[ni][lo:hi], vars: p.vars[base+lo : base+hi]}
 }
 
-// coreConstraints materializes the constraints at the given positions of the
-// canonical emission order — an unsat core's members — through prefSeg and
-// monoSeg, one single-slot segment each, so only the two or three rankings a
-// dispute involves are ever rendered. It also reads off the §VI-B hint: a
-// preference constraint implicates the node whose ranking it orders, a
-// monotonicity constraint the link's tail, owner of the extended path —
-// deduplicated and sorted, as Conversion.SuspectNodes reports them.
+// constraintAt renders the constraint at position c of the canonical
+// emission order through prefSeg or monoSeg on just the paths it names, and
+// returns the §VI-B suspect it implicates: the node whose ranking a
+// preference orders, or the tail of a monotonicity entry's link, owner of
+// the extended path.
+func (p *shardPrep) constraintAt(c int) (analysis.Constraint, Node) {
+	if totalPref := int(p.totalPref()); c >= totalPref {
+		m := p.matches[c-totalPref]
+		fi, ti := p.linkEnds[2*m.li], p.linkEnds[2*m.li+1]
+		l := p.in.Links[m.li]
+		return monoSeg(l, p.rankSlice(fi, m.fq, m.fq+1), p.rankSlice(ti, m.tq, m.tq+1)), l.From
+	}
+	// The node whose preference segment holds position c.
+	ni, _ := slices.BinarySearch(p.prefOff, int32(c)+1)
+	ni--
+	i := int32(c) - p.prefOff[ni]
+	return prefSeg(p.rankSlice(int32(ni), i, i+2)), p.in.Nodes[ni]
+}
+
+// coreConstraints materializes the constraints at the given positions — an
+// unsat core's members — through constraintAt, so only the two or three
+// rankings a dispute involves are ever rendered, and reads off their §VI-B
+// suspects, deduplicated and sorted, as Conversion.SuspectNodes reports
+// them.
 func (p *shardPrep) coreConstraints(coreIdx []int) (core []analysis.Constraint, suspects []Node) {
 	core = make([]analysis.Constraint, len(coreIdx))
 	suspects = make([]Node, len(coreIdx))
-	totalPref := int(p.totalPref())
 	for k, c := range coreIdx {
-		if c < totalPref {
-			// The node whose preference segment holds position c.
-			ni, _ := slices.BinarySearch(p.prefOff, int32(c)+1)
-			ni--
-			i := int32(c) - p.prefOff[ni]
-			prefSeg(core[k:k+1], p.rankSlice(int32(ni), i, i+2))
-			suspects[k] = p.in.Nodes[ni]
-			continue
-		}
-		m := p.matches[c-totalPref]
-		fi, ti := p.linkEnds[2*m.li], p.linkEnds[2*m.li+1]
-		monoSeg(core[k:k+1], p.in.Links[m.li], []linkMatch{{li: m.li}},
-			p.rankSlice(fi, m.fq, m.fq+1), p.rankSlice(ti, m.tq, m.tq+1))
-		suspects[k] = p.in.Links[m.li].From
+		core[k], suspects[k] = p.constraintAt(c)
 	}
 	// The core's variables move into one string of their own: a few
 	// constraints must not keep every name of the instance alive.

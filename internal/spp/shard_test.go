@@ -30,8 +30,9 @@ import (
 	"fsr/internal/topology"
 )
 
-// shardCorpus collects the named gadgets and a spread of seeded scenarios
-// (both verdicts) for the differential tests.
+// shardCorpus collects the named gadgets, a spread of seeded scenarios (both
+// verdicts), the hand-built naming instances and a hub dispute for the
+// differential tests.
 func shardCorpus(t *testing.T) map[string]*spp.Instance {
 	t.Helper()
 	corpus := map[string]*spp.Instance{
@@ -58,6 +59,25 @@ func shardCorpus(t *testing.T) map[string]*spp.Instance {
 	// cheap enough for the classic pipeline to cross-check.
 	g := topology.GenerateInternet(42, topology.InternetParams{N: 600})
 	corpus["internet-600"] = scenario.InternetSPP("internet-600", g, 3)
+	for _, in := range namingInstances() {
+		corpus[in.Name] = in
+	}
+	// A hub dispute: the pair planted on the session whose two ends have the
+	// highest degree sum, which re-ranks a hub and unproves the paths
+	// through it.
+	hub := internetInstance(700, 1)
+	degree := map[spp.Node]int{}
+	for _, l := range hub.Links {
+		degree[l.From]++
+	}
+	top := hub.Links[0]
+	for _, l := range hub.Links {
+		if degree[l.From]+degree[l.To] > degree[top.From]+degree[top.To] {
+			top = l
+		}
+	}
+	plantPair(hub, top.From, top.To, "rx_a", "rx_b")
+	corpus["internet-700-hub-pair"] = hub
 	return corpus
 }
 
@@ -402,13 +422,8 @@ func TestShardedValidation(t *testing.T) {
 // TestComposedNamesAreRenderings: the prep names a proven path by copying
 // its tail's name behind its owner's token, and every such name, like every
 // rendered one, must be analysis.VarName of the path's signature rendering,
-// with the _2, _3, … suffixes newSigVars gives a name already taken. The
-// hand-built instances put the copy where a rendering rule could slip:
-// one-letter hops under a multi-letter owner (the tail's butt-joined name
-// cannot be reused) and the reverse, tokens sanitize rewrites (punctuation,
-// multi-byte runes), the empty origin ("sig"), paths the tails cannot prove,
-// and composed names that collide only once sanitized — one of them over a
-// suffixed tail, which must be composed from the tail's natural name.
+// with the _2, _3, … suffixes newSigVars gives a name already taken, on the
+// corpus and on each of namingInstances.
 func TestComposedNamesAreRenderings(t *testing.T) {
 	want := func(t *testing.T, in *spp.Instance) []smt.Var {
 		t.Helper()
@@ -461,6 +476,35 @@ func TestComposedNamesAreRenderings(t *testing.T) {
 		}
 	})
 
+	for _, in := range namingInstances() {
+		t.Run(in.Name, func(t *testing.T) {
+			if err := in.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if composed := check(t, in); in.Name != "unproven" && composed == 0 {
+				t.Fatalf("%s: no path was named from its tail", in.Name)
+			}
+			if in.Name != "sanitize-collisions" {
+				return
+			}
+			if got, _, _ := spp.PrepNames(in); !slices.Contains(got, "r_ff_ee_a_b_dd_r1_2") {
+				t.Fatalf("no suffixed composed name among %v", got)
+			}
+		})
+	}
+}
+
+// namingInstances are hand-built instances that put a solver-variable name
+// where a rendering rule could slip:
+//   - mixed-modes: one-letter hops under a multi-letter owner, whose tail's
+//     butt-joined name cannot be reused, and the reverse;
+//   - punctuation: tokens sanitize rewrites, punctuation and multi-byte runes;
+//   - empty-origin: the empty origin, whose name is "sig";
+//   - unproven: paths their tails cannot prove;
+//   - sanitize-collisions: composed names that collide only once sanitized,
+//     one of them over a suffixed tail, which must be composed from the
+//     tail's natural name.
+func namingInstances() []*spp.Instance {
 	// chain builds a line of sessions hops[0]–hops[1]–…, the last hop owning
 	// [last, origin], and ranks at each hop the path to the origin along the
 	// line.
@@ -498,19 +542,7 @@ func TestComposedNamesAreRenderings(t *testing.T) {
 		collide.Rank("ee", append(collide.Permitted["ee"], spp.Path{"ee", v, "dd", "r1"})...)
 		collide.Rank("ff", append(collide.Permitted["ff"], spp.Path{"ff", "ee", v, "dd", "r1"})...)
 	}
-	for _, in := range []*spp.Instance{mixed, punct, empty, unproven, collide} {
-		t.Run(in.Name, func(t *testing.T) {
-			if err := in.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if composed := check(t, in); in != unproven && composed == 0 {
-				t.Fatalf("%s: no path was named from its tail", in.Name)
-			}
-		})
-	}
-	if got, _, _ := spp.PrepNames(collide); !slices.Contains(got, "r_ff_ee_a_b_dd_r1_2") {
-		t.Fatalf("sanitize-collisions: no suffixed composed name among %v", got)
-	}
+	return []*spp.Instance{mixed, punct, empty, unproven, collide}
 }
 
 // internetInstance is the internet:n power-law instance at a topology seed.
@@ -663,7 +695,7 @@ func spanNames(nodes []*obs.SpanNode, into map[string]map[string]string) map[str
 // TestUnsafeCostsWhatSafeCosts is the structural guard on the unsat leg: an
 // unsafe analysis allocates about as often as its safe twin (the parent of
 // this guard rendered every signature and provenance constraint, ~11× the
-// allocations at n=50000), never reaches the provenance emitter, and shows
+// allocations at n=50000), renders only its core's four members, and shows
 // up in the span tree as minimize — as a string-door unsat solve does. Both
 // legs show the answer's rendering as a materialize span: model entries when
 // safe, core members when not; and the naming step as a name span, nearly
@@ -694,13 +726,7 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 			}
 		})
 	}
-	emit := obs.Default().HistogramVec("fsr_spp_shard_emit_seconds", "", "stage")
 	routes := obs.Default().CounterVec("fsr_spp_scale_path_total", "", "path")
-	stages := []string{"syms", "pref", "mono"}
-	before := map[string]uint64{}
-	for _, s := range stages {
-		before[s] = emit.Count(s)
-	}
 	resolve := routes.Value("resolve")
 
 	// One P, as in TestAnalysisAllocatesItsAnswer: sync.Pool keeps what is
@@ -737,11 +763,6 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	slices.Sort(pair)
 	if err != nil || res.Sat || len(res.Core) != 4 || !reflect.DeepEqual(suspects, pair) {
 		t.Fatalf("planted pair: sat=%v core=%d suspects=%v err=%v", res.Sat, len(res.Core), suspects, err)
-	}
-	for _, s := range stages {
-		if got := emit.Count(s); got != before[s] {
-			t.Errorf("provenance emitter stage %q ran %d times on the dense route", s, got-before[s])
-		}
 	}
 	if got := routes.Value("resolve") - resolve; got != 5 { // 1 warm-up + 3 measured + 1 traced
 		t.Errorf("resolve route counted %v unsat analyses, want 5", got)
