@@ -88,12 +88,13 @@ func TestFigure5Shape(t *testing.T) {
 	if n := len(res.GadgetAnalysis.Core); n == 0 || n > 8 {
 		t.Errorf("gadget core should be small (dispute wheel), got %d constraints", n)
 	}
-	limit := 2 * time.Second
-	if raceEnabled {
-		limit *= 10 // the race detector slows the minimization probes
-	}
-	if res.GadgetAnalysis.Stats.Duration > limit {
-		t.Errorf("solver should answer quickly (paper: <100 ms), took %v", res.GadgetAnalysis.Stats.Duration)
+	// The solver answers in a handful of probes (paper: < 100 ms): the
+	// component pass, the witness, and one per witness atom the minimization
+	// re-probes.
+	st := res.GadgetAnalysis.Stats
+	t.Logf("gadget solve: %d probes, %d relaxations over %d assertions, %v", st.Probes, st.Relaxations, st.Assertions, st.Duration)
+	if st.Probes > 16 || st.Relaxations > 256 {
+		t.Errorf("gadget solve took %d probes and %d relaxations, want at most 16 and 256", st.Probes, st.Relaxations)
 	}
 	// Pinpointing: every suspect is an embedded router (reflector or its
 	// client egress).

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,8 +16,10 @@ import (
 // daemon actually holds: on internet:5000, safe and then with a planted
 // DISAGREE pair over fresh origin tokens, the delta path must reproduce
 // VerifyFull's verdict, model, core and suspects. The oracle's two runs
-// get a 5 s budget: they take ~0.2 s, and one quadratic layer anywhere in
-// Validate, ToAlgebra or ConcatTable takes tens of seconds at this size.
+// get an allocation budget per permitted path: one quadratic layer anywhere
+// in Validate, ToAlgebra or ConcatTable that allocates does so per pair, not
+// per path, and took tens of seconds at this size. A scan per hop or per
+// path that allocates nothing is held by spp's TestVerifyFullScansPerPath.
 func TestVerifyFullN5000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=5000 instance")
@@ -49,16 +52,28 @@ func TestVerifyFullN5000(t *testing.T) {
 		t.Fatalf("planted pair %s↔%s: sat=%v core=%d suspects=%v err=%v", a, b, res.Sat, len(res.Core), suspects, err)
 	}
 
+	// The oracle's cost is held by a count, not a clock: two runs allocate
+	// about 42 objects and 8.5 KB per permitted path, and a quadratic layer
+	// multiplies that by the instance's size.
+	paths := 0
+	for _, ps := range v.Snapshot().Permitted {
+		paths += len(ps)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < 2; i++ {
 		if _, _, err := v.VerifyFull(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("two VerifyFull runs at n=5000 took %v, budget 5s", d)
-	} else {
-		t.Logf("two VerifyFull runs at n=5000: %v", d)
+	d := time.Since(start)
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / float64(paths)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(paths)
+	t.Logf("two VerifyFull runs at n=5000 (%d paths): %.1f objects and %.0f B per path, %v", paths, objects, bytes, d)
+	if objects > 64 || bytes > 12<<10 {
+		t.Fatalf("two VerifyFull runs at n=5000 allocate %.1f objects and %.0f B per permitted path, want at most 64 and 12 KiB", objects, bytes)
 	}
 }
 

@@ -635,8 +635,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			name, end = "commit", v.Commit
 		}
 		_, sp := obs.StartSpan(ctx, name)
-		_, entries := v.Journal()
-		sp.AttrInt("journal_entries", int64(entries))
+		sp.AttrInt("journal_entries", int64(v.Journal()))
 		end()
 		sp.End()
 	}()
@@ -652,8 +651,6 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	splices, _ := v.Journal()
-	sp.AttrInt("splices", int64(splices))
 	sp.End()
 
 	vctx, sp := obs.StartSpan(ctx, "verify")

@@ -253,7 +253,6 @@ func TestMetricsFamilyOrder(t *testing.T) {
 		"fsr_smt_probes_total counter",
 		"fsr_smt_relaxations_total counter",
 		"fsr_smt_minimize_iterations_total counter",
-		"fsr_smt_delta_splices_total counter",
 		"fsr_scc_solves_total counter",
 		"fsr_scc_components_total counter",
 		"fsr_scc_trivial_components_total counter",

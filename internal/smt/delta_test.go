@@ -57,33 +57,46 @@ func requireParity(t *testing.T, label string, got, want Result) {
 }
 
 // deltaCheck runs Check and names its answer — the model Model reads by
-// id, the core atoms CoreIdx locates — so a result compares field for field
-// with a fresh Context.Check of the spelled list.
-func deltaCheck(t *testing.T, d *DeltaContext) Result {
+// id, the core atoms under the keys Check returns, which are their positions
+// in the list, with their heads — so a result compares field for field with
+// a fresh Context.Check of the spelled list.
+func deltaCheck(t *testing.T, d *deltaList) Result {
 	t.Helper()
-	res, err := d.Check(context.Background())
+	res, core, err := d.Check(context.Background())
 	if err != nil {
 		t.Fatalf("delta check: %v", err)
 	}
-	if res.Model != nil || res.Core != nil {
-		t.Fatalf("delta check named its answer: model %v, core %v", res.Model, res.Core)
+	if res.Sat != (core == nil) {
+		t.Fatalf("Sat=%v with core keys %v", res.Sat, core)
+	}
+	if res.Model != nil || res.Core != nil || res.CoreIdx != nil {
+		t.Fatalf("delta check named its answer: model %v, core %v at %v", res.Model, res.Core, res.CoreIdx)
 	}
 	res.Model = spellModel(d.Model())
 	if res.Sat != (res.Model != nil) {
 		t.Fatalf("Sat=%v but Model()=%v", res.Sat, res.Model)
 	}
-	for _, pos := range res.CoreIdx {
-		seg, off := d.Locate(pos)
-		res.Core = append(res.Core, spell(d.At(seg, off)))
+	atoms := atomsOf(d)
+	for _, ed := range core {
+		if atoms[ed.Key].A != ed.To {
+			t.Fatalf("core atom %v reported with head %d", atoms[ed.Key], ed.To)
+		}
+		res.CoreIdx = append(res.CoreIdx, int(ed.Key))
+		res.Core = append(res.Core, spell(atoms[ed.Key]))
 	}
 	return res
 }
 
-// requireOracle checks the context against a fresh solve of its own list.
-func requireOracle(t *testing.T, label string, d *DeltaContext) Result {
+// requireOracle checks the context against a fresh solve of its own list,
+// and an unsat core for a certificate: one simple cycle through a strict
+// atom.
+func requireOracle(t *testing.T, label string, d *deltaList) Result {
 	t.Helper()
 	got := deltaCheck(t, d)
 	requireParity(t, label, got, oracleCheck(t, spellAll(atomsOf(d))))
+	if !got.Sat && !isCycleCore(got.Core) {
+		t.Fatalf("%s: core %v is not one simple cycle through a strict atom", label, got.Core)
+	}
 	return got
 }
 
@@ -143,15 +156,109 @@ func spellModel(model []int) map[Var]int {
 	return out
 }
 
-// atomsOf returns the context's atom list in canonical order.
-func atomsOf(d *DeltaContext) []DenseConstraint {
-	out := make([]DenseConstraint, 0, d.n)
-	for _, seg := range d.segs {
-		for _, s := range seg {
-			out = append(out, d.atom(s))
-		}
+// deltaList is the tests' resident graph: a list of strict atoms A < B cut
+// into segments, the unit the tests edit by, whose edges B → A carry the
+// atom's position in the list as their key. It holds its DeltaContext, so a
+// test drives both through one value. An edit reports the heads of the atoms
+// it removed and added; Begin saves the list and Rollback puts it back
+// before the context rolls back.
+type deltaList struct {
+	*DeltaContext
+	vars  int
+	segs  [][]DenseConstraint
+	out   [][]Edge
+	in    [][]int32
+	saved [][]DenseConstraint // the list Begin found
+	vars0 int
+}
+
+func (l *deltaList) Vars() int { return l.vars }
+
+func (l *deltaList) Out(dst []Edge, v int32) []Edge {
+	if int(v) < len(l.out) {
+		dst = append(dst, l.out[v]...)
+	}
+	return dst
+}
+
+func (l *deltaList) In(dst []int32, v int32) []int32 {
+	if int(v) < len(l.in) {
+		dst = append(dst, l.in[v]...)
+	}
+	return dst
+}
+
+// link rebuilds the edge lists from the segments.
+func (l *deltaList) link() {
+	l.out, l.in = make([][]Edge, l.vars+1), make([][]int32, l.vars+1)
+	for pos, a := range atomsOf(l) {
+		l.out[a.B] = append(l.out[a.B], Edge{To: a.A, Key: uint64(pos)})
+		l.in[a.A] = append(l.in[a.A], a.B)
+	}
+}
+
+// atomsOf returns the list's atoms in canonical order.
+func atomsOf(l *deltaList) []DenseConstraint {
+	var out []DenseConstraint
+	for _, seg := range l.segs {
+		out = append(out, seg...)
 	}
 	return out
+}
+
+func (l *deltaList) Len() int      { return len(atomsOf(l)) }
+func (l *deltaList) Segments() int { return len(l.segs) }
+
+// SetSeg replaces segment id's atoms and reports whether that changed
+// anything; a segment given its own content again is left alone.
+func (l *deltaList) SetSeg(id int, as []DenseConstraint) bool {
+	if slices.Equal(l.segs[id], as) {
+		return false
+	}
+	for _, a := range l.segs[id] {
+		l.Changed(a.A)
+	}
+	for _, a := range as {
+		l.vars = max(l.vars, int(a.A), int(a.B))
+	}
+	l.segs[id] = slices.Clone(as)
+	l.link()
+	for _, a := range as {
+		l.Changed(a.A)
+	}
+	return true
+}
+
+// InsertSeg inserts an empty segment at position id.
+func (l *deltaList) InsertSeg(id int) {
+	l.segs = slices.Insert(l.segs, id, nil)
+	l.link()
+}
+
+// RemoveSeg deletes segment id and its atoms.
+func (l *deltaList) RemoveSeg(id int) {
+	l.SetSeg(id, nil)
+	l.segs = slices.Delete(l.segs, id, id+1)
+	l.link()
+}
+
+func (l *deltaList) Begin() {
+	l.saved, l.vars0 = slices.Clone(l.segs), l.vars
+	l.DeltaContext.Begin()
+}
+
+func (l *deltaList) Rollback() {
+	l.segs, l.vars = l.saved, l.vars0
+	l.link()
+	l.DeltaContext.Rollback()
+}
+
+// Clone copies the list and its context.
+func (l *deltaList) Clone() *deltaList {
+	c := &deltaList{vars: l.vars, segs: slices.Clone(l.segs)}
+	c.link()
+	c.DeltaContext = l.DeltaContext.Clone(c)
+	return c
 }
 
 // maxID is the largest id the atoms use: the variable count a context over
@@ -173,88 +280,63 @@ func singles(n int) []int {
 	return out
 }
 
-// newDelta is NewDeltaContext on atoms that must be accepted, over the
-// variables they use.
-func newDelta(t testing.TB, atoms []DenseConstraint, segLen []int) *DeltaContext {
+// newDelta is a context over the atoms, cut into segments of the given
+// lengths (nil makes them one), over the variables they use.
+func newDelta(t testing.TB, atoms []DenseConstraint, segLen []int) *deltaList {
 	t.Helper()
-	d, err := NewDeltaContext(maxID(atoms), atoms, segLen)
-	if err != nil {
-		t.Fatal(err)
+	if segLen == nil {
+		segLen = []int{len(atoms)}
 	}
-	return d
+	l := &deltaList{vars: maxID(atoms)}
+	for _, n := range segLen {
+		l.segs, atoms = append(l.segs, slices.Clone(atoms[:n])), atoms[n:]
+	}
+	if len(atoms) != 0 {
+		t.Fatalf("segment lengths leave %d atoms over", len(atoms))
+	}
+	l.link()
+	l.DeltaContext = NewDeltaContext(l)
+	return l
 }
 
 // appendSeg adds a new last segment holding the atoms.
-func appendSeg(t *testing.T, d *DeltaContext, as ...DenseConstraint) {
+func appendSeg(t *testing.T, d *deltaList, as ...DenseConstraint) {
 	t.Helper()
-	id := d.Segments()
-	if err := d.InsertSeg(id); err != nil {
-		t.Fatal(err)
-	}
-	setSeg(t, d, id, as...)
+	d.InsertSeg(d.Segments())
+	d.SetSeg(d.Segments()-1, as)
 }
 
-func setSeg(t *testing.T, d *DeltaContext, seg int, as ...DenseConstraint) {
+func setSeg(t *testing.T, d *deltaList, seg int, as ...DenseConstraint) {
 	t.Helper()
-	if _, err := d.SetSeg(seg, as); err != nil {
-		t.Fatal(err)
-	}
+	d.SetSeg(seg, as)
 }
 
-func removeSeg(t *testing.T, d *DeltaContext, seg int) {
+func removeSeg(t *testing.T, d *deltaList, seg int) {
 	t.Helper()
-	if err := d.RemoveSeg(seg); err != nil {
-		t.Fatal(err)
-	}
+	d.RemoveSeg(seg)
 }
 
-// edgeView is one linked edge as a list shows it: endpoints and the
-// canonical position of the atom it carries.
-type edgeView struct {
-	From, To int32
-	Pos      int
-}
-
-// deltaState is everything a DeltaContext carries between checks, for
-// comparing a rolled-back context with the one Begin found. Slot numbers
-// and list order are storage, not state: the lists are compared by what
-// they hold.
+// deltaState is everything a DeltaContext carries between checks, with the
+// list it decides, for comparing a rolled-back context with the one Begin
+// found.
 type deltaState struct {
 	Atoms    []DenseConstraint
 	SegLen   []int
 	Built    bool
-	Out, In  [][]edgeView
 	Dist     []int
-	VarRef   []int32
 	Changed  []int32
 	Res      Result
+	Core     []Edge
 	ResValid bool
 }
 
-func stateOf(d *DeltaContext) deltaState {
-	st := deltaState{Atoms: atomsOf(d), Built: d.built, Res: d.res, ResValid: d.resValid}
-	for id := 0; id < d.Segments(); id++ {
-		st.SegLen = append(st.SegLen, d.SegLen(id))
+func stateOf(d *deltaList) deltaState {
+	st := deltaState{Atoms: atomsOf(d), Built: d.built, Res: d.res, Core: d.core, ResValid: d.resValid}
+	for _, seg := range d.segs {
+		st.SegLen = append(st.SegLen, len(seg))
 	}
-	if len(st.Atoms) != d.Len() {
-		panic(fmt.Sprintf("Len() = %d for %d atoms", d.Len(), len(st.Atoms)))
-	}
-	view := func(ed int32) edgeView {
-		return edgeView{d.slots[ed].from, d.slots[ed].to, d.position(ed)}
-	}
-	byPos := func(a, b edgeView) int { return a.Pos - b.Pos }
 	for v, node := range d.nodes {
-		var out, in []edgeView
-		for ed := node.out; ed >= 0; ed = d.slots[ed].outNext {
-			out = append(out, view(ed))
-		}
-		for ed := node.in; ed >= 0; ed = d.slots[ed].inNext {
-			in = append(in, view(ed))
-		}
-		slices.SortStableFunc(out, byPos)
-		slices.SortStableFunc(in, byPos)
-		st.Out, st.In = append(st.Out, out), append(st.In, in)
-		st.Dist, st.VarRef = append(st.Dist, node.dist), append(st.VarRef, node.ref)
+		st.Dist = append(st.Dist, node.dist)
 		if node.changed != slices.Contains(d.changed, int32(v)) || node.local != 0 {
 			panic(fmt.Sprintf("node %d: flags %+v, changed set %v", v, node, d.changed))
 		}
@@ -263,37 +345,16 @@ func stateOf(d *DeltaContext) deltaState {
 	return st
 }
 
-// requireConsistent checks the invariants between a context's parts:
-// positions and Locate invert each other, every atom's edge is on the lists
-// of its endpoints, and nothing touches the zero node.
-func requireConsistent(t *testing.T, label string, d *DeltaContext) {
+// requireConsistent checks the invariants between the context and the
+// graph: its node table covers the graph's variables and no more than the
+// largest check or edit reached, and nothing touches the zero node.
+func requireConsistent(t *testing.T, label string, d *deltaList) {
 	t.Helper()
-	pos := 0
-	for id := 0; id < d.Segments(); id++ {
-		for off, s := range d.segs[id] {
-			if got := d.position(s); got != pos {
-				t.Fatalf("%s: slot %d of segment %d at position %d, want %d", label, off, id, got, pos)
-			}
-			if seg, o := d.Locate(pos); seg != id || o != off {
-				t.Fatalf("%s: Locate(%d) = (%d, %d), want (%d, %d)", label, pos, seg, o, id, off)
-			}
-			pos++
-		}
-	}
 	st := stateOf(d)
-	linked := 0
-	for v, out := range st.Out {
-		for _, x := range out {
-			linked++
-			if int(x.From) != v || !slices.Contains(st.In[x.To], x) {
-				t.Fatalf("%s: edge %+v on node %d's out-list is not on its head's in-list", label, x, v)
-			}
-		}
+	if len(st.Dist) > d.vars+1 {
+		t.Fatalf("%s: %d nodes for %d variables", label, len(st.Dist), d.vars)
 	}
-	if linked != len(st.Atoms) {
-		t.Fatalf("%s: %d edges linked for %d atoms", label, linked, len(st.Atoms))
-	}
-	if len(st.In[zeroNode]) != 0 || len(st.Out[zeroNode]) != 0 || st.VarRef[zeroNode] != 0 || slices.Contains(st.Changed, zeroNode) {
+	if d.nodes[zeroNode] != (deltaNode{}) || slices.Contains(st.Changed, zeroNode) {
 		t.Fatalf("%s: the zero node is part of the graph: %+v", label, d.nodes[zeroNode])
 	}
 }
@@ -368,27 +429,18 @@ func (x *txDriver) run(t *testing.T) {
 		before, vars := stateOf(d), len(d.nodes)
 		d.Begin()
 		for k := 1 + x.next()%4; k > 0; k-- {
-			var err error
 			switch op, id := x.next(), x.next(); {
 			case op%8 == 5:
-				err = d.InsertSeg(id % (d.Segments() + 1))
+				d.InsertSeg(id % (d.Segments() + 1))
 			case op%8 == 6 && d.Segments() > 1:
-				err = d.RemoveSeg(id % d.Segments())
+				d.RemoveSeg(id % d.Segments())
 			case op%8 == 7: // its own content: must change nothing
 				id %= d.Segments()
-				var same []DenseConstraint
-				for _, s := range d.segs[id] {
-					same = append(same, d.atom(s))
-				}
-				var changed bool
-				if changed, err = d.SetSeg(id, same); changed {
+				if d.SetSeg(id, slices.Clone(d.segs[id])) {
 					t.Fatalf("%s: segment %d given its own content reports a change", label, id)
 				}
 			default:
-				_, err = d.SetSeg(id%d.Segments(), x.atoms(op/8%4))
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				d.SetSeg(id%d.Segments(), x.atoms(op/8%4))
 			}
 		}
 		full := d.Stats().FullSolves
@@ -475,7 +527,7 @@ func FuzzDeltaTransactions(f *testing.F) {
 
 // requireRegionCore checks that the last check was unsat, matched the
 // oracle, and came from the region: a delta solve, no full one.
-func requireRegionCore(t *testing.T, label string, d *DeltaContext, before DeltaStats) Result {
+func requireRegionCore(t *testing.T, label string, d *deltaList, before DeltaStats) Result {
 	t.Helper()
 	res := requireOracle(t, label, d)
 	if now := d.Stats(); res.Sat || now.DeltaSolves != before.DeltaSolves+1 || now.FullSolves != before.FullSolves {
@@ -489,7 +541,7 @@ func requireRegionCore(t *testing.T, label string, d *DeltaContext, before Delta
 // unrelated pairs, and compares each with a fresh solve of the same list.
 func TestDeltaRegionCores(t *testing.T) {
 	x := func(i int) string { return fmt.Sprintf("x%d", i) }
-	standing := func() *DeltaContext {
+	standing := func() *deltaList {
 		var as []DenseConstraint
 		for i := 0; i < 9; i++ {
 			as = append(as, less(x(i), x(i+1)))
@@ -653,7 +705,7 @@ func TestDeltaSatToUnsatAndBack(t *testing.T) {
 
 // requireFullSolve checks a check that must solve the whole list against a
 // fresh Context.Check of it, the graph's size included.
-func requireFullSolve(t *testing.T, label string, d *DeltaContext) Result {
+func requireFullSolve(t *testing.T, label string, d *deltaList) Result {
 	t.Helper()
 	st := d.Stats()
 	got, want := deltaCheck(t, d), oracleCheck(t, spellAll(atomsOf(d)))
@@ -718,40 +770,5 @@ func TestDeltaClone(t *testing.T) {
 	}
 	if got := deltaCheck(t, d); !got.Sat {
 		t.Fatal("original should stay sat")
-	}
-}
-
-// TestDeltaSpliceBounds checks the segment range validation, and that an
-// atom over the zero anchor, a negative id or (at construction) an id past
-// the variable count is turned away at the door.
-func TestDeltaSpliceBounds(t *testing.T) {
-	d := newDelta(t, []DenseConstraint{less("x", "y")}, nil)
-	for _, id := range []int{-1, 1} {
-		if _, err := d.SetSeg(id, nil); err == nil {
-			t.Fatalf("SetSeg(%d) accepted", id)
-		}
-		if err := d.RemoveSeg(id); err == nil {
-			t.Fatalf("RemoveSeg(%d) accepted", id)
-		}
-	}
-	for _, id := range []int{-1, 2} {
-		if err := d.InsertSeg(id); err == nil {
-			t.Fatalf("InsertSeg(%d) accepted", id)
-		}
-	}
-	x := id("x")
-	for _, bad := range []DenseConstraint{{A: 0, B: x}, {A: x, B: 0}, {A: -1, B: x}} {
-		if _, err := d.SetSeg(0, []DenseConstraint{less("x", "z"), bad}); err == nil {
-			t.Fatalf("SetSeg accepted %+v", bad)
-		}
-		if _, err := NewDeltaContext(int(x), []DenseConstraint{bad}, nil); err == nil {
-			t.Fatalf("NewDeltaContext accepted %+v", bad)
-		}
-	}
-	if _, err := NewDeltaContext(int(x), []DenseConstraint{{A: x, B: x + 1}}, nil); err == nil {
-		t.Fatalf("NewDeltaContext(%d, …) accepted variable %d", x, x+1)
-	}
-	if d.Len() != 1 || d.Segments() != 1 || atomsOf(d)[0] != less("x", "y") {
-		t.Fatalf("rejected edits left %v in %d segments", atomsOf(d), d.Segments())
 	}
 }

@@ -130,11 +130,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pairs %d: native: %v", trial, err)
 		}
-		dc, err := NewDeltaContext(maxID(atoms), atoms, nil)
-		if err != nil {
-			t.Fatalf("pairs %d: %v", trial, err)
-		}
-		got := deltaCheck(t, dc)
+		got := deltaCheck(t, newDelta(t, atoms, nil))
 		for _, r := range []*Result{&got, &want} {
 			r.Stats.Duration, r.Stats.TarjanDuration = 0, 0
 		}

@@ -10,8 +10,8 @@
 // computes (scc.go).
 //
 // A solve sees dense node ids and an edge list, from one of two loaders:
-// load, for SolveDense and the Native adapter, and a DeltaContext, copying
-// out of its own linked graph the sub-system induced on a node set (every
+// load, for SolveDense and the Native adapter, and a DeltaContext, walking
+// its caller's graph for the sub-system induced on a node set (every
 // referenced node, or the region an edit disturbed) and, for the region,
 // seeding each node with what its in-edges from outside bring. Both hand
 // the engine the same zero anchor and positivity edges (x ≥ 1, an edge

@@ -20,8 +20,6 @@ var (
 		"Edges the cycle searches examined inside bad components.")
 	obsMinimizeIters = obs.Default().Counter("fsr_smt_minimize_iterations_total",
 		"Core-minimization deletion-loop iterations.")
-	obsDeltaSplices = obs.Default().Counter("fsr_smt_delta_splices_total",
-		"Assertion-list segments replaced in delta contexts.")
 
 	// Condensation introspection, one observation per engine solve on any
 	// door (string, dense, and every solving delta check, of the whole list

@@ -169,7 +169,7 @@ func TestChainCostIsTheChain(t *testing.T) {
 		res, err = c.Check()
 		check(order.name+"/context", res, err)
 		dc := newDelta(t, order.dense, nil)
-		res, err = dc.Check(ctx)
+		res, _, err = dc.Check(ctx)
 		res.Model = named(dc.Model()) // a delta check reads its model on demand
 		check(order.name+"/delta", res, err)
 		res, model, err := SolveDense(ctx, n+1, order.dense)
@@ -187,7 +187,7 @@ func TestChainCostIsTheChain(t *testing.T) {
 	// in that order re-relaxed it k(k+1)/2 times.)
 	const k = 2000
 	dc := newDelta(t, ascDense[:k-1], nil)
-	if res, err := dc.Check(ctx); err != nil || !res.Sat {
+	if res, _, err := dc.Check(ctx); err != nil || !res.Sat {
 		t.Fatalf("standing chain: sat=%v err=%v", res.Sat, err)
 	}
 	fan := make([]DenseConstraint, k)
@@ -196,7 +196,7 @@ func TestChainCostIsTheChain(t *testing.T) {
 	}
 	appendSeg(t, dc, fan...)
 	before := dc.Stats()
-	res, err := dc.Check(ctx)
+	res, _, err := dc.Check(ctx)
 	after := dc.Stats()
 	if err != nil || !res.Sat || after.DeltaSolves != before.DeltaSolves+1 || after.LastAffected != k {
 		t.Fatalf("delta re-probe: sat=%v err=%v, stats %+v → %+v; want a sat delta solve of the %d-node chain", res.Sat, err, before, after, k)

@@ -1,36 +1,47 @@
 // Delta verification of SPP instances: the bridge between an operator's
 // what-if edits (re-rank a router, drop or add a session) and the smt
-// package's delta solver. A DeltaVerifier keeps the instance's constraint
-// system resident in the solver's own form — two variable ids per
-// constraint, no provenance, no names — organized as one segment per node
-// (its pairwise preference chain) followed by one segment per directed link
-// (its ⊕ monotonicity entries), exactly the order §IV-B constraint
-// generation produces, over the ids of the verifier's one name table. An
-// edit looks up only the paths it is handed, regenerates only the segments
-// whose content is a function of the touched rankings — reached through the
-// node's position and its incident-link list, rendering nothing — and
-// replaces them in a warm smt.DeltaContext, which re-probes only the
-// dispute-digraph region those constraints reach. When that region holds a
-// dispute, the solver decides the exact core from the region alone (the
-// argument, with its proof obligation, heads internal/smt/delta.go), and
-// Verify renders just the core's members through prefSeg and monoSeg, as
-// Analyze does, so an unsafe answer costs its dispute, not the instance.
+// package's delta solver. §IV-B asserts two kinds of atom: a preference atom
+// joins two adjacent paths of one ranking, and a strict monotonicity atom
+// joins a path to the tail it extends, when the tail is permitted at the
+// next hop. So in the constraint graph (the dispute digraph of Griffin,
+// Shepherd & Wilfong) every path has at most two out-edges, its rank
+// predecessor and its tail, and the graph is implied by what the verifier
+// holds anyway: the rankings, and a tail per path. A path's in-edges are its
+// rank successor and its extensions. The verifier is that graph (smt.Graph,
+// over the path ids of its one table), with no atom stored: an edit looks up
+// only the paths it is handed, reports the head of each edge it adds or
+// removes to a warm smt.DeltaContext — rendering nothing — and the context
+// re-decides only the dispute-digraph region those heads reach.
+//
+// An atom's key sorts exactly like its position in the canonical emission
+// order — the nodes' preference chains in Nodes order, then the links'
+// monotonicity entries in Links order, each link's by its tail's rank:
+// (0, node position, offset) for a preference atom, (1, link serial, rank
+// of the tail) for a monotonicity one. A link serial is never reused, so
+// serial order is Links order across drops, adds and rollbacks. When the
+// region holds a dispute, the solver decides the exact core from the region
+// alone (the argument, with its proof obligation, heads
+// internal/smt/delta.go) and reports it by key. Verify renders just the
+// core's members through prefSeg and monoSeg, as Analyze does, and finds
+// their positions from Fenwick prefix sums of the atom counts per node and
+// per link, so an unsafe answer costs its dispute, not the instance.
 //
 // A what-if that is not kept costs its edit, not the instance: between
 // Begin and Rollback every mutation — of the instance, the topology index,
-// the name table and its counts — logs its inverse, the solver context
-// journals its own segments, and Rollback runs both backwards, leaving the
-// verifier as Begin found it. Nothing is copied up front.
+// the path table and its counts — logs its inverse, the solver context
+// journals the distances its checks install, and Rollback runs both
+// backwards, leaving the verifier as Begin found it. Nothing is copied up
+// front, and there is one graph journal, the verifier's.
 //
 // Correctness is anchored to the full pipeline, not argued independently:
-// the resident system is what the emitter's prefSeg and monoSeg assert,
-// position for position, under the natural naming, tests enforce
-// bit-for-bit parity against VerifyFull — after edits, inside transactions
-// and after rolling them back — and any instance the natural naming does
-// not fit — a name held by two paths (a duplicate permitted path, or two
-// renderings sanitized to one name) or a label by two links — flips the
-// verifier into degraded mode, where Verify analyses the instance from
-// scratch instead.
+// the implied atoms, in key order and named through the table, are what the
+// emitter's prefSeg and monoSeg assert, position for position, under the
+// natural naming, tests enforce bit-for-bit parity against VerifyFull —
+// after edits, inside transactions and after rolling them back — and any
+// instance the natural naming does not fit — a name held by two paths (a
+// duplicate permitted path, or two renderings sanitized to one name) or a
+// label by two links — flips the verifier into degraded mode, where Verify
+// analyses the instance from scratch instead.
 
 package spp
 
@@ -52,27 +63,22 @@ type DeltaVerifier struct {
 	dc      *smt.DeltaContext
 	algebra string // the result's Algebra: the instance's name never changes
 
-	// ix answers node, origin and link membership for edit validation; a
-	// node's position is also its preference segment id, and incident[pos]
-	// lists the links (by position in Links) whose monotonicity segments
-	// read the node's ranking. Both are maintained across edits.
-	ix       *topoIndex
-	incident [][]int32
+	// ix answers node, origin and link membership for edit validation, and
+	// maps each link to its serial. pref counts each node's preference atoms
+	// (node pos at pos+1), mono each serial's monotonicity atoms; the length
+	// of mono is the next serial. Their prefix sums are the atoms' positions.
+	ix   *topoIndex
+	pref fenwick
+	mono fenwick
 
-	// The delta context's segments are first one per node (in Nodes
-	// order), then one per directed link (in Links order). numPref is the
-	// node segments' total.
-	numPref int
-
-	// The name table, the one place a solver variable has a name: ids maps
-	// a name to its id, names and refs hold by id the name and the number
-	// of permitted paths holding it (id 0 is the solver's zero anchor), and
-	// ranks[pos] is node pos's ranking as ids. A name nothing holds keeps
-	// its id. held counts the names some path holds, dupNames those two or
-	// more paths hold: the collision counter.
+	// The path table, the one place a solver variable has a name: every
+	// path a ranking holds or once held, and every tail of one, by id (id 0
+	// is the solver's zero anchor); ids maps a rendering to the first path
+	// with it. A path nothing holds keeps its id. ranks[pos] is node pos's ranking as
+	// ids. held counts the names some path holds, dupNames those two or more
+	// paths hold: the collision counter.
+	paths    []pathRec
 	ids      map[string]int32
-	names    []smt.Var
-	refs     []int32
 	ranks    [][]int32
 	held     int
 	dupNames int
@@ -88,83 +94,112 @@ type DeltaVerifier struct {
 	// any edit drops it.
 	scratch map[string]int
 
-	// Scratch: refresh's segments, atoms and matches, ReRank's rendering.
-	segs    []int
-	atoms   []smt.DenseConstraint
-	matches []linkMatch
-	buf     []byte
+	// Scratch: ReRank's rendering.
+	buf []byte
 
 	// undo holds the open transaction's inverses, oldest first.
 	inTx bool
 	undo []func()
 }
 
-// NewDeltaVerifier builds the resident constraint state for a deep copy of
-// the instance. The instance must validate; rendering collisions are
-// tolerated (the verifier starts degraded and recovers if edits remove
-// them).
+// pathRec is one path of the table: a vertex of the implied graph.
+type pathRec struct {
+	path Path
+	name smt.Var // its natural solver variable
+	// head is the first path with this name, whose count is the name's
+	// occurrences in rankings; next is the next path with it.
+	head, next, count int32
+	refs              int32   // occurrences in rankings: held when > 0
+	tail              int32   // the path it extends, path[1:]; 0 for an egress path
+	own, at, link     int32   // while held: its node, its rank, its first link's serial
+	ext               []int32 // the held paths extending it
+}
+
+// NewDeltaVerifier builds the resident graph for a deep copy of the
+// instance. The instance must validate; rendering collisions are tolerated
+// (the verifier starts degraded and recovers if edits remove them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := in.Clone()
 	p := new(shardPrep)
-	err := buildShardPrep(p, cp)
-	if err != nil {
+	if err := buildShardPrep(p, cp); err != nil {
 		return nil, err
 	}
 	p.name(false) // natural names: the verifier counts collisions itself
 	v := &DeltaVerifier{
-		in:         cp,
-		algebra:    "spp-" + cp.Name,
-		ix:         indexInstance(cp),
-		numPref:    int(p.totalPref()),
-		ids:        make(map[string]int32, p.nPaths),
-		names:      append(make([]smt.Var, 0, p.nPaths+1), ""),
-		refs:       append(make([]int32, 0, p.nPaths+1), 0),
-		ranks:      make([][]int32, len(cp.Nodes)),
+		in:      cp,
+		algebra: "spp-" + cp.Name,
+		ix:      indexInstance(cp),
+		pref:    make(fenwick, len(cp.Nodes)+1),
+		mono:    make(fenwick, len(cp.Links)+1),
+		paths:   make([]pathRec, 1, p.nPaths+1),
+		ids:     make(map[string]int32, p.nPaths),
+		ranks:   make([][]int32, len(cp.Nodes)),
+
 		labelCount: map[string]int{},
-	}
-	v.incident = incidentLinks(cp, v.ix.nodes)
-	// The table is the prep's interned names, in global path order; one
-	// backing array holds every ranking (replaced whole, never appended to).
-	byPath := make([]int32, p.nPaths)
-	for g, name := range p.vars {
-		id, ok := v.ids[string(name)]
-		if !ok {
-			id = v.intern(name)
-		}
-		byPath[g] = id
-		v.hold(id, +1)
-	}
-	for ni := range v.ranks {
-		lo, hi := p.pathOff[ni], p.pathOff[ni+1]
-		v.ranks[ni] = byPath[lo:hi:hi]
 	}
 	for _, l := range cp.Links {
 		v.countLabel(l, +1)
 	}
-	// The canonical emission order: every node's preference chain, then
-	// the matches, which are in link order.
-	atoms := make([]smt.DenseConstraint, 0, p.total())
-	for _, ids := range v.ranks {
-		atoms = prefAtoms(atoms, ids)
+	// The prep's paths, named and shortest first, so that a matched tail is
+	// in the table before its extensions; one array holds every ranking.
+	byPath := make([]int32, p.nPaths)
+	for _, u := range p.order {
+		g, q := p.pathOff[u.ni]+u.r, p.perms[u.ni][u.r]
+		head := v.ids[string(p.vars[g])]
+		if byPath[g] = v.find(q, head); byPath[g] == 0 {
+			tail := int32(-1)
+			if t := p.tail[g]; t >= 0 {
+				tail = byPath[t]
+			}
+			byPath[g] = v.intern(q, p.vars[g], head, tail)
+		}
 	}
-	for _, m := range p.matches {
-		from, to := v.ranks[p.linkEnds[2*m.li]], v.ranks[p.linkEnds[2*m.li+1]]
-		atoms = append(atoms, smt.DenseConstraint{A: to[m.tq], B: from[m.fq]})
-	}
-	if v.dc, err = smt.NewDeltaContext(len(v.names)-1, atoms, p.segLens()); err != nil {
-		return nil, err
+	v.dc = smt.NewDeltaContext((*graph)(v))
+	for ni, n := range cp.Nodes {
+		if paths, ok := cp.Permitted[n]; ok {
+			lo, hi := p.pathOff[ni], p.pathOff[ni+1]
+			v.rank(int32(ni), true, paths, byPath[lo:hi:hi])
+		}
 	}
 	return v, nil
 }
 
-// prefAtoms appends what prefSeg asserts on each adjacent pair of a
-// ranking's ids: the ranked list as strict pairwise preferences.
-func prefAtoms(dst []smt.DenseConstraint, ids []int32) []smt.DenseConstraint {
-	for i := 1; i < len(ids); i++ {
-		dst = append(dst, smt.DenseConstraint{A: ids[i-1], B: ids[i]})
+// graph is the verifier as the constraint graph it implies (smt.Graph). Only
+// a held path has edges, and a monotonicity edge needs its tail held too.
+type graph DeltaVerifier
+
+func (g *graph) Vars() int { return len(g.paths) - 1 }
+
+// Out appends path x's rank predecessor and its tail.
+func (g *graph) Out(dst []smt.Edge, x int32) []smt.Edge {
+	p := &g.paths[x]
+	if p.refs == 0 {
+		return dst
+	}
+	if p.at > 0 {
+		dst = append(dst, smt.Edge{To: g.ranks[p.own][p.at-1], Key: uint64(p.own)<<31 | uint64(p.at-1)})
+	}
+	if t := p.tail; t != 0 && g.paths[t].refs > 0 {
+		dst = append(dst, smt.Edge{To: t, Key: keyMono | uint64(p.link)<<31 | uint64(g.paths[t].at)})
 	}
 	return dst
 }
+
+// In appends path x's rank successor and its extensions.
+func (g *graph) In(dst []int32, x int32) []int32 {
+	p := &g.paths[x]
+	if p.refs == 0 {
+		return dst
+	}
+	if r := g.ranks[p.own]; int(p.at)+1 < len(r) {
+		dst = append(dst, r[p.at+1])
+	}
+	return append(dst, p.ext...)
+}
+
+// keyMono marks a monotonicity atom's key: the kind at bit 62, then a node
+// position or a link serial, then an offset, 31 bits each.
+const keyMono = 1 << 62
 
 // Name returns the instance name.
 func (v *DeltaVerifier) Name() string { return v.in.Name }
@@ -178,7 +213,7 @@ func (v *DeltaVerifier) Size() (nodes, sessions int) {
 	return len(v.in.Nodes), len(v.in.Links) / 2
 }
 
-// Degraded reports whether the resident system is the wrong one to answer
+// Degraded reports whether the resident graph is the wrong one to answer
 // from for the current instance (a name or link-label clash) and Verify is
 // analysing from scratch.
 func (v *DeltaVerifier) Degraded() bool { return v.dupNames > 0 || v.dupLabels > 0 }
@@ -191,27 +226,18 @@ func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
 // frozen replay still clones. Rankings are replaced whole, never written in
 // place, so the copy shares their id slices.
 func (v *DeltaVerifier) Clone() *DeltaVerifier {
-	c := &DeltaVerifier{
-		in:      v.in.Clone(),
-		dc:      v.dc.Clone(),
-		algebra: v.algebra,
-		ix: &topoIndex{
-			nodes:   maps.Clone(v.ix.nodes),
-			origins: maps.Clone(v.ix.origins),
-			links:   maps.Clone(v.ix.links),
-		},
-		numPref:    v.numPref,
-		ids:        maps.Clone(v.ids),
-		names:      slices.Clone(v.names),
-		refs:       slices.Clone(v.refs),
-		ranks:      slices.Clone(v.ranks),
-		held:       v.held,
-		dupNames:   v.dupNames,
-		labelCount: maps.Clone(v.labelCount),
-		dupLabels:  v.dupLabels,
-		scratch:    v.scratch,
+	c := new(DeltaVerifier)
+	*c = *v
+	c.in = v.in.Clone()
+	c.ix = &topoIndex{nodes: maps.Clone(v.ix.nodes), origins: maps.Clone(v.ix.origins), links: maps.Clone(v.ix.links)}
+	c.paths, c.ids, c.ranks = slices.Clone(v.paths), maps.Clone(v.ids), slices.Clone(v.ranks)
+	c.pref, c.mono = slices.Clone(v.pref), slices.Clone(v.mono)
+	for id := range c.paths {
+		c.paths[id].ext = slices.Clip(slices.Clone(c.paths[id].ext))
 	}
-	c.incident = incidentLinks(c.in, c.ix.nodes)
+	c.labelCount = maps.Clone(v.labelCount)
+	c.buf, c.inTx, c.undo = nil, false, nil
+	c.dc = v.dc.Clone((*graph)(c))
 	return c
 }
 
@@ -228,8 +254,8 @@ func (v *DeltaVerifier) Begin() {
 	}
 	v.inTx = true
 	v.dc.Begin()
-	scratch, numPref := v.scratch, v.numPref
-	v.onRollback(func() { v.scratch, v.numPref = scratch, numPref })
+	scratch := v.scratch
+	v.onRollback(func() { v.scratch = scratch })
 }
 
 // Commit closes the transaction, keeping its edits.
@@ -260,12 +286,9 @@ func (v *DeltaVerifier) onRollback(inverse func()) {
 	}
 }
 
-// Journal reports the open transaction's size: solver segments replaced,
-// and undo entries in all, across both layers.
-func (v *DeltaVerifier) Journal() (splices, entries int) {
-	splices, entries = v.dc.Journal()
-	return splices, entries + len(v.undo)
-}
+// Journal reports the open transaction's size: the undo entries of its one
+// graph journal.
+func (v *DeltaVerifier) Journal() (entries int) { return len(v.undo) }
 
 // fromScratch reports that the instance is Analyze's to decide: a name
 // clash needs the suffixed variables or is the duplicate-path error, and a
@@ -286,7 +309,7 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		v.scratch, res.Model = res.Model, nil
 		return res, suspects, err
 	}
-	out, err := v.dc.Check(ctx)
+	out, core, err := v.dc.Check(ctx)
 	if err != nil {
 		return analysis.Result{}, nil, err
 	}
@@ -295,37 +318,58 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		Condition:       analysis.StrictMonotonicity,
 		Sat:             out.Sat,
 		Stats:           out.Stats,
-		NumPreference:   v.numPref,
-		NumMonotonicity: v.dc.Len() - v.numPref,
+		NumPreference:   v.pref.total(),
+		NumMonotonicity: v.mono.total(),
 	}
 	if out.Sat {
 		return res, nil, nil
 	}
-	res.Core, res.CoreIdx = make([]analysis.Constraint, len(out.CoreIdx)), out.CoreIdx
-	suspects := make([]Node, len(out.CoreIdx))
-	for k, pos := range out.CoreIdx {
-		res.Core[k], suspects[k] = v.coreMember(pos)
+	res.Core, res.CoreIdx = make([]analysis.Constraint, len(core)), make([]int, len(core))
+	suspects := make([]Node, len(core))
+	for k, ed := range core {
+		var x int32
+		res.CoreIdx[k], x = v.locate(ed)
+		res.Core[k], suspects[k] = v.coreMember(x, ed.Key&keyMono != 0)
 	}
 	slices.Sort(suspects)
 	return res, slices.Compact(suspects), nil
 }
 
-// coreMember renders the constraint at a position of the canonical emission
-// order — an unsat core's member — through prefSeg or monoSeg on just the
-// paths it names, and returns the §VI-B suspect it implicates: the node
-// whose ranking a preference orders, or the tail of a monotonicity entry's
-// link, owner of the extended path. A monotonicity member's ranks are found
-// by its resident atom's two ids.
-func (v *DeltaVerifier) coreMember(pos int) (analysis.Constraint, Node) {
-	seg, k := v.dc.Locate(pos)
-	if nn := len(v.in.Nodes); seg >= nn {
-		l := v.in.Links[seg-nn]
-		a := v.dc.At(seg, k)
-		fi, ti := v.ix.nodes[l.From], v.ix.nodes[l.To]
-		fq, tq := slices.Index(v.ranks[fi], a.B), slices.Index(v.ranks[ti], a.A)
-		return monoSeg(l, v.rankSlice(fi, fq, fq+1), v.rankSlice(ti, tq, tq+1)), l.From
+// locate returns the position in the canonical emission order of the atom
+// on an edge — the atoms of the nodes or links before its own, read from
+// the prefix sums, and of its ranking or link before it — and the path the
+// edge leaves.
+func (v *DeltaVerifier) locate(ed smt.Edge) (pos int, x int32) {
+	y, off := int32(ed.Key>>31&(1<<31-1)), int32(ed.Key&(1<<31-1))
+	if ed.Key&keyMono == 0 {
+		return v.pref.sum(y) + int(off), v.ranks[y][off+1]
 	}
-	return prefSeg(v.rankSlice(int32(seg), k, k+2)), v.in.Nodes[seg]
+	pos = v.pref.total() + v.mono.sum(y-1)
+	for _, e := range v.paths[ed.To].ext {
+		if v.paths[e].link == y {
+			x = e
+		}
+	}
+	for _, e := range v.ranks[v.paths[x].own] {
+		if p := &v.paths[e]; p.link == y && p.tail != 0 && v.paths[p.tail].refs > 0 && v.paths[p.tail].at < off {
+			pos++
+		}
+	}
+	return pos, x
+}
+
+// coreMember renders the atom on an out-edge of path x — an unsat core's
+// member — through prefSeg or monoSeg on just the paths it names, and
+// returns the §VI-B suspect it implicates: the node whose ranking a
+// preference orders, or the tail of a monotonicity entry's link, owner of
+// the extended path.
+func (v *DeltaVerifier) coreMember(x int32, mono bool) (analysis.Constraint, Node) {
+	p := &v.paths[x]
+	if !mono {
+		return prefSeg(v.rankSlice(p.own, int(p.at)-1, int(p.at)+1)), v.in.Nodes[p.own]
+	}
+	t, l := &v.paths[p.tail], Link{p.path[0], p.path[1]}
+	return monoSeg(l, v.rankSlice(p.own, int(p.at), int(p.at)+1), v.rankSlice(t.own, int(t.at), int(t.at)+1)), l.From
 }
 
 // rankSlice is ranks [lo,hi) of node position ni, its solver variables
@@ -333,7 +377,7 @@ func (v *DeltaVerifier) coreMember(pos int) (analysis.Constraint, Node) {
 func (v *DeltaVerifier) rankSlice(ni int32, lo, hi int) ranking {
 	r := ranking{paths: v.in.Permitted[v.in.Nodes[ni]][lo:hi], vars: make([]smt.Var, hi-lo)}
 	for i := range r.vars {
-		r.vars[i] = v.names[v.ranks[ni][lo+i]]
+		r.vars[i] = v.paths[v.ranks[ni][lo+i]].name
 	}
 	return r
 }
@@ -351,8 +395,8 @@ func (v *DeltaVerifier) Model() map[string]int {
 	}
 	out := make(map[string]int, v.held)
 	for id, val := range m {
-		if val != 0 { // an id no constraint references
-			out[string(v.names[id])] = val
+		if val != 0 { // a path no atom references
+			out[string(v.paths[id].name)] = val
 		}
 	}
 	return out
@@ -374,12 +418,11 @@ func (v *DeltaVerifier) VerifyFull(ctx context.Context) (analysis.Result, []Node
 }
 
 // ReRank replaces a node's ranked permitted paths (declaring the node and
-// any new origin tokens like Instance.Rank) and refreshes the node's
-// preference segment plus the monotonicity segments of its incident links.
-// The paths are validated against the current topology first; an invalid
-// ranking is rejected without mutating anything. Each path's name is looked
-// up in the table, rendered into a scratch buffer; only a name the table has
-// never held is allocated.
+// any new origin tokens like Instance.Rank) and reports the edges that
+// changes. The paths are validated against the current topology first; an
+// invalid ranking is rejected without mutating anything. Each path is looked
+// up in the table, its name rendered into a scratch buffer; only a path the
+// table has never held is allocated.
 func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 	if n == "" {
 		return fmt.Errorf("spp %s: rerank of empty node name", v.in.Name)
@@ -393,12 +436,7 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 	fresh := clonePaths(paths)
 	ids := make([]int32, len(fresh))
 	for i, q := range fresh {
-		v.buf = appendVar(v.buf[:0], q)
-		id, ok := v.ids[string(v.buf)]
-		if !ok {
-			id = v.intern(smt.Var(v.buf))
-		}
-		ids[i] = id
+		ids[i] = v.pathID(q)
 	}
 	for _, p := range fresh {
 		if o := p[len(p)-1]; !v.ix.origins[o] {
@@ -415,12 +453,12 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 		ni = v.declareNode(n)
 	}
 	v.rank(ni, true, fresh, ids)
-	return v.refresh(ni)
+	return nil
 }
 
 // DropSession removes the bidirectional session a↔b, prunes every permitted
 // path crossing it (the operational reading of a session failure), and
-// refreshes the segments of the pruned nodes. Removing a session that does
+// reports the edges the pruned rankings lose. Removing a session that does
 // not exist is an error.
 func (v *DeltaVerifier) DropSession(a, b Node) error {
 	var idx []int
@@ -433,31 +471,6 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 		return fmt.Errorf("spp %s: no session %s↔%s", v.in.Name, a, b)
 	}
 	v.scratch = nil
-	// Link positions shift, so the incident lists are rebuilt — here, and
-	// by the inverse logged first, which runs once the links are back.
-	reindex := func() { v.incident = incidentLinks(v.in, v.ix.nodes) }
-	v.onRollback(reindex)
-	// Remove link segments and links together, descending so earlier
-	// indices stay valid.
-	for k := len(idx) - 1; k >= 0; k-- {
-		i, l := idx[k], v.in.Links[idx[k]]
-		if err := v.dc.RemoveSeg(len(v.in.Nodes) + i); err != nil {
-			return err
-		}
-		v.in.Links = slices.Delete(v.in.Links, i, i+1)
-		delete(v.ix.links, l)
-		v.countLabel(l, -1)
-		v.onRollback(func() {
-			v.in.Links = slices.Insert(v.in.Links, i, l)
-			v.ix.links[l] = true
-			v.countLabel(l, +1)
-		})
-	}
-	reindex()
-	for _, l := range [2]Link{{a, b}, {b, a}} {
-		v.setCost(l, 0)
-	}
-
 	crosses := func(p Path) bool {
 		for i := 0; i+2 < len(p); i++ {
 			if (p[i] == a && p[i+1] == b) || (p[i] == b && p[i+1] == a) {
@@ -466,7 +479,6 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 		}
 		return false
 	}
-	var pruned []int32
 	for ni, n := range v.in.Nodes {
 		old := v.in.Permitted[n]
 		if !slices.ContainsFunc(old, crosses) {
@@ -481,133 +493,78 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 			}
 		}
 		v.rank(int32(ni), true, kept, ids)
-		pruned = append(pruned, int32(ni))
 	}
-	return v.refresh(pruned...)
+	// The links go after the paths crossing them, so that their inverses
+	// bring them back first; descending, so earlier indices stay valid.
+	for k := len(idx) - 1; k >= 0; k-- {
+		i, l := idx[k], v.in.Links[idx[k]]
+		s := v.ix.links[l]
+		v.in.Links = slices.Delete(v.in.Links, i, i+1)
+		v.countLabel(l, -1)
+		v.onRollback(func() {
+			v.in.Links = slices.Insert(v.in.Links, i, l)
+			v.ix.links[l] = s
+			v.countLabel(l, +1)
+		})
+	}
+	delete(v.ix.links, Link{a, b})
+	delete(v.ix.links, Link{b, a})
+	v.setCost(Link{a, b}, 0)
+	v.setCost(Link{b, a}, 0)
+	return nil
 }
 
 // AddSession adds the bidirectional session a↔b with an optional IGP cost,
-// declaring new nodes like Instance.AddSession. The new links' monotonicity
-// segments start empty (no permitted path can reference a link that did not
-// exist); a follow-up ReRank introduces paths over the session.
+// declaring new nodes like Instance.AddSession. The new links carry no
+// monotonicity atom yet (no permitted path can cross a link that did not
+// exist) and take the next two serials; a follow-up ReRank introduces paths
+// over the session.
 func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	if a == b || a == "" || b == "" {
 		return fmt.Errorf("spp %s: invalid session %s↔%s", v.in.Name, a, b)
 	}
-	if v.ix.links[Link{a, b}] || v.ix.links[Link{b, a}] {
+	if v.ix.links[Link{a, b}] != 0 || v.ix.links[Link{b, a}] != 0 {
 		return fmt.Errorf("spp %s: session %s↔%s already exists", v.in.Name, a, b)
 	}
 	v.scratch = nil
-	var ends [2]int32
-	for i, n := range [2]Node{a, b} {
-		ni, known := v.ix.nodes[n]
-		if !known {
-			ni = v.declareNode(n)
+	for _, n := range [2]Node{a, b} {
+		if _, known := v.ix.nodes[n]; !known {
+			v.declareNode(n)
 		}
-		ends[i] = ni
 	}
-	first := int32(len(v.in.Links))
+	first := len(v.in.Links)
 	for _, l := range [2]Link{{a, b}, {b, a}} {
 		v.in.Links = append(v.in.Links, l)
-		v.ix.links[l] = true
+		v.ix.links[l] = int32(len(v.mono))
+		v.mono.push()
 		v.countLabel(l, +1)
 		if cost != 0 {
 			v.setCost(l, cost)
 		}
 	}
-	for _, ni := range ends {
-		v.incident[ni] = append(v.incident[ni], first, first+1)
-	}
 	v.onRollback(func() {
-		for _, ni := range ends {
-			v.incident[ni] = v.incident[ni][:len(v.incident[ni])-2]
-		}
 		for _, l := range v.in.Links[first:] {
 			delete(v.ix.links, l)
 			v.countLabel(l, -1)
 		}
-		v.in.Links = v.in.Links[:first]
+		v.in.Links, v.mono = v.in.Links[:first], v.mono[:len(v.mono)-2]
 	})
-	for id := len(v.in.Nodes) + int(first); id < len(v.in.Nodes)+len(v.in.Links); id++ {
-		if err := v.dc.InsertSeg(id); err != nil {
-			return err
-		}
-		if err := v.setSeg(id, v.segAtoms(nil, id)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// refresh regenerates the preference segment of every touched node (by
-// position in Nodes) and the monotonicity segment of every link incident to
-// one. It runs after all ranking mutations of an operation, so each segment
-// is regenerated from the final rankings.
-func (v *DeltaVerifier) refresh(touched ...int32) error {
-	nn := len(v.in.Nodes)
-	segs := v.segs[:0]
-	for _, ni := range touched {
-		segs = append(segs, int(ni))
-		for _, li := range v.incident[ni] {
-			segs = append(segs, nn+int(li))
-		}
-	}
-	slices.Sort(segs)
-	v.segs = slices.Compact(segs)
-	for _, id := range v.segs {
-		v.atoms = v.segAtoms(v.atoms[:0], id)
-		if err := v.setSeg(id, v.atoms); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// segAtoms appends what segment id asserts under the current rankings, over
-// their ids: a node's preference chain, or a directed link's monotonicity
-// entries — each permitted extension ranks strictly below the path it
-// extends.
-func (v *DeltaVerifier) segAtoms(dst []smt.DenseConstraint, id int) []smt.DenseConstraint {
-	nn := len(v.in.Nodes)
-	if id < nn {
-		return prefAtoms(dst, v.ranks[id])
-	}
-	l := v.in.Links[id-nn]
-	fi, okF := v.ix.nodes[l.From]
-	ti, okT := v.ix.nodes[l.To]
-	if !okF || !okT { // an undeclared end has no ranking
-		return dst
-	}
-	v.matches = appendMatches(v.matches[:0], 0, l.From, v.in.Permitted[l.From], v.in.Permitted[l.To])
-	for _, m := range v.matches {
-		dst = append(dst, smt.DenseConstraint{A: v.ranks[ti][m.tq], B: v.ranks[fi][m.fq]})
-	}
-	return dst
-}
-
-// declareNode appends a real node with an empty preference segment (an
-// undeclared node cannot have a ranking yet) and returns its position.
-// Links may already name it, so its incident list takes a scan of Links.
+// declareNode appends a real node with an empty ranking (an undeclared
+// node cannot have a ranking yet) and returns its position.
 func (v *DeltaVerifier) declareNode(n Node) int32 {
 	id := len(v.in.Nodes)
-	var links []int32
-	for li, l := range v.in.Links {
-		if l.From == n || l.To == n {
-			links = append(links, int32(li))
-		}
-	}
 	v.ix.nodes[n] = int32(id)
 	v.in.Nodes = append(v.in.Nodes, n)
-	v.incident = append(v.incident, links)
 	v.ranks = append(v.ranks, nil)
-	if err := v.dc.InsertSeg(id); err != nil {
-		panic(err) // id is the node segments' count
-	}
+	v.pref.push()
 	v.onRollback(func() {
 		delete(v.ix.nodes, n)
 		v.in.Nodes = v.in.Nodes[:id]
-		v.incident = v.incident[:id]
 		v.ranks = v.ranks[:id]
+		v.pref = v.pref[:id+1]
 	})
 	return int32(id)
 }
@@ -626,59 +583,129 @@ func (v *DeltaVerifier) setCost(l Link, cost int) {
 	v.onRollback(func() { v.setCost(l, old) })
 }
 
-// setSeg replaces the atoms of segment id in the solver context, which
-// leaves a segment given its own content alone.
-func (v *DeltaVerifier) setSeg(id int, fresh []smt.DenseConstraint) error {
-	old := v.dc.SegLen(id)
-	changed, err := v.dc.SetSeg(id, fresh)
-	if changed && id < len(v.in.Nodes) {
-		v.numPref += len(fresh) - old
-	}
-	return err
-}
-
-// rank installs a ranking at node position ni — its paths in the instance
-// (ranked false removes the node's ranking), its ids in ranks — and moves
-// the table's counts from the ranking it replaces, which it logs.
+// rank installs a ranking at node position ni (ranked false removes it),
+// logging the one it replaces, and reports changed the preference edges
+// the two chains do not share — all of them while a name is held twice,
+// when a path may sit at two ranks — and, through hold, the monotonicity
+// edges of every path it starts or stops holding.
 func (v *DeltaVerifier) rank(ni int32, ranked bool, paths []Path, ids []int32) {
 	n := v.in.Nodes[ni]
 	old, wasRanked := v.in.Permitted[n]
 	oldIDs := v.ranks[ni]
 	v.onRollback(func() { v.rank(ni, wasRanked, old, oldIDs) })
-	for _, id := range oldIDs {
-		v.hold(id, -1)
-	}
+	blurred := v.dupNames > 0
+	v.chain(ni, ids, blurred)
 	for _, id := range ids {
 		v.hold(id, +1)
 	}
+	for _, id := range oldIDs {
+		v.hold(id, -1)
+	}
+	v.ranks[ni] = ids
+	for r, id := range ids {
+		v.paths[id].own, v.paths[id].at = ni, int32(r)
+	}
+	v.chain(ni, oldIDs, blurred || v.dupNames > 0)
+	v.pref.add(ni+1, int32(max(len(ids)-1, 0)-max(len(oldIDs)-1, 0)))
 	if ranked {
 		v.in.Permitted[n] = paths
 	} else {
 		delete(v.in.Permitted, n)
 	}
-	v.ranks[ni] = ids
 }
 
-// intern adds a name to the table, held by nothing yet, and returns its id.
-func (v *DeltaVerifier) intern(name smt.Var) int32 {
-	id := int32(len(v.names))
-	v.ids[string(name)] = id
-	v.names = append(v.names, name)
-	v.refs = append(v.refs, 0)
-	v.onRollback(func() {
-		delete(v.ids, string(name))
-		v.names[id] = ""
-		v.names, v.refs = v.names[:id], v.refs[:id]
-	})
-	return id
+// chain reports changed the head of every edge ids[k] → ids[k−1] that node
+// ni's ranking, as the table has it, lacks (of every edge, with all).
+func (v *DeltaVerifier) chain(ni int32, ids []int32, all bool) {
+	for k := 1; k < len(ids); k++ {
+		u, w := &v.paths[ids[k]], &v.paths[ids[k-1]]
+		if all || u.refs == 0 || w.refs == 0 || u.own != ni || w.own != ni || u.at != w.at+1 {
+			v.dc.Changed(ids[k-1])
+		}
+	}
 }
 
-// hold moves the number of paths holding name id by d (±1).
+// hold moves path id's occurrences, and its name's, by d (±1). A path that
+// starts or stops being held brings or takes its monotonicity edges: to its
+// held tail, and from its held extensions.
 func (v *DeltaVerifier) hold(id, d int32) {
-	old, nw := v.refs[id], v.refs[id]+d
-	v.refs[id] = nw
-	v.held += crossed(old, nw, 1)
-	v.dupNames += crossed(old, nw, 2)
+	x, h := &v.paths[id], &v.paths[v.paths[id].head]
+	x.refs, h.count = x.refs+d, h.count+d
+	v.held += crossed(h.count-d, h.count, 1)
+	v.dupNames += crossed(h.count-d, h.count, 2)
+	if !(d > 0 && x.refs == 1 || d < 0 && x.refs == 0) {
+		return
+	}
+	if d > 0 && len(x.path) > 2 {
+		x.link = v.ix.links[Link{x.path[0], x.path[1]}]
+	}
+	if t := &v.paths[x.tail]; x.tail != 0 {
+		if d > 0 {
+			t.ext = append(t.ext, id)
+		} else {
+			i := slices.Index(t.ext, id)
+			t.ext = slices.Delete(t.ext, i, i+1)
+		}
+		if t.refs > 0 {
+			v.mono.add(x.link, d)
+			v.dc.Changed(x.tail)
+		}
+	}
+	for _, e := range x.ext {
+		v.mono.add(v.paths[e].link, d)
+		v.dc.Changed(id)
+	}
+}
+
+// pathID returns path q's id, adding it to the table when the table has
+// never seen it.
+func (v *DeltaVerifier) pathID(q Path) int32 {
+	v.buf = appendVar(v.buf[:0], q)
+	head := v.ids[string(v.buf)]
+	if id := v.find(q, head); id != 0 {
+		return id
+	}
+	return v.intern(q, smt.Var(v.buf), head, -1)
+}
+
+// find returns the id of path q in the chain of paths from head, which
+// share its rendering, or 0.
+func (v *DeltaVerifier) find(q Path, head int32) int32 {
+	for id := head; id != 0; id = v.paths[id].next {
+		if slices.Equal(v.paths[id].path, q) {
+			return id
+		}
+	}
+	return 0
+}
+
+// intern adds path q, held by nothing yet, under its rendering name —
+// behind head, the first path with that name, when there is one — with its
+// tail (looked up in turn when −1), and returns its id.
+func (v *DeltaVerifier) intern(q Path, name smt.Var, head, tail int32) int32 {
+	id := int32(len(v.paths))
+	x := pathRec{path: q, name: name, head: id}
+	if head != 0 {
+		x.head, x.next = head, v.paths[head].next
+		v.paths[head].next = id
+	} else {
+		v.ids[string(name)] = id
+	}
+	v.paths = append(v.paths, x)
+	v.onRollback(func() {
+		if head != 0 {
+			v.paths[head].next = x.next
+		} else {
+			delete(v.ids, string(name))
+		}
+		clear(v.paths[id:])
+		v.paths = v.paths[:id]
+	})
+	if tail < 0 && len(q) > 2 {
+		tail = v.pathID(q[1:])
+	}
+	v.paths[id].tail = max(tail, 0)
+	return id
 }
 
 // countLabel tracks link-label multiplicity as links come and go: ToAlgebra
@@ -703,6 +730,35 @@ func crossed(old, nw, at int32) int {
 		return -1
 	}
 	return 0
+}
+
+// fenwick is a Fenwick tree of counts over positions from 1 (index 0
+// unused): a count moves, and the counts up to a position sum, in O(log n),
+// so a core member's position costs its dispute, not the instance.
+type fenwick []int32
+
+// add moves the count at position i by d.
+func (f fenwick) add(i, d int32) {
+	for ; int(i) < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// sum returns the counts at positions 1 to i.
+func (f fenwick) sum(i int32) (s int) {
+	for ; i > 0; i -= i & -i {
+		s += int(f[i])
+	}
+	return s
+}
+
+// total returns every count.
+func (f fenwick) total() int { return f.sum(int32(len(f) - 1)) }
+
+// push appends a position with count zero; truncation removes it again.
+func (f *fenwick) push() {
+	i := int32(len(*f))
+	*f = append(*f, int32((*f).sum(i-1)-(*f).sum(i-i&-i)))
 }
 
 // --- helpers ---

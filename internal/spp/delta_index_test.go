@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"fsr/internal/smt"
 )
 
 // requireIndexMatchesSnapshot compares every answer the verifier's topology
@@ -38,9 +41,13 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 	if len(v.ix.links) != len(scanLinks) {
 		t.Fatalf("%s: index holds %d links, instance %d", label, len(v.ix.links), len(scanLinks))
 	}
-	for l := range v.ix.links {
-		if !in.HasLink(l.From, l.To) {
-			t.Fatalf("%s: index holds link %s the instance lacks", label, l)
+	// Serial order is Links order (a repeated link keeps its first serial).
+	last, seen := int32(0), map[Link]bool{}
+	for _, l := range in.Links {
+		if s := v.ix.links[l]; !seen[l] && (s <= last || int(s) >= len(v.mono)) {
+			t.Fatalf("%s: link %s has serial %d after %d, of %d issued", label, l, s, last, len(v.mono)-1)
+		} else if !seen[l] {
+			last, seen[l] = s, true
 		}
 	}
 	scanOrigins := map[Node]bool{}
@@ -55,46 +62,107 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 			t.Fatalf("%s: index lacks origin %s", label, o)
 		}
 	}
-	if v.dc.Segments() != len(in.Nodes)+len(in.Links) {
-		t.Fatalf("%s: %d segments for %d nodes + %d links", label, v.dc.Segments(), len(in.Nodes), len(in.Links))
-	}
 	requireTableMatchesSnapshot(t, label, v, in)
 }
 
-// requireTableMatchesSnapshot checks the name table against the instance:
-// every ranking's ids name its paths' natural variables, each id's count is
-// the number of paths holding its name, the map and the names agree, and
-// held and dupNames count what the counts say.
+// requireTableMatchesSnapshot checks the path table and the graph it
+// implies against the instance: every ranking's ids are its paths, named by
+// their natural variables and found by their renderings; each path's and
+// each name's count is the number of ranks holding it; held and dupNames
+// count what the counts say; and, unless a name is held twice, every held
+// path has its node and rank, its tail, its first link's serial and its held
+// extensions, and the atom counts are the graph's.
 func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, in *Instance) {
 	t.Helper()
-	if len(v.ids) != len(v.names)-1 || len(v.refs) != len(v.names) || len(v.ranks) != len(in.Nodes) {
-		t.Fatalf("%s: table of %d names, %d map entries, %d counts, %d rankings for %d nodes",
-			label, len(v.names)-1, len(v.ids), len(v.refs), len(v.ranks), len(in.Nodes))
+	if len(v.ranks) != len(in.Nodes) {
+		t.Fatalf("%s: %d rankings for %d nodes", label, len(v.ranks), len(in.Nodes))
 	}
-	holders := make([]int32, len(v.names))
+	refs := make([]int32, len(v.paths))
+	names := map[smt.Var]int32{}
 	for ni, n := range in.Nodes {
 		if len(v.ranks[ni]) != len(in.Permitted[n]) {
 			t.Fatalf("%s: node %s ranks %d ids for %d paths", label, n, len(v.ranks[ni]), len(in.Permitted[n]))
 		}
 		for r, q := range in.Permitted[n] {
 			id := v.ranks[ni][r]
-			if want := string(appendVar(nil, q)); string(v.names[id]) != want || v.ids[want] != id {
-				t.Fatalf("%s: %s's path %s has id %d named %q, want %q", label, n, q, id, v.names[id], want)
+			x := v.paths[id]
+			if want := string(appendVar(nil, q)); !slices.Equal(x.path, q) || string(x.name) != want || find(v, q) != id {
+				t.Fatalf("%s: %s's path %s has id %d for %v named %q, want %q", label, n, q, id, x.path, x.name, want)
 			}
-			holders[id]++
+			refs[id]++
+			names[x.name]++
 		}
 	}
 	held, dup := 0, 0
-	for id, c := range holders {
-		if v.refs[id] != c {
-			t.Fatalf("%s: name %q counts %d holders, the instance has %d", label, v.names[id], v.refs[id], c)
+	for id, x := range v.paths[1:] {
+		id++
+		if x.refs != refs[id] {
+			t.Fatalf("%s: path %v counts %d holders, the instance has %d", label, x.path, x.refs, refs[id])
 		}
-		held, dup = held+crossed(0, c, 1), dup+crossed(0, c, 2)
+		if h := v.paths[x.head]; h.name != x.name || h.head != x.head || v.ids[string(x.name)] != x.head {
+			t.Fatalf("%s: path %v (%q) is chained behind %d (%q)", label, x.path, x.name, x.head, h.name)
+		}
+		if x.head == int32(id) {
+			if x.count != names[x.name] {
+				t.Fatalf("%s: name %q counts %d holders, the instance has %d", label, x.name, x.count, names[x.name])
+			}
+			held, dup = held+crossed(0, x.count, 1), dup+crossed(0, x.count, 2)
+		}
 	}
 	if v.held != held || v.dupNames != dup {
 		t.Fatalf("%s: held %d and dupNames %d, the counts say %d and %d", label, v.held, v.dupNames, held, dup)
 	}
+	if dup > 0 {
+		return
+	}
+	pref, mono := make([]int32, len(v.pref)), make([]int32, len(v.mono))
+	ext := map[int32][]int32{}
+	for ni, ids := range v.ranks {
+		pref[ni+1] = int32(max(len(ids)-1, 0))
+		for r, id := range ids {
+			x := v.paths[id]
+			if x.own != int32(ni) || x.at != int32(r) {
+				t.Fatalf("%s: path %v is at (%d, %d), the instance has it at (%d, %d)", label, x.path, x.own, x.at, ni, r)
+			}
+			if len(x.path) <= 2 {
+				continue
+			}
+			if tail := find(v, x.path[1:]); x.tail == 0 || tail != x.tail {
+				t.Fatalf("%s: path %v has tail %d, the table has %d", label, x.path, x.tail, tail)
+			}
+			if s := v.ix.links[Link{x.path[0], x.path[1]}]; x.link != s {
+				t.Fatalf("%s: path %v has first link %d, the index %d", label, x.path, x.link, s)
+			}
+			ext[x.tail] = append(ext[x.tail], id)
+			if v.paths[x.tail].refs > 0 {
+				mono[x.link]++
+			}
+		}
+	}
+	for id, x := range v.paths {
+		if got, want := slices.Sorted(slices.Values(x.ext)), slices.Sorted(slices.Values(ext[int32(id)])); !slices.Equal(got, want) {
+			t.Fatalf("%s: path %v lists extensions %v, the rankings have %v", label, x.path, got, want)
+		}
+	}
+	if got := counts(v.pref); !slices.Equal(got, pref) {
+		t.Fatalf("%s: preference atoms by node %v, the graph has %v", label, got, pref)
+	}
+	if got := counts(v.mono); !slices.Equal(got, mono) {
+		t.Fatalf("%s: monotonicity atoms by link %v, the graph has %v", label, got, mono)
+	}
 }
+
+// counts reads a Fenwick tree's counts back by position, index 0 unused.
+func counts(f fenwick) []int32 {
+	out := make([]int32, len(f))
+	for i := int32(1); int(i) < len(f); i++ {
+		out[i] = int32(f.sum(i) - f.sum(i-1))
+	}
+	return out
+}
+
+// find returns path q's id in the verifier's table, or 0.
+func find(v *DeltaVerifier, q Path) int32 { return v.find(q, v.ids[string(appendVar(nil, q))]) }
 
 // randomEdit applies one seeded what-if edit and describes it. Topology
 // edits keep the session count level about half the time (a drop followed

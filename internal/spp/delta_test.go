@@ -1,8 +1,10 @@
 package spp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +16,8 @@ import (
 // the verifier's current instance and fails unless verdict, model (read
 // through Model, as the daemon's /verify does), core, constraint counts,
 // and suspect nodes agree bit for bit (Stats excluded: durations and graph
-// sizes legitimately differ).
+// sizes legitimately differ), and unless a safe, non-degraded verdict's
+// model predicts a stable routing (modelWalk, checked by isStable).
 func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	t.Helper()
 	got, gotSus, gotErr := v.Verify(context.Background())
@@ -67,6 +70,12 @@ func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	for i := range wantSus {
 		if gotSus[i] != wantSus[i] {
 			t.Fatalf("%s: suspects %v, oracle %v", label, gotSus, wantSus)
+		}
+	}
+	if got.Sat && !v.Degraded() {
+		in := v.Snapshot()
+		if sel := modelWalk(in, got.Model); !isStable(in, sel) {
+			t.Fatalf("%s: the model's walk selects %v, which is not a stable assignment", label, sel)
 		}
 	}
 	_ = analysis.StrictMonotonicity // keep the import obvious at a glance
@@ -377,11 +386,13 @@ func TestDeltaVerifierLinkLabelClash(t *testing.T) {
 	}
 }
 
-// TestResidentAssertionsAreTheSegments pins the solver's view of a segment
-// to the provenance functions': what prefAtoms and monoAtoms emit, named
-// through the verifier's table, is the Assertion of every prefSeg and
-// monoSeg constraint, less its origin — on the generated instances, for
-// every node and link.
+// TestResidentAssertionsAreTheSegments pins the solver's view of the
+// instance to the provenance functions': the atoms the implied graph walks,
+// in key order and named through the verifier's table, are the Assertion of
+// every prefSeg and monoSeg constraint, less its origin — and locate and
+// coreMember render each key as that constraint, origin and position
+// included — on
+// the generated instances, for every node and link.
 func TestResidentAssertionsAreTheSegments(t *testing.T) {
 	for _, in := range []*Instance{Figure3IBGP(), Disagree(), ChainGadget(6)} {
 		v, err := NewDeltaVerifier(in)
@@ -392,28 +403,35 @@ func TestResidentAssertionsAreTheSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []smt.Assertion
-		for id := 0; id < v.dc.Segments(); id++ {
-			for off := 0; off < v.dc.SegLen(id); off++ {
-				a := v.dc.At(id, off)
-				got = append(got, smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: v.names[a.A]}, B: smt.Term{Var: v.names[a.B]}})
+		type atom struct {
+			key      uint64
+			from, to int32
+		}
+		var atoms []atom
+		g := (*graph)(v)
+		for x := int32(1); x <= int32(g.Vars()); x++ {
+			for _, ed := range g.Out(nil, x) {
+				atoms = append(atoms, atom{ed.Key, x, ed.To})
 			}
 		}
-		if len(got) != len(cons) {
-			t.Fatalf("%s: %d resident assertions, %d constraints", in.Name, len(got), len(cons))
+		slices.SortFunc(atoms, func(a, b atom) int { return cmp.Compare(a.key, b.key) })
+		if len(atoms) != len(cons) {
+			t.Fatalf("%s: %d resident atoms, %d constraints", in.Name, len(atoms), len(cons))
 		}
 		for i, c := range cons {
 			want := c.Assertion
 			want.Origin = ""
-			if got[i] != want {
-				t.Fatalf("%s: resident assertion %d is %v, the emitter's %v", in.Name, i, got[i], want)
+			a := atoms[i]
+			if got := (smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: v.paths[a.to].name}, B: smt.Term{Var: v.paths[a.from].name}}); got != want {
+				t.Fatalf("%s: resident atom %d is %v, the emitter's %v", in.Name, i, got, want)
+			}
+			pos, from := v.locate(smt.Edge{To: a.to, Key: a.key})
+			if got, _ := v.coreMember(from, a.key&keyMono != 0); pos != i || from != a.from || got.Assertion != c.Assertion {
+				t.Fatalf("%s: key %#x renders as %v at %d, the emitter has %v at %d", in.Name, a.key, got.Assertion, pos, c.Assertion, i)
 			}
 		}
-		// Regenerating every segment from the rankings changes nothing.
-		for id := 0; id < v.dc.Segments(); id++ {
-			if changed, err := v.dc.SetSeg(id, v.segAtoms(nil, id)); err != nil || changed {
-				t.Fatalf("%s: segment %d regenerated differently (err %v)", in.Name, id, err)
-			}
+		if v.pref.total()+v.mono.total() != len(cons) {
+			t.Fatalf("%s: %d + %d atoms counted, %d constraints", in.Name, v.pref.total(), v.mono.total(), len(cons))
 		}
 	}
 }

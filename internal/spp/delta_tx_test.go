@@ -29,7 +29,7 @@ func driveTransactions(t *testing.T, in *Instance, seed int64, rounds int) (roll
 	fresh := 0
 	for round := 0; round < rounds; round++ {
 		label := fmt.Sprintf("%s seed %d round %d", in.Name, seed, round)
-		before, wasDegraded, names := v.Snapshot(), v.Degraded(), len(v.names)
+		before, wasDegraded, paths := v.Snapshot(), v.Degraded(), len(v.paths)
 		want, wantSus, wantErr := v.Verify(ctx)
 		wantModel := v.Model()
 
@@ -54,8 +54,8 @@ func driveTransactions(t *testing.T, in *Instance, seed int64, rounds int) (roll
 		} else if res, _, err := v.Verify(ctx); err == nil && !res.Sat {
 			unsafe++
 		}
-		if splices, entries := v.Journal(); entries < splices || entries == 0 {
-			t.Fatalf("%s: journal of %d splices has %d entries", label, splices, entries)
+		if v.Journal() == 0 {
+			t.Fatalf("%s: the open transaction has an empty journal", label)
 		}
 
 		st := v.DeltaStats()
@@ -66,8 +66,8 @@ func driveTransactions(t *testing.T, in *Instance, seed int64, rounds int) (roll
 		if v.Degraded() != wasDegraded {
 			t.Fatalf("%s: Degraded() = %v after rollback, %v before Begin", label, v.Degraded(), wasDegraded)
 		}
-		if len(v.names) != names {
-			t.Fatalf("%s: rollback left a table of %d names, Begin found %d", label, len(v.names), names)
+		if len(v.paths) != paths {
+			t.Fatalf("%s: rollback left a table of %d paths, Begin found %d", label, len(v.paths), paths)
 		}
 		requireIndexMatchesSnapshot(t, label+" rolled back", v)
 		got, gotSus, gotErr := v.Verify(ctx)

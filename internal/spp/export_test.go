@@ -12,6 +12,10 @@ func PrepAllocProbe(in *Instance) error {
 	return p.name(true)
 }
 
+// Scanned reports the elements the instance's linear scans have walked in
+// this process.
+func Scanned() int64 { return scanned.Load() }
+
 // The random-transaction driver and the oracle-parity check, for the
 // external tests that feed them the scenario generators' instances.
 var (

@@ -13,9 +13,9 @@
 // analysis.Constraint, render one position with its provenance
 // (constraintAt) — an unsat core's members, or every position for
 // ShardedConstraints, element for element what analysis.Constraints
-// generates from in.ToAlgebra(). The DeltaVerifier keeps dense atoms
-// resident, patches those for the segments an edit touches, and renders its
-// core's members through the same two functions.
+// generates from in.ToAlgebra(). The DeltaVerifier walks the same atoms in
+// the graph its rankings and tails imply, and renders its core's members
+// through the same two functions.
 //
 // A match is also the §IV-B definition of a signature through its tail,
 // l_uv ⊕ r_vp = r_uvp, so the prep keeps it per path: tail[b] = a when path
@@ -147,20 +147,6 @@ func resize[T any](s []T, n int) []T {
 
 func (p *shardPrep) totalPref() int32 { return p.prefOff[len(p.prefOff)-1] }
 func (p *shardPrep) total() int32     { return p.totalPref() + int32(len(p.matches)) }
-
-// segLens returns the length of every segment of the canonical emission
-// order: one per node, then one per link.
-func (p *shardPrep) segLens() []int {
-	nn := len(p.perms)
-	out := make([]int, nn+len(p.in.Links))
-	for ni := 0; ni < nn; ni++ {
-		out[ni] = int(p.prefOff[ni+1] - p.prefOff[ni])
-	}
-	for _, m := range p.matches {
-		out[nn+int(m.li)]++
-	}
-	return out
-}
 
 // minShard is the fewest items a shard is given. Forking pays only once each
 // goroutine has thousands of items to walk: an input this size or smaller —
@@ -479,16 +465,16 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		}
 	}
 	if len(unproven) > 0 {
-		ix.links = map[Link]bool{}
+		ix.links = map[Link]int32{}
 		for _, u := range unproven {
 			q := p.perms[u.ni][u.r]
 			for i := 0; i+2 < len(q); i++ {
-				ix.links[Link{q[i], q[i+1]}] = false
+				ix.links[Link{q[i], q[i+1]}] = 0
 			}
 		}
 		for _, l := range in.Links {
 			if _, asked := ix.links[l]; asked {
-				ix.links[l] = true
+				ix.links[l] = 1
 			}
 		}
 		for _, u := range unproven {

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"fsr/internal/algebra"
 	"fsr/internal/analysis"
@@ -181,8 +182,16 @@ func (in *Instance) Rank(n Node, paths ...Path) {
 
 // HasLink reports whether the directed link u→v exists.
 func (in *Instance) HasLink(u, v Node) bool {
+	scanned.Add(int64(len(in.Links)))
 	return slices.Contains(in.Links, Link{u, v})
 }
+
+// scanned counts the elements the instance's linear scans, HasLink and
+// permitted, walk (at most), process-wide. One such scan per hop or per
+// path is a quadratic layer that allocates nothing, so a test holds a
+// pipeline's scans per path with it, a count where a clock would read the
+// machine.
+var scanned atomic.Int64
 
 // Sessions lists the undirected sessions, one link per connected pair: the
 // direction Links lists first, in Links order.
@@ -199,13 +208,14 @@ func (in *Instance) Sessions() []Link {
 }
 
 // topoIndex is the hash-set view of an instance's declarations — real
-// nodes (with their position in Nodes), origin tokens, directed links — that
-// structural validation resolves membership against, so validating an
-// instance is linear in its size instead of one slice scan per hop.
+// nodes (with their position in Nodes), origin tokens, directed links (with
+// a serial from 1; 0 for none) — that structural validation resolves
+// membership against, so validating an instance is linear in its size
+// instead of one slice scan per hop.
 type topoIndex struct {
 	nodes   map[Node]int32
 	origins map[Node]bool
-	links   map[Link]bool
+	links   map[Link]int32
 }
 
 // indexInstance builds the index of the instance's current declarations.
@@ -213,7 +223,7 @@ func indexInstance(in *Instance) *topoIndex {
 	ix := &topoIndex{
 		nodes:   make(map[Node]int32, len(in.Nodes)),
 		origins: make(map[Node]bool, len(in.Origins)),
-		links:   make(map[Link]bool, len(in.Links)),
+		links:   make(map[Link]int32, len(in.Links)),
 	}
 	for i, n := range in.Nodes {
 		ix.nodes[n] = int32(i)
@@ -221,45 +231,12 @@ func indexInstance(in *Instance) *topoIndex {
 	for _, o := range in.Origins {
 		ix.origins[o] = true
 	}
-	for _, l := range in.Links {
-		ix.links[l] = true
+	for i, l := range in.Links {
+		if ix.links[l] == 0 {
+			ix.links[l] = int32(i + 1) // its position, plus one
+		}
 	}
 	return ix
-}
-
-// incidentLinks lists, per node position, the positions in Links of the
-// directed links with that node at either end, ascending — the topology
-// index a resident verifier keeps beside topoIndex, so that re-ranking a
-// node reaches the monotonicity segments it feeds without scanning Links.
-// A link end that is not a declared node has no list to be on.
-func incidentLinks(in *Instance, nodes map[Node]int32) [][]int32 {
-	ends := make([]int32, 0, 2*len(in.Links))
-	deg := make([]int32, len(in.Nodes))
-	for _, l := range in.Links {
-		for _, n := range [2]Node{l.From, l.To} {
-			ni, ok := nodes[n]
-			if !ok {
-				ni = -1
-			} else {
-				deg[ni]++
-			}
-			ends = append(ends, ni)
-		}
-	}
-	// One backing array, each list capped at its length so that a later
-	// append copies it out instead of running into its neighbour.
-	flat := make([]int32, 0, len(ends))
-	out := make([][]int32, len(in.Nodes))
-	for ni, d := range deg {
-		out[ni] = flat[len(flat) : len(flat) : len(flat)+int(d)]
-		flat = flat[:len(flat)+int(d)]
-	}
-	for i, ni := range ends {
-		if ni >= 0 {
-			out[ni] = append(out[ni], int32(i/2))
-		}
-	}
-	return out
 }
 
 // validatePath is the structural check of one permitted path p ranked at
@@ -278,7 +255,7 @@ func (ix *topoIndex) validatePath(name string, n Node, p Path, anyOrigin bool) e
 		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", name, n, p)
 	}
 	for i := 0; i+2 < len(p); i++ { // hops among real nodes
-		if !ix.links[Link{p[i], p[i+1]}] {
+		if ix.links[Link{p[i], p[i+1]}] == 0 {
 			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", name, n, p, p[i], p[i+1])
 		}
 	}
@@ -324,7 +301,9 @@ func (in *Instance) Validate() error {
 
 // permitted reports whether path p is in the owner's ranked list.
 func (in *Instance) permitted(p Path) bool {
-	for _, q := range in.Permitted[p.Owner()] {
+	ranking := in.Permitted[p.Owner()]
+	scanned.Add(int64(len(ranking)))
+	for _, q := range ranking {
 		if q.Equal(p) {
 			return true
 		}

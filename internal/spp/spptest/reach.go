@@ -56,8 +56,8 @@ func NewReach(in *spp.Instance) *Reach {
 func (r *Reach) Degree(n spp.Node) int { return len(r.nbrs[n]) }
 
 // Shape renders what a re-rank's own work depends on: the node's sessions
-// and ranking, and the rankings its incident link segments are matched
-// against.
+// and ranking, and the rankings of the neighbours its paths extend or are
+// extended from.
 func (r *Reach) Shape(n spp.Node) string {
 	var nbrs, lens []int
 	for _, m := range r.nbrs[n] {

@@ -14,8 +14,8 @@ import (
 // wire them without importing internal packages.
 //
 // Every pipeline stage records into the same default registry — solver
-// probe/relaxation/core-minimization counts, delta splices vs full
-// rebuilds, analysis constraint counts and per-stage latency histograms,
+// probe/relaxation/core-minimization counts, delta vs full solves,
+// analysis constraint counts and per-stage latency histograms,
 // simulator event throughput and arena high-water marks, campaign
 // per-outcome totals. MetricsHandler serves them all in Prometheus text
 // exposition format. Tracing is opt-in per context: with no tracer
