@@ -14,7 +14,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -335,6 +338,110 @@ func FuzzDecodeInstance(f *testing.F) {
 	})
 }
 
+// firstContact is one instance as both first-contact layers take it: its
+// size (nodes + links + path elements: a power-law topology's paths lengthen
+// with n, so 4× the nodes is about 5× the instance), the instance itself
+// and its upload body.
+type firstContact struct {
+	size int
+	in   *spp.Instance
+	body []byte
+}
+
+// firstContactLayer is one layer an upload crosses, run on one instance.
+type firstContactLayer struct {
+	name string
+	run  func(firstContact)
+}
+
+// firstContactPair loads internet:2000 and internet:8000, the two sizes both
+// growth guards compare, and returns the layers they run: the byte reader
+// (body → validated instance) and ToAlgebra + analysis.Constraints (the
+// oracle pipeline's emitter).
+func firstContactPair(t *testing.T) (small, large firstContact, layers []firstContactLayer) {
+	t.Helper()
+	load := func(n int) firstContact {
+		g := topology.GenerateInternet(1, topology.InternetParams{N: n})
+		in := scenario.InternetSPP(fmt.Sprintf("internet-%d", n), g, 3)
+		body, err := json.Marshal(scenario.EncodeInstance(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := firstContact{size: len(in.Nodes) + len(in.Links), in: in, body: body}
+		for _, paths := range in.Permitted {
+			for _, p := range paths {
+				x.size += len(p)
+			}
+		}
+		return x
+	}
+	layers = []firstContactLayer{
+		{"ReadInstance", func(x firstContact) {
+			if _, _, err := scenario.ReadInstance(x.body); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ToAlgebra+Constraints", func(x firstContact) {
+			conv, err := x.in.ToAlgebra()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := analysis.Constraints(conv.Algebra, analysis.StrictMonotonicity); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	return load(2000), load(8000), layers
+}
+
+// TestFirstContactGrowthRate is the asymptotic guard on the two layers an
+// upload crosses before the solver, on internet instances of n=2000 and
+// n=8000: the work each does, counted as the objects and the bytes it
+// allocates, may grow at most twice as fast as the instance itself. The
+// counts grow 4.0–4.9× here for the instance's 5.2×; a per-node copy of a
+// growing list, a dense ⊕ table or a set rebuilt per path grows quadratically,
+// 16× or more. A scan that allocates
+// nothing is not seen here; TestVerifyFullScansPerPath (internal/spp)
+// counts the linear scans ToAlgebra makes per path. The timed version of
+// this guard is TestFirstContactGrowthRateTimed.
+func TestFirstContactGrowthRate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two internet instances up to n=8000")
+	}
+	small, large, layers := firstContactPair(t)
+	// What one run allocates, after a warm-up run; the least of three, so a
+	// background goroutine's allocation cannot be charged to it.
+	count := func(run func(firstContact), x firstContact) (objects, bytes float64) {
+		run(x)
+		objects, bytes = math.Inf(1), math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(x)
+			runtime.ReadMemStats(&after)
+			objects = min(objects, float64(after.Mallocs-before.Mallocs))
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return objects, bytes
+	}
+	grown := float64(large.size) / float64(small.size)
+	for _, layer := range layers {
+		smallObjects, smallBytes := count(layer.run, small)
+		largeObjects, largeBytes := count(layer.run, large)
+		for _, c := range []struct {
+			what         string
+			small, large float64
+		}{{"objects", smallObjects, largeObjects}, {"bytes", smallBytes, largeBytes}} {
+			ratio := c.large / c.small
+			t.Logf("%s: %.0f → %.0f %s, %.2f× for %.2f× the instance", layer.name, c.small, c.large, c.what, ratio, grown)
+			if ratio > 2*grown {
+				t.Errorf("%s allocated %.1f× the %s for %.1f× the instance (%.0f → %.0f): no longer linear",
+					layer.name, ratio, c.what, grown, c.small, c.large)
+			}
+		}
+	}
+}
+
 // minOfEach reports the fastest of n runs of fn on each of small and large,
 // timed alternately so that a neighbour's burst (the other packages' tests
 // share the cores) lands on both sizes, not on one. Each run starts on a
@@ -356,68 +463,34 @@ func minOfEach[T any](n int, fn func(T), small, large T) (bestSmall, bestLarge t
 	return bestSmall, bestLarge
 }
 
-// TestFirstContactGrowthRate is the asymptotic guard on the two layers an
-// upload crosses before the solver: the byte reader (body → validated
-// instance), and analysis.Constraints over the converted algebra (the
-// oracle pipeline's emitter), on internet instances
-// of n=2000 and n=8000. Cost may grow at most twice as fast as the
-// instance itself (nodes + links + path elements: a power-law topology's
-// paths lengthen with n, so 4× the nodes is about 5× the instance). Linear
+// TestFirstContactGrowthRateTimed is TestFirstContactGrowthRate on a clock:
+// each layer's time may grow at most twice as fast as the instance. Linear
 // code reads 1.0–1.6× here, the excess being cache misses once the sets
 // outgrow L2; the slice-scanning validator and the dense ⊕-table walk the
-// guard exists to keep out read 4× or more (16–22× raw).
-func TestFirstContactGrowthRate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard: two internet instances up to n=8000")
+// guard exists to keep out read 4× or more (16–22× raw). A clock shares the
+// cores with whatever else runs, so it only runs when FSR_SPEEDUP_TEST is
+// set, like the speedup tests.
+func TestFirstContactGrowthRateTimed(t *testing.T) {
+	if os.Getenv("FSR_SPEEDUP_TEST") == "" {
+		t.Skip("set FSR_SPEEDUP_TEST=1 to run the timing assertion")
 	}
-	type instance struct {
-		size int
-		in   *spp.Instance
-		body []byte
-	}
-	load := func(n int) instance {
-		g := topology.GenerateInternet(1, topology.InternetParams{N: n})
-		in := scenario.InternetSPP(fmt.Sprintf("internet-%d", n), g, 3)
-		body, err := json.Marshal(scenario.EncodeInstance(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := instance{size: len(in.Nodes) + len(in.Links), in: in, body: body}
-		for _, paths := range in.Permitted {
-			for _, p := range paths {
-				x.size += len(p)
-			}
-		}
-		return x
-	}
-	small, large := load(2000), load(8000)
+	small, large, layers := firstContactPair(t)
 	// Milliseconds per run: enough of them that a neighbour's burst cannot
-	// sit on all. And no collection inside a run: internet:2000 decodes
-	// within the 4 MB minimum heap and internet:8000 does not, a step that is
-	// the collector's, not the reader's (7 MB of garbage per run at most).
+	// sit on all. And no collection inside a run of the reader: internet:2000
+	// decodes within the 4 MB minimum heap and internet:8000 does not, a step
+	// that is the collector's, not the reader's (7 MB of garbage per run at
+	// most).
 	gc := debug.SetGCPercent(-1)
-	smallIngest, largeIngest := minOfEach(9, func(x instance) {
-		if _, _, err := scenario.ReadInstance(x.body); err != nil {
-			t.Fatal(err)
-		}
-	}, small, large)
+	smallIngest, largeIngest := minOfEach(9, layers[0].run, small, large)
 	debug.SetGCPercent(gc)
-	smallEmit, largeEmit := minOfEach(3, func(x instance) {
-		conv, err := x.in.ToAlgebra()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := analysis.Constraints(conv.Algebra, analysis.StrictMonotonicity); err != nil {
-			t.Fatal(err)
-		}
-	}, small, large)
+	smallEmit, largeEmit := minOfEach(3, layers[1].run, small, large)
 	grown := float64(large.size) / float64(small.size)
 	for _, layer := range []struct {
 		name         string
 		small, large time.Duration
 	}{
-		{"ReadInstance", smallIngest, largeIngest},
-		{"ToAlgebra+Constraints", smallEmit, largeEmit},
+		{layers[0].name, smallIngest, largeIngest},
+		{layers[1].name, smallEmit, largeEmit},
 	} {
 		ratio := float64(layer.large) / float64(layer.small)
 		t.Logf("%s: %v → %v, %.1f× for %.1f× the instance", layer.name, layer.small, layer.large, ratio, grown)

@@ -229,7 +229,8 @@ func (v *DeltaVerifier) Clone() *DeltaVerifier {
 	c := new(DeltaVerifier)
 	*c = *v
 	c.in = v.in.Clone()
-	c.ix = &topoIndex{nodes: maps.Clone(v.ix.nodes), origins: maps.Clone(v.ix.origins), links: maps.Clone(v.ix.links)}
+	c.ix = &topoIndex{in: c.in, nodes: v.ix.nodes, origins: maps.Clone(v.ix.origins), links: maps.Clone(v.ix.links)}
+	c.ix.nodes.slots = slices.Clone(v.ix.nodes.slots)
 	c.paths, c.ids, c.ranks = slices.Clone(v.paths), maps.Clone(v.ids), slices.Clone(v.ranks)
 	c.pref, c.mono = slices.Clone(v.pref), slices.Clone(v.mono)
 	for id := range c.paths {
@@ -428,7 +429,7 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 		return fmt.Errorf("spp %s: rerank of empty node name", v.in.Name)
 	}
 	for _, p := range paths {
-		if err := v.ix.validatePath(v.in.Name, n, p, true); err != nil {
+		if err := v.ix.validatePath(v.in.Name, n, p, true, v.ix.hasLink); err != nil {
 			return err
 		}
 	}
@@ -448,8 +449,8 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 			})
 		}
 	}
-	ni, known := v.ix.nodes[n]
-	if !known {
+	ni := v.ix.node(n)
+	if ni < 0 {
 		ni = v.declareNode(n)
 	}
 	v.rank(ni, true, fresh, ids)
@@ -528,7 +529,7 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	}
 	v.scratch = nil
 	for _, n := range [2]Node{a, b} {
-		if _, known := v.ix.nodes[n]; !known {
+		if v.ix.node(n) < 0 {
 			v.declareNode(n)
 		}
 	}
@@ -556,12 +557,12 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 // node cannot have a ranking yet) and returns its position.
 func (v *DeltaVerifier) declareNode(n Node) int32 {
 	id := len(v.in.Nodes)
-	v.ix.nodes[n] = int32(id)
 	v.in.Nodes = append(v.in.Nodes, n)
+	v.ix.nodes.add(v.in.Nodes)
 	v.ranks = append(v.ranks, nil)
 	v.pref.push()
 	v.onRollback(func() {
-		delete(v.ix.nodes, n)
+		v.ix.nodes.remove(v.in.Nodes, n) // the newest name: undo runs last in, first out
 		v.in.Nodes = v.in.Nodes[:id]
 		v.ranks = v.ranks[:id]
 		v.pref = v.pref[:id+1]

@@ -23,12 +23,18 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 	if len(pos) != len(in.Nodes) {
 		t.Fatalf("%s: instance declares a node twice: %v", label, in.Nodes)
 	}
-	if len(v.ix.nodes) != len(pos) {
-		t.Fatalf("%s: index holds %d nodes, instance %d", label, len(v.ix.nodes), len(pos))
+	held := 0
+	for _, s := range v.ix.nodes.slots {
+		if s != 0 {
+			held++
+		}
+	}
+	if held != len(pos) || v.ix.nodes.n != len(pos) {
+		t.Fatalf("%s: index holds %d nodes in %d slots, instance %d", label, v.ix.nodes.n, held, len(pos))
 	}
 	for n, i := range pos {
-		if got, ok := v.ix.nodes[n]; !ok || int(got) != i {
-			t.Fatalf("%s: index places node %s at %d (known=%v), instance at %d", label, n, got, ok, i)
+		if got := v.ix.node(n); int(got) != i {
+			t.Fatalf("%s: index places node %s at %d, instance at %d", label, n, got, i)
 		}
 	}
 	scanLinks := map[Link]bool{}

@@ -7,9 +7,8 @@
 // rank order. The constraint system is therefore one preference segment per
 // node (Nodes order) followed by one monotonicity segment per link (Links
 // order), and two renderers write it. denseConstraints writes every position
-// as a pair of path ids, sharded across cores once an input is large enough
-// to pay for it (parShards), in O(paths + links·K²): the form every decision
-// is made on. prefSeg and monoSeg, the only functions that construct an SPP
+// as a pair of path ids, in O(paths + links·K²): the form every decision is
+// made on. prefSeg and monoSeg, the only functions that construct an SPP
 // analysis.Constraint, render one position with its provenance
 // (constraintAt) — an unsat core's members, or every position for
 // ShardedConstraints, element for element what analysis.Constraints
@@ -17,34 +16,47 @@
 // the graph its rankings and tails imply, and renders its core's members
 // through the same two functions.
 //
-// A match is also the §IV-B definition of a signature through its tail,
-// l_uv ⊕ r_vp = r_uvp, so the prep keeps it per path: tail[b] = a when path
-// b is [u] + path a. Validation walks those tails (a path is proven when its
-// tail is), and so does naming: a proven path's solver variable is its
-// owner's token in front of its tail's, copied rather than rendered again
-// (name).
+// The prep both renderers share is filled in two passes. The match pass
+// (match) is everything denseConstraints reads: it indexes the node names
+// (nodeIndex, a flat table of positions the prep keeps between analyses,
+// the one node index the validator and the DeltaVerifier use too), gathers
+// the rankings and their offsets, resolves every link's ends to positions
+// and collects the permitted extensions. The proof pass (prove) is
+// everything naming reads, and validation. A match is also the §IV-B
+// definition of a signature through its tail, l_uv ⊕ r_vp = r_uvp, so the
+// proof pass keeps it per path: tail[b] = a when path b is [u] + path a.
+// Validation walks those tails (a path is proven when its tail is), and a
+// path left unproven has its hops checked on positions against the links
+// the match pass resolved. Naming walks the tails too: a proven path's
+// solver variable is its owner's token in front of its tail's, copied
+// rather than rendered again (name). Every pass over nodes, links or paths
+// is cut into contiguous chunks once an input is large enough to pay for it
+// (parShards), which the workers, the calling goroutine among them, claim
+// from a shared counter.
 //
 // Analyze sits on top: permitted paths become dense int32 ids (global rank
 // order) and the difference constraints go straight to smt.SolveDense, which
 // makes the whole decision on those ids — no Origin strings, no
-// per-constraint provenance, not even the signature renderings. The solve
-// does not read a name, so at scale the naming step runs on a goroutine of
-// its own beside it and is joined before the answer is read. A satisfiable
-// instance gets its model back by id; an unsatisfiable one gets its
-// deletion-minimal core back as constraint positions, and coreConstraints
-// renders exactly those positions, so the minimized core and the §VI-B
-// suspect set are the ones the algebra pipeline reports while "unsafe" costs
-// what "safe" costs plus the minimization probes. ToAlgebra's own rejections
-// (duplicate links and renderings, degenerate algebras) and its collision
-// suffixes on solver-variable names are reproduced by name.
+// per-constraint provenance, not even the signature renderings. Neither the
+// dense emission nor the solve reads what the proof pass or naming write, so
+// at scale those two run on a goroutine of their own beside them and are
+// joined before the answer is read; a proof that fails discards the solve. A
+// satisfiable instance gets its model back by id; an unsatisfiable one gets
+// its deletion-minimal core back as constraint positions, and
+// coreConstraints renders exactly those positions, so the minimized core and
+// the §VI-B suspect set are the ones the algebra pipeline reports while
+// "unsafe" costs what "safe" costs plus the minimization probes. ToAlgebra's
+// own rejections (duplicate links and renderings, degenerate algebras) and
+// its collision suffixes on solver-variable names are reproduced by name.
 //
 // An analysis allocates its answer, not its scratch. Analyze borrows its
-// shardPrep from prepPool, and buildShardPrep, name and denseConstraints
-// refill that prep's arrays in place. What escapes is the model map, whose
-// keys are substrings of the one string that holds every variable name, on
-// a safe verdict, and the core and suspects on an unsafe one — never a slice
-// of the prep. NewTable and NewDeltaVerifier keep their prep, so they fill a
-// fresh one through the same functions.
+// shardPrep from prepPool, and match, prove, name and denseConstraints
+// refill that prep's arrays in place, node index included. What escapes is
+// the model map, whose keys are substrings of the one string that holds
+// every variable name, on a safe verdict, and the core and suspects on an
+// unsafe one — never a slice of the prep. NewTable, NewDeltaVerifier and
+// ShardedConstraints keep their prep, so they fill a fresh one through the
+// same functions, the two passes in sequence (buildShardPrep).
 
 package spp
 
@@ -57,6 +69,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -90,16 +103,20 @@ type shardPrep struct {
 	prefOff  []int32   // per node: first preference-constraint index
 	matches  []linkMatch
 
-	nodes     map[Node]int32 // declared node → index in Nodes
-	tail      []int32        // per path id: the id of its tail, −1 when no match
-	state     []uint8        // per path id: pathProven, pathMulti, pathComposed
-	order     []pathRef      // every path, shortest first
-	lenCount  []int32        // order's counting sort, by path length
-	shardBufs [][]linkMatch  // per shard of the match pass; never matches' array
-	keys, set []uint64       // the screens' hashes (labels, then names) and set
-	nameMax   []int32        // per path id: a bound on its variable's length
-	scratch   []byte         // one name's rendering, before it joins the rest
-	composed  int            // names the last name call copied from a tail
+	ix        topoIndex     // nodes and origins; no links (linked checks hops)
+	ranked    int           // declared nodes with a ranking, repeats counted again
+	tail      []int32       // per path id: the id of its tail, −1 when no match
+	state     []uint8       // per path id: pathProven, pathMulti, pathComposed
+	order     []pathRef     // every path, shortest first
+	lenCount  []int32       // order's counting sort, by path length
+	shardBufs [][]linkMatch // per chunk of the match pass; never matches' array
+	keys      []uint64      // the screens' hashes: labels, then names
+	set       []uint64      // a screen's set, or the hops askHops asked for
+	unproven  []pathRef     // the paths prove left to the validator
+	loose     []int32       // links with an undeclared end (askHops)
+	nameMax   []int32       // per path id: a bound on its variable's length
+	scratch   []byte        // one name's rendering, before it joins the rest
+	composed  int           // names the last name call copied from a tail
 	dense     []smt.DenseConstraint
 	appears   []bool // per dense id: occurs in some constraint
 }
@@ -124,12 +141,12 @@ var prepPool = sync.Pool{New: func() any { return new(shardPrep) }}
 
 // release returns a pooled prep, first dropping what still points into the
 // instance it served or the answer it gave — the instance, its rankings, the
-// node map's keys and the variable names — so the pool keeps neither a
+// origin set's keys and the variable names — so the pool keeps neither a
 // caller's discarded instance nor the last answer's names alive.
 func (p *shardPrep) release() {
-	p.in = nil
+	p.in, p.ix.in = nil, nil
 	clear(p.perms)
-	clear(p.nodes)
+	clear(p.ix.origins)
 	clear(p.vars)
 	prepPool.Put(p)
 }
@@ -148,33 +165,51 @@ func resize[T any](s []T, n int) []T {
 func (p *shardPrep) totalPref() int32 { return p.prefOff[len(p.prefOff)-1] }
 func (p *shardPrep) total() int32     { return p.totalPref() + int32(len(p.matches)) }
 
-// minShard is the fewest items a shard is given. Forking pays only once each
-// goroutine has thousands of items to walk: an input this size or smaller —
-// every campaign scenario, a 400-node upload — runs on the calling
+// minShard is the fewest items a worker is given. Forking pays only once
+// each goroutine has thousands of items to walk: an input under twice this
+// size — every campaign scenario, a 400-node upload — runs on the calling
 // goroutine. Chosen from serial-against-sharded timings of spp.Analyze at
 // internet:400 to :50000.
 const minShard = 4096
 
-// parShards splits [0,n) into equal contiguous shards — GOMAXPROCS of them,
-// but none shorter than minShard — runs fn(s, lo, hi) on each shard s,
-// concurrently when there is more than one, and returns fn's results in shard
-// order. It is the one place shard boundaries are computed.
-func parShards[T any](n int, fn func(s, lo, hi int) T) []T {
-	out := make([]T, max(1, min(runtime.GOMAXPROCS(0), n/minShard)))
-	if len(out) == 1 {
-		out[0] = fn(0, 0, n)
-		return out
+// parShards runs fn(c, lo, hi) over [0,n) cut into contiguous chunks and
+// returns fn's results in chunk order. With fewer than 2·minShard items it
+// is one chunk, [0,n), on the calling goroutine. Otherwise it cuts one
+// chunk per worker, min(GOMAXPROCS, n/minShard) of them, and the workers —
+// the caller one of them — claim the next unclaimed chunk from a shared
+// counter until none is left. Claiming pays where a fixed assignment would
+// wait: a worker the scheduler has not run yet, because the proof pass's
+// goroutine holds a core, leaves its chunk to the caller. Finer chunks
+// would even out a costly stretch of links, but on a 2-core machine they
+// cost CPU and no wall time: two memory-bound workers side by side each run
+// slower, so the more of a pass they share, the more CPU it takes
+// (Session.AnalyzeSPP at internet:50000, safe and planted, 8 alternated
+// runs: two or four chunks per worker took 9–10 % more CPU per analysis
+// than one, 1 024-item chunks 11 %, at the same p50). It is the one place
+// chunk boundaries are computed.
+func parShards[T any](n int, fn func(c, lo, hi int) T) []T {
+	workers := min(runtime.GOMAXPROCS(0), n/minShard)
+	if workers <= 1 {
+		return []T{fn(0, 0, n)}
 	}
-	chunk := (n + len(out) - 1) / len(out)
+	out := make([]T, workers)
+	size := (n + workers - 1) / workers
+	var next atomic.Int32
+	work := func() {
+		for c := int(next.Add(1)) - 1; c < len(out); c = int(next.Add(1)) - 1 {
+			lo := c * size
+			out[c] = fn(c, lo, min(lo+size, n))
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range out {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lo := i * chunk
-			out[i] = fn(i, lo, min(lo+chunk, n))
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return out
 }
@@ -241,40 +276,43 @@ func appendVar(b []byte, q Path) []byte {
 // endCache resolves link endpoints to node indexes. Sessions append both
 // directions back to back, so the previous link's endpoints predict this
 // one's — string equality on the shared backing array short-circuits before
-// hashing. Each shard of the match pass keeps its own.
+// hashing. Each chunk of the match pass keeps its own.
 type endCache struct {
 	n  [2]Node
 	id [2]int32
 	ok [2]bool
 }
 
-// resolve returns n's index in nodes, or −1 when n is undeclared.
-func (c *endCache) resolve(nodes map[Node]int32, n Node) int32 {
+// resolve returns n's index in Nodes, or −1 when n is undeclared.
+func (c *endCache) resolve(ix *topoIndex, n Node) int32 {
 	for i := range c.n {
 		if c.ok[i] && c.n[i] == n {
 			return c.id[i]
 		}
 	}
-	id, ok := nodes[n]
-	if !ok {
-		id = -1
-	}
+	id := ix.node(n)
 	c.n[0], c.id[0], c.ok[0] = c.n[1], c.id[1], c.ok[1]
 	c.n[1], c.id[1], c.ok[1] = n, id, true
 	return id
 }
 
-// buildShardPrep fills p from the instance: it validates the instance,
-// collects the permitted-extension matches in link order, records every
-// matched path's tail, and orders the paths shortest first. It is the one
-// function that fills a prep; p is fresh for a caller that keeps the prep
-// (NewTable, NewDeltaVerifier) and pooled for Analyze, which keeps only its
-// answer. Validation rides on the tails (below) instead of calling
-// Instance.Validate, whose per-hop set lookups cost more than this whole
-// function. A non-nil error is a structural validation failure, the one
-// Validate reports. No path is named yet: name does that, and Analyze
-// overlaps it with the solve.
+// buildShardPrep fills p from the instance: the match pass, then the proof
+// pass. p is fresh for a caller that keeps the prep (NewTable,
+// NewDeltaVerifier, ShardedConstraints) and pooled for Analyze, which keeps
+// only its answer and runs the proof pass beside the solve. A non-nil error
+// is a structural validation failure, the one Validate reports. No path is
+// named yet: name does that.
 func buildShardPrep(p *shardPrep, in *Instance) error {
+	p.match(in)
+	return p.prove()
+}
+
+// match is the prep's first pass, everything denseConstraints reads: it
+// indexes the nodes, gathers the rankings and their offsets, resolves every
+// link's endpoints and collects the permitted-extension matches in link
+// order. It cannot fail; it takes an invalid instance as it comes, and prove
+// rejects it.
+func (p *shardPrep) match(in *Instance) {
 	nn := len(in.Nodes)
 	nl := len(in.Links)
 	p.in = in
@@ -283,20 +321,9 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 	p.pathOff = resize(p.pathOff, nn+1)
 	p.prefOff = resize(p.prefOff, nn+1)
 	p.keys = resize(p.keys, nl)
-	if p.nodes == nil {
-		p.nodes = make(map[Node]int32, nn)
-	}
-	// The link set is only filled if some path escapes its tail's proof and
-	// needs the per-path validator, and then only with the hops those paths
-	// walk.
-	ix := topoIndex{nodes: p.nodes, origins: make(map[Node]bool, len(in.Origins))}
-	for i, n := range in.Nodes {
-		ix.nodes[n] = int32(i)
-	}
-	for _, o := range in.Origins {
-		ix.origins[o] = true
-	}
-	ranked := 0 // declared nodes with a ranking, duplicates counted again
+	p.ix.in = in
+	p.ix.nodes.build(in.Nodes)
+	p.ranked = 0
 	for _, c := range parShards(nn, func(_, lo, hi int) (ranked int) {
 		for ni := lo; ni < hi; ni++ {
 			paths, ok := in.Permitted[in.Nodes[ni]]
@@ -307,7 +334,7 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		}
 		return ranked
 	}) {
-		ranked += c
+		p.ranked += c
 	}
 	for ni, paths := range p.perms {
 		p.pathOff[ni+1] = p.pathOff[ni] + int32(len(paths))
@@ -315,30 +342,29 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 	}
 	p.nPaths = int(p.pathOff[nn])
 
-	// Permitted-extension matches: one sharded pass that also resolves each
-	// link's endpoints, per-shard buffers concatenated in shard order.
-	// Shards are contiguous link ranges, so concatenation preserves the
-	// canonical link-order emission. A shard buffer never shares an array
-	// with the match list: a lone shard trades places with it, several are
+	// Permitted-extension matches: one chunked pass that also resolves each
+	// link's endpoints, per-chunk buffers concatenated in chunk order.
+	// Chunks are contiguous link ranges, so concatenation preserves the
+	// canonical link-order emission. A chunk buffer never shares an array
+	// with the match list: a lone chunk trades places with it, several are
 	// copied into it. Links with undeclared endpoints never produce matches;
-	// paths crossing them fall to the string-keyed validator below, where
-	// the "crosses undeclared node" error stays reachable exactly where
-	// Validate reports it.
-	bufs := parShards(nl, func(s, lo, hi int) []linkMatch {
+	// paths crossing them fall to the validator (prove), where the "crosses
+	// undeclared node" error stays reachable exactly where Validate reports
+	// it.
+	bufs := parShards(nl, func(c, lo, hi int) []linkMatch {
 		var buf []linkMatch
-		if s < len(p.shardBufs) {
-			buf = p.shardBufs[s][:0]
+		if c < len(p.shardBufs) {
+			buf = p.shardBufs[c][:0]
 		}
-		// Resolving the shard's links first keeps the node map's buckets
-		// and the rankings out of each other's way in the cache. The label
-		// l_uv is the concatenation, so it is hashed as one: a→bc and ab→c
-		// collide.
+		// Resolving the chunk's links first keeps the node index and the
+		// rankings out of each other's way in the cache. The label l_uv is
+		// the concatenation, so it is hashed as one: a→bc and ab→c collide.
 		var ends endCache
 		var h maphash.Hash
 		h.SetSeed(screenSeed)
 		for li := lo; li < hi; li++ {
 			l := &in.Links[li]
-			p.linkEnds[2*li], p.linkEnds[2*li+1] = ends.resolve(ix.nodes, l.From), ends.resolve(ix.nodes, l.To)
+			p.linkEnds[2*li], p.linkEnds[2*li+1] = ends.resolve(&p.ix, l.From), ends.resolve(&p.ix, l.To)
 			h.Reset()
 			h.WriteString(string(l.From))
 			h.WriteString(string(l.To))
@@ -361,6 +387,24 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		}
 	}
 	p.shardBufs = bufs
+}
+
+// prove is the prep's second pass, everything name reads and the
+// validation: it records every matched path's tail, orders the paths
+// shortest first and proves them along their tails. Validation rides on the
+// tails instead of calling Instance.Validate, whose per-hop set lookups cost
+// more than both passes; a non-nil error is the one Validate reports. It
+// reads what match wrote and writes nothing denseConstraints reads, so
+// Analyze runs it beside the solve.
+func (p *shardPrep) prove() error {
+	in := p.in
+	nn := len(in.Nodes)
+	if p.ix.origins == nil {
+		p.ix.origins = make(map[Node]bool, len(in.Origins))
+	}
+	for _, o := range in.Origins {
+		p.ix.origins[o] = true
+	}
 	p.tail = resize(p.tail, p.nPaths)
 	for i := range p.tail {
 		p.tail[i] = -1
@@ -399,7 +443,7 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 	// link's From by extensionRank's prefix check, and its remaining hops
 	// and origin token are the tail's. Instances built by rank-and-extend
 	// (all generators, and anything GenerateInternet produces) have no other
-	// paths. Whatever is left unproven gets the string-keyed validator with
+	// paths. Whatever is left unproven gets the per-path validator with
 	// Validate's exact per-path error messages.
 	//
 	// What name needs rides along: the mode bit (a proven path is
@@ -422,7 +466,7 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 					}
 					p.nameMax[id] = int32(m)
 				}
-				if len(q) == 2 && q[0] == n && ix.origins[q[1]] {
+				if len(q) == 2 && q[0] == n && p.ix.origins[q[1]] {
 					state[id] = pathProven
 					if multiMode(q[0]) || multiMode(q[1]) {
 						state[id] |= pathMulti
@@ -452,45 +496,96 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 		}
 		state[id] = st
 	}
-	// The link set answers only what validatePath will ask: the hops of the
-	// unproven paths, marked present in one pass over the links. Its size is
-	// set by the paths that need it, not by the topology.
-	var unproven []pathRef
+	p.unproven = p.unproven[:0]
 	for ni := 0; ni < nn; ni++ {
 		base := p.pathOff[ni]
 		for r := range p.perms[ni] {
 			if state[base+int32(r)]&pathProven == 0 {
-				unproven = append(unproven, pathRef{int32(ni), int32(r)})
+				p.unproven = append(p.unproven, pathRef{int32(ni), int32(r)})
 			}
 		}
 	}
-	if len(unproven) > 0 {
-		ix.links = map[Link]int32{}
-		for _, u := range unproven {
-			q := p.perms[u.ni][u.r]
-			for i := 0; i+2 < len(q); i++ {
-				ix.links[Link{q[i], q[i+1]}] = 0
-			}
-		}
-		for _, l := range in.Links {
-			if _, asked := ix.links[l]; asked {
-				ix.links[l] = 1
-			}
-		}
-		for _, u := range unproven {
-			if err := ix.validatePath(in.Name, in.Nodes[u.ni], p.perms[u.ni][u.r], false); err != nil {
+	if len(p.unproven) > 0 {
+		p.askHops()
+		for _, u := range p.unproven {
+			if err := p.ix.validatePath(in.Name, in.Nodes[u.ni], p.perms[u.ni][u.r], false, p.linked); err != nil {
 				return err
 			}
 		}
 	}
 	// Every ranking belongs to a declared node unless the rankings of the
 	// distinct declared nodes are fewer than the rankings.
-	if ranked != len(in.Permitted) || len(ix.nodes) != nn {
-		if err := ix.undeclaredRanking(in); err != nil {
+	if p.ranked != len(in.Permitted) || p.ix.nodes.n != nn {
+		if err := p.ix.undeclaredRanking(in); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// hopSeen marks a hop of the set askHops fills as a declared link. A hop's
+// key (hopKey) never sets the bit.
+const hopSeen = 1 << 63
+
+// hopKey packs a hop between the declared nodes at positions a and b; it is
+// never 0, an empty slot.
+func hopKey(a, b int32) uint64 { return uint64(a+1)<<32 | uint64(b+1) }
+
+// askHops fills the set linked answers from, sized by the unproven paths'
+// hops, not by the topology: every hop between two declared nodes that those
+// paths walk, marked hopSeen by one pass over the link ends match resolved.
+// The links with an undeclared end, which no hop key can name, are kept
+// apart in p.loose.
+func (p *shardPrep) askHops() {
+	hops := 0
+	for _, u := range p.unproven {
+		hops += max(len(p.perms[u.ni][u.r])-2, 0)
+	}
+	p.set = resize(p.set, 1<<bits.Len(uint(2*hops)))
+	for _, u := range p.unproven {
+		q := p.perms[u.ni][u.r]
+		for i := 0; i+2 < len(q); i++ {
+			if a, b := p.ix.node(q[i]), p.ix.node(q[i+1]); a >= 0 && b >= 0 {
+				k := hopKey(a, b)
+				p.set[p.hopSlot(k)] = k
+			}
+		}
+	}
+	p.loose = p.loose[:0]
+	for li := range len(p.linkEnds) / 2 {
+		a, b := p.linkEnds[2*li], p.linkEnds[2*li+1]
+		if a < 0 || b < 0 {
+			p.loose = append(p.loose, int32(li))
+		} else if s := p.hopSlot(hopKey(a, b)); p.set[s] != 0 {
+			p.set[s] |= hopSeen
+		}
+	}
+}
+
+// hopSlot returns the slot of p.set holding hop key k, or the empty one it
+// would take.
+func (p *shardPrep) hopSlot(k uint64) int {
+	mask := uint64(len(p.set) - 1)
+	for i := k * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
+		if s := p.set[i]; s == 0 || s&^hopSeen == k {
+			return int(i)
+		}
+	}
+}
+
+// linked reports whether the link a→b is declared, for validatePath on the
+// paths askHops asked for: on ids when both ends are declared, otherwise by
+// name against the few links with an undeclared end.
+func (p *shardPrep) linked(a, b Node) bool {
+	if ai, bi := p.ix.node(a), p.ix.node(b); ai >= 0 && bi >= 0 {
+		return p.set[p.hopSlot(hopKey(ai, bi))]&hopSeen != 0
+	}
+	for _, li := range p.loose {
+		if p.in.Links[li] == (Link{a, b}) {
+			return true
+		}
+	}
+	return false
 }
 
 // name gives every permitted path its solver variable,
@@ -499,8 +594,8 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 // shortest first. A composed path (proven, four or more elements, a
 // multi-mode tail) is "r_" + its owner, sanitized, + "_" + a copy of its
 // tail's name after the tail's "r_"; every other path goes through
-// appendVar. The builder is grown once, to the sum of buildShardPrep's
-// nameMax bounds, so a name read back for a copy is already final.
+// appendVar. The builder is grown once, to the sum of prove's nameMax
+// bounds, so a name read back for a copy is already final.
 //
 // With asAlgebra it then does what ToAlgebra and analysis.newSigVars do to
 // a structurally valid instance beyond that: the rejections, in ToAlgebra's
@@ -509,10 +604,10 @@ func buildShardPrep(p *shardPrep, in *Instance) error {
 // first-come _2, _3, … suffixes over global path order that keep solver
 // variables distinct when different renderings sanitize to one name. Hashes
 // screen for duplicates without a string map — the labels' were taken by
-// buildShardPrep's match pass, the names' are taken here — and only an
-// instance with a hash collision pays for the exact pass. The
-// DeltaVerifier, which tolerates collisions and counts them itself, takes
-// the natural names alone.
+// the match pass, the names' are taken here — and only an instance with a
+// hash collision pays for the exact pass. The DeltaVerifier, which
+// tolerates collisions and counts them itself, takes the natural names
+// alone.
 func (p *shardPrep) name(asAlgebra bool) error {
 	in := p.in
 	if asAlgebra && p.hasDup() {
@@ -600,8 +695,8 @@ func duplicatePath(in *Instance) error {
 	return nil
 }
 
-// screenSeed seeds both duplicate screens, so equal inputs hash equal in
-// every shard.
+// screenSeed seeds both duplicate screens and every node index, so equal
+// inputs hash equal in every chunk.
 var screenSeed = maphash.MakeSeed()
 
 // hasDup reports whether two of p.keys are equal, collecting them in an
@@ -842,37 +937,43 @@ func (p *shardPrep) coreConstraints(coreIdx []int) (core []analysis.Constraint, 
 // everything else the emitter fills is a prep borrowed from prepPool, which
 // no returned slice aliases.
 //
-// Naming reads only what buildShardPrep wrote, and the solve never reads a
-// name, so an instance of minShard paths or more is named on a goroutine of
-// its own while the solve runs; a smaller one is named first, inline. Errors
-// keep their precedence either way: the prep's, then naming's rejections,
-// then the solve's.
+// The prep's proof pass and naming write nothing dense emission and the
+// solve read, and read only what its match pass wrote, so once that pass is
+// done an instance of minShard paths or more is proven and named on a
+// goroutine of its own while dense emission and the solve run; a smaller one
+// is proven and named first, inline. Errors keep their precedence either
+// way: the prep's (Validate's), then naming's rejections, then the solve's —
+// a solve beside a failed proof or naming is discarded.
 func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error) {
 	p := prepPool.Get().(*shardPrep)
 	defer p.release()
 	ctx, prepSpan := obs.StartSpan(ctx, "shard-prep")
-	err := buildShardPrep(p, in)
+	p.match(in)
 	prepSpan.End()
-	if err != nil {
-		return analysis.Result{}, nil, err
-	}
-	nameCtx := ctx // ctx moves on to the solve's spans meanwhile
-	nameStep := func() error {
-		_, nameSpan := obs.StartSpan(nameCtx, "name")
+	frontCtx := ctx // ctx moves on to the solve's spans meanwhile
+	front := func() error {
+		_, proveSpan := obs.StartSpan(frontCtx, "prove")
+		err := p.prove()
+		proveSpan.AttrInt("unproven", int64(len(p.unproven)))
+		proveSpan.End()
+		if err != nil {
+			return err
+		}
+		_, nameSpan := obs.StartSpan(frontCtx, "name")
 		defer nameSpan.End()
-		err := p.name(true)
+		err = p.name(true)
 		nameSpan.AttrInt("paths", int64(p.nPaths))
 		nameSpan.AttrInt("composed", int64(p.composed))
 		return err
 	}
-	var named chan error
+	var fronted chan error
 	if p.nPaths < minShard {
-		if err := nameStep(); err != nil {
+		if err := front(); err != nil {
 			return analysis.Result{}, nil, err
 		}
 	} else {
-		named = make(chan error, 1)
-		go func() { named <- nameStep() }()
+		fronted = make(chan error, 1)
+		go func() { fronted <- front() }()
 	}
 	name := "spp-" + in.Name
 
@@ -885,9 +986,9 @@ func Analyze(ctx context.Context, in *Instance) (analysis.Result, []Node, error)
 	solveSpan.AttrInt("components", int64(out.Stats.Components))
 	solveSpan.AttrInt("levels", int64(out.Stats.Levels))
 	solveSpan.End()
-	if named != nil {
-		if nameErr := <-named; nameErr != nil {
-			return analysis.Result{}, nil, nameErr
+	if fronted != nil {
+		if frontErr := <-fronted; frontErr != nil {
+			return analysis.Result{}, nil, frontErr
 		}
 	}
 	if err != nil {

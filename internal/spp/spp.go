@@ -14,6 +14,8 @@ package spp
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -211,9 +213,11 @@ func (in *Instance) Sessions() []Link {
 // nodes (with their position in Nodes), origin tokens, directed links (with
 // a serial from 1; 0 for none) — that structural validation resolves
 // membership against, so validating an instance is linear in its size
-// instead of one slice scan per hop.
+// instead of one slice scan per hop. The emitter's prep keeps one without
+// links: it checks hops on ids (shardPrep.linked).
 type topoIndex struct {
-	nodes   map[Node]int32
+	in      *Instance // whose Nodes the node index holds positions in
+	nodes   nodeIndex
 	origins map[Node]bool
 	links   map[Link]int32
 }
@@ -221,13 +225,11 @@ type topoIndex struct {
 // indexInstance builds the index of the instance's current declarations.
 func indexInstance(in *Instance) *topoIndex {
 	ix := &topoIndex{
-		nodes:   make(map[Node]int32, len(in.Nodes)),
+		in:      in,
 		origins: make(map[Node]bool, len(in.Origins)),
 		links:   make(map[Link]int32, len(in.Links)),
 	}
-	for i, n := range in.Nodes {
-		ix.nodes[n] = int32(i)
-	}
+	ix.nodes.build(in.Nodes)
 	for _, o := range in.Origins {
 		ix.origins[o] = true
 	}
@@ -239,12 +241,92 @@ func indexInstance(in *Instance) *topoIndex {
 	return ix
 }
 
+// node returns n's position in Nodes (the last, when n is listed twice), or
+// −1 when n is undeclared.
+func (ix *topoIndex) node(n Node) int32 { return ix.nodes.find(ix.in.Nodes, n) }
+
+// hasLink reports whether the directed link a→b is declared.
+func (ix *topoIndex) hasLink(a, b Node) bool { return ix.links[Link{a, b}] != 0 }
+
+// nodeIndex maps a node name to its position in a list of nodes: an
+// open-addressed table, at most half full, whose slot holds the high half of
+// the name's hash and, in the low half, its position plus one (0 is an empty
+// slot). A hit is confirmed against the list, so the table holds no string
+// and its slots are the whole of it. When a name repeats, the last position
+// wins. The one index of node names: the emitter's, the validator's and the
+// DeltaVerifier's.
+type nodeIndex struct {
+	slots []uint64
+	n     int // names held
+}
+
+const posBits = 1<<32 - 1 // a slot's position half
+
+// build indexes nodes, reusing the table's array when it is large enough.
+func (x *nodeIndex) build(nodes []Node) {
+	x.slots = resize(x.slots, 1<<bits.Len(uint(2*len(nodes))))
+	x.n = 0
+	for i, n := range nodes {
+		s, tag := x.slot(nodes, n)
+		if x.slots[s] == 0 {
+			x.n++
+		}
+		x.slots[s] = tag | uint64(i+1)
+	}
+}
+
+// slot returns the slot holding n, or the empty one it would take, and n's
+// tag: the high half of its hash.
+func (x *nodeIndex) slot(nodes []Node, n Node) (int, uint64) {
+	h := maphash.String(screenSeed, string(n))
+	tag, mask := h&^posBits, uint64(len(x.slots)-1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s == 0 || s&^posBits == tag && nodes[s&posBits-1] == n {
+			return int(i), tag
+		}
+	}
+}
+
+// find returns n's position in nodes, or −1.
+func (x *nodeIndex) find(nodes []Node, n Node) int32 {
+	if len(x.slots) == 0 {
+		return -1
+	}
+	s, _ := x.slot(nodes, n)
+	return int32(x.slots[s]&posBits) - 1
+}
+
+// add indexes the last of nodes, a name not yet held; it rebuilds the table
+// at twice the size first when it would be more than half full.
+func (x *nodeIndex) add(nodes []Node) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.slots = nil
+		x.build(nodes)
+		return
+	}
+	n := nodes[len(nodes)-1]
+	s, tag := x.slot(nodes, n)
+	x.slots[s] = tag | uint64(len(nodes))
+	x.n++
+}
+
+// remove drops n, the last name added, while nodes still lists it. Under
+// linear probing no name probes past a slot that was empty when the name
+// went in, so emptying the newest name's slot strands nothing.
+func (x *nodeIndex) remove(nodes []Node, n Node) {
+	s, _ := x.slot(nodes, n)
+	x.slots[s] = 0
+	x.n--
+}
+
 // validatePath is the structural check of one permitted path p ranked at
 // node n of the instance called name: long enough, owned by n, terminated by
 // a declared origin token, walking existing links among declared nodes.
 // anyOrigin skips the origin-token check for callers that declare a path's
-// token on the fly (DeltaVerifier.ReRank, like Instance.Rank).
-func (ix *topoIndex) validatePath(name string, n Node, p Path, anyOrigin bool) error {
+// token on the fly (DeltaVerifier.ReRank, like Instance.Rank); linked
+// reports whether a hop's link is declared.
+func (ix *topoIndex) validatePath(name string, n Node, p Path, anyOrigin bool, linked func(a, b Node) bool) error {
 	if len(p) < 2 {
 		return fmt.Errorf("spp %s: node %s: path %q too short", name, n, p)
 	}
@@ -255,12 +337,12 @@ func (ix *topoIndex) validatePath(name string, n Node, p Path, anyOrigin bool) e
 		return fmt.Errorf("spp %s: node %s: path %s does not end in an origin token", name, n, p)
 	}
 	for i := 0; i+2 < len(p); i++ { // hops among real nodes
-		if ix.links[Link{p[i], p[i+1]}] == 0 {
+		if !linked(p[i], p[i+1]) {
 			return fmt.Errorf("spp %s: node %s: path %s uses missing link %s→%s", name, n, p, p[i], p[i+1])
 		}
 	}
 	for i := 1; i+1 < len(p); i++ {
-		if _, ok := ix.nodes[p[i]]; !ok {
+		if ix.node(p[i]) < 0 {
 			return fmt.Errorf("spp %s: node %s: path %s crosses undeclared node %s", name, n, p, p[i])
 		}
 	}
@@ -273,7 +355,7 @@ func (ix *topoIndex) undeclaredRanking(in *Instance) error {
 	var first Node
 	found := false
 	for n := range in.Permitted {
-		if _, ok := ix.nodes[n]; !ok && (!found || n < first) {
+		if ix.node(n) < 0 && (!found || n < first) {
 			first, found = n, true
 		}
 	}
@@ -291,7 +373,7 @@ func (in *Instance) Validate() error {
 	ix := indexInstance(in)
 	for _, n := range in.Nodes {
 		for _, p := range in.Permitted[n] {
-			if err := ix.validatePath(in.Name, n, p, false); err != nil {
+			if err := ix.validatePath(in.Name, n, p, false, ix.hasLink); err != nil {
 				return err
 			}
 		}

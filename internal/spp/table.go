@@ -2,7 +2,7 @@
 // into, on the emitter's path ids instead of a string-keyed Tabular. Both
 // runners execute it, and the NDlog program and the Yices text are generated
 // from it. ⪯ compares ranks within one owner; ⊕P binary-searches the link's
-// run of buildShardPrep's match list, which is sorted by the tail's rank.
+// run of the match pass's list, which is sorted by the tail's rank.
 // ToAlgebra's Tabular is the model this is tested against.
 
 package spp
