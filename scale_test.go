@@ -298,9 +298,9 @@ func TestAnalyzeAllParallelSpeedup(t *testing.T) {
 
 // TestShardedEmissionSpeedup asserts the parallel paths inside an analysis
 // pay: spp.Analyze on internet:50000, where every emission pass is above the
-// shard floor and the naming step runs beside the solve, must run at least
-// 1.1× faster at the machine's GOMAXPROCS than at GOMAXPROCS=1. Gated like
-// TestAnalyzeAllParallelSpeedup.
+// shard floor and the proof pass and naming run beside the solve, must run
+// at least 1.1× faster at the machine's GOMAXPROCS than at GOMAXPROCS=1.
+// Gated like TestAnalyzeAllParallelSpeedup.
 func TestShardedEmissionSpeedup(t *testing.T) {
 	if os.Getenv("FSR_SPEEDUP_TEST") == "" {
 		t.Skip("set FSR_SPEEDUP_TEST=1 to run the timing assertion")
