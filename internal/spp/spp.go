@@ -290,9 +290,6 @@ func (x *nodeIndex) slot(nodes []Node, n Node) (int, uint64) {
 
 // find returns n's position in nodes, or −1.
 func (x *nodeIndex) find(nodes []Node, n Node) int32 {
-	if len(x.slots) == 0 {
-		return -1
-	}
 	s, _ := x.slot(nodes, n)
 	return int32(x.slots[s]&posBits) - 1
 }
