@@ -399,11 +399,11 @@ func firstContactPair(t *testing.T) (small, large firstContact, layers []firstCo
 // n=8000: the work each does, counted as the objects and the bytes it
 // allocates, may grow at most twice as fast as the instance itself. The
 // counts grow 4.0–4.9× here for the instance's 5.2×; a per-node copy of a
-// growing list, a dense ⊕ table or a set rebuilt per path grows quadratically,
-// 16× or more. A scan that allocates
-// nothing is not seen here; TestVerifyFullScansPerPath (internal/spp)
-// counts the linear scans ToAlgebra makes per path. The timed version of
-// this guard is TestFirstContactGrowthRateTimed.
+// growing list, a dense ⊕ table or a set rebuilt per path grows
+// quadratically, 15× or more. A scan that allocates nothing is not seen
+// here; TestVerifyFullScansPerPath (internal/spp) counts the linear scans
+// ToAlgebra makes per path. The timed version of this guard is
+// TestFirstContactGrowthRateTimed.
 func TestFirstContactGrowthRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two internet instances up to n=8000")
