@@ -109,7 +109,8 @@ type Result struct {
 	// when !Sat, with algebra-level provenance.
 	Core []Constraint
 	// CoreIdx gives each Core element's position in the generated
-	// constraint list.
+	// constraint list: a one-shot answer's only. A DeltaVerifier generates
+	// no list and leaves it nil.
 	CoreIdx []int
 	// NumPreference and NumMonotonicity count generated constraints, the
 	// figures the paper reports for §VI-B (292 ranking / 259 strict-mono).

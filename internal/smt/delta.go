@@ -99,9 +99,10 @@ type Graph interface {
 }
 
 // Edge is an out-edge of a variable v: the atom To < v, under its key.
+// From is v on a core's edges; Out leaves it 0, its v being implied.
 type Edge struct {
-	To  int32
-	Key uint64
+	To, From int32
+	Key      uint64
 }
 
 // DeltaStats counts solver activity on a DeltaContext, for observability:
@@ -308,9 +309,9 @@ func (tx *deltaTx) close() {
 // every referenced node. Either way verdicts and minimal cores are
 // bit-for-bit those of a fresh solve. The result names nothing, as
 // SolveDense's does: a sat one carries no model (Model reads it), an unsat
-// one comes with its core, each atom as the edge into its head, ascending by
-// key. Its Stats are those of the solve on the node set, but Variables
-// counts the graph's.
+// one comes with its core, each atom as the edge from its tail into its
+// head, ascending by key. Its Stats are those of the solve on the node
+// set, but Variables counts the graph's.
 func (d *DeltaContext) Check(ctx context.Context) (Result, []Edge, error) {
 	if d.resValid {
 		d.stats.CacheHits++
@@ -463,7 +464,7 @@ func (d *DeltaContext) solve(ctx context.Context) (res Result, core []Edge, err 
 	if !sat {
 		core = make([]Edge, len(idx))
 		for k, i := range idx {
-			core[k] = Edge{To: items[i].to, Key: items[i].key}
+			core[k] = Edge{To: items[i].to, From: items[i].from, Key: items[i].key}
 		}
 		sp.AttrInt("core", int64(len(core)))
 		return res, core, nil

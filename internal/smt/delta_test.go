@@ -58,7 +58,7 @@ func requireParity(t *testing.T, label string, got, want Result) {
 
 // deltaCheck runs Check and names its answer — the model Model reads by
 // id, the core atoms under the keys Check returns, which are their positions
-// in the list, with their heads — so a result compares field for field with
+// in the list, with their heads and tails — so a result compares field for field with
 // a fresh Context.Check of the spelled list.
 func deltaCheck(t *testing.T, d *deltaList) Result {
 	t.Helper()
@@ -78,8 +78,8 @@ func deltaCheck(t *testing.T, d *deltaList) Result {
 	}
 	atoms := atomsOf(d)
 	for _, ed := range core {
-		if atoms[ed.Key].A != ed.To {
-			t.Fatalf("core atom %v reported with head %d", atoms[ed.Key], ed.To)
+		if atoms[ed.Key].A != ed.To || atoms[ed.Key].B != ed.From {
+			t.Fatalf("core atom %v reported with head %d and tail %d", atoms[ed.Key], ed.To, ed.From)
 		}
 		res.CoreIdx = append(res.CoreIdx, int(ed.Key))
 		res.Core = append(res.Core, spell(atoms[ed.Key]))

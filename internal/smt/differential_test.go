@@ -100,7 +100,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		if got.Sat != want.Sat {
 			t.Fatalf("trial %d: verdicts disagree: native sat=%v, reference sat=%v\n%s",
-				trial, got.Sat, want.Sat, FormatCore(asserts))
+				trial, got.Sat, want.Sat, formatCore(asserts))
 		}
 		if got.Sat {
 			if !reflect.DeepEqual(got.Model, want.Model) {
@@ -115,11 +115,11 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.CoreIdx, want.CoreIdx) {
 			t.Fatalf("trial %d: cores disagree:\nnative    %v\nreference %v\ninstance:\n%s",
-				trial, got.CoreIdx, want.CoreIdx, FormatCore(asserts))
+				trial, got.CoreIdx, want.CoreIdx, formatCore(asserts))
 		}
 		if !reflect.DeepEqual(got.Core, want.Core) {
 			t.Fatalf("trial %d: core assertions disagree:\nnative    %s\nreference %s",
-				trial, FormatCore(got.Core), FormatCore(want.Core))
+				trial, formatCore(got.Core), formatCore(want.Core))
 		}
 	}
 	sat := 0
@@ -136,7 +136,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pairs %d: delta door disagrees with native:\ndelta  %+v\nnative %+v\ninstance:\n%s",
-				trial, got, want, FormatCore(asserts))
+				trial, got, want, formatCore(asserts))
 		}
 		if got.Sat {
 			sat++

@@ -87,7 +87,7 @@ func checkAgainstReference(t *testing.T, asserts []Assertion) {
 	ctx := context.Background()
 	got, err := Native{}.Solve(ctx, asserts)
 	if err != nil {
-		t.Fatalf("native: %v\n%s", err, FormatCore(asserts))
+		t.Fatalf("native: %v\n%s", err, formatCore(asserts))
 	}
 	want, err := Reference{}.Solve(ctx, asserts)
 	if err != nil {
@@ -96,7 +96,7 @@ func checkAgainstReference(t *testing.T, asserts []Assertion) {
 	if got.Sat != want.Sat || !reflect.DeepEqual(got.Model, want.Model) ||
 		!reflect.DeepEqual(got.CoreIdx, want.CoreIdx) || !reflect.DeepEqual(got.Core, want.Core) {
 		t.Fatalf("native and reference disagree:\nnative    sat=%v model=%v core=%v\nreference sat=%v model=%v core=%v\ninstance:\n%s",
-			got.Sat, got.Model, got.CoreIdx, want.Sat, want.Model, want.CoreIdx, FormatCore(asserts))
+			got.Sat, got.Model, got.CoreIdx, want.Sat, want.Model, want.CoreIdx, formatCore(asserts))
 	}
 	if got.Sat {
 		return
@@ -108,7 +108,7 @@ func checkAgainstReference(t *testing.T, asserts []Assertion) {
 		return
 	}
 	if !isCycleCore(got.Core) {
-		t.Fatalf("core is not one simple cycle through a strict atom:\n%s\ninstance:\n%s", FormatCore(got.Core), FormatCore(asserts))
+		t.Fatalf("core is not one simple cycle through a strict atom:\n%s\ninstance:\n%s", formatCore(got.Core), formatCore(asserts))
 	}
 }
 
@@ -172,7 +172,7 @@ func TestIsCycleCore(t *testing.T) {
 		{[]Assertion{{Rel: Lt, A: a, B: b}, {Rel: Lt, A: b, B: a}, {Rel: Lt, A: a, B: a}}, false},
 	} {
 		if got := isCycleCore(tc.core); got != tc.want {
-			t.Errorf("isCycleCore(%s) = %v, want %v", FormatCore(tc.core), got, tc.want)
+			t.Errorf("isCycleCore(%s) = %v, want %v", formatCore(tc.core), got, tc.want)
 		}
 	}
 }

@@ -4,10 +4,22 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// formatCore renders an unsat core for a failure message: one line per
+// assertion, sorted, with provenance.
+func formatCore(core []Assertion) string {
+	lines := make([]string, len(core))
+	for i, a := range core {
+		lines[i] = a.String()
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
 
 func check(t *testing.T, s *Context) Result {
 	t.Helper()
@@ -48,7 +60,7 @@ func TestUnsatCycle(t *testing.T) {
 		t.Fatalf("want unsat")
 	}
 	if len(res.Core) != 3 {
-		t.Fatalf("want a 3-element core, got %d: %s", len(res.Core), FormatCore(res.Core))
+		t.Fatalf("want a 3-element core, got %d: %s", len(res.Core), formatCore(res.Core))
 	}
 	for _, a := range res.Core {
 		if a.Origin == "unrelated" {
@@ -166,7 +178,7 @@ func TestCoreMinimality(t *testing.T) {
 		coreSolver := NewContext()
 		coreSolver.AssertAll(res.Core)
 		if check(t, coreSolver).Sat {
-			t.Fatalf("trial %d: core is not unsatisfiable: %s", trial, FormatCore(res.Core))
+			t.Fatalf("trial %d: core is not unsatisfiable: %s", trial, formatCore(res.Core))
 		}
 		// Every proper subset must be sat.
 		for skip := range res.Core {
@@ -178,7 +190,7 @@ func TestCoreMinimality(t *testing.T) {
 			}
 			if !check(t, sub).Sat {
 				t.Fatalf("trial %d: core not minimal; still unsat without element %d: %s",
-					trial, skip, FormatCore(res.Core))
+					trial, skip, formatCore(res.Core))
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -307,16 +306,4 @@ func parseTerm(e sexp) (Term, error) {
 		}
 	}
 	return Term{}, fmt.Errorf("smt: unsupported term %s", e)
-}
-
-// FormatCore renders an unsat core the way FSR reports it to users: one
-// line per assertion, sorted, with provenance. Useful for CLI output and
-// golden tests.
-func FormatCore(core []Assertion) string {
-	lines := make([]string, len(core))
-	for i, a := range core {
-		lines[i] = a.String()
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

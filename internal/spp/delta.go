@@ -21,10 +21,11 @@
 // serial order is Links order across drops, adds and rollbacks. When the
 // region holds a dispute, the solver decides the exact core from the region
 // alone (the argument, with its proof obligation, heads
-// internal/smt/delta.go) and reports it by key. Verify renders just the
-// core's members through prefSeg and monoSeg, as Analyze does, and finds
-// their positions from Fenwick prefix sums of the atom counts per node and
-// per link, so an unsafe answer costs its dispute, not the instance.
+// internal/smt/delta.go) and reports it by key, each atom with both its
+// paths. Verify renders just the core's members through prefSeg and monoSeg,
+// as Analyze does, in key order, which is the emitter's: an unsafe answer
+// costs its dispute, not the instance, and names its atoms, not their
+// positions in a list the verifier never generates.
 //
 // A what-if that is not kept costs its edit, not the instance: between
 // Begin and Rollback every mutation — of the instance, the topology index,
@@ -64,12 +65,11 @@ type DeltaVerifier struct {
 	algebra string // the result's Algebra: the instance's name never changes
 
 	// ix answers node, origin and link membership for edit validation, and
-	// maps each link to its serial. pref counts each node's preference atoms
-	// (node pos at pos+1), mono each serial's monotonicity atoms; the length
-	// of mono is the next serial. Their prefix sums are the atoms' positions.
-	ix   *topoIndex
-	pref fenwick
-	mono fenwick
+	// maps each link to its serial; serials is the last serial issued.
+	// numPref and numMono count the implied graph's atoms of each kind.
+	ix               *topoIndex
+	serials          int32
+	numPref, numMono int
 
 	// The path table, the one place a solver variable has a name: every
 	// path a ranking holds or once held, and every tail of one, by id (id 0
@@ -129,8 +129,7 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 		in:      cp,
 		algebra: "spp-" + cp.Name,
 		ix:      indexInstance(cp),
-		pref:    make(fenwick, len(cp.Nodes)+1),
-		mono:    make(fenwick, len(cp.Links)+1),
+		serials: int32(len(cp.Links)),
 		paths:   make([]pathRec, 1, p.nPaths+1),
 		ids:     make(map[string]int32, p.nPaths),
 		ranks:   make([][]int32, len(cp.Nodes)),
@@ -232,7 +231,6 @@ func (v *DeltaVerifier) Clone() *DeltaVerifier {
 	c.ix = &topoIndex{in: c.in, nodes: v.ix.nodes, origins: maps.Clone(v.ix.origins), links: maps.Clone(v.ix.links)}
 	c.ix.nodes.slots = slices.Clone(v.ix.nodes.slots)
 	c.paths, c.ids, c.ranks = slices.Clone(v.paths), maps.Clone(v.ids), slices.Clone(v.ranks)
-	c.pref, c.mono = slices.Clone(v.pref), slices.Clone(v.mono)
 	for id := range c.paths {
 		c.paths[id].ext = slices.Clip(slices.Clone(c.paths[id].ext))
 	}
@@ -302,12 +300,13 @@ func (v *DeltaVerifier) fromScratch() bool {
 // Verify decides strict monotonicity for the current instance on the delta
 // path (from scratch when degraded), returning the analysis result and the
 // suspect nodes implicated by the core (nil when sat) — the contract of
-// Session.AnalyzeSPP, except that a safe result carries no model: Model
-// renders the witness for the caller that wants it.
+// Session.AnalyzeSPP, except that a safe result carries no model (Model
+// renders the witness for the caller that wants it) and an unsafe one no
+// CoreIdx: the core's members in canonical order, not their positions.
 func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, error) {
 	if v.fromScratch() {
 		res, suspects, err := Analyze(ctx, v.in)
-		v.scratch, res.Model = res.Model, nil
+		v.scratch, res.Model, res.CoreIdx = res.Model, nil, nil
 		return res, suspects, err
 	}
 	out, core, err := v.dc.Check(ctx)
@@ -319,44 +318,19 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 		Condition:       analysis.StrictMonotonicity,
 		Sat:             out.Sat,
 		Stats:           out.Stats,
-		NumPreference:   v.pref.total(),
-		NumMonotonicity: v.mono.total(),
+		NumPreference:   v.numPref,
+		NumMonotonicity: v.numMono,
 	}
 	if out.Sat {
 		return res, nil, nil
 	}
-	res.Core, res.CoreIdx = make([]analysis.Constraint, len(core)), make([]int, len(core))
+	res.Core = make([]analysis.Constraint, len(core))
 	suspects := make([]Node, len(core))
 	for k, ed := range core {
-		var x int32
-		res.CoreIdx[k], x = v.locate(ed)
-		res.Core[k], suspects[k] = v.coreMember(x, ed.Key&keyMono != 0)
+		res.Core[k], suspects[k] = v.coreMember(ed.From, ed.Key&keyMono != 0)
 	}
 	slices.Sort(suspects)
 	return res, slices.Compact(suspects), nil
-}
-
-// locate returns the position in the canonical emission order of the atom
-// on an edge — the atoms of the nodes or links before its own, read from
-// the prefix sums, and of its ranking or link before it — and the path the
-// edge leaves.
-func (v *DeltaVerifier) locate(ed smt.Edge) (pos int, x int32) {
-	y, off := int32(ed.Key>>31&(1<<31-1)), int32(ed.Key&(1<<31-1))
-	if ed.Key&keyMono == 0 {
-		return v.pref.sum(y) + int(off), v.ranks[y][off+1]
-	}
-	pos = v.pref.total() + v.mono.sum(y-1)
-	for _, e := range v.paths[ed.To].ext {
-		if v.paths[e].link == y {
-			x = e
-		}
-	}
-	for _, e := range v.ranks[v.paths[x].own] {
-		if p := &v.paths[e]; p.link == y && p.tail != 0 && v.paths[p.tail].refs > 0 && v.paths[p.tail].at < off {
-			pos++
-		}
-	}
-	return pos, x
 }
 
 // coreMember renders the atom on an out-edge of path x — an unsat core's
@@ -536,8 +510,8 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	first := len(v.in.Links)
 	for _, l := range [2]Link{{a, b}, {b, a}} {
 		v.in.Links = append(v.in.Links, l)
-		v.ix.links[l] = int32(len(v.mono))
-		v.mono.push()
+		v.serials++
+		v.ix.links[l] = v.serials
 		v.countLabel(l, +1)
 		if cost != 0 {
 			v.setCost(l, cost)
@@ -548,7 +522,7 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 			delete(v.ix.links, l)
 			v.countLabel(l, -1)
 		}
-		v.in.Links, v.mono = v.in.Links[:first], v.mono[:len(v.mono)-2]
+		v.in.Links, v.serials = v.in.Links[:first], v.serials-2
 	})
 	return nil
 }
@@ -560,12 +534,10 @@ func (v *DeltaVerifier) declareNode(n Node) int32 {
 	v.in.Nodes = append(v.in.Nodes, n)
 	v.ix.nodes.add(v.in.Nodes)
 	v.ranks = append(v.ranks, nil)
-	v.pref.push()
 	v.onRollback(func() {
 		v.ix.nodes.remove(v.in.Nodes, n) // the newest name: undo runs last in, first out
 		v.in.Nodes = v.in.Nodes[:id]
 		v.ranks = v.ranks[:id]
-		v.pref = v.pref[:id+1]
 	})
 	return int32(id)
 }
@@ -607,7 +579,7 @@ func (v *DeltaVerifier) rank(ni int32, ranked bool, paths []Path, ids []int32) {
 		v.paths[id].own, v.paths[id].at = ni, int32(r)
 	}
 	v.chain(ni, oldIDs, blurred || v.dupNames > 0)
-	v.pref.add(ni+1, int32(max(len(ids)-1, 0)-max(len(oldIDs)-1, 0)))
+	v.numPref += max(len(ids)-1, 0) - max(len(oldIDs)-1, 0)
 	if ranked {
 		v.in.Permitted[n] = paths
 	} else {
@@ -648,12 +620,12 @@ func (v *DeltaVerifier) hold(id, d int32) {
 			t.ext = slices.Delete(t.ext, i, i+1)
 		}
 		if t.refs > 0 {
-			v.mono.add(x.link, d)
+			v.numMono += int(d)
 			v.dc.Changed(x.tail)
 		}
 	}
-	for _, e := range x.ext {
-		v.mono.add(v.paths[e].link, d)
+	if len(x.ext) > 0 {
+		v.numMono += int(d) * len(x.ext)
 		v.dc.Changed(id)
 	}
 }
@@ -731,35 +703,6 @@ func crossed(old, nw, at int32) int {
 		return -1
 	}
 	return 0
-}
-
-// fenwick is a Fenwick tree of counts over positions from 1 (index 0
-// unused): a count moves, and the counts up to a position sum, in O(log n),
-// so a core member's position costs its dispute, not the instance.
-type fenwick []int32
-
-// add moves the count at position i by d.
-func (f fenwick) add(i, d int32) {
-	for ; int(i) < len(f); i += i & -i {
-		f[i] += d
-	}
-}
-
-// sum returns the counts at positions 1 to i.
-func (f fenwick) sum(i int32) (s int) {
-	for ; i > 0; i -= i & -i {
-		s += int(f[i])
-	}
-	return s
-}
-
-// total returns every count.
-func (f fenwick) total() int { return f.sum(int32(len(f) - 1)) }
-
-// push appends a position with count zero; truncation removes it again.
-func (f *fenwick) push() {
-	i := int32(len(*f))
-	*f = append(*f, int32((*f).sum(i-1)-(*f).sum(i-i&-i)))
 }
 
 // --- helpers ---

@@ -50,8 +50,8 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 	// Serial order is Links order (a repeated link keeps its first serial).
 	last, seen := int32(0), map[Link]bool{}
 	for _, l := range in.Links {
-		if s := v.ix.links[l]; !seen[l] && (s <= last || int(s) >= len(v.mono)) {
-			t.Fatalf("%s: link %s has serial %d after %d, of %d issued", label, l, s, last, len(v.mono)-1)
+		if s := v.ix.links[l]; !seen[l] && (s <= last || s > v.serials) {
+			t.Fatalf("%s: link %s has serial %d after %d, of %d issued", label, l, s, last, v.serials)
 		} else if !seen[l] {
 			last, seen[l] = s, true
 		}
@@ -77,7 +77,7 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 // each name's count is the number of ranks holding it; held and dupNames
 // count what the counts say; and, unless a name is held twice, every held
 // path has its node and rank, its tail, its first link's serial and its held
-// extensions, and the atom counts are the graph's.
+// extensions, and the two atom counts are the graph's.
 func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, in *Instance) {
 	t.Helper()
 	if len(v.ranks) != len(in.Nodes) {
@@ -121,10 +121,10 @@ func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, i
 	if dup > 0 {
 		return
 	}
-	pref, mono := make([]int32, len(v.pref)), make([]int32, len(v.mono))
+	pref, mono := 0, 0
 	ext := map[int32][]int32{}
 	for ni, ids := range v.ranks {
-		pref[ni+1] = int32(max(len(ids)-1, 0))
+		pref += max(len(ids)-1, 0)
 		for r, id := range ids {
 			x := v.paths[id]
 			if x.own != int32(ni) || x.at != int32(r) {
@@ -141,7 +141,7 @@ func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, i
 			}
 			ext[x.tail] = append(ext[x.tail], id)
 			if v.paths[x.tail].refs > 0 {
-				mono[x.link]++
+				mono++
 			}
 		}
 	}
@@ -150,21 +150,9 @@ func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, i
 			t.Fatalf("%s: path %v lists extensions %v, the rankings have %v", label, x.path, got, want)
 		}
 	}
-	if got := counts(v.pref); !slices.Equal(got, pref) {
-		t.Fatalf("%s: preference atoms by node %v, the graph has %v", label, got, pref)
+	if v.numPref != pref || v.numMono != mono {
+		t.Fatalf("%s: %d preference and %d monotonicity atoms counted, the graph has %d and %d", label, v.numPref, v.numMono, pref, mono)
 	}
-	if got := counts(v.mono); !slices.Equal(got, mono) {
-		t.Fatalf("%s: monotonicity atoms by link %v, the graph has %v", label, got, mono)
-	}
-}
-
-// counts reads a Fenwick tree's counts back by position, index 0 unused.
-func counts(f fenwick) []int32 {
-	out := make([]int32, len(f))
-	for i := int32(1); int(i) < len(f); i++ {
-		out[i] = int32(f.sum(i) - f.sum(i-1))
-	}
-	return out
 }
 
 // find returns path q's id in the verifier's table, or 0.

@@ -16,13 +16,19 @@ import (
 // the verifier's current instance and fails unless verdict, model (read
 // through Model, as the daemon's /verify does), core, constraint counts,
 // and suspect nodes agree bit for bit (Stats excluded: durations and graph
-// sizes legitimately differ), and unless a safe, non-degraded verdict's
-// model predicts a stable routing (modelWalk, checked by isStable).
+// sizes legitimately differ), unless an unsafe verdict's core and suspects
+// are, member for member and in order, those spp.Analyze finds on the
+// snapshot, and unless a safe, non-degraded verdict's model predicts a
+// stable routing (modelWalk, checked by isStable). No answer places its
+// core: CoreIdx is the one-shot's.
 func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	t.Helper()
 	got, gotSus, gotErr := v.Verify(context.Background())
 	if got.Model != nil {
 		t.Fatalf("%s: Verify built a model", label)
+	}
+	if got.CoreIdx != nil {
+		t.Fatalf("%s: Verify placed its core at %v (degraded %v)", label, got.CoreIdx, v.Degraded())
 	}
 	got.Model = v.Model()
 	want, wantSus, wantErr := v.VerifyFull(context.Background())
@@ -70,6 +76,12 @@ func requireVerifyParity(t *testing.T, label string, v *DeltaVerifier) {
 	for i := range wantSus {
 		if gotSus[i] != wantSus[i] {
 			t.Fatalf("%s: suspects %v, oracle %v", label, gotSus, wantSus)
+		}
+	}
+	if !got.Sat {
+		one, oneSus, err := Analyze(context.Background(), v.Snapshot())
+		if err != nil || !slices.Equal(got.Core, one.Core) || !slices.Equal(gotSus, oneSus) {
+			t.Fatalf("%s: core %v with suspects %v; Analyze on the snapshot: %v with %v (error %v)", label, got.Core, gotSus, one.Core, oneSus, err)
 		}
 	}
 	if got.Sat && !v.Degraded() {
@@ -389,10 +401,10 @@ func TestDeltaVerifierLinkLabelClash(t *testing.T) {
 // TestResidentAssertionsAreTheSegments pins the solver's view of the
 // instance to the provenance functions': the atoms the implied graph walks,
 // in key order and named through the verifier's table, are the Assertion of
-// every prefSeg and monoSeg constraint, less its origin — and locate and
-// coreMember render each key as that constraint, origin and position
-// included — on
-// the generated instances, for every node and link.
+// every prefSeg and monoSeg constraint, less its origin — and coreMember,
+// fed an atom's tail and kind, renders it as that constraint, origin
+// included; the atom counts are the walked atoms of each kind — on the
+// generated instances, for every node and link.
 func TestResidentAssertionsAreTheSegments(t *testing.T) {
 	for _, in := range []*Instance{Figure3IBGP(), Disagree(), ChainGadget(6)} {
 		v, err := NewDeltaVerifier(in)
@@ -418,20 +430,23 @@ func TestResidentAssertionsAreTheSegments(t *testing.T) {
 		if len(atoms) != len(cons) {
 			t.Fatalf("%s: %d resident atoms, %d constraints", in.Name, len(atoms), len(cons))
 		}
+		pref := 0
 		for i, c := range cons {
 			want := c.Assertion
 			want.Origin = ""
 			a := atoms[i]
+			if a.key&keyMono == 0 {
+				pref++
+			}
 			if got := (smt.Assertion{Rel: smt.Lt, A: smt.Term{Var: v.paths[a.to].name}, B: smt.Term{Var: v.paths[a.from].name}}); got != want {
 				t.Fatalf("%s: resident atom %d is %v, the emitter's %v", in.Name, i, got, want)
 			}
-			pos, from := v.locate(smt.Edge{To: a.to, Key: a.key})
-			if got, _ := v.coreMember(from, a.key&keyMono != 0); pos != i || from != a.from || got.Assertion != c.Assertion {
-				t.Fatalf("%s: key %#x renders as %v at %d, the emitter has %v at %d", in.Name, a.key, got.Assertion, pos, c.Assertion, i)
+			if got, _ := v.coreMember(a.from, a.key&keyMono != 0); got.Assertion != c.Assertion {
+				t.Fatalf("%s: key %#x renders as %v, the emitter has %v at %d", in.Name, a.key, got.Assertion, c.Assertion, i)
 			}
 		}
-		if v.pref.total()+v.mono.total() != len(cons) {
-			t.Fatalf("%s: %d + %d atoms counted, %d constraints", in.Name, v.pref.total(), v.mono.total(), len(cons))
+		if v.numPref != pref || v.numMono != len(atoms)-pref {
+			t.Fatalf("%s: %d + %d atoms counted, %d + %d walked", in.Name, v.numPref, v.numMono, pref, len(atoms)-pref)
 		}
 	}
 }

@@ -949,6 +949,12 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 		}
 		doors(t, in, func(door string, got analysis.Result, suspects []spp.Node) {
 			got.Stats = want.Stats
+			if door == "delta-verifier" {
+				if got.CoreIdx != nil {
+					t.Errorf("%s: core placed at %v", door, got.CoreIdx)
+				}
+				got.CoreIdx = want.CoreIdx // the resident door names its core, it does not place it
+			}
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(suspects, pair) {
 				t.Errorf("%s: result differs (suspects %v):\n%+v\nvs oracle\n%+v", door, suspects, got, want)
 			}
@@ -961,8 +967,16 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The analyze door places the core in the emitted list; the resident
+		// door names the same members in the same order.
 		var coreIdx []int
+		var members []analysis.Constraint
 		doors(t, in, func(door string, got analysis.Result, suspects []spp.Node) {
+			if door == "analyze" {
+				coreIdx = got.CoreIdx
+			} else if got.CoreIdx != nil {
+				t.Errorf("%s: core placed at %v", door, got.CoreIdx)
+			}
 			for k, i := range got.CoreIdx {
 				if !reflect.DeepEqual(got.Core[k], cons[i]) {
 					t.Errorf("%s: core[%d] = %v, emitted constraint %d is %v", door, k, got.Core[k], i, cons[i])
@@ -971,12 +985,15 @@ func TestUnsatProbesStayInTheDispute(t *testing.T) {
 			if !reflect.DeepEqual(suspects, pair) {
 				t.Errorf("%s: suspects %v, want %v", door, suspects, pair)
 			}
-			if coreIdx == nil {
-				coreIdx = got.CoreIdx
-			} else if !reflect.DeepEqual(got.CoreIdx, coreIdx) {
-				t.Errorf("%s: core at %v, the first door's at %v", door, got.CoreIdx, coreIdx)
+			if members == nil {
+				members = got.Core
+			} else if !reflect.DeepEqual(got.Core, members) {
+				t.Errorf("%s: core %v, the first door's %v", door, got.Core, members)
 			}
 		})
+		if len(coreIdx) != len(members) {
+			t.Fatalf("analyze door placed %d of %d core members", len(coreIdx), len(members))
+		}
 		asserts := make([]smt.Assertion, len(cons))
 		for i := range cons {
 			asserts[i] = cons[i].Assertion

@@ -268,9 +268,10 @@ func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResu
 // constraint system once, and then re-verifies edits (ReRank, AddSession,
 // DropSession) by patching the standing difference-logic graph and
 // re-probing only the affected region — the daemon-mode counterpart of
-// AnalyzeSPP. Verdicts, models, and minimal cores are bit-for-bit
-// identical to a full rebuild (VerifyFull is the differential oracle);
-// Verify answers verdict, core and suspects, and Model renders the witness
+// AnalyzeSPP. Verdicts and models are bit-for-bit identical to a full
+// rebuild (VerifyFull is the differential oracle), and so are minimal
+// cores, member for member and in order, but without positions: CoreIdx is
+// nil. Verify answers verdict, core and suspects, and Model renders the witness
 // of a safe verdict for the caller that wants it. A what-if that may not be
 // kept runs between Begin and Rollback (or Commit): Rollback leaves the
 // verifier exactly as Begin found it, at the cost of the edits made.
