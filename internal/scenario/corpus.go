@@ -22,9 +22,9 @@ import (
 // the only code that turns wire fields into an *spp.Instance and the only
 // place the form's rules live; it works on interned token ids and validates
 // on them, leaving the wording of every rejection to Instance.Validate. The
-// byte reader (read.go: ReadRequest, ReadInstance) feeds it straight from
-// request bytes and is what the daemon's upload endpoints run. DecodeInstance
-// feeds it from an InstanceJSON, the struct encoding/json fills: corpus
+// byte reader (read.go: ReadRequest) feeds it straight from request bytes
+// and is what the daemon's upload endpoints run. DecodeInstance feeds it
+// from an InstanceJSON, the struct encoding/json fills: corpus
 // lines (ReadCorpus → Replay), the benchmark's replay, GET
 // /v1/instances/{id} via EncodeInstance, and the tests — where
 // json.Unmarshal + DecodeInstance is the byte reader's oracle.

@@ -96,24 +96,6 @@ func (r *Request) Release() {
 	r.Instance = nil
 }
 
-// ReadInstance decodes a bare wire form, as DecodeInstance does for the
-// InstanceJSON encoding/json makes of the same bytes. The instance is the
-// caller's: it is built in a fresh store that nothing else reuses.
-func ReadInstance(body []byte) (*spp.Instance, ReadStats, error) {
-	s := scanner{data: body}
-	in, st, invalid, err := s.instance(newWire(bodyHints(len(body))))
-	if err == nil {
-		err = s.end()
-	}
-	if err == nil {
-		err = invalid
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return in, st, nil
-}
-
 // WhatIf is the decoded body of POST /v1/instances/{id}/whatif: a batch of
 // edits, and whether to roll it back once verified (a pure query).
 type WhatIf struct {

@@ -63,11 +63,11 @@ type tokenInfo struct {
 
 // newWire sizes the tables for a wire form of about tokens distinct tokens
 // and hops path elements; all of them grow when the guess is short. build
-// makes the instance out of the wire's own arrays and maps. ReadInstance
-// and DecodeInstance build in a fresh wire and hand its instance to a
-// caller who may keep it, the rest of that wire being garbage; ReadRequest
-// builds in the parked store (takeWire), which is reused, not garbage:
-// Release clears it and parks it again.
+// makes the instance out of the wire's own arrays and maps. DecodeInstance
+// (and the tests' ReadInstance) build in a fresh wire and hand its instance
+// to a caller who may keep it, the rest of that wire being garbage;
+// ReadRequest builds in the parked store (takeWire), which is reused, not
+// garbage: Release clears it and parks it again.
 func newWire(tokens, hops int) *wire { return new(wire).reserve(tokens, hops) }
 
 // reserve grows every table of an empty wire that is shorter than newWire's

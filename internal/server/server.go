@@ -339,9 +339,10 @@ func (s *Server) resolveInstance(w http.ResponseWriter, req scenario.Request) *s
 
 // handleCreate loads an instance by built-in gadget name or inline wire
 // form, {"id", "gadget", "instance"}; id defaults to the instance's name.
-// It never releases the request: the load is copied into the resident
-// verifier, and a daemon holding instances would otherwise keep the load's
-// tables parked for an upload that may never come.
+// The resident verifier copies the load into two arrays (Instance.Clone) and
+// keeps the emitter's prep of the copy until its first verify, the dense
+// solve. The request is never released: a daemon holding instances would
+// otherwise keep the load's tables parked for an upload that may never come.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	ctx, op := obs.Flight().StartOp(r.Context(), "create", "")
 	defer op.Finish()

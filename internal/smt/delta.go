@@ -331,6 +331,21 @@ func (d *DeltaContext) Check(ctx context.Context) (Result, []Edge, error) {
 	return res, core, nil
 }
 
+// Install answers the first Check, outside a transaction, with the caller's
+// SolveDense of the graph's atoms in key order: a full solve of steps atoms.
+// A model, dist − dist[0] with 0 the highest dist, becomes the fixed point.
+func (d *DeltaContext) Install(res Result, model []int, core []Edge, steps int) {
+	d.grow()
+	d.stats.Checks, d.stats.FullSolves, d.stats.Steps = d.stats.Checks+1, d.stats.FullSolves+1, d.stats.Steps+steps
+	d.res, d.core, d.resValid, d.built = res, core, true, res.Sat
+	if res.Sat {
+		top := slices.Max(model)
+		for v := 1; v < len(model); v++ {
+			d.nodes[v].dist = model[v] - top
+		}
+	}
+}
+
 // Model reads the satisfying assignment of the last Check off the standing
 // fixed point, by id: model[v] is bit for bit what a fresh solve assigns
 // variable v, at least 1, for every v some atom references, and 0 for every

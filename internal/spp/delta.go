@@ -27,6 +27,17 @@
 // costs its dispute, not the instance, and names its atoms, not their
 // positions in a list the verifier never generates.
 //
+// A load costs about one analysis. It copies the instance once
+// (Instance.Clone: one array holds every hop, another every path header),
+// fills the emitter's prep of the copy and borrows what the prep has: the
+// node index and origin set; the link ends, whose positions key a link's
+// serial; the label hashes, kept beside Links to count clashes by; and the
+// paths, a loaded path's id being its prep id plus one. A hash collision can
+// only count a label clash that is not there, which sends Verify to
+// Analyze, and Analyze compares the labels themselves. The first check of a
+// load nothing has edited is the prep's dense system, decided by
+// smt.SolveDense and installed in the context as its whole-graph check.
+//
 // A what-if that is not kept costs its edit, not the instance: between
 // Begin and Rollback every mutation — of the instance, the topology index,
 // the path table and its counts — logs its inverse, the solver context
@@ -47,12 +58,15 @@
 package spp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"slices"
 
 	"fsr/internal/analysis"
+	"fsr/internal/obs"
 	"fsr/internal/smt"
 )
 
@@ -62,12 +76,18 @@ import (
 type DeltaVerifier struct {
 	in      *Instance
 	dc      *smt.DeltaContext
-	algebra string // the result's Algebra: the instance's name never changes
+	algebra string     // the result's Algebra: the instance's name never changes
+	prep    *shardPrep // the load's, read by the first Verify; an edit drops it
 
-	// ix answers node, origin and link membership for edit validation, and
-	// maps each link to its serial; serials is the last serial issued.
-	// numPref and numMono count the implied graph's atoms of each kind.
-	ix               *topoIndex
+	// ix answers node and origin membership for edit validation: the load's
+	// prep's index, which edits extend. links maps each link between
+	// declared nodes, keyed by their positions (hopKey), to its serial, and
+	// loose each loaded link with an undeclared end, by name; serials is the
+	// last serial issued. numPref and numMono count the implied graph's
+	// atoms of each kind.
+	ix               topoIndex
+	links            map[uint64]int32
+	loose            map[Link]int32
 	serials          int32
 	numPref, numMono int
 
@@ -83,12 +103,13 @@ type DeltaVerifier struct {
 	held     int
 	dupNames int
 
-	// labelCount counts links per label, dupLabels the labels two links
-	// share. Any clash makes the naturally named resident system the wrong
-	// one to answer from, so Verify analyses from scratch until edits
-	// resolve it.
-	labelCount map[string]int
-	dupLabels  int
+	// keys holds each link's label hash, in Links order, and dupLabels
+	// counts the links whose hash repeats an earlier one's (bit 0 aside, as
+	// shardPrep.dups has it). Any clash makes the naturally named resident
+	// system the wrong one to answer from, so Verify analyses from scratch
+	// until edits resolve it.
+	keys      []uint64
+	dupLabels int
 
 	// scratch is the witness of the last from-scratch Verify, for Model;
 	// any edit drops it.
@@ -116,8 +137,9 @@ type pathRec struct {
 }
 
 // NewDeltaVerifier builds the resident graph for a deep copy of the
-// instance. The instance must validate; rendering collisions are tolerated
-// (the verifier starts degraded and recovers if edits remove them).
+// instance from the emitter's prep of that copy, kept for the first check.
+// The instance must validate; rendering collisions are tolerated (the
+// verifier starts degraded and recovers if edits remove them).
 func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 	cp := in.Clone()
 	p := new(shardPrep)
@@ -125,42 +147,89 @@ func NewDeltaVerifier(in *Instance) (*DeltaVerifier, error) {
 		return nil, err
 	}
 	p.name(false) // natural names: the verifier counts collisions itself
+	nl := len(cp.Links)
 	v := &DeltaVerifier{
-		in:      cp,
-		algebra: "spp-" + cp.Name,
-		ix:      indexInstance(cp),
-		serials: int32(len(cp.Links)),
-		paths:   make([]pathRec, 1, p.nPaths+1),
-		ids:     make(map[string]int32, p.nPaths),
-		ranks:   make([][]int32, len(cp.Nodes)),
-
-		labelCount: map[string]int{},
+		in:        cp,
+		algebra:   "spp-" + cp.Name,
+		prep:      p,
+		ix:        p.ix,
+		links:     make(map[uint64]int32, nl),
+		loose:     map[Link]int32{},
+		serials:   int32(nl),
+		paths:     make([]pathRec, 1, p.nPaths+1),
+		ids:       make(map[string]int32, p.nPaths),
+		ranks:     make([][]int32, len(cp.Nodes)),
+		keys:      p.keys,
+		dupLabels: p.dups(),
 	}
-	for _, l := range cp.Links {
-		v.countLabel(l, +1)
-	}
-	// The prep's paths, named and shortest first, so that a matched tail is
-	// in the table before its extensions; one array holds every ranking.
-	byPath := make([]int32, p.nPaths)
-	for _, u := range p.order {
-		g, q := p.pathOff[u.ni]+u.r, p.perms[u.ni][u.r]
-		head := v.ids[string(p.vars[g])]
-		if byPath[g] = v.find(q, head); byPath[g] == 0 {
-			tail := int32(-1)
-			if t := p.tail[g]; t >= 0 {
-				tail = byPath[t]
-			}
-			byPath[g] = v.intern(q, p.vars[g], head, tail)
+	for li := nl - 1; li >= 0; li-- { // link i is serial i+1, a repeated link's the first
+		if a, b := p.linkEnds[2*li], p.linkEnds[2*li+1]; a >= 0 && b >= 0 {
+			v.links[hopKey(a, b)] = int32(li + 1)
+		} else {
+			v.loose[cp.Links[li]] = int32(li + 1)
 		}
 	}
+	v.table(p)
 	v.dc = smt.NewDeltaContext((*graph)(v))
-	for ni, n := range cp.Nodes {
-		if paths, ok := cp.Permitted[n]; ok {
-			lo, hi := p.pathOff[ni], p.pathOff[ni+1]
-			v.rank(int32(ni), true, paths, byPath[lo:hi:hi])
+	return v, nil
+}
+
+// table fills the path table as ranking every node would: prep path g is id
+// g+1, the rankings' ids are runs of one array, the extension lists of
+// another. A path ranked twice is held under its first id, as find has it,
+// its own record left blank; a tail not permitted is pathID's.
+func (v *DeltaVerifier) table(p *shardPrep) {
+	ids := make([]int32, p.nPaths)
+	for ni, paths := range p.perms {
+		lo, hi := p.pathOff[ni], p.pathOff[ni+1]
+		for r, q := range paths {
+			g := lo + int32(r)
+			head := v.ids[string(p.vars[g])]
+			if ids[g] = v.find(q, head); ids[g] == 0 {
+				ids[g] = v.add(q, p.vars[g], head)
+			} else {
+				v.paths = append(v.paths, pathRec{}) // held under its first id
+			}
+		}
+		v.ranks[ni] = ids[lo:hi:hi]
+	}
+	for _, m := range p.matches { // in link order: a repeated link's first serial
+		x := &v.paths[ids[p.pathOff[p.linkEnds[2*m.li]]+m.fq]]
+		x.link = cmp.Or(x.link, m.li+1)
+	}
+	for ni, rk := range v.ranks {
+		v.numPref += max(len(rk)-1, 0)
+		for r, id := range rk {
+			x, h := &v.paths[id], &v.paths[v.paths[id].head]
+			x.refs, h.count, x.own, x.at = x.refs+1, h.count+1, int32(ni), int32(r)
+			v.held += crossed(h.count-1, h.count, 1)
+			v.dupNames += crossed(h.count-1, h.count, 2)
+			if g := p.pathOff[ni] + int32(r); x.refs == 1 && p.tail[g] >= 0 {
+				x.tail = ids[p.tail[g]]
+			} else if x.refs == 1 && len(x.path) > 2 {
+				x.link = v.serial(x.path[0], x.path[1])
+				t := v.pathID(x.path[1:]) // may grow the table
+				v.paths[id].tail = t
+			}
 		}
 	}
-	return v, nil
+	start := make([]int32, len(v.paths)+1) // by tail: where its extensions start
+	for _, x := range v.paths {
+		if x.refs > 0 && x.tail != 0 {
+			start[x.tail+1]++
+		}
+	}
+	for t := range v.paths {
+		start[t+1] += start[t]
+	}
+	flat := make([]int32, start[len(v.paths)])
+	for id, x := range v.paths {
+		if t := &v.paths[x.tail]; x.refs > 0 && x.tail != 0 {
+			t.ext = flat[start[x.tail] : start[x.tail]+int32(len(t.ext))+1 : start[x.tail+1]]
+			t.ext[len(t.ext)-1] = int32(id)
+			v.numMono += int(min(t.refs, 1))
+		}
+	}
 }
 
 // graph is the verifier as the constraint graph it implies (smt.Graph). Only
@@ -223,18 +292,19 @@ func (v *DeltaVerifier) DeltaStats() smt.DeltaStats { return v.dc.Stats() }
 // Clone returns an independent copy, including the warm solver state, taken
 // outside any transaction. What-ifs roll back instead; only the benchmark's
 // frozen replay still clones. Rankings are replaced whole, never written in
-// place, so the copy shares their id slices.
+// place, so the copy shares their id slices. Its first check is not the
+// dense one.
 func (v *DeltaVerifier) Clone() *DeltaVerifier {
 	c := new(DeltaVerifier)
 	*c = *v
-	c.in = v.in.Clone()
-	c.ix = &topoIndex{in: c.in, nodes: v.ix.nodes, origins: maps.Clone(v.ix.origins), links: maps.Clone(v.ix.links)}
+	c.in, c.prep = v.in.Clone(), nil
+	c.ix = topoIndex{in: c.in, nodes: v.ix.nodes, origins: maps.Clone(v.ix.origins)}
 	c.ix.nodes.slots = slices.Clone(v.ix.nodes.slots)
+	c.links, c.loose, c.keys = maps.Clone(v.links), maps.Clone(v.loose), slices.Clone(v.keys)
 	c.paths, c.ids, c.ranks = slices.Clone(v.paths), maps.Clone(v.ids), slices.Clone(v.ranks)
 	for id := range c.paths {
 		c.paths[id].ext = slices.Clip(slices.Clone(c.paths[id].ext))
 	}
-	c.labelCount = maps.Clone(v.labelCount)
 	c.buf, c.inTx, c.undo = nil, false, nil
 	c.dc = v.dc.Clone((*graph)(c))
 	return c
@@ -304,12 +374,14 @@ func (v *DeltaVerifier) fromScratch() bool {
 // renders the witness for the caller that wants it) and an unsafe one no
 // CoreIdx: the core's members in canonical order, not their positions.
 func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, error) {
+	p := v.prep
+	v.prep = nil
 	if v.fromScratch() {
 		res, suspects, err := Analyze(ctx, v.in)
 		v.scratch, res.Model, res.CoreIdx = res.Model, nil, nil
 		return res, suspects, err
 	}
-	out, core, err := v.dc.Check(ctx)
+	out, core, err := v.check(ctx, p)
 	if err != nil {
 		return analysis.Result{}, nil, err
 	}
@@ -331,6 +403,32 @@ func (v *DeltaVerifier) Verify(ctx context.Context) (analysis.Result, []Node, er
 	}
 	slices.Sort(suspects)
 	return res, slices.Compact(suspects), nil
+}
+
+// check decides the graph on the context, but for the first check of an
+// unedited load outside a transaction: prep p's dense system, the graph's
+// atoms in key order over its ids, decided by SolveDense and installed in
+// the context, each core position as the out-edge it is.
+func (v *DeltaVerifier) check(ctx context.Context, p *shardPrep) (smt.Result, []smt.Edge, error) {
+	if p == nil || v.inTx {
+		return v.dc.Check(ctx)
+	}
+	cons, _ := p.denseConstraints()
+	sctx, sp := obs.StartSpan(ctx, "solve-dense")
+	out, model, err := smt.SolveDense(sctx, p.nPaths, cons)
+	if sp.End(); err != nil {
+		return smt.Result{}, nil, err
+	}
+	var core []smt.Edge
+	for _, c := range out.CoreIdx {
+		for _, ed := range (*graph)(v).Out(nil, cons[c].B) {
+			if ed.From = cons[c].B; ed.To == cons[c].A {
+				core = append(core, ed)
+			}
+		}
+	}
+	v.dc.Install(out, model, core, len(cons))
+	return out, core, nil
 }
 
 // coreMember renders the atom on an out-edge of path x — an unsat core's
@@ -403,11 +501,11 @@ func (v *DeltaVerifier) ReRank(n Node, paths ...Path) error {
 		return fmt.Errorf("spp %s: rerank of empty node name", v.in.Name)
 	}
 	for _, p := range paths {
-		if err := v.ix.validatePath(v.in.Name, n, p, true, v.ix.hasLink); err != nil {
+		if err := v.ix.validatePath(v.in.Name, n, p, true, v.linked); err != nil {
 			return err
 		}
 	}
-	v.scratch = nil
+	v.scratch, v.prep = nil, nil
 	fresh := clonePaths(paths)
 	ids := make([]int32, len(fresh))
 	for i, q := range fresh {
@@ -445,7 +543,7 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 	if len(idx) == 0 {
 		return fmt.Errorf("spp %s: no session %s↔%s", v.in.Name, a, b)
 	}
-	v.scratch = nil
+	v.scratch, v.prep = nil, nil
 	crosses := func(p Path) bool {
 		for i := 0; i+2 < len(p); i++ {
 			if (p[i] == a && p[i+1] == b) || (p[i] == b && p[i+1] == a) {
@@ -472,20 +570,22 @@ func (v *DeltaVerifier) DropSession(a, b Node) error {
 	// The links go after the paths crossing them, so that their inverses
 	// bring them back first; descending, so earlier indices stay valid.
 	for k := len(idx) - 1; k >= 0; k-- {
-		i, l := idx[k], v.in.Links[idx[k]]
-		s := v.ix.links[l]
-		v.in.Links = slices.Delete(v.in.Links, i, i+1)
-		v.countLabel(l, -1)
+		i, l, key := idx[k], v.in.Links[idx[k]], v.keys[idx[k]]
+		v.in.Links, v.keys = slices.Delete(v.in.Links, i, i+1), slices.Delete(v.keys, i, i+1)
+		v.relabel(key, -1)
 		v.onRollback(func() {
-			v.in.Links = slices.Insert(v.in.Links, i, l)
-			v.ix.links[l] = s
-			v.countLabel(l, +1)
+			v.in.Links, v.keys = slices.Insert(v.in.Links, i, l), slices.Insert(v.keys, i, key)
+			v.relabel(key, +1)
 		})
 	}
-	delete(v.ix.links, Link{a, b})
-	delete(v.ix.links, Link{b, a})
-	v.setCost(Link{a, b}, 0)
-	v.setCost(Link{b, a}, 0)
+	for _, l := range [2]Link{{a, b}, {b, a}} {
+		if _, ok := v.loose[l]; ok {
+			put(v, v.loose, l, 0)
+		} else {
+			put(v, v.links, hopKey(v.ix.node(l.From), v.ix.node(l.To)), 0)
+		}
+		put(v, v.in.Cost, l, 0)
+	}
 	return nil
 }
 
@@ -498,32 +598,27 @@ func (v *DeltaVerifier) AddSession(a, b Node, cost int) error {
 	if a == b || a == "" || b == "" {
 		return fmt.Errorf("spp %s: invalid session %s↔%s", v.in.Name, a, b)
 	}
-	if v.ix.links[Link{a, b}] != 0 || v.ix.links[Link{b, a}] != 0 {
+	if v.linked(a, b) || v.linked(b, a) {
 		return fmt.Errorf("spp %s: session %s↔%s already exists", v.in.Name, a, b)
 	}
-	v.scratch = nil
+	v.scratch, v.prep = nil, nil
 	for _, n := range [2]Node{a, b} {
 		if v.ix.node(n) < 0 {
 			v.declareNode(n)
 		}
 	}
-	first := len(v.in.Links)
 	for _, l := range [2]Link{{a, b}, {b, a}} {
-		v.in.Links = append(v.in.Links, l)
-		v.serials++
-		v.ix.links[l] = v.serials
-		v.countLabel(l, +1)
-		if cost != 0 {
-			v.setCost(l, cost)
-		}
+		key := maphash.String(screenSeed, string(l.From)+string(l.To)) // as the match pass hashes a label
+		v.in.Links, v.keys, v.serials = append(v.in.Links, l), append(v.keys, key), v.serials+1
+		v.relabel(key, +1)
+		v.onRollback(func() {
+			n := len(v.keys) - 1
+			v.in.Links, v.keys, v.serials = v.in.Links[:n], v.keys[:n], v.serials-1
+			v.relabel(key, -1)
+		})
+		put(v, v.links, hopKey(v.ix.node(l.From), v.ix.node(l.To)), v.serials)
+		put(v, v.in.Cost, l, cost)
 	}
-	v.onRollback(func() {
-		for _, l := range v.in.Links[first:] {
-			delete(v.ix.links, l)
-			v.countLabel(l, -1)
-		}
-		v.in.Links, v.serials = v.in.Links[:first], v.serials-2
-	})
 	return nil
 }
 
@@ -542,18 +637,20 @@ func (v *DeltaVerifier) declareNode(n Node) int32 {
 	return int32(id)
 }
 
-// setCost annotates a link with an IGP cost; zero removes the annotation.
-func (v *DeltaVerifier) setCost(l Link, cost int) {
-	old := v.in.Cost[l]
-	if cost == old {
+// put sets m[k] to x, deleting the entry at the zero value, logging the
+// inverse.
+func put[K, V comparable](v *DeltaVerifier, m map[K]V, k K, x V) {
+	var zero V
+	old := m[k]
+	if x == old {
 		return
 	}
-	if cost == 0 {
-		delete(v.in.Cost, l)
+	if x == zero {
+		delete(m, k)
 	} else {
-		v.in.Cost[l] = cost
+		m[k] = x
 	}
-	v.onRollback(func() { v.setCost(l, old) })
+	v.onRollback(func() { put(v, m, k, old) })
 }
 
 // rank installs a ranking at node position ni (ranked false removes it),
@@ -610,7 +707,7 @@ func (v *DeltaVerifier) hold(id, d int32) {
 		return
 	}
 	if d > 0 && len(x.path) > 2 {
-		x.link = v.ix.links[Link{x.path[0], x.path[1]}]
+		x.link = v.serial(x.path[0], x.path[1])
 	}
 	if t := &v.paths[x.tail]; x.tail != 0 {
 		if d > 0 {
@@ -630,15 +727,44 @@ func (v *DeltaVerifier) hold(id, d int32) {
 	}
 }
 
-// pathID returns path q's id, adding it to the table when the table has
-// never seen it.
+// pathID returns path q's id, adding it to the table, with its tail, when
+// the table has never seen it.
 func (v *DeltaVerifier) pathID(q Path) int32 {
 	v.buf = appendVar(v.buf[:0], q)
 	head := v.ids[string(v.buf)]
 	if id := v.find(q, head); id != 0 {
 		return id
 	}
-	return v.intern(q, smt.Var(v.buf), head, -1)
+	id := v.add(q, smt.Var(v.buf), head)
+	v.onRollback(func() {
+		if x := v.paths[id]; x.head != id {
+			v.paths[x.head].next = x.next
+		} else {
+			delete(v.ids, string(x.name))
+		}
+		clear(v.paths[id:])
+		v.paths = v.paths[:id]
+	})
+	if len(q) > 2 {
+		v.paths[id].tail = v.pathID(q[1:])
+	}
+	return id
+}
+
+// add appends path q, held by nothing yet, under its rendering name —
+// behind head, the first path with that name, when there is one — and
+// returns its id.
+func (v *DeltaVerifier) add(q Path, name smt.Var, head int32) int32 {
+	id := int32(len(v.paths))
+	x := pathRec{path: q, name: name, head: id}
+	if head != 0 {
+		x.head, x.next = head, v.paths[head].next
+		v.paths[head].next = id
+	} else {
+		v.ids[string(name)] = id
+	}
+	v.paths = append(v.paths, x)
+	return id
 }
 
 // find returns the id of path q in the chain of paths from head, which
@@ -652,47 +778,25 @@ func (v *DeltaVerifier) find(q Path, head int32) int32 {
 	return 0
 }
 
-// intern adds path q, held by nothing yet, under its rendering name —
-// behind head, the first path with that name, when there is one — with its
-// tail (looked up in turn when −1), and returns its id.
-func (v *DeltaVerifier) intern(q Path, name smt.Var, head, tail int32) int32 {
-	id := int32(len(v.paths))
-	x := pathRec{path: q, name: name, head: id}
-	if head != 0 {
-		x.head, x.next = head, v.paths[head].next
-		v.paths[head].next = id
-	} else {
-		v.ids[string(name)] = id
-	}
-	v.paths = append(v.paths, x)
-	v.onRollback(func() {
-		if head != 0 {
-			v.paths[head].next = x.next
-		} else {
-			delete(v.ids, string(name))
+// relabel moves dupLabels by the change d (±1) keys has just seen in the
+// links whose label hashes to key.
+func (v *DeltaVerifier) relabel(key uint64, d int) {
+	n := 0
+	for _, k := range v.keys {
+		if k|1 == key|1 {
+			n++
 		}
-		clear(v.paths[id:])
-		v.paths = v.paths[:id]
-	})
-	if tail < 0 && len(q) > 2 {
-		tail = v.pathID(q[1:])
 	}
-	v.paths[id].tail = max(tail, 0)
-	return id
+	v.dupLabels += max(n-1, 0) - max(n-d-1, 0)
 }
 
-// countLabel tracks link-label multiplicity as links come and go: ToAlgebra
-// names a link's label after its ends joined, so a↔bc and ab↔c clash.
-func (v *DeltaVerifier) countLabel(l Link, d int) {
-	key := string(l.From) + string(l.To)
-	old, nw := v.labelCount[key], v.labelCount[key]+d
-	if nw == 0 {
-		delete(v.labelCount, key)
-	} else {
-		v.labelCount[key] = nw
-	}
-	v.dupLabels += int(crossed(int32(old), int32(nw), 2))
+// serial returns link a→b's serial, or 0 when the instance has no such link.
+func (v *DeltaVerifier) serial(a, b Node) int32 {
+	return cmp.Or(v.links[hopKey(v.ix.node(a), v.ix.node(b))], v.loose[Link{a, b}])
 }
+
+// linked reports whether the directed link a→b is declared.
+func (v *DeltaVerifier) linked(a, b Node) bool { return v.serial(a, b) != 0 }
 
 // crossed is how a count's move from old to nw changes the counts ≥ at.
 func crossed(old, nw, at int32) int {
@@ -703,24 +807,4 @@ func crossed(old, nw, at int32) int {
 		return -1
 	}
 	return 0
-}
-
-// --- helpers ---
-
-// clonePaths copies a ranking into one backing array, each path capped at
-// its length: two allocations however many paths it holds.
-func clonePaths(paths []Path) []Path {
-	hops := 0
-	for _, p := range paths {
-		hops += len(p)
-	}
-	flat := make(Path, 0, hops)
-	out := make([]Path, len(paths))
-	for i, p := range paths {
-		if len(p) > 0 { // an empty path stays nil, as append(nil, p...) has it
-			flat = append(flat, p...)
-			out[i] = flat[len(flat)-len(p) : len(flat) : len(flat)]
-		}
-	}
-	return out
 }

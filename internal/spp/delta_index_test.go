@@ -3,6 +3,7 @@ package spp
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,20 +38,28 @@ func requireIndexMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier) {
 			t.Fatalf("%s: index places node %s at %d, instance at %d", label, n, got, i)
 		}
 	}
-	scanLinks := map[Link]bool{}
+	scanLinks, keys, labels, dupLabels := map[Link]bool{}, []uint64{}, map[uint64]bool{}, 0
 	for _, l := range in.Links {
 		if !in.HasLink(l.From, l.To) {
 			t.Fatalf("%s: HasLink denies listed link %s", label, l)
 		}
 		scanLinks[l] = true
+		k := maphash.String(screenSeed, string(l.From)+string(l.To))
+		if keys = append(keys, k); labels[k|1] {
+			dupLabels++ // a link whose label hash repeats an earlier one's
+		}
+		labels[k|1] = true
 	}
-	if len(v.ix.links) != len(scanLinks) {
-		t.Fatalf("%s: index holds %d links, instance %d", label, len(v.ix.links), len(scanLinks))
+	if len(v.links)+len(v.loose) != len(scanLinks) {
+		t.Fatalf("%s: index holds %d links by position and %d by name, instance %d", label, len(v.links), len(v.loose), len(scanLinks))
+	}
+	if !slices.Equal(v.keys, keys) || v.dupLabels != dupLabels {
+		t.Fatalf("%s: label hashes %v, %d shared; the links hash to %v, %d shared", label, v.keys, v.dupLabels, keys, dupLabels)
 	}
 	// Serial order is Links order (a repeated link keeps its first serial).
 	last, seen := int32(0), map[Link]bool{}
 	for _, l := range in.Links {
-		if s := v.ix.links[l]; !seen[l] && (s <= last || s > v.serials) {
+		if s := v.serial(l.From, l.To); !seen[l] && (s <= last || s > v.serials) {
 			t.Fatalf("%s: link %s has serial %d after %d, of %d issued", label, l, s, last, v.serials)
 		} else if !seen[l] {
 			last, seen[l] = s, true
@@ -136,7 +145,7 @@ func requireTableMatchesSnapshot(t *testing.T, label string, v *DeltaVerifier, i
 			if tail := find(v, x.path[1:]); x.tail == 0 || tail != x.tail {
 				t.Fatalf("%s: path %v has tail %d, the table has %d", label, x.path, x.tail, tail)
 			}
-			if s := v.ix.links[Link{x.path[0], x.path[1]}]; x.link != s {
+			if s := v.serial(x.path[0], x.path[1]); x.link != s {
 				t.Fatalf("%s: path %v has first link %d, the index %d", label, x.path, x.link, s)
 			}
 			ext[x.tail] = append(ext[x.tail], id)

@@ -221,15 +221,28 @@ func gadgetCases() []gadgetCase {
 	}
 }
 
-// TestDeltaVerifierClone commits an edit on a clone and checks the original
-// is untouched — the server's what-if discard path.
+// answer is what a verifier answers now — verdict, core, counts, suspects,
+// model and instance — rendered, so that a later answer can be compared.
+func answer(v *DeltaVerifier) string {
+	res, sus, err := v.Verify(context.Background())
+	return fmt.Sprint(res.Sat, res.Core, res.NumPreference, res.NumMonotonicity, sus, err, v.Model(), *v.Snapshot())
+}
+
+// TestDeltaVerifierClone: a clone and its original are independent in both
+// directions — the server's what-if discard path once, and the benchmark
+// replay's clone of a fresh load for every discarded query. Each side takes
+// edits that write what a load lays out in shared arrays (extension lists,
+// ranking ids, the node index, origins, link serials and label hashes), and
+// after each the other side answers as before and both agree with the
+// oracle.
 func TestDeltaVerifierClone(t *testing.T) {
 	v, err := NewDeltaVerifier(Figure3IBGP())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := v.Clone() // a fresh load, as the replay clones it
 	requireVerifyParity(t, "base", v)
-	c := v.Clone()
+	original := answer(v)
 	// Apply the full Figure3IBGPFixed repair to the clone only.
 	if err := c.ReRank("a", P("a", "d", "r1"), P("a", "b", "e", "r2")); err != nil {
 		t.Fatal(err)
@@ -242,6 +255,9 @@ func TestDeltaVerifierClone(t *testing.T) {
 	}
 	requireVerifyParity(t, "clone after repair", c)
 	requireVerifyParity(t, "original after clone edit", v)
+	if got := answer(v); got != original {
+		t.Fatalf("editing the clone changed the original:\n%s\nwas\n%s", got, original)
+	}
 	res, _, err := c.Verify(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +274,108 @@ func TestDeltaVerifierClone(t *testing.T) {
 	}
 	if len(sus) == 0 {
 		t.Fatal("unsafe verdict should implicate suspect nodes")
+	}
+
+	// Now the other way: the original loses the a↔d session, pruning the
+	// paths over it, and grows a node, an origin and a session whose path
+	// extends c's; then the clone takes a session and a path of its own.
+	repaired := answer(c)
+	edit := func(x *DeltaVerifier, label string, ops ...gadgetOp) {
+		t.Helper()
+		for _, op := range ops {
+			if err := op.apply(x); err != nil {
+				t.Fatalf("%s: %s: %v", label, op.name, err)
+			}
+		}
+		requireVerifyParity(t, label, x)
+		requireIndexMatchesSnapshot(t, label+", original's tables", v)
+		requireIndexMatchesSnapshot(t, label+", clone's tables", c)
+	}
+	edit(v, "original after its own edits", dropSession("a", "d"), addSession("c", "g", 2), rerank("g", P("g", "c", "f", "r3"), P("g", "rg")))
+	if got := answer(c); got != repaired {
+		t.Fatalf("editing the original changed the clone:\n%s\nwas\n%s", got, repaired)
+	}
+	edited := answer(v)
+	edit(c, "clone after its own edits", addSession("b", "g", 0), rerank("g", P("g", "b", "e", "r2")), dropSession("d", "e"))
+	if got := answer(v); got != edited {
+		t.Fatalf("editing the clone again changed the original:\n%s\nwas\n%s", got, edited)
+	}
+	requireVerifyParity(t, "original at the end", v)
+}
+
+// TestDeltaVerifierOwnsItsCopy: a load deep-copies its instance. Four edits
+// of the caller's instance after NewDeltaVerifier — a re-rank, a new
+// session, a node appended to Nodes and one hop of a ranked path written in
+// place — change none of Verify's answer, Model and Snapshot, and neither do
+// the same four on the instance Snapshot returns.
+func TestDeltaVerifierOwnsItsCopy(t *testing.T) {
+	scribble := func(x *Instance) {
+		x.Rank("a", P("a", "r9"))
+		x.AddSession("a", "zz", 3)
+		x.Nodes = append(x.Nodes, "yy")
+		x.Permitted["b"][0][1] = "nowhere"
+	}
+	for _, in := range []*Instance{Figure3IBGP(), Figure3IBGPFixed()} {
+		v, err := NewDeltaVerifier(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answer(v)
+		scribble(in)
+		if got := answer(v); got != want {
+			t.Fatalf("%s: editing the loaded instance reached the verifier:\n%s\nwas\n%s", in.Name, got, want)
+		}
+		requireVerifyParity(t, in.Name+" after the caller's edits", v)
+		scribble(v.Snapshot())
+		if got := answer(v); got != want {
+			t.Fatalf("%s: editing a snapshot reached the verifier:\n%s\nwas\n%s", in.Name, got, want)
+		}
+		requireVerifyParity(t, in.Name+" after a snapshot's edits", v)
+	}
+}
+
+// TestFirstCheckIsTheDenseSolve: the first Verify of an unedited load is
+// one full solve that loads every atom and walks no graph edge, safe or
+// not, and the next Verify is a cache hit. After a safe one the next edit
+// is a delta solve from the model it installed, after an unsafe one a full
+// solve. A load edited, or verified inside a transaction, first is checked
+// on the graph, as any other check.
+func TestFirstCheckIsTheDenseSolve(t *testing.T) {
+	for _, tc := range []struct {
+		in   *Instance
+		next string // the discharge of the check after an edit
+	}{{Figure3IBGPFixed(), "delta"}, {Figure3IBGP(), "full"}} {
+		v, err := NewDeltaVerifier(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireVerifyParity(t, tc.in.Name+" first", v)
+		res, _, _ := v.Verify(context.Background())
+		st := v.DeltaStats()
+		if st.Steps != res.NumPreference+res.NumMonotonicity || st.FullSolves != 1 || st.Checks != 1 || st.CacheHits < 1 {
+			t.Fatalf("%s: first check %+v over %d atoms, want their steps, one full solve, then a cache hit", tc.in.Name, st, res.NumPreference+res.NumMonotonicity)
+		}
+		if err := v.ReRank("d", P("d", "a", "b", "e", "r2"), P("d", "r1"), P("d", "a", "c", "f", "r3")); err != nil {
+			t.Fatal(err)
+		}
+		requireVerifyParity(t, tc.in.Name+" edited", v)
+		if after := v.DeltaStats(); (after.DeltaSolves > st.DeltaSolves) != (tc.next == "delta") || (after.FullSolves > st.FullSolves) != (tc.next == "full") {
+			t.Fatalf("%s: the check after an edit moved %+v to %+v, want a %s solve", tc.in.Name, st, after, tc.next)
+		}
+	}
+	for _, first := range []func(v *DeltaVerifier){
+		func(v *DeltaVerifier) { v.ReRank("a", P("a", "d", "r1"), P("a", "b", "e", "r2")) },
+		func(v *DeltaVerifier) { v.Begin(); requireVerifyParity(t, "inside a transaction", v); v.Rollback() },
+	} {
+		v, err := NewDeltaVerifier(Figure3IBGP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		first(v)
+		requireVerifyParity(t, "after the first", v)
+		if st := v.DeltaStats(); st.Steps <= v.numPref+v.numMono {
+			t.Fatalf("a load edited or checked in a transaction first took %d steps over %d atoms: the dense solve, not the graph", st.Steps, v.numPref+v.numMono)
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ package spp
 // so a shrink candidate that fails its re-verification can simply be
 // dropped.
 
-// Clone returns a deep copy of the instance.
+// Clone returns a deep copy of the instance in a constant number of
+// allocations: one array holds every hop and a second every path header.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		Name:      in.Name,
@@ -22,10 +23,45 @@ func (in *Instance) Clone() *Instance {
 	for l, c := range in.Cost {
 		out.Cost[l] = c
 	}
+	heads, hops := 0, 0
+	for _, paths := range in.Permitted {
+		heads += len(paths)
+		for _, p := range paths {
+			hops += len(p)
+		}
+	}
+	all, flat := make([]Path, 0, heads), make(Path, 0, hops)
 	for n, paths := range in.Permitted {
-		out.Permitted[n] = clonePaths(paths)
+		out.Permitted[n], all, flat = appendPaths(all, flat, paths)
 	}
 	return out
+}
+
+// clonePaths copies a ranking in two allocations.
+func clonePaths(paths []Path) []Path {
+	hops := 0
+	for _, p := range paths {
+		hops += len(p)
+	}
+	out, _, _ := appendPaths(make([]Path, 0, len(paths)), make(Path, 0, hops), paths)
+	return out
+}
+
+// appendPaths appends a copy of a ranking to heads, its hops to hops, and
+// returns the copy: a capped run of heads, each path a capped run of hops,
+// so that an append to one reallocates it instead of writing over the next.
+// An empty path stays nil, as append(nil, p...) has it.
+func appendPaths(heads []Path, hops Path, paths []Path) ([]Path, []Path, Path) {
+	at := len(heads)
+	for _, p := range paths {
+		var q Path
+		if len(p) > 0 {
+			hops = append(hops, p...)
+			q = hops[len(hops)-len(p) : len(hops) : len(hops)]
+		}
+		heads = append(heads, q)
+	}
+	return heads[at:len(heads):len(heads)], heads, hops
 }
 
 // Rename returns a copy of the instance with every node and origin token

@@ -54,7 +54,8 @@
 // refill that prep's arrays in place, node index included. What escapes is
 // the model map, whose keys are substrings of the one string that holds
 // every variable name, on a safe verdict, and the core and suspects on an
-// unsafe one — never a slice of the prep. NewTable, NewDeltaVerifier and
+// unsafe one — never a slice of the prep. NewTable, NewDeltaVerifier (which
+// borrows its indexes and decides its dense system first) and
 // ShardedConstraints keep their prep, so they fill a fresh one through the
 // same functions, the two passes in sequence (buildShardPrep).
 
@@ -610,7 +611,7 @@ func (p *shardPrep) linked(a, b Node) bool {
 // alone.
 func (p *shardPrep) name(asAlgebra bool) error {
 	in := p.in
-	if asAlgebra && p.hasDup() {
+	if asAlgebra && p.dups() > 0 {
 		seen := make(map[string]bool, len(in.Links))
 		for _, l := range in.Links {
 			lab := string(l.From) + string(l.To)
@@ -654,7 +655,7 @@ func (p *shardPrep) name(asAlgebra bool) error {
 		}
 		return struct{}{}
 	})
-	if p.hasDup() {
+	if p.dups() > 0 {
 		obsShardCollisions.Inc()
 		if err := duplicatePath(in); err != nil {
 			return err
@@ -699,25 +700,26 @@ func duplicatePath(in *Instance) error {
 // inputs hash equal in every chunk.
 var screenSeed = maphash.MakeSeed()
 
-// hasDup reports whether two of p.keys are equal, collecting them in an
-// open-addressed set at most half full (0 marks an empty slot) — under half
-// the cost of sorting them. Equal inputs must hash equal, so false means no
-// duplicates. The set is the prep's, reused by the next screen.
-func (p *shardPrep) hasDup() bool {
+// dups counts the keys of p.keys that repeat an earlier one (bit 0 aside),
+// collecting them in an open-addressed set at most half full (0 marks an
+// empty slot) — under half the cost of sorting them. Equal inputs must hash
+// equal, so 0 means no duplicates. The set is the prep's, reused by the
+// next screen.
+func (p *shardPrep) dups() (n int) {
 	p.set = resize(p.set, 1<<bits.Len(uint(2*len(p.keys))))
 	set := p.set
 	mask := uint64(len(set) - 1)
 	for _, k := range p.keys {
 		k |= 1
 		i := k >> 1 & mask
-		for ; set[i] != 0; i = (i + 1) & mask {
-			if set[i] == k {
-				return true
-			}
+		for ; set[i] != 0 && set[i] != k; i = (i + 1) & mask {
+		}
+		if set[i] == k {
+			n++
 		}
 		set[i] = k
 	}
-	return false
+	return n
 }
 
 // appendMatches appends link li's permitted extensions: for every permitted

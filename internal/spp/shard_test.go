@@ -819,6 +819,71 @@ func TestUnsafeCostsWhatSafeCosts(t *testing.T) {
 	}
 }
 
+// TestResidentLoadCostsAnAnalysis is the counter guard on a resident load:
+// NewDeltaVerifier plus its first Verify allocates at most one object per 16
+// permitted paths and at most 4× the bytes of the emitter's own prep and
+// naming (PrepAllocProbe) on the same instance, at internet:5000 and
+// :12000. The parent of this guard read ≈ 6 objects per path, and 7.1× and
+// 6.0× the bytes. The first check is the dense solve: one full solve whose
+// steps are the atoms it loads, with no graph edge walked. Under the race
+// detector the counts are only logged.
+func TestResidentLoadCostsAnAnalysis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=12000 instance")
+	}
+	ctx := context.Background()
+	// allocated counts what one call of f allocates, over three after a
+	// warm-up, with no collection from the warm-up on: two would empty the
+	// solver's engine pool and charge a fresh engine to the count.
+	allocated := func(f func()) (objects, bytes float64) {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 3 {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / 3, float64(after.TotalAlloc-before.TotalAlloc) / 3
+	}
+	for _, n := range []int{5000, 12000} {
+		in := internetInstance(n, 1)
+		paths := 0
+		for _, ranking := range in.Permitted {
+			paths += len(ranking)
+		}
+		var res analysis.Result
+		var stats smt.DeltaStats
+		objects, bytes := allocated(func() {
+			v, err := spp.NewDeltaVerifier(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, _, err = v.Verify(ctx); err != nil || !res.Sat {
+				t.Fatalf("internet:%d: sat=%v err=%v", n, res.Sat, err)
+			}
+			stats = v.DeltaStats()
+		})
+		_, prepBytes := allocated(func() {
+			if err := spp.PrepAllocProbe(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("internet:%d (%d paths): load and first verify %.0f objects (1 per %.0f paths), %.2f MB (%.1f× the prep's %.2f MB)",
+			n, paths, objects, float64(paths)/objects, bytes/1e6, bytes/prepBytes, prepBytes/1e6)
+		if atoms := res.NumPreference + res.NumMonotonicity; stats.Steps != atoms || stats.FullSolves != 1 || stats.Checks != 1 {
+			t.Errorf("internet:%d: first check took %d steps over %d atoms, %d full solves of %d checks; want the atoms loaded, one full solve", n, stats.Steps, atoms, stats.FullSolves, stats.Checks)
+		}
+		if raceEnabled {
+			continue
+		}
+		if objects > float64(paths)/16 || bytes > 4*prepBytes {
+			t.Errorf("internet:%d: load and first verify allocate %.0f objects and %.2f MB, want at most %d and %.2f MB", n, objects, bytes/1e6, paths/16, 4*prepBytes/1e6)
+		}
+	}
+}
+
 // TestAnalysisAllocatesItsAnswer is the counter-based guard on an analysis's
 // scratch. After one warm-up, the bytes an Analyze of internet:12000
 // allocates are its answer's — model map and variable names when safe, core

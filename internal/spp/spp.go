@@ -210,33 +210,23 @@ func (in *Instance) Sessions() []Link {
 }
 
 // topoIndex is the hash-set view of an instance's declarations — real
-// nodes (with their position in Nodes), origin tokens, directed links (with
-// a serial from 1; 0 for none) — that structural validation resolves
-// membership against, so validating an instance is linear in its size
-// instead of one slice scan per hop. The emitter's prep keeps one without
-// links: it checks hops on ids (shardPrep.linked).
+// nodes (with their position in Nodes) and origin tokens — that structural
+// validation resolves membership against, so validating an instance is
+// linear in its size instead of one slice scan per hop. Each user checks
+// hops its own way: Validate on a link set, the emitter's prep on ids
+// (shardPrep.linked), the DeltaVerifier on its link serials.
 type topoIndex struct {
 	in      *Instance // whose Nodes the node index holds positions in
 	nodes   nodeIndex
 	origins map[Node]bool
-	links   map[Link]int32
 }
 
 // indexInstance builds the index of the instance's current declarations.
 func indexInstance(in *Instance) *topoIndex {
-	ix := &topoIndex{
-		in:      in,
-		origins: make(map[Node]bool, len(in.Origins)),
-		links:   make(map[Link]int32, len(in.Links)),
-	}
+	ix := &topoIndex{in: in, origins: make(map[Node]bool, len(in.Origins))}
 	ix.nodes.build(in.Nodes)
 	for _, o := range in.Origins {
 		ix.origins[o] = true
-	}
-	for i, l := range in.Links {
-		if ix.links[l] == 0 {
-			ix.links[l] = int32(i + 1) // its position, plus one
-		}
 	}
 	return ix
 }
@@ -244,9 +234,6 @@ func indexInstance(in *Instance) *topoIndex {
 // node returns n's position in Nodes (the last, when n is listed twice), or
 // −1 when n is undeclared.
 func (ix *topoIndex) node(n Node) int32 { return ix.nodes.find(ix.in.Nodes, n) }
-
-// hasLink reports whether the directed link a→b is declared.
-func (ix *topoIndex) hasLink(a, b Node) bool { return ix.links[Link{a, b}] != 0 }
 
 // nodeIndex maps a node name to its position in a list of nodes: an
 // open-addressed table, at most half full, whose slot holds the high half of
@@ -367,10 +354,14 @@ func (ix *topoIndex) undeclaredRanking(in *Instance) error {
 // first error reported is deterministic: rankings are checked in Nodes
 // order, then rankings of undeclared nodes in name order.
 func (in *Instance) Validate() error {
-	ix := indexInstance(in)
+	ix, links := indexInstance(in), make(map[Link]bool, len(in.Links))
+	for _, l := range in.Links {
+		links[l] = true
+	}
+	linked := func(a, b Node) bool { return links[Link{a, b}] }
 	for _, n := range in.Nodes {
 		for _, p := range in.Permitted[n] {
-			if err := ix.validatePath(in.Name, n, p, false, ix.hasLink); err != nil {
+			if err := ix.validatePath(in.Name, n, p, false, linked); err != nil {
 				return err
 			}
 		}

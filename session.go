@@ -264,11 +264,12 @@ func (s *Session) AnalyzeSPP(ctx context.Context, in *SPPInstance) (AnalysisResu
 }
 
 // OpenDeltaVerifier loads an SPP instance into a resident incremental
-// verifier. The verifier deep-copies the instance, builds the safety
-// constraint system once, and then re-verifies edits (ReRank, AddSession,
-// DropSession) by patching the standing difference-logic graph and
-// re-probing only the affected region — the daemon-mode counterpart of
-// AnalyzeSPP. Verdicts and models are bit-for-bit identical to a full
+// verifier. The load costs about one AnalyzeSPP: the verifier deep-copies
+// the instance, builds its graph from the emitter's prep of the copy, and
+// its first Verify is the emitter's dense solve. It then re-verifies edits
+// (ReRank, AddSession, DropSession) by patching the standing
+// difference-logic graph and re-probing only the affected region — the
+// daemon-mode counterpart of AnalyzeSPP. Verdicts and models are bit-for-bit identical to a full
 // rebuild (VerifyFull is the differential oracle), and so are minimal
 // cores, member for member and in order, but without positions: CoreIdx is
 // nil. Verify answers verdict, core and suspects, and Model renders the witness
